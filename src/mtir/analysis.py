@@ -49,9 +49,6 @@ class AnalysisConfig:
     combo_cap: int = 4096
     visit_budget: int = 200_000
     parallel: int = 1
-    # oracle bounds, carried here so harnesses share one config object
-    nondet_domain: tuple = (-1, 0, 1)
-    oracle_schedule_cap: int = 500_000
 
 
 @dataclass(frozen=True)
@@ -297,19 +294,15 @@ def compute_combinations(cfg: ThreadCfg, table: dict, model: ProgramModel,
                     f"(cap {combo_cap}); consider clustering")
         return _cartesian(loads, sources)
 
+    def feasible(combos):
+        if not feasibility:
+            return combos
+        return [combo for combo in combos if facts.is_feasible(combo)]
+
     if plan is None:
         combos = guarded_product(active)
-        generated = len(combos)
-        rejected = 0
-        if feasibility:
-            kept = []
-            for combo in combos:
-                if facts.is_feasible(combo):
-                    kept.append(combo)
-                else:
-                    rejected += 1
-            combos = kept
-        return combos, generated, rejected
+        kept = feasible(combos)
+        return kept, len(combos), len(combos) - len(kept)
 
     clusters = [group for group in plan.by_thread.get(cfg.tid, [])
                 if any(l in sources for l in group)]
@@ -319,16 +312,10 @@ def compute_combinations(cfg: ThreadCfg, table: dict, model: ProgramModel,
     for group in clusters:
         group = [l for l in group if l in sources]
         combos = guarded_product(group)
+        kept = feasible(combos)
         generated += len(combos)
-        if feasibility:
-            kept = []
-            for combo in combos:
-                if facts.is_feasible(combo):
-                    kept.append(combo)
-                else:
-                    rejected += 1
-            combos = kept or [_self_combination(group)]
-        per_cluster.append((group, combos))
+        rejected += len(combos) - len(kept)
+        per_cluster.append((group, kept or [_self_combination(group)]))
 
     clustered_loads = {l for group, _ in per_cluster for l in group}
     background = {l: SelfSource() for l in active if l not in clustered_loads}

@@ -6,6 +6,13 @@ counter, and assert a property about their own parameter.  The shared
 counter makes the flow-insensitive interference table grow for several
 outer iterations, while the property never depends on it, so slicing
 removes all of that work in the optimized mode.
+
+The chain family is a creation chain c1 -> c2 -> ... of the given depth.
+Each link reads a shared variable, asserts it holds at least the value
+its creator stored, then stores its own value.  Only ordering rules out
+the later links' stores, so the constrained modes verify every assertion
+and the unconstrained ones only the first two; its time is the ordering
+layer's scaling curve.
 """
 
 from __future__ import annotations
@@ -38,7 +45,23 @@ def watchdog_program(threads: int, seed: int = 0) -> str:
     return "\n".join(lines) + "\n"
 
 
-FAMILIES = {"watchdog": watchdog_program}
+def chain_program(depth: int, seed: int = 0) -> str:
+    lines = ["int x = %d;" % seed]
+    for k in range(1, depth + 1):
+        lines.append("thread c%d() {" % k)
+        lines.append("  int t = x;")
+        lines.append("  assert(t >= %d);" % (seed + k - 1))
+        lines.append("  x = %d;" % (seed + k))
+        if k < depth:
+            lines.append("  create(c%d);" % (k + 1))
+        lines.append("}")
+    lines.append("thread main() {")
+    lines.append("  create(c1);")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+FAMILIES = {"watchdog": watchdog_program, "chain": chain_program}
 
 
 @dataclass

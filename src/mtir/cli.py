@@ -134,6 +134,10 @@ def _cmd_analyze(args) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as err:
+        print(f"error: {args.file}: not UTF-8 text (byte {err.start})",
+              file=sys.stderr)
+        return 2
 
     if args.widening_delay < 0 or args.outer_budget <= 0 \
             or args.combo_cap <= 0 or args.parallel <= 0:
@@ -154,6 +158,11 @@ def _cmd_analyze(args) -> int:
         wall_ms = (time.perf_counter() - start) * 1000.0
     except MtirError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # the parser and the AST walks recurse once per nesting level
+        print(f"error: {args.file}: program nests too deeply",
+              file=sys.stderr)
         return 2
 
     report = build_report(result, wall_ms, include_envs=args.dump_envs)

@@ -49,6 +49,15 @@ store s2 to actually run before l2, hence the strong (or executing)
 premise.  A contradiction is ReadsFrom(l,s) together with MNRF(l,s), or
 an MHB self-loop on a node that executes.
 
+Feasibility queries are decided on bitset rows, not by the rule engine:
+each node's base MHB and MHBS successors are one Python int, and a query
+closes only the rows of its executing nodes (the ReadsFrom endpoints).
+Every contradiction reads only those rows, and W4, W4e and R3 grow them
+from those rows and the fixed strong rows alone, so this is the part of
+the closure the goal needs.  The generic semi-naive engine (`fixpoint`)
+stays as the reference the tests compare the rows against, and as the
+derivation dumper behind `check_facts`.
+
 Initial values are modeled as one virtual store node per global
 (`init:<var>`) that strongly precedes every real node.  A load that can
 only ever observe the initial value through its own environment (no store
@@ -110,11 +119,6 @@ RULES = (
           ("IsStore", ("s2", "v")))),
 )
 
-# R5 only feeds the contradiction check (MustNotReadFrom appears in no
-# rule body), so feasibility queries inline it instead of materializing
-# one MustNotReadFrom tuple per MHB tuple.
-RULES_QUERY = tuple(rule for rule in RULES if rule.name != "R5")
-
 
 def init_node(var: str) -> str:
     return "init:%s" % var
@@ -137,17 +141,6 @@ class FactBase:
 
     def copy(self) -> "FactBase":
         return FactBase(self.relations)
-
-    def query_copy(self) -> "FactBase":
-        """Copy for one feasibility query: the relations a query can grow
-        are private, the rest are shared.  MHBS is shared too: no rule
-        derives strong facts from ReadsFrom or Executes, so queries never
-        write to it."""
-        out = FactBase.__new__(FactBase)
-        out.relations = dict(self.relations)
-        for name in ("MHB", "MustNotReadFrom", "ReadsFrom", "Executes"):
-            out.relations[name] = set(self.relations[name])
-        return out
 
     def __eq__(self, other):
         return isinstance(other, FactBase) and self.relations == other.relations
@@ -431,9 +424,114 @@ def initial_value_loads(model: ProgramModel) -> set[int]:
 
 # --- feasibility engine --------------------------------------------------------
 
+def _bits(mask: int):
+    """Positions of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _OrderingRows:
+    """The base MHB and MHBS relations as bitset rows: every model node
+    and every `init:<var>` node gets a dense position, and bit j of row i
+    says node i precedes node j.  Also per-variable masks of the store
+    and load nodes, and each load's and store's variable."""
+
+    def __init__(self, model: ProgramModel, base: FactBase):
+        nodes = [node.id for node in model.all_nodes()]
+        nodes += [init_node(var) for var in model.globals]
+        self.position = {node: i for i, node in enumerate(nodes)}
+        self.weak = self._rows(len(nodes), base.relations["MHB"])
+        self.strong = self._rows(len(nodes), base.relations["MHBS"])
+        self.load_var = self._labels(base.relations["IsLoad"])
+        self.store_var = self._labels(base.relations["IsStore"])
+        self.loads = self._masks(self.load_var)
+        self.stores = self._masks(self.store_var)
+
+    def _rows(self, size, pairs) -> list[int]:
+        rows = [0] * size
+        for a, b in pairs:
+            rows[self.position[a]] |= 1 << self.position[b]
+        return rows
+
+    def _labels(self, pairs) -> dict:
+        return {self.position[node]: var for node, var in pairs}
+
+    @staticmethod
+    def _masks(labels) -> dict:
+        masks: dict = {}
+        for p, var in labels.items():
+            masks[var] = masks.get(var, 0) | 1 << p
+        return masks
+
+    def strong_closure(self, mask: int) -> int:
+        """`mask` plus every node strongly after one of its nodes.  MHBS
+        is transitive, so one step suffices, and a node already strongly
+        after a visited one adds nothing of its own."""
+        out = todo = mask
+        while todo:
+            low = todo & -todo
+            after = self.strong[low.bit_length() - 1]
+            out |= after
+            todo &= ~(after | low)
+        return out
+
+    def feasible(self, rf) -> bool:
+        """Close the rows of the executing nodes of `rf` under R3, W4 and
+        W4e, then test every contradiction the rule set can derive."""
+        position = self.position
+        pairs = [(position[l], position[s]) for l, s in rf]
+        row = {p: self.weak[p] for pair in pairs for p in pair}
+        executing = 0
+        for p in row:
+            executing |= 1 << p
+        r3 = [(l, s, self.stores[var]) for l, s in pairs
+              if (var := self.load_var.get(l)) is not None
+              and self.store_var.get(s) == var]
+
+        # every row stays closed under W4: base rows are, R3's additions
+        # are strong-closed here, and W4e only ORs in closed rows
+        changed = True
+        while changed:
+            changed = False
+            for l, s, stores in r3:  # R3
+                new = row[s] & stores & ~row[l]
+                if new:
+                    row[l] |= self.strong_closure(new)
+                    changed = True
+            for p, mask in row.items():  # W4e
+                grown = mask
+                for b in _bits(mask & executing):
+                    grown |= row[b]
+                if grown != mask:
+                    row[p] = grown
+                    changed = True
+
+        for l, s in pairs:  # R5: ReadsFrom meets MHB
+            if row[l] >> s & 1:
+                return False
+        for p, mask in row.items():  # self-loop at an executing node
+            if mask >> p & 1:
+                return False
+        readers: dict = {}
+        for l, s in pairs:
+            readers[s] = readers.get(s, 0) | 1 << l
+        for l1, s1 in pairs:  # R6 / R6e
+            var = self.load_var.get(l1)
+            if var is None:
+                continue
+            later = 0
+            for s2 in _bits(row[l1] & self.stores[var]):
+                later |= self.strong[s2] | row.get(s2, 0)
+            if later & self.loads[var] & readers[s1]:
+                return False
+        return True
+
+
 class FeasibilityEngine:
     """Query interface over a fixed model: base facts are computed once,
-    every combination check works on a private copy and leaves the base
+    every combination check works on private rows and leaves the base
     untouched."""
 
     def __init__(self, model: ProgramModel):
@@ -441,6 +539,7 @@ class FeasibilityEngine:
         self.base = build_base_facts(model)
         self.initial_loads = initial_value_loads(model)
         self._cache: dict[frozenset, bool] = {}
+        self._rows: _OrderingRows | None = None  # built on the first query
         self.queries = 0
 
     def must_happen_before(self, a: int, b: int) -> bool:
@@ -484,23 +583,9 @@ class FeasibilityEngine:
         return contradiction(work) is None, work
 
     def _feasible(self, rf: frozenset) -> bool:
-        """Hot path: Rule 5 stays implicit (MustNotReadFrom feeds no rule
-        body, so `ReadsFrom meets MHB` is the same contradiction)."""
-        work = self.base.query_copy()
-        executes = self._executes(rf)
-        work.relations["ReadsFrom"] |= rf
-        work.relations["Executes"] |= executes
-        fixpoint(work, RULES_QUERY,
-                 delta={"ReadsFrom": set(rf), "Executes": set(executes)})
-        mhb = work.relations["MHB"]
-        mnrf = work.relations["MustNotReadFrom"]
-        for pair in rf:
-            if pair in mhb or pair in mnrf:
-                return False
-        for (node,) in work.relations["Executes"]:
-            if (node, node) in mhb:
-                return False
-        return True
+        if self._rows is None:
+            self._rows = _OrderingRows(self.model, self.base)
+        return self._rows.feasible(rf)
 
     def is_feasible(self, combination) -> bool:
         """Alg-style Add / Satisfiable / Remove in one step: the base

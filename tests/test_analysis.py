@@ -5,6 +5,7 @@ from mtir.analysis import (
     AnalysisConfig, analyze, compute_combinations, run_flow_insensitive,
     run_flow_sensitive,
 )
+from mtir.bench import chain_program
 from mtir.cfg import build_model, loads_of, reachable_sets
 from mtir.domain import AbstractEnv, interval, transfer
 from mtir.errors import AnalysisBudgetExceeded, CombinationBudgetExceeded
@@ -146,6 +147,16 @@ def test_flag_sync_constrained_verifies(corpus_results):
     reader_tid = 2
     assert final.combos[reader_tid] == 6
     assert final.infeasible[reader_tid] == 2
+
+
+def test_deep_creation_chain_verdicts():
+    # only ordering rules out the later links' stores, so the constrained
+    # modes verify every link and the plain modes only the first two
+    model = model_of(chain_program(30))
+    verified = {mode: len(analyze(model, AnalysisConfig(mode=mode))
+                          .verified_assertions())
+                for mode in MODES}
+    assert verified == {"fi": 2, "fs": 2, "fsc": 30, "fso": 30}
 
 
 def test_flag_sync_plain_fs_unproven_with_expected_case_split(corpus_models):

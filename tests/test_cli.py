@@ -3,6 +3,7 @@ import json
 import jsonschema
 import pytest
 
+from mtir.bench import FAMILIES
 from mtir.cli import REPORT_SCHEMA, main
 from mtir.corpus import PROGRAMS, path
 
@@ -34,12 +35,22 @@ def test_missing_file_exits_two(capsys):
     assert "error" in err
 
 
+BAD_INPUTS = {
+    "syntax": b"thread main() { x = ; }",
+    "deep-parens": b"int x = 0;\nthread main() { int t = "
+                   + b"(" * 3000 + b"1" + b")" * 3000 + b"; }",
+    "not-utf8": b"\xff\xfeint x = 0;",
+    "empty": b"",
+}
+
+
 def test_bad_syntax_exits_two(tmp_path, capsys):
-    bad = tmp_path / "bad.mtir"
-    bad.write_text("thread main() { x = ; }")
-    status, _, err = run_cli(capsys, "analyze", str(bad))
-    assert status == 2
-    assert "error" in err
+    for name, content in BAD_INPUTS.items():
+        bad = tmp_path / ("%s.mtir" % name)
+        bad.write_bytes(content)
+        status, _, err = run_cli(capsys, "analyze", str(bad))
+        assert status == 2, name
+        assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
 
 
 def test_bad_flag_exits_two(capsys):
@@ -103,11 +114,13 @@ def test_parallel_output_matches_serial(capsys):
 
 
 def test_bench_row_count(capsys):
-    status, out, _ = run_cli(capsys, "bench", "--sizes=2,3", "--seed=1")
-    assert status == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "threads,mode,time_s,verified,total"
-    assert len(lines) == 1 + 2 * 4  # sizes x modes
+    for family in FAMILIES:
+        status, out, _ = run_cli(capsys, "bench", "--family=%s" % family,
+                                 "--sizes=2,3", "--seed=1")
+        assert status == 0, family
+        lines = out.strip().splitlines()
+        assert lines[0] == "threads,mode,time_s,verified,total"
+        assert len(lines) == 1 + 2 * 4, family  # sizes x modes
 
 
 def test_bench_unknown_family(capsys):
@@ -117,9 +130,11 @@ def test_bench_unknown_family(capsys):
 
 
 def test_bench_verified_counts_monotone_per_size(capsys):
-    _, out, _ = run_cli(capsys, "bench", "--sizes=2,3")
-    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
-    verified = {(int(t), m): int(v) for t, m, _, v, _ in rows}
-    for size in (2, 3):
-        assert verified[(size, "fi")] <= verified[(size, "fs")] \
-            <= verified[(size, "fsc")]
+    for family in FAMILIES:
+        _, out, _ = run_cli(capsys, "bench", "--family=%s" % family,
+                            "--sizes=2,3")
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        verified = {(int(t), m): int(v) for t, m, _, v, _ in rows}
+        for size in (2, 3):
+            assert verified[(size, "fi")] <= verified[(size, "fs")] \
+                <= verified[(size, "fsc")], family

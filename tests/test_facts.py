@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from conftest import node_ids
+from conftest import node_ids, random_program
+from mtir.bench import chain_program
 from mtir.cfg import build_model, is_store, loads_of
 from mtir.domain import AbstractEnv
 from mtir.facts import (
-    RULES, RULES_QUERY, FactBase, FeasibilityEngine, build_base_facts,
+    RULES, FactBase, FeasibilityEngine, build_base_facts,
     contradiction, dump_facts, fixpoint, init_node, initial_value_loads,
     naive_fixpoint,
 )
@@ -189,28 +190,89 @@ def test_rule5_consistency(flag_sync):
                 assert not feas.is_feasible(combo)
 
 
+def _combinations(model, groups):
+    """For each group of loads, every way to give each load a remote
+    store to its variable or its own thread's value."""
+    for loads in groups:
+        options = []
+        for l in loads:
+            load = model.node(l)
+            remote = [StoreSource(n.id, AbstractEnv.top())
+                      for n in model.all_nodes()
+                      if is_store(n) and n.tid != load.tid
+                      and n.stmt.var == load.stmt.var]
+            options.append(remote + [SelfSource()])
+        for pick in itertools.product(*options):
+            yield dict(zip(loads, pick))
+
+
+def _per_thread_combinations(model):
+    return _combinations(model, [loads_of(cfg) for cfg in model.threads
+                                 if loads_of(cfg)])
+
+
+# Loads of several threads in one query reach the two contradictions no
+# single-thread query of the other inputs needs: the self-loop (store
+# buffering: both loads read the initial value) and R6e (`a` and `b` both
+# read u's store, but t's store between them overwrites it, and it runs
+# because `c` reads it).
+CROSS_THREAD = {
+    "store_buffering":
+        "int x = 0;\nint y = 0;\n"
+        "thread a() { x = 1; int r = y; }\n"
+        "thread b() { y = 1; int s = x; }\n"
+        "thread main() { create(a); create(b); }",
+    "stale_reread":
+        "int x = 0;\n"
+        "thread t() { int a = x; if (a > 5) { x = 2; } int b = x; }\n"
+        "thread u() { x = 1; int c = x; }\n"
+        "thread main() { create(t); create(u); }",
+}
+
+
+def _chain_combinations(model, depth):
+    # the reference closure costs about a second per query at depth 20,
+    # so deep chains check three flows: the deepest link reading its
+    # creator (feasible), and two refuted ones, the deepest link reading
+    # the first store and the first link reading the last store
+    link = {cfg.name: cfg for cfg in model.threads}
+
+    def load(k):
+        return loads_of(link["c%d" % k])[0]
+
+    def store(k):
+        cfg = link["c%d" % k]
+        return StoreSource(next(n for n in cfg.node_order()
+                                if is_store(cfg.nodes[n])),
+                           AbstractEnv.top())
+
+    yield {load(depth): store(depth - 1)}
+    yield {load(depth): store(1)}
+    yield {load(1): store(depth)}
+
+
 def test_fast_path_agrees_with_full_closure():
-    for name in PROGRAMS:
-        model = model_of(source(name))
+    models = [(name, model_of(source(name))) for name in PROGRAMS]
+    models += [("random%d" % seed, model_of(random_program(seed)))
+               for seed in range(60)]
+    models.append(("chain4", model_of(chain_program(4))))
+    cases = [(name, model, _per_thread_combinations(model))
+             for name, model in models]
+    for name, text in CROSS_THREAD.items():
+        model = model_of(text)
+        every_load = [l for cfg in model.threads for l in loads_of(cfg)]
+        cases.append((name, model, _combinations(model, [every_load])))
+    for depth in (10, 20):
+        model = model_of(chain_program(depth))
+        cases.append(("chain%d" % depth, model,
+                      _chain_combinations(model, depth)))
+    for name, model, combinations in cases:
         feas = FeasibilityEngine(model)
-        for cfg in model.threads:
-            loads = loads_of(cfg)
-            if not loads:
-                continue
-            options = []
-            for l in loads:
-                var = cfg.nodes[l].stmt.var
-                remote = [StoreSource(n.id, AbstractEnv.top())
-                          for n in model.all_nodes()
-                          if is_store(n) and n.tid != cfg.tid
-                          and n.stmt.var == var]
-                options.append(remote + [SelfSource()])
-            for pick in itertools.product(*options):
-                combo = dict(zip(loads, pick))
-                rf = feas.reads_from_facts(combo)
-                fast = feas.is_feasible(combo)
-                full, _ = feas.check_facts(rf)
-                assert fast == full, (name, rf)
+        for combo in combinations:
+            rf = feas.reads_from_facts(combo)
+            fast = feas.is_feasible(combo)
+            full, _ = feas.check_facts(rf)
+            assert fast == full, (name, rf)
 
 
 def test_must_happen_before_queries():
@@ -328,7 +390,3 @@ def test_semi_naive_equals_naive(chunk):
             for tup in sorted(tuples):
                 fixpoint(replay, RULES, delta={name: {tup}})
         assert replay.relations == semi.relations
-
-
-def test_query_rules_skip_only_rule5():
-    assert {r.name for r in RULES} - {r.name for r in RULES_QUERY} == {"R5"}

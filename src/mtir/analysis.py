@@ -17,12 +17,18 @@ Two compositions are provided:
 Both iterate until the interference table and the node environments
 stop changing, widening interference environments after a delay so the
 outer loop terminates on programs with unbounded data flow.
+
+Interpreter runs are memoized on what they read: the thread, its entry
+state and the interval each load observes (see `_run_key`).  A run is a
+deterministic function of that input and its results are folded in by
+join, so an input that already ran in the same analysis is skipped;
+`stats.runs` counts the runs scheduled, `stats.interp_runs` those
+executed.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .cfg import (
@@ -48,7 +54,6 @@ class AnalysisConfig:
     outer_budget: int = 64
     combo_cap: int = 4096
     visit_budget: int = 200_000
-    parallel: int = 1
 
 
 @dataclass(frozen=True)
@@ -69,6 +74,7 @@ class IterationStats:
 class AnalysisStats:
     outer_iters: int = 0
     runs: int = 0
+    interp_runs: int = 0
     combos: int = 0
     infeasible: int = 0
     pruned_loads: int = 0
@@ -170,6 +176,42 @@ def _table_snapshot(table):
     return {tid: dict(bucket) for tid, bucket in table.items()}
 
 
+def _run_key(cfg, init, policy):
+    """What an interpreter run reads: the thread, its entry state and the
+    interference its loads observe.  Under a joined summary that is the
+    summary; under per-load sources it is, per load, the kind of source
+    and the interval it supplies (none for a thread-local read), so
+    value-equal stores give one key.  Merged stays apart from store
+    because it joins with the local value."""
+    if isinstance(policy, JoinedInterference):
+        return cfg.tid, init, frozenset(policy.values.items())
+    observed = tuple(
+        (load, type(source), None if isinstance(source, SelfSource)
+         else source.env.get(cfg.nodes[load].stmt.var))
+        for load, source in sorted(policy.sources.items()))
+    return cfg.tid, init, observed
+
+
+def _fold_run(cfg, init, policy, config, seen, te, violable, stats,
+              identity_nodes=frozenset()):
+    """Run the interpreter on one input and join its result into `te` and
+    `violable`, unless the same input already ran in this analysis: the
+    run would be identical and the join idempotent."""
+    key = _run_key(cfg, init, policy)
+    if key in seen:
+        return
+    seen.add(key)
+    run = analyze_thread(
+        cfg, init, policy,
+        widening_delay=config.widening_delay,
+        narrowing_passes=config.narrowing_passes,
+        visit_budget=config.visit_budget,
+        identity_nodes=identity_nodes)
+    _merge_te(te, run.envs)
+    violable |= run.violable
+    stats.interp_runs += 1
+
+
 # --- flow-insensitive composition ----------------------------------------------
 
 def run_flow_insensitive(model: ProgramModel,
@@ -178,6 +220,7 @@ def run_flow_insensitive(model: ProgramModel,
     te: dict = {}
     table: dict = {cfg.tid: {} for cfg in model.threads}
     violable: set = set()
+    seen: set = set()
     stats = AnalysisStats()
 
     for iteration in itertools.count(1):
@@ -200,13 +243,9 @@ def run_flow_insensitive(model: ProgramModel,
                     got = env.get(var)
                     summary[var] = (got if var not in summary
                                     else summary[var].join(got))
-            run = analyze_thread(
-                cfg, _entry_env(model, cfg, te), JoinedInterference(summary),
-                widening_delay=config.widening_delay,
-                narrowing_passes=config.narrowing_passes,
-                visit_budget=config.visit_budget)
-            _merge_te(te, run.envs)
-            violable |= run.violable
+            _fold_run(cfg, _entry_env(model, cfg, te),
+                      JoinedInterference(summary), config, seen, te,
+                      violable, stats)
             stats.runs += 1
             iter_stats.runs += 1
 
@@ -358,68 +397,50 @@ def run_flow_sensitive(model: ProgramModel,
     te: dict = {}
     table: dict = {cfg.tid: {} for cfg in model.threads}
     violable: set = set()
+    seen: set = set()
     stats = AnalysisStats()
     stats.pruned_loads = len(pruned_loads)
     stats.clusters = plan.total_clusters() if plan else 0
-    pool = (ThreadPoolExecutor(max_workers=config.parallel)
-            if config.parallel > 1 else None)
 
-    try:
-        for iteration in itertools.count(1):
-            if iteration > config.outer_budget:
-                raise AnalysisBudgetExceeded(
-                    f"flow-sensitive loop exceeded {config.outer_budget} "
-                    "iterations")
-            stats.outer_iters = iteration
-            before_table = _table_snapshot(table)
-            before_te = dict(te)
-            iter_stats = IterationStats()
+    for iteration in itertools.count(1):
+        if iteration > config.outer_budget:
+            raise AnalysisBudgetExceeded(
+                f"flow-sensitive loop exceeded {config.outer_budget} "
+                "iterations")
+        stats.outer_iters = iteration
+        before_table = _table_snapshot(table)
+        before_te = dict(te)
+        iter_stats = IterationStats()
 
-            for cfg in model.threads:
-                active = [l for l in loads_of(cfg) if l not in pruned_loads]
-                # the first iteration has no interference published yet:
-                # run the self-only combination unfiltered to bootstrap
-                combos, generated, rejected = compute_combinations(
-                    cfg, table, model, facts,
-                    feasibility=use_feasibility and iteration > 1,
-                    plan=plan, pruned_loads=pruned_loads,
-                    combo_cap=config.combo_cap)
-                if not combos:
-                    # every combination was refuted; keep the thread's
-                    # contribution sound with a self-only run
-                    combos = [_self_combination(active)]
-                iter_stats.combos[cfg.tid] = generated
-                iter_stats.infeasible[cfg.tid] = rejected
-                stats.combos += generated
-                stats.infeasible += rejected
+        for cfg in model.threads:
+            active = [l for l in loads_of(cfg) if l not in pruned_loads]
+            # the first iteration has no interference published yet:
+            # run the self-only combination unfiltered to bootstrap
+            combos, generated, rejected = compute_combinations(
+                cfg, table, model, facts,
+                feasibility=use_feasibility and iteration > 1,
+                plan=plan, pruned_loads=pruned_loads,
+                combo_cap=config.combo_cap)
+            if not combos:
+                # every combination was refuted; keep the thread's
+                # contribution sound with a self-only run
+                combos = [_self_combination(active)]
+            iter_stats.combos[cfg.tid] = generated
+            iter_stats.infeasible[cfg.tid] = rejected
+            stats.combos += generated
+            stats.infeasible += rejected
 
-                init = _entry_env(model, cfg, te)
+            init = _entry_env(model, cfg, te)
+            for combo in combos:
+                _fold_run(cfg, init, PerLoad(combo), config, seen, te,
+                          violable, stats, identity_nodes)
+            stats.runs += len(combos)
+            iter_stats.runs += len(combos)
 
-                def one_run(combo):
-                    return analyze_thread(
-                        cfg, init, PerLoad(combo),
-                        widening_delay=config.widening_delay,
-                        narrowing_passes=config.narrowing_passes,
-                        visit_budget=config.visit_budget,
-                        identity_nodes=identity_nodes)
-
-                if pool is not None:
-                    runs = list(pool.map(one_run, combos))
-                else:
-                    runs = [one_run(combo) for combo in combos]
-                for run in runs:  # deterministic accumulation order
-                    _merge_te(te, run.envs)
-                    violable |= run.violable
-                stats.runs += len(runs)
-                iter_stats.runs += len(runs)
-
-            _publish(model, te, table, iteration, config, silent_stores)
-            stats.per_iteration.append(iter_stats)
-            if table == before_table and te == before_te:
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        _publish(model, te, table, iteration, config, silent_stores)
+        stats.per_iteration.append(iter_stats)
+        if table == before_table and te == before_te:
+            break
 
     verdicts = {n: n not in violable for n in model.assertions}
     return AnalysisResult(model, te, verdicts, stats, table,

@@ -41,8 +41,9 @@ REPORT_SCHEMA = {
                          "pruned_loads", "clusters", "wall_ms"],
             "properties": {
                 key: {"type": "number", "minimum": 0}
-                for key in ("outer_iters", "runs", "combos", "infeasible",
-                            "pruned_loads", "clusters", "wall_ms")
+                for key in ("outer_iters", "runs", "interp_runs", "combos",
+                            "infeasible", "pruned_loads", "clusters",
+                            "wall_ms")
             },
         },
         "envs": {"type": "object"},
@@ -68,6 +69,7 @@ def build_report(result: AnalysisResult, wall_ms: float,
         "stats": {
             "outer_iters": stats.outer_iters,
             "runs": stats.runs,
+            "interp_runs": stats.interp_runs,
             "combos": stats.combos,
             "infeasible": stats.infeasible,
             "pruned_loads": stats.pruned_loads,
@@ -91,11 +93,11 @@ def render_text(report: dict) -> str:
     lines.append("%d/%d assertions verified" % (verified,
                                                 len(report["assertions"])))
     s = report["stats"]
-    lines.append("outer_iters=%d runs=%d combos=%d infeasible=%d "
-                 "pruned_loads=%d clusters=%d wall_ms=%.1f"
-                 % (s["outer_iters"], s["runs"], s["combos"],
-                    s["infeasible"], s["pruned_loads"], s["clusters"],
-                    s["wall_ms"]))
+    lines.append("outer_iters=%d runs=%d interp_runs=%d combos=%d "
+                 "infeasible=%d pruned_loads=%d clusters=%d wall_ms=%.1f"
+                 % (s["outer_iters"], s["runs"], s["interp_runs"],
+                    s["combos"], s["infeasible"], s["pruned_loads"],
+                    s["clusters"], s["wall_ms"]))
     for name, env in report.get("envs", {}).items():
         lines.append("  %s: %s" % (name, env))
     return "\n".join(lines)
@@ -118,7 +120,6 @@ def make_parser() -> argparse.ArgumentParser:
     run.add_argument("--dump-envs", action="store_true")
     run.add_argument("--dump-facts", action="store_true")
     run.add_argument("--dump-pdg", action="store_true")
-    run.add_argument("--parallel", type=int, default=1)
 
     bench = sub.add_parser("bench", help="scaling micro-benchmark, CSV out")
     bench.add_argument("--family", default="watchdog")
@@ -140,7 +141,7 @@ def _cmd_analyze(args) -> int:
         return 2
 
     if args.widening_delay < 0 or args.outer_budget <= 0 \
-            or args.combo_cap <= 0 or args.parallel <= 0:
+            or args.combo_cap <= 0:
         print("error: budgets must be positive", file=sys.stderr)
         return 2
 
@@ -151,8 +152,7 @@ def _cmd_analyze(args) -> int:
             widening_delay=args.widening_delay,
             narrowing_passes=args.narrowing_passes,
             outer_budget=args.outer_budget,
-            combo_cap=args.combo_cap,
-            parallel=args.parallel)
+            combo_cap=args.combo_cap)
         start = time.perf_counter()
         result = analyze(model, config)
         wall_ms = (time.perf_counter() - start) * 1000.0

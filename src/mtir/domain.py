@@ -438,22 +438,6 @@ class AbstractEnv:
                             if n in names})
 
 
-def join(a: AbstractEnv, b: AbstractEnv) -> AbstractEnv:
-    return a.join(b)
-
-
-def leq(a: AbstractEnv, b: AbstractEnv) -> bool:
-    return a.leq(b)
-
-
-def widen(a: AbstractEnv, b: AbstractEnv) -> AbstractEnv:
-    return a.widen(b)
-
-
-def render_interval(iv: Interval) -> str:
-    return repr(iv)
-
-
 def render_env(env: AbstractEnv) -> str:
     if env.bottom:
         return "⊥"

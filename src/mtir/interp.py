@@ -124,13 +124,6 @@ class ThreadRun:
         return transfer_with_policy(node, self.envs[node_id], policy)
 
 
-def _edge_env(cfg, src, filt, env):
-    if filt is None:
-        return env
-    _, cond, polarity = filt
-    return filter_cond(cond, polarity, env)
-
-
 def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
                    widening_delay: int = 3, narrowing_passes: int = 1,
                    visit_budget: int = 100_000,
@@ -228,7 +221,8 @@ def is_stable(cfg: ThreadCfg, run: ThreadRun, policy, init: AbstractEnv,
             out = transfer_with_policy(cfg.nodes[n], run.envs[n], policy)
         for dst, filt in cfg.succs[n]:
             if filt is not None and n not in identity_nodes:
-                incoming = _edge_env(cfg, n, filt, out)
+                _, cond, polarity = filt
+                incoming = filter_cond(cond, polarity, out)
             else:
                 incoming = out
             if not incoming.leq(run.envs[dst]):

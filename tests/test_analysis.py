@@ -1,11 +1,11 @@
 import pytest
 
-from conftest import MODES, node_ids
+from conftest import MODES, node_ids, random_program
 from mtir.analysis import (
     AnalysisConfig, analyze, compute_combinations, run_flow_insensitive,
     run_flow_sensitive,
 )
-from mtir.bench import chain_program
+from mtir.bench import chain_program, watchdog_program
 from mtir.cfg import build_model, loads_of, reachable_sets
 from mtir.domain import AbstractEnv, interval, transfer
 from mtir.errors import AnalysisBudgetExceeded, CombinationBudgetExceeded
@@ -296,10 +296,40 @@ def test_termination_within_budget_on_corpus(corpus_results):
             assert result.stats.outer_iters <= 64, (name, mode)
 
 
-def test_parallel_runs_identical(corpus_models):
-    model = corpus_models["flag_sync"]
-    serial = analyze(model, AnalysisConfig(mode="fsc", parallel=1))
-    threaded = analyze(model, AnalysisConfig(mode="fsc", parallel=4))
-    assert serial.verdicts == threaded.verdicts
-    assert serial.te == threaded.te
-    assert serial.stats.runs == threaded.stats.runs
+def test_memoized_runs_match_unmemoized(corpus_models, monkeypatch):
+    from mtir import analysis as analysis_mod
+    cases = dict(corpus_models)
+    for seed in range(20):
+        cases["random%d" % seed] = model_of(random_program(seed))
+    # c's entry state grows across outer iterations, with equal loads
+    cases["late_create"] = model_of(
+        "int g = 0;\n"
+        "thread w() { g = 5; }\n"
+        "thread c() { int t = g; assert(t <= 1); }\n"
+        "thread main() { create(w); int a = g; g = a + 1; create(c); }\n")
+    memoized = {}
+    for name, model in cases.items():
+        for mode in MODES:
+            result = analyze(model, AnalysisConfig(mode=mode))
+            assert result.stats.interp_runs <= result.stats.runs
+            memoized[name, mode] = result
+    # a fresh key per call makes every scheduled run execute
+    monkeypatch.setattr(analysis_mod, "_run_key", lambda *_: object())
+    for (name, mode), memo in memoized.items():
+        full = analyze(memo.model, AnalysisConfig(mode=mode))
+        assert full.stats.interp_runs == full.stats.runs, (name, mode)
+        assert full.stats.runs == memo.stats.runs, (name, mode)
+        assert full.te == memo.te, (name, mode)
+        assert full.verdicts == memo.verdicts, (name, mode)
+        assert full.interference == memo.interference, (name, mode)
+
+
+def test_watchdog_run_counts():
+    # 8 identical workers: most scheduled runs repeat an input
+    model = model_of(watchdog_program(8))
+    counts = {}
+    for mode in MODES:
+        stats = analyze(model, AnalysisConfig(mode=mode)).stats
+        counts[mode] = (stats.runs, stats.interp_runs)
+    assert counts == {"fi": (54, 45), "fs": (334, 41), "fsc": (334, 41),
+                      "fso": (18, 9)}

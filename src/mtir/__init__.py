@@ -2,7 +2,6 @@
 
 from .analysis import (
     AnalysisConfig, AnalysisResult, analyze, compute_combinations,
-    run_flow_insensitive, run_flow_sensitive,
 )
 from .cfg import ProgramModel, ThreadCfg, build_model, loads_of
 from .domain import AbstractEnv, Interval
@@ -12,8 +11,7 @@ from .parser import parse
 __all__ = [
     "AbstractEnv", "AnalysisConfig", "AnalysisResult", "FeasibilityEngine",
     "Interval", "ProgramModel", "ThreadCfg", "analyze", "build_model",
-    "compute_combinations", "loads_of", "parse", "run_flow_insensitive",
-    "run_flow_sensitive",
+    "compute_combinations", "loads_of", "parse",
 ]
 
 __version__ = "0.1.0"

@@ -1,22 +1,27 @@
-"""Outer fixpoint engines composing the per-thread interpreter.
+"""The outer fixpoint composing the per-thread interpreter.
 
-Two compositions are provided:
+Every mode runs one loop.  Each outer iteration runs every thread once
+per interference combination, which pins each of its loads to a source
+(see `interp`), then republishes every store's post-state as
+interference.  The loop stops when the interference table and the node
+environments stop changing, widening interference environments after a
+delay so it terminates on programs with unbounded data flow.
 
-  * run_flow_insensitive: every load sees the join of all values that any
-    other thread ever stores to its variable.  One interpreter run per
-    thread per outer iteration.
+A mode is a row of `MODE_ROWS`:
 
-  * run_flow_sensitive: each thread runs once per interference
-    combination, which pins every load to a single source instead of a
-    join.  Modes layer on top: "fs" explores all combinations, "fsc"
-    drops the ones the constraint engine proves impossible, "fso" adds
-    property slicing (off-slice statements become identity, their loads
-    leave combination generation) and dependence clustering (independent
-    load groups are explored zipped instead of multiplied).
-
-Both iterate until the interference table and the node environments
-stop changing, widening interference environments after a delay so the
-outer loop terminates on programs with unbounded data flow.
+  * fi  - one merged combination: every load reads its local value
+          joined with every remote store to its variable (the
+          flow-insensitive interference join).  It counts no
+          combinations and builds no ordering facts.
+  * fs  - every assignment of one remote store, or the thread's own
+          state, to each load; a load on a cycle instead merges every
+          store not forced after it.
+  * fsc - fs minus the combinations the constraint engine proves
+          impossible.
+  * fso - fsc plus property slicing (off-slice statements become
+          identity, their loads leave combination generation) and
+          dependence clustering (independent load groups are explored
+          zipped instead of multiplied).
 
 Interpreter runs are memoized on what they read: the thread, its entry
 state and the interval each load observes (see `_run_key`).  A run is a
@@ -31,19 +36,30 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .cfg import (
-    ProgramModel, ThreadCfg, is_store, loads_of, reachable_sets,
-)
+from .cfg import ProgramModel, ThreadCfg, is_store, loads_of
 from .domain import AbstractEnv, Interval, const, transfer
 from .errors import AnalysisBudgetExceeded, CombinationBudgetExceeded
 from .facts import FeasibilityEngine
 from .interp import (
-    JoinedInterference, MergedSource, PerLoad, SelfSource, StoreSource,
-    analyze_thread,
+    MergedSource, PerLoad, SelfSource, StoreSource, analyze_thread,
 )
 from .pdg import ClusterPlan, apply_pruning, backward_slices, build_pdg, cluster
 
-MODES = ("fi", "fs", "fsc", "fso")
+
+@dataclass(frozen=True)
+class Mode:
+    merged: bool       # one merged source per load, not one per store
+    feasibility: bool  # drop combinations the ordering facts refute
+    slicing: bool      # property slicing and dependence clustering
+
+
+MODE_ROWS = {
+    "fi": Mode(merged=True, feasibility=False, slicing=False),
+    "fs": Mode(merged=False, feasibility=False, slicing=False),
+    "fsc": Mode(merged=False, feasibility=True, slicing=False),
+    "fso": Mode(merged=False, feasibility=True, slicing=True),
+}
+MODES = tuple(MODE_ROWS)
 
 
 @dataclass
@@ -177,14 +193,10 @@ def _table_snapshot(table):
 
 
 def _run_key(cfg, init, policy):
-    """What an interpreter run reads: the thread, its entry state and the
-    interference its loads observe.  Under a joined summary that is the
-    summary; under per-load sources it is, per load, the kind of source
-    and the interval it supplies (none for a thread-local read), so
-    value-equal stores give one key.  Merged stays apart from store
-    because it joins with the local value."""
-    if isinstance(policy, JoinedInterference):
-        return cfg.tid, init, frozenset(policy.values.items())
+    """What an interpreter run reads: the thread, its entry state and, per
+    load, the kind of source and the interval it supplies (none for a
+    thread-local read), so value-equal stores give one key.  Merged stays
+    apart from store because it joins with the local value."""
     observed = tuple(
         (load, type(source), None if isinstance(source, SelfSource)
          else source.env.get(cfg.nodes[load].stmt.var))
@@ -212,78 +224,29 @@ def _fold_run(cfg, init, policy, config, seen, te, violable, stats,
     stats.interp_runs += 1
 
 
-# --- flow-insensitive composition ----------------------------------------------
-
-def run_flow_insensitive(model: ProgramModel,
-                         config: AnalysisConfig | None = None) -> AnalysisResult:
-    config = config or AnalysisConfig(mode="fi")
-    te: dict = {}
-    table: dict = {cfg.tid: {} for cfg in model.threads}
-    violable: set = set()
-    seen: set = set()
-    stats = AnalysisStats()
-
-    for iteration in itertools.count(1):
-        if iteration > config.outer_budget:
-            raise AnalysisBudgetExceeded(
-                f"flow-insensitive loop exceeded {config.outer_budget} "
-                "iterations")
-        stats.outer_iters = iteration
-        before_table = _table_snapshot(table)
-        before_te = dict(te)
-        iter_stats = IterationStats()
-
-        for cfg in model.threads:
-            summary: dict[str, Interval] = {}
-            for other in model.threads:
-                if other.tid == cfg.tid:
-                    continue
-                for store, env in table[other.tid].items():
-                    var = model.node(store).stmt.var
-                    got = env.get(var)
-                    summary[var] = (got if var not in summary
-                                    else summary[var].join(got))
-            _fold_run(cfg, _entry_env(model, cfg, te),
-                      JoinedInterference(summary), config, seen, te,
-                      violable, stats)
-            stats.runs += 1
-            iter_stats.runs += 1
-
-        _publish(model, te, table, iteration, config)
-        stats.per_iteration.append(iter_stats)
-        if table == before_table and te == before_te:
-            break
-
-    verdicts = {n: n not in violable for n in model.assertions}
-    return AnalysisResult(model, te, verdicts, stats, table)
-
-
 # --- interference combinations ---------------------------------------------------
 
-def _source_lists(cfg, table, model, facts, active_loads, self_reach):
-    """Candidate sources per load, in the published-store order with the
-    self source last; loads on a cycle collapse every store that is not
-    forced after them into one merged environment."""
-    ves = []
-    for other in model.threads:
-        if other.tid == cfg.tid:
-            continue
-        for store in sorted(table.get(other.tid, {})):
-            ves.append((store, table[other.tid][store]))
-
+def _source_lists(cfg, table, model, facts, active_loads, merged):
+    """Candidate sources per load, in published-store order with the self
+    source last.  A load gets one merged source instead, the join of the
+    remote stores to its variable (the self source if there are none),
+    under the merged row, where it takes every store, and when it is on a
+    cycle, where it leaves out the stores forced after it."""
     sources = {}
     for l in active_loads:
         var = cfg.nodes[l].stmt.var
-        matching = [(s, env) for s, env in ves
-                    if model.node(s).stmt.var == var]
-        if l in self_reach:
-            merged = AbstractEnv.bot()
-            found = False
+        matching = [(s, table[other.tid][s]) for other in model.threads
+                    if other.tid != cfg.tid
+                    for s in other.stores_by_var.get(var, ())
+                    if s in table[other.tid]]
+        if merged or l in cfg.reach[l]:
+            joined = None
             for s, env in matching:
-                if not facts.must_happen_before(l, s):
-                    merged = merged.join(env)
-                    found = True
-            sources[l] = [MergedSource(merged)] if found else [SelfSource()]
+                if merged or not facts.must_happen_before(l, s):
+                    got = env.get(var)
+                    joined = got if joined is None else joined.join(got)
+            sources[l] = [SelfSource() if joined is None
+                          else MergedSource(AbstractEnv({var: joined}))]
         else:
             sources[l] = [StoreSource(s, env) for s, env in matching]
             sources[l].append(SelfSource())
@@ -309,19 +272,20 @@ def compute_combinations(cfg: ThreadCfg, table: dict, model: ProgramModel,
                          feasibility: bool = False,
                          plan: ClusterPlan | None = None,
                          pruned_loads: frozenset = frozenset(),
-                         combo_cap: int = 4096):
+                         combo_cap: int = 4096, merged: bool = False):
     """Build the interference combinations for one thread.
 
-    Returns (combinations, generated, rejected).  With a cluster plan the
-    per-cluster combination lists are zipped: run k takes each cluster's
-    k-th combination, shorter lists padded with the all-self combination,
-    so the number of runs is the maximum cluster list length instead of
-    the product.
+    Returns (combinations, generated, rejected).  With `merged` there is
+    one combination, counted as none generated, and `facts` is unused.
+    With a cluster plan the per-cluster combination lists are zipped: run
+    k takes each cluster's k-th combination, shorter lists padded with
+    the all-self combination, so the number of runs is the maximum
+    cluster list length instead of the product.
     """
-    reach = reachable_sets(cfg.succs)
-    self_reach = {l for l in loads_of(cfg) if l in reach[l]}
     active = [l for l in loads_of(cfg) if l not in pruned_loads]
-    sources = _source_lists(cfg, table, model, facts, active, self_reach)
+    sources = _source_lists(cfg, table, model, facts, active, merged)
+    if merged:
+        return [{l: options[0] for l, options in sources.items()}], 0, 0
 
     def guarded_product(loads):
         total = 1
@@ -373,18 +337,17 @@ def compute_combinations(cfg: ThreadCfg, table: dict, model: ProgramModel,
     return zipped, generated, rejected
 
 
-# --- flow-sensitive composition ---------------------------------------------------
+# --- the outer loop -------------------------------------------------------------
 
-def run_flow_sensitive(model: ProgramModel,
-                       config: AnalysisConfig | None = None) -> AnalysisResult:
-    config = config or AnalysisConfig(mode="fs")
-    mode = config.mode
-    use_feasibility = mode in ("fsc", "fso")
-    facts = FeasibilityEngine(model)
+def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
+    row = MODE_ROWS.get(config.mode)
+    if row is None:
+        raise ValueError(f"unknown mode {config.mode!r}")
+    facts = None if row.merged else FeasibilityEngine(model)
 
     directives = None
     plan = None
-    if mode == "fso":
+    if row.slicing:
         graph = build_pdg(model)
         slices = backward_slices(graph, model)
         directives = apply_pruning(slices, model)
@@ -405,8 +368,9 @@ def run_flow_sensitive(model: ProgramModel,
     for iteration in itertools.count(1):
         if iteration > config.outer_budget:
             raise AnalysisBudgetExceeded(
-                f"flow-sensitive loop exceeded {config.outer_budget} "
-                "iterations")
+                "flow-%s loop exceeded %d iterations"
+                % ("insensitive" if row.merged else "sensitive",
+                   config.outer_budget))
         stats.outer_iters = iteration
         before_table = _table_snapshot(table)
         before_te = dict(te)
@@ -418,9 +382,9 @@ def run_flow_sensitive(model: ProgramModel,
             # run the self-only combination unfiltered to bootstrap
             combos, generated, rejected = compute_combinations(
                 cfg, table, model, facts,
-                feasibility=use_feasibility and iteration > 1,
+                feasibility=row.feasibility and iteration > 1,
                 plan=plan, pruned_loads=pruned_loads,
-                combo_cap=config.combo_cap)
+                combo_cap=config.combo_cap, merged=row.merged)
             if not combos:
                 # every combination was refuted; keep the thread's
                 # contribution sound with a self-only run
@@ -445,11 +409,3 @@ def run_flow_sensitive(model: ProgramModel,
     verdicts = {n: n not in violable for n in model.assertions}
     return AnalysisResult(model, te, verdicts, stats, table,
                           directives=directives, cluster_plan=plan)
-
-
-def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
-    if config.mode == "fi":
-        return run_flow_insensitive(model, config)
-    if config.mode in ("fs", "fsc", "fso"):
-        return run_flow_sensitive(model, config)
-    raise ValueError(f"unknown mode {config.mode!r}")

@@ -9,6 +9,7 @@ nodes the unit of interference for the whole analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .ast import (
     Assign, AssertStmt, BinOp, BoolLit, CreateStmt, ErrorStmt, Expr, If,
@@ -116,6 +117,35 @@ class ThreadCfg:
     def node_order(self) -> list[int]:
         return sorted(self.nodes)
 
+    # the graph is fixed once `build_model` returns, so these are computed
+    # once per thread
+
+    @cached_property
+    def reach(self) -> dict[int, set[int]]:
+        """Nodes reachable from each node via a nonempty path."""
+        return reachable_sets(self.succs)
+
+    @cached_property
+    def stores_by_var(self) -> dict[str, list[int]]:
+        """Store nodes per written global, in node order."""
+        out: dict[str, list[int]] = {}
+        for n in self.node_order():
+            stmt = self.nodes[n].stmt
+            if isinstance(stmt, SStore):
+                out.setdefault(stmt.var, []).append(n)
+        return out
+
+    @cached_property
+    def dominators(self) -> dict[int, set[int]]:
+        """Dominator sets from the entry; each includes its own node."""
+        return dominator_sets(self.succs, self.entry)
+
+    @cached_property
+    def loop_heads(self) -> set[int]:
+        """Targets n of edges m->n where n dominates m."""
+        return {n for m, edges in self.succs.items() for n, _ in edges
+                if n in self.dominators.get(m, ())}
+
 
 @dataclass
 class ProgramModel:
@@ -170,12 +200,6 @@ def is_load(node: Node) -> bool:
 
 def is_store(node: Node) -> bool:
     return isinstance(node.stmt, SStore)
-
-
-def access_var(node: Node) -> str | None:
-    if isinstance(node.stmt, (SLoad, SStore)):
-        return node.stmt.var
-    return None
 
 
 def loads_of(cfg: ThreadCfg) -> list[int]:
@@ -243,17 +267,6 @@ def dominator_sets(succs: dict[int, list[Edge]], entry: int) -> dict[int, set[in
                 dom[n] = new
                 changed = True
     return dom
-
-
-def back_edge_targets(cfg: ThreadCfg) -> set[int]:
-    """Loop heads: targets n of edges m->n where n dominates m."""
-    dom = dominator_sets(cfg.succs, cfg.entry)
-    heads = set()
-    for m, edges in cfg.succs.items():
-        for n, _ in edges:
-            if n in dom.get(m, ()):
-                heads.add(n)
-    return heads
 
 
 # --- lowering ----------------------------------------------------------------
@@ -567,8 +580,7 @@ def _check_normalization(model: ProgramModel):
         preds = cfg.preds()
         if preds[cfg.entry]:
             raise ModelError(f"{cfg.name}: entry node has predecessors")
-        reach = reachable_sets(cfg.succs)
-        reachable = {cfg.entry} | reach[cfg.entry]
+        reachable = {cfg.entry} | cfg.reach[cfg.entry]
         missing = set(cfg.nodes) - reachable
         if missing:
             raise ModelError(f"{cfg.name}: unreachable nodes {sorted(missing)}")

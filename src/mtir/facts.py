@@ -71,8 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cfg import (
-    ProgramModel, dominator_sets, is_load, is_store, loads_of,
-    reachable_sets,
+    ProgramModel, is_load, is_store, loads_of,
 )
 
 DERIVED = ("MHBS", "MHB", "MustNotReadFrom")
@@ -136,18 +135,11 @@ class FactBase:
     def add(self, name, tup):
         self.relations[name].add(tup)
 
-    def has(self, name, tup) -> bool:
-        return tup in self.relations[name]
-
     def copy(self) -> "FactBase":
         return FactBase(self.relations)
 
     def __eq__(self, other):
         return isinstance(other, FactBase) and self.relations == other.relations
-
-    def counts(self):
-        return {name: len(tuples) for name, tuples in self.relations.items()
-                if tuples}
 
 
 def _match(pattern, tup, bindings):
@@ -325,9 +317,9 @@ def build_base_facts(model: ProgramModel) -> FactBase:
     po: dict = {}  # node -> strictly later nodes of the same thread (weak)
     dom_after: dict = {}  # node -> nodes it strictly dominates (strong)
     for cfg in model.threads:
-        reach = reachable_sets(cfg.succs)
+        reach = cfg.reach
         nodes = cfg.node_order()
-        dom = dominator_sets(cfg.succs, cfg.entry)
+        dom = cfg.dominators
         for n in nodes:
             dom_after.setdefault(n, set())
             for m in dom[n]:
@@ -394,10 +386,9 @@ def initial_value_loads(model: ProgramModel) -> set[int]:
     value: no store to the variable reaches the load inside its own
     thread, the load is not on a cycle, and no ancestor thread can store
     the variable before the create site that spawns the chain."""
-    reach_by_tid = {cfg.tid: reachable_sets(cfg.succs) for cfg in model.threads}
     out = set()
     for cfg in model.threads:
-        reach = reach_by_tid[cfg.tid]
+        reach = cfg.reach
         for l in loads_of(cfg):
             var = cfg.nodes[l].stmt.var
             if l in reach[l]:  # self-reachable: handled by merged sources
@@ -409,7 +400,7 @@ def initial_value_loads(model: ProgramModel) -> set[int]:
             cur = cfg
             while cur.creation_site is not None and clean:
                 parent = model.thread(model.node(cur.creation_site).tid)
-                preach = reach_by_tid[parent.tid]
+                preach = parent.reach
                 for s in parent.node_order():
                     node = parent.nodes[s]
                     if is_store(node) and node.stmt.var == var \

@@ -1,15 +1,14 @@
 """Worklist abstract interpreter for one thread CFG.
 
-The interpreter is parameterized by a load policy that decides where a
-shared-memory read takes its value from:
+A run takes a `PerLoad` policy that pins every load node to one source
+of the shared-memory value it reads:
 
-  * SelfOnly            - the thread-local binding (pure sequential run)
-  * JoinedInterference  - local binding joined with a per-variable summary
-                          of every other thread's published stores
-  * PerLoad             - each load node is pinned to a single source: its
-                          own environment, one remote store's post-state,
-                          or (for loads in loops) a pre-joined merge of the
-                          surviving remote stores
+  * SelfSource   - the thread-local binding
+  * StoreSource  - one remote store's published post-state
+  * MergedSource - the local binding joined with a pre-joined merge of
+                   remote stores to the variable: all of them under
+                   `fi`, or, for a load on a cycle, those not forced
+                   after it
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .cfg import SAssert, SLoad, ThreadCfg, back_edge_targets
-from .domain import AbstractEnv, Interval, assert_violable, filter_cond, transfer
+from .cfg import SAssert, SLoad, ThreadCfg
+from .domain import AbstractEnv, assert_violable, filter_cond, transfer
 from .errors import AnalysisBudgetExceeded
 
 
@@ -28,9 +27,6 @@ from .errors import AnalysisBudgetExceeded
 class SelfSource:
     """Read the thread-local environment."""
 
-    def describe(self):
-        return "self"
-
 
 @dataclass(frozen=True)
 class StoreSource:
@@ -38,65 +34,32 @@ class StoreSource:
     store: int
     env: AbstractEnv
 
-    def describe(self):
-        return "store:%d" % self.store
-
 
 @dataclass(frozen=True)
 class MergedSource:
-    """Loop handling: local environment joined with the merge of every
-    feasible remote store."""
+    """Read the local environment joined with a merge of remote stores;
+    `env` binds only the loaded variable."""
     env: AbstractEnv
-
-    def describe(self):
-        return "merged"
-
-
-Source = SelfSource | StoreSource | MergedSource
-
-
-@dataclass(frozen=True)
-class SelfOnly:
-    pass
-
-
-@dataclass(frozen=True)
-class JoinedInterference:
-    values: dict  # var -> Interval summary from all other threads
-
-    def __hash__(self):
-        return hash(frozenset(self.values.items()))
 
 
 @dataclass(frozen=True)
 class PerLoad:
-    sources: dict  # load node id -> Source
+    sources: dict  # load node id -> source
 
     def __hash__(self):
         return hash(frozenset(self.sources.items()))
 
 
-LoadPolicy = SelfOnly | JoinedInterference | PerLoad
-
-
 def _apply_load(node_id, stmt, env, policy):
-    local = env.get(stmt.var)
-    if isinstance(policy, SelfOnly):
-        value = local
-    elif isinstance(policy, JoinedInterference):
-        summary = policy.values.get(stmt.var)
-        value = local if summary is None else local.join(summary)
+    source = policy.sources.get(node_id)
+    if source is None:
+        raise KeyError(f"combination does not cover load node {node_id}")
+    if isinstance(source, SelfSource):
+        value = env.get(stmt.var)
+    elif isinstance(source, StoreSource):
+        value = source.env.get(stmt.var)
     else:
-        source = policy.sources.get(node_id)
-        if source is None:
-            raise KeyError(
-                f"combination does not cover load node {node_id}")
-        if isinstance(source, SelfSource):
-            value = local
-        elif isinstance(source, StoreSource):
-            value = source.env.get(stmt.var)
-        else:
-            value = local.join(source.env.get(stmt.var))
+        value = env.get(stmt.var).join(source.env.get(stmt.var))
     return env.set(stmt.target, value)
 
 
@@ -117,11 +80,8 @@ class ThreadRun:
     envs: dict  # node id -> AbstractEnv (state immediately before the node)
     violable: set = field(default_factory=set)
 
-    def post(self, cfg: ThreadCfg, node_id: int, policy=None) -> AbstractEnv:
-        node = cfg.nodes[node_id]
-        if policy is None:
-            return transfer(node.stmt, self.envs[node_id])
-        return transfer_with_policy(node, self.envs[node_id], policy)
+    def post(self, cfg: ThreadCfg, node_id: int) -> AbstractEnv:
+        return transfer(cfg.nodes[node_id].stmt, self.envs[node_id])
 
 
 def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
@@ -152,7 +112,7 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
         _, cond, polarity = filt
         return filter_cond(cond, polarity, out)
 
-    widen_points = back_edge_targets(cfg)
+    widen_points = cfg.loop_heads
     updates = {n: 0 for n in cfg.nodes}
     worklist = deque([cfg.entry])
     queued = {cfg.entry}

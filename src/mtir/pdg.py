@@ -18,7 +18,7 @@ from .ast import expr_vars
 from .cfg import (
     ProgramModel, SAssert, SBranch, SCreate, SExit, SJoin, SLoad, SLocal,
     SNondet, SNop, SStore, ThreadCfg, dominator_sets, is_load, is_store,
-    loads_of, reachable_sets,
+    loads_of,
 )
 
 VIRTUAL_EXIT = -1
@@ -66,7 +66,7 @@ def _post_dominators(cfg: ThreadCfg):
     """Post-dominator sets over the reversed CFG with a virtual exit.
     Nodes that cannot reach the exit (infinite loops) also feed the
     virtual exit so the computation stays total."""
-    reach = reachable_sets(cfg.succs)
+    reach = cfg.reach
     rsuccs = {n: [] for n in cfg.nodes}
     rsuccs[VIRTUAL_EXIT] = [(cfg.exit, None)]
     for n, edges in cfg.succs.items():

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from mtir import AnalysisConfig, analyze, build_model, parse
+from mtir import AnalysisConfig, analyze, build_model, loads_of, parse
 from mtir.corpus import PROGRAMS, source
+from mtir.interp import PerLoad, SelfSource
 
 MODES = ("fi", "fs", "fsc", "fso")
 
@@ -29,6 +30,11 @@ def node_ids(model):
 
 def find_nodes(model, predicate):
     return [node.id for node in model.all_nodes() if predicate(node)]
+
+
+def self_only(cfg):
+    """The sequential policy: every load reads the thread-local value."""
+    return PerLoad({load: SelfSource() for load in loads_of(cfg)})
 
 
 # --- random loop-free program generation -------------------------------------

@@ -1,16 +1,13 @@
 import pytest
 
-from conftest import MODES, node_ids, random_program
-from mtir.analysis import (
-    AnalysisConfig, analyze, compute_combinations, run_flow_insensitive,
-    run_flow_sensitive,
-)
+from conftest import MODES, node_ids, random_program, self_only
+from mtir.analysis import AnalysisConfig, analyze, compute_combinations
 from mtir.bench import chain_program, watchdog_program
 from mtir.cfg import build_model, loads_of, reachable_sets
 from mtir.domain import AbstractEnv, interval, transfer
 from mtir.errors import AnalysisBudgetExceeded, CombinationBudgetExceeded
 from mtir.facts import FeasibilityEngine
-from mtir.interp import MergedSource, SelfOnly, StoreSource, analyze_thread
+from mtir.interp import MergedSource, StoreSource, analyze_thread
 from mtir.parser import parse
 from mtir.corpus import PROGRAMS, source, expectations
 
@@ -39,9 +36,10 @@ def test_flow_insensitive_false_alarm(corpus_models, corpus_results):
 def test_single_thread_matches_sequential():
     model = model_of("int x = 0;\n"
                      "thread main() { int a = x; x = a + 2; int b = x; }")
-    result = run_flow_insensitive(model, AnalysisConfig(mode="fi"))
+    result = analyze(model, AnalysisConfig(mode="fi"))
     run = analyze_thread(model.thread(0),
-                         AbstractEnv({"x": interval(0, 0)}), SelfOnly())
+                         AbstractEnv({"x": interval(0, 0)}),
+                         self_only(model.thread(0)))
     for n in model.thread(0).node_order():
         assert result.te[n] == run.envs[n]
 
@@ -50,7 +48,7 @@ def test_increment_reader_fixpoint():
     # one thread bumps the counter once, the other samples it: the sample
     # is the hand fixpoint [0,1], within [0,+inf)
     model = model_of(source("inc_read"))
-    result = run_flow_insensitive(model, AnalysisConfig(mode="fi"))
+    result = analyze(model, AnalysisConfig(mode="fi"))
     reader = model.thread_named("reader")
     assert result.te[reader.exit].get("tmp") == interval(0, 1)
     assert result.te[reader.exit].get("tmp").leq(interval(0, None))
@@ -261,7 +259,7 @@ def test_republication_monotone():
 
     analysis_mod._publish = spying_publish
     try:
-        run_flow_sensitive(model, config)
+        analyze(model, config)
     finally:
         analysis_mod._publish = original
 
@@ -294,6 +292,12 @@ def test_termination_within_budget_on_corpus(corpus_results):
     for name, by_mode in corpus_results.items():
         for mode, result in by_mode.items():
             assert result.stats.outer_iters <= 64, (name, mode)
+        # fi is one merged combination per thread per iteration, counted
+        # as no combination and never filtered
+        stats = by_mode["fi"].stats
+        assert stats.combos == stats.infeasible == 0, name
+        assert stats.runs \
+            == len(by_mode["fi"].model.threads) * stats.outer_iters, name
 
 
 def test_memoized_runs_match_unmemoized(corpus_models, monkeypatch):
@@ -331,5 +335,22 @@ def test_watchdog_run_counts():
     for mode in MODES:
         stats = analyze(model, AnalysisConfig(mode=mode)).stats
         counts[mode] = (stats.runs, stats.interp_runs)
-    assert counts == {"fi": (54, 45), "fs": (334, 41), "fsc": (334, 41),
+    assert counts == {"fi": (54, 41), "fs": (334, 41), "fsc": (334, 41),
                       "fso": (18, 9)}
+
+
+def test_cfg_sets_computed_once_per_thread(monkeypatch):
+    # the graph is fixed once build_model returns: analyses compute each
+    # thread's dominators once and its reachability not at all
+    from mtir import cfg as cfg_mod
+    model = model_of(watchdog_program(8))
+    calls = dict.fromkeys(("dominator_sets", "reachable_sets"), 0)
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(cfg_mod, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(cfg_mod, name, counting)
+    for mode in ("fs", "fi", "fsc"):
+        analyze(model, AnalysisConfig(mode=mode))
+    assert calls == {"dominator_sets": len(model.threads),
+                     "reachable_sets": 0}

@@ -2,14 +2,14 @@ import random
 
 import pytest
 
-from conftest import node_ids, random_program
-from mtir.analysis import AnalysisConfig, run_flow_insensitive
-from mtir.cfg import build_model
+from conftest import node_ids, random_program, self_only
+from mtir.analysis import AnalysisConfig, analyze
+from mtir.cfg import build_model, loads_of
 from mtir.domain import AbstractEnv, const, interval
 from mtir.errors import AnalysisBudgetExceeded
 from mtir.interp import (
-    JoinedInterference, PerLoad, SelfOnly, SelfSource, StoreSource,
-    analyze_thread, is_stable,
+    MergedSource, PerLoad, SelfSource, StoreSource, analyze_thread,
+    is_stable,
 )
 from mtir.oracle import OracleBounds, enumerate_executions
 from mtir.parser import parse
@@ -25,10 +25,20 @@ def init_env(model):
     return AbstractEnv({name: const(v) for name, v in model.globals.items()})
 
 
+def merged(cfg, summary):
+    """Every load joins its local value with the summary interval of its
+    variable: the flow-insensitive read."""
+    sources = {}
+    for load in loads_of(cfg):
+        var = cfg.nodes[load].stmt.var
+        sources[load] = MergedSource(AbstractEnv({var: summary[var]}))
+    return PerLoad(sources)
+
+
 def test_writer_thread_self_only(flag_sync):
     model = flag_sync
     t1 = model.thread_named("thread1")
-    run = analyze_thread(t1, init_env(model), SelfOnly())
+    run = analyze_thread(t1, init_env(model), self_only(t1))
     ids = node_ids(model)
     # before the flag store: both earlier stores have landed
     env = run.envs[ids["t1.6"]]
@@ -39,8 +49,7 @@ def test_writer_thread_self_only(flag_sync):
 def test_reader_with_joined_interference(flag_sync):
     model = flag_sync
     t2 = model.thread_named("thread2")
-    policy = JoinedInterference({"x": interval(4, 5),
-                                 "flag": interval(1, 1)})
+    policy = merged(t2, {"x": interval(4, 5), "flag": interval(1, 1)})
     run = analyze_thread(t2, init_env(model), policy)
     ids = node_ids(model)
     env = run.envs[ids["t2.12"]]  # guard on t1, inside the taken branch
@@ -56,7 +65,7 @@ def test_reader_with_pinned_sources(flag_sync):
     ids = node_ids(model)
     t1 = model.thread_named("thread1")
     t2 = model.thread_named("thread2")
-    writer = analyze_thread(t1, init_env(model), SelfOnly())
+    writer = analyze_thread(t1, init_env(model), self_only(t1))
     post_l5 = writer.post(t1, ids["t1.5"])
     post_l6 = writer.post(t1, ids["t1.6"])
     # flag from its store, x from the final store: consistent snapshot
@@ -82,7 +91,7 @@ def test_self_source_reads_local(flag_sync):
 
 def test_bottom_init_short_circuits(flag_sync):
     t2 = flag_sync.thread_named("thread2")
-    run = analyze_thread(t2, AbstractEnv.bot(), SelfOnly())
+    run = analyze_thread(t2, AbstractEnv.bot(), self_only(t2))
     assert all(env.bottom for env in run.envs.values())
 
 
@@ -90,7 +99,7 @@ def test_widening_terminates_unbounded_loop():
     model = build_model(parse(
         "int x = 0;\nthread main() { int i = 0; while (*) { i = i + 1; } }"))
     cfg = model.thread(0)
-    run = analyze_thread(cfg, init_env(model), SelfOnly())
+    run = analyze_thread(cfg, init_env(model), self_only(cfg))
     assert run.envs[cfg.exit].get("i") == interval(0, None)
 
 
@@ -98,7 +107,7 @@ def test_narrowing_recovers_loop_bound():
     model = build_model(parse(
         "thread main() { int i = 0; while (i < 8) { i = i + 1; } }"))
     cfg = model.thread(0)
-    run = analyze_thread(cfg, AbstractEnv({}), SelfOnly())
+    run = analyze_thread(cfg, AbstractEnv({}), self_only(cfg))
     assert run.envs[cfg.exit].get("i") == interval(8, 8)
 
 
@@ -106,12 +115,13 @@ def test_visit_budget():
     model = build_model(parse(
         "thread main() { int i = 0; while (i < 100) { i = i + 1; } }"))
     with pytest.raises(AnalysisBudgetExceeded):
-        analyze_thread(model.thread(0), AbstractEnv({}), SelfOnly(),
+        analyze_thread(model.thread(0), AbstractEnv({}),
+                       self_only(model.thread(0)),
                        widening_delay=10 ** 9, visit_budget=50)
 
 
 def test_stabilization_under_pinned_sources(flag_sync):
-    from mtir.analysis import AnalysisConfig, analyze, compute_combinations
+    from mtir.analysis import compute_combinations
     from mtir.facts import FeasibilityEngine
 
     model = flag_sync
@@ -134,8 +144,8 @@ def test_stabilization_fixpoint_check(seed):
         env = init
         for param, value in cfg.params.items():
             env = env.set(param, const(value))
-        run = analyze_thread(cfg, env, SelfOnly())
-        assert is_stable(cfg, run, SelfOnly(), env)
+        run = analyze_thread(cfg, env, self_only(cfg))
+        assert is_stable(cfg, run, self_only(cfg), env)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -145,9 +155,8 @@ def test_policy_monotonicity(seed):
     summary = {var: interval(rng.randint(-8, 0), rng.randint(1, 9))
                for var in model.globals}
     for cfg in model.threads:
-        base = analyze_thread(cfg, init_env(model), SelfOnly())
-        fed = analyze_thread(cfg, init_env(model),
-                             JoinedInterference(summary))
+        base = analyze_thread(cfg, init_env(model), self_only(cfg))
+        fed = analyze_thread(cfg, init_env(model), merged(cfg, summary))
         for n in cfg.node_order():
             assert base.envs[n].leq(fed.envs[n])
 
@@ -160,7 +169,7 @@ def test_soundness_vs_oracle_single_thread(seed):
     model = build_model(parse(random_single_thread_program(seed)))
     assert len(model.threads) == 1
     records = enumerate_executions(model, OracleBounds())
-    result = run_flow_insensitive(model, AnalysisConfig(mode="fi"))
+    result = analyze(model, AnalysisConfig(mode="fi"))
     for record in records:
         for step in record.steps:
             env = result.te[step.node]

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import random_program, random_single_thread_program
 from mtir.ast import (
     BinOp, If, IntLit, Nondet, UnaryOp, Var, While,
     strip_lines, to_source,
@@ -134,9 +135,16 @@ def test_cannot_create_main():
         parse("thread main() { create(main); }")
 
 
-@pytest.mark.parametrize("name", PROGRAMS)
+ROUND_TRIP = {name: source(name) for name in PROGRAMS}
+ROUND_TRIP.update(("random%d" % seed, random_program(seed))
+                  for seed in range(20))
+ROUND_TRIP.update(("single%d" % seed, random_single_thread_program(seed))
+                  for seed in range(20))
+
+
+@pytest.mark.parametrize("name", ROUND_TRIP)
 def test_round_trip(name):
-    prog = parse(source(name))
+    prog = parse(ROUND_TRIP[name])
     again = parse(to_source(prog))
     assert strip_lines(again) == strip_lines(prog)
 

@@ -526,28 +526,22 @@ def build_model(prog: SourceProgram) -> ProgramModel:
                     if other.routine == cfg.routine) + 1
             cfg.name = "%s#%d" % (cfg.routine, k)
 
-    # resolve joins: FIFO against this thread's own unjoined children
+    # resolve joins: FIFO against the unjoined children this thread
+    # created at earlier nodes
+    child_of = dict(creates)
     joins: list[tuple[int, int]] = []
-    children_by_routine: dict[int, dict[str, list[int]]] = {}
-    for nid, child_tid in creates:
-        parent_tid = None
-        for cfg in threads:
-            if nid in cfg.nodes:
-                parent_tid = cfg.tid
-                break
-        per = children_by_routine.setdefault(parent_tid, {})
-        per.setdefault(threads[child_tid].routine, []).append(child_tid)
     for cfg in threads:
-        pending = {r: list(tids) for r, tids
-                   in children_by_routine.get(cfg.tid, {}).items()}
+        pending: dict[str, list[int]] = {}
         for nid in cfg.node_order():
             stmt = cfg.nodes[nid].stmt
-            if isinstance(stmt, SJoin):
-                avail = pending.get(stmt.routine, [])
+            if isinstance(stmt, SCreate):
+                pending.setdefault(stmt.routine, []).append(child_of[nid])
+            elif isinstance(stmt, SJoin):
+                avail = pending.get(stmt.routine)
                 if not avail:
                     raise JoinWithoutCreateError(
                         f"{cfg.name}: join({stmt.routine}) has no matching "
-                        "create in this thread")
+                        "create before it in this thread")
                 joins.append((nid, avail.pop(0)))
 
     assertions = [node.id

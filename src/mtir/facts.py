@@ -49,14 +49,18 @@ store s2 to actually run before l2, hence the strong (or executing)
 premise.  A contradiction is ReadsFrom(l,s) together with MNRF(l,s), or
 an MHB self-loop on a node that executes.
 
-Feasibility queries are decided on bitset rows, not by the rule engine:
-each node's base MHB and MHBS successors are one Python int, and a query
-closes only the rows of its executing nodes (the ReadsFrom endpoints).
-Every contradiction reads only those rows, and W4, W4e and R3 grow them
-from those rows and the fixed strong rows alone, so this is the part of
-the closure the goal needs.  The generic semi-naive engine (`fixpoint`)
-stays as the reference the tests compare the rows against, and as the
-derivation dumper behind `check_facts`.
+The base order is built once, as bitset rows straight from the CFGs:
+each node's MHB and MHBS successors are one Python int, filled from the
+per-thread dominator and reachability sets and composed through the
+create and join edges.  Order queries read a bit of a row, and a
+feasibility query closes only the rows of its executing nodes (the
+ReadsFrom endpoints).  Every contradiction reads only those rows, and
+W4, W4e and R3 grow them from those rows and the fixed strong rows
+alone, so this is the part of the closure the goal needs.  The generic
+semi-naive engine (`fixpoint`) is the one other closure: the reference
+the tests compare the rows against, and the derivation dumper behind
+`check_facts`.  Tuples of the base relations exist only for it and for
+the dumps (`build_base_facts`).
 
 Initial values are modeled as one virtual store node per global
 (`init:<var>`) that strongly precedes every real node.  A load that can
@@ -69,6 +73,7 @@ combination assigns it the self source.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cfg import (
     ProgramModel, is_load, is_store, loads_of,
@@ -137,9 +142,6 @@ class FactBase:
 
     def copy(self) -> "FactBase":
         return FactBase(self.relations)
-
-    def __eq__(self, other):
-        return isinstance(other, FactBase) and self.relations == other.relations
 
 
 def _match(pattern, tup, bindings):
@@ -274,110 +276,36 @@ def contradiction(facts: FactBase):
 
 # --- base fact extraction ----------------------------------------------------
 
-def _portal_closure(per_thread_after: dict, portals) -> dict:
-    """Transitive closure of per-thread successor sets composed through
-    portal edges; returns node -> set of strictly later nodes."""
-    ordered_after: dict = {}
-
-    def order_from(e, visiting=()):
-        # every node at-or-after e, following portal edges
-        if e in ordered_after:
-            return ordered_after[e]
-        if e in visiting:
-            raise RuntimeError("portal cycle through %r" % (e,))
-        out = {e} | per_thread_after[e]
-        for src, dst in portals:
-            if src in out:
-                out |= order_from(dst, visiting + (e,))
-        ordered_after[e] = out
-        return out
-
-    closed = {m: set(after) for m, after in per_thread_after.items()}
-    for src, dst in portals:
-        targets = order_from(dst)
-        for m, after in per_thread_after.items():
-            if src in after or m == src:
-                closed[m] |= targets
-    return closed
-
-
-def build_base_facts(model: ProgramModel) -> FactBase:
-    """Extract the combination-independent relations and close the two
-    ordering strengths (no ReadsFrom facts exist yet, so nothing else
-    fires).
-
-    The closures are built directly instead of through the rule engine:
-    per-thread dominance and program order are already transitive, so
-    the full relations are those per-thread orders composed through the
-    create and join edges, with the weak relation additionally allowing
-    one program-order step before a strong chain.  `test_facts` checks
-    this equals the rule-engine closure.
-    """
+def build_base_facts(model: ProgramModel,
+                     rows: _OrderingRows | None = None) -> FactBase:
+    """The combination-independent relations as tuples: the raw relations
+    the rules read, extracted from the CFGs, and the closed MHB and MHBS
+    read off the ordering rows (no ReadsFrom facts exist yet, so nothing
+    else fires).  Analyses read the rows; only the rule-engine reference
+    (`check_facts`), `--dump-facts` and the tests need tuples.
+    `test_facts` checks the rows equal the rule-engine closure of the
+    raw relations."""
+    if rows is None:
+        rows = _OrderingRows(model)
     facts = FactBase()
-    po: dict = {}  # node -> strictly later nodes of the same thread (weak)
-    dom_after: dict = {}  # node -> nodes it strictly dominates (strong)
+    rel = facts.relations
     for cfg in model.threads:
-        reach = cfg.reach
         nodes = cfg.node_order()
-        dom = cfg.dominators
-        for n in nodes:
-            dom_after.setdefault(n, set())
-            for m in dom[n]:
-                if m != n:
-                    facts.add("Dominates", (m, n))
-                    if m not in reach[n]:  # loop guard, as in rule S1
-                        dom_after.setdefault(m, set()).add(n)
-        for m in nodes:
-            after = set()
-            for n in nodes:
-                if n in reach[m]:
-                    facts.add("Reaches", (m, n))
-                    if m not in reach[n]:
-                        after.add(n)
-                if m not in reach[n]:
-                    facts.add("NotReachableFrom", (m, n))
-            po[m] = after
-        for n in nodes:
-            node = cfg.nodes[n]
-            if is_load(node):
-                facts.add("IsLoad", (n, node.stmt.var))
-            elif is_store(node):
-                facts.add("IsStore", (n, node.stmt.var))
+        reach, dom = cfg.reach, cfg.dominators
+        rel["Dominates"] |= {(m, n) for n in nodes for m in dom[n] if m != n}
+        rel["Reaches"] |= {(m, n) for m in nodes for n in reach[m]}
+        rel["NotReachableFrom"] |= {(m, n) for m in nodes for n in nodes
+                                    if m not in reach[n]}
+    rel["ThCreates"] = {(c, model.thread(t).entry) for c, t in model.creates}
+    rel["ThJoins"] = {(j, model.thread(t).exit) for j, t in model.joins}
 
-    portals = []  # (src, dst): dst's thread region starts after src
-    for create_node, child_tid in model.creates:
-        child_entry = model.thread(child_tid).entry
-        facts.add("ThCreates", (create_node, child_entry))
-        portals.append((create_node, child_entry))
-    for join_node, child_tid in model.joins:
-        child_exit = model.thread(child_tid).exit
-        facts.add("ThJoins", (join_node, child_exit))
-        portals.append((child_exit, join_node))
-
-    strong_after = _portal_closure(dom_after, portals)
-    mhbs = facts.relations["MHBS"]
-    for m, after in strong_after.items():
-        for n in after:
-            mhbs.add((m, n))
-
-    # weak = strong, plus program order, plus one program-order step
-    # followed by a strong chain (W4); strong-then-weak does not compose
-    mhb = facts.relations["MHB"]
-    mhb |= mhbs
-    for m, after in po.items():
-        for b in after:
-            mhb.add((m, b))
-            for n in strong_after[b]:
-                mhb.add((m, n))
-
-    all_nodes = [node.id for node in model.all_nodes()]
-    for var in model.globals:
-        init = init_node(var)
-        facts.add("IsStore", (init, var))
-        for n in all_nodes:
-            mhbs.add((init, n))
-            mhb.add((init, n))
-
+    nodes = rows.nodes
+    for name, labels in (("IsLoad", rows.load_var),
+                         ("IsStore", rows.store_var)):
+        rel[name] = {(nodes[p], var) for p, var in labels.items()}
+    for name, table in (("MHB", rows.weak), ("MHBS", rows.strong)):
+        rel[name] = {(nodes[i], nodes[j])
+                     for i, row in enumerate(table) for j in _bits(row)}
     return facts
 
 
@@ -413,7 +341,7 @@ def initial_value_loads(model: ProgramModel) -> set[int]:
     return out
 
 
-# --- feasibility engine --------------------------------------------------------
+# --- ordering rows and the feasibility engine ---------------------------------
 
 def _bits(mask: int):
     """Positions of the set bits of `mask`, lowest first."""
@@ -427,27 +355,92 @@ class _OrderingRows:
     """The base MHB and MHBS relations as bitset rows: every model node
     and every `init:<var>` node gets a dense position, and bit j of row i
     says node i precedes node j.  Also per-variable masks of the store
-    and load nodes, and each load's and store's variable."""
+    and load nodes, and each load's and store's variable.
 
-    def __init__(self, model: ProgramModel, base: FactBase):
-        nodes = [node.id for node in model.all_nodes()]
-        nodes += [init_node(var) for var in model.globals]
-        self.position = {node: i for i, node in enumerate(nodes)}
-        self.weak = self._rows(len(nodes), base.relations["MHB"])
-        self.strong = self._rows(len(nodes), base.relations["MHBS"])
-        self.load_var = self._labels(base.relations["IsLoad"])
-        self.store_var = self._labels(base.relations["IsStore"])
+    The rows are filled from the CFGs.  Within a thread, rule S1 reads
+    the dominator sets and rule PO the reachability sets; both are
+    already transitive.  The create and join edges (S2a, S2b) are the
+    only steps between threads, so a row is its thread-local part plus,
+    for each edge leaving the node or a node locally after it, the edge's
+    target and that target's strong row (S4 for MHBS, W4 for MHB)."""
+
+    def __init__(self, model: ProgramModel):
+        real = [node.id for node in model.all_nodes()]
+        self.nodes = real + [init_node(var) for var in model.globals]
+        self.position = position = {n: i for i, n in enumerate(self.nodes)}
+        size = len(self.nodes)
+
+        edge = {}  # source position -> target position
+        for create_node, tid in model.creates:
+            edge[position[create_node]] = position[model.thread(tid).entry]
+        for join_node, tid in model.joins:
+            edge[position[model.thread(tid).exit]] = position[join_node]
+
+        s1 = [0] * size
+        po = [0] * size
+        sources = [0] * size  # per node, the edge sources of its thread
+        self.load_var: dict = {}
+        self.store_var: dict = {}
+        for cfg in model.threads:
+            reach = cfg.reach
+            dom = cfg.dominators
+            nodes = cfg.node_order()
+            mask = 0
+            for n in nodes:
+                p = position[n]
+                if p in edge:
+                    mask |= 1 << p
+                for m in dom[n]:
+                    if m != n and m not in reach[n]:
+                        s1[position[m]] |= 1 << p
+                for m in reach[n]:
+                    if n not in reach[m]:
+                        po[p] |= 1 << position[m]
+                node = cfg.nodes[n]
+                if is_load(node):
+                    self.load_var[p] = node.stmt.var
+                elif is_store(node):
+                    self.store_var[p] = node.stmt.var
+            for n in nodes:
+                sources[position[n]] = mask
+
+        # each edge target with every node strongly after it
+        beyond: dict = {}
+
+        def through_edges(p, local):
+            row = local
+            for q in _bits((local | 1 << p) & sources[p]):
+                row |= beyond[edge[q]]
+            return row
+
+        # targets first: build_model resolves a join only against an
+        # earlier create of its thread, so the edges cannot close a cycle
+        for root in edge.values():
+            stack = [root]
+            while stack:
+                d = stack[-1]
+                if d in beyond:
+                    stack.pop()
+                    continue
+                waiting = [edge[q]
+                           for q in _bits((s1[d] | 1 << d) & sources[d])
+                           if edge[q] not in beyond]
+                if waiting:
+                    stack += waiting
+                else:
+                    stack.pop()
+                    beyond[d] = 1 << d | through_edges(d, s1[d])
+
+        # each init:<var> strongly precedes every real node
+        everything = (1 << len(real)) - 1
+        self.strong = [through_edges(p, s1[p]) for p in range(len(real))]
+        self.strong += [everything] * len(model.globals)
+        self.weak = [through_edges(p, po[p]) for p in range(len(real))]
+        self.weak += [everything] * len(model.globals)
+        for var in model.globals:
+            self.store_var[position[init_node(var)]] = var
         self.loads = self._masks(self.load_var)
         self.stores = self._masks(self.store_var)
-
-    def _rows(self, size, pairs) -> list[int]:
-        rows = [0] * size
-        for a, b in pairs:
-            rows[self.position[a]] |= 1 << self.position[b]
-        return rows
-
-    def _labels(self, pairs) -> dict:
-        return {self.position[node]: var for node, var in pairs}
 
     @staticmethod
     def _masks(labels) -> dict:
@@ -521,21 +514,33 @@ class _OrderingRows:
 
 
 class FeasibilityEngine:
-    """Query interface over a fixed model: base facts are computed once,
-    every combination check works on private rows and leaves the base
+    """Query interface over a fixed model.  The ordering rows, the
+    initial-value loads and the tuple base are each built on first use;
+    every combination check works on private rows and leaves them
     untouched."""
 
     def __init__(self, model: ProgramModel):
         self.model = model
-        self.base = build_base_facts(model)
-        self.initial_loads = initial_value_loads(model)
         self._cache: dict[frozenset, bool] = {}
-        self._rows: _OrderingRows | None = None  # built on the first query
         self.queries = 0
+
+    @cached_property
+    def rows(self) -> _OrderingRows:
+        return _OrderingRows(self.model)
+
+    @cached_property
+    def base(self) -> FactBase:
+        """The base relations as tuples, for the rule-engine reference."""
+        return build_base_facts(self.model, self.rows)
+
+    @cached_property
+    def initial_loads(self) -> set[int]:
+        return initial_value_loads(self.model)
 
     def must_happen_before(self, a: int, b: int) -> bool:
         """Combination-independent ordering query (base closure only)."""
-        return (a, b) in self.base.relations["MHB"]
+        position = self.rows.position
+        return bool(self.rows.weak[position[a]] >> position[b] & 1)
 
     def reads_from_facts(self, combination) -> frozenset:
         """ReadsFrom tuples a combination pins down.  Remote-store sources
@@ -573,11 +578,6 @@ class FeasibilityEngine:
         fixpoint(work, RULES, delta=delta)
         return contradiction(work) is None, work
 
-    def _feasible(self, rf: frozenset) -> bool:
-        if self._rows is None:
-            self._rows = _OrderingRows(self.model, self.base)
-        return self._rows.feasible(rf)
-
     def is_feasible(self, combination) -> bool:
         """Alg-style Add / Satisfiable / Remove in one step: the base
         facts are never mutated."""
@@ -587,7 +587,7 @@ class FeasibilityEngine:
         cached = self._cache.get(rf)
         if cached is None:
             self.queries += 1
-            cached = self._feasible(rf)
+            cached = self.rows.feasible(rf)
             self._cache[rf] = cached
         return cached
 

@@ -184,6 +184,18 @@ def test_join_without_create():
         model_of("thread a() { }\nthread main() { join(a); }")
 
 
+def test_join_before_create():
+    # a join matches only a child created at an earlier node of its
+    # thread, so the create and join edges can never close a cycle
+    with pytest.raises(JoinWithoutCreateError):
+        model_of("int g = 0;\nthread w() { g = 1; }\n"
+                 "thread main() { join(w); create(w); int t = g; "
+                 "assert(t >= 0); }")
+    with pytest.raises(JoinWithoutCreateError):
+        model_of("thread a() { }\n"
+                 "thread main() { create(a); join(a); join(a); create(a); }")
+
+
 def test_join_not_own_child():
     with pytest.raises(JoinWithoutCreateError):
         model_of("thread a() { join(b); }\nthread b() { }\n"

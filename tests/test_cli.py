@@ -42,6 +42,9 @@ BAD_INPUTS = {
                    + b"(" * 3000 + b"1" + b")" * 3000 + b"; }",
     "not-utf8": b"\xff\xfeint x = 0;",
     "empty": b"",
+    "join-before-create": b"int g = 0; thread w() { g = 1; } thread main() "
+                          b"{ join(w); create(w); int t = g; "
+                          b"assert(t >= 0); }",
 }
 
 

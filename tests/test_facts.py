@@ -4,7 +4,8 @@ import random
 import pytest
 
 from conftest import node_ids, random_program
-from mtir.bench import chain_program
+from mtir.analysis import AnalysisConfig, analyze
+from mtir.bench import chain_program, watchdog_program
 from mtir.cfg import build_model, is_store, loads_of
 from mtir.domain import AbstractEnv
 from mtir.facts import (
@@ -58,11 +59,13 @@ def test_create_chain_orders_load_before_late_store():
     assert (ids["t0.5"], ids["t0.7"]) not in facts.relations["Dominates"]
 
 
+CREATE_JOIN = ("int g = 0;\n"
+               "thread w() { g = 7; }\n"
+               "thread main() { create(w); join(w); int t = g; }")
+
+
 def test_join_orders_child_before_continuation():
-    model = model_of(
-        "int g = 0;\n"
-        "thread w() { g = 7; }\n"
-        "thread main() { create(w); join(w); int t = g; }")
+    model = model_of(CREATE_JOIN)
     facts = build_base_facts(model)
     ids = node_ids(model)
     mhb = facts.relations["MHB"]
@@ -79,9 +82,19 @@ def test_initial_store_precedes_everything(flag_sync):
     assert (init_node("x"), init_node("x")) not in mhb
 
 
+def _ordering_models():
+    """The corpus, seeded random programs (nested creates and joins), a
+    short creation chain, a few watchdogs and a create/join pair."""
+    texts = [(name, source(name)) for name in PROGRAMS]
+    texts += [("random%d" % seed, random_program(seed))
+              for seed in range(40)]
+    texts += [("chain4", chain_program(4)), ("watchdog4", watchdog_program(4)),
+              ("create_join", CREATE_JOIN)]
+    return [(name, model_of(text)) for name, text in texts]
+
+
 def test_base_mhb_strict_partial_order():
-    for name in PROGRAMS:
-        model = model_of(source(name))
+    for name, model in _ordering_models():
         mhb = build_base_facts(model).relations["MHB"]
         succ = {}
         for a, b in mhb:
@@ -94,10 +107,8 @@ def test_base_mhb_strict_partial_order():
 
 
 def test_base_closure_matches_rule_engine():
-    # the specialized construction equals closing the raw relations
-    # under the rule set
-    for name in PROGRAMS:
-        model = model_of(source(name))
+    # the ordering rows equal closing the raw relations under the rule set
+    for name, model in _ordering_models():
         fast = build_base_facts(model)
         raw = FactBase({k: v for k, v in fast.relations.items()
                         if k not in ("MHB", "MHBS", "MustNotReadFrom")})
@@ -273,6 +284,24 @@ def test_fast_path_agrees_with_full_closure():
             fast = feas.is_feasible(combo)
             full, _ = feas.check_facts(rf)
             assert fast == full, (name, rf)
+
+
+def test_analyses_build_no_tuple_facts(monkeypatch):
+    # analyses read the ordering rows; tuples are only for the reference
+    # engine and the dumps
+    models = [model_of(source(name)) for name in PROGRAMS]
+    models.append(model_of(chain_program(10)))
+    modes = ("fs", "fsc", "fso")
+    expected = [analyze(model, AnalysisConfig(mode=mode)).verdicts
+                for model in models for mode in modes]
+
+    def refuse(*_):
+        raise AssertionError("an analysis built tuple facts")
+
+    monkeypatch.setattr("mtir.facts.build_base_facts", refuse)
+    got = [analyze(model, AnalysisConfig(mode=mode)).verdicts
+           for model in models for mode in modes]
+    assert got == expected
 
 
 def test_must_happen_before_queries():

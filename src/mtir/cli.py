@@ -140,8 +140,8 @@ def _cmd_analyze(args) -> int:
               file=sys.stderr)
         return 2
 
-    if args.widening_delay < 0 or args.outer_budget <= 0 \
-            or args.combo_cap <= 0:
+    if args.widening_delay < 0 or args.narrowing_passes < 0 \
+            or args.outer_budget <= 0 or args.combo_cap <= 0:
         print("error: budgets must be positive", file=sys.stderr)
         return 2
 
@@ -185,6 +185,8 @@ def _cmd_bench(args) -> int:
     from .bench import bench_csv, run_bench
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s]
+        if any(size < 1 for size in sizes):
+            raise ValueError("sizes must be at least 1")
         rows = run_bench(args.family, sizes, args.seed)
     except (ValueError, MtirError) as err:
         print(f"error: {err}", file=sys.stderr)

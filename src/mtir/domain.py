@@ -1,14 +1,17 @@
 """Interval abstract domain and abstract environments.
 
 Values are mathematical integers; booleans embed as intervals over
-{0, 1}.  Bounds of None stand for -inf (lo) and +inf (hi).  The empty
-interval has the single canonical representation EMPTY; an environment
-never binds a variable to EMPTY, it collapses to Bottom instead.
+{0, 1}.  A bound is an int or, for an unbounded side, the matching
+float infinity: -INF as a lower bound, +INF as an upper one, so Python's
+own ordering, min/max and addition act on bounds directly.  The empty
+interval is the one interval with lo > hi, EMPTY = [+INF, -INF]; an
+environment never binds a variable to EMPTY, it collapses to Bottom
+instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .ast import BinOp, BoolLit, Expr, IntLit, UnaryOp, Var
 from .cfg import (
@@ -17,133 +20,66 @@ from .cfg import (
 )
 from .errors import UnknownVariableError
 
-
-# --- extended-integer bound helpers -----------------------------------------
-# lo bounds: None = -inf, hi bounds: None = +inf
-
-def _lo_min(a, b):
-    if a is None or b is None:
-        return None
-    return min(a, b)
-
-
-def _lo_max(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return max(a, b)
-
-
-def _hi_max(a, b):
-    if a is None or b is None:
-        return None
-    return max(a, b)
-
-
-def _hi_min(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
-def _lo_leq(a, b):
-    """a <= b where both are lower bounds (None = -inf)."""
-    if a is None:
-        return True
-    if b is None:
-        return False
-    return a <= b
-
-
-def _hi_leq(a, b):
-    """a <= b where both are upper bounds (None = +inf)."""
-    if b is None:
-        return True
-    if a is None:
-        return False
-    return a <= b
+INF = float("inf")
 
 
 @dataclass(frozen=True)
 class Interval:
-    lo: int | None
-    hi: int | None
-    empty: bool = False
+    lo: int | float
+    hi: int | float
+    # stored rather than a property: environments read it once per binding
+    empty: bool = field(init=False, compare=False)
 
     def __post_init__(self):
-        if self.empty:
-            if (self.lo, self.hi) != (1, 0):
-                raise ValueError("empty interval has one representation")
-        elif self.lo is not None and self.hi is not None \
-                and self.lo > self.hi:
-            raise ValueError(f"malformed interval [{self.lo}, {self.hi}]")
+        lo, hi = self.lo, self.hi
+        if lo > hi:
+            if lo != INF or hi != -INF:
+                raise ValueError(f"malformed interval [{lo}, {hi}]")
+            object.__setattr__(self, "empty", True)
+            return
+        if not ((isinstance(lo, int) or lo == -INF)
+                and (isinstance(hi, int) or hi == INF)):
+            raise ValueError(f"malformed interval [{lo}, {hi}]")
+        object.__setattr__(self, "empty", False)
 
     def __repr__(self):
         if self.empty:
             return "[]"
-        lo = "-inf" if self.lo is None else str(self.lo)
-        hi = "+inf" if self.hi is None else str(self.hi)
-        return f"[{lo},{hi}]"
+        hi = "+inf" if self.hi == INF else str(self.hi)
+        return f"[{self.lo},{hi}]"  # str(-INF) is already "-inf"
 
     def is_top(self):
-        return not self.empty and self.lo is None and self.hi is None
+        return self.lo == -INF and self.hi == INF
 
     def contains(self, value: int) -> bool:
-        if self.empty:
-            return False
-        return _lo_leq(self.lo, value) and _hi_leq(value, self.hi)
+        return self.lo <= value <= self.hi
 
     def leq(self, other: "Interval") -> bool:
-        if self.empty:
-            return True
-        if other.empty:
-            return False
-        return _lo_leq(other.lo, self.lo) and _hi_leq(self.hi, other.hi)
+        return other.lo <= self.lo and self.hi <= other.hi
 
     def join(self, other: "Interval") -> "Interval":
-        if self.empty:
-            return other
-        if other.empty:
-            return self
-        return Interval(_lo_min(self.lo, other.lo), _hi_max(self.hi, other.hi))
+        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def meet(self, other: "Interval") -> "Interval":
-        if self.empty or other.empty:
-            return EMPTY
-        lo = _lo_max(self.lo, other.lo)
-        hi = _hi_min(self.hi, other.hi)
-        if lo is not None and hi is not None and lo > hi:
-            return EMPTY
-        return Interval(lo, hi)
+        return interval(max(self.lo, other.lo), min(self.hi, other.hi))
 
     def widen(self, other: "Interval") -> "Interval":
         """Unstable bounds jump to infinity."""
         if self.empty:
             return other
-        if other.empty:
-            return self
-        lo = self.lo if _lo_leq(self.lo, other.lo) else None
-        hi = self.hi if _hi_leq(other.hi, self.hi) else None
-        return Interval(lo, hi)
+        return Interval(self.lo if self.lo <= other.lo else -INF,
+                        self.hi if other.hi <= self.hi else INF)
 
     def narrow(self, other: "Interval") -> "Interval":
         """Refine only infinite bounds using the descending iterate."""
-        if self.empty:
-            return self
         if other.empty:
-            return other
-        lo = other.lo if self.lo is None else self.lo
-        hi = other.hi if self.hi is None else self.hi
-        if lo is not None and hi is not None and lo > hi:
             return EMPTY
-        return Interval(lo, hi)
+        return interval(other.lo if self.lo == -INF else self.lo,
+                        other.hi if self.hi == INF else self.hi)
 
 
-TOP = Interval(None, None)
-EMPTY = Interval(1, 0, empty=True)
+TOP = Interval(-INF, INF)
+EMPTY = Interval(INF, -INF)
 
 
 def const(value) -> Interval:
@@ -152,7 +88,12 @@ def const(value) -> Interval:
 
 
 def interval(lo, hi) -> Interval:
-    if lo is not None and hi is not None and lo > hi:
+    """[lo, hi], with None for an unbounded side; EMPTY when lo > hi."""
+    if lo is None:
+        lo = -INF
+    if hi is None:
+        hi = INF
+    if lo > hi:
         return EMPTY
     return Interval(lo, hi)
 
@@ -162,49 +103,20 @@ def interval(lo, hi) -> Interval:
 def _add(a: Interval, b: Interval) -> Interval:
     if a.empty or b.empty:
         return EMPTY
-    lo = None if a.lo is None or b.lo is None else a.lo + b.lo
-    hi = None if a.hi is None or b.hi is None else a.hi + b.hi
-    return Interval(lo, hi)
+    return Interval(a.lo + b.lo, a.hi + b.hi)
 
 
 def _neg(a: Interval) -> Interval:
-    if a.empty:
-        return EMPTY
-    return Interval(None if a.hi is None else -a.hi,
-                    None if a.lo is None else -a.lo)
+    return Interval(-a.hi, -a.lo)
 
 
 def _mul(a: Interval, b: Interval) -> Interval:
     if a.empty or b.empty:
         return EMPTY
-    # candidate products over (lo, hi) pairs; infinities tracked as
-    # ("-inf"/"+inf") with 0 * inf = 0 (set product, not a limit)
-    def prod(x, xs, y, ys):
-        # xs/ys: -1 for a lo bound, +1 for a hi bound (sign of infinity)
-        if x is None and y is None:
-            return None, xs * ys
-        if x is None:
-            if y == 0:
-                return 0, 0
-            return None, xs * (1 if y > 0 else -1)
-        if y is None:
-            if x == 0:
-                return 0, 0
-            return None, ys * (1 if x > 0 else -1)
-        return x * y, 0
-
-    candidates = [
-        prod(a.lo, -1, b.lo, -1),
-        prod(a.lo, -1, b.hi, +1),
-        prod(a.hi, +1, b.lo, -1),
-        prod(a.hi, +1, b.hi, +1),
-    ]
-    finite = [v for v, s in candidates if v is not None]
-    has_neg_inf = any(v is None and s < 0 for v, s in candidates)
-    has_pos_inf = any(v is None and s > 0 for v, s in candidates)
-    lo = None if has_neg_inf else min(finite)
-    hi = None if has_pos_inf else max(finite)
-    return Interval(lo, hi)
+    # 0 * inf = 0: a product of sets, not a limit
+    products = [0 if x == 0 or y == 0 else x * y
+                for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
+    return Interval(min(products), max(products))
 
 
 def _div(a: Interval, b: Interval) -> Interval:
@@ -213,33 +125,18 @@ def _div(a: Interval, b: Interval) -> Interval:
         return EMPTY
     if b.contains(0):
         return TOP
-
-    finite, neg_inf, pos_inf = [], False, False
-
-    def consider(x, x_sign, y, y_sign):
-        # x_sign / y_sign: -1 if the bound is a lo (-inf when None), +1 if hi
-        nonlocal neg_inf, pos_inf
-        if x is None and y is None:
-            return  # extremes are covered by the finite-partner pairs
-        if x is None:
-            sign = x_sign * (1 if y > 0 else -1)
-            if sign < 0:
-                neg_inf = True
+    quotients = []
+    for x in (a.lo, a.hi):
+        for y in (b.lo, b.hi):
+            if x in (-INF, INF):
+                if y not in (-INF, INF):  # both infinite: covered by others
+                    quotients.append(x if y > 0 else -x)
+            elif y in (-INF, INF):
+                # floor of a finite quotient's limit at an infinite divisor
+                quotients.append(0 if x == 0 or (x > 0) == (y > 0) else -1)
             else:
-                pos_inf = True
-        elif y is None:
-            # quotient limit at an infinite divisor: 0 or -1 (floor)
-            same_side = (x >= 0) if y_sign > 0 else (x <= 0)
-            finite.append(0 if same_side else -1)
-        else:
-            finite.append(x // y)
-
-    for x, xs in ((a.lo, -1), (a.hi, +1)):
-        for y, ys in ((b.lo, -1), (b.hi, +1)):
-            consider(x, xs, y, ys)
-    lo = None if neg_inf else min(finite)
-    hi = None if pos_inf else max(finite)
-    return Interval(lo, hi)
+                quotients.append(x // y)
+    return Interval(min(quotients), max(quotients))
 
 
 def _truth(a: Interval) -> Interval:
@@ -263,21 +160,20 @@ def _not(a: Interval) -> Interval:
 
 
 def _cmp(op: str, a: Interval, b: Interval) -> Interval:
-    if a.empty or b.empty:
-        return EMPTY
+    """Operands are never empty: eval_expr stops at a bottom env."""
     always = never = False
     if op == "<":
-        always = (a.hi is not None and b.lo is not None and a.hi < b.lo)
-        never = (b.hi is not None and a.lo is not None and b.hi <= a.lo)
+        always = a.hi < b.lo
+        never = b.hi <= a.lo
     elif op == "<=":
-        always = (a.hi is not None and b.lo is not None and a.hi <= b.lo)
-        never = (b.hi is not None and a.lo is not None and b.hi < a.lo)
+        always = a.hi <= b.lo
+        never = b.hi < a.lo
     elif op == ">":
         return _cmp("<", b, a)
     elif op == ">=":
         return _cmp("<=", b, a)
     elif op == "==":
-        always = (a.lo == a.hi == b.lo == b.hi and a.lo is not None)
+        always = a.lo == a.hi == b.lo == b.hi
         never = a.meet(b).empty
     elif op == "!=":
         inner = _cmp("==", a, b)
@@ -500,7 +396,7 @@ def _refine_var(env, name, iv):
 
 def _trim_ne(iv: Interval, c: int) -> Interval:
     """Remove c from iv when it sits on an endpoint."""
-    if iv.empty or not iv.contains(c):
+    if not iv.contains(c):
         return iv
     if iv.lo == iv.hi == c:
         return EMPTY
@@ -524,13 +420,13 @@ def _filter_cmp(env, op, left, right):
         return env  # unsupported shape: sound identity
 
     if op == "<":
-        return _refine_var(env, name, interval(None, c - 1))
+        return _refine_var(env, name, interval(-INF, c - 1))
     if op == "<=":
-        return _refine_var(env, name, interval(None, c))
+        return _refine_var(env, name, interval(-INF, c))
     if op == ">":
-        return _refine_var(env, name, interval(c + 1, None))
+        return _refine_var(env, name, interval(c + 1, INF))
     if op == ">=":
-        return _refine_var(env, name, interval(c, None))
+        return _refine_var(env, name, interval(c, INF))
     if op == "==":
         return _refine_var(env, name, const(c))
     if op == "!=":
@@ -543,20 +439,18 @@ def _filter_cmp(env, op, left, right):
 
 def _filter_var_var(env, op, a, b):
     ia, ib = env.get(a), env.get(b)
-    if ia.empty or ib.empty:
-        return AbstractEnv.bot()
     off = 1 if op in ("<", ">") else 0
     if op in ("<", "<="):
-        na = ia.meet(interval(None, None if ib.hi is None else ib.hi - off))
-        nb = ib.meet(interval(None if ia.lo is None else ia.lo + off, None))
+        na = ia.meet(interval(-INF, ib.hi - off))
+        nb = ib.meet(interval(ia.lo + off, INF))
     elif op in (">", ">="):
-        na = ia.meet(interval(None if ib.lo is None else ib.lo + off, None))
-        nb = ib.meet(interval(None, None if ia.hi is None else ia.hi - off))
+        na = ia.meet(interval(ib.lo + off, INF))
+        nb = ib.meet(interval(-INF, ia.hi - off))
     elif op == "==":
         na = nb = ia.meet(ib)
     elif op == "!=":
-        na = _trim_ne(ia, ib.lo) if ib.lo == ib.hi and ib.lo is not None else ia
-        nb = _trim_ne(ib, ia.lo) if ia.lo == ia.hi and ia.lo is not None else ib
+        na = _trim_ne(ia, ib.lo) if ib.lo == ib.hi else ia
+        nb = _trim_ne(ib, ia.lo) if ia.lo == ia.hi else ib
     else:
         return env
     if na.empty or nb.empty:

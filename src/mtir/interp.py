@@ -46,9 +46,6 @@ class MergedSource:
 class PerLoad:
     sources: dict  # load node id -> source
 
-    def __hash__(self):
-        return hash(frozenset(self.sources.items()))
-
 
 def _apply_load(node_id, stmt, env, policy):
     source = policy.sources.get(node_id)
@@ -69,6 +66,21 @@ def transfer_with_policy(node, env: AbstractEnv, policy) -> AbstractEnv:
     if isinstance(node.stmt, SLoad):
         return _apply_load(node.id, node.stmt, env, policy)
     return transfer(node.stmt, env)
+
+
+def _node_out(cfg, n, envs, policy, identity_nodes):
+    """Post-state of node n; identity nodes pass their state through."""
+    if n in identity_nodes:
+        return envs[n]
+    return transfer_with_policy(cfg.nodes[n], envs[n], policy)
+
+
+def _edge_env(n, filt, out, identity_nodes):
+    """State along an edge of n; identity nodes' branches do not filter."""
+    if filt is None or n in identity_nodes:
+        return out
+    _, cond, polarity = filt
+    return filter_cond(cond, polarity, out)
 
 
 # --- fixpoint engine ------------------------------------------------------------
@@ -101,17 +113,6 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
     if init.bottom:
         return ThreadRun(envs)
 
-    def node_out(n):
-        if n in identity_nodes:
-            return envs[n]
-        return transfer_with_policy(cfg.nodes[n], envs[n], policy)
-
-    def edge_env(n, filt, out):
-        if filt is None or n in identity_nodes:
-            return out
-        _, cond, polarity = filt
-        return filter_cond(cond, polarity, out)
-
     widen_points = cfg.loop_heads
     updates = {n: 0 for n in cfg.nodes}
     worklist = deque([cfg.entry])
@@ -125,9 +126,9 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
                 f"{cfg.name}: worklist exceeded {visit_budget} visits")
         n = worklist.popleft()
         queued.discard(n)
-        out = node_out(n)
+        out = _node_out(cfg, n, envs, policy, identity_nodes)
         for dst, filt in cfg.succs[n]:
-            incoming = edge_env(n, filt, out)
+            incoming = _edge_env(n, filt, out, identity_nodes)
             if incoming.leq(envs[dst]):
                 continue
             joined = envs[dst].join(incoming)
@@ -143,17 +144,18 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
     # successors within the same pass; each update keeps the post-fixpoint
     # property since predecessors can only shrink afterwards
     preds = cfg.preds()
-    for _ in range(max(0, narrowing_passes)):
+    for _ in range(narrowing_passes):
         changed = False
         for n in cfg.node_order():
             if n == cfg.entry:
                 continue
             incoming = AbstractEnv.bot()
             for p in preds[n]:
-                out = node_out(p)
+                out = _node_out(cfg, p, envs, policy, identity_nodes)
                 for dst, filt in cfg.succs[p]:
                     if dst == n:
-                        incoming = incoming.join(edge_env(p, filt, out))
+                        incoming = incoming.join(
+                            _edge_env(p, filt, out, identity_nodes))
             narrowed = envs[n].narrow(incoming)
             if narrowed != envs[n]:
                 envs[n] = narrowed
@@ -175,16 +177,8 @@ def is_stable(cfg: ThreadCfg, run: ThreadRun, policy, init: AbstractEnv,
     if not init.leq(run.envs[cfg.entry]):
         return False
     for n in cfg.node_order():
-        if n in identity_nodes:
-            out = run.envs[n]
-        else:
-            out = transfer_with_policy(cfg.nodes[n], run.envs[n], policy)
+        out = _node_out(cfg, n, run.envs, policy, identity_nodes)
         for dst, filt in cfg.succs[n]:
-            if filt is not None and n not in identity_nodes:
-                _, cond, polarity = filt
-                incoming = filter_cond(cond, polarity, out)
-            else:
-                incoming = out
-            if not incoming.leq(run.envs[dst]):
+            if not _edge_env(n, filt, out, identity_nodes).leq(run.envs[dst]):
                 return False
     return True

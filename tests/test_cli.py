@@ -1,8 +1,13 @@
 import json
+import os
+import re
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
+import mtir
 from mtir.bench import FAMILIES
 from mtir.cli import REPORT_SCHEMA, main
 from mtir.corpus import PROGRAMS, path
@@ -61,6 +66,11 @@ def test_bad_flag_exits_two(capsys):
     status, _, _ = run_cli(capsys, "analyze", path("flag_sync"),
                            "--mode=warp")
     assert status == 2
+    for flag in ("--widening-delay=-1", "--narrowing-passes=-1",
+                 "--outer-budget=0", "--combo-cap=0"):
+        status, out, err = run_cli(capsys, "analyze", path("flag_sync"), flag)
+        assert status == 2, flag
+        assert out == "" and err == "error: budgets must be positive\n", flag
 
 
 @pytest.mark.parametrize("name", PROGRAMS)
@@ -122,6 +132,13 @@ def test_bench_unknown_family(capsys):
     assert "unknown generator" in err
 
 
+def test_bench_rejects_non_positive_sizes(capsys):
+    for argv in (("--sizes=-4",), ("--family=chain", "--sizes=0")):
+        status, out, err = run_cli(capsys, "bench", *argv)
+        assert status == 2, argv
+        assert out == "" and err == "error: sizes must be at least 1\n", argv
+
+
 def test_bench_verified_counts_monotone_per_size(capsys):
     for family in FAMILIES:
         _, out, _ = run_cli(capsys, "bench", "--family=%s" % family,
@@ -131,3 +148,27 @@ def test_bench_verified_counts_monotone_per_size(capsys):
         for size in (2, 3):
             assert verified[(size, "fi")] <= verified[(size, "fs")] \
                 <= verified[(size, "fsc")], family
+
+
+DUMP_CORPUS = """
+from mtir.cli import main
+from mtir.corpus import PROGRAMS, path
+for name in PROGRAMS:
+    for mode in ("fi", "fs", "fsc", "fso"):
+        status = main(["analyze", path(name), "--mode=" + mode,
+                       "--format=json", "--dump-envs", "--dump-facts"])
+        print("==", name, mode, status)
+"""
+
+
+def test_output_independent_of_hash_seed():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mtir.__file__)))
+    outputs = []
+    for seed in ("1", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", DUMP_CORPUS], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.append(re.sub(r'"wall_ms": [0-9.]+', '"wall_ms": 0',
+                              proc.stdout))
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n== ") == 4 * len(PROGRAMS)

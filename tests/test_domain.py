@@ -1,10 +1,12 @@
 import random
 
-from mtir.ast import BinOp, IntLit, Var
+import pytest
+
+from mtir.ast import BinOp, IntLit, UnaryOp, Var
 from mtir.cfg import SLoad, SLocal, SNondet, SStore
 from mtir.domain import (
-    EMPTY, TOP, AbstractEnv, assert_violable, eval_expr,
-    filter_cond, interval, render_env, transfer,
+    EMPTY, INF, TOP, AbstractEnv, Interval, _div, _mul, assert_violable,
+    eval_expr, filter_cond, interval, render_env, transfer,
 )
 from mtir.oracle import eval_concrete
 
@@ -109,6 +111,44 @@ def test_division_endpoints():
     env = AbstractEnv({"a": iv(10, 20), "d": iv(2, None)})
     out = eval_expr(BinOp("/", Var("a"), Var("d")), env)
     assert out == iv(0, 10)
+
+
+@pytest.mark.parametrize("op, a, b, expected", [
+    ("*", (None, -2), (-3, None), "[-inf,+inf]"),
+    ("*", (0, None), (0, 0), "[0,0]"),
+    ("*", (None, None), (0, 0), "[0,0]"),
+    ("*", (-2, 3), (None, 5), "[-inf,+inf]"),
+    ("*", (1, None), (1, None), "[1,+inf]"),
+    ("*", (None, -1), (None, -1), "[1,+inf]"),
+    ("*", (None, 0), (2, 3), "[-inf,0]"),
+    ("/", (1, None), (None, -2), "[-inf,-1]"),
+    ("/", (None, None), (2, 3), "[-inf,+inf]"),
+    ("/", (-7, 5), (2, None), "[-4,2]"),
+    ("/", (-7, 5), (None, -3), "[-2,2]"),
+    ("/", (0, 0), (None, -1), "[0,0]"),
+    ("/", (None, 4), (None, -2), "[-2,+inf]"),
+    ("/", (3, 9), (1, None), "[0,9]"),
+    ("/", (1, 5), (-1, 1), "[-inf,+inf]"),
+])
+def test_arithmetic_with_infinite_bounds(op, a, b, expected):
+    env = AbstractEnv({"a": iv(*a), "b": iv(*b)})
+    assert repr(eval_expr(BinOp(op, Var("a"), Var("b")), env)) == expected
+
+
+def test_arithmetic_with_empty_operand():
+    for f in (_mul, _div):
+        assert f(EMPTY, TOP) is EMPTY
+        assert f(TOP, EMPTY) is EMPTY
+        assert f(iv(1, 2), EMPTY) is EMPTY
+
+
+def test_interval_rejects_non_canonical_bounds():
+    for lo, hi in ((0.5, 3), (0, 3.0), (0, float("nan")), (INF, 3),
+                   (-3, -INF), (3, 2), (1, 0), (INF, 0), (0, -INF)):
+        with pytest.raises(ValueError):
+            Interval(lo, hi)
+    assert Interval(INF, -INF) == EMPTY and Interval(INF, -INF).empty
+    assert Interval(-INF, INF) == TOP and not TOP.empty
 
 
 def test_assert_judged_not_assumed():
@@ -246,6 +286,13 @@ def test_filter_monotone_and_sound():
         assert fa.leq(a)  # filtering only refines
 
 
+def around(rng, value, side):
+    """A bound on the given side of value; unbounded one time in five."""
+    if rng.random() < 0.2:
+        return None
+    return value + side * rng.randint(0, 3)
+
+
 def test_concretization_soundness_vs_concrete_eval():
     # the concrete step of any state within gamma(env) lands in
     # gamma(transfer(env))
@@ -256,8 +303,8 @@ def test_concretization_soundness_vs_concrete_eval():
         if isinstance(st, SNondet):
             continue
         state = {n: rng.randint(-6, 6) for n in names}
-        env = AbstractEnv({n: interval(state[n] - rng.randint(0, 3),
-                                       state[n] + rng.randint(0, 3))
+        env = AbstractEnv({n: interval(around(rng, state[n], -1),
+                                       around(rng, state[n], +1))
                            for n in names})
         out = transfer(st, env)
         if isinstance(st, (SLocal,)):
@@ -268,3 +315,47 @@ def test_concretization_soundness_vs_concrete_eval():
         elif isinstance(st, SStore):
             value = eval_concrete(st.expr, state)
             assert out.get(st.var).contains(value)
+
+
+# --- bound representation -----------------------------------------------------
+
+def assert_canonical(iv):
+    """Every bound is an int or its matching infinity; empty is EMPTY."""
+    if iv.empty:
+        assert (iv.lo, iv.hi) == (INF, -INF), iv
+        return
+    assert type(iv.lo) is int or iv.lo == -INF, iv
+    assert type(iv.hi) is int or iv.hi == INF, iv
+
+
+def assert_env_canonical(env):
+    for value in env.bindings.values():
+        assert_canonical(value)
+
+
+def rand_expr(rng, names, depth=2):
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.6:
+            return Var(rng.choice(names))
+        return IntLit(rng.randint(-4, 4))
+    if rng.random() < 0.1:
+        return UnaryOp("!", rand_expr(rng, names, depth - 1))
+    op = rng.choice(("+", "-", "*", "/", "<", "<=", ">", ">=", "==", "!=",
+                     "&&", "||"))
+    return BinOp(op, rand_expr(rng, names, depth - 1),
+                 rand_expr(rng, names, depth - 1))
+
+
+def test_results_keep_canonical_bounds():
+    rng = random.Random(29)
+    names = ("x", "y")
+    for _ in range(N_CASES):
+        env = rand_env(rng, names)
+        expr = rand_expr(rng, names)
+        assert_canonical(eval_expr(expr, env))
+        for polarity in (True, False):
+            assert_env_canonical(filter_cond(expr, polarity, env))
+        a, b = rand_interval(rng), rand_interval(rng)
+        for got in (a.widen(b), a.narrow(b), a.widen(EMPTY), EMPTY.widen(a),
+                    a.narrow(EMPTY), EMPTY.narrow(a)):
+            assert_canonical(got)

@@ -142,7 +142,9 @@ def _cmd_analyze(args) -> int:
 
     if args.widening_delay < 0 or args.narrowing_passes < 0 \
             or args.outer_budget <= 0 or args.combo_cap <= 0:
-        print("error: budgets must be positive", file=sys.stderr)
+        print("error: budgets must be non-negative (--widening-delay, "
+              "--narrowing-passes) or positive (--outer-budget, --combo-cap)",
+              file=sys.stderr)
         return 2
 
     try:

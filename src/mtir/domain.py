@@ -3,10 +3,11 @@
 Values are mathematical integers; booleans embed as intervals over
 {0, 1}.  A bound is an int or, for an unbounded side, the matching
 float infinity: -INF as a lower bound, +INF as an upper one, so Python's
-own ordering, min/max and addition act on bounds directly.  The empty
-interval is the one interval with lo > hi, EMPTY = [+INF, -INF]; an
-environment never binds a variable to EMPTY, it collapses to Bottom
-instead.
+own ordering and min/max act on bounds directly.  `+` and `*` never mix
+an int with an infinity, which would overflow for ints above ~1.8e308.
+The empty interval is the one interval with lo > hi, EMPTY = [+INF, -INF];
+an empty operand makes every operator's result EMPTY, and an environment
+never binds a variable to EMPTY, it collapses to Bottom instead.
 """
 
 from __future__ import annotations
@@ -100,10 +101,21 @@ def interval(lo, hi) -> Interval:
 
 # --- interval arithmetic ------------------------------------------------------
 
+def _product(x, y):
+    """Bound product with 0 * inf = 0: a product of sets, not a limit."""
+    if x == 0 or y == 0:
+        return 0
+    if isinstance(x, float) or isinstance(y, float):
+        return INF if (x > 0) == (y > 0) else -INF
+    return x * y
+
+
 def _add(a: Interval, b: Interval) -> Interval:
     if a.empty or b.empty:
         return EMPTY
-    return Interval(a.lo + b.lo, a.hi + b.hi)
+    lo = -INF if -INF in (a.lo, b.lo) else a.lo + b.lo
+    hi = INF if INF in (a.hi, b.hi) else a.hi + b.hi
+    return Interval(lo, hi)
 
 
 def _neg(a: Interval) -> Interval:
@@ -113,9 +125,7 @@ def _neg(a: Interval) -> Interval:
 def _mul(a: Interval, b: Interval) -> Interval:
     if a.empty or b.empty:
         return EMPTY
-    # 0 * inf = 0: a product of sets, not a limit
-    products = [0 if x == 0 or y == 0 else x * y
-                for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
+    products = [_product(x, y) for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
     return Interval(min(products), max(products))
 
 
@@ -128,10 +138,10 @@ def _div(a: Interval, b: Interval) -> Interval:
     quotients = []
     for x in (a.lo, a.hi):
         for y in (b.lo, b.hi):
-            if x in (-INF, INF):
-                if y not in (-INF, INF):  # both infinite: covered by others
+            if isinstance(x, float):
+                if not isinstance(y, float):  # both infinite: covered by others
                     quotients.append(x if y > 0 else -x)
-            elif y in (-INF, INF):
+            elif isinstance(y, float):
                 # floor of a finite quotient's limit at an infinite divisor
                 quotients.append(0 if x == 0 or (x > 0) == (y > 0) else -1)
             else:
@@ -160,7 +170,8 @@ def _not(a: Interval) -> Interval:
 
 
 def _cmp(op: str, a: Interval, b: Interval) -> Interval:
-    """Operands are never empty: eval_expr stops at a bottom env."""
+    if a.empty or b.empty:
+        return EMPTY
     always = never = False
     if op == "<":
         always = a.hi < b.lo

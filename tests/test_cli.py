@@ -62,6 +62,11 @@ def test_bad_syntax_exits_two(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
 
 
+BUDGET_ERROR = ("error: budgets must be non-negative (--widening-delay, "
+                "--narrowing-passes) or positive (--outer-budget, "
+                "--combo-cap)\n")
+
+
 def test_bad_flag_exits_two(capsys):
     status, _, _ = run_cli(capsys, "analyze", path("flag_sync"),
                            "--mode=warp")
@@ -70,7 +75,17 @@ def test_bad_flag_exits_two(capsys):
                  "--outer-budget=0", "--combo-cap=0"):
         status, out, err = run_cli(capsys, "analyze", path("flag_sync"), flag)
         assert status == 2, flag
-        assert out == "" and err == "error: budgets must be positive\n", flag
+        assert out == "" and err == BUDGET_ERROR, flag
+
+
+def test_bounds_beyond_float_range(tmp_path, capsys):
+    big = "1" + "0" * 309  # above the largest float, about 1.8e308
+    prog = tmp_path / "huge.mtir"
+    prog.write_text("thread main() { int n = *; int x = %s + n;\n"
+                    "  int y = %s * n; assert(x >= 0); }\n" % (big, big))
+    status, out, err = run_cli(capsys, "analyze", str(prog), "--dump-envs")
+    assert (status, err) == (1, "")
+    assert "0/1 assertions verified" in out
 
 
 @pytest.mark.parametrize("name", PROGRAMS)

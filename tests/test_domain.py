@@ -5,7 +5,8 @@ import pytest
 from mtir.ast import BinOp, IntLit, UnaryOp, Var
 from mtir.cfg import SLoad, SLocal, SNondet, SStore
 from mtir.domain import (
-    EMPTY, INF, TOP, AbstractEnv, Interval, _div, _mul, assert_violable,
+    EMPTY, INF, TOP, AbstractEnv, Interval, _add, _cmp, _div, _mul,
+    assert_violable,
     eval_expr, filter_cond, interval, render_env, transfer,
 )
 from mtir.oracle import eval_concrete
@@ -135,8 +136,32 @@ def test_arithmetic_with_infinite_bounds(op, a, b, expected):
     assert repr(eval_expr(BinOp(op, Var("a"), Var("b")), env)) == expected
 
 
+BIG = 10 ** 400  # beyond float range: int + inf would raise OverflowError
+
+
+@pytest.mark.parametrize("op, a, b, expected", [
+    ("+", (BIG, BIG), (None, None), "[-inf,+inf]"),
+    ("+", (BIG, BIG), (0, None), "[BIG,+inf]"),
+    ("+", (-BIG, BIG), (None, 0), "[-inf,BIG]"),
+    ("-", (BIG, BIG), (None, None), "[-inf,+inf]"),
+    ("-", (BIG, BIG), (0, None), "[-inf,BIG]"),
+    ("-", (0, None), (BIG, BIG), "[-BIG,+inf]"),
+    ("*", (BIG, BIG), (None, None), "[-inf,+inf]"),
+    ("*", (BIG, BIG), (0, None), "[0,+inf]"),
+    ("*", (-BIG, BIG), (0, None), "[-inf,+inf]"),
+    ("*", (-BIG, -BIG), (0, None), "[-inf,0]"),
+    ("/", (BIG, BIG), (None, -1), "[-BIG,-1]"),
+])
+def test_arithmetic_with_huge_bounds(op, a, b, expected):
+    env = AbstractEnv({"a": iv(*a), "b": iv(*b)})
+    got = repr(eval_expr(BinOp(op, Var("a"), Var("b")), env))
+    assert got.replace(str(BIG), "BIG") == expected
+
+
 def test_arithmetic_with_empty_operand():
-    for f in (_mul, _div):
+    ops = (_add, _mul, _div, lambda a, b: _cmp("<", a, b),
+           lambda a, b: _cmp("!=", a, b))
+    for f in ops:
         assert f(EMPTY, TOP) is EMPTY
         assert f(TOP, EMPTY) is EMPTY
         assert f(iv(1, 2), EMPTY) is EMPTY
@@ -359,3 +384,20 @@ def test_results_keep_canonical_bounds():
         for got in (a.widen(b), a.narrow(b), a.widen(EMPTY), EMPTY.widen(a),
                     a.narrow(EMPTY), EMPTY.narrow(a)):
             assert_canonical(got)
+
+
+def rand_huge_interval(rng):
+    lo, hi = sorted(rng.sample((-BIG, -1, 0, 2, BIG, BIG * BIG), 2))
+    return iv(rng.choice((None, lo)), rng.choice((None, hi)))
+
+
+def test_huge_bounds_stay_canonical():
+    """Bounds beyond float range never meet an infinity in + or *."""
+    rng = random.Random(31)
+    names = ("x", "y")
+    for _ in range(N_CASES):
+        env = AbstractEnv({n: rand_huge_interval(rng) for n in names})
+        expr = rand_expr(rng, names)
+        assert_canonical(eval_expr(expr, env))
+        for polarity in (True, False):
+            assert_env_canonical(filter_cond(expr, polarity, env))

@@ -23,17 +23,19 @@ A mode is a row of `MODE_ROWS`:
           dependence clustering (independent load groups are explored
           zipped instead of multiplied).
 
-Interpreter runs are memoized on what they read: the thread, its entry
+Interpreter runs are memoized on what they read: the routine, its entry
 state and the interval each load observes (see `_run_key`).  A run is a
 deterministic function of that input and its results are folded in by
 join, so an input that already ran in the same analysis is skipped;
-`stats.runs` counts the runs scheduled, `stats.interp_runs` those
-executed.
+instances of one routine, one graph up to a shift of node ids, replay
+each other's runs.  `stats.runs` counts the runs scheduled,
+`stats.interp_runs` those executed.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .cfg import ProgramModel, ThreadCfg, is_store, loads_of
@@ -192,33 +194,46 @@ def _table_snapshot(table):
     return {tid: dict(bucket) for tid, bucket in table.items()}
 
 
-def _run_key(cfg, init, policy):
-    """What an interpreter run reads: the thread, its entry state and, per
-    load, the kind of source and the interval it supplies (none for a
-    thread-local read), so value-equal stores give one key.  Merged stays
-    apart from store because it joins with the local value."""
+def _run_key(cfg, init, policy, shape):
+    """What an interpreter run reads: `shape` (the routine, with its
+    identity nodes if shared), its entry state and, per load, the kind of
+    source and the interval it supplies (none for a thread-local read), so
+    value-equal stores give one key.  Merged stays apart from store because
+    it joins with the local value.  Node ids are relative to the thread's
+    first node."""
+    base = cfg.first_node
     observed = tuple(
-        (load, type(source), None if isinstance(source, SelfSource)
+        (load - base, type(source), None if isinstance(source, SelfSource)
          else source.env.get(cfg.nodes[load].stmt.var))
         for load, source in sorted(policy.sources.items()))
-    return cfg.tid, init, observed
+    return shape, init, observed
 
 
-def _fold_run(cfg, init, policy, config, seen, te, violable, stats,
-              identity_nodes=frozenset()):
+def _fold_run(cfg, init, policy, config, seen, shared, te, violable, stats,
+              identity_nodes, shape):
     """Run the interpreter on one input and join its result into `te` and
-    `violable`, unless the same input already ran in this analysis: the
-    run would be identical and the join idempotent."""
-    key = _run_key(cfg, init, policy)
-    if key in seen:
+    `violable`, unless this thread already ran the same input in this
+    analysis: the run would be identical and the join idempotent.  Replay
+    a run of another instance from `shared`, shifted to this thread."""
+    key = _run_key(cfg, init, policy, shape)
+    if (cfg.tid, key) in seen:
         return
-    seen.add(key)
+    seen.add((cfg.tid, key))
+    hit = shared.get(key) if shared is not None else None
+    if hit is not None:
+        base, run = hit
+        shift = cfg.first_node - base
+        _merge_te(te, {n + shift: env for n, env in run.envs.items()})
+        violable.update(n + shift for n in run.violable)
+        return
     run = analyze_thread(
         cfg, init, policy,
         widening_delay=config.widening_delay,
         narrowing_passes=config.narrowing_passes,
         visit_budget=config.visit_budget,
         identity_nodes=identity_nodes)
+    if shared is not None:
+        shared[key] = cfg.first_node, run
     _merge_te(te, run.envs)
     violable |= run.violable
     stats.interp_runs += 1
@@ -226,7 +241,20 @@ def _fold_run(cfg, init, policy, config, seen, te, violable, stats,
 
 # --- interference combinations ---------------------------------------------------
 
-def _source_lists(cfg, table, model, facts, active_loads, merged):
+def _store_index(model, table):
+    """Published stores per variable, (tid, store, env) in thread order
+    then node order."""
+    index = {}
+    for cfg in model.threads:
+        bucket = table[cfg.tid]
+        for var, stores in cfg.stores_by_var.items():
+            for s in stores:
+                if s in bucket:
+                    index.setdefault(var, []).append((cfg.tid, s, bucket[s]))
+    return index
+
+
+def _source_lists(cfg, index, facts, active_loads, merged):
     """Candidate sources per load, in published-store order with the self
     source last.  A load gets one merged source instead, the join of the
     remote stores to its variable (the self source if there are none),
@@ -235,10 +263,8 @@ def _source_lists(cfg, table, model, facts, active_loads, merged):
     sources = {}
     for l in active_loads:
         var = cfg.nodes[l].stmt.var
-        matching = [(s, table[other.tid][s]) for other in model.threads
-                    if other.tid != cfg.tid
-                    for s in other.stores_by_var.get(var, ())
-                    if s in table[other.tid]]
+        matching = [(s, env) for tid, s, env in index.get(var, ())
+                    if tid != cfg.tid]
         if merged or l in cfg.reach[l]:
             joined = None
             for s, env in matching:
@@ -272,7 +298,8 @@ def compute_combinations(cfg: ThreadCfg, table: dict, model: ProgramModel,
                          feasibility: bool = False,
                          plan: ClusterPlan | None = None,
                          pruned_loads: frozenset = frozenset(),
-                         combo_cap: int = 4096, merged: bool = False):
+                         combo_cap: int = 4096, merged: bool = False,
+                         index: dict | None = None):
     """Build the interference combinations for one thread.
 
     Returns (combinations, generated, rejected).  With `merged` there is
@@ -280,10 +307,12 @@ def compute_combinations(cfg: ThreadCfg, table: dict, model: ProgramModel,
     With a cluster plan the per-cluster combination lists are zipped: run
     k takes each cluster's k-th combination, shorter lists padded with
     the all-self combination, so the number of runs is the maximum
-    cluster list length instead of the product.
+    cluster list length instead of the product.  `index` is the table's
+    `_store_index`, built here if not given.
     """
     active = [l for l in loads_of(cfg) if l not in pruned_loads]
-    sources = _source_lists(cfg, table, model, facts, active, merged)
+    index = _store_index(model, table) if index is None else index
+    sources = _source_lists(cfg, index, facts, active, merged)
     if merged:
         return [{l: options[0] for l, options in sources.items()}], 0, 0
 
@@ -361,6 +390,15 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
     table: dict = {cfg.tid: {} for cfg in model.threads}
     violable: set = set()
     seen: set = set()
+    shared: dict = {}
+    instances = Counter(cfg.routine for cfg in model.threads)
+    # per thread: its run-key shape and, if its routine has other instances,
+    # their shared runs; a lone instance's identity nodes never change
+    shapes = {cfg.tid: (cfg.routine, None) if instances[cfg.routine] == 1
+              else ((cfg.routine, frozenset(
+                  n - cfg.first_node
+                  for n in identity_nodes.intersection(cfg.nodes))), shared)
+              for cfg in model.threads}
     stats = AnalysisStats()
     stats.pruned_loads = len(pruned_loads)
     stats.clusters = plan.total_clusters() if plan else 0
@@ -375,6 +413,7 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
         before_table = _table_snapshot(table)
         before_te = dict(te)
         iter_stats = IterationStats()
+        index = _store_index(model, table)  # the table changes at _publish
 
         for cfg in model.threads:
             active = [l for l in loads_of(cfg) if l not in pruned_loads]
@@ -384,7 +423,7 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
                 cfg, table, model, facts,
                 feasibility=row.feasibility and iteration > 1,
                 plan=plan, pruned_loads=pruned_loads,
-                combo_cap=config.combo_cap, merged=row.merged)
+                combo_cap=config.combo_cap, merged=row.merged, index=index)
             if not combos:
                 # every combination was refuted; keep the thread's
                 # contribution sound with a self-only run
@@ -395,9 +434,10 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
             stats.infeasible += rejected
 
             init = _entry_env(model, cfg, te)
+            shape, pool = shapes[cfg.tid]
             for combo in combos:
-                _fold_run(cfg, init, PerLoad(combo), config, seen, te,
-                          violable, stats, identity_nodes)
+                _fold_run(cfg, init, PerLoad(combo), config, seen, pool, te,
+                          violable, stats, identity_nodes, shape)
             stats.runs += len(combos)
             iter_stats.runs += len(combos)
 

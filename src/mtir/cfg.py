@@ -126,6 +126,11 @@ class ThreadCfg:
         return reachable_sets(self.succs)
 
     @cached_property
+    def first_node(self) -> int:
+        """Smallest node id; a thread's ids are consecutive."""
+        return min(self.nodes)
+
+    @cached_property
     def stores_by_var(self) -> dict[str, list[int]]:
         """Store nodes per written global, in node order."""
         out: dict[str, list[int]] = {}

@@ -187,6 +187,8 @@ def _cmd_bench(args) -> int:
     from .bench import bench_csv, run_bench
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s]
+        if not sizes:
+            raise ValueError("no sizes given")
         if any(size < 1 for size in sizes):
             raise ValueError("sizes must be at least 1")
         rows = run_bench(args.family, sizes, args.seed)

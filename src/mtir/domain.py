@@ -13,6 +13,7 @@ never binds a variable to EMPTY, it collapses to Bottom instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 from .ast import BinOp, BoolLit, Expr, IntLit, UnaryOp, Var
 from .cfg import (
@@ -46,8 +47,10 @@ class Interval:
     def __repr__(self):
         if self.empty:
             return "[]"
-        hi = "+inf" if self.hi == INF else str(self.hi)
-        return f"[{self.lo},{hi}]"  # str(-INF) is already "-inf"
+        # str(Decimal(b)) is str(b) without the 4300-digit limit on str(int)
+        lo = "-inf" if self.lo == -INF else str(Decimal(self.lo))
+        hi = "+inf" if self.hi == INF else str(Decimal(self.hi))
+        return f"[{lo},{hi}]"
 
     def is_top(self):
         return self.lo == -INF and self.hi == INF

@@ -167,3 +167,37 @@ def random_program(seed: int) -> str:
             lines.append("  assert(mj >= -9);")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def repeated_program(seed: int) -> str:
+    """Two or three instances of one worker routine with a parameter.
+    Arguments come from a small set, so some repeat, and the entry thread
+    creates the instances around a store, so equal arguments can still
+    start from different states.  Sometimes it joins the first instance
+    and then reads, so ordering tells that instance's stores apart from
+    its siblings'."""
+    rng = random.Random(seed + 91_000)
+    globals_ = [f"g{i}" for i in range(rng.randint(1, 2))]
+    instances = rng.randint(2, 3)
+    lines = ["int %s = %d;" % (g, rng.randint(0, 1)) for g in globals_]
+    lines.append("thread w(int p) {")
+    # three instances of a longer worker overrun the oracle's schedule cap
+    body = _Body(rng, globals_, 1 if instances == 3 else rng.randint(2, 3),
+                 "w", [1])
+    body.locals.append("p")
+    lines += ["  " + s for s in body.emit()]
+    lines.append("}")
+    lines.append("thread main() {")
+    store_at = rng.randint(0, instances)
+    for k in range(instances + 1):
+        if k == store_at:
+            lines.append("  %s = %d;" % (rng.choice(globals_),
+                                         rng.randint(2, 5)))
+        if k < instances:
+            lines.append("  create(w, %d);" % rng.randint(0, 2))
+    if rng.random() < 0.4:
+        lines.append("  join(w);")
+        lines.append("  int mj = %s;" % rng.choice(globals_))
+        lines.append("  assert(mj >= %d);" % rng.randint(-1, 2))
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -1,10 +1,11 @@
 """Long-running soundness hunt, not part of the pytest suite.
 
-Usage: python3 tests/stress_soundness.py [n_flat] [n_loopy]
+Usage: python3 tests/stress_soundness.py [n_flat] [n_loopy] [n_repeated]
 
-Runs many random programs (the suite's loop-free family plus a bounded
--loop family) through every mode and cross-checks against the oracle.
-Prints any violation; exits nonzero if one is found.
+Runs many random programs (the suite's loop-free family, a bounded-loop
+family and a family of repeated instances of one routine, which share
+interpreter runs) through every mode and cross-checks against the
+oracle.  Prints any violation; exits nonzero if one is found.
 """
 
 import random
@@ -12,7 +13,7 @@ import sys
 import time
 
 sys.path.insert(0, "tests")
-from conftest import random_program, _Body  # noqa: E402
+from conftest import random_program, repeated_program, _Body  # noqa: E402
 
 from mtir import AnalysisConfig, analyze, build_model, parse  # noqa: E402
 from mtir.errors import OracleBudgetExceeded  # noqa: E402
@@ -88,8 +89,10 @@ def run_family(label, generator, count, start_seed):
 def main():
     n_flat = int(sys.argv[1]) if len(sys.argv) > 1 else 300
     n_loopy = int(sys.argv[2]) if len(sys.argv) > 2 else 120
+    n_repeated = int(sys.argv[3]) if len(sys.argv) > 3 else 120
     bad = run_family("flat", random_program, n_flat, 100_000)
     bad += run_family("loopy", loopy_program, n_loopy, 0)
+    bad += run_family("repeated", repeated_program, n_repeated, 100_000)
     print("TOTAL violations:", bad)
     return 1 if bad else 0
 

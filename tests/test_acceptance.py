@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import MODES, node_ids, random_program
+from conftest import MODES, node_ids, random_program, repeated_program
 from mtir.analysis import AnalysisConfig, analyze, compute_combinations
 from mtir.cfg import build_model, loads_of
 from mtir.domain import AbstractEnv, interval
@@ -163,46 +163,62 @@ def test_criterion_6_derivation_dump():
 
 # -- criteria 7 and 8: randomized soundness and accuracy ordering ----------------
 
+def _oracle_checked(text, seed):
+    """The program's results and oracle reports in every mode, or None
+    when the oracle cannot enumerate it within its bounds."""
+    model = build_model(parse(text))
+    try:
+        records = enumerate_executions(
+            model, OracleBounds(max_steps=150, schedule_cap=60_000))
+    except OracleBudgetExceeded:
+        return None
+    feas = FeasibilityEngine(model)
+    rejected = static_rejections(model, feas)
+    results = {mode: analyze(model, AnalysisConfig(mode=mode))
+               for mode in MODES}
+    reports = {mode: check_abstraction(records, results[mode], model,
+                                       rejected=rejected)
+               for mode in MODES}
+    return {"seed": seed, "model": model, "results": results,
+            "reports": reports}
+
+
+def _first_checked(generator, count):
+    out = []
+    seed = 0
+    while len(out) < count:
+        seed += 1
+        entry = _oracle_checked(generator(seed), seed)
+        if entry is not None:
+            out.append(entry)
+    return out
+
+
 @pytest.fixture(scope="module")
 def random_suite(corpus_results):
     started = time.perf_counter()
-    programs = []
-    seed = 0
-    while len(programs) < 25:
-        seed += 1
-        model = build_model(parse(random_program(seed)))
-        try:
-            records = enumerate_executions(
-                model, OracleBounds(max_steps=150, schedule_cap=60_000))
-        except OracleBudgetExceeded:
-            continue
-        feas = FeasibilityEngine(model)
-        rejected = static_rejections(model, feas)
-        results = {mode: analyze(model, AnalysisConfig(mode=mode))
-                   for mode in MODES}
-        reports = {mode: check_abstraction(records, results[mode], model,
-                                           rejected=rejected)
-                   for mode in MODES}
-        programs.append({"seed": seed, "model": model, "results": results,
-                         "reports": reports})
-    return {"programs": programs,
+    programs = _first_checked(random_program, 25)
+    # instances of one routine, which share interpreter runs
+    repeated = _first_checked(repeated_program, 10)
+    return {"programs": programs, "repeated": repeated,
             "elapsed": time.perf_counter() - started}
 
 
 def test_criterion_7_soundness_suite(random_suite):
     bad = []
-    for entry in random_suite["programs"]:
+    for entry in random_suite["programs"] + random_suite["repeated"]:
         for mode, rep in entry["reports"].items():
             if not rep.ok:
                 bad.append((entry["seed"], mode, rep.state_misses[:1],
                             rep.verdict_misses[:1],
                             rep.feasibility_misses[:1]))
     elapsed = random_suite["elapsed"]
-    ok = not bad and len(random_suite["programs"]) >= 25 and elapsed < 300
-    report(7, ok, "%d random programs, 4 modes, zero soundness or "
-                  "feasibility violations (%.1fs)%s"
-           % (len(random_suite["programs"]), elapsed,
-              "" if not bad else "; first: %s" % (bad[0],)))
+    ok = not bad and len(random_suite["programs"]) >= 25 \
+        and len(random_suite["repeated"]) >= 8 and elapsed < 300
+    report(7, ok, "%d random and %d repeated-instance programs, 4 modes, "
+                  "zero soundness or feasibility violations (%.1fs)%s"
+           % (len(random_suite["programs"]), len(random_suite["repeated"]),
+              elapsed, "" if not bad else "; first: %s" % (bad[0],)))
 
 
 def test_criterion_8_accuracy_ordering(corpus_results, random_suite):
@@ -211,6 +227,8 @@ def test_criterion_8_accuracy_ordering(corpus_results, random_suite):
              for name, by_mode in corpus_results.items()]
     pools += [("random:%d" % entry["seed"], entry["results"])
               for entry in random_suite["programs"]]
+    pools += [("repeated:%d" % entry["seed"], entry["results"])
+              for entry in random_suite["repeated"]]
     for label, by_mode in pools:
         fi = by_mode["fi"].verified_assertions()
         fs = by_mode["fs"].verified_assertions()

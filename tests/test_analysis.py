@@ -1,6 +1,8 @@
 import pytest
 
-from conftest import MODES, node_ids, random_program, self_only
+from conftest import (
+    MODES, node_ids, random_program, repeated_program, self_only,
+)
 from mtir.analysis import AnalysisConfig, analyze, compute_combinations
 from mtir.bench import chain_program, watchdog_program
 from mtir.cfg import build_model, loads_of, reachable_sets
@@ -305,6 +307,10 @@ def test_memoized_runs_match_unmemoized(corpus_models, monkeypatch):
     cases = dict(corpus_models)
     for seed in range(20):
         cases["random%d" % seed] = model_of(random_program(seed))
+        # instances of one routine share runs
+        cases["repeated%d" % seed] = model_of(repeated_program(seed))
+    for size in (4, 8):
+        cases["watchdog%d" % size] = model_of(watchdog_program(size))
     # c's entry state grows across outer iterations, with equal loads
     cases["late_create"] = model_of(
         "int g = 0;\n"
@@ -317,7 +323,8 @@ def test_memoized_runs_match_unmemoized(corpus_models, monkeypatch):
             result = analyze(model, AnalysisConfig(mode=mode))
             assert result.stats.interp_runs <= result.stats.runs
             memoized[name, mode] = result
-    # a fresh key per call makes every scheduled run execute
+    # a fresh key per call makes every scheduled run execute, and none is
+    # shared between instances
     monkeypatch.setattr(analysis_mod, "_run_key", lambda *_: object())
     for (name, mode), memo in memoized.items():
         full = analyze(memo.model, AnalysisConfig(mode=mode))
@@ -329,14 +336,15 @@ def test_memoized_runs_match_unmemoized(corpus_models, monkeypatch):
 
 
 def test_watchdog_run_counts():
-    # 8 identical workers: most scheduled runs repeat an input
+    # 8 instances of one routine: most scheduled runs repeat an input,
+    # their own or another instance's
     model = model_of(watchdog_program(8))
     counts = {}
     for mode in MODES:
         stats = analyze(model, AnalysisConfig(mode=mode)).stats
         counts[mode] = (stats.runs, stats.interp_runs)
-    assert counts == {"fi": (54, 41), "fs": (334, 41), "fsc": (334, 41),
-                      "fso": (18, 9)}
+    assert counts == {"fi": (54, 36), "fs": (334, 36), "fsc": (334, 36),
+                      "fso": (18, 8)}
 
 
 def test_cfg_sets_computed_once_per_thread(monkeypatch):

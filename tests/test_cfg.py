@@ -1,7 +1,8 @@
 import pytest
 
-from conftest import node_ids
+from conftest import node_ids, random_program, repeated_program
 from mtir.ast import expr_vars
+from mtir.bench import watchdog_program
 from mtir.cfg import (
     SAssert, SBranch, SExit, SLoad, SLocal, SNondet, SStore, build_model,
     ir_dump, loads_of, stores_of,
@@ -133,6 +134,35 @@ def test_normalization_single_global_access(name):
             assert not (expr_vars(stmt.cond) & globals_)
         elif isinstance(stmt, SLocal):
             assert not (expr_vars(stmt.expr) & globals_)
+
+
+def _relative_shape(cfg):
+    base = cfg.first_node
+    return ([(n - base, node.line, node.stmt) for n, node in cfg.nodes.items()],
+            [(n - base, [(dst - base, filt) for dst, filt in edges])
+             for n, edges in cfg.succs.items()],
+            cfg.entry - base, cfg.exit - base)
+
+
+def test_instances_share_relative_shape():
+    # interpreter runs are shared between instances of one routine, which
+    # relies on the instances being one graph up to a shift of node ids
+    texts = [source(name) for name in PROGRAMS] + [watchdog_program(8)]
+    texts += [random_program(seed) for seed in range(60)]
+    texts += [repeated_program(seed) for seed in range(30)]
+    repeated = 0
+    for text in texts:
+        model = model_of(text)
+        shapes = {}
+        for cfg in model.threads:
+            shape = _relative_shape(cfg)
+            assert sorted(cfg.nodes) == list(
+                range(cfg.first_node, cfg.first_node + len(cfg.nodes)))
+            if cfg.routine in shapes:
+                repeated += 1
+                assert shape == shapes[cfg.routine], (text, cfg.name)
+            shapes.setdefault(cfg.routine, shape)
+    assert repeated >= 40
 
 
 @pytest.mark.parametrize("name", PROGRAMS)

@@ -88,6 +88,19 @@ def test_bounds_beyond_float_range(tmp_path, capsys):
     assert "0/1 assertions verified" in out
 
 
+@pytest.mark.parametrize("fmt", ("text", "json"))
+def test_bounds_beyond_int_string_limit(tmp_path, capsys, fmt):
+    # 10**5120 has more digits than Python's default int-to-str limit (4300)
+    prog = tmp_path / "square.mtir"
+    prog.write_text("thread main() { int x = 10000000000;\n"
+                    + "  x = x * x;\n" * 9 + "  assert(x >= 0); }\n")
+    status, out, err = run_cli(capsys, "analyze", str(prog), "--dump-envs",
+                               "--format=%s" % fmt)
+    assert (status, err) == (0, "")
+    big = "1" + "0" * 5120
+    assert "x:[%s,%s]" % (big, big) in out
+
+
 @pytest.mark.parametrize("name", PROGRAMS)
 @pytest.mark.parametrize("mode", ("fi", "fsc", "fso"))
 def test_json_report_schema(name, mode, capsys):
@@ -148,10 +161,13 @@ def test_bench_unknown_family(capsys):
 
 
 def test_bench_rejects_non_positive_sizes(capsys):
-    for argv in (("--sizes=-4",), ("--family=chain", "--sizes=0")):
+    cases = {("--sizes=-4",): "sizes must be at least 1",
+             ("--family=chain", "--sizes=0"): "sizes must be at least 1",
+             ("--sizes=,",): "no sizes given"}
+    for argv, message in cases.items():
         status, out, err = run_cli(capsys, "bench", *argv)
         assert status == 2, argv
-        assert out == "" and err == "error: sizes must be at least 1\n", argv
+        assert out == "" and err == "error: %s\n" % message, argv
 
 
 def test_bench_verified_counts_monotone_per_size(capsys):

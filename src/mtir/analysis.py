@@ -23,19 +23,22 @@ A mode is a row of `MODE_ROWS`:
           dependence clustering (independent load groups are explored
           zipped instead of multiplied).
 
+fs and fsc are the one-cluster case of fso's zipped exploration: each
+thread's active loads form a single cluster, whose zip is its product.
+
 Interpreter runs are memoized on what they read: the routine, its entry
 state and the interval each load observes (see `_run_key`).  A run is a
 deterministic function of that input and its results are folded in by
-join, so an input that already ran in the same analysis is skipped;
-instances of one routine, one graph up to a shift of node ids, replay
-each other's runs.  `stats.runs` counts the runs scheduled,
+join, so an input that already ran in the same analysis is skipped.
+Every executed run goes into one table, keyed the same way for every
+thread: instances of one routine, one graph up to a shift of node ids,
+replay each other's runs.  `stats.runs` counts the runs scheduled,
 `stats.interp_runs` those executed.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .cfg import ProgramModel, ThreadCfg, is_store, loads_of
@@ -71,7 +74,6 @@ class AnalysisConfig:
     narrowing_passes: int = 1
     outer_budget: int = 64
     combo_cap: int = 4096
-    visit_budget: int = 200_000
 
 
 @dataclass(frozen=True)
@@ -158,8 +160,9 @@ def _entry_env(model: ProgramModel, cfg: ThreadCfg, te: dict) -> AbstractEnv:
     return env
 
 
-def _merge_te(te: dict, envs: dict):
+def _merge_te(te: dict, envs: dict, shift: int):
     for node, env in envs.items():
+        node += shift
         if node in te:
             te[node] = te[node].join(env)
         else:
@@ -195,8 +198,8 @@ def _table_snapshot(table):
 
 
 def _run_key(cfg, init, policy, shape):
-    """What an interpreter run reads: `shape` (the routine, with its
-    identity nodes if shared), its entry state and, per load, the kind of
+    """What an interpreter run reads: `shape` (the routine and its
+    identity nodes), its entry state and, per load, the kind of
     source and the interval it supplies (none for a thread-local read), so
     value-equal stores give one key.  Merged stays apart from store because
     it joins with the local value.  Node ids are relative to the thread's
@@ -207,36 +210,6 @@ def _run_key(cfg, init, policy, shape):
          else source.env.get(cfg.nodes[load].stmt.var))
         for load, source in sorted(policy.sources.items()))
     return shape, init, observed
-
-
-def _fold_run(cfg, init, policy, config, seen, shared, te, violable, stats,
-              identity_nodes, shape):
-    """Run the interpreter on one input and join its result into `te` and
-    `violable`, unless this thread already ran the same input in this
-    analysis: the run would be identical and the join idempotent.  Replay
-    a run of another instance from `shared`, shifted to this thread."""
-    key = _run_key(cfg, init, policy, shape)
-    if (cfg.tid, key) in seen:
-        return
-    seen.add((cfg.tid, key))
-    hit = shared.get(key) if shared is not None else None
-    if hit is not None:
-        base, run = hit
-        shift = cfg.first_node - base
-        _merge_te(te, {n + shift: env for n, env in run.envs.items()})
-        violable.update(n + shift for n in run.violable)
-        return
-    run = analyze_thread(
-        cfg, init, policy,
-        widening_delay=config.widening_delay,
-        narrowing_passes=config.narrowing_passes,
-        visit_budget=config.visit_budget,
-        identity_nodes=identity_nodes)
-    if shared is not None:
-        shared[key] = cfg.first_node, run
-    _merge_te(te, run.envs)
-    violable |= run.violable
-    stats.interp_runs += 1
 
 
 # --- interference combinations ---------------------------------------------------
@@ -304,11 +277,13 @@ def compute_combinations(cfg: ThreadCfg, table: dict, model: ProgramModel,
 
     Returns (combinations, generated, rejected).  With `merged` there is
     one combination, counted as none generated, and `facts` is unused.
-    With a cluster plan the per-cluster combination lists are zipped: run
-    k takes each cluster's k-th combination, shorter lists padded with
-    the all-self combination, so the number of runs is the maximum
-    cluster list length instead of the product.  `index` is the table's
-    `_store_index`, built here if not given.
+    Otherwise the per-cluster combination lists are zipped: run k takes
+    each cluster's k-th combination, shorter lists padded with the
+    all-self combination, so the number of runs is the maximum cluster
+    list length instead of the product.  Without a plan the thread's
+    active loads are one cluster, so its combinations are the plain
+    product.  `index` is the table's `_store_index`, built here if not
+    given.
     """
     active = [l for l in loads_of(cfg) if l not in pruned_loads]
     index = _store_index(model, table) if index is None else index
@@ -316,37 +291,28 @@ def compute_combinations(cfg: ThreadCfg, table: dict, model: ProgramModel,
     if merged:
         return [{l: options[0] for l, options in sources.items()}], 0, 0
 
-    def guarded_product(loads):
+    groups = [active] if plan is None else plan.by_thread.get(cfg.tid, [])
+    per_cluster = []
+    generated = 0
+    rejected = 0
+    for group in groups:
+        group = [l for l in group if l in sources]
+        if not group:
+            continue
         total = 1
-        for l in loads:
+        for l in group:
             total *= len(sources[l])
             if total > combo_cap:
                 raise CombinationBudgetExceeded(
                     f"{cfg.name}: {total}+ interference combinations "
                     f"(cap {combo_cap}); consider clustering")
-        return _cartesian(loads, sources)
-
-    def feasible(combos):
-        if not feasibility:
-            return combos
-        return [combo for combo in combos if facts.is_feasible(combo)]
-
-    if plan is None:
-        combos = guarded_product(active)
-        kept = feasible(combos)
-        return kept, len(combos), len(combos) - len(kept)
-
-    clusters = [group for group in plan.by_thread.get(cfg.tid, [])
-                if any(l in sources for l in group)]
-    per_cluster = []
-    generated = 0
-    rejected = 0
-    for group in clusters:
-        group = [l for l in group if l in sources]
-        combos = guarded_product(group)
-        kept = feasible(combos)
+        combos = _cartesian(group, sources)
+        kept = ([combo for combo in combos if facts.is_feasible(combo)]
+                if feasibility else combos)
         generated += len(combos)
         rejected += len(combos) - len(kept)
+        # a cluster whose every combination is refuted keeps the thread's
+        # contribution sound with a self-only run
         per_cluster.append((group, kept or [_self_combination(group)]))
 
     clustered_loads = {l for group, _ in per_cluster for l in group}
@@ -361,8 +327,6 @@ def compute_combinations(cfg: ThreadCfg, table: dict, model: ProgramModel,
             part = combos[k] if k < len(combos) else _self_combination(group)
             combo.update(part)
         zipped.append(combo)
-    if not zipped:
-        zipped = [dict(background)]
     return zipped, generated, rejected
 
 
@@ -389,16 +353,14 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
     te: dict = {}
     table: dict = {cfg.tid: {} for cfg in model.threads}
     violable: set = set()
-    seen: set = set()
-    shared: dict = {}
-    instances = Counter(cfg.routine for cfg in model.threads)
-    # per thread: its run-key shape and, if its routine has other instances,
-    # their shared runs; a lone instance's identity nodes never change
-    shapes = {cfg.tid: (cfg.routine, None) if instances[cfg.routine] == 1
-              else ((cfg.routine, frozenset(
-                  n - cfg.first_node
-                  for n in identity_nodes.intersection(cfg.nodes))), shared)
-              for cfg in model.threads}
+    seen: set = set()  # (tid, run key) of every scheduled run
+    shared: dict = {}  # run key -> (first node, run) of every executed run
+    # instances of one routine share a shape: one graph up to node ids
+    shapes = {
+        cfg.tid: (cfg.routine,
+                  frozenset(n - cfg.first_node
+                            for n in identity_nodes.intersection(cfg.nodes)))
+        for cfg in model.threads}
     stats = AnalysisStats()
     stats.pruned_loads = len(pruned_loads)
     stats.clusters = plan.total_clusters() if plan else 0
@@ -416,7 +378,6 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
         index = _store_index(model, table)  # the table changes at _publish
 
         for cfg in model.threads:
-            active = [l for l in loads_of(cfg) if l not in pruned_loads]
             # the first iteration has no interference published yet:
             # run the self-only combination unfiltered to bootstrap
             combos, generated, rejected = compute_combinations(
@@ -424,20 +385,34 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
                 feasibility=row.feasibility and iteration > 1,
                 plan=plan, pruned_loads=pruned_loads,
                 combo_cap=config.combo_cap, merged=row.merged, index=index)
-            if not combos:
-                # every combination was refuted; keep the thread's
-                # contribution sound with a self-only run
-                combos = [_self_combination(active)]
             iter_stats.combos[cfg.tid] = generated
             iter_stats.infeasible[cfg.tid] = rejected
             stats.combos += generated
             stats.infeasible += rejected
 
             init = _entry_env(model, cfg, te)
-            shape, pool = shapes[cfg.tid]
             for combo in combos:
-                _fold_run(cfg, init, PerLoad(combo), config, seen, pool, te,
-                          violable, stats, identity_nodes, shape)
+                # a run is a deterministic function of its key and is folded
+                # in by join: skip an input this thread already ran, and
+                # replay another instance's run shifted by node ids
+                policy = PerLoad(combo)
+                key = _run_key(cfg, init, policy, shapes[cfg.tid])
+                if (cfg.tid, key) in seen:
+                    continue
+                seen.add((cfg.tid, key))
+                hit = shared.get(key)
+                if hit is None:
+                    hit = cfg.first_node, analyze_thread(
+                        cfg, init, policy,
+                        widening_delay=config.widening_delay,
+                        narrowing_passes=config.narrowing_passes,
+                        identity_nodes=identity_nodes)
+                    shared[key] = hit
+                    stats.interp_runs += 1
+                base, run = hit
+                shift = cfg.first_node - base
+                _merge_te(te, run.envs, shift)
+                violable.update(n + shift for n in run.violable)
             stats.runs += len(combos)
             iter_stats.runs += len(combos)
 

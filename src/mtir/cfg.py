@@ -243,32 +243,35 @@ def dominator_sets(succs: dict[int, list[Edge]], entry: int) -> dict[int, set[in
         for s in ss:
             preds[s].append(n)
 
+    # depth-first postorder with an explicit stack: a straight-line thread
+    # is a path as deep as it is long
     order = []
-    seen = set()
-
-    def postorder(n):
-        seen.add(n)
-        for s in plain[n]:
+    seen = {entry}
+    stack = [(entry, iter(plain[entry]))]
+    while stack:
+        n, rest = stack[-1]
+        for s in rest:
             if s not in seen:
-                postorder(s)
-        order.append(n)
-
-    postorder(entry)
+                seen.add(s)
+                stack.append((s, iter(plain[s])))
+                break
+        else:
+            stack.pop()
+            order.append(n)
     rpo = list(reversed(order))
 
-    all_nodes = set(rpo)
-    dom = {n: set(all_nodes) for n in rpo}
-    dom[entry] = {entry}
+    # a node not yet in `dom` stands for the set of all nodes, the start
+    # of the descending iteration, which an intersection leaves out; in
+    # reverse postorder every node after the entry has a predecessor
+    # before it
+    dom = {entry: {entry}}
     changed = True
     while changed:
         changed = False
-        for n in rpo:
-            if n == entry:
-                continue
-            ps = [p for p in preds[n] if p in all_nodes]
-            new = set.intersection(*(dom[p] for p in ps)) if ps else set()
+        for n in rpo[1:]:
+            new = set.intersection(*(dom[p] for p in preds[n] if p in dom))
             new.add(n)
-            if new != dom[n]:
+            if new != dom.get(n):
                 dom[n] = new
                 changed = True
     return dom

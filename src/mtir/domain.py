@@ -233,10 +233,11 @@ class AbstractEnv:
     return fresh environments.
     """
 
-    __slots__ = ("bottom", "bindings")
+    __slots__ = ("bottom", "bindings", "_hash")
 
     def __init__(self, bindings=None, bottom=False):
         self.bottom = bottom
+        self._hash = None  # filled on first use: run keys hash envs often
         if bottom:
             self.bindings = {}
             return
@@ -282,9 +283,10 @@ class AbstractEnv:
         return self.bottom == other.bottom and self.bindings == other.bindings
 
     def __hash__(self):
-        if self.bottom:
-            return hash("bot")
-        return hash(frozenset(self.bindings.items()))
+        if self._hash is None:
+            self._hash = hash(
+                "bot" if self.bottom else frozenset(self.bindings.items()))
+        return self._hash
 
     def __repr__(self):
         return render_env(self)

@@ -98,7 +98,7 @@ class ThreadRun:
 
 def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
                    widening_delay: int = 3, narrowing_passes: int = 1,
-                   visit_budget: int = 100_000,
+                   visit_budget: int = 200_000,
                    identity_nodes: frozenset = frozenset()) -> ThreadRun:
     """Run the worklist fixpoint over one thread from the given entry state.
 

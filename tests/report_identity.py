@@ -1,0 +1,79 @@
+"""Report identity check, not part of the pytest suite.
+
+Usage (from a checkout root): python3 tests/report_identity.py OUT.json
+
+Runs `mtir analyze --format=json --dump-envs --dump-facts` in every mode
+on a fixed set of programs and writes, one JSON line per program and
+mode, the exit code, the report without `wall_ms`, the `--dump-facts`
+lines and the error output.  A change meant to keep the analysis's
+output is checked by running this at its parent and at the change and
+comparing the two files with `cmp`.
+
+The set: the corpus, watchdog 4/16/32, chain 10/20, `random_program`
+seeds 0-119, `repeated_program` seeds 0-39 and `stress_soundness`'s
+`loopy_program` seeds 0-19.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+sys.path[:0] = ["src", "tests"]
+from conftest import random_program, repeated_program  # noqa: E402
+from stress_soundness import loopy_program  # noqa: E402
+
+from mtir.analysis import MODES  # noqa: E402
+from mtir.bench import chain_program, watchdog_program  # noqa: E402
+from mtir.cli import main as cli_main  # noqa: E402
+from mtir.corpus import PROGRAMS, source  # noqa: E402
+
+
+def programs():
+    for name in PROGRAMS:
+        yield name, source(name)
+    for size in (4, 16, 32):
+        yield "watchdog%d" % size, watchdog_program(size)
+    for size in (10, 20):
+        yield "chain%d" % size, chain_program(size)
+    for family, generator, count in (("random", random_program, 120),
+                                     ("repeated", repeated_program, 40),
+                                     ("loopy", loopy_program, 20)):
+        for seed in range(count):
+            yield "%s%d" % (family, seed), generator(seed)
+
+
+def outcome(path, mode):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(["analyze", path, "--mode=" + mode, "--format=json",
+                         "--dump-envs", "--dump-facts"])
+    text = out.getvalue()
+    report, end = json.JSONDecoder().raw_decode(text) if text else (None, 0)
+    if report is not None:
+        del report["stats"]["wall_ms"]
+    return {"exit": code, "report": report,
+            "facts": text[end:].strip().splitlines(),
+            "stderr": err.getvalue().replace(path, "PROGRAM")}
+
+
+def main():
+    if len(sys.argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp, \
+            open(sys.argv[1], "w", encoding="utf-8") as handle:
+        path = os.path.join(tmp, "program.mtir")
+        for name, text in programs():
+            with open(path, "w", encoding="utf-8") as program:
+                program.write(text)
+            for mode in MODES:
+                line = {"program": name, "mode": mode, **outcome(path, mode)}
+                handle.write(json.dumps(line, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -347,6 +347,19 @@ def test_watchdog_run_counts():
                       "fso": (18, 8)}
 
 
+def test_chain_run_counts():
+    # a creation chain: feasibility rejects most combinations, and every
+    # combination of a link's load can be refuted at once
+    model = model_of(chain_program(10))
+    counts = {}
+    for mode in MODES:
+        stats = analyze(model, AnalysisConfig(mode=mode)).stats
+        counts[mode] = (stats.runs, stats.interp_runs, stats.combos,
+                        stats.infeasible)
+    assert counts == {"fi": (33, 21, 0, 0), "fs": (213, 101, 213, 0),
+                      "fsc": (31, 20, 112, 81), "fso": (31, 20, 112, 81)}
+
+
 def test_cfg_sets_computed_once_per_thread(monkeypatch):
     # the graph is fixed once build_model returns: analyses compute each
     # thread's dominators once and its reachability not at all

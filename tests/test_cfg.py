@@ -5,7 +5,7 @@ from mtir.ast import expr_vars
 from mtir.bench import watchdog_program
 from mtir.cfg import (
     SAssert, SBranch, SExit, SLoad, SLocal, SNondet, SStore, build_model,
-    ir_dump, loads_of, stores_of,
+    dominator_sets, ir_dump, loads_of, stores_of,
 )
 from mtir.errors import (
     CreateInLoopError, JoinWithoutCreateError, ModelError,
@@ -163,6 +163,22 @@ def test_instances_share_relative_shape():
                 assert shape == shapes[cfg.routine], (text, cfg.name)
             shapes.setdefault(cfg.routine, shape)
     assert repeated >= 40
+
+
+def test_dominators_of_long_path():
+    # deeper than Python's default recursion limit; a path's dominator
+    # sets total n*n/2 entries, so n stays small enough to keep in memory
+    n = 1500
+    path = {k: [(k + 1, None)] for k in range(n - 1)}
+    path[n - 1] = []
+    dom = dominator_sets(path, 0)
+    assert all(dom[k] == set(range(k + 1)) for k in range(0, n, 97))
+    assert dom[n - 1] == set(range(n))
+    reverse = {k: [(k - 1, None)] for k in range(1, n)}
+    reverse[0] = []
+    dom = dominator_sets(reverse, n - 1)
+    assert all(dom[k] == set(range(k, n)) for k in range(0, n, 97))
+    assert dom[0] == set(range(n))
 
 
 @pytest.mark.parametrize("name", PROGRAMS)

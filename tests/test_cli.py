@@ -88,6 +88,19 @@ def test_bounds_beyond_float_range(tmp_path, capsys):
     assert "0/1 assertions verified" in out
 
 
+def test_long_straight_line_thread(tmp_path, capsys):
+    # one CFG node per statement: a path longer than Python's default
+    # recursion limit, with nothing nested
+    prog = tmp_path / "flat.mtir"
+    prog.write_text("thread main() {\n"
+                    + "".join("  int a%d = %d;\n" % (k, k)
+                              for k in range(1100))
+                    + "  assert(a0 == 0);\n}\n")
+    status, out, err = run_cli(capsys, "analyze", str(prog), "--mode=fi")
+    assert (status, err) == (0, "")
+    assert "1/1 assertions verified" in out
+
+
 @pytest.mark.parametrize("fmt", ("text", "json"))
 def test_bounds_beyond_int_string_limit(tmp_path, capsys, fmt):
     # 10**5120 has more digits than Python's default int-to-str limit (4300)

@@ -238,7 +238,7 @@ def _source_lists(cfg, index, facts, active_loads, merged):
         var = cfg.nodes[l].stmt.var
         matching = [(s, env) for tid, s, env in index.get(var, ())
                     if tid != cfg.tid]
-        if merged or l in cfg.reach[l]:
+        if merged or cfg.reach[l] >> l & 1:
             joined = None
             for s, env in matching:
                 if merged or not facts.must_happen_before(l, s):

@@ -121,8 +121,8 @@ class ThreadCfg:
     # once per thread
 
     @cached_property
-    def reach(self) -> dict[int, set[int]]:
-        """Nodes reachable from each node via a nonempty path."""
+    def reach(self) -> dict[int, int]:
+        """Mask of the nodes reachable from each node via a nonempty path."""
         return reachable_sets(self.succs)
 
     @cached_property
@@ -141,19 +141,21 @@ class ThreadCfg:
         return out
 
     @cached_property
-    def dominators(self) -> dict[int, set[int]]:
-        """Dominator sets from the entry; each includes its own node."""
+    def dominators(self) -> dict[int, int]:
+        """Dominator masks from the entry; each includes its own node."""
         return dominator_sets(self.succs, self.entry)
 
     @cached_property
     def loop_heads(self) -> set[int]:
         """Targets n of edges m->n where n dominates m."""
         return {n for m, edges in self.succs.items() for n, _ in edges
-                if n in self.dominators.get(m, ())}
+                if self.dominators[m] >> n & 1}
 
 
 @dataclass
 class ProgramModel:
+    """Node ids run 0..N-1 in thread, then node order, and a set of nodes
+    is an int whose bit k is node k (a node mask, read with `bits`)."""
     threads: list[ThreadCfg]
     globals: dict[str, int]  # name -> initializer
     creates: list[tuple[int, int]]  # (create node id, child tid)
@@ -218,25 +220,38 @@ def stores_of(cfg: ThreadCfg) -> list[int]:
 
 # --- graph utilities ---------------------------------------------------------
 
-def reachable_sets(succs: dict[int, list[Edge]]) -> dict[int, set[int]]:
-    """reachable_sets(g)[n] = nodes reachable from n via a nonempty path."""
+def bits(mask: int):
+    """Positions of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def reachable_sets(succs: dict[int, list[Edge]]) -> dict[int, int]:
+    """reachable_sets(g)[n] = mask of the nodes reachable from n via a
+    nonempty path.  Iterated in reverse node order: in a lowered CFG every
+    edge but a back edge, or the one from a synthetic entry, leads to a
+    later node, so each pass settles all that does not wait on those."""
     plain = {n: [dst for dst, _ in edges] for n, edges in succs.items()}
-    out = {}
-    for start in plain:
-        seen = set()
-        stack = list(plain[start])
-        while stack:
-            n = stack.pop()
-            if n in seen:
-                continue
-            seen.add(n)
-            stack.extend(plain[n])
-        out[start] = seen
-    return out
+    order = sorted(plain, reverse=True)
+    reach = dict.fromkeys(plain, 0)
+    changed = True
+    while changed:
+        changed = False
+        for n in order:
+            mask = 0
+            for s in plain[n]:
+                mask |= 1 << s | reach[s]
+            if mask != reach[n]:
+                reach[n] = mask
+                changed = True
+    return reach
 
 
-def dominator_sets(succs: dict[int, list[Edge]], entry: int) -> dict[int, set[int]]:
-    """Iterative forward data-flow over reverse postorder; dom[n] includes n."""
+def dominator_sets(succs: dict[int, list[Edge]], entry: int) -> dict[int, int]:
+    """Iterative forward data-flow over reverse postorder; dom[n] is a
+    mask that includes n."""
     plain = {n: [dst for dst, _ in edges] for n, edges in succs.items()}
     preds = {n: [] for n in plain}
     for n, ss in plain.items():
@@ -260,17 +275,18 @@ def dominator_sets(succs: dict[int, list[Edge]], entry: int) -> dict[int, set[in
             order.append(n)
     rpo = list(reversed(order))
 
-    # a node not yet in `dom` stands for the set of all nodes, the start
-    # of the descending iteration, which an intersection leaves out; in
-    # reverse postorder every node after the entry has a predecessor
-    # before it
-    dom = {entry: {entry}}
+    # a node not yet in `dom` stands for the set of all nodes, -1, the
+    # start of the descending iteration; in reverse postorder every node
+    # after the entry has a predecessor before it
+    dom = {entry: 1 << entry}
     changed = True
     while changed:
         changed = False
         for n in rpo[1:]:
-            new = set.intersection(*(dom[p] for p in preds[n] if p in dom))
-            new.add(n)
+            new = -1
+            for p in preds[n]:
+                new &= dom.get(p, -1)
+            new |= 1 << n
             if new != dom.get(n):
                 dom[n] = new
                 changed = True
@@ -582,10 +598,10 @@ def _check_normalization(model: ProgramModel):
         preds = cfg.preds()
         if preds[cfg.entry]:
             raise ModelError(f"{cfg.name}: entry node has predecessors")
-        reachable = {cfg.entry} | cfg.reach[cfg.entry]
-        missing = set(cfg.nodes) - reachable
+        missing = [n for n in cfg.node_order()
+                   if n != cfg.entry and not cfg.reach[cfg.entry] >> n & 1]
         if missing:
-            raise ModelError(f"{cfg.name}: unreachable nodes {sorted(missing)}")
+            raise ModelError(f"{cfg.name}: unreachable nodes {missing}")
         for nid, edges in cfg.succs.items():
             want = 2 if isinstance(cfg.nodes[nid].stmt, SBranch) else 1
             if isinstance(cfg.nodes[nid].stmt, SExit):

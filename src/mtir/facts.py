@@ -49,18 +49,18 @@ store s2 to actually run before l2, hence the strong (or executing)
 premise.  A contradiction is ReadsFrom(l,s) together with MNRF(l,s), or
 an MHB self-loop on a node that executes.
 
-The base order is built once, as bitset rows straight from the CFGs:
-each node's MHB and MHBS successors are one Python int, filled from the
-per-thread dominator and reachability sets and composed through the
-create and join edges.  Order queries read a bit of a row, and a
-feasibility query closes only the rows of its executing nodes (the
-ReadsFrom endpoints).  Every contradiction reads only those rows, and
-W4, W4e and R3 grow them from those rows and the fixed strong rows
-alone, so this is the part of the closure the goal needs.  The generic
-semi-naive engine (`fixpoint`) is the one other closure: the reference
-the tests compare the rows against, and the derivation dumper behind
-`check_facts`.  Tuples of the base relations exist only for it and for
-the dumps (`build_base_facts`).
+The base order is built once, as bitset rows straight from the CFGs'
+node masks: row k holds node k's MHB or MHBS successors as one Python
+int, filled from the per-thread dominator and reachability masks and
+composed through the create and join edges.  Order queries read a bit of
+a row, and a feasibility query closes only the rows of its executing
+nodes (the ReadsFrom endpoints).  Every contradiction reads only those
+rows, and W4, W4e and R3 grow them from those rows and the fixed strong
+rows alone, so this is the part of the closure the goal needs.  The
+generic semi-naive engine (`fixpoint`) is the one other closure: the
+reference the tests compare the rows against, and the derivation dumper
+behind `check_facts`.  Tuples of the base relations exist only for it
+and for the dumps (`build_base_facts`).
 
 Initial values are modeled as one virtual store node per global
 (`init:<var>`) that strongly precedes every real node.  A load that can
@@ -75,9 +75,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cfg import (
-    ProgramModel, is_load, is_store, loads_of,
-)
+from .cfg import ProgramModel, bits, is_load, is_store, loads_of
 
 DERIVED = ("MHBS", "MHB", "MustNotReadFrom")
 RELATIONS = (
@@ -292,10 +290,11 @@ def build_base_facts(model: ProgramModel,
     for cfg in model.threads:
         nodes = cfg.node_order()
         reach, dom = cfg.reach, cfg.dominators
-        rel["Dominates"] |= {(m, n) for n in nodes for m in dom[n] if m != n}
-        rel["Reaches"] |= {(m, n) for m in nodes for n in reach[m]}
+        rel["Dominates"] |= {(m, n) for n in nodes
+                             for m in bits(dom[n] & ~(1 << n))}
+        rel["Reaches"] |= {(m, n) for m in nodes for n in bits(reach[m])}
         rel["NotReachableFrom"] |= {(m, n) for m in nodes for n in nodes
-                                    if m not in reach[n]}
+                                    if not reach[n] >> m & 1}
     rel["ThCreates"] = {(c, model.thread(t).entry) for c, t in model.creates}
     rel["ThJoins"] = {(j, model.thread(t).exit) for j, t in model.joins}
 
@@ -305,111 +304,100 @@ def build_base_facts(model: ProgramModel,
         rel[name] = {(nodes[p], var) for p, var in labels.items()}
     for name, table in (("MHB", rows.weak), ("MHBS", rows.strong)):
         rel[name] = {(nodes[i], nodes[j])
-                     for i, row in enumerate(table) for j in _bits(row)}
+                     for i, row in enumerate(table) for j in bits(row)}
     return facts
 
 
 def initial_value_loads(model: ProgramModel) -> set[int]:
     """Loads whose self-read can only ever observe the global's initial
-    value: no store to the variable reaches the load inside its own
-    thread, the load is not on a cycle, and no ancestor thread can store
-    the variable before the create site that spawns the chain."""
+    value: the load is not on a cycle, no store to the variable reaches
+    it inside its own thread, and no ancestor thread can store the
+    variable before the create site that spawns the chain."""
     out = set()
     for cfg in model.threads:
-        reach = cfg.reach
         for l in loads_of(cfg):
+            if cfg.reach[l] >> l & 1:  # on a cycle: merged sources handle it
+                continue
             var = cfg.nodes[l].stmt.var
-            if l in reach[l]:  # self-reachable: handled by merged sources
-                continue
-            if any(l in reach[s] for s in cfg.node_order()
-                   if is_store(cfg.nodes[s]) and cfg.nodes[s].stmt.var == var):
-                continue
-            clean = True
-            cur = cfg
-            while cur.creation_site is not None and clean:
-                parent = model.thread(model.node(cur.creation_site).tid)
-                preach = parent.reach
-                for s in parent.node_order():
-                    node = parent.nodes[s]
-                    if is_store(node) and node.stmt.var == var \
-                            and cur.creation_site in preach[s]:
-                        clean = False
-                        break
-                cur = parent
-            if clean:
-                out.add(l)
+            cur, site = cfg, l
+            while not any(cur.reach[s] >> site & 1
+                          for s in cur.stores_by_var.get(var, ())):
+                if cur.creation_site is None:
+                    out.add(l)
+                    break
+                site = cur.creation_site
+                cur = model.thread(model.node(site).tid)
     return out
 
 
 # --- ordering rows and the feasibility engine ---------------------------------
 
-def _bits(mask: int):
-    """Positions of the set bits of `mask`, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class _OrderingRows:
-    """The base MHB and MHBS relations as bitset rows: every model node
-    and every `init:<var>` node gets a dense position, and bit j of row i
-    says node i precedes node j.  Also per-variable masks of the store
-    and load nodes, and each load's and store's variable.
+    """The base MHB and MHBS relations as bitset rows: a real node's
+    position is its id, each `init:<var>` node gets a position after
+    them, and bit j of row i says node i precedes node j.  Also
+    per-variable masks of the store and load nodes, and each load's and
+    store's variable.
 
-    The rows are filled from the CFGs.  Within a thread, rule S1 reads
-    the dominator sets and rule PO the reachability sets; both are
-    already transitive.  The create and join edges (S2a, S2b) are the
+    The rows are filled from the CFGs' node masks.  Within a thread, rule
+    S1 reads what each node dominates and rule PO what it reaches; both
+    are already transitive.  The create and join edges (S2a, S2b) are the
     only steps between threads, so a row is its thread-local part plus,
     for each edge leaving the node or a node locally after it, the edge's
     target and that target's strong row (S4 for MHBS, W4 for MHB)."""
 
     def __init__(self, model: ProgramModel):
-        real = [node.id for node in model.all_nodes()]
-        self.nodes = real + [init_node(var) for var in model.globals]
-        self.position = position = {n: i for i, n in enumerate(self.nodes)}
-        size = len(self.nodes)
+        real = sum(len(cfg.nodes) for cfg in model.threads)
+        self.nodes = list(range(real)) + [init_node(v) for v in model.globals]
+        self.position = {n: p for p, n in enumerate(self.nodes[real:], real)}
 
-        edge = {}  # source position -> target position
+        edge = {}  # source node -> target node
         for create_node, tid in model.creates:
-            edge[position[create_node]] = position[model.thread(tid).entry]
+            edge[create_node] = model.thread(tid).entry
         for join_node, tid in model.joins:
-            edge[position[model.thread(tid).exit]] = position[join_node]
+            edge[model.thread(tid).exit] = join_node
 
-        s1 = [0] * size
-        po = [0] * size
-        sources = [0] * size  # per node, the edge sources of its thread
+        s1 = [0] * real
+        po = [0] * real
+        sources = [0] * real  # per node, the edge sources of its thread
         self.load_var: dict = {}
         self.store_var: dict = {}
         for cfg in model.threads:
-            reach = cfg.reach
-            dom = cfg.dominators
-            nodes = cfg.node_order()
+            reach, dom = cfg.reach, cfg.dominators
+            # a node m that n reaches reaches n back exactly when n is on
+            # a cycle and both reach the same nodes
+            alike: dict = {}
+            for n in cfg.nodes:
+                alike[reach[n]] = alike.get(reach[n], 0) | 1 << n
+            # what each node dominates: the strict dominators of n are the
+            # dominators of its immediate dominator, so, deepest first,
+            # each node adds its mask to that one's
+            owner = {mask: n for n, mask in dom.items()}
+            below = {n: 1 << n for n in dom}
+            for n in sorted(dom, key=lambda n: -dom[n].bit_count()):
+                if n != cfg.entry:
+                    below[owner[dom[n] ^ 1 << n]] |= below[n]
             mask = 0
-            for n in nodes:
-                p = position[n]
-                if p in edge:
-                    mask |= 1 << p
-                for m in dom[n]:
-                    if m != n and m not in reach[n]:
-                        s1[position[m]] |= 1 << p
-                for m in reach[n]:
-                    if n not in reach[m]:
-                        po[p] |= 1 << position[m]
+            for n in cfg.node_order():
+                if n in edge:
+                    mask |= 1 << n
+                back = alike[reach[n]] if reach[n] >> n & 1 else 0
+                s1[n] = below[n] & ~back & ~(1 << n)
+                po[n] = reach[n] & ~back
                 node = cfg.nodes[n]
                 if is_load(node):
-                    self.load_var[p] = node.stmt.var
+                    self.load_var[n] = node.stmt.var
                 elif is_store(node):
-                    self.store_var[p] = node.stmt.var
-            for n in nodes:
-                sources[position[n]] = mask
+                    self.store_var[n] = node.stmt.var
+            for n in cfg.nodes:
+                sources[n] = mask
 
         # each edge target with every node strongly after it
         beyond: dict = {}
 
         def through_edges(p, local):
             row = local
-            for q in _bits((local | 1 << p) & sources[p]):
+            for q in bits((local | 1 << p) & sources[p]):
                 row |= beyond[edge[q]]
             return row
 
@@ -423,7 +411,7 @@ class _OrderingRows:
                     stack.pop()
                     continue
                 waiting = [edge[q]
-                           for q in _bits((s1[d] | 1 << d) & sources[d])
+                           for q in bits((s1[d] | 1 << d) & sources[d])
                            if edge[q] not in beyond]
                 if waiting:
                     stack += waiting
@@ -432,13 +420,13 @@ class _OrderingRows:
                     beyond[d] = 1 << d | through_edges(d, s1[d])
 
         # each init:<var> strongly precedes every real node
-        everything = (1 << len(real)) - 1
-        self.strong = [through_edges(p, s1[p]) for p in range(len(real))]
+        everything = (1 << real) - 1
+        self.strong = [through_edges(p, s1[p]) for p in range(real)]
         self.strong += [everything] * len(model.globals)
-        self.weak = [through_edges(p, po[p]) for p in range(len(real))]
+        self.weak = [through_edges(p, po[p]) for p in range(real)]
         self.weak += [everything] * len(model.globals)
         for var in model.globals:
-            self.store_var[position[init_node(var)]] = var
+            self.store_var[self.position[init_node(var)]] = var
         self.loads = self._masks(self.load_var)
         self.stores = self._masks(self.store_var)
 
@@ -465,7 +453,7 @@ class _OrderingRows:
         """Close the rows of the executing nodes of `rf` under R3, W4 and
         W4e, then test every contradiction the rule set can derive."""
         position = self.position
-        pairs = [(position[l], position[s]) for l, s in rf]
+        pairs = [(l, position.get(s, s)) for l, s in rf]
         row = {p: self.weak[p] for pair in pairs for p in pair}
         executing = 0
         for p in row:
@@ -486,7 +474,7 @@ class _OrderingRows:
                     changed = True
             for p, mask in row.items():  # W4e
                 grown = mask
-                for b in _bits(mask & executing):
+                for b in bits(mask & executing):
                     grown |= row[b]
                 if grown != mask:
                     row[p] = grown
@@ -506,7 +494,7 @@ class _OrderingRows:
             if var is None:
                 continue
             later = 0
-            for s2 in _bits(row[l1] & self.stores[var]):
+            for s2 in bits(row[l1] & self.stores[var]):
                 later |= self.strong[s2] | row.get(s2, 0)
             if later & self.loads[var] & readers[s1]:
                 return False
@@ -539,8 +527,7 @@ class FeasibilityEngine:
 
     def must_happen_before(self, a: int, b: int) -> bool:
         """Combination-independent ordering query (base closure only)."""
-        position = self.rows.position
-        return bool(self.rows.weak[position[a]] >> position[b] & 1)
+        return bool(self.rows.weak[a] >> b & 1)
 
     def reads_from_facts(self, combination) -> frozenset:
         """ReadsFrom tuples a combination pins down.  Remote-store sources

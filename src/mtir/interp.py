@@ -105,6 +105,8 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
     Widening fires at loop heads (back-edge targets) once a node has been
     updated more than `widening_delay` times; a bounded descending pass
     then narrows the widened bounds back where the loop body permits.
+    Without a widening each node's state is already the join of its final
+    incoming edges, so the pass is skipped.
     Nodes in `identity_nodes` (off-slice statements under pruning) pass
     their state through unchanged and their branch edges do not filter.
     """
@@ -118,6 +120,7 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
     worklist = deque([cfg.entry])
     queued = {cfg.entry}
     visits = 0
+    widened = False
 
     while worklist:
         visits += 1
@@ -134,6 +137,7 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
             joined = envs[dst].join(incoming)
             if dst in widen_points and updates[dst] >= widening_delay:
                 joined = envs[dst].widen(joined)
+                widened = True
             envs[dst] = joined
             updates[dst] += 1
             if dst not in queued:
@@ -144,7 +148,7 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
     # successors within the same pass; each update keeps the post-fixpoint
     # property since predecessors can only shrink afterwards
     preds = cfg.preds()
-    for _ in range(narrowing_passes):
+    for _ in range(narrowing_passes if widened else 0):
         changed = False
         for n in cfg.node_order():
             if n == cfg.entry:

@@ -87,13 +87,6 @@ class ExecutionRecord:
     final_globals: tuple
     deadlocked: bool = False
 
-    def producers(self) -> dict:
-        """load node -> list of producers, one per occurrence."""
-        out: dict[int, list] = {}
-        for load, src in self.reads:
-            out.setdefault(load, []).append(src)
-        return out
-
 
 class _State:
     __slots__ = ("pcs", "locals", "globals", "writer", "steps", "reads",

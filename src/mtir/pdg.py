@@ -17,11 +17,9 @@ from dataclasses import dataclass, field
 from .ast import expr_vars
 from .cfg import (
     ProgramModel, SAssert, SBranch, SCreate, SExit, SJoin, SLoad, SLocal,
-    SNondet, SNop, SStore, ThreadCfg, dominator_sets, is_load, is_store,
-    loads_of,
+    SNondet, SNop, SStore, ThreadCfg, bits, dominator_sets, is_load,
+    is_store, loads_of,
 )
-
-VIRTUAL_EXIT = -1
 
 
 @dataclass
@@ -63,19 +61,20 @@ class ClusterPlan:
 
 
 def _post_dominators(cfg: ThreadCfg):
-    """Post-dominator sets over the reversed CFG with a virtual exit.
-    Nodes that cannot reach the exit (infinite loops) also feed the
-    virtual exit so the computation stays total."""
-    reach = cfg.reach
+    """Post-dominator masks over the reversed CFG with a virtual exit, one
+    id past the thread's last node.  Nodes that cannot reach the exit
+    (infinite loops) also feed the virtual exit so the computation stays
+    total."""
+    virtual = max(cfg.nodes) + 1
     rsuccs = {n: [] for n in cfg.nodes}
-    rsuccs[VIRTUAL_EXIT] = [(cfg.exit, None)]
+    rsuccs[virtual] = [(cfg.exit, None)]
     for n, edges in cfg.succs.items():
         for dst, _ in edges:
             rsuccs[dst].append((n, None))
     for n in cfg.nodes:
-        if n != cfg.exit and cfg.exit not in reach[n]:
-            rsuccs[VIRTUAL_EXIT].append((n, None))  # sink without an exit path
-    return dominator_sets(rsuccs, VIRTUAL_EXIT)
+        if n != cfg.exit and not cfg.reach[n] >> cfg.exit & 1:
+            rsuccs[virtual].append((n, None))  # sink without an exit path
+    return dominator_sets(rsuccs, virtual)
 
 
 def _control_dependence(cfg: ThreadCfg, graph: DependenceGraph):
@@ -85,11 +84,9 @@ def _control_dependence(cfg: ThreadCfg, graph: DependenceGraph):
     for m in cfg.node_order():
         if not isinstance(cfg.nodes[m].stmt, SBranch):
             continue
-        mdoms = pdom.get(m, set())
         for succ, _ in cfg.succs[m]:
-            for n in pdom.get(succ, ()):
-                if n != VIRTUAL_EXIT and n != m and n not in mdoms:
-                    graph.add("cd", m, n)
+            for n in bits(pdom[succ] & ~pdom[m]):
+                graph.add("cd", m, n)
 
 
 def _defs_and_uses(node):
@@ -108,40 +105,43 @@ def _defs_and_uses(node):
 
 
 def _data_dependence(cfg: ThreadCfg, graph: DependenceGraph):
-    """Reaching definitions of locals, flow-sensitive per thread.
-    Thread parameters are treated as defined at the entry node."""
-    gen = {}
-    for n in cfg.node_order():
-        d, _ = _defs_and_uses(cfg.nodes[n])
-        gen[n] = d
-    param_defs = {p: {cfg.entry} for p in cfg.params}
+    """Reaching definitions of locals, flow-sensitive per thread, as
+    gen/kill masks over the definition sites.  Each thread parameter is
+    defined at its own virtual site past the thread's last node, reported
+    as the entry node."""
+    nodes = cfg.node_order()
+    last = max(cfg.nodes)
+    sites = {p: 1 << k for k, p in enumerate(cfg.params, last + 1)}
+    params = sum(sites.values())
+    defs, uses = {}, {}
+    for n in nodes:
+        defs[n], uses[n] = _defs_and_uses(cfg.nodes[n])
+        for var in defs[n]:
+            sites[var] = sites.get(var, 0) | 1 << n
+    # a definition kills every site of its local, its own included (a
+    # node defines at most one)
+    kill = {n: sum(sites[var] for var in defs[n]) for n in nodes}
 
     preds = cfg.preds()
-    reaching: dict[int, dict[str, set]] = {n: {} for n in cfg.nodes}
-    reaching[cfg.entry] = {p: set(d) for p, d in param_defs.items()}
+    reaching = dict.fromkeys(nodes, 0)  # sites reaching each node
+    out = dict.fromkeys(nodes, 0)
     changed = True
     while changed:
         changed = False
-        for n in cfg.node_order():
-            incoming: dict[str, set] = (
-                {p: set(d) for p, d in param_defs.items()}
-                if n == cfg.entry else {})
+        for n in nodes:
+            incoming = params if n == cfg.entry else 0
             for p in preds[n]:
-                for var, sites in reaching[p].items():
-                    if var in gen[p]:
-                        continue
-                    incoming.setdefault(var, set()).update(sites)
-                for var in gen[p]:
-                    incoming.setdefault(var, set()).add(p)
-            if incoming != reaching[n]:
-                reaching[n] = incoming
+                incoming |= out[p]
+            reaching[n] = incoming
+            new = incoming & ~kill[n] | (1 << n if defs[n] else 0)
+            if new != out[n]:
+                out[n] = new
                 changed = True
 
-    for n in cfg.node_order():
-        _, uses = _defs_and_uses(cfg.nodes[n])
-        for var in uses:
-            for site in reaching[n].get(var, ()):
-                graph.add("dd", site, n)
+    for n in nodes:
+        for var in uses[n]:
+            for site in bits(reaching[n] & sites.get(var, 0)):
+                graph.add("dd", cfg.entry if site > last else site, n)
 
 
 def build_pdg(model: ProgramModel) -> DependenceGraph:

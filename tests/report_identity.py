@@ -2,14 +2,15 @@
 
 Usage (from a checkout root): python3 tests/report_identity.py OUT.json
 
-Runs `mtir analyze --format=json --dump-envs --dump-facts` in every mode
-on a fixed set of programs and writes, one JSON line per program and
-mode, the exit code, the report without `wall_ms`, the `--dump-facts`
-lines and the error output.  A change meant to keep the analysis's
-output is checked by running this at its parent and at the change and
-comparing the two files with `cmp`.
+Runs `mtir analyze --format=json --dump-envs --dump-facts --dump-pdg` in
+every mode on a fixed set of programs and writes, one JSON line per
+program and mode, the exit code, the report without `wall_ms`, the
+`--dump-facts` lines, the `--dump-pdg` lines and the error output.  A
+change meant to keep the analysis's output is checked by running this
+at its parent and at the change and comparing the two files with `cmp`.
 
-The set: the corpus, watchdog 4/16/32, chain 10/20, `random_program`
+The set: the corpus, watchdog 4/16/32, chain 10/20, a thread with two
+parameters, a `main` of 400 straight-line statements, `random_program`
 seeds 0-119, `repeated_program` seeds 0-39 and `stress_soundness`'s
 `loopy_program` seeds 0-19.
 """
@@ -30,6 +31,15 @@ from mtir.bench import chain_program, watchdog_program  # noqa: E402
 from mtir.cli import main as cli_main  # noqa: E402
 from mtir.corpus import PROGRAMS, source  # noqa: E402
 
+TWO_PARAMS = """int g = 0;
+thread w(int a, int b) { int t = 1; a = t + 1; g = a + b; }
+thread main() { create(w, 3, 4); join(w); int r = g; assert(r >= 0); }
+"""
+
+FLAT = ("thread main() {\n"
+        + "".join("  int a%d = %d;\n" % (k, k) for k in range(400))
+        + "  assert(a0 == 0);\n}\n")
+
 
 def programs():
     for name in PROGRAMS:
@@ -38,6 +48,8 @@ def programs():
         yield "watchdog%d" % size, watchdog_program(size)
     for size in (10, 20):
         yield "chain%d" % size, chain_program(size)
+    yield "two_params", TWO_PARAMS
+    yield "flat400", FLAT
     for family, generator, count in (("random", random_program, 120),
                                      ("repeated", repeated_program, 40),
                                      ("loopy", loopy_program, 20)):
@@ -49,13 +61,15 @@ def outcome(path, mode):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli_main(["analyze", path, "--mode=" + mode, "--format=json",
-                         "--dump-envs", "--dump-facts"])
+                         "--dump-envs", "--dump-facts", "--dump-pdg"])
     text = out.getvalue()
     report, end = json.JSONDecoder().raw_decode(text) if text else (None, 0)
     if report is not None:
         del report["stats"]["wall_ms"]
+    facts, _, pdg = text[end:].partition("digraph pdg {")
     return {"exit": code, "report": report,
-            "facts": text[end:].strip().splitlines(),
+            "facts": facts.strip().splitlines(),
+            "pdg": pdg.strip().splitlines(),
             "stderr": err.getvalue().replace(path, "PROGRAM")}
 
 

@@ -112,7 +112,7 @@ def test_self_reachability_is_cycle_membership():
         for cfg in model.threads:
             reach = reachable_sets(cfg.succs)
             for load in loads_of(cfg):
-                on_cycle = load in reach[load]
+                on_cycle = bool(reach[load] >> load & 1)
                 # naive path search: a nonempty path back to itself
                 stack, seen, found = [load], set(), False
                 while stack:

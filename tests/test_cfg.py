@@ -153,6 +153,9 @@ def test_instances_share_relative_shape():
     repeated = 0
     for text in texts:
         model = model_of(text)
+        # node ids are node mask bits: 0..N-1 in thread, then node order
+        assert [node.id for node in model.all_nodes()] == list(
+            range(sum(len(cfg.nodes) for cfg in model.threads)))
         shapes = {}
         for cfg in model.threads:
             shape = _relative_shape(cfg)
@@ -166,19 +169,18 @@ def test_instances_share_relative_shape():
 
 
 def test_dominators_of_long_path():
-    # deeper than Python's default recursion limit; a path's dominator
-    # sets total n*n/2 entries, so n stays small enough to keep in memory
-    n = 1500
+    # deeper than Python's default recursion limit
+    n = 5000
     path = {k: [(k + 1, None)] for k in range(n - 1)}
     path[n - 1] = []
     dom = dominator_sets(path, 0)
-    assert all(dom[k] == set(range(k + 1)) for k in range(0, n, 97))
-    assert dom[n - 1] == set(range(n))
+    assert all(dom[k] == (1 << k + 1) - 1 for k in range(0, n, 97))
+    assert dom[n - 1] == (1 << n) - 1
     reverse = {k: [(k - 1, None)] for k in range(1, n)}
     reverse[0] = []
     dom = dominator_sets(reverse, n - 1)
-    assert all(dom[k] == set(range(k, n)) for k in range(0, n, 97))
-    assert dom[0] == set(range(n))
+    assert all(dom[k] == (1 << n) - (1 << k) for k in range(0, n, 97))
+    assert dom[0] == (1 << n) - 1
 
 
 @pytest.mark.parametrize("name", PROGRAMS)

@@ -88,17 +88,45 @@ def test_bounds_beyond_float_range(tmp_path, capsys):
     assert "0/1 assertions verified" in out
 
 
+def flat_program(count):
+    """A `main` of `count` straight-line statements, one CFG node each."""
+    return ("thread main() {\n"
+            + "".join("  int a%d = %d;\n" % (k, k) for k in range(count))
+            + "  assert(a0 == 0);\n}\n")
+
+
 def test_long_straight_line_thread(tmp_path, capsys):
-    # one CFG node per statement: a path longer than Python's default
-    # recursion limit, with nothing nested
+    # a path longer than Python's default recursion limit, with nothing
+    # nested
     prog = tmp_path / "flat.mtir"
-    prog.write_text("thread main() {\n"
-                    + "".join("  int a%d = %d;\n" % (k, k)
-                              for k in range(1100))
-                    + "  assert(a0 == 0);\n}\n")
-    status, out, err = run_cli(capsys, "analyze", str(prog), "--mode=fi")
-    assert (status, err) == (0, "")
-    assert "1/1 assertions verified" in out
+    prog.write_text(flat_program(1100))
+    for mode in ("fi", "fs", "fsc", "fso"):
+        status, out, err = run_cli(capsys, "analyze", str(prog),
+                                   "--mode=" + mode)
+        assert (status, err) == (0, ""), mode
+        assert "1/1 assertions verified" in out, mode
+
+
+PEAK_RSS = """
+import resource, sys
+from mtir.cli import main
+status = main(["analyze", sys.argv[1], "--mode=fso"])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(status)
+"""
+
+
+def test_long_straight_line_thread_memory(tmp_path):
+    # per-node sets of nodes (dominators, post-dominators, reaching
+    # definitions) are bit masks, not quadratically many Python objects
+    prog = tmp_path / "flat.mtir"
+    prog.write_text(flat_program(3000))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mtir.__file__)))
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS, str(prog)],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stderr.split()[-1]) < 200 * 1024  # KiB on Linux
 
 
 @pytest.mark.parametrize("fmt", ("text", "json"))

@@ -111,6 +111,22 @@ def test_narrowing_recovers_loop_bound():
     assert run.envs[cfg.exit].get("i") == interval(8, 8)
 
 
+def test_narrowing_only_after_widening(monkeypatch):
+    # with no widening the ascending fixpoint is already the join of each
+    # node's final incoming edges: the descending sweep is skipped
+    from mtir.bench import chain_program, watchdog_program
+    calls = []
+    original = AbstractEnv.narrow
+    monkeypatch.setattr(AbstractEnv, "narrow",
+                        lambda self, other: calls.append(1)
+                        or original(self, other))
+    analyze(build_model(parse(chain_program(10))), AnalysisConfig(mode="fs"))
+    assert not calls
+    analyze(build_model(parse(watchdog_program(4))),
+            AnalysisConfig(mode="fs"))
+    assert calls
+
+
 def test_visit_budget():
     model = build_model(parse(
         "thread main() { int i = 0; while (i < 100) { i = i + 1; } }"))

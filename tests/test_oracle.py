@@ -49,7 +49,9 @@ def test_error_point_unreachable_and_flow_pair_absent():
     for record in records:
         assert not record.violations
         assert all(step.node != ids["t2.13"] for step in record.steps)
-        producers = record.producers()
+        producers: dict = {}
+        for load, src in record.reads:
+            producers.setdefault(load, []).append(src)
         assert not (producers.get(ids["t2.9"]) == [ids["t1.6"]]
                     and producers.get(ids["t2.11"]) == [ids["t1.4"]])
 

@@ -36,6 +36,22 @@ def test_param_guard_slice_excludes_counter_chain():
         assert ids[name] in slices.union
 
 
+def test_each_parameter_has_its_own_definition():
+    # redefining `a` must not kill the definition of `b` at the entry
+    model = build_model(parse(
+        "int g = 0;\n"
+        "thread w(int a, int b) { int t = 1; a = t + 1; g = a + b; }\n"
+        "thread main() { create(w, 3, 4); join(w); int r = g;\n"
+        "  assert(r >= 0); }\n"))
+    graph = build_pdg(model)
+    data = sorted((model.node_name(src), model.node_name(dst))
+                  for kind, src, dst in graph.edges() if kind == "dd")
+    assert data == [("t0.3", "t1.2"), ("t0.3_3", "t0.4"),
+                    ("t1.2", "t1.2_2"), ("t1.2", "t1.2_3"),
+                    ("t1.2_2", "t1.2_3"), ("t1.2_3", "t1.2_4"),
+                    ("t1.2_4", "t0.3_3")]
+
+
 def test_straight_line_no_control_dependence():
     model = build_model(parse(source("paired_loads")))
     graph = build_pdg(model)

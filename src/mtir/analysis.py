@@ -162,11 +162,8 @@ def _entry_env(model: ProgramModel, cfg: ThreadCfg, te: dict) -> AbstractEnv:
 
 def _merge_te(te: dict, envs: dict, shift: int):
     for node, env in envs.items():
-        node += shift
-        if node in te:
-            te[node] = te[node].join(env)
-        else:
-            te[node] = env
+        old = te.get(node + shift)
+        te[node + shift] = env if old is None else old.join(env)
 
 
 def _publish(model, te, table, iteration, config, silent_stores=frozenset()):

@@ -8,6 +8,10 @@ an int with an infinity, which would overflow for ints above ~1.8e308.
 The empty interval is the one interval with lo > hi, EMPTY = [+INF, -INF];
 an empty operand makes every operator's result EMPTY, and an environment
 never binds a variable to EMPTY, it collapses to Bottom instead.
+Only the public `AbstractEnv(...)` checks bindings: it drops top ones and
+collapses to Bottom on an empty one.  `set`, `join`, `widen` and `project`,
+which cannot make either, wrap their bindings with `AbstractEnv._clean`
+unchecked, and `AbstractEnv.bot()` is one shared Bottom.
 """
 
 from __future__ import annotations
@@ -62,6 +66,10 @@ class Interval:
         return other.lo <= self.lo and self.hi <= other.hi
 
     def join(self, other: "Interval") -> "Interval":
+        if other.leq(self):
+            return self
+        if self.leq(other):
+            return other
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def meet(self, other: "Interval") -> "Interval":
@@ -71,6 +79,8 @@ class Interval:
         """Unstable bounds jump to infinity."""
         if self.empty:
             return other
+        if other.leq(self):
+            return self
         return Interval(self.lo if self.lo <= other.lo else -INF,
                         self.hi if other.hi <= self.hi else INF)
 
@@ -78,12 +88,15 @@ class Interval:
         """Refine only infinite bounds using the descending iterate."""
         if other.empty:
             return EMPTY
+        if self.lo != -INF and self.hi != INF:
+            return self
         return interval(other.lo if self.lo == -INF else self.lo,
                         other.hi if self.hi == INF else self.hi)
 
 
 TOP = Interval(-INF, INF)
 EMPTY = Interval(INF, -INF)
+_ZERO, _ONE, _BOOL = Interval(0, 0), Interval(1, 1), Interval(0, 1)
 
 
 def const(value) -> Interval:
@@ -157,10 +170,10 @@ def _truth(a: Interval) -> Interval:
     if a.empty:
         return EMPTY
     if a.lo == a.hi == 0:
-        return const(0)
+        return _ZERO
     if not a.contains(0):
-        return const(1)
-    return interval(0, 1)
+        return _ONE
+    return _BOOL
 
 
 def _not(a: Interval) -> Interval:
@@ -168,8 +181,8 @@ def _not(a: Interval) -> Interval:
     if t.empty:
         return EMPTY
     if t.lo == t.hi:
-        return const(1 - t.lo)
-    return interval(0, 1)
+        return _ONE if t.lo == 0 else _ZERO
+    return _BOOL
 
 
 def _cmp(op: str, a: Interval, b: Interval) -> Interval:
@@ -195,32 +208,32 @@ def _cmp(op: str, a: Interval, b: Interval) -> Interval:
     else:
         raise ValueError(op)
     if always:
-        return const(1)
+        return _ONE
     if never:
-        return const(0)
-    return interval(0, 1)
+        return _ZERO
+    return _BOOL
 
 
 def _and(a: Interval, b: Interval) -> Interval:
     ta, tb = _truth(a), _truth(b)
     if ta.empty or tb.empty:
         return EMPTY
-    if ta == const(0) or tb == const(0):
-        return const(0)
-    if ta == const(1) and tb == const(1):
-        return const(1)
-    return interval(0, 1)
+    if ta == _ZERO or tb == _ZERO:
+        return _ZERO
+    if ta == _ONE and tb == _ONE:
+        return _ONE
+    return _BOOL
 
 
 def _or(a: Interval, b: Interval) -> Interval:
     ta, tb = _truth(a), _truth(b)
     if ta.empty or tb.empty:
         return EMPTY
-    if ta == const(1) or tb == const(1):
-        return const(1)
-    if ta == const(0) and tb == const(0):
-        return const(0)
-    return interval(0, 1)
+    if ta == _ONE or tb == _ONE:
+        return _ONE
+    if ta == _ZERO and tb == _ZERO:
+        return _ZERO
+    return _BOOL
 
 
 # --- abstract environments ---------------------------------------------------
@@ -229,8 +242,8 @@ class AbstractEnv:
     """Total map from variable names to intervals; absent means top.
 
     Either Bottom (no state) or a finite set of non-top, non-empty
-    bindings.  Instances are immutable by convention: all operations
-    return fresh environments.
+    bindings.  Instances are immutable by convention: operations return
+    fresh environments or an operand unchanged.
     """
 
     __slots__ = ("bottom", "bindings", "_hash")
@@ -251,14 +264,21 @@ class AbstractEnv:
                 clean[name] = iv
         self.bindings = clean
 
+    @classmethod
+    def _clean(cls, bindings) -> "AbstractEnv":
+        """A non-bottom env over bindings with no top or empty interval."""
+        env = object.__new__(cls)
+        env.bottom, env.bindings, env._hash = False, bindings, None
+        return env
+
     # construction helpers
     @staticmethod
     def top() -> "AbstractEnv":
-        return AbstractEnv({})
+        return AbstractEnv._clean({})
 
     @staticmethod
     def bot() -> "AbstractEnv":
-        return AbstractEnv(bottom=True)
+        return _BOTTOM
 
     def get(self, name: str) -> Interval:
         if self.bottom:
@@ -275,7 +295,7 @@ class AbstractEnv:
             new.pop(name, None)
         else:
             new[name] = iv
-        return AbstractEnv(new)
+        return AbstractEnv._clean(new)
 
     def __eq__(self, other):
         if not isinstance(other, AbstractEnv):
@@ -303,14 +323,22 @@ class AbstractEnv:
         return True
 
     def join(self, other: "AbstractEnv") -> "AbstractEnv":
-        if self.bottom:
+        if self.bottom or other is self:
             return other
         if other.bottom:
             return self
-        out = {}
-        for name in self.bindings.keys() & other.bindings.keys():
-            out[name] = self.bindings[name].join(other.bindings[name])
-        return AbstractEnv(out)
+        return self._pointwise(other, Interval.join)
+
+    def _pointwise(self, other, op) -> "AbstractEnv":
+        """Join or widening of non-bottom envs: self if no binding changes."""
+        out, kept, b = {}, 0, other.bindings
+        for name, x in self.bindings.items():
+            if name in b:
+                iv = op(x, b[name])
+                kept += iv is x
+                if iv is x or not iv.is_top():
+                    out[name] = iv
+        return self if kept == len(self.bindings) else AbstractEnv._clean(out)
 
     def meet(self, other: "AbstractEnv") -> "AbstractEnv":
         if self.bottom or other.bottom:
@@ -328,10 +356,7 @@ class AbstractEnv:
             return other
         if other.bottom:
             return self
-        out = {}
-        for name in self.bindings.keys() & other.bindings.keys():
-            out[name] = self.bindings[name].widen(other.bindings[name])
-        return AbstractEnv(out)
+        return self._pointwise(other, Interval.widen)
 
     def narrow(self, other: "AbstractEnv") -> "AbstractEnv":
         if self.bottom:
@@ -346,8 +371,11 @@ class AbstractEnv:
     def project(self, names) -> "AbstractEnv":
         if self.bottom:
             return self
-        return AbstractEnv({n: iv for n, iv in self.bindings.items()
-                            if n in names})
+        return AbstractEnv._clean({n: iv for n, iv in self.bindings.items()
+                                   if n in names})
+
+
+_BOTTOM = AbstractEnv(bottom=True)
 
 
 def render_env(env: AbstractEnv) -> str:
@@ -366,7 +394,7 @@ def eval_expr(e: Expr, env: AbstractEnv) -> Interval:
     if isinstance(e, IntLit):
         return const(e.value)
     if isinstance(e, BoolLit):
-        return const(1 if e.value else 0)
+        return _ONE if e.value else _ZERO
     if isinstance(e, Var):
         return env.get(e.name)
     if isinstance(e, UnaryOp):
@@ -480,11 +508,7 @@ def filter_cond(cond: Expr, polarity: bool, env: AbstractEnv) -> AbstractEnv:
     if env.bottom:
         return env
     value = _truth(eval_expr(cond, env))
-    if value.empty:
-        return AbstractEnv.bot()
-    if polarity and value == const(0):
-        return AbstractEnv.bot()
-    if not polarity and value == const(1):
+    if value.empty or value == (_ZERO if polarity else _ONE):
         return AbstractEnv.bot()
 
     if isinstance(cond, UnaryOp) and cond.op == "!":
@@ -496,7 +520,7 @@ def filter_cond(cond: Expr, polarity: bool, env: AbstractEnv) -> AbstractEnv:
             if trimmed.empty:
                 return AbstractEnv.bot()
             return env.set(cond.name, trimmed)
-        return _refine_var(env, cond.name, const(0))
+        return _refine_var(env, cond.name, _ZERO)
     if isinstance(cond, BinOp):
         op = cond.op
         if op in ("&&", "||"):

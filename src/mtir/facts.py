@@ -60,7 +60,7 @@ rows alone, so this is the part of the closure the goal needs.  The
 generic semi-naive engine (`fixpoint`) is the one other closure: the
 reference the tests compare the rows against, and the derivation dumper
 behind `check_facts`.  Tuples of the base relations exist only for it
-and for the dumps (`build_base_facts`).
+(`build_base_facts`); `--dump-facts` reads MHB off the rows.
 
 Initial values are modeled as one virtual store node per global
 (`init:<var>`) that strongly precedes every real node.  A load that can
@@ -279,8 +279,8 @@ def build_base_facts(model: ProgramModel,
     """The combination-independent relations as tuples: the raw relations
     the rules read, extracted from the CFGs, and the closed MHB and MHBS
     read off the ordering rows (no ReadsFrom facts exist yet, so nothing
-    else fires).  Analyses read the rows; only the rule-engine reference
-    (`check_facts`), `--dump-facts` and the tests need tuples.
+    else fires).  Analyses and `--dump-facts` read the rows; only the
+    rule-engine reference (`check_facts`) and the tests need tuples.
     `test_facts` checks the rows equal the rule-engine closure of the
     raw relations."""
     if rows is None:
@@ -298,13 +298,10 @@ def build_base_facts(model: ProgramModel,
     rel["ThCreates"] = {(c, model.thread(t).entry) for c, t in model.creates}
     rel["ThJoins"] = {(j, model.thread(t).exit) for j, t in model.joins}
 
-    nodes = rows.nodes
     for name, labels in (("IsLoad", rows.load_var),
                          ("IsStore", rows.store_var)):
-        rel[name] = {(nodes[p], var) for p, var in labels.items()}
-    for name, table in (("MHB", rows.weak), ("MHBS", rows.strong)):
-        rel[name] = {(nodes[i], nodes[j])
-                     for i, row in enumerate(table) for j in bits(row)}
+        rel[name] = {(rows.nodes[p], var) for p, var in labels.items()}
+    rel["MHB"], rel["MHBS"] = rows.pairs(rows.weak), rows.pairs(rows.strong)
     return facts
 
 
@@ -436,6 +433,11 @@ class _OrderingRows:
         for p, var in labels.items():
             masks[var] = masks.get(var, 0) | 1 << p
         return masks
+
+    def pairs(self, table) -> set:
+        """The (node, node) tuples of the rows `weak` or `strong`."""
+        return {(self.nodes[i], self.nodes[j])
+                for i, row in enumerate(table) for j in bits(row)}
 
     def strong_closure(self, mask: int) -> int:
         """`mask` plus every node strongly after one of its nodes.  MHBS

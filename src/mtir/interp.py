@@ -110,13 +110,13 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
     Nodes in `identity_nodes` (off-slice statements under pruning) pass
     their state through unchanged and their branch edges do not filter.
     """
-    envs = {n: AbstractEnv.bot() for n in cfg.nodes}
+    envs = dict.fromkeys(cfg.nodes, AbstractEnv.bot())
     envs[cfg.entry] = init
     if init.bottom:
         return ThreadRun(envs)
 
     widen_points = cfg.loop_heads
-    updates = {n: 0 for n in cfg.nodes}
+    updates = dict.fromkeys(cfg.nodes, 0)
     worklist = deque([cfg.entry])
     queued = {cfg.entry}
     visits = 0

@@ -8,9 +8,12 @@ import jsonschema
 import pytest
 
 import mtir
+from mtir import AnalysisConfig, analyze, build_model, parse
 from mtir.bench import FAMILIES
 from mtir.cli import REPORT_SCHEMA, main
-from mtir.corpus import PROGRAMS, path
+from mtir.corpus import PROGRAMS, path, source
+from mtir.domain import Interval
+from mtir.facts import FeasibilityEngine, dump_facts
 
 
 def run_cli(capsys, *argv):
@@ -129,6 +132,23 @@ def test_long_straight_line_thread_memory(tmp_path):
     assert int(proc.stderr.split()[-1]) < 200 * 1024  # KiB on Linux
 
 
+def test_long_straight_line_thread_linear_cost(monkeypatch):
+    # a transfer checks the one interval it binds, not every binding of
+    # the environment, so the checks grow linearly along a path
+    model = build_model(parse(flat_program(1100)))
+    calls = 0
+    is_top = Interval.is_top
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return is_top(self)
+
+    monkeypatch.setattr(Interval, "is_top", counted)
+    analyze(model, AnalysisConfig(mode="fi"))
+    assert calls <= 4 * len(model.threads[0].nodes)
+
+
 @pytest.mark.parametrize("fmt", ("text", "json"))
 def test_bounds_beyond_int_string_limit(tmp_path, capsys, fmt):
     # 10**5120 has more digits than Python's default int-to-str limit (4300)
@@ -179,10 +199,30 @@ def test_dump_facts(capsys):
     assert "MHB(init:x, t1.4)" in out
 
 
+@pytest.mark.parametrize("name", PROGRAMS)
+def test_dump_facts_is_the_base_dump(name, capsys):
+    # the dump reads the ordering rows; the tuple base must print the same
+    model = build_model(parse(source(name)))
+    expected = dump_facts(model, FeasibilityEngine(model).base)
+    _, out, _ = run_cli(capsys, "analyze", path(name), "--dump-facts")
+    assert out.endswith("\n" + expected + "\n")
+
+
 def test_dump_pdg(capsys):
     _, out, _ = run_cli(capsys, "analyze", path("param_guard"),
                         "--dump-pdg")
     assert "digraph pdg {" in out
+
+
+def test_python_dash_m(capsys):
+    argv = ["analyze", path("flag_sync"), "--mode=fsc"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mtir.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "mtir", *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    status, out, _ = run_cli(capsys, *argv)
+    assert proc.returncode == status == 0
+    assert proc.stdout.splitlines()[:2] == out.splitlines()[:2]
 
 
 def test_bench_row_count(capsys):

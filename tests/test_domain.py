@@ -2,7 +2,11 @@ import random
 
 import pytest
 
+from conftest import MODES, random_program
+from stress_soundness import loopy_program
+from mtir import AnalysisConfig, analyze, build_model, parse
 from mtir.ast import BinOp, IntLit, UnaryOp, Var
+from mtir.bench import watchdog_program
 from mtir.cfg import SLoad, SLocal, SNondet, SStore
 from mtir.domain import (
     EMPTY, INF, TOP, AbstractEnv, Interval, _add, _cmp, _div, _mul,
@@ -401,3 +405,44 @@ def test_huge_bounds_stay_canonical():
         assert_canonical(eval_expr(expr, env))
         for polarity in (True, False):
             assert_env_canonical(filter_cond(expr, polarity, env))
+
+
+# --- canonical environments -----------------------------------------------------
+
+def assert_env_clean(env):
+    """What every environment holds, however it was built: Bottom has no
+    bindings, and any other env binds no top and no empty interval."""
+    if env.bottom:
+        assert env.bindings == {}, env
+        return
+    for value in env.bindings.values():
+        assert not value.empty and not value.is_top(), env
+        assert_canonical(value)
+
+
+def test_env_operations_stay_clean():
+    rng = random.Random(37)
+    names = ("x", "y", "z")
+    assert AbstractEnv.bot() is AbstractEnv.bot()
+    for _ in range(N_CASES):
+        a, b = rand_env(rng, names), rand_env(rng, names)
+        for got in (a.join(b), a.widen(b), a.meet(b), a.narrow(b),
+                    a.project({"x", "y"}), a.set("x", rand_interval(rng)),
+                    AbstractEnv.top(), AbstractEnv.bot()):
+            assert_env_clean(got)
+        assert a.join(a) is a
+
+
+def test_analysis_states_stay_clean():
+    programs = ([random_program(seed) for seed in range(60)]
+                + [loopy_program(seed) for seed in range(20)]
+                + [watchdog_program(4)])
+    for text in programs:
+        model = build_model(parse(text))
+        for mode in MODES:
+            result = analyze(model, AnalysisConfig(mode=mode))
+            for env in result.te.values():
+                assert_env_clean(env)
+            for bucket in result.interference.values():
+                for env in bucket.values():
+                    assert_env_clean(env)

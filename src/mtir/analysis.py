@@ -25,6 +25,12 @@ A mode is a row of `MODE_ROWS`:
 
 fs and fsc are the one-cluster case of fso's zipped exploration: each
 thread's active loads form a single cluster, whose zip is its product.
+Feasibility depends on order alone, so fsc and fso drop each load's
+refuted sources (found once per engine) before the product.  Where the
+zip is the product, a load's sources that supply equal intervals give
+one run key, so only the first is scheduled (under feasibility only for
+one-load clusters).  `combos`, `infeasible` and `runs` still count the
+full per-store product.
 
 Interpreter runs are memoized on what they read: the routine, its entry
 state and the interval each load observes (see `_run_key`).  A run is a
@@ -32,13 +38,14 @@ deterministic function of that input and its results are folded in by
 join, so an input that already ran in the same analysis is skipped.
 Every executed run goes into one table, keyed the same way for every
 thread: instances of one routine, one graph up to a shift of node ids,
-replay each other's runs.  `stats.runs` counts the runs scheduled,
-`stats.interp_runs` those executed.
+replay each other's runs.  `stats.runs` counts the runs of the uncollapsed
+schedule, `stats.interp_runs` those executed.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .cfg import ProgramModel, ThreadCfg, is_store, loads_of
@@ -212,15 +219,16 @@ def _run_key(cfg, init, policy, shape):
 # --- interference combinations ---------------------------------------------------
 
 def _store_index(model, table):
-    """Published stores per variable, (tid, store, env) in thread order
-    then node order."""
+    """Published stores per variable, (tid, source) in thread order then
+    node order: one `StoreSource` per store, shared by every reader."""
     index = {}
     for cfg in model.threads:
         bucket = table[cfg.tid]
         for var, stores in cfg.stores_by_var.items():
             for s in stores:
                 if s in bucket:
-                    index.setdefault(var, []).append((cfg.tid, s, bucket[s]))
+                    index.setdefault(var, []).append(
+                        (cfg.tid, StoreSource(s, bucket[s])))
     return index
 
 
@@ -233,19 +241,18 @@ def _source_lists(cfg, index, facts, active_loads, merged):
     sources = {}
     for l in active_loads:
         var = cfg.nodes[l].stmt.var
-        matching = [(s, env) for tid, s, env in index.get(var, ())
+        matching = [source for tid, source in index.get(var, ())
                     if tid != cfg.tid]
         if merged or cfg.reach[l] >> l & 1:
             joined = None
-            for s, env in matching:
-                if merged or not facts.must_happen_before(l, s):
-                    got = env.get(var)
+            for source in matching:
+                if merged or not facts.must_happen_before(l, source.store):
+                    got = source.env.get(var)
                     joined = got if joined is None else joined.join(got)
             sources[l] = [SelfSource() if joined is None
                           else MergedSource(AbstractEnv({var: joined}))]
         else:
-            sources[l] = [StoreSource(s, env) for s, env in matching]
-            sources[l].append(SelfSource())
+            sources[l] = matching + [SelfSource()]
     return sources
 
 
@@ -253,14 +260,20 @@ def _cartesian(loads, sources):
     """Cartesian product with the first load varying fastest, matching
     the order interference combinations are enumerated in."""
     rev = list(reversed(loads))
-    out = []
-    for tup in itertools.product(*[sources[l] for l in rev]):
-        out.append(dict(zip(rev, tup)))
-    return out
+    return [dict(zip(rev, tup))
+            for tup in itertools.product(*[sources[l] for l in rev])]
 
 
-def _self_combination(active_loads):
-    return {l: SelfSource() for l in active_loads}
+def _distinct_values(cfg, load, options):
+    """The first store source of each interval, and every other source
+    (one at most of each kind): what `_run_key` can tell apart."""
+    var = cfg.nodes[load].stmt.var
+    first = {}
+    for source in options:
+        key = (source.env.get(var) if isinstance(source, StoreSource)
+               else type(source))
+        first.setdefault(key, source)
+    return list(first.values())
 
 
 def compute_combinations(cfg: ThreadCfg, table: dict, model: ProgramModel,
@@ -272,30 +285,35 @@ def compute_combinations(cfg: ThreadCfg, table: dict, model: ProgramModel,
                          index: dict | None = None):
     """Build the interference combinations for one thread.
 
-    Returns (combinations, generated, rejected).  With `merged` there is
-    one combination, counted as none generated, and `facts` is unused.
-    Otherwise the per-cluster combination lists are zipped: run k takes
-    each cluster's k-th combination, shorter lists padded with the
-    all-self combination, so the number of runs is the maximum cluster
-    list length instead of the product.  Without a plan the thread's
-    active loads are one cluster, so its combinations are the plain
-    product.  `index` is the table's `_store_index`, built here if not
-    given.
+    Returns (combinations, generated, rejected, runs).  With `merged`
+    there is one combination, counted as none generated, and `facts` is
+    unused.  Otherwise the per-cluster combination lists are zipped: run
+    k takes each cluster's k-th combination, loads past the end of their
+    cluster's list read their own value, so the number of runs is the
+    maximum cluster list length instead of the product.  Without a plan
+    the thread's active loads are one cluster, so its combinations are
+    the plain product.  `index` is the table's `_store_index`, built here
+    if not given.
+
+    With `feasibility`, refuted sources are dropped first and only
+    combinations of several loads are checked one by one.  With one
+    cluster, only the first of a load's value-equal sources is kept;
+    under `feasibility` only in a one-load cluster, as two stores' order
+    facts differ.  `generated`, `rejected`, `runs` and the `combo_cap`
+    check count the full per-store product.
     """
     active = [l for l in loads_of(cfg) if l not in pruned_loads]
     index = _store_index(model, table) if index is None else index
     sources = _source_lists(cfg, index, facts, active, merged)
     if merged:
-        return [{l: options[0] for l, options in sources.items()}], 0, 0
+        return [{l: options[0] for l, options in sources.items()}], 0, 0, 1
 
     groups = [active] if plan is None else plan.by_thread.get(cfg.tid, [])
+    groups = [g for g in ([l for l in group if l in sources]
+                          for group in groups) if g]
     per_cluster = []
-    generated = 0
-    rejected = 0
+    generated = rejected = runs = 0
     for group in groups:
-        group = [l for l in group if l in sources]
-        if not group:
-            continue
         total = 1
         for l in group:
             total *= len(sources[l])
@@ -303,28 +321,35 @@ def compute_combinations(cfg: ThreadCfg, table: dict, model: ProgramModel,
                 raise CombinationBudgetExceeded(
                     f"{cfg.name}: {total}+ interference combinations "
                     f"(cap {combo_cap}); consider clustering")
-        combos = _cartesian(group, sources)
-        kept = ([combo for combo in combos if facts.is_feasible(combo)]
-                if feasibility else combos)
-        generated += len(combos)
-        rejected += len(combos) - len(kept)
+        options = {l: (facts.unrefuted(l, sources[l]) if feasibility
+                       else sources[l]) for l in group}
+        if feasibility and len(group) > 1:
+            combos = [combo for combo in _cartesian(group, options)
+                      if facts.is_feasible(combo)]
+            kept = len(combos)
+        else:
+            kept = math.prod(len(options[l]) for l in group)
+            if len(groups) == 1:
+                options = {l: _distinct_values(cfg, l, options[l])
+                           for l in group}
+            combos = _cartesian(group, options)
+        generated += total
+        rejected += total - kept
+        runs = max(runs, kept or 1)
         # a cluster whose every combination is refuted keeps the thread's
         # contribution sound with a self-only run
-        per_cluster.append((group, kept or [_self_combination(group)]))
+        per_cluster.append(combos or [{}])
 
-    clustered_loads = {l for group, _ in per_cluster for l in group}
-    background = {l: SelfSource() for l in active if l not in clustered_loads}
-    if not per_cluster:
-        generated += 1  # the single background-only combination
-    runs = max((len(combos) for _, combos in per_cluster), default=1)
     zipped = []
-    for k in range(runs):
-        combo = dict(background)
-        for group, combos in per_cluster:
-            part = combos[k] if k < len(combos) else _self_combination(group)
-            combo.update(part)
+    self_only = dict.fromkeys(active, SelfSource())
+    for k in range(max(map(len, per_cluster), default=1)):
+        combo = dict(self_only)
+        for combos in per_cluster:
+            if k < len(combos):
+                combo.update(combos[k])
         zipped.append(combo)
-    return zipped, generated, rejected
+    # with no cluster, the one background-only combination
+    return zipped, generated or 1, rejected, runs or 1
 
 
 # --- the outer loop -------------------------------------------------------------
@@ -377,7 +402,7 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
         for cfg in model.threads:
             # the first iteration has no interference published yet:
             # run the self-only combination unfiltered to bootstrap
-            combos, generated, rejected = compute_combinations(
+            combos, generated, rejected, runs = compute_combinations(
                 cfg, table, model, facts,
                 feasibility=row.feasibility and iteration > 1,
                 plan=plan, pruned_loads=pruned_loads,
@@ -410,8 +435,8 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
                 shift = cfg.first_node - base
                 _merge_te(te, run.envs, shift)
                 violable.update(n + shift for n in run.violable)
-            stats.runs += len(combos)
-            iter_stats.runs += len(combos)
+            stats.runs += runs
+            iter_stats.runs += runs
 
         _publish(model, te, table, iteration, config, silent_stores)
         stats.per_iteration.append(iter_stats)

@@ -15,7 +15,7 @@ from .analysis import MODES, AnalysisConfig, AnalysisResult, analyze
 from .cfg import build_model
 from .domain import render_env
 from .errors import MtirError
-from .facts import FactBase, FeasibilityEngine, dump_facts
+from .facts import FeasibilityEngine, dump_mhb
 from .parser import parse
 from .pdg import backward_slices, build_pdg, dot_dump
 
@@ -174,8 +174,9 @@ def _cmd_analyze(args) -> int:
         print(render_text(report))
 
     if args.dump_facts:
-        rows = FeasibilityEngine(model).rows
-        print(dump_facts(model, FactBase({"MHB": rows.pairs(rows.weak)})))
+        lines = dump_mhb(model, FeasibilityEngine(model).rows)
+        sys.stdout.write(next(lines, "") + "\n")
+        sys.stdout.writelines(line + "\n" for line in lines)
     if args.dump_pdg:
         graph = build_pdg(model)
         print(dot_dump(graph, model, backward_slices(graph, model)))

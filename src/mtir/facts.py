@@ -76,6 +76,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .cfg import ProgramModel, bits, is_load, is_store, loads_of
+from .interp import SelfSource, StoreSource
 
 DERIVED = ("MHBS", "MHB", "MustNotReadFrom")
 RELATIONS = (
@@ -392,11 +393,19 @@ class _OrderingRows:
         # each edge target with every node strongly after it
         beyond: dict = {}
 
+        # per set of edge sources, their targets' rows: the set without
+        # its lowest source, plus that source's target
+        parts = {0: 0}
+
         def through_edges(p, local):
-            row = local
-            for q in bits((local | 1 << p) & sources[p]):
-                row |= beyond[edge[q]]
-            return row
+            todo = [(local | 1 << p) & sources[p]]
+            while todo[-1] not in parts:
+                todo.append(todo[-1] & todo[-1] - 1)
+            for mask in reversed(todo[:-1]):
+                low = mask & -mask
+                parts[mask] = parts[mask ^ low] | beyond[
+                    edge[low.bit_length() - 1]]
+            return local | parts[todo[0]]
 
         # targets first: build_model resolves a join only against an
         # earlier create of its thread, so the edges cannot close a cycle
@@ -426,6 +435,13 @@ class _OrderingRows:
             self.store_var[self.position[init_node(var)]] = var
         self.loads = self._masks(self.load_var)
         self.stores = self._masks(self.store_var)
+        # per variable, the stores with no store to it after them, and the
+        # nodes forced to run after one of its real stores
+        self.last = {var: sum(1 << s for s in bits(mask)
+                              if not self.weak[s] & mask)
+                     for var, mask in self.stores.items()}
+        self.forced = {var: self.strong_closure(mask & everything)
+                       for var, mask in self.stores.items()}
 
     @staticmethod
     def _masks(labels) -> dict:
@@ -502,16 +518,57 @@ class _OrderingRows:
                 return False
         return True
 
+    def refuted(self, l: int, candidates: int) -> int:
+        """The stores among `candidates` whose lone pair with `l` is
+        infeasible, as `feasible({(l, s)})` finds.  R5 on the base rows
+        settles the stores after `l`.  For the rest, R3 and W4e grow the
+        two rows until R5 or a self-loop at `l` fires or nothing changes;
+        R3 adds nothing after a store with no later store to the variable,
+        so those stores are feasible.  The rows stay closed under W4, so
+        R6 is that self-loop, and a loop at s or W4e through s needs R5
+        first."""
+        var = self.load_var[l]
+        stores = self.stores[var]
+        out = self.weak[l] & candidates
+        init = 1 << self.position[init_node(var)]
+        if candidates & init:
+            # R3 puts every store after init:<var> into `l`'s row: a
+            # self-loop exactly when one of them is forced to run before l
+            candidates ^= init
+            if self.forced[var] >> l & 1:
+                out |= init
+        for s in bits(candidates & ~out & ~self.last[var]):
+            row_l, row_s = self.weak[l], self.weak[s]
+            while not (row_l >> s | row_l >> l) & 1:
+                if row_s >> l & 1:  # W4e through l
+                    row_s |= row_l
+                new = row_s & stores & ~row_l  # R3
+                if not new:
+                    break
+                row_l |= self.strong_closure(new)
+            else:  # left by a contradiction, not by the break
+                out |= 1 << s
+        return out
+
 
 class FeasibilityEngine:
     """Query interface over a fixed model.  The ordering rows, the
     initial-value loads and the tuple base are each built on first use;
     every combination check works on private rows and leaves them
-    untouched."""
+    untouched.
+
+    Feasibility reads only execution order, never values, and the
+    closure is monotone: a refuted ReadsFrom pair refutes every
+    combination holding it.  So each load's refuted set is computed once
+    and its sources are dropped before any product; a one-load
+    combination needs no `is_feasible` call after that.  `queries`
+    counts the closures `is_feasible` runs, one per distinct ReadsFrom
+    set of several loads; the refuted sets are not counted."""
 
     def __init__(self, model: ProgramModel):
         self.model = model
         self._cache: dict[frozenset, bool] = {}
+        self._refuted: dict[int, frozenset] = {}
         self.queries = 0
 
     @cached_property
@@ -531,21 +588,45 @@ class FeasibilityEngine:
         """Combination-independent ordering query (base closure only)."""
         return bool(self.rows.weak[a] >> b & 1)
 
-    def reads_from_facts(self, combination) -> frozenset:
-        """ReadsFrom tuples a combination pins down.  Remote-store sources
-        name their store; a self source names the virtual initial store
-        when that is the only value the load could see; merged loop
-        sources stay unconstrained."""
-        from .interp import SelfSource, StoreSource
+    def refuted(self, load: int) -> frozenset:
+        """The sources `load` can be given but cannot read from in any
+        execution: remote stores to its variable and, for an
+        initial-value load, `init:<var>`."""
+        got = self._refuted.get(load)
+        if got is None:
+            rows, cfg = self.rows, self.model.thread(self.model.node(load).tid)
+            var = rows.load_var[load]
+            other = ~(((1 << len(cfg.nodes)) - 1) << cfg.first_node)
+            if load not in self.initial_loads:
+                other &= ~(1 << rows.position[init_node(var)])
+            mask = rows.refuted(load, rows.stores[var] & other)
+            got = self._refuted[load] = frozenset(rows.nodes[p]
+                                                  for p in bits(mask))
+        return got
 
-        out = []
-        for load, source in combination.items():
-            if isinstance(source, StoreSource):
-                out.append((load, source.store))
-            elif isinstance(source, SelfSource) and load in self.initial_loads:
-                var = self.model.node(load).stmt.var
-                out.append((load, init_node(var)))
-        return frozenset(out)
+    def unrefuted(self, load: int, sources) -> list:
+        """`sources` of `load` without the refuted ones, in order."""
+        refuted = self.refuted(load)
+        if not refuted:
+            return sources
+        return [source for source in sources
+                if self.source_node(load, source) not in refuted]
+
+    def source_node(self, load: int, source):
+        """The store a source reads: its own for a remote store, the
+        virtual initial store for the self source of an initial-value
+        load, None (unconstrained) otherwise."""
+        if isinstance(source, StoreSource):
+            return source.store
+        if isinstance(source, SelfSource) and load in self.initial_loads:
+            return init_node(self.model.node(load).stmt.var)
+        return None
+
+    def reads_from_facts(self, combination) -> frozenset:
+        """ReadsFrom tuples a combination pins down."""
+        return frozenset(
+            (load, store) for load, source in combination.items()
+            if (store := self.source_node(load, source)) is not None)
 
     @staticmethod
     def _executes(rf) -> set:
@@ -595,3 +676,18 @@ def dump_facts(model: ProgramModel, facts: FactBase,
         for tup in facts.relations[rel]:
             lines.append("%s(%s)" % (rel, ", ".join(name(x) for x in tup)))
     return "\n".join(sorted(lines))
+
+
+def dump_mhb(model: ProgramModel, rows: _OrderingRows):
+    """The lines `dump_facts` prints for the base MHB, in its order, one
+    row at a time: no name holds ", ", so lines sort by their first name
+    (with the ", " after it) and then among themselves."""
+    names = [model.node_name(n) if isinstance(n, int) else n
+             for n in rows.nodes]
+    positions: dict = {}  # name -> its nodes' positions
+    for p, name in enumerate(names):
+        positions.setdefault(name, []).append(p)
+    for first in sorted(positions, key=lambda name: name + ", "):
+        yield from sorted("MHB(%s, %s)" % (first, names[q])
+                          for p in positions[first]
+                          for q in bits(rows.weak[p]))

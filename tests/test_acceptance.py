@@ -65,7 +65,7 @@ def test_criterion_2_combination_structure():
     feas = FeasibilityEngine(model)
     reader = model.thread_named("reader")
     ids = node_ids(model)
-    combos, generated, _ = compute_combinations(
+    combos, generated, _, _ = compute_combinations(
         reader, result.interference, model, feas)
     l1, l2 = loads_of(reader)
     s1, s2, s3 = ids["t2.8"], ids["t2.9"], ids["t2.10"]
@@ -90,7 +90,7 @@ def test_criterion_3_loop_value():
     ids = node_ids(model)
     main = model.thread(0)
     load = loads_of(main)[0]
-    combos, generated, _ = compute_combinations(
+    combos, generated, _, _ = compute_combinations(
         main, result.interference, model, feas)
     src = combos[0][load]
     post = transfer_with_policy(model.node(load), result.te[load],
@@ -112,7 +112,7 @@ def test_criterion_4_pruning():
     feas = FeasibilityEngine(model)
     counts = []
     for name in ("thr#1", "thr#2"):
-        _, generated, _ = compute_combinations(
+        _, generated, _, _ = compute_combinations(
             model.thread_named(name), fs.interference, model, feas)
         counts.append(generated)
     fso = analyze(model, AnalysisConfig(mode="fso"))
@@ -134,10 +134,10 @@ def test_criterion_5_clustering():
     fso = analyze(model, AnalysisConfig(mode="fso"))
     feas = FeasibilityEngine(model)
     reader = model.thread_named("thread2")
-    _, unclustered, _ = compute_combinations(reader, fs.interference, model,
-                                             feas)
-    zipped, _, _ = compute_combinations(reader, fso.interference, model,
-                                        feas, plan=fso.cluster_plan)
+    _, unclustered, _, _ = compute_combinations(reader, fs.interference, model,
+                                                feas)
+    zipped, _, _, _ = compute_combinations(reader, fso.interference, model,
+                                           feas, plan=fso.cluster_plan)
     ok = (unclustered == 4 and len(zipped) == 2
           and all(fs.verdicts.values()) and all(fsc.verdicts.values())
           and all(fso.verdicts.values()) and len(fs.verdicts) == 2)

@@ -9,7 +9,9 @@ from mtir.cfg import build_model, loads_of, reachable_sets
 from mtir.domain import AbstractEnv, interval, transfer
 from mtir.errors import AnalysisBudgetExceeded, CombinationBudgetExceeded
 from mtir.facts import FeasibilityEngine
-from mtir.interp import MergedSource, StoreSource, analyze_thread
+from mtir.interp import (
+    MergedSource, SelfSource, StoreSource, analyze_thread,
+)
 from mtir.parser import parse
 from mtir.corpus import PROGRAMS, source, expectations
 
@@ -64,7 +66,7 @@ def test_two_load_three_store_combinations(corpus_models, corpus_results):
     feas = FeasibilityEngine(model)
     reader = model.thread_named("reader")
     ids = node_ids(model)
-    combos, generated, rejected = compute_combinations(
+    combos, generated, rejected, _ = compute_combinations(
         reader, result.interference, model, feas)
     assert generated == 6 and rejected == 0
     l1, l2 = loads_of(reader)
@@ -85,7 +87,7 @@ def test_no_loads_single_empty_combination(corpus_models, corpus_results):
     result = corpus_results["paired_loads"]["fs"]
     feas = FeasibilityEngine(model)
     writer = model.thread_named("writer")
-    combos, generated, rejected = compute_combinations(
+    combos, generated, rejected, _ = compute_combinations(
         writer, result.interference, model, feas)
     assert combos == [{}]
     assert generated == 1 and rejected == 0
@@ -97,7 +99,7 @@ def test_loop_load_merges_surviving_stores(corpus_models, corpus_results):
     feas = FeasibilityEngine(model)
     main = model.thread(0)
     load = loads_of(main)[0]
-    combos, generated, _ = compute_combinations(
+    combos, generated, _, _ = compute_combinations(
         main, result.interference, model, feas)
     assert generated == 1
     source_ = combos[0][load]
@@ -138,6 +140,25 @@ def test_combination_cap():
                              combo_cap=5)
 
 
+def test_combination_cap_counts_refuted_sources(tmp_path, capsys):
+    # the cap reads the full per-store product: ordering refutes all but
+    # two of the deepest chain link's ten sources, and the cap still holds
+    from mtir.cli import main
+    model = model_of(chain_program(10))
+    result = analyze(model, AnalysisConfig(mode="fsc"))
+    link = model.thread_named("c10")
+    combos, generated, rejected, runs = compute_combinations(
+        link, result.interference, model, FeasibilityEngine(model),
+        feasibility=True)
+    assert (generated, rejected, runs, len(combos)) == (10, 8, 2, 2)
+    with pytest.raises(CombinationBudgetExceeded):
+        analyze(model, AnalysisConfig(mode="fsc", combo_cap=5))
+    prog = tmp_path / "chain.mtir"
+    prog.write_text(chain_program(10))
+    assert main(["analyze", str(prog), "--mode=fsc", "--combo-cap=5"]) == 2
+    assert "interference combinations (cap 5)" in capsys.readouterr().err
+
+
 # --- flow-sensitive modes ----------------------------------------------------------
 
 def test_flag_sync_constrained_verifies(corpus_results):
@@ -168,8 +189,8 @@ def test_flag_sync_plain_fs_unproven_with_expected_case_split(corpus_models):
     ids = node_ids(model)
     feas = FeasibilityEngine(model)
     reader = model.thread_named("thread2")
-    combos, _, _ = compute_combinations(reader, result.interference, model,
-                                        feas)
+    combos, _, _, _ = compute_combinations(reader, result.interference, model,
+                                           feas)
     init = AbstractEnv({"flag": interval(0, 0), "x": interval(0, 0)})
     expected = {
         (ids["t1.6"], ids["t1.4"]): True,   # stale x: false alarm case
@@ -195,8 +216,8 @@ def test_loop_reader_value_excludes_late_store(corpus_models, corpus_results):
     feas = FeasibilityEngine(model)
     main = model.thread(0)
     load = loads_of(main)[0]
-    combos, _, _ = compute_combinations(main, result.interference, model,
-                                        feas)
+    combos, _, _, _ = compute_combinations(main, result.interference, model,
+                                           feas)
     post = transfer_with_policy(model.node(load), result.te[load],
                                 PerLoad(combos[0]))
     assert post.get("t1") == interval(0, 2)
@@ -216,7 +237,7 @@ def test_param_guard_unpruned_three_combinations(corpus_models,
     result = corpus_results["param_guard"]["fs"]
     feas = FeasibilityEngine(model)
     for name in ("thr#1", "thr#2"):
-        combos, generated, rejected = compute_combinations(
+        combos, generated, rejected, _ = compute_combinations(
             model.thread_named(name), result.interference, model, feas)
         assert generated == 3 and rejected == 0
 
@@ -230,10 +251,10 @@ def test_disjoint_chains_clustering(corpus_models, corpus_results):
     assert fso_result.stats.clusters == 2
     feas = FeasibilityEngine(model)
     reader = model.thread_named("thread2")
-    _, full, _ = compute_combinations(reader, fs_result.interference, model,
-                                      feas)
+    _, full, _, _ = compute_combinations(reader, fs_result.interference, model,
+                                         feas)
     assert full == 4
-    zipped, _, _ = compute_combinations(
+    zipped, _, _, _ = compute_combinations(
         reader, fso_result.interference, model, feas,
         plan=fso_result.cluster_plan)
     assert len(zipped) == 2
@@ -302,6 +323,40 @@ def test_termination_within_budget_on_corpus(corpus_results):
             == len(by_mode["fi"].model.threads) * stats.outer_iters, name
 
 
+def _full_product(cfg, table, model, facts, feasibility=False, plan=None,
+                  pruned_loads=frozenset(), combo_cap=None, merged=False,
+                  index=None):
+    """Reference `compute_combinations`: the whole per-store product of
+    each cluster, every combination feasibility-checked on its own, no
+    source dropped or merged before the product, clusters zipped."""
+    from mtir.analysis import _cartesian, _source_lists, _store_index
+    active = [l for l in loads_of(cfg) if l not in pruned_loads]
+    sources = _source_lists(cfg, _store_index(model, table), facts, active,
+                            merged)
+    if merged:
+        return [{l: options[0] for l, options in sources.items()}], 0, 0, 1
+    background = {l: SelfSource() for l in active}
+    lists, generated, rejected = [], 0, 0
+    groups = [active] if plan is None else plan.by_thread.get(cfg.tid, [])
+    for group in groups:
+        group = [l for l in group if l in sources]
+        if group:
+            every = _cartesian(group, sources)
+            kept = [combo for combo in every
+                    if not feasibility or facts.is_feasible(combo)]
+            generated += len(every)
+            rejected += len(every) - len(kept)
+            lists.append((group, kept or [{l: SelfSource() for l in group}]))
+    zipped = []
+    for k in range(max((len(combos) for _, combos in lists), default=1)):
+        combo = dict(background)
+        for group, combos in lists:
+            combo.update(combos[k] if k < len(combos)
+                         else {l: SelfSource() for l in group})
+        zipped.append(combo)
+    return zipped, generated or 1, rejected, len(zipped)
+
+
 def test_memoized_runs_match_unmemoized(corpus_models, monkeypatch):
     from mtir import analysis as analysis_mod
     cases = dict(corpus_models)
@@ -324,12 +379,16 @@ def test_memoized_runs_match_unmemoized(corpus_models, monkeypatch):
             assert result.stats.interp_runs <= result.stats.runs
             memoized[name, mode] = result
     # a fresh key per call makes every scheduled run execute, and none is
-    # shared between instances
+    # shared between instances; the reference schedules every feasible
+    # combination of the per-store product
     monkeypatch.setattr(analysis_mod, "_run_key", lambda *_: object())
+    monkeypatch.setattr(analysis_mod, "compute_combinations", _full_product)
     for (name, mode), memo in memoized.items():
         full = analyze(memo.model, AnalysisConfig(mode=mode))
         assert full.stats.interp_runs == full.stats.runs, (name, mode)
         assert full.stats.runs == memo.stats.runs, (name, mode)
+        assert full.stats.combos == memo.stats.combos, (name, mode)
+        assert full.stats.infeasible == memo.stats.infeasible, (name, mode)
         assert full.te == memo.te, (name, mode)
         assert full.verdicts == memo.verdicts, (name, mode)
         assert full.interference == memo.interference, (name, mode)

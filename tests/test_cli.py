@@ -208,6 +208,22 @@ def test_dump_facts_is_the_base_dump(name, capsys):
     assert out.endswith("\n" + expected + "\n")
 
 
+def test_dump_facts_streamed_in_sorted_order(tmp_path, capsys):
+    # names that prefix one another (t0.14, t0.14_2, t1.3, t1.3_2) and
+    # nodes on one line: the row-by-row dump keeps the lines' sorted order
+    text = ("int g = 0;\nint h = 0;\n"
+            "thread w() { g = 1; int a = g; h = a; if (a > 0) { g = 2; } }\n"
+            "thread main() {\n" + "  h = 1;\n" * 9
+            + "  create(w); create(w); join(w); int b = g;\n}\n")
+    model = build_model(parse(text))
+    expected = dump_facts(model, FeasibilityEngine(model).base)
+    assert "MHB(t1.3, t1.3_2)" in expected and "MHB(t0.10, t0.14)" in expected
+    prog = tmp_path / "names.mtir"
+    prog.write_text(text)
+    _, out, _ = run_cli(capsys, "analyze", str(prog), "--dump-facts")
+    assert out.endswith("\n" + expected + "\n")
+
+
 def test_dump_pdg(capsys):
     _, out, _ = run_cli(capsys, "analyze", path("param_guard"),
                         "--dump-pdg")

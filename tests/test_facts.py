@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from conftest import node_ids, random_program
+from conftest import node_ids, random_program, repeated_program
 from mtir.analysis import AnalysisConfig, analyze
 from mtir.bench import chain_program, watchdog_program
-from mtir.cfg import build_model, is_store, loads_of
+from mtir.cfg import bits, build_model, is_store, loads_of
 from mtir.domain import AbstractEnv
 from mtir.facts import (
     RULES, FactBase, FeasibilityEngine, build_base_facts,
@@ -16,6 +16,7 @@ from mtir.facts import (
 from mtir.interp import SelfSource, StoreSource
 from mtir.parser import parse
 from mtir.corpus import PROGRAMS, source
+from stress_soundness import loopy_program
 
 
 def model_of(text):
@@ -284,6 +285,46 @@ def test_fast_path_agrees_with_full_closure():
             fast = feas.is_feasible(combo)
             full, _ = feas.check_facts(rf)
             assert fast == full, (name, rf)
+
+
+def test_refuted_sets_match_single_pair_queries():
+    # a load's refuted set holds exactly the stores whose lone ReadsFrom
+    # pair the closure refutes, init:<var> included
+    texts = [(name, source(name)) for name in PROGRAMS]
+    texts += [("random%d" % seed, random_program(seed))
+              for seed in range(60)]
+    texts += [("repeated%d" % seed, repeated_program(seed))
+              for seed in range(40)]
+    texts += [("loopy%d" % seed, loopy_program(seed)) for seed in range(20)]
+    texts += [("chain%d" % depth, chain_program(depth))
+              for depth in (4, 10, 20)]
+    texts += [("watchdog4", watchdog_program(4)),
+              ("create_join", CREATE_JOIN), *CROSS_THREAD.items()]
+    pairs = refuted = 0
+    for name, text in texts:
+        model = model_of(text)
+        feas = FeasibilityEngine(model)
+        rows = feas.rows
+        for cfg in model.threads:
+            for load in loads_of(cfg):
+                var = model.node(load).stmt.var
+                every = rows.refuted(load, rows.stores[var])
+                candidates = set()
+                for p in bits(rows.stores[var]):
+                    store = rows.nodes[p]
+                    alone = rows.feasible(frozenset({(load, store)}))
+                    assert bool(every >> p & 1) != alone, (name, load, store)
+                    if store == init_node(var):
+                        if load in feas.initial_loads:
+                            candidates.add(store)
+                    elif model.node(store).tid != cfg.tid:
+                        candidates.add(store)
+                    pairs += 1
+                    refuted += not alone
+                assert feas.refuted(load) == {
+                    store for store in candidates
+                    if every >> rows.position.get(store, store) & 1}, name
+    assert pairs > 1000 and 0 < refuted < pairs
 
 
 def test_analyses_build_no_tuple_facts(monkeypatch):

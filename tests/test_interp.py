@@ -144,8 +144,8 @@ def test_stabilization_under_pinned_sources(flag_sync):
     result = analyze(model, AnalysisConfig(mode="fs"))
     feas = FeasibilityEngine(model)
     reader = model.thread_named("thread2")
-    combos, _, _ = compute_combinations(reader, result.interference, model,
-                                        feas)
+    combos, _, _, _ = compute_combinations(reader, result.interference, model,
+                                           feas)
     init = init_env(model)
     for combo in combos:
         run = analyze_thread(reader, init, PerLoad(combo))

@@ -140,10 +140,10 @@ def test_single_cluster_equals_full_product():
     graph, slices = plan_for(model)
     plan = cluster(graph, slices, model)
     reader = model.thread_named("thread2")
-    zipped, zgen, _ = compute_combinations(reader, result.interference,
-                                           model, feas, plan=plan)
-    full, fgen, _ = compute_combinations(reader, result.interference,
-                                         model, feas)
+    zipped, zgen, _, _ = compute_combinations(reader, result.interference,
+                                              model, feas, plan=plan)
+    full, fgen, _, _ = compute_combinations(reader, result.interference,
+                                            model, feas)
     assert zgen == fgen == 6
     assert zipped == full
 
@@ -160,9 +160,9 @@ def test_cluster_schedule_covers_each_cluster_fully():
     graph, slices = plan_for(model)
     plan = cluster(graph, slices, model)
     t2 = model.thread_named("thread2")
-    zipped, _, _ = compute_combinations(t2, result.interference, model, feas,
-                                        plan=plan)
-    full, _, _ = compute_combinations(t2, result.interference, model, feas)
+    zipped, _, _, _ = compute_combinations(t2, result.interference, model,
+                                           feas, plan=plan)
+    full, _, _, _ = compute_combinations(t2, result.interference, model, feas)
     for group in plan.by_thread[t2.tid]:
         projected = [tuple(combo[l] for l in group) for combo in zipped]
         expected = {tuple(combo[l] for l in group) for combo in full}

@@ -49,7 +49,7 @@ import math
 from dataclasses import dataclass, field
 
 from .cfg import ProgramModel, ThreadCfg, is_store, loads_of
-from .domain import AbstractEnv, Interval, const, transfer
+from .domain import AbstractEnv, Interval, const
 from .errors import AnalysisBudgetExceeded, CombinationBudgetExceeded
 from .facts import FeasibilityEngine
 from .interp import (
@@ -186,7 +186,7 @@ def _publish(model, te, table, iteration, config, silent_stores=frozenset()):
             pre = te.get(n)
             if pre is None or pre.bottom:
                 continue
-            post = transfer(node.stmt, pre)
+            post = cfg.steps.transfer[n - cfg.first_node](pre)
             old = bucket.get(n)
             if old is None:
                 bucket[n] = post

@@ -106,6 +106,10 @@ class ThreadCfg:
     exit: int = -1
     creation_site: int | None = None  # node id in the parent thread
     params: dict[str, int] = field(default_factory=dict)
+    # the routine's first instance if not this one: the same graph up to
+    # shifted node ids
+    first_instance: ThreadCfg | None = field(default=None, repr=False,
+                                              compare=False)
 
     def preds(self) -> dict[int, list[int]]:
         out = {n: [] for n in self.nodes}
@@ -146,6 +150,13 @@ class ThreadCfg:
         return dominator_sets(self.succs, self.entry)
 
     @cached_property
+    def steps(self):
+        """The compiled `interp.StepTable`, shared by a routine's instances."""
+        from .interp import StepTable  # interp builds on this module
+        first = self.first_instance
+        return first.steps if first is not None else StepTable(self)
+
+    @cached_property
     def loop_heads(self) -> set[int]:
         """Targets n of edges m->n where n dominates m."""
         return {n for m, edges in self.succs.items() for n, _ in edges
@@ -164,6 +175,10 @@ class ProgramModel:
     source: SourceProgram | None = None
 
     def __post_init__(self):
+        first: dict[str, ThreadCfg] = {}
+        for cfg in self.threads:
+            cfg.first_instance = first.get(cfg.routine)
+            first.setdefault(cfg.routine, cfg)
         self._node_index = {}
         for cfg in self.threads:
             for node in cfg.nodes.values():
@@ -495,22 +510,25 @@ def _check_creation_shape(prog: SourceProgram):
     for r in prog.routines:
         scan(r.body, r.name, False)
 
-    # cycle check over the routine creation graph
-    state: dict[str, int] = {}
-
-    def visit(name, trail):
-        state[name] = 1
-        for succ in sorted(edges[name]):
-            if state.get(succ) == 1:
-                raise RecursiveCreateError(
-                    "creation cycle: " + " -> ".join(trail + [succ]))
-            if state.get(succ) != 2:
-                visit(succ, trail + [succ])
-        state[name] = 2
-
+    # cycle check over the routine creation graph: a depth-first search on
+    # an explicit stack (its names are the trail), not one frame per link
+    state: dict[str, int] = {}  # 1 while on the stack, then 2
     for r in prog.routines:
-        if state.get(r.name) != 2:
-            visit(r.name, [r.name])
+        stack = [] if r.name in state else [
+            (r.name, iter(sorted(edges[r.name])))]
+        state.setdefault(r.name, 1)
+        while stack:
+            name, succs = stack[-1]
+            succ = next(succs, None)
+            if succ is None:
+                state[name] = 2
+                stack.pop()
+            elif state.get(succ) == 1:
+                raise RecursiveCreateError("creation cycle: " + " -> ".join(
+                    [n for n, _ in stack] + [succ]))
+            elif succ not in state:
+                state[succ] = 1
+                stack.append((succ, iter(sorted(edges[succ]))))
 
 
 def build_model(prog: SourceProgram) -> ProgramModel:

@@ -196,6 +196,9 @@ def _cmd_bench(args) -> int:
     except (ValueError, MtirError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: a generated program nests too deeply", file=sys.stderr)
+        return 2
     sys.stdout.write(bench_csv(rows))
     return 0
 

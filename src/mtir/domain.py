@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from decimal import Decimal
+from functools import partial
 
 from .ast import BinOp, BoolLit, Expr, IntLit, UnaryOp, Var
 from .cfg import (
@@ -330,11 +331,13 @@ class AbstractEnv:
         return self._pointwise(other, Interval.join)
 
     def _pointwise(self, other, op) -> "AbstractEnv":
-        """Join or widening of non-bottom envs: self if no binding changes."""
+        """Join or widening of non-bottom envs: self if no binding changes.
+        A binding both envs share as one object is kept without `op`."""
         out, kept, b = {}, 0, other.bindings
         for name, x in self.bindings.items():
-            if name in b:
-                iv = op(x, b[name])
+            y = b.get(name)
+            if y is not None:
+                iv = x if y is x else op(x, y)
                 kept += iv is x
                 if iv is x or not iv.is_top():
                     out[name] = iv
@@ -386,56 +389,49 @@ def render_env(env: AbstractEnv) -> str:
     return "{%s}" % items
 
 
-# --- expression evaluation and condition filtering ---------------------------
+# --- compiled evaluation, filtering and transfer ----------------------------
+# An expression, a condition with its polarity or a statement compiles once
+# to a closure: literals become intervals and the operator or filter shape
+# is chosen here.  Compiling and running take one Python frame per nesting
+# level and a `!` chain none.  Closures of subexpressions assume a
+# non-bottom env; compiled filters and transfers take any.
 
-def eval_expr(e: Expr, env: AbstractEnv) -> Interval:
-    if env.bottom:
-        return EMPTY
-    if isinstance(e, IntLit):
-        return const(e.value)
-    if isinstance(e, BoolLit):
-        return _ONE if e.value else _ZERO
-    if isinstance(e, Var):
-        return env.get(e.name)
-    if isinstance(e, UnaryOp):
-        return _not(eval_expr(e.operand, env))
-    if isinstance(e, BinOp):
-        a = eval_expr(e.left, env)
-        b = eval_expr(e.right, env)
-        if e.op == "+":
-            return _add(a, b)
-        if e.op == "-":
-            return _add(a, _neg(b))
-        if e.op == "*":
-            return _mul(a, b)
-        if e.op == "/":
-            return _div(a, b)
-        if e.op in ("<", "<=", ">", ">=", "==", "!="):
-            return _cmp(e.op, a, b)
-        if e.op == "&&":
-            return _and(a, b)
-        if e.op == "||":
-            return _or(a, b)
-    raise UnknownVariableError(f"cannot evaluate {e!r}")
-
-
+_BINARY = {"+": _add, "-": lambda a, b: _add(a, _neg(b)), "*": _mul,
+           "/": _div, "&&": _and, "||": _or,
+           **{op: partial(_cmp, op)
+              for op in ("<", "<=", ">", ">=", "==", "!=")}}
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
 _NEGATE = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}
 
 
 def _lit_value(e: Expr):
-    if isinstance(e, IntLit):
-        return e.value
-    if isinstance(e, BoolLit):
-        return 1 if e.value else 0
-    return None
+    return int(e.value) if isinstance(e, (IntLit, BoolLit)) else None
 
 
-def _refine_var(env, name, iv):
-    got = env.get(name).meet(iv)
-    if got.empty:
-        return AbstractEnv.bot()
-    return env.set(name, got)
+def compile_expr(e: Expr):
+    """Closure mapping a non-bottom env to the interval of e."""
+    nots = 0
+    while isinstance(e, UnaryOp):  # !!c is the truth value of c
+        e, nots = e.operand, nots + 1
+    value = _lit_value(e)
+    if value is not None:
+        value = Interval(value, value)
+        inner = lambda env: value  # noqa: E731
+    elif isinstance(e, Var):
+        name = e.name
+        inner = lambda env: env.bindings.get(name, TOP)  # noqa: E731
+    elif isinstance(e, BinOp) and e.op in _BINARY:
+        op, left, right = _BINARY[e.op], compile_expr(e.left), \
+            compile_expr(e.right)
+        inner = lambda env: op(left(env), right(env))  # noqa: E731
+    else:
+        raise UnknownVariableError(f"cannot evaluate {e!r}")
+    outer = _not if nots % 2 else _truth
+    return (lambda env: outer(inner(env))) if nots else inner
+
+
+def _keep(env):
+    return env
 
 
 def _trim_ne(iv: Interval, c: int) -> Interval:
@@ -451,34 +447,26 @@ def _trim_ne(iv: Interval, c: int) -> Interval:
     return iv
 
 
-def _filter_cmp(env, op, left, right):
-    """Bound tightening for `v op c`, `c op v` and `v op w` comparisons."""
-    lc, rc = _lit_value(left), _lit_value(right)
-    if isinstance(left, Var) and rc is not None:
-        name, c = left.name, rc
-    elif isinstance(right, Var) and lc is not None:
-        name, c, op = right.name, lc, _FLIP[op]
-    elif isinstance(left, Var) and isinstance(right, Var):
-        return _filter_var_var(env, op, left.name, right.name)
-    else:
-        return env  # unsupported shape: sound identity
+def _bounding(name, bound):
+    """Filter meeting name's interval with bound."""
+    def step(env):
+        iv = env.get(name)
+        if iv.leq(bound):
+            return env
+        got = iv.meet(bound)
+        return _BOTTOM if got.empty else env.set(name, got)
+    return step
 
-    if op == "<":
-        return _refine_var(env, name, interval(-INF, c - 1))
-    if op == "<=":
-        return _refine_var(env, name, interval(-INF, c))
-    if op == ">":
-        return _refine_var(env, name, interval(c + 1, INF))
-    if op == ">=":
-        return _refine_var(env, name, interval(c, INF))
-    if op == "==":
-        return _refine_var(env, name, const(c))
-    if op == "!=":
-        trimmed = _trim_ne(env.get(name), c)
-        if trimmed.empty:
-            return AbstractEnv.bot()
-        return env.set(name, trimmed)
-    return env
+
+def _trimming(name, c):
+    """Filter removing c from an endpoint of name's interval."""
+    def step(env):
+        iv = env.get(name)
+        got = _trim_ne(iv, c)
+        if got is iv:
+            return env
+        return _BOTTOM if got.empty else env.set(name, got)
+    return step
 
 
 def _filter_var_var(env, op, a, b):
@@ -492,76 +480,88 @@ def _filter_var_var(env, op, a, b):
         nb = ib.meet(interval(-INF, ia.hi - off))
     elif op == "==":
         na = nb = ia.meet(ib)
-    elif op == "!=":
+    else:  # "!="
         na = _trim_ne(ia, ib.lo) if ib.lo == ib.hi else ia
         nb = _trim_ne(ib, ia.lo) if ia.lo == ia.hi else ib
-    else:
-        return env
     if na.empty or nb.empty:
         return AbstractEnv.bot()
     return env.set(a, na).set(b, nb)
 
 
-def filter_cond(cond: Expr, polarity: bool, env: AbstractEnv) -> AbstractEnv:
-    """Refine env assuming cond evaluates to polarity.  Sound: falls back
-    to identity on shapes the tightening does not understand."""
-    if env.bottom:
-        return env
-    value = _truth(eval_expr(cond, env))
-    if value.empty or value == (_ZERO if polarity else _ONE):
-        return AbstractEnv.bot()
-
-    if isinstance(cond, UnaryOp) and cond.op == "!":
-        return filter_cond(cond.operand, not polarity, env)
+def compile_filter(cond: Expr, polarity: bool):
+    """Closure refining an env by assuming cond evaluates to polarity.
+    Bound tightening covers `v op c`, `c op v`, `v op w`, a variable, a
+    literal and a splitting `&&`/`||`; any other shape only drops the
+    states where cond surely evaluates the other way, which each
+    tightening does as well."""
+    while isinstance(cond, UnaryOp):  # assume(!c) = assume c is false
+        cond, polarity = cond.operand, not polarity
+    c = _lit_value(cond)
+    if c is not None:
+        return _keep if (c != 0) == polarity else lambda env: _BOTTOM
     if isinstance(cond, Var):
-        iv = env.get(cond.name)
-        if polarity:
-            trimmed = _trim_ne(iv, 0)
-            if trimmed.empty:
-                return AbstractEnv.bot()
-            return env.set(cond.name, trimmed)
-        return _refine_var(env, cond.name, _ZERO)
-    if isinstance(cond, BinOp):
-        op = cond.op
-        if op in ("&&", "||"):
-            # assume(a && b) = assume(a); assume(b), dually for a false or
-            if (op == "&&") == polarity:
-                e1 = filter_cond(cond.left, polarity, env)
-                return filter_cond(cond.right, polarity, e1)
-            return env
-        if op in _FLIP:
-            if not polarity:
-                op = _NEGATE[op]
-            return _filter_cmp(env, op, cond.left, cond.right)
-    if isinstance(cond, (IntLit, BoolLit)):
-        truth = _lit_value(cond) != 0
-        return env if truth == polarity else AbstractEnv.bot()
-    return env
+        return (_trimming(cond.name, 0) if polarity
+                else _bounding(cond.name, _ZERO))
+    if isinstance(cond, BinOp) and cond.op in ("&&", "||") \
+            and (cond.op == "&&") == polarity:
+        # assume(a && b) = assume(a); assume(b), dually for a false or
+        first = compile_filter(cond.left, polarity)
+        second = compile_filter(cond.right, polarity)
+        return lambda env: second(first(env))
+    if isinstance(cond, BinOp) and cond.op in _FLIP:
+        op = cond.op if polarity else _NEGATE[cond.op]
+        left, right = cond.left, cond.right
+        if isinstance(right, Var) and _lit_value(left) is not None:
+            left, right, op = right, left, _FLIP[op]
+        c = _lit_value(right)
+        if isinstance(left, Var) and c is not None:
+            if op == "!=":
+                return _trimming(left.name, c)
+            return _bounding(left.name, interval(*{
+                "<": (-INF, c - 1), "<=": (-INF, c), ">": (c + 1, INF),
+                ">=": (c, INF), "==": (c, c)}[op]))
+        if isinstance(left, Var) and isinstance(right, Var):
+            a, b = left.name, right.name
+            return lambda env: env if env.bottom else \
+                _filter_var_var(env, op, a, b)
+    value, refuted = compile_expr(cond), (_ZERO if polarity else _ONE)
+    return lambda env: env if env.bottom or \
+        _truth(value(env)) is not refuted else _BOTTOM
 
 
-# --- statement transfer -------------------------------------------------------
+def compile_transfer(stmt):
+    """Closure mapping an env to the post-state of one normalized
+    statement.  A load reads the thread-local binding (the interpreter's
+    load policy layers interference on top), a branch is identity (its
+    filters live on the CFG edges) and an assert never assumes its
+    condition."""
+    if isinstance(stmt, (SLocal, SStore)):
+        target = stmt.target if isinstance(stmt, SLocal) else stmt.var
+        value = compile_expr(stmt.expr)
+        return lambda env: env if env.bottom else env.set(target, value(env))
+    if isinstance(stmt, SLoad):
+        target, var = stmt.target, stmt.var
+        return lambda env: env.set(target, env.get(var))
+    if isinstance(stmt, SNondet):
+        target = stmt.target
+        return lambda env: env.set(target, TOP)
+    if isinstance(stmt, (SBranch, SAssert, SCreate, SJoin, SExit, SNop)):
+        return _keep
+    raise TypeError(stmt)
+
+
+def eval_expr(e: Expr, env: AbstractEnv) -> Interval:
+    return EMPTY if env.bottom else compile_expr(e)(env)
+
+
+def filter_cond(cond: Expr, polarity: bool, env: AbstractEnv) -> AbstractEnv:
+    """Refine env assuming cond evaluates to polarity (`compile_filter`)."""
+    return compile_filter(cond, polarity)(env)
+
 
 def transfer(stmt, env: AbstractEnv) -> AbstractEnv:
-    """Abstract post-state of one normalized statement.
-
-    Loads here read only the thread-local binding; interference-aware
-    load handling is layered on top by the interpreter's load policy.
-    Branches are identity (their filters live on the CFG edges) and
-    asserts never assume their condition.
-    """
-    if env.bottom:
-        return env
-    if isinstance(stmt, SLocal):
-        return env.set(stmt.target, eval_expr(stmt.expr, env))
-    if isinstance(stmt, SLoad):
-        return env.set(stmt.target, env.get(stmt.var))
-    if isinstance(stmt, SStore):
-        return env.set(stmt.var, eval_expr(stmt.expr, env))
-    if isinstance(stmt, SNondet):
-        return env.set(stmt.target, TOP)
-    if isinstance(stmt, (SBranch, SAssert, SCreate, SJoin, SExit, SNop)):
-        return env
-    raise TypeError(stmt)
+    """Abstract post-state of one normalized statement (`compile_transfer`)."""
+    return compile_transfer(stmt)(env)
 
 
 def assert_violable(cond: Expr, env: AbstractEnv) -> bool:

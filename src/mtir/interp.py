@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .cfg import SAssert, SLoad, ThreadCfg
-from .domain import AbstractEnv, assert_violable, filter_cond, transfer
+from .domain import AbstractEnv, compile_filter, compile_transfer, transfer
 from .errors import AnalysisBudgetExceeded
 
 
@@ -68,19 +68,44 @@ def transfer_with_policy(node, env: AbstractEnv, policy) -> AbstractEnv:
     return transfer(node.stmt, env)
 
 
-def _node_out(cfg, n, envs, policy, identity_nodes):
-    """Post-state of node n; identity nodes pass their state through."""
-    if n in identity_nodes:
-        return envs[n]
-    return transfer_with_policy(cfg.nodes[n], envs[n], policy)
+class StepTable:
+    """A routine's statements compiled once for every mode and instance,
+    by node id relative to the instance's first node: each node's
+    transfer (a load's reads the thread-local binding; a run's policy
+    picks its source) and out edges with their filters (None if
+    unconditional), the loads, and each assertion with the filter of its
+    negated condition."""
+
+    def __init__(self, cfg: ThreadCfg):
+        base = cfg.first_node
+        self.transfer, self.succs, self.loads, self.violable = {}, {}, {}, {}
+        for n, node in cfg.nodes.items():
+            r, stmt = n - base, node.stmt
+            self.transfer[r] = compile_transfer(stmt)
+            self.succs[r] = [(dst - base, None if filt is None
+                              else compile_filter(filt[1], filt[2]))
+                             for dst, filt in cfg.succs[n]]
+            if isinstance(stmt, SLoad):
+                self.loads[r] = stmt
+            elif isinstance(stmt, SAssert):
+                self.violable[r] = compile_filter(stmt.cond, False)
+
+
+def _node_out(table, n, base, env, policy, identity_nodes):
+    """Post-state of node n of the instance starting at `base`, from
+    pre-state env; identity nodes pass their state through."""
+    if n in identity_nodes or env.bottom:
+        return env
+    if n - base in table.loads:
+        return _apply_load(n, table.loads[n - base], env, policy)
+    return table.transfer[n - base](env)
 
 
 def _edge_env(n, filt, out, identity_nodes):
     """State along an edge of n; identity nodes' branches do not filter."""
     if filt is None or n in identity_nodes:
         return out
-    _, cond, polarity = filt
-    return filter_cond(cond, polarity, out)
+    return filt(out)
 
 
 # --- fixpoint engine ------------------------------------------------------------
@@ -93,7 +118,8 @@ class ThreadRun:
     violable: set = field(default_factory=set)
 
     def post(self, cfg: ThreadCfg, node_id: int) -> AbstractEnv:
-        return transfer(cfg.nodes[node_id].stmt, self.envs[node_id])
+        return cfg.steps.transfer[node_id - cfg.first_node](
+            self.envs[node_id])
 
 
 def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
@@ -115,6 +141,7 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
     if init.bottom:
         return ThreadRun(envs)
 
+    table, base = cfg.steps, cfg.first_node
     widen_points = cfg.loop_heads
     updates = dict.fromkeys(cfg.nodes, 0)
     worklist = deque([cfg.entry])
@@ -129,8 +156,9 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
                 f"{cfg.name}: worklist exceeded {visit_budget} visits")
         n = worklist.popleft()
         queued.discard(n)
-        out = _node_out(cfg, n, envs, policy, identity_nodes)
-        for dst, filt in cfg.succs[n]:
+        out = _node_out(table, n, base, envs[n], policy, identity_nodes)
+        for dst, filt in table.succs[n - base]:
+            dst += base
             incoming = _edge_env(n, filt, out, identity_nodes)
             if incoming.leq(envs[dst]):
                 continue
@@ -147,7 +175,7 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
     # descending sweeps, in place so a narrowed loop head refines its
     # successors within the same pass; each update keeps the post-fixpoint
     # property since predecessors can only shrink afterwards
-    preds = cfg.preds()
+    preds = cfg.preds() if widened else {}
     for _ in range(narrowing_passes if widened else 0):
         changed = False
         for n in cfg.node_order():
@@ -155,9 +183,10 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
                 continue
             incoming = AbstractEnv.bot()
             for p in preds[n]:
-                out = _node_out(cfg, p, envs, policy, identity_nodes)
-                for dst, filt in cfg.succs[p]:
-                    if dst == n:
+                out = _node_out(table, p, base, envs[p], policy,
+                                identity_nodes)
+                for dst, filt in table.succs[p - base]:
+                    if dst + base == n:
                         incoming = incoming.join(
                             _edge_env(p, filt, out, identity_nodes))
             narrowed = envs[n].narrow(incoming)
@@ -167,12 +196,8 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
         if not changed:
             break
 
-    run = ThreadRun(envs)
-    for n in cfg.node_order():
-        stmt = cfg.nodes[n].stmt
-        if isinstance(stmt, SAssert) and assert_violable(stmt.cond, envs[n]):
-            run.violable.add(n)
-    return run
+    return ThreadRun(envs, {r + base for r, negated in table.violable.items()
+                            if not negated(envs[r + base]).bottom})
 
 
 def is_stable(cfg: ThreadCfg, run: ThreadRun, policy, init: AbstractEnv,
@@ -180,9 +205,11 @@ def is_stable(cfg: ThreadCfg, run: ThreadRun, policy, init: AbstractEnv,
     """Fixpoint check: one more sweep must change nothing."""
     if not init.leq(run.envs[cfg.entry]):
         return False
+    table, base = cfg.steps, cfg.first_node
     for n in cfg.node_order():
-        out = _node_out(cfg, n, run.envs, policy, identity_nodes)
-        for dst, filt in cfg.succs[n]:
-            if not _edge_env(n, filt, out, identity_nodes).leq(run.envs[dst]):
+        out = _node_out(table, n, base, run.envs[n], policy, identity_nodes)
+        for dst, filt in table.succs[n - base]:
+            if not _edge_env(n, filt, out, identity_nodes).leq(
+                    run.envs[dst + base]):
                 return False
     return True

@@ -10,7 +10,9 @@ change meant to keep the analysis's output is checked by running this
 at its parent and at the change and comparing the two files with `cmp`.
 
 The set: the corpus, watchdog 4/16/32, chain 10/20, a thread with two
-parameters, a `main` of 400 straight-line statements, `random_program`
+parameters, a `main` of 400 straight-line statements, one program with
+each expression and condition shape the compiled evaluator treats
+apart, a 900-term `+` chain and a branch on 900 `!`, `random_program`
 seeds 0-119, `repeated_program` seeds 0-39 and `stress_soundness`'s
 `loopy_program` seeds 0-19.
 """
@@ -41,6 +43,67 @@ FLAT = ("thread main() {\n"
         + "  assert(a0 == 0);\n}\n")
 
 
+SHAPES = """int g = 0;
+thread w() { g = 7; g = -3; }
+thread main() {
+  create(w);
+  int a = *;
+  int b = *;
+  int c = 4;
+  int z = 0;
+  if (a >= -3 && a <= 7) {
+    int q = 10 / a;
+    int r = a / 2;
+    int s = (a - 1) * (b + 2);
+    if (b > 0 || b < -5) { z = b; } else { z = b; }
+    if (b >= 2 && b <= 9) { z = b; } else { z = b; }
+    if (!(a < 0) && !!(b != 3)) { z = a; } else { z = a; }
+    if (!!!(a == 7)) { z = a; } else { z = a; }
+    if (!!!!(b < 5)) { z = b; } else { z = b; }
+    if (a < b) { z = a; } else { z = b; }
+    if (a <= b) { z = a; } else { z = b; }
+    if (a > b) { z = a; } else { z = b; }
+    if (a >= b) { z = a; } else { z = b; }
+    if (a == b) { z = a; } else { z = b; }
+    if (a != c) { z = a; } else { z = c; }
+    if (c != a) { z = a; } else { z = c; }
+    if (a < a) { z = a; } else { z = a; }
+    if (a > a) { z = a; } else { z = a; }
+    if (3 < a) { z = a; } else { z = a; }
+    if (2 >= a) { z = a; } else { z = a; }
+    if (-1 == a) { z = a; } else { z = a; }
+    if (5 != a) { z = a; } else { z = a; }
+    if (a != 7) { z = a; } else { z = a; }
+    if (a != -3) { z = a; } else { z = a; }
+    if (a != 2) { z = a; } else { z = a; }
+    if (true) { z = 1; } else { z = 2; }
+    if (false) { z = 3; } else { z = 4; }
+    if (!true) { z = 5; }
+    if (b) { z = b; } else { z = b; }
+    if (!c) { z = c; } else { z = c; }
+    if (1 < 2) { z = 6; } else { z = 7; }
+    if (a + 1 < b) { z = a; } else { z = b; }
+    if (a < b == true) { z = a; }
+    int t = !a;
+    int u = !!b;
+    int v = a < true;
+    int x = g;
+    if (x != 7 && x > -3) { z = x; } else { z = x; }
+    assert(q >= 0);
+    assert(z >= -100 || !(z < 100));
+    assert(!(a == 8));
+  }
+  assert(z <= 100);
+}
+"""
+
+DEEP_PLUS = ("thread main() { int x = *; int y = "
+             + " + ".join(["x"] * 900) + "; assert(y >= 0); }\n")
+
+DEEP_NOT = ("thread main() { int x = *; if (" + "!" * 900
+            + "(x > 0)) { x = 1; } else { x = 2; } assert(x >= 1); }\n")
+
+
 def programs():
     for name in PROGRAMS:
         yield name, source(name)
@@ -50,6 +113,9 @@ def programs():
         yield "chain%d" % size, chain_program(size)
     yield "two_params", TWO_PARAMS
     yield "flat400", FLAT
+    yield "shapes", SHAPES
+    yield "deep_plus900", DEEP_PLUS
+    yield "deep_not900", DEEP_NOT
     for family, generator, count in (("random", random_program, 120),
                                      ("repeated", repeated_program, 40),
                                      ("loopy", loopy_program, 20)):

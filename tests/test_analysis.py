@@ -6,6 +6,7 @@ from conftest import (
 from mtir.analysis import AnalysisConfig, analyze, compute_combinations
 from mtir.bench import chain_program, watchdog_program
 from mtir.cfg import build_model, loads_of, reachable_sets
+from mtir.cli import build_report
 from mtir.domain import AbstractEnv, interval, transfer
 from mtir.errors import AnalysisBudgetExceeded, CombinationBudgetExceeded
 from mtir.facts import FeasibilityEngine
@@ -18,6 +19,13 @@ from mtir.corpus import PROGRAMS, source, expectations
 
 def model_of(text):
     return build_model(parse(text))
+
+
+def report(result):
+    """The JSON report with envs, apart from its wall time."""
+    out = build_report(result, 0.0, include_envs=True)
+    del out["stats"]["wall_ms"]
+    return out
 
 
 # --- flow-insensitive ------------------------------------------------------------
@@ -404,6 +412,31 @@ def test_watchdog_run_counts():
         counts[mode] = (stats.runs, stats.interp_runs)
     assert counts == {"fi": (54, 36), "fs": (334, 36), "fsc": (334, 36),
                       "fso": (18, 8)}
+
+
+def test_one_model_four_modes_in_any_order():
+    # `mtir bench` and perfbench analyze one model in every mode, so what a
+    # thread caches (its compiled step table) must not carry one mode's
+    # identity nodes or interference into the next
+    programs = [source(name) for name in PROGRAMS] + [watchdog_program(4)]
+    for text in programs:
+        fresh = {mode: report(analyze(model_of(text),
+                                      AnalysisConfig(mode=mode)))
+                 for mode in MODES}
+        for order in (("fso", "fi", "fs", "fsc"), ("fsc", "fs", "fi", "fso")):
+            model = model_of(text)
+            for mode in order:
+                got = report(analyze(model, AnalysisConfig(mode=mode)))
+                assert got == fresh[mode], (text[:40], order, mode)
+
+
+def test_instances_share_one_step_table():
+    # a routine's statements compile once, whatever its instance count
+    model = model_of(watchdog_program(4))
+    dogs = [cfg for cfg in model.threads if cfg.routine == "dog"]
+    assert len(dogs) == 4
+    assert all(cfg.steps is dogs[0].steps for cfg in dogs)
+    assert model.threads[0].steps is not dogs[0].steps
 
 
 def test_chain_run_counts():

@@ -2,7 +2,7 @@ import pytest
 
 from conftest import node_ids, random_program, repeated_program
 from mtir.ast import expr_vars
-from mtir.bench import watchdog_program
+from mtir.bench import chain_program, watchdog_program
 from mtir.cfg import (
     SAssert, SBranch, SExit, SLoad, SLocal, SNondet, SStore, build_model,
     dominator_sets, ir_dump, loads_of, stores_of,
@@ -166,6 +166,13 @@ def test_instances_share_relative_shape():
                 assert shape == shapes[cfg.routine], (text, cfg.name)
             shapes.setdefault(cfg.routine, shape)
     assert repeated >= 40
+
+
+def test_deep_creation_chain_builds():
+    # the creation-cycle check walks the chain without recursing per link
+    model = build_model(parse(chain_program(1200)))
+    assert len(model.threads) == 1201
+    assert len(model.assertions) == 1200
 
 
 def test_dominators_of_long_path():

@@ -110,6 +110,43 @@ def test_long_straight_line_thread(tmp_path, capsys):
         assert "1/1 assertions verified" in out, mode
 
 
+def plus_chain(terms):
+    return ("thread main() { int x = 1; int y = " + " + ".join(["x"] * terms)
+            + "; assert(y >= 1); }\n")
+
+
+def not_chain(count):
+    return ("thread main() { int x = *; if (" + "!" * count + "(x > 0)) "
+            "{ x = 1; } else { x = 2; } assert(x >= 1); }\n")
+
+
+def test_deep_expressions(tmp_path, capsys):
+    # compiling and evaluating an expression or a branch condition takes
+    # one Python frame per nesting level, and a `!` chain none
+    prog = tmp_path / "deep.mtir"
+    for make in (plus_chain, not_chain):
+        prog.write_text(make(900))
+        for mode in ("fi", "fso"):
+            status, out, err = run_cli(capsys, "analyze", str(prog),
+                                       "--mode=" + mode)
+            assert (status, err) == (0, ""), (make.__name__, mode)
+            assert "1/1 assertions verified" in out, (make.__name__, mode)
+        prog.write_text(make(1200))
+        status, out, err = run_cli(capsys, "analyze", str(prog))
+        assert status == 2 and out == "", make.__name__
+        assert err.endswith("program nests too deeply\n"), make.__name__
+
+
+def test_bench_recursion_error_exits_two(monkeypatch, capsys):
+    def too_deep(*_):
+        raise RecursionError("maximum recursion depth exceeded")
+    monkeypatch.setattr(mtir.bench, "run_bench", too_deep)
+    status, out, err = run_cli(capsys, "bench", "--family=chain",
+                               "--sizes=3")
+    assert (status, out) == (2, "")
+    assert err == "error: a generated program nests too deeply\n"
+
+
 PEAK_RSS = """
 import resource, sys
 from mtir.cli import main

@@ -4,12 +4,18 @@ Every statement is normalized so that a shared (global) memory access is
 an isolated load or store node: loads pull a global into a fresh local,
 stores write an expression over locals only.  This makes the load/store
 nodes the unit of interference for the whole analysis.
+
+Each routine is lowered once, at its first instance.  A later instance
+is that graph with node ids shifted past the threads before it, and
+takes the sets derived from the graph (`_per_routine`) shifted as well.
 """
 
 from __future__ import annotations
 
+import collections
+import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 
 from .ast import (
     Assign, AssertStmt, BinOp, BoolLit, CreateStmt, ErrorStmt, Expr, If,
@@ -95,6 +101,25 @@ class Node:
 Edge = tuple[int, object]
 
 
+def _per_routine(shift):
+    """A cached property computed on a routine's first instance only; a
+    later one takes `shift(value, d)`: node ids + d, node masks << d."""
+    def wrap(compute):
+        @wraps(compute)
+        def get(cfg):
+            first = cfg.first_instance
+            if first is None:
+                return compute(cfg)
+            return shift(getattr(first, compute.__name__),
+                         cfg.first_node - first.first_node)
+        return cached_property(get)
+    return wrap
+
+
+def _shift_masks(masks: dict[int, int], d: int) -> dict[int, int]:
+    return {n + d: mask << d for n, mask in masks.items()}
+
+
 @dataclass
 class ThreadCfg:
     tid: int
@@ -121,20 +146,21 @@ class ThreadCfg:
     def node_order(self) -> list[int]:
         return sorted(self.nodes)
 
-    # the graph is fixed once `build_model` returns, so these are computed
-    # once per thread
-
-    @cached_property
-    def reach(self) -> dict[int, int]:
-        """Mask of the nodes reachable from each node via a nonempty path."""
-        return reachable_sets(self.succs)
-
     @cached_property
     def first_node(self) -> int:
         """Smallest node id; a thread's ids are consecutive."""
         return min(self.nodes)
 
-    @cached_property
+    # the graph is fixed once `build_model` returns, so these are computed
+    # once per routine
+
+    @_per_routine(_shift_masks)
+    def reach(self) -> dict[int, int]:
+        """Mask of the nodes reachable from each node via a nonempty path."""
+        return reachable_sets(self.succs)
+
+    @_per_routine(lambda by_var, d: {var: [n + d for n in ids]
+                                     for var, ids in by_var.items()})
     def stores_by_var(self) -> dict[str, list[int]]:
         """Store nodes per written global, in node order."""
         out: dict[str, list[int]] = {}
@@ -144,19 +170,18 @@ class ThreadCfg:
                 out.setdefault(stmt.var, []).append(n)
         return out
 
-    @cached_property
+    @_per_routine(_shift_masks)
     def dominators(self) -> dict[int, int]:
         """Dominator masks from the entry; each includes its own node."""
         return dominator_sets(self.succs, self.entry)
 
-    @cached_property
+    @_per_routine(lambda table, d: table)  # by relative node id
     def steps(self):
         """The compiled `interp.StepTable`, shared by a routine's instances."""
         from .interp import StepTable  # interp builds on this module
-        first = self.first_instance
-        return first.steps if first is not None else StepTable(self)
+        return StepTable(self)
 
-    @cached_property
+    @_per_routine(lambda heads, d: {n + d for n in heads})
     def loop_heads(self) -> set[int]:
         """Targets n of edges m->n where n dominates m."""
         return {n for m, edges in self.succs.items() for n, _ in edges
@@ -175,10 +200,6 @@ class ProgramModel:
     source: SourceProgram | None = None
 
     def __post_init__(self):
-        first: dict[str, ThreadCfg] = {}
-        for cfg in self.threads:
-            cfg.first_instance = first.get(cfg.routine)
-            first.setdefault(cfg.routine, cfg)
         self._node_index = {}
         for cfg in self.threads:
             for node in cfg.nodes.values():
@@ -343,31 +364,28 @@ class _ThreadBuilder:
         Returns (rewritten expr over locals, entry node id or None,
         open ends).  Each global occurrence becomes its own load node.
         """
-        entry = None
+        self.hoisted = [None, ends, line]  # entry, open ends, line
+        expr = self._hoist(expr)
+        entry, ends, _ = self.hoisted
+        return expr, entry, ends
 
-        def walk(e):
-            nonlocal entry, ends
-            if isinstance(e, Var) and e.name in self.globals:
-                t = self.fresh()
-                nid, ends = self.seq(ends, SLoad(t, e.name), line)
-                if entry is None:
-                    entry = nid
-                return Var(t)
-            if isinstance(e, Nondet):
-                t = self.fresh()
-                nid, ends = self.seq(ends, SNondet(t), line)
-                if entry is None:
-                    entry = nid
-                return Var(t)
-            if isinstance(e, UnaryOp):
-                return UnaryOp(e.op, walk(e.operand))
-            if isinstance(e, BinOp):
-                left = walk(e.left)
-                right = walk(e.right)
-                return BinOp(e.op, left, right)
-            return e
-
-        return walk(expr), entry, ends
+    def _hoist(self, e):
+        # a method, not a closure over itself, so that no reference cycle
+        # keeps the builder and its graph alive; one frame per level
+        if isinstance(e, Var) and e.name in self.globals \
+                or isinstance(e, Nondet):
+            entry, ends, line = self.hoisted
+            t = self.fresh()
+            stmt = SNondet(t) if isinstance(e, Nondet) else SLoad(t, e.name)
+            nid, ends = self.seq(ends, stmt, line)
+            self.hoisted = [nid if entry is None else entry, ends, line]
+            return Var(t)
+        if isinstance(e, UnaryOp):
+            return UnaryOp(e.op, self._hoist(e.operand))
+        if isinstance(e, BinOp):
+            left = self._hoist(e.left)
+            return BinOp(e.op, left, self._hoist(e.right))
+        return e
 
     def lower_block(self, stmts, ends):
         """Returns (entry node id or None, open ends after the block)."""
@@ -447,33 +465,30 @@ def _check_no_global_shadowing(routine: Routine, globals_: set):
             raise ModelError(
                 f"routine {routine.name!r}: parameter {param!r} shadows a "
                 "global")
+    _scan_shadowing(routine.body, globals_)
 
-    def scan(stmts):
-        for s in stmts:
-            if isinstance(s, Assign) and s.decl and s.target in globals_:
-                raise ModelError(
-                    f"line {s.line}: local declaration of {s.target!r} "
-                    "shadows a global")
-            elif isinstance(s, If):
-                scan(s.then_body)
-                scan(s.else_body)
-            elif isinstance(s, While):
-                scan(s.body)
 
-    scan(routine.body)
+def _scan_shadowing(stmts, globals_: set):
+    for s in stmts:
+        if isinstance(s, Assign) and s.decl and s.target in globals_:
+            raise ModelError(
+                f"line {s.line}: local declaration of {s.target!r} "
+                "shadows a global")
+        elif isinstance(s, If):
+            _scan_shadowing(s.then_body, globals_)
+            _scan_shadowing(s.else_body, globals_)
+        elif isinstance(s, While):
+            _scan_shadowing(s.body, globals_)
 
 
 def _instantiate(routine: Routine, tid, name, args, creation_site, globals_,
-                 ids) -> ThreadCfg:
-    if len(args) != len(routine.params):
-        raise ModelError(
-            f"routine {routine.name!r} takes {len(routine.params)} "
-            f"argument(s), got {len(args)}")
+                 first_id) -> ThreadCfg:
+    """Lower a routine to a thread whose node ids start at `first_id`."""
     _check_no_global_shadowing(routine, globals_)
     cfg = ThreadCfg(tid=tid, name=name, routine=routine.name,
                     creation_site=creation_site,
                     params=dict(zip(routine.params, args)))
-    builder = _ThreadBuilder(cfg, globals_, ids)
+    builder = _ThreadBuilder(cfg, globals_, itertools.count(first_id))
     entry, ends = builder.lower_block(routine.body, [])
     exit_id = builder.new_node(SExit(), routine.end_line)
     builder.connect(ends, exit_id)
@@ -488,27 +503,42 @@ def _instantiate(routine: Routine, tid, name, args, creation_site, globals_,
     return cfg
 
 
+def _copy(first: ThreadCfg, tid, args, creation_site, first_id) -> ThreadCfg:
+    """A later instance of `first`'s routine: the same graph with node ids
+    shifted to start at `first_id`, sharing statements and edge filters."""
+    d = first_id - first.first_node
+    cfg = ThreadCfg(tid=tid, name=first.routine, routine=first.routine,
+                    entry=first.entry + d, exit=first.exit + d,
+                    creation_site=creation_site,
+                    params=dict(zip(first.params, args)),
+                    first_instance=first)
+    for n, node in first.nodes.items():
+        cfg.nodes[n + d] = Node(n + d, tid, node.line, node.stmt)
+        cfg.succs[n + d] = [(dst + d, filt) for dst, filt in first.succs[n]]
+    return cfg
+
+
+def _scan_creates(stmts, in_loop, created: set):
+    for s in stmts:
+        if isinstance(s, CreateStmt):
+            if in_loop:
+                raise CreateInLoopError(
+                    f"line {s.line}: create inside a loop would make "
+                    "the thread count dynamic")
+            created.add(s.routine)
+        elif isinstance(s, If):
+            _scan_creates(s.then_body, in_loop, created)
+            _scan_creates(s.else_body, in_loop, created)
+        elif isinstance(s, While):
+            _scan_creates(s.body, True, created)
+
+
 def _check_creation_shape(prog: SourceProgram):
     """Creation must be a finite tree: no routine creates itself
     (transitively) and no create site sits inside a loop."""
     edges: dict[str, set[str]] = {r.name: set() for r in prog.routines}
-
-    def scan(stmts, routine, in_loop):
-        for s in stmts:
-            if isinstance(s, CreateStmt):
-                if in_loop:
-                    raise CreateInLoopError(
-                        f"line {s.line}: create inside a loop would make "
-                        "the thread count dynamic")
-                edges[routine].add(s.routine)
-            elif isinstance(s, If):
-                scan(s.then_body, routine, in_loop)
-                scan(s.else_body, routine, in_loop)
-            elif isinstance(s, While):
-                scan(s.body, routine, True)
-
     for r in prog.routines:
-        scan(r.body, r.name, False)
+        _scan_creates(r.body, False, edges[r.name])
 
     # cycle check over the routine creation graph: a depth-first search on
     # an explicit stack (its names are the trail), not one frame per link
@@ -535,37 +565,39 @@ def build_model(prog: SourceProgram) -> ProgramModel:
     """Instantiate one ThreadCfg per create site plus the entry thread."""
     _check_creation_shape(prog)
     globals_ = {name: init for name, _, init in prog.globals}
-    ids = iter(range(10 ** 9))
-
-    entry_routine = prog.routine(prog.entry)
-    threads = [_instantiate(entry_routine, 0, prog.entry, [], None,
-                            set(globals_), ids)]
+    threads: list[ThreadCfg] = []
     creates: list[tuple[int, int]] = []
-    instance_count: dict[str, int] = {prog.entry: 1}
+    first: dict[str, ThreadCfg] = {}  # routine -> its first instance
+    next_id = 0
 
     # breadth-first over create sites, in node order: deterministic tids
-    queue = [threads[0]]
-    while queue:
-        parent = queue.pop(0)
-        for nid in parent.node_order():
-            stmt = parent.nodes[nid].stmt
-            if not isinstance(stmt, SCreate):
-                continue
-            routine = prog.routine(stmt.routine)
-            count = instance_count.get(stmt.routine, 0)
-            instance_count[stmt.routine] = count + 1
-            tid = len(threads)
-            child = _instantiate(routine, tid, stmt.routine, list(stmt.args),
-                                 nid, set(globals_), ids)
-            threads.append(child)
-            creates.append((nid, tid))
-            queue.append(child)
+    todo = [(prog.entry, (), None)]  # routine, args, create site
+    for name, args, site in todo:  # grows while it is walked
+        routine, tid = prog.routine(name), len(threads)
+        if len(args) != len(routine.params):
+            raise ModelError(
+                f"routine {name!r} takes {len(routine.params)} "
+                f"argument(s), got {len(args)}")
+        if name in first:
+            cfg = _copy(first[name], tid, args, site, next_id)
+        else:
+            cfg = first[name] = _instantiate(routine, tid, name, args, site,
+                                             set(globals_), next_id)
+        next_id += len(cfg.nodes)
+        threads.append(cfg)
+        if site is not None:
+            creates.append((site, tid))
+        for nid in cfg.node_order():
+            stmt = cfg.nodes[nid].stmt
+            if isinstance(stmt, SCreate):
+                todo.append((stmt.routine, stmt.args, nid))
 
     # name repeated instances "routine#k"
+    total = collections.Counter(cfg.routine for cfg in threads)
+    seen: dict[str, int] = {}
     for cfg in threads:
-        if instance_count.get(cfg.routine, 0) > 1:
-            k = sum(1 for other in threads[:cfg.tid]
-                    if other.routine == cfg.routine) + 1
+        if total[cfg.routine] > 1:
+            seen[cfg.routine] = k = seen.get(cfg.routine, 0) + 1
             cfg.name = "%s#%d" % (cfg.routine, k)
 
     # resolve joins: FIFO against the unjoined children this thread
@@ -598,21 +630,24 @@ def build_model(prog: SourceProgram) -> ProgramModel:
 
 def _check_normalization(model: ProgramModel):
     globals_ = set(model.globals)
-    for node in model.all_nodes():
-        s = node.stmt
-        accesses = 0
-        if isinstance(s, SLoad):
-            accesses = 1
-        elif isinstance(s, SStore):
-            accesses = 1 + len(expr_vars(s.expr) & globals_)
-        elif isinstance(s, SLocal):
-            accesses = len(expr_vars(s.expr) & globals_)
-        elif isinstance(s, (SBranch, SAssert)):
-            accesses = len(expr_vars(s.cond) & globals_)
-        if accesses > 1 or (accesses == 1 and not isinstance(s, (SLoad, SStore))):
-            raise ModelError(
-                f"node {model.node_name(node.id)} breaks normalization: {s}")
     for cfg in model.threads:
+        if cfg.first_instance is not None:
+            continue  # a copy of a checked thread
+        for nid in cfg.node_order():
+            s = cfg.nodes[nid].stmt
+            accesses = 0
+            if isinstance(s, SLoad):
+                accesses = 1
+            elif isinstance(s, SStore):
+                accesses = 1 + len(expr_vars(s.expr) & globals_)
+            elif isinstance(s, SLocal):
+                accesses = len(expr_vars(s.expr) & globals_)
+            elif isinstance(s, (SBranch, SAssert)):
+                accesses = len(expr_vars(s.cond) & globals_)
+            if accesses > 1 or (accesses == 1
+                                and not isinstance(s, (SLoad, SStore))):
+                raise ModelError(
+                    f"node {model.node_name(nid)} breaks normalization: {s}")
         preds = cfg.preds()
         if preds[cfg.entry]:
             raise ModelError(f"{cfg.name}: entry node has predecessors")

@@ -89,10 +89,11 @@ class Interval:
         """Refine only infinite bounds using the descending iterate."""
         if other.empty:
             return EMPTY
-        if self.lo != -INF and self.hi != INF:
+        lo = other.lo if self.lo == -INF else self.lo
+        hi = other.hi if self.hi == INF else self.hi
+        if lo == self.lo and hi == self.hi:
             return self
-        return interval(other.lo if self.lo == -INF else self.lo,
-                        other.hi if self.hi == INF else self.hi)
+        return interval(lo, hi)
 
 
 TOP = Interval(-INF, INF)
@@ -366,10 +367,12 @@ class AbstractEnv:
             return self
         if other.bottom:
             return other
-        out = dict(self.bindings)
+        out, kept = dict(self.bindings), 0
         for name, iv in other.bindings.items():
-            out[name] = out.get(name, TOP).narrow(iv)
-        return AbstractEnv(out)
+            x = out.get(name, TOP)
+            out[name] = y = x.narrow(iv)
+            kept += y is x
+        return self if kept == len(other.bindings) else AbstractEnv(out)
 
     def project(self, names) -> "AbstractEnv":
         if self.bottom:

@@ -75,7 +75,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cfg import ProgramModel, bits, is_load, is_store, loads_of
+from .cfg import ProgramModel, ThreadCfg, bits, is_load, is_store, loads_of
 from .interp import SelfSource, StoreSource
 
 DERIVED = ("MHBS", "MHB", "MustNotReadFrom")
@@ -330,6 +330,29 @@ def initial_value_loads(model: ProgramModel) -> set[int]:
 
 # --- ordering rows and the feasibility engine ---------------------------------
 
+def _local_rows(cfg: ThreadCfg, s1: list, po: list):
+    """Fill in the S1 and PO masks of a thread's nodes: what each node
+    dominates and what it reaches, less the nodes on a cycle with it."""
+    reach, dom = cfg.reach, cfg.dominators
+    # a node m that n reaches reaches n back exactly when n is on a cycle
+    # and both reach the same nodes
+    alike: dict = {}
+    for n in cfg.nodes:
+        alike[reach[n]] = alike.get(reach[n], 0) | 1 << n
+    # what each node dominates: the strict dominators of n are the
+    # dominators of its immediate dominator, so, deepest first, each node
+    # adds its mask to that one's
+    owner = {mask: n for n, mask in dom.items()}
+    below = {n: 1 << n for n in dom}
+    for n in sorted(dom, key=lambda n: -dom[n].bit_count()):
+        if n != cfg.entry:
+            below[owner[dom[n] ^ 1 << n]] |= below[n]
+    for n in cfg.nodes:
+        back = alike[reach[n]] if reach[n] >> n & 1 else 0
+        s1[n] = below[n] & ~back & ~(1 << n)
+        po[n] = reach[n] & ~back
+
+
 class _OrderingRows:
     """The base MHB and MHBS relations as bitset rows: a real node's
     position is its id, each `init:<var>` node gets a position after
@@ -339,10 +362,11 @@ class _OrderingRows:
 
     The rows are filled from the CFGs' node masks.  Within a thread, rule
     S1 reads what each node dominates and rule PO what it reaches; both
-    are already transitive.  The create and join edges (S2a, S2b) are the
-    only steps between threads, so a row is its thread-local part plus,
-    for each edge leaving the node or a node locally after it, the edge's
-    target and that target's strong row (S4 for MHBS, W4 for MHB)."""
+    are already transitive, and computed once per routine.  The create
+    and join edges (S2a, S2b) are the only steps between threads, so a
+    row is its thread-local part plus, for each edge leaving the node or a
+    node locally after it, the edge's target and that target's strong row
+    (S4 for MHBS, W4 for MHB)."""
 
     def __init__(self, model: ProgramModel):
         real = sum(len(cfg.nodes) for cfg in model.threads)
@@ -361,27 +385,17 @@ class _OrderingRows:
         self.load_var: dict = {}
         self.store_var: dict = {}
         for cfg in model.threads:
-            reach, dom = cfg.reach, cfg.dominators
-            # a node m that n reaches reaches n back exactly when n is on
-            # a cycle and both reach the same nodes
-            alike: dict = {}
-            for n in cfg.nodes:
-                alike[reach[n]] = alike.get(reach[n], 0) | 1 << n
-            # what each node dominates: the strict dominators of n are the
-            # dominators of its immediate dominator, so, deepest first,
-            # each node adds its mask to that one's
-            owner = {mask: n for n, mask in dom.items()}
-            below = {n: 1 << n for n in dom}
-            for n in sorted(dom, key=lambda n: -dom[n].bit_count()):
-                if n != cfg.entry:
-                    below[owner[dom[n] ^ 1 << n]] |= below[n]
+            first = cfg.first_instance
+            if first is None:
+                _local_rows(cfg, s1, po)
+            else:  # shifted from the routine's first instance
+                d = cfg.first_node - first.first_node
+                for n in first.nodes:
+                    s1[n + d], po[n + d] = s1[n] << d, po[n] << d
             mask = 0
             for n in cfg.node_order():
                 if n in edge:
                     mask |= 1 << n
-                back = alike[reach[n]] if reach[n] >> n & 1 else 0
-                s1[n] = below[n] & ~back & ~(1 << n)
-                po[n] = reach[n] & ~back
                 node = cfg.nodes[n]
                 if is_load(node):
                     self.load_var[n] = node.stmt.var

@@ -31,10 +31,6 @@ class DependenceGraph:
         table = self.control if kind == "cd" else self.data
         table.setdefault(src, set()).add(dst)
 
-    def successors(self, n: int):
-        yield from self.control.get(n, ())
-        yield from self.data.get(n, ())
-
     def edges(self):
         for src, dsts in sorted(self.control.items()):
             for dst in sorted(dsts):
@@ -147,8 +143,18 @@ def _data_dependence(cfg: ThreadCfg, graph: DependenceGraph):
 def build_pdg(model: ProgramModel) -> DependenceGraph:
     graph = DependenceGraph()
     for cfg in model.threads:
-        _control_dependence(cfg, graph)
-        _data_dependence(cfg, graph)
+        first = cfg.first_instance
+        if first is None:
+            _control_dependence(cfg, graph)
+            _data_dependence(cfg, graph)
+            continue
+        # a later instance shifts its routine's first instance's edges,
+        # which are all the graph holds for those nodes so far
+        d = cfg.first_node - first.first_node
+        for table in (graph.control, graph.data):
+            for n in first.nodes:
+                if n in table:
+                    table[n + d] = {dst + d for dst in table[n]}
     # global flows: any store to v may feed any load of v
     stores = {}
     for node in model.all_nodes():

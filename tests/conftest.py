@@ -201,3 +201,24 @@ def repeated_program(seed: int) -> str:
         lines.append("  assert(mj >= %d);" % rng.randint(-1, 2))
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# a routine whose body starts with a loop, so its entry is a synthetic nop,
+# instantiated three times with different arguments by two routines
+LOOP_HEADED = """int g = 0;
+thread spin(int k) { while (g < k) { g = g + 1; } assert(k >= 3); }
+thread boss() { create(spin, 3); create(spin, 5); join(spin); }
+thread main() { create(boss); create(spin, 7); int v = g; assert(v <= 7); }
+"""
+
+
+def instance_programs():
+    """Programs whose routines run as several instances: the corpus,
+    watchdog/4, `random_program` seeds 0-59, `repeated_program` seeds 0-39
+    and a loop-headed routine."""
+    from mtir.bench import watchdog_program
+    yield from (source(name) for name in PROGRAMS)
+    yield watchdog_program(4)
+    yield from (random_program(seed) for seed in range(60))
+    yield from (repeated_program(seed) for seed in range(40))
+    yield LOOP_HEADED

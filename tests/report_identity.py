@@ -12,7 +12,8 @@ at its parent and at the change and comparing the two files with `cmp`.
 The set: the corpus, watchdog 4/16/32, chain 10/20, a thread with two
 parameters, a `main` of 400 straight-line statements, one program with
 each expression and condition shape the compiled evaluator treats
-apart, a 900-term `+` chain and a branch on 900 `!`, `random_program`
+apart, a 900-term `+` chain and a branch on 900 `!`, a loop-headed
+routine created three times from two routines, `random_program`
 seeds 0-119, `repeated_program` seeds 0-39 and `stress_soundness`'s
 `loopy_program` seeds 0-19.
 """
@@ -97,6 +98,32 @@ thread main() {
 }
 """
 
+# a routine whose body starts with a loop, so its entry is a synthetic
+# nop, instantiated three times with different arguments by two routines,
+# one instance joined
+LOOP_START = """int g = 0;
+int h = 0;
+thread spin(int k) {
+  while (g < k) { g = g + 1; }
+  h = k;
+  assert(k >= 3);
+}
+thread boss(int a) {
+  create(spin, 3);
+  int t = a + 1;
+  create(spin, 5);
+  join(spin);
+  int r = h;
+  assert(r >= t);
+}
+thread main() {
+  create(boss, 2);
+  create(spin, 7);
+  int v = g;
+  assert(v <= 7);
+}
+"""
+
 DEEP_PLUS = ("thread main() { int x = *; int y = "
              + " + ".join(["x"] * 900) + "; assert(y >= 0); }\n")
 
@@ -114,6 +141,7 @@ def programs():
     yield "two_params", TWO_PARAMS
     yield "flat400", FLAT
     yield "shapes", SHAPES
+    yield "loop_start", LOOP_START
     yield "deep_plus900", DEEP_PLUS
     yield "deep_not900", DEEP_NOT
     for family, generator, count in (("random", random_program, 120),

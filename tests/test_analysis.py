@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from conftest import (
@@ -452,9 +455,10 @@ def test_chain_run_counts():
                       "fsc": (31, 20, 112, 81), "fso": (31, 20, 112, 81)}
 
 
-def test_cfg_sets_computed_once_per_thread(monkeypatch):
-    # the graph is fixed once build_model returns: analyses compute each
-    # thread's dominators once and its reachability not at all
+def test_cfg_sets_computed_once_per_routine(monkeypatch):
+    # the graph is fixed once build_model returns and later instances are
+    # shifted copies: analyses compute each routine's dominators once and
+    # its reachability not at all
     from mtir import cfg as cfg_mod
     model = model_of(watchdog_program(8))
     calls = dict.fromkeys(("dominator_sets", "reachable_sets"), 0)
@@ -465,5 +469,27 @@ def test_cfg_sets_computed_once_per_thread(monkeypatch):
         monkeypatch.setattr(cfg_mod, name, counting)
     for mode in ("fs", "fi", "fsc"):
         analyze(model, AnalysisConfig(mode=mode))
-    assert calls == {"dominator_sets": len(model.threads),
-                     "reachable_sets": 0}
+    # nine threads of two routines
+    assert len(model.threads) == 9
+    assert len({cfg.routine for cfg in model.threads}) == 2
+    assert calls == {"dominator_sets": 2, "reachable_sets": 0}
+
+
+def test_models_freed_by_reference_counting():
+    # a model holds no reference cycle, so it and its threads are freed as
+    # soon as the last reference goes, without the cyclic collector
+    texts = [source(name) for name in PROGRAMS] + [watchdog_program(4)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for text in texts:
+            model = model_of(text)
+            for mode in MODES:
+                analyze(model, AnalysisConfig(mode=mode))
+            refs = [weakref.ref(model)]
+            refs += [weakref.ref(cfg) for cfg in model.threads]
+            del model
+            assert [ref for ref in refs if ref() is not None] == [], text
+    finally:
+        if enabled:
+            gc.enable()

@@ -1,11 +1,14 @@
 import pytest
 
-from conftest import node_ids, random_program, repeated_program
+from conftest import (
+    instance_programs, node_ids, random_program, repeated_program,
+)
 from mtir.ast import expr_vars
 from mtir.bench import chain_program, watchdog_program
 from mtir.cfg import (
-    SAssert, SBranch, SExit, SLoad, SLocal, SNondet, SStore, build_model,
-    dominator_sets, ir_dump, loads_of, stores_of,
+    SAssert, SBranch, SExit, SLoad, SLocal, SNondet, SNop, SStore,
+    _instantiate, build_model, dominator_sets, ir_dump, loads_of,
+    reachable_sets, stores_of,
 )
 from mtir.errors import (
     CreateInLoopError, JoinWithoutCreateError, ModelError,
@@ -166,6 +169,47 @@ def test_instances_share_relative_shape():
                 assert shape == shapes[cfg.routine], (text, cfg.name)
             shapes.setdefault(cfg.routine, shape)
     assert repeated >= 40
+
+
+def test_copies_equal_fresh_lowering():
+    # a later instance is its routine's first instance with shifted ids;
+    # lowering it afresh at the same first id gives the same graph
+    copies = nop_entries = 0
+    for text in instance_programs():
+        prog = parse(text)
+        model = build_model(prog)
+        for cfg in model.threads:
+            first = cfg.first_instance
+            if first is None:
+                continue
+            copies += 1
+            nop_entries += isinstance(cfg.nodes[cfg.entry].stmt, SNop)
+            fresh = _instantiate(prog.routine(cfg.routine), cfg.tid, cfg.name,
+                                 list(cfg.params.values()), cfg.creation_site,
+                                 set(model.globals), cfg.first_node)
+            assert fresh.nodes == cfg.nodes, (text, cfg.name)
+            assert fresh.succs == cfg.succs, (text, cfg.name)
+            assert (fresh.entry, fresh.exit, fresh.params) \
+                == (cfg.entry, cfg.exit, cfg.params)
+            d = cfg.first_node - first.first_node
+            assert all(node.stmt is first.nodes[n - d].stmt
+                       for n, node in cfg.nodes.items())
+    assert copies >= 60 and nop_entries >= 2
+
+
+def test_derived_sets_equal_fresh_computation():
+    for text in instance_programs():
+        for cfg in model_of(text).threads:
+            dom = dominator_sets(cfg.succs, cfg.entry)
+            stores = {}
+            for n in cfg.node_order():
+                if isinstance(cfg.nodes[n].stmt, SStore):
+                    stores.setdefault(cfg.nodes[n].stmt.var, []).append(n)
+            assert cfg.reach == reachable_sets(cfg.succs), (text, cfg.name)
+            assert cfg.dominators == dom, (text, cfg.name)
+            assert cfg.loop_heads == {n for m, edges in cfg.succs.items()
+                                      for n, _ in edges if dom[m] >> n & 1}
+            assert cfg.stores_by_var == stores, (text, cfg.name)
 
 
 def test_deep_creation_chain_builds():

@@ -270,6 +270,22 @@ def test_narrowing_bounds():
         assert b.leq(n) and n.leq(a)
 
 
+def test_narrowing_returns_its_operand_when_nothing_narrows():
+    rng = random.Random(19)
+    kept = {"interval": 0, "env": 0}
+    for _ in range(N_CASES):
+        a, b = rand_interval(rng), rand_interval(rng)
+        x = rand_env(rng)
+        for kind, lhs, rhs in (("interval", a, b), ("interval", a, a.meet(b)),
+                               ("env", x, rand_env(rng)),
+                               ("env", x, rand_env(rng).meet(x))):
+            got = lhs.narrow(rhs)
+            if got == lhs:
+                assert got is lhs, (lhs, rhs)
+                kept[kind] += 1
+    assert min(kept.values()) > N_CASES // 4, kept
+
+
 def rand_stmt(rng, names):
     kind = rng.randrange(5)
     target = rng.choice(names)

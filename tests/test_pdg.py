@@ -1,9 +1,10 @@
-from conftest import node_ids
+from conftest import instance_programs, node_ids
 from mtir.analysis import AnalysisConfig, analyze
-from mtir.cfg import build_model, loads_of
+from mtir.cfg import build_model, is_load, is_store, loads_of
 from mtir.parser import parse
 from mtir.pdg import (
-    apply_pruning, backward_slices, build_pdg, cluster, dot_dump,
+    DependenceGraph, _control_dependence, _data_dependence, apply_pruning,
+    backward_slices, build_pdg, cluster, dot_dump,
 )
 from mtir.corpus import source
 
@@ -176,3 +177,23 @@ def test_dot_dump_shape():
     assert text.startswith("digraph pdg {")
     assert 'label="cd"' in text and 'label="dd"' in text
     assert "style=dotted" in text
+
+
+def test_shifted_dependences_equal_fresh_ones():
+    # build_pdg computes a routine's thread-local dependences once and
+    # shifts them to each instance; computing them per thread gives the
+    # same graph, next to the store->load and create edges
+    for text in instance_programs():
+        model = build_model(parse(text))
+        fresh = DependenceGraph()
+        for cfg in model.threads:
+            _control_dependence(cfg, fresh)
+            _data_dependence(cfg, fresh)
+        for node in model.all_nodes():
+            if is_load(node):
+                for other in model.all_nodes():
+                    if is_store(other) and other.stmt.var == node.stmt.var:
+                        fresh.add("dd", other.id, node.id)
+        for create_node, child in model.creates:
+            fresh.add("dd", create_node, model.thread(child).entry)
+        assert list(build_pdg(model).edges()) == list(fresh.edges()), text

@@ -59,11 +59,14 @@ def expr_vars(e: Expr) -> set[str]:
 
 # --- statements ------------------------------------------------------------
 
+# Source positions (`line`, `end_line`) are not part of a node's value:
+# two statements or routines are equal when they say the same thing.
+
 @dataclass
 class Assign:
     target: str
     expr: Expr
-    line: int
+    line: int = field(compare=False)
     decl: bool = False  # declared with a type at this site
 
 
@@ -72,42 +75,58 @@ class If:
     cond: Expr
     then_body: list["Stmt"]
     else_body: list["Stmt"]
-    line: int
+    line: int = field(compare=False)
 
 
 @dataclass
 class While:
     cond: Expr
     body: list["Stmt"]
-    line: int
+    line: int = field(compare=False)
 
 
 @dataclass
 class AssertStmt:
     cond: Expr
-    line: int
+    line: int = field(compare=False)
 
 
 @dataclass
 class ErrorStmt:
     """`error;` - sugar for assert(false) at this location."""
-    line: int
+    line: int = field(compare=False)
 
 
 @dataclass
 class CreateStmt:
     routine: str
     args: list[int]
-    line: int
+    line: int = field(compare=False)
 
 
 @dataclass
 class JoinStmt:
     routine: str
-    line: int
+    line: int = field(compare=False)
 
 
 Stmt = Assign | If | While | AssertStmt | ErrorStmt | CreateStmt | JoinStmt
+
+
+def statements(body: list[Stmt]):
+    """Yield `(stmt, in_loop)` for every statement of `body` and of the
+    blocks nested in it, in source order (`then` before `else`), where
+    `in_loop` tells whether a `while` encloses it.  Walks an explicit
+    stack, not one frame per nesting level."""
+    stack = [(s, False) for s in reversed(body)]
+    while stack:
+        s, in_loop = stack.pop()
+        yield s, in_loop
+        if isinstance(s, If):
+            stack.extend((x, in_loop) for x in reversed(s.else_body))
+            stack.extend((x, in_loop) for x in reversed(s.then_body))
+        elif isinstance(s, While):
+            stack.extend((x, True) for x in reversed(s.body))
 
 
 @dataclass
@@ -115,8 +134,8 @@ class Routine:
     name: str
     params: list[str]
     body: list[Stmt]
-    line: int
-    end_line: int
+    line: int = field(compare=False)
+    end_line: int = field(compare=False)
 
 
 @dataclass
@@ -165,7 +184,9 @@ def expr_to_source(e: Expr, parent_prec: int = 0) -> str:
 
 def _stmt_lines(s: Stmt, indent: str) -> list[str]:
     if isinstance(s, Assign):
-        return [f"{indent}{s.target} = {expr_to_source(s.expr)};"]
+        # the AST keeps no local's type, so a declaration prints as `int`
+        decl = "int " if s.decl else ""
+        return [f"{indent}{decl}{s.target} = {expr_to_source(s.expr)};"]
     if isinstance(s, If):
         out = [f"{indent}if ({expr_to_source(s.cond)}) {{"]
         for inner in s.then_body:
@@ -210,43 +231,3 @@ def to_source(prog: SourceProgram) -> str:
         lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-def strip_lines(prog: SourceProgram) -> object:
-    """Structural fingerprint of a program, ignoring source positions.
-
-    Used by the round-trip test: pretty printing moves statements to new
-    lines, so equality must be up to positions.
-    """
-    def expr_key(e):
-        if isinstance(e, UnaryOp):
-            return ("!", expr_key(e.operand))
-        if isinstance(e, BinOp):
-            return (e.op, expr_key(e.left), expr_key(e.right))
-        return e
-
-    def stmt_key(s):
-        if isinstance(s, Assign):
-            return ("assign", s.target, expr_key(s.expr))
-        if isinstance(s, If):
-            return ("if", expr_key(s.cond),
-                    tuple(stmt_key(x) for x in s.then_body),
-                    tuple(stmt_key(x) for x in s.else_body))
-        if isinstance(s, While):
-            return ("while", expr_key(s.cond),
-                    tuple(stmt_key(x) for x in s.body))
-        if isinstance(s, AssertStmt):
-            return ("assert", expr_key(s.cond))
-        if isinstance(s, ErrorStmt):
-            return ("error",)
-        if isinstance(s, CreateStmt):
-            return ("create", s.routine, tuple(s.args))
-        if isinstance(s, JoinStmt):
-            return ("join", s.routine)
-        raise TypeError(s)
-
-    return (
-        tuple(prog.globals),
-        tuple((r.name, tuple(r.params), tuple(stmt_key(s) for s in r.body))
-              for r in prog.routines),
-        prog.entry,
-    )

@@ -13,14 +13,13 @@ takes the sets derived from the graph (`_per_routine`) shifted as well.
 from __future__ import annotations
 
 import collections
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
 
 from .ast import (
     Assign, AssertStmt, BinOp, BoolLit, CreateStmt, ErrorStmt, Expr, If,
     IntLit, JoinStmt, Nondet, Routine, SourceProgram, UnaryOp, Var, While,
-    expr_vars,
+    expr_vars, statements,
 )
 from .errors import (
     CreateInLoopError, JoinWithoutCreateError, ModelError,
@@ -332,10 +331,14 @@ def dominator_sets(succs: dict[int, list[Edge]], entry: int) -> dict[int, int]:
 # --- lowering ----------------------------------------------------------------
 
 class _ThreadBuilder:
-    def __init__(self, cfg: ThreadCfg, globals_: set[str], ids):
+    """Lowers a routine's statements, handing out node ids in creation
+    order: the entry of a fragment that made nodes is the first id it
+    took, so the lowering returns only open ends."""
+
+    def __init__(self, cfg: ThreadCfg, globals_: set[str], first_id: int):
         self.cfg = cfg
         self.globals = globals_
-        self.ids = ids  # shared counter across all threads
+        self.next_id = first_id
         self.temp_count = 0
 
     def fresh(self) -> str:
@@ -344,7 +347,8 @@ class _ThreadBuilder:
         return name
 
     def new_node(self, stmt, line) -> int:
-        nid = next(self.ids)
+        nid = self.next_id
+        self.next_id += 1
         self.cfg.nodes[nid] = Node(nid, self.cfg.tid, line, stmt)
         self.cfg.succs[nid] = []
         return nid
@@ -356,29 +360,26 @@ class _ThreadBuilder:
     def seq(self, ends, stmt, line):
         nid = self.new_node(stmt, line)
         self.connect(ends, nid)
-        return nid, [(nid, None)]
+        return [(nid, None)]
 
     def hoist(self, expr: Expr, ends, line):
         """Pull global reads and nondet picks out of an expression.
 
-        Returns (rewritten expr over locals, entry node id or None,
-        open ends).  Each global occurrence becomes its own load node.
+        Returns (rewritten expr over locals, open ends).  Each global
+        occurrence becomes its own load node.
         """
-        self.hoisted = [None, ends, line]  # entry, open ends, line
+        self.ends, self.line = ends, line
         expr = self._hoist(expr)
-        entry, ends, _ = self.hoisted
-        return expr, entry, ends
+        return expr, self.ends
 
     def _hoist(self, e):
         # a method, not a closure over itself, so that no reference cycle
         # keeps the builder and its graph alive; one frame per level
         if isinstance(e, Var) and e.name in self.globals \
                 or isinstance(e, Nondet):
-            entry, ends, line = self.hoisted
             t = self.fresh()
             stmt = SNondet(t) if isinstance(e, Nondet) else SLoad(t, e.name)
-            nid, ends = self.seq(ends, stmt, line)
-            self.hoisted = [nid if entry is None else entry, ends, line]
+            self.ends = self.seq(self.ends, stmt, self.line)
             return Var(t)
         if isinstance(e, UnaryOp):
             return UnaryOp(e.op, self._hoist(e.operand))
@@ -388,73 +389,59 @@ class _ThreadBuilder:
         return e
 
     def lower_block(self, stmts, ends):
-        """Returns (entry node id or None, open ends after the block)."""
-        block_entry = None
+        """Returns the open ends after the block."""
         for s in stmts:
-            entry, ends = self.lower_stmt(s, ends)
-            if block_entry is None:
-                block_entry = entry
-        return block_entry, ends
+            ends = self.lower_stmt(s, ends)
+        return ends
 
     def lower_stmt(self, s, ends):
         if isinstance(s, Assign):
             if isinstance(s.expr, Var) and s.expr.name in self.globals \
                     and s.target not in self.globals:
-                nid, ends = self.seq(ends, SLoad(s.target, s.expr.name), s.line)
-                return nid, ends
+                return self.seq(ends, SLoad(s.target, s.expr.name), s.line)
             if isinstance(s.expr, Nondet) and s.target not in self.globals:
-                nid, ends = self.seq(ends, SNondet(s.target), s.line)
-                return nid, ends
-            expr, entry, ends = self.hoist(s.expr, ends, s.line)
-            if s.target in self.globals:
-                if not isinstance(expr, (IntLit, BoolLit, Var)):
-                    t = self.fresh()
-                    nid, ends = self.seq(ends, SLocal(t, expr), s.line)
-                    if entry is None:
-                        entry = nid
-                    expr = Var(t)
-                nid, ends = self.seq(ends, SStore(s.target, expr), s.line)
-            else:
-                nid, ends = self.seq(ends, SLocal(s.target, expr), s.line)
-            return entry if entry is not None else nid, ends
+                return self.seq(ends, SNondet(s.target), s.line)
+            expr, ends = self.hoist(s.expr, ends, s.line)
+            if s.target not in self.globals:
+                return self.seq(ends, SLocal(s.target, expr), s.line)
+            if not isinstance(expr, (IntLit, BoolLit, Var)):
+                t = self.fresh()
+                ends = self.seq(ends, SLocal(t, expr), s.line)
+                expr = Var(t)
+            return self.seq(ends, SStore(s.target, expr), s.line)
 
         if isinstance(s, If):
-            cond, entry, ends = self.hoist(s.cond, ends, s.line)
-            branch, _ = self.seq(ends, SBranch(cond), s.line)
-            if entry is None:
-                entry = branch
-            then_ends = [(branch, ("assume", cond, True))]
-            then_entry, then_ends = self.lower_block(s.then_body, then_ends)
-            else_ends = [(branch, ("assume", cond, False))]
-            else_entry, else_ends = self.lower_block(s.else_body, else_ends)
-            return entry, then_ends + else_ends
+            cond, ends = self.hoist(s.cond, ends, s.line)
+            branch = self.new_node(SBranch(cond), s.line)
+            self.connect(ends, branch)
+            then_ends = self.lower_block(
+                s.then_body, [(branch, ("assume", cond, True))])
+            else_ends = self.lower_block(
+                s.else_body, [(branch, ("assume", cond, False))])
+            return then_ends + else_ends
 
         if isinstance(s, While):
-            cond, head, pre_ends = self.hoist(s.cond, ends, s.line)
-            branch, _ = self.seq(pre_ends, SBranch(cond), s.line)
-            if head is None:
-                head = branch
-            body_ends = [(branch, ("assume", cond, True))]
-            _, body_ends = self.lower_block(s.body, body_ends)
+            head = self.next_id  # the condition's first load, or the branch
+            cond, ends = self.hoist(s.cond, ends, s.line)
+            branch = self.new_node(SBranch(cond), s.line)
+            self.connect(ends, branch)
+            body_ends = self.lower_block(
+                s.body, [(branch, ("assume", cond, True))])
             self.connect(body_ends, head)  # back edge to cond re-evaluation
-            return head, [(branch, ("assume", cond, False))]
+            return [(branch, ("assume", cond, False))]
 
         if isinstance(s, AssertStmt):
-            cond, entry, ends = self.hoist(s.cond, ends, s.line)
-            nid, ends = self.seq(ends, SAssert(cond), s.line)
-            return entry if entry is not None else nid, ends
+            cond, ends = self.hoist(s.cond, ends, s.line)
+            return self.seq(ends, SAssert(cond), s.line)
 
         if isinstance(s, ErrorStmt):
-            nid, ends = self.seq(ends, SAssert(BoolLit(False)), s.line)
-            return nid, ends
+            return self.seq(ends, SAssert(BoolLit(False)), s.line)
 
         if isinstance(s, CreateStmt):
-            nid, ends = self.seq(ends, SCreate(s.routine, tuple(s.args)), s.line)
-            return nid, ends
+            return self.seq(ends, SCreate(s.routine, tuple(s.args)), s.line)
 
         if isinstance(s, JoinStmt):
-            nid, ends = self.seq(ends, SJoin(s.routine), s.line)
-            return nid, ends
+            return self.seq(ends, SJoin(s.routine), s.line)
 
         raise TypeError(s)
 
@@ -465,20 +452,11 @@ def _check_no_global_shadowing(routine: Routine, globals_: set):
             raise ModelError(
                 f"routine {routine.name!r}: parameter {param!r} shadows a "
                 "global")
-    _scan_shadowing(routine.body, globals_)
-
-
-def _scan_shadowing(stmts, globals_: set):
-    for s in stmts:
+    for s, _ in statements(routine.body):
         if isinstance(s, Assign) and s.decl and s.target in globals_:
             raise ModelError(
                 f"line {s.line}: local declaration of {s.target!r} "
                 "shadows a global")
-        elif isinstance(s, If):
-            _scan_shadowing(s.then_body, globals_)
-            _scan_shadowing(s.else_body, globals_)
-        elif isinstance(s, While):
-            _scan_shadowing(s.body, globals_)
 
 
 def _instantiate(routine: Routine, tid, name, args, creation_site, globals_,
@@ -488,12 +466,11 @@ def _instantiate(routine: Routine, tid, name, args, creation_site, globals_,
     cfg = ThreadCfg(tid=tid, name=name, routine=routine.name,
                     creation_site=creation_site,
                     params=dict(zip(routine.params, args)))
-    builder = _ThreadBuilder(cfg, globals_, itertools.count(first_id))
-    entry, ends = builder.lower_block(routine.body, [])
-    exit_id = builder.new_node(SExit(), routine.end_line)
-    builder.connect(ends, exit_id)
-    cfg.entry = entry if entry is not None else exit_id
-    cfg.exit = exit_id
+    builder = _ThreadBuilder(cfg, globals_, first_id)
+    ends = builder.lower_block(routine.body, [])
+    cfg.exit = builder.new_node(SExit(), routine.end_line)
+    builder.connect(ends, cfg.exit)
+    cfg.entry = first_id  # the body's first node, or the exit
     if cfg.preds()[cfg.entry]:
         # a loop at the start of the body targets the entry; give the CFG
         # a predecessor-free entry
@@ -518,27 +495,18 @@ def _copy(first: ThreadCfg, tid, args, creation_site, first_id) -> ThreadCfg:
     return cfg
 
 
-def _scan_creates(stmts, in_loop, created: set):
-    for s in stmts:
-        if isinstance(s, CreateStmt):
-            if in_loop:
-                raise CreateInLoopError(
-                    f"line {s.line}: create inside a loop would make "
-                    "the thread count dynamic")
-            created.add(s.routine)
-        elif isinstance(s, If):
-            _scan_creates(s.then_body, in_loop, created)
-            _scan_creates(s.else_body, in_loop, created)
-        elif isinstance(s, While):
-            _scan_creates(s.body, True, created)
-
-
 def _check_creation_shape(prog: SourceProgram):
     """Creation must be a finite tree: no routine creates itself
     (transitively) and no create site sits inside a loop."""
     edges: dict[str, set[str]] = {r.name: set() for r in prog.routines}
     for r in prog.routines:
-        _scan_creates(r.body, False, edges[r.name])
+        for s, in_loop in statements(r.body):
+            if isinstance(s, CreateStmt):
+                if in_loop:
+                    raise CreateInLoopError(
+                        f"line {s.line}: create inside a loop would make "
+                        "the thread count dynamic")
+                edges[r.name].add(s.routine)
 
     # cycle check over the routine creation graph: a depth-first search on
     # an explicit stack (its names are the trail), not one frame per link

@@ -7,7 +7,9 @@ unproven, 2 on bad input or analysis failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 import time
 
@@ -103,6 +105,7 @@ def render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
+@functools.cache  # argparse's objects form reference cycles: build once
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mtir",
@@ -128,24 +131,25 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args):
+    """Returns the exit status and the output, produced as it is written."""
     try:
         with open(args.file, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
+        return 2, ()
     except UnicodeDecodeError as err:
         print(f"error: {args.file}: not UTF-8 text (byte {err.start})",
               file=sys.stderr)
-        return 2
+        return 2, ()
 
     if args.widening_delay < 0 or args.narrowing_passes < 0 \
             or args.outer_budget <= 0 or args.combo_cap <= 0:
         print("error: budgets must be non-negative (--widening-delay, "
               "--narrowing-passes) or positive (--outer-budget, --combo-cap)",
               file=sys.stderr)
-        return 2
+        return 2, ()
 
     try:
         model = build_model(parse(text))
@@ -160,31 +164,34 @@ def _cmd_analyze(args) -> int:
         wall_ms = (time.perf_counter() - start) * 1000.0
     except MtirError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
+        return 2, ()
     except RecursionError:
-        # the parser and the AST walks recurse once per nesting level
+        # the parser and the lowering recurse once per nesting level
         print(f"error: {args.file}: program nests too deeply",
               file=sys.stderr)
-        return 2
+        return 2, ()
 
+    return (0 if result.all_verified() else 1,
+            _analysis_output(args, model, result, wall_ms))
+
+
+def _analysis_output(args, model, result, wall_ms):
     report = build_report(result, wall_ms, include_envs=args.dump_envs)
     if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        yield json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
-        print(render_text(report))
+        yield render_text(report) + "\n"
 
     if args.dump_facts:
         lines = dump_mhb(model, FeasibilityEngine(model).rows)
-        sys.stdout.write(next(lines, "") + "\n")
-        sys.stdout.writelines(line + "\n" for line in lines)
+        yield next(lines, "") + "\n"
+        yield from (line + "\n" for line in lines)
     if args.dump_pdg:
         graph = build_pdg(model)
-        print(dot_dump(graph, model, backward_slices(graph, model)))
-
-    return 0 if result.all_verified() else 1
+        yield dot_dump(graph, model, backward_slices(graph, model)) + "\n"
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args):
     from .bench import bench_csv, run_bench
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s]
@@ -195,23 +202,28 @@ def _cmd_bench(args) -> int:
         rows = run_bench(args.family, sizes, args.seed)
     except (ValueError, MtirError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
+        return 2, ()
     except RecursionError:
         print("error: a generated program nests too deeply", file=sys.stderr)
-        return 2
-    sys.stdout.write(bench_csv(rows))
-    return 0
+        return 2, ()
+    return 0, (bench_csv(rows),)
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = make_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.command == "analyze":
-        return _cmd_analyze(args)
-    return _cmd_bench(args)
+    command = _cmd_analyze if args.command == "analyze" else _cmd_bench
+    status, output = command(args)
+    try:
+        sys.stdout.writelines(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): send the rest, and
+        # the flush at exit, to /dev/null; the status stays the verdict
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return status
 
 
 if __name__ == "__main__":

@@ -50,7 +50,3 @@ class CombinationBudgetExceeded(MtirError):
 
 class OracleBudgetExceeded(MtirError):
     pass
-
-
-class SoundnessViolation(MtirError):
-    """Raised by the concrete oracle when the abstraction misses a behavior."""

@@ -24,7 +24,7 @@ from .cfg import (
     SNondet, SNop, SStore, is_store,
 )
 from .domain import AbstractEnv
-from .errors import OracleBudgetExceeded, SoundnessViolation
+from .errors import OracleBudgetExceeded
 from .facts import init_node
 
 
@@ -135,7 +135,6 @@ def enumerate_executions(model: ProgramModel,
         steps=[], reads=[], violations=set(), count=0)
 
     records = []
-    truncated = 0
     stack = [init]
     while stack:
         state = stack.pop()
@@ -164,7 +163,6 @@ def enumerate_executions(model: ProgramModel,
             continue
 
         if state.count >= bounds.max_steps:
-            truncated += 1
             continue
 
         for tid in reversed(runnable):
@@ -247,20 +245,11 @@ class SoundnessReport:
     state_misses: list = field(default_factory=list)
     verdict_misses: list = field(default_factory=list)
     feasibility_misses: list = field(default_factory=list)
-    checked_steps: int = 0
-    checked_records: int = 0
 
     @property
     def ok(self) -> bool:
         return not (self.state_misses or self.verdict_misses
                     or self.feasibility_misses)
-
-    def raise_if_failed(self):
-        if not self.ok:
-            raise SoundnessViolation(
-                f"state={self.state_misses[:3]} "
-                f"verdict={self.verdict_misses[:3]} "
-                f"feasibility={self.feasibility_misses[:3]}")
 
 
 def _authoritative_globals(model: ProgramModel) -> dict:
@@ -321,14 +310,12 @@ def check_abstraction(records, result, model: ProgramModel,
     distinct_reads = set()
     all_violations = set()
     for record in records:
-        report.checked_records += 1
         distinct_steps.update(record.steps)
         distinct_reads.add(record.reads)
         all_violations |= record.violations
 
     for step in sorted(distinct_steps,
                        key=lambda s: (s.node, s.locals, s.globals)):
-        report.checked_steps += 1
         env = result.te.get(step.node)
         if env is None or env.bottom:
             report.state_misses.append(

@@ -27,7 +27,7 @@ import re
 
 from .ast import (
     Assign, AssertStmt, BinOp, BoolLit, CreateStmt, ErrorStmt, If, IntLit,
-    JoinStmt, Nondet, Routine, SourceProgram, UnaryOp, Var, While,
+    JoinStmt, Nondet, Routine, SourceProgram, UnaryOp, Var, While, statements,
 )
 from .errors import DuplicateGlobalError, MtirSyntaxError, UnknownRoutineError
 
@@ -154,9 +154,8 @@ class Parser:
 
     def _check_references(self, prog: SourceProgram):
         names = {r.name for r in prog.routines}
-
-        def walk(stmts):
-            for s in stmts:
+        for r in prog.routines:
+            for s, _ in statements(r.body):
                 if isinstance(s, (CreateStmt, JoinStmt)):
                     if s.routine not in names:
                         raise UnknownRoutineError(
@@ -165,14 +164,6 @@ class Parser:
                         raise UnknownRoutineError(
                             f"line {s.line}: the entry routine cannot be "
                             "created or joined")
-                elif isinstance(s, If):
-                    walk(s.then_body)
-                    walk(s.else_body)
-                elif isinstance(s, While):
-                    walk(s.body)
-
-        for r in prog.routines:
-            walk(r.body)
 
     def parse_routine(self) -> Routine:
         start = self.expect("thread")

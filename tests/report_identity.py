@@ -13,9 +13,10 @@ The set: the corpus, watchdog 4/16/32, chain 10/20, a thread with two
 parameters, a `main` of 400 straight-line statements, one program with
 each expression and condition shape the compiled evaluator treats
 apart, a 900-term `+` chain and a branch on 900 `!`, a loop-headed
-routine created three times from two routines, `random_program`
-seeds 0-119, `repeated_program` seeds 0-39 and `stress_soundness`'s
-`loopy_program` seeds 0-19.
+routine created three times from two routines, a `while` in an `if` in
+a `while` with declarations, `error;` and a conditional `create`,
+`random_program` seeds 0-119, `repeated_program` seeds 0-39 and
+`stress_soundness`'s `loopy_program` seeds 0-19.
 """
 
 import contextlib
@@ -124,6 +125,34 @@ thread main() {
 }
 """
 
+# a `while` inside an `if` inside a `while`, both loop conditions
+# reading globals, an `else`, `error;`, declarations and a `create`
+# inside an `if`
+NESTED = """int g = 0;
+int h = 3;
+thread helper(int k) { g = k; h = h - 1; }
+thread main() {
+  int i = 0;
+  while (i < h) {
+    if (g == 0) {
+      int j = 0;
+      while (j < g + 2) {
+        j = j + 1;
+      }
+      i = i + j;
+    } else {
+      i = i + 1;
+      if (i > 100) { error; }
+    }
+  }
+  if (i >= 0) { create(helper, 2); } else { error; }
+  bool done = i >= 2;
+  assert(done);
+  int r = g;
+  assert(r <= 2);
+}
+"""
+
 DEEP_PLUS = ("thread main() { int x = *; int y = "
              + " + ".join(["x"] * 900) + "; assert(y >= 0); }\n")
 
@@ -142,6 +171,7 @@ def programs():
     yield "flat400", FLAT
     yield "shapes", SHAPES
     yield "loop_start", LOOP_START
+    yield "nested", NESTED
     yield "deep_plus900", DEEP_PLUS
     yield "deep_not900", DEEP_NOT
     for family, generator, count in (("random", random_program, 120),

@@ -327,3 +327,41 @@ def test_param_shadowing_global_rejected():
 def test_local_declaration_shadowing_global_rejected():
     with pytest.raises(ModelError):
         model_of("int x = 0;\nthread main() { int x = 1; }")
+
+
+def test_first_creation_error_in_source_order():
+    # a create in a loop is reported before a creation cycle, and the
+    # first one in routine, then source order, `then` before `else`
+    text = ("thread a() { create(b); }\n"
+            "thread b() { create(a); }\n"
+            "thread w() { }\n"
+            "thread main() {\n"
+            "  create(a);\n"
+            "  while (*) { if (*) { int t = 0; } else { create(w); } }\n"
+            "  while (*) { create(b); }\n"
+            "}\n")
+    with pytest.raises(CreateInLoopError, match="^line 6: create inside"):
+        model_of(text)
+    with pytest.raises(CreateInLoopError, match="^line 7: create inside"):
+        model_of(text.replace("create(w);", ""))
+    with pytest.raises(RecursiveCreateError):
+        model_of(text.replace("create(w);", "").replace("create(b); }\n}",
+                                                        "}\n}"))
+
+
+def test_first_shadowing_error_in_source_order():
+    text = ("int g = 0;\nint h = 0;\n"
+            "thread main() {\n"
+            "  while (*) { if (*) { while (*) { int g = 1; } } }\n"
+            "  int h = 2;\n"
+            "}\n")
+    with pytest.raises(ModelError,
+                       match="^line 4: local declaration of 'g' shadows"):
+        model_of(text)
+    with pytest.raises(ModelError,
+                       match="^line 5: local declaration of 'h' shadows"):
+        model_of(text.replace("int g = 1;", "g = 1;"))
+    # parameters are checked before the body
+    with pytest.raises(ModelError, match="parameter 'h' shadows"):
+        model_of(text.replace("main()", "w(int h)")
+                 + "thread main() { create(w, 1); }\n")

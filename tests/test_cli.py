@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -276,6 +277,55 @@ def test_python_dash_m(capsys):
     status, out, _ = run_cli(capsys, *argv)
     assert proc.returncode == status == 0
     assert proc.stdout.splitlines()[:2] == out.splitlines()[:2]
+
+
+def test_closed_stdout_keeps_the_verdict(tmp_path):
+    # a reader that stops early, as `mtir analyze ... | head -1` does:
+    # no traceback, and the exit status is still the verdict; the envs
+    # of 300 statements are far more than a pipe buffers
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mtir.__file__)))
+    for verdict, expected in ((0, 0), (1, 1)):
+        prog = tmp_path / ("flat%d.mtir" % verdict)
+        prog.write_text("thread main() {\n"
+                        + "".join("  int a%d = %d;\n" % (k, k)
+                                  for k in range(300))
+                        + "  assert(a0 == %d);\n}\n" % verdict)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mtir", "analyze", str(prog),
+             "--dump-envs"],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        try:
+            err = proc.stderr.read()
+            proc.wait(timeout=120)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert (proc.returncode, err) == (expected, b"")
+
+
+def test_no_cyclic_garbage(capsys):
+    # the front end and a text-format analysis free everything they make
+    # by reference counting; the argument parser is built once
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for name in PROGRAMS:
+            build_model(parse(source(name)))
+        assert gc.collect() == 0
+        for name in PROGRAMS:
+            for mode in ("fi", "fs", "fsc", "fso"):
+                argv = ["analyze", path(name), "--mode=" + mode]
+                main(argv)
+                gc.collect()
+                main(argv)
+                assert gc.collect() == 0, (name, mode)
+        capsys.readouterr()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_bench_row_count(capsys):

@@ -2,8 +2,8 @@ import pytest
 
 from conftest import random_program, random_single_thread_program
 from mtir.ast import (
-    BinOp, If, IntLit, Nondet, UnaryOp, Var, While,
-    strip_lines, to_source,
+    Assign, BinOp, If, IntLit, Nondet, UnaryOp, Var, While, statements,
+    to_source,
 )
 from mtir.errors import (
     DuplicateGlobalError, MtirSyntaxError, UnknownRoutineError,
@@ -135,7 +135,69 @@ def test_cannot_create_main():
         parse("thread main() { create(main); }")
 
 
+def test_first_reference_error_in_source_order():
+    # depth first, `then` before `else`, routines in order
+    text = ("thread w() { }\n"
+            "thread main() {\n"
+            "  if (1) { while (1) { if (0) { join(ghost); } } }\n"
+            "  else { create(main); }\n"
+            "  create(zombie);\n"
+            "}\n"
+            "thread v() { create(phantom); }\n")
+    with pytest.raises(UnknownRoutineError,
+                       match="^line 3: unknown routine 'ghost'$"):
+        parse(text)
+    with pytest.raises(UnknownRoutineError,
+                       match="^line 4: the entry routine cannot be"):
+        parse(text.replace("join(ghost)", "join(w)"))
+    with pytest.raises(UnknownRoutineError,
+                       match="^line 5: unknown routine 'zombie'$"):
+        parse(text.replace("join(ghost)", "join(w)")
+              .replace("create(main)", "create(w)"))
+
+
+def test_statements_walk():
+    prog = parse("""
+      thread main() {
+        int a = 1;
+        while (a < 3) {
+          if (a == 1) { a = 2; } else { while (a < 2) { a = 3; } }
+          a = 4;
+        }
+        if (a > 0) { a = 5; } else { a = 6; }
+        a = 7;
+      }
+    """)
+    walk = [(s.line, type(s).__name__, in_loop)
+            for s, in_loop in statements(prog.routine("main").body)]
+    assert walk == [
+        (3, "Assign", False), (4, "While", False), (5, "If", True),
+        (5, "Assign", True), (5, "While", True), (5, "Assign", True),
+        (6, "Assign", True), (8, "If", False), (8, "Assign", False),
+        (8, "Assign", False), (9, "Assign", False)]
+
+
+def test_statements_walk_deep_nesting():
+    # far deeper than the interpreter's recursion limit
+    depth = 5000
+    body = [Assign("x", IntLit(0), 1)]
+    for k in range(depth):
+        body = [If(Var("x"), [], body, 1) if k % 2 else While(Var("x"), body, 1)]
+    walk = list(statements(body))
+    assert len(walk) == depth + 1
+    assert walk[0] == (body[0], False)
+    assert walk[-1] == (Assign("x", IntLit(0), 1), True)
+    assert [in_loop for _, in_loop in walk[:3]] == [False, False, True]
+
+
 ROUND_TRIP = {name: source(name) for name in PROGRAMS}
+# a local declaration that shadows a global is an error, so the printer
+# must keep the declaration
+ROUND_TRIP["shadowing_decl"] = (
+    "int g = 0; thread main() { int g = 1; assert(g == 1); }")
+ROUND_TRIP["bool_decl"] = (
+    "int g = 0; thread main() { bool b = g > 0; if (b) { bool c = true; } "
+    "else { b = false; } assert(!b); }")
 ROUND_TRIP.update(("random%d" % seed, random_program(seed))
                   for seed in range(20))
 ROUND_TRIP.update(("single%d" % seed, random_single_thread_program(seed))
@@ -145,11 +207,10 @@ ROUND_TRIP.update(("single%d" % seed, random_single_thread_program(seed))
 @pytest.mark.parametrize("name", ROUND_TRIP)
 def test_round_trip(name):
     prog = parse(ROUND_TRIP[name])
-    again = parse(to_source(prog))
-    assert strip_lines(again) == strip_lines(prog)
+    assert parse(to_source(prog)) == prog
 
 
 def test_round_trip_nondet_loop():
     text = "int x = 0;\nthread main() { while (*) { x = x - -1; } }\n"
     prog = parse(text)
-    assert strip_lines(parse(to_source(prog))) == strip_lines(prog)
+    assert parse(to_source(prog)) == prog

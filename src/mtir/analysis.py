@@ -48,7 +48,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .cfg import ProgramModel, ThreadCfg, is_store, loads_of
+from .cfg import ProgramModel, ThreadCfg, is_load, is_store, loads_of
 from .domain import AbstractEnv, Interval, const
 from .errors import AnalysisBudgetExceeded, CombinationBudgetExceeded
 from .facts import FeasibilityEngine
@@ -83,13 +83,6 @@ class AnalysisConfig:
     combo_cap: int = 4096
 
 
-@dataclass(frozen=True)
-class Interference:
-    """A store node together with the abstract post-state it publishes."""
-    store: int
-    env: AbstractEnv
-
-
 @dataclass
 class IterationStats:
     combos: dict = field(default_factory=dict)      # tid -> generated
@@ -117,7 +110,7 @@ class AnalysisResult:
     verdicts: dict  # assertion node id -> bool (verified)
     stats: AnalysisStats
     interference: dict  # tid -> {store node -> AbstractEnv}
-    directives: object = None
+    identity_nodes: frozenset = frozenset()  # off-slice under pruning
     cluster_plan: ClusterPlan | None = None
 
     def verified_assertions(self) -> set:
@@ -125,13 +118,6 @@ class AnalysisResult:
 
     def all_verified(self) -> bool:
         return all(self.verdicts.values())
-
-    def published(self, tid: int) -> tuple:
-        """The interferences a thread exposes: one (store, post-state)
-        pair per store node, in node order."""
-        bucket = self.interference.get(tid, {})
-        return tuple(Interference(store, bucket[store])
-                     for store in sorted(bucket))
 
     def interference_env(self, tid: int) -> AbstractEnv:
         """Per-variable summary of what the thread publishes: each stored
@@ -173,15 +159,15 @@ def _merge_te(te: dict, envs: dict, shift: int):
         te[node + shift] = env if old is None else old.join(env)
 
 
-def _publish(model, te, table, iteration, config, silent_stores=frozenset()):
+def _publish(model, te, table, iteration, config, identity):
     """Republish interference from the accumulated node states: the
-    post-state of every store, joined per store node, widened across
-    outer iterations once past the delay."""
+    post-state of every store but an identity node, joined per store
+    node, widened across outer iterations once past the delay."""
     for cfg in model.threads:
         bucket = table.setdefault(cfg.tid, {})
         for n in cfg.node_order():
             node = cfg.nodes[n]
-            if not is_store(node) or n in silent_stores:
+            if not is_store(node) or n in identity:
                 continue
             pre = te.get(n)
             if pre is None or pre.bottom:
@@ -280,8 +266,9 @@ def compute_combinations(cfg: ThreadCfg, table: dict, model: ProgramModel,
                          facts: FeasibilityEngine,
                          feasibility: bool = False,
                          plan: ClusterPlan | None = None,
-                         pruned_loads: frozenset = frozenset(),
-                         combo_cap: int = 4096, merged: bool = False,
+                         identity: frozenset = frozenset(),
+                         combo_cap: int = AnalysisConfig.combo_cap,
+                         merged: bool = False,
                          index: dict | None = None):
     """Build the interference combinations for one thread.
 
@@ -292,8 +279,9 @@ def compute_combinations(cfg: ThreadCfg, table: dict, model: ProgramModel,
     cluster's list read their own value, so the number of runs is the
     maximum cluster list length instead of the product.  Without a plan
     the thread's active loads are one cluster, so its combinations are
-    the plain product.  `index` is the table's `_store_index`, built here
-    if not given.
+    the plain product.  Loads in `identity` are off the slice and get no
+    source.  `index` is the table's `_store_index`, built here if not
+    given.
 
     With `feasibility`, refuted sources are dropped first and only
     combinations of several loads are checked one by one.  With one
@@ -302,7 +290,7 @@ def compute_combinations(cfg: ThreadCfg, table: dict, model: ProgramModel,
     facts differ.  `generated`, `rejected`, `runs` and the `combo_cap`
     check count the full per-store product.
     """
-    active = [l for l in loads_of(cfg) if l not in pruned_loads]
+    active = [l for l in loads_of(cfg) if l not in identity]
     index = _store_index(model, table) if index is None else index
     sources = _source_lists(cfg, index, facts, active, merged)
     if merged:
@@ -360,17 +348,13 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
         raise ValueError(f"unknown mode {config.mode!r}")
     facts = None if row.merged else FeasibilityEngine(model)
 
-    directives = None
+    identity_nodes = frozenset()
     plan = None
     if row.slicing:
         graph = build_pdg(model)
         slices = backward_slices(graph, model)
-        directives = apply_pruning(slices, model)
+        identity_nodes = apply_pruning(slices, model)
         plan = cluster(graph, slices, model)
-
-    identity_nodes = directives.identity_nodes if directives else frozenset()
-    pruned_loads = directives.pruned_loads if directives else frozenset()
-    silent_stores = directives.silent_stores if directives else frozenset()
 
     te: dict = {}
     table: dict = {cfg.tid: {} for cfg in model.threads}
@@ -384,7 +368,7 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
                             for n in identity_nodes.intersection(cfg.nodes)))
         for cfg in model.threads}
     stats = AnalysisStats()
-    stats.pruned_loads = len(pruned_loads)
+    stats.pruned_loads = sum(is_load(model.node(n)) for n in identity_nodes)
     stats.clusters = plan.total_clusters() if plan else 0
 
     for iteration in itertools.count(1):
@@ -405,7 +389,7 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
             combos, generated, rejected, runs = compute_combinations(
                 cfg, table, model, facts,
                 feasibility=row.feasibility and iteration > 1,
-                plan=plan, pruned_loads=pruned_loads,
+                plan=plan, identity=identity_nodes,
                 combo_cap=config.combo_cap, merged=row.merged, index=index)
             iter_stats.combos[cfg.tid] = generated
             iter_stats.infeasible[cfg.tid] = rejected
@@ -438,11 +422,11 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
             stats.runs += runs
             iter_stats.runs += runs
 
-        _publish(model, te, table, iteration, config, silent_stores)
+        _publish(model, te, table, iteration, config, identity_nodes)
         stats.per_iteration.append(iter_stats)
         if table == before_table and te == before_te:
             break
 
     verdicts = {n: n not in violable for n in model.assertions}
     return AnalysisResult(model, te, verdicts, stats, table,
-                          directives=directives, cluster_plan=plan)
+                          identity_nodes=identity_nodes, cluster_plan=plan)

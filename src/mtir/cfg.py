@@ -249,10 +249,6 @@ def loads_of(cfg: ThreadCfg) -> list[int]:
     return [n for n in cfg.node_order() if isinstance(cfg.nodes[n].stmt, SLoad)]
 
 
-def stores_of(cfg: ThreadCfg) -> list[int]:
-    return [n for n in cfg.node_order() if isinstance(cfg.nodes[n].stmt, SStore)]
-
-
 # --- graph utilities ---------------------------------------------------------
 
 def bits(mask: int):
@@ -632,39 +628,3 @@ def _check_normalization(model: ProgramModel):
                     f"node {model.node_name(nid)}: arity {len(edges)}, "
                     f"expected {want}")
 
-
-def ir_dump(model: ProgramModel) -> str:
-    """Human-readable listing of the normalized IR, one node per line."""
-    from .ast import expr_to_source as ets
-    out = []
-    for cfg in model.threads:
-        out.append(f"thread {cfg.name} (tid {cfg.tid}) entry={cfg.entry} "
-                   f"exit={cfg.exit}")
-        for nid in cfg.node_order():
-            node = cfg.nodes[nid]
-            s = node.stmt
-            if isinstance(s, SLocal):
-                text = f"{s.target} = {ets(s.expr)}"
-            elif isinstance(s, SLoad):
-                text = f"{s.target} = load {s.var}"
-            elif isinstance(s, SStore):
-                text = f"store {s.var}, {ets(s.expr)}"
-            elif isinstance(s, SBranch):
-                text = f"branch {ets(s.cond)}"
-            elif isinstance(s, SAssert):
-                text = f"assert {ets(s.cond)}"
-            elif isinstance(s, SNondet):
-                text = f"{s.target} = nondet"
-            elif isinstance(s, SCreate):
-                text = f"create {s.routine}{list(s.args)}"
-            elif isinstance(s, SJoin):
-                text = f"join {s.routine}"
-            elif isinstance(s, SNop):
-                text = "nop"
-            else:
-                text = "exit"
-            succs = ", ".join(
-                "%d%s" % (dst, "" if f is None else ("+" if f[2] else "-"))
-                for dst, f in cfg.succs[nid])
-            out.append(f"  {model.node_name(nid):>10}  {text:<28} -> {succs}")
-    return "\n".join(out)

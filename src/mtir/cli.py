@@ -114,11 +114,11 @@ def make_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("analyze", help="analyze one program")
     run.add_argument("file")
-    run.add_argument("--mode", choices=MODES, default="fsc")
-    run.add_argument("--widening-delay", type=int, default=3)
-    run.add_argument("--narrowing-passes", type=int, default=1)
-    run.add_argument("--outer-budget", type=int, default=64)
-    run.add_argument("--combo-cap", type=int, default=4096)
+    run.add_argument("--mode", choices=MODES, default=AnalysisConfig.mode)
+    for flag in ("--widening-delay", "--narrowing-passes", "--outer-budget",
+                 "--combo-cap"):
+        run.add_argument(flag, type=int, default=getattr(
+            AnalysisConfig, flag[2:].replace("-", "_")))
     run.add_argument("--format", choices=("text", "json"), default="text")
     run.add_argument("--dump-envs", action="store_true")
     run.add_argument("--dump-facts", action="store_true")

@@ -552,21 +552,3 @@ def compile_transfer(stmt):
         return _keep
     raise TypeError(stmt)
 
-
-def eval_expr(e: Expr, env: AbstractEnv) -> Interval:
-    return EMPTY if env.bottom else compile_expr(e)(env)
-
-
-def filter_cond(cond: Expr, polarity: bool, env: AbstractEnv) -> AbstractEnv:
-    """Refine env assuming cond evaluates to polarity (`compile_filter`)."""
-    return compile_filter(cond, polarity)(env)
-
-
-def transfer(stmt, env: AbstractEnv) -> AbstractEnv:
-    """Abstract post-state of one normalized statement (`compile_transfer`)."""
-    return compile_transfer(stmt)(env)
-
-
-def assert_violable(cond: Expr, env: AbstractEnv) -> bool:
-    """An assert can fail when its pre-state meets the negated condition."""
-    return not filter_cond(cond, False, env).bottom

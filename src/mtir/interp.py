@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .cfg import SAssert, SLoad, ThreadCfg
-from .domain import AbstractEnv, compile_filter, compile_transfer, transfer
+from .domain import AbstractEnv, compile_filter, compile_transfer
 from .errors import AnalysisBudgetExceeded
 
 
@@ -58,14 +58,6 @@ def _apply_load(node_id, stmt, env, policy):
     else:
         value = env.get(stmt.var).join(source.env.get(stmt.var))
     return env.set(stmt.target, value)
-
-
-def transfer_with_policy(node, env: AbstractEnv, policy) -> AbstractEnv:
-    if env.bottom:
-        return env
-    if isinstance(node.stmt, SLoad):
-        return _apply_load(node.id, node.stmt, env, policy)
-    return transfer(node.stmt, env)
 
 
 class StepTable:
@@ -117,14 +109,12 @@ class ThreadRun:
     envs: dict  # node id -> AbstractEnv (state immediately before the node)
     violable: set = field(default_factory=set)
 
-    def post(self, cfg: ThreadCfg, node_id: int) -> AbstractEnv:
-        return cfg.steps.transfer[node_id - cfg.first_node](
-            self.envs[node_id])
+
+VISIT_BUDGET = 200_000  # worklist visits per run before giving up
 
 
 def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
                    widening_delay: int = 3, narrowing_passes: int = 1,
-                   visit_budget: int = 200_000,
                    identity_nodes: frozenset = frozenset()) -> ThreadRun:
     """Run the worklist fixpoint over one thread from the given entry state.
 
@@ -146,14 +136,14 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
     updates = dict.fromkeys(cfg.nodes, 0)
     worklist = deque([cfg.entry])
     queued = {cfg.entry}
-    visits = 0
+    visits, budget = 0, VISIT_BUDGET
     widened = False
 
     while worklist:
         visits += 1
-        if visits > visit_budget:
+        if visits > budget:
             raise AnalysisBudgetExceeded(
-                f"{cfg.name}: worklist exceeded {visit_budget} visits")
+                f"{cfg.name}: worklist exceeded {budget} visits")
         n = worklist.popleft()
         queued.discard(n)
         out = _node_out(table, n, base, envs[n], policy, identity_nodes)

@@ -16,6 +16,7 @@ but never assumed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .ast import BinOp, BoolLit, IntLit, UnaryOp, Var
@@ -28,6 +29,15 @@ from .errors import OracleBudgetExceeded
 from .facts import init_node
 
 
+_CONCRETE = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": lambda a, b: a // b if b != 0 else 0,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "==": operator.eq, "!=": operator.ne,
+    "&&": lambda a, b: a != 0 and b != 0, "||": lambda a, b: a != 0 or b != 0,
+}
+
+
 def eval_concrete(expr, env: dict) -> int:
     if isinstance(expr, IntLit):
         return expr.value
@@ -37,34 +47,10 @@ def eval_concrete(expr, env: dict) -> int:
         return env.get(expr.name, 0)  # locals read before assignment are 0
     if isinstance(expr, UnaryOp):
         return 0 if eval_concrete(expr.operand, env) != 0 else 1
-    if isinstance(expr, BinOp):
-        a = eval_concrete(expr.left, env)
-        b = eval_concrete(expr.right, env)
-        op = expr.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            return a // b if b != 0 else 0
-        if op == "<":
-            return 1 if a < b else 0
-        if op == "<=":
-            return 1 if a <= b else 0
-        if op == ">":
-            return 1 if a > b else 0
-        if op == ">=":
-            return 1 if a >= b else 0
-        if op == "==":
-            return 1 if a == b else 0
-        if op == "!=":
-            return 1 if a != b else 0
-        if op == "&&":
-            return 1 if a != 0 and b != 0 else 0
-        if op == "||":
-            return 1 if a != 0 or b != 0 else 0
+    if isinstance(expr, BinOp) and expr.op in _CONCRETE:
+        # int() turns a comparison's bool into 0/1
+        return int(_CONCRETE[expr.op](eval_concrete(expr.left, env),
+                                      eval_concrete(expr.right, env)))
     raise TypeError(expr)
 
 
@@ -268,14 +254,12 @@ def _authoritative_globals(model: ProgramModel) -> dict:
     return out
 
 
-def _pruned_variables(model, directives):
+def _pruned_variables(model, identity_nodes):
     """Variables whose abstract tracking is declaredly partial under
     property pruning: any defining site got the identity transfer."""
-    if directives is None:
-        return frozenset()
     skip = set()
     for node in model.all_nodes():
-        if node.id not in directives.identity_nodes:
+        if node.id not in identity_nodes:
             continue
         stmt = node.stmt
         if isinstance(stmt, SStore):
@@ -293,7 +277,7 @@ def check_abstraction(records, result, model: ProgramModel,
     no assertion marked verified ever fails concretely; no combination
     the constraint engine rejected is realized by any read map.
 
-    With pruning directives (optimized mode), per-state coverage is only
+    With identity nodes (optimized mode), per-state coverage is only
     promised for the property slice: variables with a pruned defining
     site are skipped, verdict and feasibility checks stay full.
 
@@ -302,8 +286,7 @@ def check_abstraction(records, result, model: ProgramModel,
     report = SoundnessReport()
     authoritative = _authoritative_globals(model)
     verified = {n for n, ok in result.verdicts.items() if ok}
-    pruned_vars = _pruned_variables(model, getattr(result, "directives",
-                                                   None))
+    pruned_vars = _pruned_variables(model, result.identity_nodes)
 
     # many interleavings revisit identical per-step states: check each once
     distinct_steps = set()

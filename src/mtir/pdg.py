@@ -193,30 +193,14 @@ def backward_slices(graph: DependenceGraph, model: ProgramModel) -> SlicePlan:
     return SlicePlan(per, union, all_ids - union)
 
 
-@dataclass
-class PruningDirectives:
-    """What the interpreter and combination generator skip."""
-    identity_nodes: frozenset
-    pruned_loads: frozenset
-    silent_stores: frozenset  # off-slice stores publish no interference
-
-
-def apply_pruning(slices: SlicePlan, model: ProgramModel) -> PruningDirectives:
-    identity = set()
-    pruned_loads = set()
-    silent_stores = set()
-    for node in model.all_nodes():
-        if node.id not in slices.off_slice:
-            continue
-        if isinstance(node.stmt, (SCreate, SJoin, SExit, SNop)):
-            continue  # structural nodes keep their meaning
-        identity.add(node.id)
-        if is_load(node):
-            pruned_loads.add(node.id)
-        if is_store(node):
-            silent_stores.add(node.id)
-    return PruningDirectives(frozenset(identity), frozenset(pruned_loads),
-                             frozenset(silent_stores))
+def apply_pruning(slices: SlicePlan, model: ProgramModel) -> frozenset:
+    """The identity nodes: every off-slice statement but the structural
+    ones.  The interpreter passes their state through, their loads leave
+    combination generation and their stores publish no interference."""
+    return frozenset(
+        node.id for node in model.all_nodes()
+        if node.id in slices.off_slice
+        and not isinstance(node.stmt, (SCreate, SJoin, SExit, SNop)))
 
 
 def cluster(graph: DependenceGraph, slices: SlicePlan,

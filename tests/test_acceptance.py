@@ -18,7 +18,7 @@ from mtir.errors import OracleBudgetExceeded
 from mtir.facts import (
     FeasibilityEngine, dump_facts, fixpoint, naive_fixpoint,
 )
-from mtir.interp import MergedSource, PerLoad, StoreSource, transfer_with_policy
+from mtir.interp import MergedSource, PerLoad, StoreSource, _apply_load
 from mtir.oracle import (
     OracleBounds, check_abstraction, enumerate_executions, static_rejections,
 )
@@ -93,8 +93,8 @@ def test_criterion_3_loop_value():
     combos, generated, _, _ = compute_combinations(
         main, result.interference, model, feas)
     src = combos[0][load]
-    post = transfer_with_policy(model.node(load), result.te[load],
-                                PerLoad(combos[0]))
+    post = _apply_load(load, model.node(load).stmt, result.te[load],
+                       PerLoad(combos[0]))
     ok = (generated == 1
           and isinstance(src, MergedSource)
           and post.get("t1") == interval(0, 2)
@@ -250,7 +250,7 @@ def test_criterion_8_accuracy_ordering(corpus_results, random_suite):
 def test_criterion_9_property_suites():
     from test_domain import rand_env, rand_stmt
     from test_facts import random_facts
-    from mtir.domain import transfer
+    from mtir.domain import compile_transfer
 
     rng = random.Random(90)
     lattice_cases = 0
@@ -271,7 +271,7 @@ def test_criterion_9_property_suites():
         st = rand_stmt(rng, ("x", "y"))
         a = rand_env(rng, ("x", "y"))
         b = rand_env(rng, ("x", "y")).join(a)
-        assert transfer(st, a).leq(transfer(st, b))
+        assert compile_transfer(st)(a).leq(compile_transfer(st)(b))
         transfer_cases += 1
 
     fixpoint_cases = 0

@@ -10,7 +10,7 @@ from mtir.analysis import AnalysisConfig, analyze, compute_combinations
 from mtir.bench import chain_program, watchdog_program
 from mtir.cfg import build_model, loads_of, reachable_sets
 from mtir.cli import build_report
-from mtir.domain import AbstractEnv, interval, transfer
+from mtir.domain import AbstractEnv, interval
 from mtir.errors import AnalysisBudgetExceeded, CombinationBudgetExceeded
 from mtir.facts import FeasibilityEngine
 from mtir.interp import (
@@ -42,10 +42,10 @@ def test_flow_insensitive_false_alarm(corpus_models, corpus_results):
     assert published == AbstractEnv({"flag": interval(1, 1),
                                      "x": interval(4, 5)})
     # one published interference per store node, none bottom
-    pairs = result.published(writer.tid)
-    assert [model.node_name(p.store) for p in pairs] \
+    bucket = result.interference[writer.tid]
+    assert [model.node_name(s) for s in sorted(bucket)] \
         == ["t1.4", "t1.5", "t1.6"]
-    assert all(not p.env.bottom for p in pairs)
+    assert all(not env.bottom for env in bucket.values())
 
 
 def test_single_thread_matches_sequential():
@@ -220,7 +220,7 @@ def test_flag_sync_plain_fs_unproven_with_expected_case_split(corpus_models):
 
 
 def test_loop_reader_value_excludes_late_store(corpus_models, corpus_results):
-    from mtir.interp import PerLoad, transfer_with_policy
+    from mtir.interp import PerLoad, _apply_load
 
     model = corpus_models["loop_reader"]
     result = corpus_results["loop_reader"]["fsc"]
@@ -229,8 +229,8 @@ def test_loop_reader_value_excludes_late_store(corpus_models, corpus_results):
     load = loads_of(main)[0]
     combos, _, _, _ = compute_combinations(main, result.interference, model,
                                            feas)
-    post = transfer_with_policy(model.node(load), result.te[load],
-                                PerLoad(combos[0]))
+    post = _apply_load(load, model.node(load).stmt, result.te[load],
+                       PerLoad(combos[0]))
     assert post.get("t1") == interval(0, 2)
 
 
@@ -335,13 +335,13 @@ def test_termination_within_budget_on_corpus(corpus_results):
 
 
 def _full_product(cfg, table, model, facts, feasibility=False, plan=None,
-                  pruned_loads=frozenset(), combo_cap=None, merged=False,
+                  identity=frozenset(), combo_cap=None, merged=False,
                   index=None):
     """Reference `compute_combinations`: the whole per-store product of
     each cluster, every combination feasibility-checked on its own, no
     source dropped or merged before the product, clusters zipped."""
     from mtir.analysis import _cartesian, _source_lists, _store_index
-    active = [l for l in loads_of(cfg) if l not in pruned_loads]
+    active = [l for l in loads_of(cfg) if l not in identity]
     sources = _source_lists(cfg, _store_index(model, table), facts, active,
                             merged)
     if merged:

@@ -7,8 +7,7 @@ from mtir.ast import expr_vars
 from mtir.bench import chain_program, watchdog_program
 from mtir.cfg import (
     SAssert, SBranch, SExit, SLoad, SLocal, SNondet, SNop, SStore,
-    _instantiate, build_model, dominator_sets, ir_dump, loads_of,
-    reachable_sets, stores_of,
+    _instantiate, build_model, dominator_sets, loads_of, reachable_sets,
 )
 from mtir.errors import (
     CreateInLoopError, JoinWithoutCreateError, ModelError,
@@ -65,7 +64,7 @@ def test_while_reloads_condition_each_iteration():
     model = model_of("int x = 0;\nthread main() { while (x < 3) { x = x + 1; } }")
     cfg = model.thread(0)
     cond_load = loads_of(cfg)[0]  # the hoisted load feeding the branch
-    body_store = stores_of(cfg)[-1]
+    body_store = cfg.stores_by_var["x"][-1]
     # the loop body flows back to the condition load, so it re-executes
     assert any(dst == cond_load for dst, _ in cfg.succs[body_store])
 
@@ -105,8 +104,9 @@ def test_loads_of_flag_sync():
     assert [model.node_name(n) for n in loads_of(t2)] == ["t2.9", "t2.11"]
     t1 = model.thread_named("thread1")
     assert loads_of(t1) == []
-    assert [model.node_name(n) for n in stores_of(t1)] \
-        == ["t1.4", "t1.5", "t1.6"]
+    assert {var: [model.node_name(n) for n in stores]
+            for var, stores in t1.stores_by_var.items()} \
+        == {"x": ["t1.4", "t1.5"], "flag": ["t1.6"]}
 
 
 def test_loads_of_disjoint_chains():
@@ -236,9 +236,7 @@ def test_dominators_of_long_path():
 
 @pytest.mark.parametrize("name", PROGRAMS)
 def test_deterministic_build(name):
-    one = ir_dump(model_of(source(name)))
-    two = ir_dump(model_of(source(name)))
-    assert one == two
+    assert model_of(source(name)) == model_of(source(name))
 
 
 def test_branch_arity():

@@ -387,3 +387,25 @@ def test_output_independent_of_hash_seed():
                               proc.stdout))
     assert outputs[0] == outputs[1]
     assert outputs[0].count("\n== ") == 4 * len(PROGRAMS)
+
+
+def test_readme_fso_caveat(tmp_path, capsys):
+    # README's example of fso verifying less than fsc: the loop never
+    # exits, but its branch is off the slice, so fso reaches `g = 1`
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as handle:
+        blocks = re.findall(r"```\n(.*?)```", handle.read(), re.S)
+    prog = tmp_path / "caveat.mtir"
+    prog.write_text(next(b for b in blocks if "while (i >= 0)" in b))
+    status = {mode: run_cli(capsys, "analyze", str(prog), "--mode=" + mode)[0]
+              for mode in ("fi", "fs", "fsc", "fso")}
+    assert status == {"fi": 0, "fs": 0, "fsc": 0, "fso": 1}
+
+
+def test_benchmark_selfcheck():
+    # the benchmark patches the checker's entry points by name
+    # (perfbench/layers.py): its self-check fails if one goes missing
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run([sys.executable, "perfbench/selfcheck.py"], cwd=root,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -10,8 +10,7 @@ from mtir.bench import watchdog_program
 from mtir.cfg import SLoad, SLocal, SNondet, SStore
 from mtir.domain import (
     EMPTY, INF, TOP, AbstractEnv, Interval, _add, _cmp, _div, _mul,
-    assert_violable,
-    eval_expr, filter_cond, interval, render_env, transfer,
+    compile_expr, compile_filter, compile_transfer, interval, render_env,
 )
 from mtir.oracle import eval_concrete
 
@@ -56,13 +55,13 @@ def test_widen_examples():
 
 def test_transfer_add():
     env = AbstractEnv({"x": iv(0, 5), "y": iv(10, 20)})
-    out = transfer(SLocal("x", BinOp("+", Var("x"), Var("y"))), env)
+    out = compile_transfer(SLocal("x", BinOp("+", Var("x"), Var("y"))))(env)
     assert out == AbstractEnv({"x": iv(10, 25), "y": iv(10, 20)})
 
 
 def test_transfer_nondet():
     env = AbstractEnv({"t": iv(1, 1), "u": iv(2, 3)})
-    out = transfer(SNondet("t"), env)
+    out = compile_transfer(SNondet("t"))(env)
     assert out.get("t") == TOP
     assert out.get("u") == iv(2, 3)
 
@@ -70,29 +69,29 @@ def test_transfer_nondet():
 def test_filter_negative_guard_empties():
     # the guarded branch of a scaled positive parameter: 5 * [5,5] = [25,25]
     env = AbstractEnv({"v": iv(5, 5)})
-    env = transfer(SLocal("t1", BinOp("*", IntLit(5), Var("v"))), env)
+    env = compile_transfer(SLocal("t1", BinOp("*", IntLit(5), Var("v"))))(env)
     assert env.get("t1") == iv(25, 25)
-    taken = filter_cond(BinOp("<", Var("t1"), IntLit(0)), True, env)
+    taken = compile_filter(BinOp("<", Var("t1"), IntLit(0)), True)(env)
     assert taken.bottom
 
 
 def test_filter_not_equal_singleton():
     env = AbstractEnv({"t1": iv(5, 5)})
-    assert filter_cond(BinOp("!=", Var("t1"), IntLit(5)), True, env).bottom
+    assert compile_filter(BinOp("!=", Var("t1"), IntLit(5)), True)(env).bottom
     wide = AbstractEnv({"t1": iv(0, 5)})
-    out = filter_cond(BinOp("!=", Var("t1"), IntLit(5)), True, wide)
+    out = compile_filter(BinOp("!=", Var("t1"), IntLit(5)), True)(wide)
     assert out.get("t1") == iv(0, 4)
 
 
 def test_filter_boolean_variable():
     env = AbstractEnv({"b": iv(0, 1)})
-    assert filter_cond(Var("b"), True, env).get("b") == iv(1, 1)
-    assert filter_cond(Var("b"), False, env).get("b") == iv(0, 0)
+    assert compile_filter(Var("b"), True)(env).get("b") == iv(1, 1)
+    assert compile_filter(Var("b"), False)(env).get("b") == iv(0, 0)
 
 
 def test_filter_var_vs_var():
     env = AbstractEnv({"a": iv(0, 9), "b": iv(4, 5)})
-    out = filter_cond(BinOp("<", Var("a"), Var("b")), True, env)
+    out = compile_filter(BinOp("<", Var("a"), Var("b")), True)(env)
     assert out.get("a") == iv(0, 4)
     assert out.get("b") == iv(4, 5)
 
@@ -101,20 +100,20 @@ def test_filter_conjunction():
     env = AbstractEnv({"a": iv(0, 9), "b": iv(0, 9)})
     cond = BinOp("&&", BinOp(">", Var("a"), IntLit(3)),
                  BinOp("<", Var("b"), IntLit(2)))
-    out = filter_cond(cond, True, env)
+    out = compile_filter(cond, True)(env)
     assert out.get("a") == iv(4, 9)
     assert out.get("b") == iv(0, 1)
 
 
 def test_division_with_zero_divisor_is_top():
     env = AbstractEnv({"a": iv(1, 10), "d": iv(-1, 1)})
-    out = eval_expr(BinOp("/", Var("a"), Var("d")), env)
+    out = compile_expr(BinOp("/", Var("a"), Var("d")))(env)
     assert out == TOP
 
 
 def test_division_endpoints():
     env = AbstractEnv({"a": iv(10, 20), "d": iv(2, None)})
-    out = eval_expr(BinOp("/", Var("a"), Var("d")), env)
+    out = compile_expr(BinOp("/", Var("a"), Var("d")))(env)
     assert out == iv(0, 10)
 
 
@@ -137,7 +136,7 @@ def test_division_endpoints():
 ])
 def test_arithmetic_with_infinite_bounds(op, a, b, expected):
     env = AbstractEnv({"a": iv(*a), "b": iv(*b)})
-    assert repr(eval_expr(BinOp(op, Var("a"), Var("b")), env)) == expected
+    assert repr(compile_expr(BinOp(op, Var("a"), Var("b")))(env)) == expected
 
 
 BIG = 10 ** 400  # beyond float range: int + inf would raise OverflowError
@@ -158,7 +157,7 @@ BIG = 10 ** 400  # beyond float range: int + inf would raise OverflowError
 ])
 def test_arithmetic_with_huge_bounds(op, a, b, expected):
     env = AbstractEnv({"a": iv(*a), "b": iv(*b)})
-    got = repr(eval_expr(BinOp(op, Var("a"), Var("b")), env))
+    got = repr(compile_expr(BinOp(op, Var("a"), Var("b")))(env))
     assert got.replace(str(BIG), "BIG") == expected
 
 
@@ -182,8 +181,10 @@ def test_interval_rejects_non_canonical_bounds():
 
 def test_assert_judged_not_assumed():
     env = AbstractEnv({"t": iv(0, 5)})
-    assert assert_violable(BinOp("!=", Var("t"), IntLit(5)), env)
-    assert not assert_violable(BinOp(">=", Var("t"), IntLit(0)), env)
+    # an assert can fail when its pre-state meets the negated condition
+    can_fail = compile_filter(BinOp("!=", Var("t"), IntLit(5)), False)(env)
+    cannot = compile_filter(BinOp(">=", Var("t"), IntLit(0)), False)(env)
+    assert not can_fail.bottom and cannot.bottom
 
 
 def test_render():
@@ -312,7 +313,7 @@ def test_transfer_monotone():
         st = rand_stmt(rng, names)
         a = rand_env(rng, names)
         b = rand_env(rng, names).join(a)  # a <= b by construction
-        assert transfer(st, a).leq(transfer(st, b)), (st, a, b)
+        assert compile_transfer(st)(a).leq(compile_transfer(st)(b)), (st, a, b)
 
 
 def test_filter_monotone_and_sound():
@@ -326,7 +327,7 @@ def test_filter_monotone_and_sound():
         a = rand_env(rng, names)
         b = rand_env(rng, names).join(a)
         pol = rng.random() < 0.5
-        fa, fb = filter_cond(cond, pol, a), filter_cond(cond, pol, b)
+        fa, fb = compile_filter(cond, pol)(a), compile_filter(cond, pol)(b)
         assert fa.leq(fb)
         assert fa.leq(a)  # filtering only refines
 
@@ -351,7 +352,7 @@ def test_concretization_soundness_vs_concrete_eval():
         env = AbstractEnv({n: interval(around(rng, state[n], -1),
                                        around(rng, state[n], +1))
                            for n in names})
-        out = transfer(st, env)
+        out = compile_transfer(st)(env)
         if isinstance(st, (SLocal,)):
             value = eval_concrete(st.expr, state)
             assert out.get(st.target).contains(value), (st, state, env)
@@ -397,9 +398,9 @@ def test_results_keep_canonical_bounds():
     for _ in range(N_CASES):
         env = rand_env(rng, names)
         expr = rand_expr(rng, names)
-        assert_canonical(eval_expr(expr, env))
+        assert_canonical(compile_expr(expr)(env))
         for polarity in (True, False):
-            assert_env_canonical(filter_cond(expr, polarity, env))
+            assert_env_canonical(compile_filter(expr, polarity)(env))
         a, b = rand_interval(rng), rand_interval(rng)
         for got in (a.widen(b), a.narrow(b), a.widen(EMPTY), EMPTY.widen(a),
                     a.narrow(EMPTY), EMPTY.narrow(a)):
@@ -418,9 +419,9 @@ def test_huge_bounds_stay_canonical():
     for _ in range(N_CASES):
         env = AbstractEnv({n: rand_huge_interval(rng) for n in names})
         expr = rand_expr(rng, names)
-        assert_canonical(eval_expr(expr, env))
+        assert_canonical(compile_expr(expr)(env))
         for polarity in (True, False):
-            assert_env_canonical(filter_cond(expr, polarity, env))
+            assert_env_canonical(compile_filter(expr, polarity)(env))
 
 
 # --- canonical environments -----------------------------------------------------

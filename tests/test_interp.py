@@ -66,8 +66,9 @@ def test_reader_with_pinned_sources(flag_sync):
     t1 = model.thread_named("thread1")
     t2 = model.thread_named("thread2")
     writer = analyze_thread(t1, init_env(model), self_only(t1))
-    post_l5 = writer.post(t1, ids["t1.5"])
-    post_l6 = writer.post(t1, ids["t1.6"])
+    steps, base = t1.steps.transfer, t1.first_node
+    post_l5 = steps[ids["t1.5"] - base](writer.envs[ids["t1.5"]])
+    post_l6 = steps[ids["t1.6"] - base](writer.envs[ids["t1.6"]])
     # flag from its store, x from the final store: consistent snapshot
     policy = PerLoad({ids["t2.9"]: StoreSource(ids["t1.6"], post_l6),
                       ids["t2.11"]: StoreSource(ids["t1.5"], post_l5)})
@@ -127,13 +128,13 @@ def test_narrowing_only_after_widening(monkeypatch):
     assert calls
 
 
-def test_visit_budget():
+def test_visit_budget(monkeypatch):
     model = build_model(parse(
         "thread main() { int i = 0; while (i < 100) { i = i + 1; } }"))
+    monkeypatch.setattr("mtir.interp.VISIT_BUDGET", 50)
     with pytest.raises(AnalysisBudgetExceeded):
         analyze_thread(model.thread(0), AbstractEnv({}),
-                       self_only(model.thread(0)),
-                       widening_delay=10 ** 9, visit_budget=50)
+                       self_only(model.thread(0)), widening_delay=10 ** 9)
 
 
 def test_stabilization_under_pinned_sources(flag_sync):

@@ -53,9 +53,10 @@ from .domain import AbstractEnv, Interval, const
 from .errors import AnalysisBudgetExceeded, CombinationBudgetExceeded
 from .facts import FeasibilityEngine
 from .interp import (
-    MergedSource, PerLoad, SelfSource, StoreSource, analyze_thread,
+    AnalysisConfig, MergedSource, PerLoad, SelfSource, StoreSource,
+    analyze_thread,
 )
-from .pdg import ClusterPlan, apply_pruning, backward_slices, build_pdg, cluster
+from .pdg import apply_pruning, backward_slices, build_pdg, cluster
 
 
 @dataclass(frozen=True)
@@ -72,15 +73,6 @@ MODE_ROWS = {
     "fso": Mode(merged=False, feasibility=True, slicing=True),
 }
 MODES = tuple(MODE_ROWS)
-
-
-@dataclass
-class AnalysisConfig:
-    mode: str = "fsc"
-    widening_delay: int = 3
-    narrowing_passes: int = 1
-    outer_budget: int = 64
-    combo_cap: int = 4096
 
 
 @dataclass
@@ -111,7 +103,6 @@ class AnalysisResult:
     stats: AnalysisStats
     interference: dict  # tid -> {store node -> AbstractEnv}
     identity_nodes: frozenset = frozenset()  # off-slice under pruning
-    cluster_plan: ClusterPlan | None = None
 
     def verified_assertions(self) -> set:
         return {n for n, ok in self.verdicts.items() if ok}
@@ -265,7 +256,7 @@ def _distinct_values(cfg, load, options):
 def compute_combinations(cfg: ThreadCfg, table: dict, model: ProgramModel,
                          facts: FeasibilityEngine,
                          feasibility: bool = False,
-                         plan: ClusterPlan | None = None,
+                         plan: dict | None = None,
                          identity: frozenset = frozenset(),
                          combo_cap: int = AnalysisConfig.combo_cap,
                          merged: bool = False,
@@ -277,11 +268,11 @@ def compute_combinations(cfg: ThreadCfg, table: dict, model: ProgramModel,
     unused.  Otherwise the per-cluster combination lists are zipped: run
     k takes each cluster's k-th combination, loads past the end of their
     cluster's list read their own value, so the number of runs is the
-    maximum cluster list length instead of the product.  Without a plan
-    the thread's active loads are one cluster, so its combinations are
-    the plain product.  Loads in `identity` are off the slice and get no
-    source.  `index` is the table's `_store_index`, built here if not
-    given.
+    maximum cluster list length instead of the product.  The clusters
+    are `plan[cfg.tid]` (see `pdg.cluster`); without a plan the thread's
+    active loads are one cluster, so its combinations are the plain
+    product.  Loads in `identity` are off the slice and get no source.
+    `index` is the table's `_store_index`, built here if not given.
 
     With `feasibility`, refuted sources are dropped first and only
     combinations of several loads are checked one by one.  With one
@@ -296,7 +287,7 @@ def compute_combinations(cfg: ThreadCfg, table: dict, model: ProgramModel,
     if merged:
         return [{l: options[0] for l, options in sources.items()}], 0, 0, 1
 
-    groups = [active] if plan is None else plan.by_thread.get(cfg.tid, [])
+    groups = [active] if plan is None else plan.get(cfg.tid, [])
     groups = [g for g in ([l for l in group if l in sources]
                           for group in groups) if g]
     per_cluster = []
@@ -352,9 +343,9 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
     plan = None
     if row.slicing:
         graph = build_pdg(model)
-        slices = backward_slices(graph, model)
-        identity_nodes = apply_pruning(slices, model)
-        plan = cluster(graph, slices, model)
+        on_slice = backward_slices(graph, model)
+        identity_nodes = apply_pruning(on_slice, model)
+        plan = cluster(graph, on_slice, model)
 
     te: dict = {}
     table: dict = {cfg.tid: {} for cfg in model.threads}
@@ -369,7 +360,7 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
         for cfg in model.threads}
     stats = AnalysisStats()
     stats.pruned_loads = sum(is_load(model.node(n)) for n in identity_nodes)
-    stats.clusters = plan.total_clusters() if plan else 0
+    stats.clusters = sum(map(len, plan.values())) if plan else 0
 
     for iteration in itertools.count(1):
         if iteration > config.outer_budget:
@@ -429,4 +420,4 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
 
     verdicts = {n: n not in violable for n in model.assertions}
     return AnalysisResult(model, te, verdicts, stats, table,
-                          identity_nodes=identity_nodes, cluster_plan=plan)
+                          identity_nodes=identity_nodes)

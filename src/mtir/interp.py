@@ -110,11 +110,22 @@ class ThreadRun:
     violable: set = field(default_factory=set)
 
 
+@dataclass
+class AnalysisConfig:
+    """One analysis's mode and budgets; `analyze_thread` defaults to them."""
+    mode: str = "fsc"
+    widening_delay: int = 3
+    narrowing_passes: int = 1
+    outer_budget: int = 64
+    combo_cap: int = 4096
+
+
 VISIT_BUDGET = 200_000  # worklist visits per run before giving up
 
 
 def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
-                   widening_delay: int = 3, narrowing_passes: int = 1,
+                   widening_delay: int = AnalysisConfig.widening_delay,
+                   narrowing_passes: int = AnalysisConfig.narrowing_passes,
                    identity_nodes: frozenset = frozenset()) -> ThreadRun:
     """Run the worklist fixpoint over one thread from the given entry state.
 

@@ -23,6 +23,7 @@ from mtir.oracle import (
     OracleBounds, check_abstraction, enumerate_executions, static_rejections,
 )
 from mtir.parser import parse
+from mtir.pdg import backward_slices, build_pdg, cluster
 from mtir.corpus import source
 
 
@@ -134,10 +135,12 @@ def test_criterion_5_clustering():
     fso = analyze(model, AnalysisConfig(mode="fso"))
     feas = FeasibilityEngine(model)
     reader = model.thread_named("thread2")
+    graph = build_pdg(model)
+    plan = cluster(graph, backward_slices(graph, model), model)
     _, unclustered, _, _ = compute_combinations(reader, fs.interference, model,
                                                 feas)
     zipped, _, _, _ = compute_combinations(reader, fso.interference, model,
-                                           feas, plan=fso.cluster_plan)
+                                           feas, plan=plan)
     ok = (unclustered == 4 and len(zipped) == 2
           and all(fs.verdicts.values()) and all(fsc.verdicts.values())
           and all(fso.verdicts.values()) and len(fs.verdicts) == 2)

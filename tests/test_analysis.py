@@ -17,6 +17,7 @@ from mtir.interp import (
     MergedSource, SelfSource, StoreSource, analyze_thread,
 )
 from mtir.parser import parse
+from mtir.pdg import backward_slices, build_pdg, cluster
 from mtir.corpus import PROGRAMS, source, expectations
 
 
@@ -265,9 +266,10 @@ def test_disjoint_chains_clustering(corpus_models, corpus_results):
     _, full, _, _ = compute_combinations(reader, fs_result.interference, model,
                                          feas)
     assert full == 4
+    graph = build_pdg(model)
     zipped, _, _, _ = compute_combinations(
         reader, fso_result.interference, model, feas,
-        plan=fso_result.cluster_plan)
+        plan=cluster(graph, backward_slices(graph, model), model))
     assert len(zipped) == 2
 
 
@@ -348,7 +350,7 @@ def _full_product(cfg, table, model, facts, feasibility=False, plan=None,
         return [{l: options[0] for l, options in sources.items()}], 0, 0, 1
     background = {l: SelfSource() for l in active}
     lists, generated, rejected = [], 0, 0
-    groups = [active] if plan is None else plan.by_thread.get(cfg.tid, [])
+    groups = [active] if plan is None else plan.get(cfg.tid, [])
     for group in groups:
         group = [l for l in group if l in sources]
         if group:

@@ -40,6 +40,15 @@ Every executed run goes into one table, keyed the same way for every
 thread: instances of one routine, one graph up to a shift of node ids,
 replay each other's runs.  `stats.runs` counts the runs of the uncollapsed
 schedule, `stats.interp_runs` those executed.
+
+An executed run also shares the work before its first read of shared
+memory.  Up to the first load it reads through its combination, a run
+depends only on its thread and entry state (identity nodes and widening
+delay are fixed in one analysis), so the first run of a thread from an
+entry state stores its worklist state at that load and every later run
+from an equal state resumes there (see `interp.analyze_thread`).  Resumed
+runs compute exactly what fresh runs compute; `stats.resumed_runs` counts
+them.
 """
 
 from __future__ import annotations
@@ -87,6 +96,7 @@ class AnalysisStats:
     outer_iters: int = 0
     runs: int = 0
     interp_runs: int = 0
+    resumed_runs: int = 0  # executed runs that resumed a stored prefix
     combos: int = 0
     infeasible: int = 0
     pruned_loads: int = 0
@@ -352,6 +362,7 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
     violable: set = set()
     seen: set = set()  # (tid, run key) of every scheduled run
     shared: dict = {}  # run key -> (first node, run) of every executed run
+    prefixes: dict = {}  # (tid, entry state) -> run state at first consult
     # instances of one routine share a shape: one graph up to node ids
     shapes = {
         cfg.tid: (cfg.routine,
@@ -403,9 +414,10 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
                         cfg, init, policy,
                         widening_delay=config.widening_delay,
                         narrowing_passes=config.narrowing_passes,
-                        identity_nodes=identity_nodes)
+                        identity_nodes=identity_nodes, prefixes=prefixes)
                     shared[key] = hit
                     stats.interp_runs += 1
+                    stats.resumed_runs += hit[1].resumed
                 base, run = hit
                 shift = cfg.first_node - base
                 _merge_te(te, run.envs, shift)

@@ -135,13 +135,6 @@ class ThreadCfg:
     first_instance: ThreadCfg | None = field(default=None, repr=False,
                                               compare=False)
 
-    def preds(self) -> dict[int, list[int]]:
-        out = {n: [] for n in self.nodes}
-        for n, edges in self.succs.items():
-            for dst, _ in edges:
-                out[dst].append(n)
-        return out
-
     def node_order(self) -> list[int]:
         return sorted(self.nodes)
 
@@ -167,6 +160,16 @@ class ThreadCfg:
             stmt = self.nodes[n].stmt
             if isinstance(stmt, SStore):
                 out.setdefault(stmt.var, []).append(n)
+        return out
+
+    @_per_routine(lambda preds, d: {n + d: [p + d for p in ps]
+                                    for n, ps in preds.items()})
+    def preds(self) -> dict[int, list[int]]:
+        """Predecessors of each node."""
+        out = {n: [] for n in self.nodes}
+        for n, edges in self.succs.items():
+            for dst, _ in edges:
+                out[dst].append(n)
         return out
 
     @_per_routine(_shift_masks)
@@ -467,7 +470,8 @@ def _instantiate(routine: Routine, tid, name, args, creation_site, globals_,
     cfg.exit = builder.new_node(SExit(), routine.end_line)
     builder.connect(ends, cfg.exit)
     cfg.entry = first_id  # the body's first node, or the exit
-    if cfg.preds()[cfg.entry]:
+    if any(dst == cfg.entry for edges in cfg.succs.values()
+           for dst, _ in edges):
         # a loop at the start of the body targets the entry; give the CFG
         # a predecessor-free entry
         nop = builder.new_node(SNop(), routine.line)
@@ -612,8 +616,7 @@ def _check_normalization(model: ProgramModel):
                                 and not isinstance(s, (SLoad, SStore))):
                 raise ModelError(
                     f"node {model.node_name(nid)} breaks normalization: {s}")
-        preds = cfg.preds()
-        if preds[cfg.entry]:
+        if cfg.preds[cfg.entry]:
             raise ModelError(f"{cfg.name}: entry node has predecessors")
         missing = [n for n in cfg.node_order()
                    if n != cfg.entry and not cfg.reach[cfg.entry] >> n & 1]

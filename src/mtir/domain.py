@@ -16,7 +16,6 @@ unchecked, and `AbstractEnv.bot()` is one shared Bottom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import partial
 
@@ -30,24 +29,32 @@ from .errors import UnknownVariableError
 INF = float("inf")
 
 
-@dataclass(frozen=True)
 class Interval:
-    lo: int | float
-    hi: int | float
-    # stored rather than a property: environments read it once per binding
-    empty: bool = field(init=False, compare=False)
+    """[lo, hi], or EMPTY.  Instances are immutable by convention: equal
+    and hashed by (lo, hi), and operations return fresh intervals or an
+    operand unchanged."""
 
-    def __post_init__(self):
-        lo, hi = self.lo, self.hi
-        if lo > hi:
+    # `empty` is stored rather than a property: environments read it once
+    # per binding
+    __slots__ = ("lo", "hi", "empty")
+
+    def __init__(self, lo: int | float, hi: int | float):
+        empty = lo > hi
+        if empty:
             if lo != INF or hi != -INF:
                 raise ValueError(f"malformed interval [{lo}, {hi}]")
-            object.__setattr__(self, "empty", True)
-            return
-        if not ((isinstance(lo, int) or lo == -INF)
-                and (isinstance(hi, int) or hi == INF)):
+        elif not ((isinstance(lo, int) or lo == -INF)
+                  and (isinstance(hi, int) or hi == INF)):
             raise ValueError(f"malformed interval [{lo}, {hi}]")
-        object.__setattr__(self, "empty", False)
+        self.lo, self.hi, self.empty = lo, hi, empty
+
+    def __eq__(self, other):
+        if other.__class__ is not Interval:
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
 
     def __repr__(self):
         if self.empty:

@@ -108,6 +108,7 @@ class ThreadRun:
     assertion nodes this run could not prove."""
     envs: dict  # node id -> AbstractEnv (state immediately before the node)
     violable: set = field(default_factory=set)
+    resumed: bool = field(default=False, compare=False)  # from a prefix
 
 
 @dataclass
@@ -123,10 +124,22 @@ class AnalysisConfig:
 VISIT_BUDGET = 200_000  # worklist visits per run before giving up
 
 
+@dataclass
+class _Prefix:
+    """A run's ascending state just before its first policy consult."""
+    envs: dict
+    updates: dict
+    worklist: deque  # the consulting load at its front
+    queued: set
+    visits: int
+    widened: bool
+
+
 def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
                    widening_delay: int = AnalysisConfig.widening_delay,
                    narrowing_passes: int = AnalysisConfig.narrowing_passes,
-                   identity_nodes: frozenset = frozenset()) -> ThreadRun:
+                   identity_nodes: frozenset = frozenset(),
+                   prefixes: dict | None = None) -> ThreadRun:
     """Run the worklist fixpoint over one thread from the given entry state.
 
     Widening fires at loop heads (back-edge targets) once a node has been
@@ -136,6 +149,17 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
     incoming edges, so the pass is skipped.
     Nodes in `identity_nodes` (off-slice statements under pruning) pass
     their state through unchanged and their branch edges do not filter.
+
+    A run is resumable.  Until it pops a load that is not an identity
+    node and whose state is not bottom, it has not consulted `policy`, so
+    what it computed is a function of the thread, `init`, the identity
+    nodes and the widening delay alone.  At that first consult, unless it
+    is the first visit, the run stores its worklist state in `prefixes`
+    under `(cfg.tid, init)`; a later run of the thread from an equal
+    entry state copies that state and goes on from there, so it visits,
+    widens and exceeds the visit budget exactly where a fresh run would.
+    `prefixes` must belong to one analysis, with fixed identity nodes and
+    widening delay; by default the prefix is stored in a dict of its own.
     """
     envs = dict.fromkeys(cfg.nodes, AbstractEnv.bot())
     envs[cfg.entry] = init
@@ -144,11 +168,20 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
 
     table, base = cfg.steps, cfg.first_node
     widen_points = cfg.loop_heads
-    updates = dict.fromkeys(cfg.nodes, 0)
-    worklist = deque([cfg.entry])
-    queued = {cfg.entry}
-    visits, budget = 0, VISIT_BUDGET
-    widened = False
+    prefixes = {} if prefixes is None else prefixes
+    key = cfg.tid, init
+    prefix = prefixes.get(key)
+    if prefix is None:
+        updates = dict.fromkeys(cfg.nodes, 0)
+        worklist = deque([cfg.entry])
+        queued = {cfg.entry}
+        visits, widened = 0, False
+    else:
+        envs, updates = dict(prefix.envs), dict(prefix.updates)
+        worklist, queued = deque(prefix.worklist), set(prefix.queued)
+        visits, widened = prefix.visits, prefix.widened
+    recording = prefix is None  # until the first consult
+    budget = VISIT_BUDGET
 
     while worklist:
         visits += 1
@@ -157,6 +190,13 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
                 f"{cfg.name}: worklist exceeded {budget} visits")
         n = worklist.popleft()
         queued.discard(n)
+        if recording and n - base in table.loads \
+                and n not in identity_nodes and not envs[n].bottom:
+            recording = False
+            if visits > 1:
+                prefixes[key] = _Prefix(
+                    dict(envs), dict(updates), deque((n, *worklist)),
+                    queued | {n}, visits - 1, widened)
         out = _node_out(table, n, base, envs[n], policy, identity_nodes)
         for dst, filt in table.succs[n - base]:
             dst += base
@@ -176,14 +216,13 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
     # descending sweeps, in place so a narrowed loop head refines its
     # successors within the same pass; each update keeps the post-fixpoint
     # property since predecessors can only shrink afterwards
-    preds = cfg.preds() if widened else {}
     for _ in range(narrowing_passes if widened else 0):
         changed = False
         for n in cfg.node_order():
             if n == cfg.entry:
                 continue
             incoming = AbstractEnv.bot()
-            for p in preds[n]:
+            for p in cfg.preds[n]:
                 out = _node_out(table, p, base, envs[p], policy,
                                 identity_nodes)
                 for dst, filt in table.succs[p - base]:
@@ -198,7 +237,8 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
             break
 
     return ThreadRun(envs, {r + base for r, negated in table.violable.items()
-                            if not negated(envs[r + base]).bottom})
+                            if not negated(envs[r + base]).bottom},
+                     resumed=prefix is not None)
 
 
 def is_stable(cfg: ThreadCfg, run: ThreadRun, policy, init: AbstractEnv,

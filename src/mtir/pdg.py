@@ -111,7 +111,7 @@ def _data_dependence(cfg: ThreadCfg, graph: DependenceGraph):
     # node defines at most one)
     kill = {n: sum(sites[var] for var in defs[n]) for n in nodes}
 
-    preds = cfg.preds()
+    preds = cfg.preds
     reaching = dict.fromkeys(nodes, 0)  # sites reaching each node
     out = dict.fromkeys(nodes, 0)
     changed = True

@@ -14,7 +14,9 @@ parameters, a `main` of 400 straight-line statements, one program with
 each expression and condition shape the compiled evaluator treats
 apart, a 900-term `+` chain and a branch on 900 `!`, a loop-headed
 routine created three times from two routines, a `while` in an `if` in
-a `while` with declarations, `error;` and a conditional `create`,
+a `while` with declarations, `error;` and a conditional `create`, a
+routine that reads a global after a local loop created four times with
+three parameters, a thread whose first shared read is inside a loop,
 `random_program` seeds 0-119, `repeated_program` seeds 0-39 and
 `stress_soundness`'s `loopy_program` seeds 0-19.
 """
@@ -153,6 +155,53 @@ thread main() {
 }
 """
 
+# a global read after a local loop, in a routine created four times with
+# three parameters: each instance's runs share their loop
+LOOP_THEN_READ = """int g = 0;
+int h = 0;
+thread work(int n) {
+  int s = 0;
+  int i = 0;
+  while (i < n) { s = s + i; i = i + 1; }
+  int t = g;
+  g = t + s;
+  h = n;
+  assert(s >= 0);
+  assert(t <= 100);
+}
+thread main() {
+  create(work, 2);
+  create(work, 4);
+  create(work, 4);
+  create(work, 6);
+  int r = g;
+  g = r + 1;
+  int q = h;
+  assert(q <= 6);
+}
+"""
+
+# the first shared read sits inside a loop and is reached only once the
+# counter passes 3, after the loop head has widened: runs share a prefix
+# that stops mid-ascent
+READ_IN_LOOP = """int g = 0;
+thread bump() { int b = g; g = b + 2; }
+thread main() {
+  create(bump);
+  int acc = 0;
+  int k = 0;
+  while (k < 5) {
+    k = k + 1;
+    if (k > 3) {
+      int v = g;
+      acc = acc + v;
+    }
+  }
+  assert(acc >= 0);
+  assert(k == 5);
+}
+"""
+
 DEEP_PLUS = ("thread main() { int x = *; int y = "
              + " + ".join(["x"] * 900) + "; assert(y >= 0); }\n")
 
@@ -172,6 +221,8 @@ def programs():
     yield "shapes", SHAPES
     yield "loop_start", LOOP_START
     yield "nested", NESTED
+    yield "loop_then_read", LOOP_THEN_READ
+    yield "read_in_loop", READ_IN_LOOP
     yield "deep_plus900", DEEP_PLUS
     yield "deep_not900", DEEP_NOT
     for family, generator, count in (("random", random_program, 120),

@@ -419,6 +419,26 @@ def test_watchdog_run_counts():
                       "fso": (18, 8)}
 
 
+def test_resumed_run_counts():
+    # every dog counts to 12 before it reads g: of the 36 runs fi, fs and
+    # fsc execute on watchdog/16, the 28 after the first from each (thread,
+    # entry state) resume its stored prefix; under fso the loop is off the
+    # slice.  A chain link reads x first, so it stores no prefix.  The
+    # counter stays out of the report.
+    counts = {}
+    for name, text in (("watchdog16", watchdog_program(16)),
+                       ("chain10", chain_program(10))):
+        model = model_of(text)
+        for mode in MODES:
+            result = analyze(model, AnalysisConfig(mode=mode))
+            counts[name, mode] = (result.stats.interp_runs,
+                                  result.stats.resumed_runs)
+            assert "resumed_runs" not in report(result)["stats"]
+    assert {mode: counts["watchdog16", mode] for mode in MODES} == {
+        "fi": (36, 28), "fs": (36, 28), "fsc": (36, 28), "fso": (8, 0)}
+    assert all(counts["chain10", mode][1] == 0 for mode in MODES)
+
+
 def test_one_model_four_modes_in_any_order():
     # `mtir bench` and perfbench analyze one model in every mode, so what a
     # thread caches (its compiled step table) must not carry one mode's

@@ -255,7 +255,7 @@ def test_branch_arity():
 def test_entry_has_no_predecessors():
     model = model_of("int x = 0;\nthread main() { while (*) { x = 1; } }")
     cfg = model.thread(0)
-    assert cfg.preds()[cfg.entry] == []
+    assert cfg.preds[cfg.entry] == []
 
 
 def test_recursive_create_rejected():

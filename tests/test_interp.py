@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from conftest import node_ids, random_program, self_only
+from conftest import MODES, instance_programs, node_ids, random_program, \
+    self_only
+from stress_soundness import loopy_program
 from mtir.analysis import AnalysisConfig, analyze
 from mtir.cfg import build_model, loads_of
 from mtir.domain import AbstractEnv, const, interval
@@ -135,6 +137,85 @@ def test_visit_budget(monkeypatch):
     with pytest.raises(AnalysisBudgetExceeded):
         analyze_thread(model.thread(0), AbstractEnv({}),
                        self_only(model.thread(0)), widening_delay=10 ** 9)
+
+
+# main's first shared read is in its loop, after the loop head's first
+# updates: a resumed run goes on mid-ascent and must widen the head at the
+# same update as a fresh run (`k != 3` does not narrow it back)
+READ_IN_LOOP = """int g = 0;
+thread bump() { int b = g; g = b + 2; }
+thread main() {
+  create(bump);
+  int acc = 0;
+  int k = 0;
+  while (k != 3) { k = k + 1; if (k > 1) { int v = g; acc = v; } }
+  assert(acc >= 0);
+}
+"""
+
+
+def test_resumed_runs_match_fresh_runs(monkeypatch):
+    # with a fresh run key per call every combination analyze schedules
+    # executes; each run that resumed a stored prefix must equal a fresh
+    # run of the same thread, entry state and policy
+    from mtir import analysis as analysis_mod
+    resumed = []
+
+    def checked(cfg, init, policy, **kwargs):
+        run = analyze_thread(cfg, init, policy, **kwargs)
+        if run.resumed:
+            fresh = analyze_thread(cfg, init, policy,
+                                   **{**kwargs, "prefixes": {}})
+            assert not fresh.resumed
+            assert run.envs == fresh.envs, cfg.name
+            assert run.violable == fresh.violable, cfg.name
+            resumed.append(cfg.name)
+        return run
+
+    monkeypatch.setattr(analysis_mod, "_run_key", lambda *_: object())
+    monkeypatch.setattr(analysis_mod, "analyze_thread", checked)
+    texts = list(instance_programs())
+    texts += [loopy_program(seed) for seed in range(20)]
+    texts.append(READ_IN_LOOP)
+    for text in texts:
+        model = build_model(parse(text))
+        for mode in MODES:
+            analyze(model, AnalysisConfig(mode=mode))
+    assert len(resumed) > 1000, len(resumed)
+
+
+def test_resumed_run_exceeds_budget_at_the_same_visit(monkeypatch):
+    # a local loop, then a shared read inside a second loop: the stored
+    # prefix ends mid-run, and a run resumed from it must give up at the
+    # same visit as a fresh run, whether the budget runs out before the
+    # prefix ends or after
+    model = build_model(parse(
+        "int g = 0;\nthread main() { int i = 0; while (i < 6) { i = i + 1; }"
+        " int j = 0; while (j < 30) { int t = g; j = j + 1; } }"))
+    cfg, init = model.thread(0), init_env(model)
+    policy, delay = self_only(cfg), 10 ** 9
+    prefixes = {}
+    assert not analyze_thread(cfg, init, policy, widening_delay=delay,
+                              prefixes=prefixes).resumed
+    (prefix,) = prefixes.values()
+
+    def gives_up(budget, stored):
+        monkeypatch.setattr("mtir.interp.VISIT_BUDGET", budget)
+        resumes = bool(stored)
+        try:
+            run = analyze_thread(cfg, init, policy, widening_delay=delay,
+                                 prefixes=stored)
+        except AnalysisBudgetExceeded:
+            return True
+        assert run.resumed == resumes
+        return False
+
+    visits = 1
+    while gives_up(visits, {}):
+        visits += 1
+    assert 1 < prefix.visits < visits
+    for budget in range(1, visits + 3):
+        assert gives_up(budget, {}) == gives_up(budget, prefixes), budget
 
 
 def test_stabilization_under_pinned_sources(flag_sync):

@@ -49,6 +49,12 @@ entry state stores its worklist state at that load and every later run
 from an equal state resumes there (see `interp.analyze_thread`).  Resumed
 runs compute exactly what fresh runs compute; `stats.resumed_runs` counts
 them.
+
+The descending pass after a widening is shared the same way.  The nodes
+no node of the worklist at that load can reach have their final states
+there and read no combination, so how each sweep narrows them is stored
+with the prefix by the first run that sweeps, and later runs copy it and
+narrow only the nodes the load can affect.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .cfg import ProgramModel, ThreadCfg, is_load, is_store, loads_of
+from .cfg import ProgramModel, ThreadCfg, is_load, loads_of
 from .domain import AbstractEnv, Interval, const
 from .errors import AnalysisBudgetExceeded, CombinationBudgetExceeded
 from .facts import FeasibilityEngine
@@ -166,14 +172,15 @@ def _publish(model, te, table, iteration, config, identity):
     node, widened across outer iterations once past the delay."""
     for cfg in model.threads:
         bucket = table.setdefault(cfg.tid, {})
-        for n in cfg.node_order():
-            node = cfg.nodes[n]
-            if not is_store(node) or n in identity:
+        steps, base = cfg.steps, cfg.first_node
+        for r in steps.stores:
+            n = r + base
+            if n in identity:
                 continue
             pre = te.get(n)
             if pre is None or pre.bottom:
                 continue
-            post = cfg.steps.transfer[n - cfg.first_node](pre)
+            post = steps.transfer[r](pre)
             old = bucket.get(n)
             if old is None:
                 bucket[n] = post

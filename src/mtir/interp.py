@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .cfg import SAssert, SLoad, ThreadCfg
+from .cfg import SAssert, SLoad, SStore, ThreadCfg
 from .domain import AbstractEnv, compile_filter, compile_transfer
 from .errors import AnalysisBudgetExceeded
 
@@ -65,22 +66,40 @@ class StepTable:
     by node id relative to the instance's first node: each node's
     transfer (a load's reads the thread-local binding; a run's policy
     picks its source) and out edges with their filters (None if
-    unconditional), the loads, and each assertion with the filter of its
-    negated condition."""
+    unconditional), the loads, the stores in node order, and each
+    assertion with the filter of its negated condition.  `sweep_order`
+    lists the nodes a descending sweep narrows (all but the entry) in
+    node order."""
 
     def __init__(self, cfg: ThreadCfg):
-        base = cfg.first_node
+        base, entry = cfg.first_node, cfg.entry - cfg.first_node
         self.transfer, self.succs, self.loads, self.violable = {}, {}, {}, {}
-        for n, node in cfg.nodes.items():
-            r, stmt = n - base, node.stmt
+        self.stores = []
+        for n in cfg.node_order():
+            r, stmt = n - base, cfg.nodes[n].stmt
             self.transfer[r] = compile_transfer(stmt)
             self.succs[r] = [(dst - base, None if filt is None
                               else compile_filter(filt[1], filt[2]))
                              for dst, filt in cfg.succs[n]]
             if isinstance(stmt, SLoad):
                 self.loads[r] = stmt
+            elif isinstance(stmt, SStore):
+                self.stores.append(r)
             elif isinstance(stmt, SAssert):
                 self.violable[r] = compile_filter(stmt.cond, False)
+        self.sweep_order = [r for r in self.succs if r != entry]
+        self.entry_load = entry in self.loads
+
+    @cached_property
+    def in_edges(self) -> dict:
+        """Each node's in edges as `(pred, filter)`, in the order
+        `cfg.preds` lists predecessors (node order), so that a sweep joins
+        them in that order; built at the routine's first sweep."""
+        in_edges = {r: [] for r in self.succs}
+        for r, edges in self.succs.items():
+            for dst, filt in edges:
+                in_edges[dst].append((r, filt))
+        return in_edges
 
 
 def _node_out(table, n, base, env, policy, identity_nodes):
@@ -126,13 +145,18 @@ VISIT_BUDGET = 200_000  # worklist visits per run before giving up
 
 @dataclass
 class _Prefix:
-    """A run's ascending state just before its first policy consult."""
+    """A run's ascending state just before its first policy consult, the
+    nodes that state fixes and their descending sweeps."""
     envs: dict
     updates: dict
     worklist: deque  # the consulting load at its front
     queued: set
     visits: int
     widened: bool
+    fixed: frozenset  # the nodes no node of the worklist reaches
+    # per sweep of the first run from here that swept that far: each fixed
+    # node the sweep narrowed, with its new state
+    sweeps: list = field(default_factory=list)
 
 
 def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
@@ -160,6 +184,22 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
     widens and exceeds the visit budget exactly where a fresh run would.
     `prefixes` must belong to one analysis, with fixed identity nodes and
     widening delay; by default the prefix is stored in a dict of its own.
+    A thread whose entry is a load that is not an identity node consults
+    at its first visit, so it neither looks up nor stores a prefix.
+
+    The descending pass is shared too.  The prefix also holds its fixed
+    nodes: those that no node of the worklist (the consulting load and
+    every pending node) reaches.  Only nodes popped after the consult
+    update states, so a fixed node's state is final at the consult; its
+    predecessors are fixed as well, and none of them reads the policy,
+    since every load with a state that is not bottom is still in the
+    worklist.  So in each sweep a fixed node narrows to a value that
+    depends on the prefix and the sweep's number alone.  The first run
+    from a prefix that reaches a sweep records the fixed nodes that sweep
+    narrowed; a later run walks the same node order, copies them, and
+    computes only the other nodes.  These read the same mix of this
+    sweep's and the last sweep's states as in a fresh run, and the run
+    stops sweeping once neither kind of node changed.
     """
     envs = dict.fromkeys(cfg.nodes, AbstractEnv.bot())
     envs[cfg.entry] = init
@@ -168,9 +208,15 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
 
     table, base = cfg.steps, cfg.first_node
     widen_points = cfg.loop_heads
-    prefixes = {} if prefixes is None else prefixes
-    key = cfg.tid, init
-    prefix = prefixes.get(key)
+    prefix = None
+    if table.entry_load and cfg.entry not in identity_nodes:
+        recording = False  # the first visit consults: nothing to store
+    else:
+        prefixes = {} if prefixes is None else prefixes
+        key = cfg.tid, init
+        prefix = prefixes.get(key)
+        recording = prefix is None  # until the first consult
+    resumed = prefix is not None
     if prefix is None:
         updates = dict.fromkeys(cfg.nodes, 0)
         worklist = deque([cfg.entry])
@@ -180,7 +226,6 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
         envs, updates = dict(prefix.envs), dict(prefix.updates)
         worklist, queued = deque(prefix.worklist), set(prefix.queued)
         visits, widened = prefix.visits, prefix.widened
-    recording = prefix is None  # until the first consult
     budget = VISIT_BUDGET
 
     while worklist:
@@ -194,9 +239,13 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
                 and n not in identity_nodes and not envs[n].bottom:
             recording = False
             if visits > 1:
-                prefixes[key] = _Prefix(
+                reached = cfg.reach[n]
+                for m in worklist:
+                    reached |= cfg.reach[m]
+                prefix = prefixes[key] = _Prefix(
                     dict(envs), dict(updates), deque((n, *worklist)),
-                    queued | {n}, visits - 1, widened)
+                    queued | {n}, visits - 1, widened,
+                    frozenset(m for m in cfg.nodes if not reached >> m & 1))
         out = _node_out(table, n, base, envs[n], policy, identity_nodes)
         for dst, filt in table.succs[n - base]:
             dst += base
@@ -216,41 +265,36 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
     # descending sweeps, in place so a narrowed loop head refines its
     # successors within the same pass; each update keeps the post-fixpoint
     # property since predecessors can only shrink afterwards
-    for _ in range(narrowing_passes if widened else 0):
-        changed = False
-        for n in cfg.node_order():
-            if n == cfg.entry:
+    fixed, swept = (frozenset(), []) if prefix is None \
+        else (prefix.fixed, prefix.sweeps)
+    for j in range(narrowing_passes if widened else 0):
+        copying = j < len(swept)
+        narrowed_fixed = swept[j] if copying else {}
+        changed = bool(narrowed_fixed)
+        for r in table.sweep_order:
+            n = r + base
+            if copying and n in fixed:
+                if n in narrowed_fixed:
+                    envs[n] = narrowed_fixed[n]
                 continue
             incoming = AbstractEnv.bot()
-            for p in cfg.preds[n]:
+            for p, filt in table.in_edges[r]:
+                p += base
                 out = _node_out(table, p, base, envs[p], policy,
                                 identity_nodes)
-                for dst, filt in table.succs[p - base]:
-                    if dst + base == n:
-                        incoming = incoming.join(
-                            _edge_env(p, filt, out, identity_nodes))
+                incoming = incoming.join(
+                    _edge_env(p, filt, out, identity_nodes))
             narrowed = envs[n].narrow(incoming)
-            if narrowed != envs[n]:
+            if narrowed is not envs[n]:  # narrow returns self if unchanged
                 envs[n] = narrowed
                 changed = True
+                if n in fixed:
+                    narrowed_fixed[n] = narrowed
+        if not copying:
+            swept.append(narrowed_fixed)
         if not changed:
             break
 
     return ThreadRun(envs, {r + base for r, negated in table.violable.items()
                             if not negated(envs[r + base]).bottom},
-                     resumed=prefix is not None)
-
-
-def is_stable(cfg: ThreadCfg, run: ThreadRun, policy, init: AbstractEnv,
-              identity_nodes: frozenset = frozenset()) -> bool:
-    """Fixpoint check: one more sweep must change nothing."""
-    if not init.leq(run.envs[cfg.entry]):
-        return False
-    table, base = cfg.steps, cfg.first_node
-    for n in cfg.node_order():
-        out = _node_out(table, n, base, run.envs[n], policy, identity_nodes)
-        for dst, filt in table.succs[n - base]:
-            if not _edge_env(n, filt, out, identity_nodes).leq(
-                    run.envs[dst + base]):
-                return False
-    return True
+                     resumed=resumed)

@@ -17,6 +17,9 @@ routine created three times from two routines, a `while` in an `if` in
 a `while` with declarations, `error;` and a conditional `create`, a
 routine that reads a global after a local loop created four times with
 three parameters, a thread whose first shared read is inside a loop,
+a thread with two loads of one global on the two branches of an `if`
+after a loop, a thread with a loop before its first shared read and a
+loop bounded by the value read after it,
 `random_program` seeds 0-119, `repeated_program` seeds 0-39 and
 `stress_soundness`'s `loopy_program` seeds 0-19.
 """
@@ -202,6 +205,41 @@ thread main() {
 }
 """
 
+# a counter loop, then two loads of g on the two branches of an `if`:
+# the first one popped consults while the other is still pending, so the
+# nodes the pending load reaches are not fixed by the stored prefix
+PENDING_LOAD = """int g = 0;
+thread w() { g = 5; g = 9; }
+thread main() {
+  create(w);
+  int i = 0;
+  while (i < 4) { i = i + 1; }
+  int c = *;
+  int s = 0;
+  if (c > 0) { int t = g; s = t; } else { int u = g; s = u + 1; }
+  assert(s <= 9);
+}
+"""
+
+# a local loop before the first shared read and a loop bounded by the
+# value read after it: runs share the first loop's sweeps, not the second's
+LOOP_READ_LOOP = """int g = 0;
+thread w(int k) { g = k; g = k + 3; }
+thread main() {
+  create(w, 2);
+  create(w, 6);
+  int i = 0;
+  while (i < 5) { i = i + 1; }
+  int t = g;
+  int j = 0;
+  int s = 0;
+  while (j < t) { s = s + j; j = j + 1; }
+  assert(i == 5);
+  assert(s >= 0);
+  assert(j <= 9);
+}
+"""
+
 DEEP_PLUS = ("thread main() { int x = *; int y = "
              + " + ".join(["x"] * 900) + "; assert(y >= 0); }\n")
 
@@ -223,6 +261,8 @@ def programs():
     yield "nested", NESTED
     yield "loop_then_read", LOOP_THEN_READ
     yield "read_in_loop", READ_IN_LOOP
+    yield "pending_load", PENDING_LOAD
+    yield "loop_read_loop", LOOP_READ_LOOP
     yield "deep_plus900", DEEP_PLUS
     yield "deep_not900", DEEP_NOT
     for family, generator, count in (("random", random_program, 120),

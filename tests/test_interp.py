@@ -10,8 +10,8 @@ from mtir.cfg import build_model, loads_of
 from mtir.domain import AbstractEnv, const, interval
 from mtir.errors import AnalysisBudgetExceeded
 from mtir.interp import (
-    MergedSource, PerLoad, SelfSource, StoreSource, analyze_thread,
-    is_stable,
+    MergedSource, PerLoad, SelfSource, StoreSource, _edge_env, _node_out,
+    analyze_thread,
 )
 from mtir.oracle import OracleBounds, enumerate_executions
 from mtir.parser import parse
@@ -25,6 +25,20 @@ def flag_sync():
 
 def init_env(model):
     return AbstractEnv({name: const(v) for name, v in model.globals.items()})
+
+
+def is_stable(cfg, run, policy, init, identity_nodes=frozenset()):
+    """Fixpoint check: one more sweep must change nothing."""
+    if not init.leq(run.envs[cfg.entry]):
+        return False
+    table, base = cfg.steps, cfg.first_node
+    for n in cfg.node_order():
+        out = _node_out(table, n, base, run.envs[n], policy, identity_nodes)
+        for dst, filt in table.succs[n - base]:
+            if not _edge_env(n, filt, out, identity_nodes).leq(
+                    run.envs[dst + base]):
+                return False
+    return True
 
 
 def merged(cfg, summary):
@@ -154,10 +168,52 @@ thread main() {
 """
 
 
+# main's two loads of g sit on the two branches of an `if` after a
+# widened loop: whichever is popped first consults while the other is
+# pending, so what the pending one reaches must be narrowed per run
+PENDING_LOAD = """int g = 0;
+thread w() { g = 5; g = 9; }
+thread main() {
+  create(w);
+  int i = 0;
+  while (i < 4) { i = i + 1; }
+  int c = *;
+  int s = 0;
+  if (c > 0) { int t = g; s = t; } else { int u = g; s = u + 1; }
+  assert(s <= 9);
+}
+"""
+
+# k trails i by three assignments, so the loop narrows over three sweeps;
+# the five statements after it let the loop settle before the read is
+# popped, and k and l are reset there, so the nodes after the read stop
+# changing after the first sweep: a resumed run must go on sweeping while
+# the recorded sweeps of the loop still change
+LAGGED = """int g = 0;
+thread w() { g = 1; }
+thread main() {
+  create(w);
+  int i = 0;
+  int m = 0;
+  int l = 0;
+  int k = 0;
+  while (i < 5) { k = l; l = m; m = i; i = i + 1; }
+  k = 0;
+  l = 0;
+  int a = 1;
+  int b = a + 1;
+  int c = b + 1;
+  int t = g;
+  assert(t <= c);
+}
+"""
+
+
 def test_resumed_runs_match_fresh_runs(monkeypatch):
     # with a fresh run key per call every combination analyze schedules
-    # executes; each run that resumed a stored prefix must equal a fresh
-    # run of the same thread, entry state and policy
+    # executes; each run that resumed a stored prefix, and copied the
+    # sweeps recorded there, must equal a fresh run of the same thread,
+    # entry state and policy, with one to three descending sweeps
     from mtir import analysis as analysis_mod
     resumed = []
 
@@ -176,12 +232,14 @@ def test_resumed_runs_match_fresh_runs(monkeypatch):
     monkeypatch.setattr(analysis_mod, "analyze_thread", checked)
     texts = list(instance_programs())
     texts += [loopy_program(seed) for seed in range(20)]
-    texts.append(READ_IN_LOOP)
-    for text in texts:
-        model = build_model(parse(text))
-        for mode in MODES:
-            analyze(model, AnalysisConfig(mode=mode))
-    assert len(resumed) > 1000, len(resumed)
+    texts += [READ_IN_LOOP, PENDING_LOAD, LAGGED]
+    for passes in (1, 2, 3):
+        for text in texts:
+            model = build_model(parse(text))
+            for mode in MODES:
+                analyze(model, AnalysisConfig(mode=mode,
+                                              narrowing_passes=passes))
+    assert len(resumed) > 3000, len(resumed)
 
 
 def test_resumed_run_exceeds_budget_at_the_same_visit(monkeypatch):
@@ -216,6 +274,35 @@ def test_resumed_run_exceeds_budget_at_the_same_visit(monkeypatch):
     assert 1 < prefix.visits < visits
     for budget in range(1, visits + 3):
         assert gives_up(budget, {}) == gives_up(budget, prefixes), budget
+
+
+def test_entry_load_stores_and_looks_up_no_prefix():
+    # a thread whose entry is a load consults at its first visit, so it
+    # neither stores a prefix nor looks one up; as an identity node the
+    # load reads nothing, and the prefix ends at the next load
+    lookups = []
+
+    class Prefixes(dict):
+        def get(self, key, default=None):
+            lookups.append(key)
+            return super().get(key, default)
+
+    model = build_model(parse(
+        "int g = 0;\nthread main() { int t = g; int i = 0;"
+        " while (i < 5) { i = i + 1; } int u = g; }"))
+    cfg, init = model.thread(0), init_env(model)
+    assert cfg.entry - cfg.first_node in cfg.steps.loads
+    prefixes = Prefixes()
+    for _ in range(2):
+        assert not analyze_thread(cfg, init, self_only(cfg),
+                                  prefixes=prefixes).resumed
+    assert not lookups and not prefixes
+    identity = frozenset({cfg.entry})
+    runs = [analyze_thread(cfg, init, self_only(cfg),
+                           identity_nodes=identity, prefixes=prefixes)
+            for _ in range(2)]
+    assert [run.resumed for run in runs] == [False, True]
+    assert len(lookups) == 2 and len(prefixes) == 1
 
 
 def test_stabilization_under_pinned_sources(flag_sync):

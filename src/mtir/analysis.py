@@ -1,4 +1,4 @@
-"""The outer fixpoint composing the per-thread interpreter.
+"""The outer fixpoint composing the per-routine interpreter.
 
 Every mode runs one loop.  Each outer iteration runs every thread once
 per interference combination, which pins each of its loads to a source
@@ -37,18 +37,19 @@ state and the interval each load observes (see `_run_key`).  A run is a
 deterministic function of that input and its results are folded in by
 join, so an input that already ran in the same analysis is skipped.
 Every executed run goes into one table, keyed the same way for every
-thread: instances of one routine, one graph up to a shift of node ids,
-replay each other's runs.  `stats.runs` counts the runs of the uncollapsed
-schedule, `stats.interp_runs` those executed.
+thread.  A run computes by node id relative to its thread's first node,
+so instances of one routine, one graph up to a shift of node ids, replay
+each other's runs as they are.  `stats.runs` counts the runs of the
+uncollapsed schedule, `stats.interp_runs` those executed.
 
 An executed run also shares the work before its first read of shared
 memory.  Up to the first load it reads through its combination, a run
-depends only on its thread and entry state (identity nodes and widening
-delay are fixed in one analysis), so the first run of a thread from an
-entry state stores its worklist state at that load and every later run
-from an equal state resumes there (see `interp.analyze_thread`).  Resumed
-runs compute exactly what fresh runs compute; `stats.resumed_runs` counts
-them.
+depends only on its routine, identity nodes and entry state (the
+widening delay is fixed in one analysis), so the first run from those
+stores its worklist state at that load and every later run from equal
+ones, on any instance of the routine, resumes there (see
+`interp.analyze_thread`).  Resumed runs compute exactly what fresh runs
+compute; `stats.resumed_runs` counts them.
 
 The descending pass after a widening is shared the same way.  The nodes
 no node of the worklist at that load can reach have their final states
@@ -147,7 +148,8 @@ def _initial_env(model: ProgramModel) -> AbstractEnv:
 def _entry_env(model: ProgramModel, cfg: ThreadCfg, te: dict) -> AbstractEnv:
     """Entry state of a thread: globals from the creating thread's state
     at the create site (the program initializers for the entry thread),
-    parameters bound to their constant arguments."""
+    parameters bound to their constant arguments, and each local the
+    routine reads but never assigns bound to 0."""
     if cfg.creation_site is None:
         env = _initial_env(model)
     else:
@@ -157,13 +159,16 @@ def _entry_env(model: ProgramModel, cfg: ThreadCfg, te: dict) -> AbstractEnv:
         env = parent_state.project(set(model.globals))
     for param, value in cfg.params.items():
         env = env.set(param, const(value))
+    for name in cfg.steps.unassigned_locals:
+        env = env.set(name, const(0))
     return env
 
 
-def _merge_te(te: dict, envs: dict, shift: int):
-    for node, env in envs.items():
-        old = te.get(node + shift)
-        te[node + shift] = env if old is None else old.join(env)
+def _merge_te(te: dict, envs: list, base: int):
+    """Fold a run's states, by node id relative to `base`, into `te`."""
+    for node, env in enumerate(envs, base):
+        old = te.get(node)
+        te[node] = env if old is None else old.join(env)
 
 
 def _publish(model, te, table, iteration, config, identity):
@@ -368,9 +373,9 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
     table: dict = {cfg.tid: {} for cfg in model.threads}
     violable: set = set()
     seen: set = set()  # (tid, run key) of every scheduled run
-    shared: dict = {}  # run key -> (first node, run) of every executed run
-    prefixes: dict = {}  # (tid, entry state) -> run state at first consult
-    # instances of one routine share a shape: one graph up to node ids
+    shared: dict = {}  # run key -> every executed run
+    prefixes: dict = {}  # (routine, identity, entry) -> state at first consult
+    # a thread's shape: its routine and identity nodes, by relative id
     shapes = {
         cfg.tid: (cfg.routine,
                   frozenset(n - cfg.first_node
@@ -409,26 +414,23 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
             for combo in combos:
                 # a run is a deterministic function of its key and is folded
                 # in by join: skip an input this thread already ran, and
-                # replay another instance's run shifted by node ids
+                # replay another instance's run, which is by relative id
                 policy = PerLoad(combo)
                 key = _run_key(cfg, init, policy, shapes[cfg.tid])
                 if (cfg.tid, key) in seen:
                     continue
                 seen.add((cfg.tid, key))
-                hit = shared.get(key)
-                if hit is None:
-                    hit = cfg.first_node, analyze_thread(
+                run = shared.get(key)
+                if run is None:
+                    run = shared[key] = analyze_thread(
                         cfg, init, policy,
                         widening_delay=config.widening_delay,
                         narrowing_passes=config.narrowing_passes,
-                        identity_nodes=identity_nodes, prefixes=prefixes)
-                    shared[key] = hit
+                        identity_nodes=shapes[cfg.tid][1], prefixes=prefixes)
                     stats.interp_runs += 1
-                    stats.resumed_runs += hit[1].resumed
-                base, run = hit
-                shift = cfg.first_node - base
-                _merge_te(te, run.envs, shift)
-                violable.update(n + shift for n in run.violable)
+                    stats.resumed_runs += run.resumed
+                _merge_te(te, run.envs, cfg.first_node)
+                violable.update(n + cfg.first_node for n in run.violable)
             stats.runs += runs
             iter_stats.runs += runs
 

@@ -183,12 +183,6 @@ class ThreadCfg:
         from .interp import StepTable  # interp builds on this module
         return StepTable(self)
 
-    @_per_routine(lambda heads, d: {n + d for n in heads})
-    def loop_heads(self) -> set[int]:
-        """Targets n of edges m->n where n dominates m."""
-        return {n for m, edges in self.succs.items() for n, _ in edges
-                if self.dominators[m] >> n & 1}
-
 
 @dataclass
 class ProgramModel:
@@ -250,6 +244,20 @@ def is_store(node: Node) -> bool:
 def loads_of(cfg: ThreadCfg) -> list[int]:
     """All load nodes of a thread, in node-id order."""
     return [n for n in cfg.node_order() if isinstance(cfg.nodes[n].stmt, SLoad)]
+
+
+def defs_and_uses(stmt) -> tuple[set[str], set[str]]:
+    """The locals a statement assigns and those it reads; a normalized
+    statement reads no global in an expression."""
+    if isinstance(stmt, SLocal):
+        return {stmt.target}, expr_vars(stmt.expr)
+    if isinstance(stmt, (SLoad, SNondet)):
+        return {stmt.target}, set()
+    if isinstance(stmt, SStore):
+        return set(), expr_vars(stmt.expr)
+    if isinstance(stmt, (SBranch, SAssert)):
+        return set(), expr_vars(stmt.cond)
+    return set(), set()
 
 
 # --- graph utilities ---------------------------------------------------------

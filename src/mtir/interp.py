@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .cfg import SAssert, SLoad, SStore, ThreadCfg
+from .cfg import SAssert, SLoad, SStore, ThreadCfg, defs_and_uses
 from .domain import AbstractEnv, compile_filter, compile_transfer
 from .errors import AnalysisBudgetExceeded
 
@@ -63,58 +63,68 @@ def _apply_load(node_id, stmt, env, policy):
 
 class StepTable:
     """A routine's statements compiled once for every mode and instance,
-    by node id relative to the instance's first node: each node's
-    transfer (a load's reads the thread-local binding; a run's policy
-    picks its source) and out edges with their filters (None if
-    unconditional), the loads, the stores in node order, and each
-    assertion with the filter of its negated condition.  `sweep_order`
-    lists the nodes a descending sweep narrows (all but the entry) in
-    node order."""
+    by node id relative to an instance's first node: the `size` nodes,
+    the `entry`, the `loop_heads`, each node's transfer (a load's reads
+    the thread-local binding; a run's policy picks its source) and out
+    edges with their filters (None if unconditional) as lists, the
+    loads, the stores in node order, and each assertion with the filter
+    of its negated condition.  `sweep_order` lists the nodes a
+    descending sweep narrows (all but the entry) in node order, and
+    `unassigned_locals` the locals the routine reads but never assigns,
+    parameters aside, in name order: each reads 0."""
 
     def __init__(self, cfg: ThreadCfg):
-        base, entry = cfg.first_node, cfg.entry - cfg.first_node
-        self.transfer, self.succs, self.loads, self.violable = {}, {}, {}, {}
+        base = cfg.first_node
+        self.size, self.entry = len(cfg.nodes), cfg.entry - base
+        self.transfer, self.succs, self.loads, self.violable = [], [], {}, {}
         self.stores = []
+        read, assigned = set(), set(cfg.params)
         for n in cfg.node_order():
             r, stmt = n - base, cfg.nodes[n].stmt
-            self.transfer[r] = compile_transfer(stmt)
-            self.succs[r] = [(dst - base, None if filt is None
-                              else compile_filter(filt[1], filt[2]))
-                             for dst, filt in cfg.succs[n]]
+            defs, uses = defs_and_uses(stmt)
+            read |= uses
+            assigned |= defs
+            self.transfer.append(compile_transfer(stmt))
+            self.succs.append([(dst - base, None if filt is None
+                                else compile_filter(filt[1], filt[2]))
+                               for dst, filt in cfg.succs[n]])
             if isinstance(stmt, SLoad):
                 self.loads[r] = stmt
             elif isinstance(stmt, SStore):
                 self.stores.append(r)
             elif isinstance(stmt, SAssert):
                 self.violable[r] = compile_filter(stmt.cond, False)
-        self.sweep_order = [r for r in self.succs if r != entry]
-        self.entry_load = entry in self.loads
+        self.loop_heads = {dst - base for m, edges in cfg.succs.items()
+                           for dst, _ in edges
+                           if cfg.dominators[m] >> dst & 1}
+        self.sweep_order = [r for r in range(self.size) if r != self.entry]
+        self.unassigned_locals = tuple(sorted(read - assigned))
 
     @cached_property
-    def in_edges(self) -> dict:
+    def in_edges(self) -> list:
         """Each node's in edges as `(pred, filter)`, in the order
         `cfg.preds` lists predecessors (node order), so that a sweep joins
         them in that order; built at the routine's first sweep."""
-        in_edges = {r: [] for r in self.succs}
-        for r, edges in self.succs.items():
+        in_edges = [[] for _ in range(self.size)]
+        for r, edges in enumerate(self.succs):
             for dst, filt in edges:
                 in_edges[dst].append((r, filt))
         return in_edges
 
 
-def _node_out(table, n, base, env, policy, identity_nodes):
-    """Post-state of node n of the instance starting at `base`, from
-    pre-state env; identity nodes pass their state through."""
-    if n in identity_nodes or env.bottom:
+def _node_out(table, r, base, env, policy, identity_nodes):
+    """Post-state of node r from pre-state env, in the instance whose
+    first node is `base`; identity nodes pass their state through."""
+    if r in identity_nodes or env.bottom:
         return env
-    if n - base in table.loads:
-        return _apply_load(n, table.loads[n - base], env, policy)
-    return table.transfer[n - base](env)
+    if r in table.loads:
+        return _apply_load(r + base, table.loads[r], env, policy)
+    return table.transfer[r](env)
 
 
-def _edge_env(n, filt, out, identity_nodes):
-    """State along an edge of n; identity nodes' branches do not filter."""
-    if filt is None or n in identity_nodes:
+def _edge_env(r, filt, out, identity_nodes):
+    """State along an edge of r; identity nodes' branches do not filter."""
+    if filt is None or r in identity_nodes:
         return out
     return filt(out)
 
@@ -123,9 +133,9 @@ def _edge_env(n, filt, out, identity_nodes):
 
 @dataclass
 class ThreadRun:
-    """Result of one interpreter run: pre-state per node plus the
-    assertion nodes this run could not prove."""
-    envs: dict  # node id -> AbstractEnv (state immediately before the node)
+    """Result of one interpreter run, by relative node id: the state
+    before each node and the assertion nodes it could not prove."""
+    envs: list  # AbstractEnv per node
     violable: set = field(default_factory=set)
     resumed: bool = field(default=False, compare=False)  # from a prefix
 
@@ -147,13 +157,13 @@ VISIT_BUDGET = 200_000  # worklist visits per run before giving up
 class _Prefix:
     """A run's ascending state just before its first policy consult, the
     nodes that state fixes and their descending sweeps."""
-    envs: dict
-    updates: dict
+    envs: list
+    updates: list
     worklist: deque  # the consulting load at its front
     queued: set
     visits: int
     widened: bool
-    fixed: frozenset  # the nodes no node of the worklist reaches
+    fixed: int  # node mask of the nodes no node of the worklist reaches
     # per sweep of the first run from here that swept that far: each fixed
     # node the sweep narrowed, with its new state
     sweeps: list = field(default_factory=list)
@@ -166,6 +176,10 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
                    prefixes: dict | None = None) -> ThreadRun:
     """Run the worklist fixpoint over one thread from the given entry state.
 
+    The run computes by node id relative to the thread's first node, as
+    `cfg.steps` is indexed, and so do `identity_nodes` and the returned
+    `ThreadRun`; only the policy is looked up by absolute load id.
+
     Widening fires at loop heads (back-edge targets) once a node has been
     updated more than `widening_delay` times; a bounded descending pass
     then narrows the widened bounds back where the loop body permits.
@@ -176,16 +190,17 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
 
     A run is resumable.  Until it pops a load that is not an identity
     node and whose state is not bottom, it has not consulted `policy`, so
-    what it computed is a function of the thread, `init`, the identity
-    nodes and the widening delay alone.  At that first consult, unless it
-    is the first visit, the run stores its worklist state in `prefixes`
-    under `(cfg.tid, init)`; a later run of the thread from an equal
-    entry state copies that state and goes on from there, so it visits,
-    widens and exceeds the visit budget exactly where a fresh run would.
-    `prefixes` must belong to one analysis, with fixed identity nodes and
-    widening delay; by default the prefix is stored in a dict of its own.
-    A thread whose entry is a load that is not an identity node consults
-    at its first visit, so it neither looks up nor stores a prefix.
+    what it computed is a function of the routine, its identity nodes,
+    `init` and the widening delay alone.  At that first consult, unless
+    it is the first visit, the run stores its worklist state in
+    `prefixes` under `(cfg.routine, identity_nodes, init)`; a later run
+    of any instance with that key copies that state and goes on from
+    there, so it visits, widens and exceeds the visit budget exactly
+    where a fresh run would.  `prefixes` must belong to one analysis,
+    with a fixed widening delay; by default the prefix is stored in a
+    dict of its own.  A thread whose entry is a load that is not an
+    identity node consults at its first visit, so it neither looks up
+    nor stores a prefix.
 
     The descending pass is shared too.  The prefix also holds its fixed
     nodes: those that no node of the worklist (the consulting load and
@@ -201,29 +216,28 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
     sweep's and the last sweep's states as in a fresh run, and the run
     stops sweeping once neither kind of node changed.
     """
-    envs = dict.fromkeys(cfg.nodes, AbstractEnv.bot())
-    envs[cfg.entry] = init
+    table, base = cfg.steps, cfg.first_node
+    envs = [AbstractEnv.bot()] * table.size
+    envs[table.entry] = init
     if init.bottom:
         return ThreadRun(envs)
 
-    table, base = cfg.steps, cfg.first_node
-    widen_points = cfg.loop_heads
+    widen_points = table.loop_heads
     prefix = None
-    if table.entry_load and cfg.entry not in identity_nodes:
+    if table.entry in table.loads and table.entry not in identity_nodes:
         recording = False  # the first visit consults: nothing to store
     else:
         prefixes = {} if prefixes is None else prefixes
-        key = cfg.tid, init
+        key = cfg.routine, identity_nodes, init
         prefix = prefixes.get(key)
         recording = prefix is None  # until the first consult
     resumed = prefix is not None
     if prefix is None:
-        updates = dict.fromkeys(cfg.nodes, 0)
-        worklist = deque([cfg.entry])
-        queued = {cfg.entry}
+        updates = [0] * table.size
+        worklist, queued = deque([table.entry]), {table.entry}
         visits, widened = 0, False
     else:
-        envs, updates = dict(prefix.envs), dict(prefix.updates)
+        envs, updates = list(prefix.envs), list(prefix.updates)
         worklist, queued = deque(prefix.worklist), set(prefix.queued)
         visits, widened = prefix.visits, prefix.widened
     budget = VISIT_BUDGET
@@ -235,20 +249,18 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
                 f"{cfg.name}: worklist exceeded {budget} visits")
         n = worklist.popleft()
         queued.discard(n)
-        if recording and n - base in table.loads \
+        if recording and n in table.loads \
                 and n not in identity_nodes and not envs[n].bottom:
             recording = False
             if visits > 1:
-                reached = cfg.reach[n]
-                for m in worklist:
-                    reached |= cfg.reach[m]
+                reached = 0
+                for m in (n, *worklist):
+                    reached |= cfg.reach[m + base]
                 prefix = prefixes[key] = _Prefix(
-                    dict(envs), dict(updates), deque((n, *worklist)),
-                    queued | {n}, visits - 1, widened,
-                    frozenset(m for m in cfg.nodes if not reached >> m & 1))
+                    list(envs), list(updates), deque((n, *worklist)),
+                    queued | {n}, visits - 1, widened, ~(reached >> base))
         out = _node_out(table, n, base, envs[n], policy, identity_nodes)
-        for dst, filt in table.succs[n - base]:
-            dst += base
+        for dst, filt in table.succs[n]:
             incoming = _edge_env(n, filt, out, identity_nodes)
             if incoming.leq(envs[dst]):
                 continue
@@ -265,21 +277,19 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
     # descending sweeps, in place so a narrowed loop head refines its
     # successors within the same pass; each update keeps the post-fixpoint
     # property since predecessors can only shrink afterwards
-    fixed, swept = (frozenset(), []) if prefix is None \
+    fixed, swept = (0, []) if prefix is None \
         else (prefix.fixed, prefix.sweeps)
     for j in range(narrowing_passes if widened else 0):
         copying = j < len(swept)
         narrowed_fixed = swept[j] if copying else {}
         changed = bool(narrowed_fixed)
-        for r in table.sweep_order:
-            n = r + base
-            if copying and n in fixed:
+        for n in table.sweep_order:
+            if copying and fixed >> n & 1:
                 if n in narrowed_fixed:
                     envs[n] = narrowed_fixed[n]
                 continue
             incoming = AbstractEnv.bot()
-            for p, filt in table.in_edges[r]:
-                p += base
+            for p, filt in table.in_edges[n]:
                 out = _node_out(table, p, base, envs[p], policy,
                                 identity_nodes)
                 incoming = incoming.join(
@@ -288,13 +298,13 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
             if narrowed is not envs[n]:  # narrow returns self if unchanged
                 envs[n] = narrowed
                 changed = True
-                if n in fixed:
+                if fixed >> n & 1:
                     narrowed_fixed[n] = narrowed
         if not copying:
             swept.append(narrowed_fixed)
         if not changed:
             break
 
-    return ThreadRun(envs, {r + base for r, negated in table.violable.items()
-                            if not negated(envs[r + base]).bottom},
+    return ThreadRun(envs, {n for n, negated in table.violable.items()
+                            if not negated(envs[n]).bottom},
                      resumed=resumed)

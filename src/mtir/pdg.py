@@ -17,11 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ast import expr_vars
 from .cfg import (
-    ProgramModel, SAssert, SBranch, SCreate, SExit, SJoin, SLoad, SLocal,
-    SNondet, SNop, SStore, ThreadCfg, bits, dominator_sets, is_load,
-    is_store, loads_of,
+    ProgramModel, SBranch, SCreate, SExit, SJoin, SLoad, SNop, ThreadCfg,
+    bits, defs_and_uses, dominator_sets, is_load, is_store, loads_of,
 )
 
 
@@ -80,19 +78,6 @@ def _control_dependence(cfg: ThreadCfg, graph: DependenceGraph):
                 graph.add("cd", m, n)
 
 
-def _defs_and_uses(node):
-    stmt = node.stmt
-    if isinstance(stmt, SLocal):
-        return {stmt.target}, expr_vars(stmt.expr)
-    if isinstance(stmt, (SLoad, SNondet)):
-        return {stmt.target}, set()
-    if isinstance(stmt, SStore):
-        return set(), expr_vars(stmt.expr)
-    if isinstance(stmt, (SBranch, SAssert)):
-        return set(), expr_vars(stmt.cond)
-    return set(), set()
-
-
 def _data_dependence(cfg: ThreadCfg, graph: DependenceGraph):
     """Reaching definitions of locals, flow-sensitive per thread, as
     gen/kill masks over the definition sites.  Each thread parameter is
@@ -104,7 +89,7 @@ def _data_dependence(cfg: ThreadCfg, graph: DependenceGraph):
     params = sum(sites.values())
     defs, uses = {}, {}
     for n in nodes:
-        defs[n], uses[n] = _defs_and_uses(cfg.nodes[n])
+        defs[n], uses[n] = defs_and_uses(cfg.nodes[n].stmt)
         for var in defs[n]:
             sites[var] = sites.get(var, 0) | 1 << n
     # a definition kills every site of its local, its own included (a

@@ -211,6 +211,14 @@ thread boss() { create(spin, 3); create(spin, 5); join(spin); }
 thread main() { create(boss); create(spin, 7); int v = g; assert(v <= 7); }
 """
 
+# two instances of a routine with a loop before its read of g, from equal
+# entry states: under feasibility the second runs a combination the first
+# never ran, and resumes the prefix the first stored
+XINST = """int g = 0;
+thread w(int p) { int i = 0; while (i < 3) { i = i + 1; } int t = g; g = t + p; assert(t >= 0); }
+thread main() { create(w, 1); join(w); create(w, 1); }
+"""
+
 
 def instance_programs():
     """Programs whose routines run as several instances: the corpus,

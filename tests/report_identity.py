@@ -20,6 +20,8 @@ three parameters, a thread whose first shared read is inside a loop,
 a thread with two loads of one global on the two branches of an `if`
 after a loop, a thread with a loop before its first shared read and a
 loop bounded by the value read after it,
+two instances of a routine with a loop before its read of a global,
+created one after the other from equal entry states,
 `random_program` seeds 0-119, `repeated_program` seeds 0-39 and
 `stress_soundness`'s `loopy_program` seeds 0-19.
 """
@@ -32,7 +34,7 @@ import sys
 import tempfile
 
 sys.path[:0] = ["src", "tests"]
-from conftest import random_program, repeated_program  # noqa: E402
+from conftest import XINST, random_program, repeated_program  # noqa: E402
 from stress_soundness import loopy_program  # noqa: E402
 
 from mtir.analysis import MODES  # noqa: E402
@@ -263,6 +265,7 @@ def programs():
     yield "read_in_loop", READ_IN_LOOP
     yield "pending_load", PENDING_LOAD
     yield "loop_read_loop", LOOP_READ_LOOP
+    yield "xinst", XINST
     yield "deep_plus900", DEEP_PLUS
     yield "deep_not900", DEEP_NOT
     for family, generator, count in (("random", random_program, 120),

@@ -4,7 +4,7 @@ import weakref
 import pytest
 
 from conftest import (
-    MODES, node_ids, random_program, repeated_program, self_only,
+    MODES, XINST, node_ids, random_program, repeated_program, self_only,
 )
 from mtir.analysis import AnalysisConfig, analyze, compute_combinations
 from mtir.bench import chain_program, watchdog_program
@@ -421,13 +421,15 @@ def test_watchdog_run_counts():
 
 def test_resumed_run_counts():
     # every dog counts to 12 before it reads g: of the 36 runs fi, fs and
-    # fsc execute on watchdog/16, the 28 after the first from each (thread,
+    # fsc execute on watchdog/16, the 28 after the first from each (routine,
     # entry state) resume its stored prefix; under fso the loop is off the
-    # slice.  A chain link reads x first, so it stores no prefix.  The
-    # counter stays out of the report.
+    # slice.  A chain link reads x first, so it stores no prefix.  Prefixes
+    # are shared across instances: under fsc and fso the second `w` of
+    # XINST executes one combination the first never ran, and resumes the
+    # first's prefix.  The counter stays out of the report.
     counts = {}
     for name, text in (("watchdog16", watchdog_program(16)),
-                       ("chain10", chain_program(10))):
+                       ("chain10", chain_program(10)), ("xinst", XINST)):
         model = model_of(text)
         for mode in MODES:
             result = analyze(model, AnalysisConfig(mode=mode))
@@ -437,6 +439,8 @@ def test_resumed_run_counts():
     assert {mode: counts["watchdog16", mode] for mode in MODES} == {
         "fi": (36, 28), "fs": (36, 28), "fsc": (36, 28), "fso": (8, 0)}
     assert all(counts["chain10", mode][1] == 0 for mode in MODES)
+    assert {mode: counts["xinst", mode] for mode in MODES} == {
+        "fi": (6, 4), "fs": (6, 4), "fsc": (3, 1), "fso": (3, 1)}
 
 
 def test_one_model_four_modes_in_any_order():

@@ -207,8 +207,9 @@ def test_derived_sets_equal_fresh_computation():
                     stores.setdefault(cfg.nodes[n].stmt.var, []).append(n)
             assert cfg.reach == reachable_sets(cfg.succs), (text, cfg.name)
             assert cfg.dominators == dom, (text, cfg.name)
-            assert cfg.loop_heads == {n for m, edges in cfg.succs.items()
-                                      for n, _ in edges if dom[m] >> n & 1}
+            assert cfg.steps.loop_heads == {
+                n - cfg.first_node for m, edges in cfg.succs.items()
+                for n, _ in edges if dom[m] >> n & 1}, (text, cfg.name)
             assert cfg.stores_by_var == stores, (text, cfg.name)
 
 

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from conftest import MODES, instance_programs, node_ids, random_program, \
-    self_only
+from conftest import MODES, XINST, instance_programs, node_ids, \
+    random_program, self_only
 from stress_soundness import loopy_program
 from mtir.analysis import AnalysisConfig, analyze
-from mtir.cfg import build_model, loads_of
+from mtir.cfg import SLocal, build_model, loads_of
 from mtir.domain import AbstractEnv, const, interval
 from mtir.errors import AnalysisBudgetExceeded
 from mtir.interp import (
@@ -28,17 +28,24 @@ def init_env(model):
 
 
 def is_stable(cfg, run, policy, init, identity_nodes=frozenset()):
-    """Fixpoint check: one more sweep must change nothing."""
-    if not init.leq(run.envs[cfg.entry]):
+    """Fixpoint check: one more sweep must change nothing.  Like the run,
+    it walks the routine's step table by relative node id."""
+    table = cfg.steps
+    if not init.leq(run.envs[table.entry]):
         return False
-    table, base = cfg.steps, cfg.first_node
-    for n in cfg.node_order():
-        out = _node_out(table, n, base, run.envs[n], policy, identity_nodes)
-        for dst, filt in table.succs[n - base]:
+    for n, edges in enumerate(table.succs):
+        out = _node_out(table, n, cfg.first_node, run.envs[n], policy,
+                        identity_nodes)
+        for dst, filt in edges:
             if not _edge_env(n, filt, out, identity_nodes).leq(
-                    run.envs[dst + base]):
+                    run.envs[dst]):
                 return False
     return True
+
+
+def env_at(cfg, run, node):
+    """The run's state before the node with absolute id `node`."""
+    return run.envs[node - cfg.first_node]
 
 
 def merged(cfg, summary):
@@ -57,7 +64,7 @@ def test_writer_thread_self_only(flag_sync):
     run = analyze_thread(t1, init_env(model), self_only(t1))
     ids = node_ids(model)
     # before the flag store: both earlier stores have landed
-    env = run.envs[ids["t1.6"]]
+    env = env_at(t1, run, ids["t1.6"])
     assert env.get("x") == interval(5, 5)
     assert env.get("flag") == interval(0, 0)
 
@@ -68,12 +75,12 @@ def test_reader_with_joined_interference(flag_sync):
     policy = merged(t2, {"x": interval(4, 5), "flag": interval(1, 1)})
     run = analyze_thread(t2, init_env(model), policy)
     ids = node_ids(model)
-    env = run.envs[ids["t2.12"]]  # guard on t1, inside the taken branch
+    env = env_at(t2, run, ids["t2.12"])  # guard on t1, in the taken branch
     assert not env.bottom
     assert env.get("t1") == interval(0, 5)
     # the guarded failure point stays reachable: the false alarm
-    assert not run.envs[ids["t2.13"]].bottom
-    assert ids["t2.13"] in run.violable
+    assert not env_at(t2, run, ids["t2.13"]).bottom
+    assert ids["t2.13"] - t2.first_node in run.violable
 
 
 def test_reader_with_pinned_sources(flag_sync):
@@ -83,14 +90,14 @@ def test_reader_with_pinned_sources(flag_sync):
     t2 = model.thread_named("thread2")
     writer = analyze_thread(t1, init_env(model), self_only(t1))
     steps, base = t1.steps.transfer, t1.first_node
-    post_l5 = steps[ids["t1.5"] - base](writer.envs[ids["t1.5"]])
-    post_l6 = steps[ids["t1.6"] - base](writer.envs[ids["t1.6"]])
+    post_l5 = steps[ids["t1.5"] - base](env_at(t1, writer, ids["t1.5"]))
+    post_l6 = steps[ids["t1.6"] - base](env_at(t1, writer, ids["t1.6"]))
     # flag from its store, x from the final store: consistent snapshot
     policy = PerLoad({ids["t2.9"]: StoreSource(ids["t1.6"], post_l6),
                       ids["t2.11"]: StoreSource(ids["t1.5"], post_l5)})
     run = analyze_thread(t2, init_env(model), policy)
-    assert run.envs[ids["t2.12"]].get("t1") == interval(5, 5)
-    assert run.envs[ids["t2.13"]].bottom
+    assert env_at(t2, run, ids["t2.12"]).get("t1") == interval(5, 5)
+    assert env_at(t2, run, ids["t2.13"]).bottom
     assert not run.violable
 
 
@@ -102,14 +109,14 @@ def test_self_source_reads_local(flag_sync):
                       ids["t2.11"]: SelfSource()})
     run = analyze_thread(t2, init_env(model), policy)
     # flag is never set by this thread, so the branch cannot be taken
-    assert run.envs[ids["t2.11"]].bottom
+    assert env_at(t2, run, ids["t2.11"]).bottom
     assert not run.violable
 
 
 def test_bottom_init_short_circuits(flag_sync):
     t2 = flag_sync.thread_named("thread2")
     run = analyze_thread(t2, AbstractEnv.bot(), self_only(t2))
-    assert all(env.bottom for env in run.envs.values())
+    assert all(env.bottom for env in run.envs)
 
 
 def test_widening_terminates_unbounded_loop():
@@ -117,7 +124,7 @@ def test_widening_terminates_unbounded_loop():
         "int x = 0;\nthread main() { int i = 0; while (*) { i = i + 1; } }"))
     cfg = model.thread(0)
     run = analyze_thread(cfg, init_env(model), self_only(cfg))
-    assert run.envs[cfg.exit].get("i") == interval(0, None)
+    assert env_at(cfg, run, cfg.exit).get("i") == interval(0, None)
 
 
 def test_narrowing_recovers_loop_bound():
@@ -125,7 +132,7 @@ def test_narrowing_recovers_loop_bound():
         "thread main() { int i = 0; while (i < 8) { i = i + 1; } }"))
     cfg = model.thread(0)
     run = analyze_thread(cfg, AbstractEnv({}), self_only(cfg))
-    assert run.envs[cfg.exit].get("i") == interval(8, 8)
+    assert env_at(cfg, run, cfg.exit).get("i") == interval(8, 8)
 
 
 def test_narrowing_only_after_widening(monkeypatch):
@@ -232,7 +239,7 @@ def test_resumed_runs_match_fresh_runs(monkeypatch):
     monkeypatch.setattr(analysis_mod, "analyze_thread", checked)
     texts = list(instance_programs())
     texts += [loopy_program(seed) for seed in range(20)]
-    texts += [READ_IN_LOOP, PENDING_LOAD, LAGGED]
+    texts += [READ_IN_LOOP, PENDING_LOAD, LAGGED, XINST]
     for passes in (1, 2, 3):
         for text in texts:
             model = build_model(parse(text))
@@ -291,18 +298,43 @@ def test_entry_load_stores_and_looks_up_no_prefix():
         "int g = 0;\nthread main() { int t = g; int i = 0;"
         " while (i < 5) { i = i + 1; } int u = g; }"))
     cfg, init = model.thread(0), init_env(model)
-    assert cfg.entry - cfg.first_node in cfg.steps.loads
+    assert cfg.steps.entry in cfg.steps.loads
     prefixes = Prefixes()
     for _ in range(2):
         assert not analyze_thread(cfg, init, self_only(cfg),
                                   prefixes=prefixes).resumed
     assert not lookups and not prefixes
-    identity = frozenset({cfg.entry})
+    identity = frozenset({cfg.steps.entry})
     runs = [analyze_thread(cfg, init, self_only(cfg),
                            identity_nodes=identity, prefixes=prefixes)
             for _ in range(2)]
     assert [run.resumed for run in runs] == [False, True]
     assert len(lookups) == 2 and len(prefixes) == 1
+
+
+def test_prefixes_are_keyed_on_identity_nodes():
+    # one prefixes dict, one routine and entry state, two identity sets: with
+    # the loop's increment off the slice the loop never exits, so a run
+    # under that set must not resume the prefix stored at the read of g
+    model = build_model(parse(
+        "int g = 0;\nthread main() { int i = 0; while (i < 5) { i = i + 1; }"
+        " int t = g; assert(t >= 0); }"))
+    cfg, init = model.thread(0), init_env(model)
+    _, bump = [r for r, n in enumerate(cfg.node_order())
+               if isinstance(cfg.nodes[n].stmt, SLocal)
+               and cfg.nodes[n].stmt.target == "i"]
+    prefixes = {}
+    assert not analyze_thread(cfg, init, self_only(cfg),
+                              prefixes=prefixes).resumed
+    assert len(prefixes) == 1
+    identity = frozenset({bump})
+    run = analyze_thread(cfg, init, self_only(cfg), identity_nodes=identity,
+                         prefixes=prefixes)
+    fresh = analyze_thread(cfg, init, self_only(cfg), identity_nodes=identity)
+    assert not run.resumed
+    assert run.envs == fresh.envs and run.violable == fresh.violable
+    (load,) = cfg.steps.loads
+    assert fresh.envs[load].bottom  # the read of g is never reached
 
 
 def test_stabilization_under_pinned_sources(flag_sync):
@@ -342,8 +374,8 @@ def test_policy_monotonicity(seed):
     for cfg in model.threads:
         base = analyze_thread(cfg, init_env(model), self_only(cfg))
         fed = analyze_thread(cfg, init_env(model), merged(cfg, summary))
-        for n in cfg.node_order():
-            assert base.envs[n].leq(fed.envs[n])
+        for env, fed_env in zip(base.envs, fed.envs):
+            assert env.leq(fed_env)
 
 
 @pytest.mark.parametrize("seed", range(12))

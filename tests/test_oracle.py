@@ -5,6 +5,7 @@ import pytest
 from conftest import node_ids
 from mtir.analysis import AnalysisConfig, analyze
 from mtir.cfg import build_model, loads_of
+from mtir.cli import main as cli_main
 from mtir.errors import OracleBudgetExceeded
 from mtir.facts import FeasibilityEngine, init_node
 from mtir.oracle import (
@@ -156,6 +157,43 @@ def test_check_abstraction_corpus_program():
                     for store, env in bucket.items()
                     if model.node(store).stmt.var == var)
                 assert covered, (mode, var, value)
+
+
+# `g`, `q`, `h` and `z` are bound by no declaration: each is a local that
+# is read but never assigned, so it reads 0, as README says and the
+# oracle executes; `w` runs as two instances with different arguments
+UNASSIGNED = """thread main() { int u = g; assert(u >= -99); }"""
+UNASSIGNED_INSTANCES = """int g = 0;
+thread w(int p) { int a = p + q; g = a; assert(a == p); }
+thread main() {
+  create(w, 2);
+  join(w);
+  create(w, 3);
+  int u = h;
+  if (z == 0) { u = u + 1; }
+  assert(u == 1);
+  int r = g;
+  assert(r <= 3);
+}
+"""
+
+
+@pytest.mark.parametrize("text", [UNASSIGNED, UNASSIGNED_INSTANCES],
+                         ids=["main", "instances"])
+def test_never_assigned_local_reads_zero(tmp_path, text):
+    program = tmp_path / "program.mtir"
+    program.write_text(text)
+    model = model_of(text)
+    assert model.thread_named("main").steps.unassigned_locals \
+        == (("g",) if text == UNASSIGNED else ("h", "z"))
+    records = enumerate_executions(model)
+    for mode in ("fi", "fs", "fsc", "fso"):
+        assert cli_main(["analyze", str(program), "--mode=" + mode]) == 0, \
+            mode
+        result = analyze(model, AnalysisConfig(mode=mode))
+        assert result.all_verified(), mode
+        report = check_abstraction(records, result, model)
+        assert report.ok, (mode, report.state_misses[:3])
 
 
 def test_check_abstraction_flags_bogus_verdict():

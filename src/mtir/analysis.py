@@ -32,10 +32,12 @@ one run key, so only the first is scheduled (under feasibility only for
 one-load clusters).  `combos`, `infeasible` and `runs` still count the
 full per-store product.
 
-Interpreter runs are memoized on what they read: the routine, its entry
-state and the interval each load observes (see `_run_key`).  A run is a
-deterministic function of that input and its results are folded in by
-join, so an input that already ran in the same analysis is skipped.
+Interpreter runs are memoized on what they read: the step table (the
+routine compiled with its off-slice statements as identity, see
+`interp.StepTable`), its entry state and the interval each load observes
+(see `_run_key`).  A run is a deterministic function of that input and
+its results are folded in by join, so an input that already ran in the
+same analysis is skipped.
 Every executed run goes into one table, keyed the same way for every
 thread.  A run computes by node id relative to its thread's first node,
 so instances of one routine, one graph up to a shift of node ids, replay
@@ -44,12 +46,12 @@ uncollapsed schedule, `stats.interp_runs` those executed.
 
 An executed run also shares the work before its first read of shared
 memory.  Up to the first load it reads through its combination, a run
-depends only on its routine, identity nodes and entry state (the
-widening delay is fixed in one analysis), so the first run from those
-stores its worklist state at that load and every later run from equal
-ones, on any instance of the routine, resumes there (see
-`interp.analyze_thread`).  Resumed runs compute exactly what fresh runs
-compute; `stats.resumed_runs` counts them.
+depends only on its step table and entry state (the widening delay is
+fixed in one analysis), so the first run from those stores its worklist
+state at that load and every later run from equal ones, on any instance
+of the routine, resumes there (see `interp.analyze_thread`).  Resumed
+runs compute exactly what fresh runs compute; `stats.resumed_runs`
+counts them.
 
 The descending pass after a widening is shared the same way.  The nodes
 no node of the worklist at that load can reach have their final states
@@ -69,8 +71,8 @@ from .domain import AbstractEnv, Interval, const
 from .errors import AnalysisBudgetExceeded, CombinationBudgetExceeded
 from .facts import FeasibilityEngine
 from .interp import (
-    AnalysisConfig, MergedSource, PerLoad, SelfSource, StoreSource,
-    analyze_thread,
+    AnalysisConfig, MergedSource, PerLoad, SelfSource, StepTable,
+    StoreSource, analyze_thread,
 )
 from .pdg import apply_pruning, backward_slices, build_pdg, cluster
 
@@ -145,11 +147,12 @@ def _initial_env(model: ProgramModel) -> AbstractEnv:
                         for name, init in model.globals.items()})
 
 
-def _entry_env(model: ProgramModel, cfg: ThreadCfg, te: dict) -> AbstractEnv:
+def _entry_env(model: ProgramModel, cfg: ThreadCfg, te: dict,
+               steps: StepTable) -> AbstractEnv:
     """Entry state of a thread: globals from the creating thread's state
     at the create site (the program initializers for the entry thread),
-    parameters bound to their constant arguments, and each local the
-    routine reads but never assigns bound to 0."""
+    parameters bound to their constant arguments, and the locals of
+    `steps.unassigned_locals` bound to 0."""
     if cfg.creation_site is None:
         env = _initial_env(model)
     else:
@@ -159,7 +162,7 @@ def _entry_env(model: ProgramModel, cfg: ThreadCfg, te: dict) -> AbstractEnv:
         env = parent_state.project(set(model.globals))
     for param, value in cfg.params.items():
         env = env.set(param, const(value))
-    for name in cfg.steps.unassigned_locals:
+    for name in steps.unassigned_locals:
         env = env.set(name, const(0))
     return env
 
@@ -171,21 +174,20 @@ def _merge_te(te: dict, envs: list, base: int):
         te[node] = env if old is None else old.join(env)
 
 
-def _publish(model, te, table, iteration, config, identity):
+def _publish(model, te, table, iteration, config, steps):
     """Republish interference from the accumulated node states: the
-    post-state of every store but an identity node, joined per store
-    node, widened across outer iterations once past the delay."""
+    post-state of every store of each thread's step table (`steps`, by
+    tid), joined per store node, widened across outer iterations once
+    past the delay."""
     for cfg in model.threads:
         bucket = table.setdefault(cfg.tid, {})
-        steps, base = cfg.steps, cfg.first_node
-        for r in steps.stores:
+        thread_steps, base = steps[cfg.tid], cfg.first_node
+        for r in thread_steps.stores:
             n = r + base
-            if n in identity:
-                continue
             pre = te.get(n)
             if pre is None or pre.bottom:
                 continue
-            post = steps.transfer[r](pre)
+            post = thread_steps.transfer[r](pre)
             old = bucket.get(n)
             if old is None:
                 bucket[n] = post
@@ -200,19 +202,18 @@ def _table_snapshot(table):
     return {tid: dict(bucket) for tid, bucket in table.items()}
 
 
-def _run_key(cfg, init, policy, shape):
-    """What an interpreter run reads: `shape` (the routine and its
-    identity nodes), its entry state and, per load, the kind of
-    source and the interval it supplies (none for a thread-local read), so
-    value-equal stores give one key.  Merged stays apart from store because
-    it joins with the local value.  Node ids are relative to the thread's
-    first node."""
+def _run_key(cfg, init, policy, steps):
+    """What an interpreter run reads: its step table, its entry state and,
+    per load, the kind of source and the interval it supplies (none for a
+    thread-local read), so value-equal stores give one key.  Merged stays
+    apart from store because it joins with the local value.  Node ids are
+    relative to the thread's first node."""
     base = cfg.first_node
     observed = tuple(
         (load - base, type(source), None if isinstance(source, SelfSource)
          else source.env.get(cfg.nodes[load].stmt.var))
         for load, source in sorted(policy.sources.items()))
-    return shape, init, observed
+    return steps, init, observed
 
 
 # --- interference combinations ---------------------------------------------------
@@ -279,7 +280,6 @@ def compute_combinations(cfg: ThreadCfg, table: dict, model: ProgramModel,
                          facts: FeasibilityEngine,
                          feasibility: bool = False,
                          plan: dict | None = None,
-                         identity: frozenset = frozenset(),
                          combo_cap: int = AnalysisConfig.combo_cap,
                          merged: bool = False,
                          index: dict | None = None):
@@ -291,9 +291,9 @@ def compute_combinations(cfg: ThreadCfg, table: dict, model: ProgramModel,
     k takes each cluster's k-th combination, loads past the end of their
     cluster's list read their own value, so the number of runs is the
     maximum cluster list length instead of the product.  The clusters
-    are `plan[cfg.tid]` (see `pdg.cluster`); without a plan the thread's
-    active loads are one cluster, so its combinations are the plain
-    product.  Loads in `identity` are off the slice and get no source.
+    are `plan[cfg.tid]` (see `pdg.cluster`), which holds the on-slice
+    loads alone; without a plan every load is active and all are one
+    cluster, so the combinations are the plain product.
     `index` is the table's `_store_index`, built here if not given.
 
     With `feasibility`, refuted sources are dropped first and only
@@ -303,15 +303,13 @@ def compute_combinations(cfg: ThreadCfg, table: dict, model: ProgramModel,
     facts differ.  `generated`, `rejected`, `runs` and the `combo_cap`
     check count the full per-store product.
     """
-    active = [l for l in loads_of(cfg) if l not in identity]
+    groups = [loads_of(cfg)] if plan is None else plan.get(cfg.tid, [])
+    active = [l for group in groups for l in group]
     index = _store_index(model, table) if index is None else index
     sources = _source_lists(cfg, index, facts, active, merged)
     if merged:
         return [{l: options[0] for l, options in sources.items()}], 0, 0, 1
 
-    groups = [active] if plan is None else plan.get(cfg.tid, [])
-    groups = [g for g in ([l for l in group if l in sources]
-                          for group in groups) if g]
     per_cluster = []
     generated = rejected = runs = 0
     for group in groups:
@@ -374,13 +372,16 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
     violable: set = set()
     seen: set = set()  # (tid, run key) of every scheduled run
     shared: dict = {}  # run key -> every executed run
-    prefixes: dict = {}  # (routine, identity, entry) -> state at first consult
-    # a thread's shape: its routine and identity nodes, by relative id
-    shapes = {
-        cfg.tid: (cfg.routine,
-                  frozenset(n - cfg.first_node
-                            for n in identity_nodes.intersection(cfg.nodes)))
-        for cfg in model.threads}
+    prefixes: dict = {}  # (step table, entry) -> state at first consult
+    compiled: dict = {}  # (routine, relative identity nodes) -> step table
+    steps = {}  # tid -> its thread's step table
+    for cfg in model.threads:
+        identity = frozenset(n - cfg.first_node
+                             for n in identity_nodes.intersection(cfg.nodes))
+        key = cfg.routine, identity
+        if key not in compiled:
+            compiled[key] = StepTable(cfg, identity) if identity else cfg.steps
+        steps[cfg.tid] = compiled[key]
     stats = AnalysisStats()
     stats.pruned_loads = sum(is_load(model.node(n)) for n in identity_nodes)
     stats.clusters = sum(map(len, plan.values())) if plan else 0
@@ -403,20 +404,20 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
             combos, generated, rejected, runs = compute_combinations(
                 cfg, table, model, facts,
                 feasibility=row.feasibility and iteration > 1,
-                plan=plan, identity=identity_nodes,
-                combo_cap=config.combo_cap, merged=row.merged, index=index)
+                plan=plan, combo_cap=config.combo_cap, merged=row.merged,
+                index=index)
             iter_stats.combos[cfg.tid] = generated
             iter_stats.infeasible[cfg.tid] = rejected
             stats.combos += generated
             stats.infeasible += rejected
 
-            init = _entry_env(model, cfg, te)
+            init = _entry_env(model, cfg, te, steps[cfg.tid])
             for combo in combos:
                 # a run is a deterministic function of its key and is folded
                 # in by join: skip an input this thread already ran, and
                 # replay another instance's run, which is by relative id
                 policy = PerLoad(combo)
-                key = _run_key(cfg, init, policy, shapes[cfg.tid])
+                key = _run_key(cfg, init, policy, steps[cfg.tid])
                 if (cfg.tid, key) in seen:
                     continue
                 seen.add((cfg.tid, key))
@@ -426,7 +427,7 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
                         cfg, init, policy,
                         widening_delay=config.widening_delay,
                         narrowing_passes=config.narrowing_passes,
-                        identity_nodes=shapes[cfg.tid][1], prefixes=prefixes)
+                        table=steps[cfg.tid], prefixes=prefixes)
                     stats.interp_runs += 1
                     stats.resumed_runs += run.resumed
                 _merge_te(te, run.envs, cfg.first_node)
@@ -434,7 +435,7 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
             stats.runs += runs
             iter_stats.runs += runs
 
-        _publish(model, te, table, iteration, config, identity_nodes)
+        _publish(model, te, table, iteration, config, steps)
         stats.per_iteration.append(iter_stats)
         if table == before_table and te == before_te:
             break

@@ -7,7 +7,8 @@ nodes the unit of interference for the whole analysis.
 
 Each routine is lowered once, at its first instance.  A later instance
 is that graph with node ids shifted past the threads before it, and
-takes the sets derived from the graph (`_per_routine`) shifted as well.
+takes its reachability, stores and step table from the first instance
+(`_per_routine`), shifted as well.
 """
 
 from __future__ import annotations
@@ -143,6 +144,20 @@ class ThreadCfg:
         """Smallest node id; a thread's ids are consecutive."""
         return min(self.nodes)
 
+    @cached_property
+    def preds(self) -> dict[int, list[int]]:
+        """Predecessors of each node."""
+        out = {n: [] for n in self.nodes}
+        for n, edges in self.succs.items():
+            for dst, _ in edges:
+                out[dst].append(n)
+        return out
+
+    @cached_property
+    def dominators(self) -> dict[int, int]:
+        """Dominator masks from the entry; each includes its own node."""
+        return dominator_sets(self.succs, self.entry)
+
     # the graph is fixed once `build_model` returns, so these are computed
     # once per routine
 
@@ -161,21 +176,6 @@ class ThreadCfg:
             if isinstance(stmt, SStore):
                 out.setdefault(stmt.var, []).append(n)
         return out
-
-    @_per_routine(lambda preds, d: {n + d: [p + d for p in ps]
-                                    for n, ps in preds.items()})
-    def preds(self) -> dict[int, list[int]]:
-        """Predecessors of each node."""
-        out = {n: [] for n in self.nodes}
-        for n, edges in self.succs.items():
-            for dst, _ in edges:
-                out[dst].append(n)
-        return out
-
-    @_per_routine(_shift_masks)
-    def dominators(self) -> dict[int, int]:
-        """Dominator masks from the entry; each includes its own node."""
-        return dominator_sets(self.succs, self.entry)
 
     @_per_routine(lambda table, d: table)  # by relative node id
     def steps(self):

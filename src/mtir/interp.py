@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .cfg import SAssert, SLoad, SStore, ThreadCfg, defs_and_uses
+from .cfg import SAssert, SLoad, SNop, SStore, ThreadCfg, defs_and_uses
 from .domain import AbstractEnv, compile_filter, compile_transfer
 from .errors import AnalysisBudgetExceeded
 
@@ -62,32 +62,37 @@ def _apply_load(node_id, stmt, env, policy):
 
 
 class StepTable:
-    """A routine's statements compiled once for every mode and instance,
-    by node id relative to an instance's first node: the `size` nodes,
-    the `entry`, the `loop_heads`, each node's transfer (a load's reads
-    the thread-local binding; a run's policy picks its source) and out
-    edges with their filters (None if unconditional) as lists, the
-    loads, the stores in node order, and each assertion with the filter
-    of its negated condition.  `sweep_order` lists the nodes a
-    descending sweep narrows (all but the entry) in node order, and
-    `unassigned_locals` the locals the routine reads but never assigns,
-    parameters aside, in name order: each reads 0."""
+    """A routine's statements compiled for one slicing, by node id
+    relative to an instance's first node: the `size` nodes, the `entry`,
+    the `loop_heads`, each node's transfer (a load's reads the
+    thread-local binding; a run's policy picks its source) and out edges
+    with their filters (None if unconditional) as lists, the loads, the
+    stores in node order, and each assertion with the filter of its
+    negated condition.  A node in `identity` (off the slice) compiles as
+    a no-op whose out edges filter nothing.  `sweep_order` lists the
+    nodes a descending sweep narrows (all but the entry) in node order,
+    and `unassigned_locals` the locals some path from the entry reads
+    before assigning, parameters aside, in name order: each reads 0."""
 
-    def __init__(self, cfg: ThreadCfg):
+    def __init__(self, cfg: ThreadCfg, identity: frozenset = frozenset()):
         base = cfg.first_node
         self.size, self.entry = len(cfg.nodes), cfg.entry - base
         self.transfer, self.succs, self.loads, self.violable = [], [], {}, {}
         self.stores = []
-        read, assigned = set(), set(cfg.params)
+        # each local's bit in the per-node masks, none for a parameter
+        bit, kills, reads = dict.fromkeys(cfg.params, 0), [], []
         for n in cfg.node_order():
             r, stmt = n - base, cfg.nodes[n].stmt
             defs, uses = defs_and_uses(stmt)
-            read |= uses
-            assigned |= defs
+            kills.append(sum(bit.setdefault(v, 1 << len(bit)) for v in defs))
+            reads.append(sum(bit.setdefault(v, 1 << len(bit)) for v in uses))
+            edges = cfg.succs[n]
+            if r in identity:
+                stmt, edges = SNop(), [(dst, None) for dst, _ in edges]
             self.transfer.append(compile_transfer(stmt))
             self.succs.append([(dst - base, None if filt is None
                                 else compile_filter(filt[1], filt[2]))
-                               for dst, filt in cfg.succs[n]])
+                               for dst, filt in edges])
             if isinstance(stmt, SLoad):
                 self.loads[r] = stmt
             elif isinstance(stmt, SStore):
@@ -98,13 +103,26 @@ class StepTable:
                            for dst, _ in edges
                            if cfg.dominators[m] >> dst & 1}
         self.sweep_order = [r for r in range(self.size) if r != self.entry]
-        self.unassigned_locals = tuple(sorted(read - assigned))
+        # the locals some path from the entry reads before assigning: a
+        # forward pass over masks of the locals maybe unassigned
+        unset = [0] * self.size
+        unset[self.entry], changed = sum(bit.values()), True
+        while changed:
+            changed, read = False, 0
+            for r, edges in enumerate(self.succs):
+                read |= reads[r] & unset[r]
+                out = unset[r] & ~kills[r]
+                for dst, _ in edges:
+                    if out & ~unset[dst]:
+                        unset[dst] |= out
+                        changed = True
+        self.unassigned_locals = tuple(sorted(v for v in bit if read & bit[v]))
 
     @cached_property
     def in_edges(self) -> list:
-        """Each node's in edges as `(pred, filter)`, in the order
-        `cfg.preds` lists predecessors (node order), so that a sweep joins
-        them in that order; built at the routine's first sweep."""
+        """Each node's in edges as `(pred, filter)`, predecessors in node
+        order, so that a sweep joins them in that order; built at the
+        table's first sweep."""
         in_edges = [[] for _ in range(self.size)]
         for r, edges in enumerate(self.succs):
             for dst, filt in edges:
@@ -112,21 +130,14 @@ class StepTable:
         return in_edges
 
 
-def _node_out(table, r, base, env, policy, identity_nodes):
+def _node_out(table, r, base, env, policy):
     """Post-state of node r from pre-state env, in the instance whose
-    first node is `base`; identity nodes pass their state through."""
-    if r in identity_nodes or env.bottom:
+    first node is `base`."""
+    if env.bottom:
         return env
     if r in table.loads:
         return _apply_load(r + base, table.loads[r], env, policy)
     return table.transfer[r](env)
-
-
-def _edge_env(r, filt, out, identity_nodes):
-    """State along an edge of r; identity nodes' branches do not filter."""
-    if filt is None or r in identity_nodes:
-        return out
-    return filt(out)
 
 
 # --- fixpoint engine ------------------------------------------------------------
@@ -172,34 +183,32 @@ class _Prefix:
 def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
                    widening_delay: int = AnalysisConfig.widening_delay,
                    narrowing_passes: int = AnalysisConfig.narrowing_passes,
-                   identity_nodes: frozenset = frozenset(),
+                   table: StepTable | None = None,
                    prefixes: dict | None = None) -> ThreadRun:
     """Run the worklist fixpoint over one thread from the given entry state.
 
-    The run computes by node id relative to the thread's first node, as
-    `cfg.steps` is indexed, and so do `identity_nodes` and the returned
-    `ThreadRun`; only the policy is looked up by absolute load id.
+    The run executes `table`, by default `cfg.steps` (the routine
+    unsliced), and computes by node id relative to the thread's first
+    node, as does the returned `ThreadRun`; only the policy is looked up
+    by absolute load id.
 
     Widening fires at loop heads (back-edge targets) once a node has been
     updated more than `widening_delay` times; a bounded descending pass
     then narrows the widened bounds back where the loop body permits.
     Without a widening each node's state is already the join of its final
     incoming edges, so the pass is skipped.
-    Nodes in `identity_nodes` (off-slice statements under pruning) pass
-    their state through unchanged and their branch edges do not filter.
 
-    A run is resumable.  Until it pops a load that is not an identity
-    node and whose state is not bottom, it has not consulted `policy`, so
-    what it computed is a function of the routine, its identity nodes,
-    `init` and the widening delay alone.  At that first consult, unless
-    it is the first visit, the run stores its worklist state in
-    `prefixes` under `(cfg.routine, identity_nodes, init)`; a later run
-    of any instance with that key copies that state and goes on from
-    there, so it visits, widens and exceeds the visit budget exactly
-    where a fresh run would.  `prefixes` must belong to one analysis,
-    with a fixed widening delay; by default the prefix is stored in a
-    dict of its own.  A thread whose entry is a load that is not an
-    identity node consults at its first visit, so it neither looks up
+    A run is resumable.  Until it pops one of the table's loads with a
+    state that is not bottom, it has not consulted `policy`, so what it
+    computed is a function of the table, `init` and the widening delay
+    alone.  At that first consult, unless it is the first visit, the run
+    stores its worklist state in `prefixes` under `(table, init)`; a
+    later run of any instance with that key copies that state and goes
+    on from there, so it visits, widens and exceeds the visit budget
+    exactly where a fresh run would.  `prefixes` must belong to one
+    analysis, with a fixed widening delay; by default the prefix is
+    stored in a dict of its own.  A thread whose entry is one of the
+    table's loads consults at its first visit, so it neither looks up
     nor stores a prefix.
 
     The descending pass is shared too.  The prefix also holds its fixed
@@ -216,7 +225,7 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
     sweep's and the last sweep's states as in a fresh run, and the run
     stops sweeping once neither kind of node changed.
     """
-    table, base = cfg.steps, cfg.first_node
+    table, base = table or cfg.steps, cfg.first_node
     envs = [AbstractEnv.bot()] * table.size
     envs[table.entry] = init
     if init.bottom:
@@ -224,11 +233,11 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
 
     widen_points = table.loop_heads
     prefix = None
-    if table.entry in table.loads and table.entry not in identity_nodes:
+    if table.entry in table.loads:
         recording = False  # the first visit consults: nothing to store
     else:
         prefixes = {} if prefixes is None else prefixes
-        key = cfg.routine, identity_nodes, init
+        key = table, init
         prefix = prefixes.get(key)
         recording = prefix is None  # until the first consult
     resumed = prefix is not None
@@ -249,8 +258,7 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
                 f"{cfg.name}: worklist exceeded {budget} visits")
         n = worklist.popleft()
         queued.discard(n)
-        if recording and n in table.loads \
-                and n not in identity_nodes and not envs[n].bottom:
+        if recording and n in table.loads and not envs[n].bottom:
             recording = False
             if visits > 1:
                 reached = 0
@@ -259,9 +267,9 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
                 prefix = prefixes[key] = _Prefix(
                     list(envs), list(updates), deque((n, *worklist)),
                     queued | {n}, visits - 1, widened, ~(reached >> base))
-        out = _node_out(table, n, base, envs[n], policy, identity_nodes)
+        out = _node_out(table, n, base, envs[n], policy)
         for dst, filt in table.succs[n]:
-            incoming = _edge_env(n, filt, out, identity_nodes)
+            incoming = out if filt is None else filt(out)
             if incoming.leq(envs[dst]):
                 continue
             joined = envs[dst].join(incoming)
@@ -290,10 +298,8 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
                 continue
             incoming = AbstractEnv.bot()
             for p, filt in table.in_edges[n]:
-                out = _node_out(table, p, base, envs[p], policy,
-                                identity_nodes)
-                incoming = incoming.join(
-                    _edge_env(p, filt, out, identity_nodes))
+                out = _node_out(table, p, base, envs[p], policy)
+                incoming = incoming.join(out if filt is None else filt(out))
             narrowed = envs[n].narrow(incoming)
             if narrowed is not envs[n]:  # narrow returns self if unchanged
                 envs[n] = narrowed

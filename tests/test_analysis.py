@@ -337,20 +337,21 @@ def test_termination_within_budget_on_corpus(corpus_results):
 
 
 def _full_product(cfg, table, model, facts, feasibility=False, plan=None,
-                  identity=frozenset(), combo_cap=None, merged=False,
-                  index=None):
+                  combo_cap=None, merged=False, index=None):
     """Reference `compute_combinations`: the whole per-store product of
     each cluster, every combination feasibility-checked on its own, no
-    source dropped or merged before the product, clusters zipped."""
+    source dropped or merged before the product, clusters zipped.  The
+    active loads are those of the plan's clusters, or all without one."""
     from mtir.analysis import _cartesian, _source_lists, _store_index
-    active = [l for l in loads_of(cfg) if l not in identity]
+    groups = [loads_of(cfg)] if plan is None else plan.get(cfg.tid, [])
+    active = [l for l in loads_of(cfg)
+              if any(l in group for group in groups)]
     sources = _source_lists(cfg, _store_index(model, table), facts, active,
                             merged)
     if merged:
         return [{l: options[0] for l, options in sources.items()}], 0, 0, 1
     background = {l: SelfSource() for l in active}
     lists, generated, rejected = [], 0, 0
-    groups = [active] if plan is None else plan.get(cfg.tid, [])
     for group in groups:
         group = [l for l in group if l in sources]
         if group:
@@ -466,6 +467,32 @@ def test_instances_share_one_step_table():
     assert len(dogs) == 4
     assert all(cfg.steps is dogs[0].steps for cfg in dogs)
     assert model.threads[0].steps is not dogs[0].steps
+
+
+def test_sliced_instances_share_one_step_table(monkeypatch):
+    # under fso the dogs run one table, compiled once with their off-slice
+    # statements as identity, and their unsliced table is never built
+    from mtir import analysis as analysis_mod
+    model = model_of(watchdog_program(16))
+    received = {}  # tid -> the tables its entry state and runs were given
+
+    def entry_env(model, cfg, te, steps, _original=analysis_mod._entry_env):
+        received.setdefault(cfg.tid, set()).add(steps)
+        return _original(model, cfg, te, steps)
+
+    def run(cfg, init, policy, *args, table=None, _original=analyze_thread,
+            **kwargs):
+        received.setdefault(cfg.tid, set()).add(table)
+        return _original(cfg, init, policy, *args, table=table, **kwargs)
+
+    monkeypatch.setattr(analysis_mod, "_entry_env", entry_env)
+    monkeypatch.setattr(analysis_mod, "analyze_thread", run)
+    analyze(model, AnalysisConfig(mode="fso"))
+    dogs = [cfg for cfg in model.threads if cfg.routine == "dog"]
+    assert len(dogs) == 16
+    (table,) = set.union(*(received[cfg.tid] for cfg in dogs))
+    assert table is not None and table.size == len(dogs[0].nodes)
+    assert not any("steps" in vars(cfg) for cfg in dogs)
 
 
 def test_chain_run_counts():

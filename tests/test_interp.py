@@ -10,7 +10,7 @@ from mtir.cfg import SLocal, build_model, loads_of
 from mtir.domain import AbstractEnv, const, interval
 from mtir.errors import AnalysisBudgetExceeded
 from mtir.interp import (
-    MergedSource, PerLoad, SelfSource, StoreSource, _edge_env, _node_out,
+    MergedSource, PerLoad, SelfSource, StepTable, StoreSource, _node_out,
     analyze_thread,
 )
 from mtir.oracle import OracleBounds, enumerate_executions
@@ -27,18 +27,17 @@ def init_env(model):
     return AbstractEnv({name: const(v) for name, v in model.globals.items()})
 
 
-def is_stable(cfg, run, policy, init, identity_nodes=frozenset()):
+def is_stable(cfg, run, policy, init, table=None):
     """Fixpoint check: one more sweep must change nothing.  Like the run,
-    it walks the routine's step table by relative node id."""
-    table = cfg.steps
+    it walks the step table (the routine's own by default) by relative
+    node id."""
+    table = cfg.steps if table is None else table
     if not init.leq(run.envs[table.entry]):
         return False
     for n, edges in enumerate(table.succs):
-        out = _node_out(table, n, cfg.first_node, run.envs[n], policy,
-                        identity_nodes)
+        out = _node_out(table, n, cfg.first_node, run.envs[n], policy)
         for dst, filt in edges:
-            if not _edge_env(n, filt, out, identity_nodes).leq(
-                    run.envs[dst]):
+            if not (out if filt is None else filt(out)).leq(run.envs[dst]):
                 return False
     return True
 
@@ -285,8 +284,9 @@ def test_resumed_run_exceeds_budget_at_the_same_visit(monkeypatch):
 
 def test_entry_load_stores_and_looks_up_no_prefix():
     # a thread whose entry is a load consults at its first visit, so it
-    # neither stores a prefix nor looks one up; as an identity node the
-    # load reads nothing, and the prefix ends at the next load
+    # neither stores a prefix nor looks one up; in a table where it is an
+    # identity node the load reads nothing, and the prefix ends at the next
+    # load
     lookups = []
 
     class Prefixes(dict):
@@ -304,18 +304,41 @@ def test_entry_load_stores_and_looks_up_no_prefix():
         assert not analyze_thread(cfg, init, self_only(cfg),
                                   prefixes=prefixes).resumed
     assert not lookups and not prefixes
-    identity = frozenset({cfg.steps.entry})
-    runs = [analyze_thread(cfg, init, self_only(cfg),
-                           identity_nodes=identity, prefixes=prefixes)
+    sliced = StepTable(cfg, frozenset({cfg.steps.entry}))
+    runs = [analyze_thread(cfg, init, self_only(cfg), table=sliced,
+                           prefixes=prefixes)
             for _ in range(2)]
     assert [run.resumed for run in runs] == [False, True]
     assert len(lookups) == 2 and len(prefixes) == 1
 
 
-def test_prefixes_are_keyed_on_identity_nodes():
-    # one prefixes dict, one routine and entry state, two identity sets: with
-    # the loop's increment off the slice the loop never exits, so a run
-    # under that set must not resume the prefix stored at the read of g
+def test_step_table_compiles_identity_nodes_as_no_ops():
+    # what an off-slice statement does is decided when its table is built:
+    # it keeps its state, filters no out edge and is no load, store or
+    # assertion; the locals that read 0 still come from every statement
+    model = build_model(parse(
+        "int g = 0;\nthread main() { int t = g; int u = g;"
+        " if (t > 0) { g = t; } assert(u >= v); }"))
+    cfg = model.thread(0)
+    full = cfg.steps
+    first = min(full.loads)
+    identity = frozenset(range(full.size)) - {first}
+    sliced = StepTable(cfg, identity)
+    assert len(full.loads) == 2 and full.stores and full.violable
+    assert list(sliced.loads) == [first]
+    assert not sliced.stores and not sliced.violable
+    assert any(filt for edges in full.succs for _, filt in edges)
+    env = AbstractEnv({"g": interval(0, 0), "t": interval(1, 2)})
+    for r in identity:
+        assert sliced.transfer[r](env) is env
+        assert all(filt is None for _, filt in sliced.succs[r])
+    assert sliced.unassigned_locals == full.unassigned_locals == ("v",)
+
+
+def test_prefixes_are_keyed_on_step_table():
+    # one prefixes dict, one routine and entry state, two step tables: with
+    # the loop's increment off the slice the loop never exits, so a run of
+    # that table must not resume the prefix stored at the read of g
     model = build_model(parse(
         "int g = 0;\nthread main() { int i = 0; while (i < 5) { i = i + 1; }"
         " int t = g; assert(t >= 0); }"))
@@ -327,10 +350,10 @@ def test_prefixes_are_keyed_on_identity_nodes():
     assert not analyze_thread(cfg, init, self_only(cfg),
                               prefixes=prefixes).resumed
     assert len(prefixes) == 1
-    identity = frozenset({bump})
-    run = analyze_thread(cfg, init, self_only(cfg), identity_nodes=identity,
+    sliced = StepTable(cfg, frozenset({bump}))
+    run = analyze_thread(cfg, init, self_only(cfg), table=sliced,
                          prefixes=prefixes)
-    fresh = analyze_thread(cfg, init, self_only(cfg), identity_nodes=identity)
+    fresh = analyze_thread(cfg, init, self_only(cfg), table=sliced)
     assert not run.resumed
     assert run.envs == fresh.envs and run.violable == fresh.violable
     (load,) = cfg.steps.loads

@@ -178,14 +178,29 @@ thread main() {
 """
 
 
-@pytest.mark.parametrize("text", [UNASSIGNED, UNASSIGNED_INSTANCES],
-                         ids=["main", "instances"])
-def test_never_assigned_local_reads_zero(tmp_path, text):
+# `x` and `y` are assigned on some paths only: where the paths join,
+# each reads its value or 0
+PARTLY_ASSIGNED_IF = """thread main() {
+  int c = *; if (c > 0) { x = 1; } assert(x >= 0); }"""
+PARTLY_ASSIGNED_LOOP = """thread main() {
+  int c = *; while (c > 0) { x = c; c = c - 1; } assert(x >= 0); }"""
+PARTLY_ASSIGNED_INSTANCES = """int g = 0;
+thread w(int p) { int c = g; if (c > 0) { y = p; } assert(y >= 0); }
+thread main() { create(w, 2); g = 1; create(w, 3); }"""
+
+
+@pytest.mark.parametrize("text, thread, unassigned", [
+    (UNASSIGNED, "main", ("g",)),
+    (UNASSIGNED_INSTANCES, "main", ("h", "z")),
+    (PARTLY_ASSIGNED_IF, "main", ("x",)),
+    (PARTLY_ASSIGNED_LOOP, "main", ("x",)),
+    (PARTLY_ASSIGNED_INSTANCES, "w#2", ("y",)),
+], ids=["main", "instances", "if", "loop", "partly-instances"])
+def test_never_assigned_local_reads_zero(tmp_path, text, thread, unassigned):
     program = tmp_path / "program.mtir"
     program.write_text(text)
     model = model_of(text)
-    assert model.thread_named("main").steps.unassigned_locals \
-        == (("g",) if text == UNASSIGNED else ("h", "z"))
+    assert model.thread_named(thread).steps.unassigned_locals == unassigned
     records = enumerate_executions(model)
     for mode in ("fi", "fs", "fsc", "fso"):
         assert cli_main(["analyze", str(program), "--mode=" + mode]) == 0, \

@@ -7,15 +7,15 @@ nodes the unit of interference for the whole analysis.
 
 Each routine is lowered once, at its first instance.  A later instance
 is that graph with node ids shifted past the threads before it, and
-takes its reachability, stores and step table from the first instance
-(`_per_routine`), shifted as well.
+takes its reachability (shifted as well) and step table from the first
+instance.
 """
 
 from __future__ import annotations
 
 import collections
 from dataclasses import dataclass, field
-from functools import cached_property, wraps
+from functools import cached_property
 
 from .ast import (
     Assign, AssertStmt, BinOp, BoolLit, CreateStmt, ErrorStmt, Expr, If,
@@ -101,25 +101,6 @@ class Node:
 Edge = tuple[int, object]
 
 
-def _per_routine(shift):
-    """A cached property computed on a routine's first instance only; a
-    later one takes `shift(value, d)`: node ids + d, node masks << d."""
-    def wrap(compute):
-        @wraps(compute)
-        def get(cfg):
-            first = cfg.first_instance
-            if first is None:
-                return compute(cfg)
-            return shift(getattr(first, compute.__name__),
-                         cfg.first_node - first.first_node)
-        return cached_property(get)
-    return wrap
-
-
-def _shift_masks(masks: dict[int, int], d: int) -> dict[int, int]:
-    return {n + d: mask << d for n, mask in masks.items()}
-
-
 @dataclass
 class ThreadCfg:
     tid: int
@@ -158,16 +139,19 @@ class ThreadCfg:
         """Dominator masks from the entry; each includes its own node."""
         return dominator_sets(self.succs, self.entry)
 
-    # the graph is fixed once `build_model` returns, so these are computed
-    # once per routine
+    # the graph is fixed once `build_model` returns, so a later instance
+    # shifts its routine's reachability and shares its step table
 
-    @_per_routine(_shift_masks)
+    @cached_property
     def reach(self) -> dict[int, int]:
         """Mask of the nodes reachable from each node via a nonempty path."""
-        return reachable_sets(self.succs)
+        first = self.first_instance
+        if first is None:
+            return reachable_sets(self.succs)
+        d = self.first_node - first.first_node
+        return {n + d: mask << d for n, mask in first.reach.items()}
 
-    @_per_routine(lambda by_var, d: {var: [n + d for n in ids]
-                                     for var, ids in by_var.items()})
+    @cached_property
     def stores_by_var(self) -> dict[str, list[int]]:
         """Store nodes per written global, in node order."""
         out: dict[str, list[int]] = {}
@@ -177,9 +161,12 @@ class ThreadCfg:
                 out.setdefault(stmt.var, []).append(n)
         return out
 
-    @_per_routine(lambda table, d: table)  # by relative node id
+    @cached_property
     def steps(self):
-        """The compiled `interp.StepTable`, shared by a routine's instances."""
+        """The compiled `interp.StepTable`, by node id relative to the
+        first node, so a routine's instances share it."""
+        if self.first_instance is not None:
+            return self.first_instance.steps
         from .interp import StepTable  # interp builds on this module
         return StepTable(self)
 
@@ -187,7 +174,9 @@ class ThreadCfg:
 @dataclass
 class ProgramModel:
     """Node ids run 0..N-1 in thread, then node order, and a set of nodes
-    is an int whose bit k is node k (a node mask, read with `bits`)."""
+    is an int whose bit k is node k (a node mask, read with `bits`).
+    Each global's virtual initial store, named `init:<var>`, takes the
+    next id in declaration order (`init_nodes`); it is no thread's node."""
     threads: list[ThreadCfg]
     globals: dict[str, int]  # name -> initializer
     creates: list[tuple[int, int]]  # (create node id, child tid)
@@ -210,6 +199,10 @@ class ProgramModel:
                 seen[key] = count + 1
                 suffix = "" if count == 0 else "_%d" % (count + 1)
                 self._names[nid] = "t%d.%d%s" % (cfg.tid, node.line, suffix)
+        self.init_nodes = {var: nid for nid, var in
+                           enumerate(self.globals, len(self._node_index))}
+        for var, nid in self.init_nodes.items():
+            self._names[nid] = "init:%s" % var
 
     def node(self, nid: int) -> Node:
         return self._node_index[nid]
@@ -224,7 +217,8 @@ class ProgramModel:
         raise KeyError(name)
 
     def node_name(self, nid: int) -> str:
-        """Stable display name, `t<thread>.<line>` (suffixed if shared)."""
+        """Stable display name, `t<thread>.<line>` (suffixed if shared),
+        or `init:<var>`."""
         return self._names[nid]
 
     def all_nodes(self):

@@ -62,8 +62,9 @@ reference the tests compare the rows against, and the derivation dumper
 behind `check_facts`.  Tuples of the base relations exist only for it
 (`build_base_facts`); `--dump-facts` reads MHB off the rows.
 
-Initial values are modeled as one virtual store node per global
-(`init:<var>`) that strongly precedes every real node.  A load that can
+Initial values are modeled as one virtual store node per global, the
+model's node `init:<var>` (`ProgramModel.init_nodes`, numbered after the
+real nodes), that strongly precedes every real node.  A load that can
 only ever observe the initial value through its own environment (no store
 to the variable reaches it in its own thread or on the creating chain
 before the create sites) contributes ReadsFrom(load, init:<var>) when a
@@ -121,10 +122,6 @@ RULES = (
           ("IsLoad", ("l1", "v")), ("IsLoad", ("l2", "v")),
           ("IsStore", ("s2", "v")))),
 )
-
-
-def init_node(var: str) -> str:
-    return "init:%s" % var
 
 
 class FactBase:
@@ -301,7 +298,7 @@ def build_base_facts(model: ProgramModel,
 
     for name, labels in (("IsLoad", rows.load_var),
                          ("IsStore", rows.store_var)):
-        rel[name] = {(rows.nodes[p], var) for p, var in labels.items()}
+        rel[name] = set(labels.items())
     rel["MHB"], rel["MHBS"] = rows.pairs(rows.weak), rows.pairs(rows.strong)
     return facts
 
@@ -354,11 +351,10 @@ def _local_rows(cfg: ThreadCfg, s1: list, po: list):
 
 
 class _OrderingRows:
-    """The base MHB and MHBS relations as bitset rows: a real node's
-    position is its id, each `init:<var>` node gets a position after
-    them, and bit j of row i says node i precedes node j.  Also
-    per-variable masks of the store and load nodes, and each load's and
-    store's variable.
+    """The base MHB and MHBS relations as bitset rows, one per model node,
+    the `init:<var>` nodes last: bit j of row i says node i precedes node
+    j.  Also per-variable masks of the store and load nodes, and each
+    load's and store's variable.
 
     The rows are filled from the CFGs' node masks.  Within a thread, rule
     S1 reads what each node dominates and rule PO what it reaches; both
@@ -370,8 +366,7 @@ class _OrderingRows:
 
     def __init__(self, model: ProgramModel):
         real = sum(len(cfg.nodes) for cfg in model.threads)
-        self.nodes = list(range(real)) + [init_node(v) for v in model.globals]
-        self.position = {n: p for p, n in enumerate(self.nodes[real:], real)}
+        self.init_nodes = model.init_nodes
 
         edge = {}  # source node -> target node
         for create_node, tid in model.creates:
@@ -445,8 +440,8 @@ class _OrderingRows:
         self.strong += [everything] * len(model.globals)
         self.weak = [through_edges(p, po[p]) for p in range(real)]
         self.weak += [everything] * len(model.globals)
-        for var in model.globals:
-            self.store_var[self.position[init_node(var)]] = var
+        for var, p in self.init_nodes.items():
+            self.store_var[p] = var
         self.loads = self._masks(self.load_var)
         self.stores = self._masks(self.store_var)
         # per variable, the stores with no store to it after them, and the
@@ -466,8 +461,7 @@ class _OrderingRows:
 
     def pairs(self, table) -> set:
         """The (node, node) tuples of the rows `weak` or `strong`."""
-        return {(self.nodes[i], self.nodes[j])
-                for i, row in enumerate(table) for j in bits(row)}
+        return {(i, j) for i, row in enumerate(table) for j in bits(row)}
 
     def strong_closure(self, mask: int) -> int:
         """`mask` plus every node strongly after one of its nodes.  MHBS
@@ -484,13 +478,11 @@ class _OrderingRows:
     def feasible(self, rf) -> bool:
         """Close the rows of the executing nodes of `rf` under R3, W4 and
         W4e, then test every contradiction the rule set can derive."""
-        position = self.position
-        pairs = [(l, position.get(s, s)) for l, s in rf]
-        row = {p: self.weak[p] for pair in pairs for p in pair}
+        row = {p: self.weak[p] for pair in rf for p in pair}
         executing = 0
         for p in row:
             executing |= 1 << p
-        r3 = [(l, s, self.stores[var]) for l, s in pairs
+        r3 = [(l, s, self.stores[var]) for l, s in rf
               if (var := self.load_var.get(l)) is not None
               and self.store_var.get(s) == var]
 
@@ -512,16 +504,16 @@ class _OrderingRows:
                     row[p] = grown
                     changed = True
 
-        for l, s in pairs:  # R5: ReadsFrom meets MHB
+        for l, s in rf:  # R5: ReadsFrom meets MHB
             if row[l] >> s & 1:
                 return False
         for p, mask in row.items():  # self-loop at an executing node
             if mask >> p & 1:
                 return False
         readers: dict = {}
-        for l, s in pairs:
+        for l, s in rf:
             readers[s] = readers.get(s, 0) | 1 << l
-        for l1, s1 in pairs:  # R6 / R6e
+        for l1, s1 in rf:  # R6 / R6e
             var = self.load_var.get(l1)
             if var is None:
                 continue
@@ -544,7 +536,7 @@ class _OrderingRows:
         var = self.load_var[l]
         stores = self.stores[var]
         out = self.weak[l] & candidates
-        init = 1 << self.position[init_node(var)]
+        init = 1 << self.init_nodes[var]
         if candidates & init:
             # R3 puts every store after init:<var> into `l`'s row: a
             # self-loop exactly when one of them is forced to run before l
@@ -582,7 +574,7 @@ class FeasibilityEngine:
     def __init__(self, model: ProgramModel):
         self.model = model
         self._cache: dict[frozenset, bool] = {}
-        self._refuted: dict[int, frozenset] = {}
+        self._refuted: dict[int, int] = {}
         self.queries = 0
 
     @cached_property
@@ -602,9 +594,9 @@ class FeasibilityEngine:
         """Combination-independent ordering query (base closure only)."""
         return bool(self.rows.weak[a] >> b & 1)
 
-    def refuted(self, load: int) -> frozenset:
-        """The sources `load` can be given but cannot read from in any
-        execution: remote stores to its variable and, for an
+    def refuted(self, load: int) -> int:
+        """The mask of the sources `load` can be given but cannot read from
+        in any execution: remote stores to its variable and, for an
         initial-value load, `init:<var>`."""
         got = self._refuted.get(load)
         if got is None:
@@ -612,10 +604,9 @@ class FeasibilityEngine:
             var = rows.load_var[load]
             other = ~(((1 << len(cfg.nodes)) - 1) << cfg.first_node)
             if load not in self.initial_loads:
-                other &= ~(1 << rows.position[init_node(var)])
-            mask = rows.refuted(load, rows.stores[var] & other)
-            got = self._refuted[load] = frozenset(rows.nodes[p]
-                                                  for p in bits(mask))
+                other &= ~(1 << self.model.init_nodes[var])
+            got = self._refuted[load] = rows.refuted(load,
+                                                     rows.stores[var] & other)
         return got
 
     def unrefuted(self, load: int, sources) -> list:
@@ -624,7 +615,8 @@ class FeasibilityEngine:
         if not refuted:
             return sources
         return [source for source in sources
-                if self.source_node(load, source) not in refuted]
+                if (node := self.source_node(load, source)) is None
+                or not refuted >> node & 1]
 
     def source_node(self, load: int, source):
         """The store a source reads: its own for a remote store, the
@@ -633,7 +625,7 @@ class FeasibilityEngine:
         if isinstance(source, StoreSource):
             return source.store
         if isinstance(source, SelfSource) and load in self.initial_loads:
-            return init_node(self.model.node(load).stmt.var)
+            return self.model.init_nodes[self.model.node(load).stmt.var]
         return None
 
     def reads_from_facts(self, combination) -> frozenset:
@@ -679,25 +671,17 @@ class FeasibilityEngine:
 def dump_facts(model: ProgramModel, facts: FactBase,
                relations=("MHB", "MustNotReadFrom", "ReadsFrom")) -> str:
     """One fact per line, `REL(a, b)`, with stable `t<thread>.<line>`
-    node names; consumed by golden tests."""
-    def name(x):
-        if isinstance(x, int):
-            return model.node_name(x)
-        return str(x)
-
-    lines = []
-    for rel in relations:
-        for tup in facts.relations[rel]:
-            lines.append("%s(%s)" % (rel, ", ".join(name(x) for x in tup)))
-    return "\n".join(sorted(lines))
+    and `init:<var>` node names; consumed by golden tests."""
+    return "\n".join(sorted(
+        "%s(%s)" % (rel, ", ".join(map(model.node_name, tup)))
+        for rel in relations for tup in facts.relations[rel]))
 
 
 def dump_mhb(model: ProgramModel, rows: _OrderingRows):
     """The lines `dump_facts` prints for the base MHB, in its order, one
     row at a time: no name holds ", ", so lines sort by their first name
     (with the ", " after it) and then among themselves."""
-    names = [model.node_name(n) if isinstance(n, int) else n
-             for n in rows.nodes]
+    names = [model.node_name(n) for n in range(len(rows.weak))]
     positions: dict = {}  # name -> its nodes' positions
     for p, name in enumerate(names):
         positions.setdefault(name, []).append(p)

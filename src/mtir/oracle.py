@@ -26,7 +26,6 @@ from .cfg import (
 )
 from .domain import AbstractEnv
 from .errors import OracleBudgetExceeded
-from .facts import init_node
 
 
 _CONCRETE = {
@@ -68,7 +67,7 @@ class Step:
 @dataclass(frozen=True)
 class ExecutionRecord:
     steps: tuple
-    reads: tuple  # (load node, producing store node or init:<var>) per occurrence
+    reads: tuple  # (load, store or init:<var> node it read) per occurrence
     violations: frozenset  # assert nodes observed failing
     final_globals: tuple
     deadlocked: bool = False
@@ -117,7 +116,7 @@ def enumerate_executions(model: ProgramModel,
         pcs={0: model.thread(0).entry},
         locals_={0: {}},
         globals_=dict(model.globals),
-        writer={var: init_node(var) for var in model.globals},
+        writer=dict(model.init_nodes),
         steps=[], reads=[], violations=set(), count=0)
 
     records = []
@@ -335,8 +334,7 @@ def check_abstraction(records, result, model: ProgramModel,
                 if realized:
                     report.feasibility_misses.append(
                         (tid, tuple(sorted(
-                            (model.node_name(l) if isinstance(l, int) else l,
-                             model.node_name(s) if isinstance(s, int) else s)
+                            (model.node_name(l), model.node_name(s))
                             for l, s in rf_facts))))
     return report
 

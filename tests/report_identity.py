@@ -1,6 +1,7 @@
-"""Report identity check, not part of the pytest suite.
+"""Report identity check.
 
 Usage (from a checkout root): python3 tests/report_identity.py OUT.json
+                          or: python3 tests/report_identity.py --digest
 
 Runs `mtir analyze --format=json --dump-envs --dump-facts --dump-pdg` in
 every mode on a fixed set of programs and writes, one JSON line per
@@ -8,6 +9,12 @@ program and mode, the exit code, the report without `wall_ms`, the
 `--dump-facts` lines, the `--dump-pdg` lines and the error output.  A
 change meant to keep the analysis's output is checked by running this
 at its parent and at the change and comparing the two files with `cmp`.
+
+`--digest` writes `tests/report_identity.digest` instead: one line per
+program and mode, its label and then a short hash of each of the five
+parts.  `test_report_identity.py` regenerates the digest and names each
+program, mode and part that differs from the committed file; a change
+meant to alter output regenerates the file and says which lines moved.
 
 The set: the corpus, watchdog 4/16/32, chain 10/20, a thread with two
 parameters, a `main` of 400 straight-line statements, one program with
@@ -21,12 +28,14 @@ a thread with two loads of one global on the two branches of an `if`
 after a loop, a thread with a loop before its first shared read and a
 loop bounded by the value read after it,
 two instances of a routine with a loop before its read of a global,
-created one after the other from equal entry states,
+created one after the other from equal entry states, a thread whose
+loop never exits before a read of a global,
 `random_program` seeds 0-119, `repeated_program` seeds 0-39 and
 `stress_soundness`'s `loopy_program` seeds 0-19.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -242,6 +251,12 @@ thread main() {
 }
 """
 
+# the loop never exits, so the read and the assertion after it are
+# unreachable; a slice blind to termination drops the loop's exit filter
+NO_EXIT = """int g = 0;
+thread main() { int i = 0; while (i < 2) { } int u = g; assert(u == 7); }
+"""
+
 DEEP_PLUS = ("thread main() { int x = *; int y = "
              + " + ".join(["x"] * 900) + "; assert(y >= 0); }\n")
 
@@ -265,6 +280,7 @@ def programs():
     yield "read_in_loop", READ_IN_LOOP
     yield "pending_load", PENDING_LOAD
     yield "loop_read_loop", LOOP_READ_LOOP
+    yield "no_exit", NO_EXIT
     yield "xinst", XINST
     yield "deep_plus900", DEEP_PLUS
     yield "deep_not900", DEEP_NOT
@@ -291,19 +307,45 @@ def outcome(path, mode):
             "stderr": err.getvalue().replace(path, "PROGRAM")}
 
 
-def main():
-    if len(sys.argv) != 2:
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
-        return 2
-    with tempfile.TemporaryDirectory() as tmp, \
-            open(sys.argv[1], "w", encoding="utf-8") as handle:
+PARTS = ("exit", "report", "facts", "pdg", "stderr")
+
+DIGEST = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                      "report_identity.digest")
+
+
+def outcomes():
+    """(program, mode, outcome) for every program in every mode."""
+    with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "program.mtir")
         for name, text in programs():
             with open(path, "w", encoding="utf-8") as program:
                 program.write(text)
             for mode in MODES:
-                line = {"program": name, "mode": mode, **outcome(path, mode)}
-                handle.write(json.dumps(line, sort_keys=True) + "\n")
+                yield name, mode, outcome(path, mode)
+
+
+def digest_line(name, mode, result):
+    """`program mode part=hash ...`, a 12-digit SHA-256 prefix per part."""
+    hashes = ("%s=%s" % (part, hashlib.sha256(json.dumps(
+        result[part], sort_keys=True).encode()).hexdigest()[:12])
+              for part in PARTS)
+    return " ".join((name, mode, *hashes))
+
+
+def main():
+    args = sys.argv[1:]
+    if args == ["--digest"]:
+        with open(DIGEST, "w", encoding="utf-8") as handle:
+            for name, mode, result in outcomes():
+                handle.write(digest_line(name, mode, result) + "\n")
+        return 0
+    if len(args) != 1 or args[0].startswith("-"):
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    with open(args[0], "w", encoding="utf-8") as handle:
+        for name, mode, result in outcomes():
+            line = {"program": name, "mode": mode, **result}
+            handle.write(json.dumps(line, sort_keys=True) + "\n")
     return 0
 
 

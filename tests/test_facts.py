@@ -10,10 +10,11 @@ from mtir.cfg import bits, build_model, is_store, loads_of
 from mtir.domain import AbstractEnv
 from mtir.facts import (
     RULES, FactBase, FeasibilityEngine, build_base_facts,
-    contradiction, dump_facts, fixpoint, init_node, initial_value_loads,
+    contradiction, dump_facts, fixpoint, initial_value_loads,
     naive_fixpoint,
 )
 from mtir.interp import SelfSource, StoreSource
+from mtir.oracle import enumerate_executions
 from mtir.parser import parse
 from mtir.corpus import PROGRAMS, source
 from stress_soundness import loopy_program
@@ -78,9 +79,26 @@ def test_join_orders_child_before_continuation():
 def test_initial_store_precedes_everything(flag_sync):
     model, feas, ids = flag_sync
     mhb = feas.base.relations["MHB"]
+    init = model.init_nodes["x"]
     for node in model.all_nodes():
-        assert (init_node("x"), node.id) in mhb
-    assert (init_node("x"), init_node("x")) not in mhb
+        assert (init, node.id) in mhb
+    assert (init, init) not in mhb
+
+
+def test_initial_stores_are_node_ids():
+    # each global's initial store is a model node numbered after the real
+    # ones, in declaration order: the rows label it a store of its
+    # variable, and the oracle names it as the producer of a value
+    model = model_of("int a = 4;\nint b = 0;\n"
+                     "thread main() { int t = b; a = t; }")
+    real = sum(1 for _ in model.all_nodes())
+    assert model.init_nodes == {"a": real, "b": real + 1}
+    assert [model.node_name(n) for n in (real, real + 1)] == \
+        ["init:a", "init:b"]
+    rows = FeasibilityEngine(model).rows
+    assert (rows.store_var[real], rows.store_var[real + 1]) == ("a", "b")
+    [record] = enumerate_executions(model)
+    assert record.reads == ((loads_of(model.thread(0))[0], real + 1),)
 
 
 def _ordering_models():
@@ -113,10 +131,10 @@ def test_base_closure_matches_rule_engine():
         fast = build_base_facts(model)
         raw = FactBase({k: v for k, v in fast.relations.items()
                         if k not in ("MHB", "MHBS", "MustNotReadFrom")})
-        for var in model.globals:
+        for init in model.init_nodes.values():
             for node in model.all_nodes():
-                raw.add("MHBS", (init_node(var), node.id))
-                raw.add("MHB", (init_node(var), node.id))
+                raw.add("MHBS", (init, node.id))
+                raw.add("MHB", (init, node.id))
         fixpoint(raw)
         assert raw.relations["MHBS"] == fast.relations["MHBS"], name
         assert raw.relations["MHB"] == fast.relations["MHB"], name
@@ -309,21 +327,19 @@ def test_refuted_sets_match_single_pair_queries():
             for load in loads_of(cfg):
                 var = model.node(load).stmt.var
                 every = rows.refuted(load, rows.stores[var])
-                candidates = set()
-                for p in bits(rows.stores[var]):
-                    store = rows.nodes[p]
+                candidates = 0
+                for store in bits(rows.stores[var]):
                     alone = rows.feasible(frozenset({(load, store)}))
-                    assert bool(every >> p & 1) != alone, (name, load, store)
-                    if store == init_node(var):
+                    assert bool(every >> store & 1) != alone, \
+                        (name, load, store)
+                    if store == model.init_nodes[var]:
                         if load in feas.initial_loads:
-                            candidates.add(store)
+                            candidates |= 1 << store
                     elif model.node(store).tid != cfg.tid:
-                        candidates.add(store)
+                        candidates |= 1 << store
                     pairs += 1
                     refuted += not alone
-                assert feas.refuted(load) == {
-                    store for store in candidates
-                    if every >> rows.position.get(store, store) & 1}, name
+                assert feas.refuted(load) == every & candidates, name
     assert pairs > 1000 and 0 < refuted < pairs
 
 

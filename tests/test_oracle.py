@@ -7,7 +7,7 @@ from mtir.analysis import AnalysisConfig, analyze
 from mtir.cfg import build_model, loads_of
 from mtir.cli import main as cli_main
 from mtir.errors import OracleBudgetExceeded
-from mtir.facts import FeasibilityEngine, init_node
+from mtir.facts import FeasibilityEngine
 from mtir.oracle import (
     OracleBounds, check_abstraction, enumerate_executions, eval_concrete,
     static_rejections,
@@ -78,23 +78,21 @@ def test_interleaving_count_two_straight_threads():
 
 def test_read_map_producer_wrote_the_value():
     model = model_of(source("flag_sync"))
-    post_value = {}  # store node -> value it writes (all constants here)
+    # producer node -> value it writes (all constants here): each store's
+    # and each initial store's
+    written = {init: model.globals[var]
+               for var, init in model.init_nodes.items()}
     from mtir.cfg import is_store
     for node in model.all_nodes():
         if is_store(node):
-            post_value[node.id] = eval_concrete(node.stmt.expr, {})
-    inits = {init_node(var): value for var, value in model.globals.items()}
+            written[node.id] = eval_concrete(node.stmt.expr, {})
     for record in enumerate_executions(model):
         observed = {}
         for step in record.steps:
             observed[step.node] = dict(step.globals)
         for load, producer in record.reads:
             var = model.node(load).stmt.var
-            value = observed[load][var]
-            if isinstance(producer, str):
-                assert value == inits[producer]
-            else:
-                assert value == post_value[producer]
+            assert observed[load][var] == written[producer]
 
 
 def test_join_blocks_until_child_exits():

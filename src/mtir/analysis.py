@@ -3,9 +3,10 @@
 Every mode runs one loop.  Each outer iteration runs every thread once
 per interference combination, which pins each of its loads to a source
 (see `interp`), then republishes every store's post-state as
-interference.  The loop stops when the interference table and the node
-environments stop changing, widening interference environments after a
-delay so it terminates on programs with unbounded data flow.
+interference.  The loop stops when an iteration grows neither the
+interference table nor any node environment, widening interference
+environments after a delay so it terminates on programs with unbounded
+data flow.
 
 A mode is a row of `MODE_ROWS`:
 
@@ -27,17 +28,17 @@ fs and fsc are the one-cluster case of fso's zipped exploration: each
 thread's active loads form a single cluster, whose zip is its product.
 Feasibility depends on order alone, so fsc and fso drop each load's
 refuted sources (found once per engine) before the product.  Where the
-zip is the product, a load's sources that supply equal intervals give
-one run key, so only the first is scheduled (under feasibility only for
-one-load clusters).  `combos`, `infeasible` and `runs` still count the
-full per-store product.
+zip is the product, a load's sources that supply equal intervals are
+equal (a source compares by what it reads), so only the first is
+scheduled (under feasibility only for one-load clusters).  `combos`,
+`infeasible` and `runs` still count the full per-store product.
 
 Interpreter runs are memoized on what they read: the step table (the
 routine compiled with its off-slice statements as identity, see
-`interp.StepTable`), its entry state and the interval each load observes
-(see `_run_key`).  A run is a deterministic function of that input and
-its results are folded in by join, so an input that already ran in the
-same analysis is skipped.
+`interp.StepTable`), its entry state and its policy, the tuple of its
+loads' sources in the table's load order (see `_run_key`).  A run is a
+deterministic function of that input and its results are folded in by
+join, so an input that already ran in the same analysis is skipped.
 Every executed run goes into one table, keyed the same way for every
 thread.  A run computes by node id relative to its thread's first node,
 so instances of one routine, one graph up to a shift of node ids, replay
@@ -71,8 +72,8 @@ from .domain import AbstractEnv, Interval, const
 from .errors import AnalysisBudgetExceeded, CombinationBudgetExceeded
 from .facts import FeasibilityEngine
 from .interp import (
-    AnalysisConfig, MergedSource, PerLoad, SelfSource, StepTable,
-    StoreSource, analyze_thread,
+    AnalysisConfig, MergedSource, SelfSource, StepTable, StoreSource,
+    analyze_thread,
 )
 from .pdg import apply_pruning, backward_slices, build_pdg, cluster
 
@@ -167,18 +168,25 @@ def _entry_env(model: ProgramModel, cfg: ThreadCfg, te: dict,
     return env
 
 
-def _merge_te(te: dict, envs: list, base: int):
-    """Fold a run's states, by node id relative to `base`, into `te`."""
+def _merge_te(te: dict, envs: list, base: int) -> bool:
+    """Fold a run's states, by node id relative to `base`, into `te`;
+    whether any state grew."""
+    grew = False
     for node, env in enumerate(envs, base):
         old = te.get(node)
-        te[node] = env if old is None else old.join(env)
+        new = env if old is None else old.join(env)  # old if env adds nothing
+        if new is not old and new != old:
+            te[node] = new
+            grew = True
+    return grew
 
 
-def _publish(model, te, table, iteration, config, steps):
+def _publish(model, te, table, iteration, config, steps) -> bool:
     """Republish interference from the accumulated node states: the
     post-state of every store of each thread's step table (`steps`, by
     tid), joined per store node, widened across outer iterations once
-    past the delay."""
+    past the delay.  Returns whether any published state grew."""
+    grew = False
     for cfg in model.threads:
         bucket = table.setdefault(cfg.tid, {})
         thread_steps, base = steps[cfg.tid], cfg.first_node
@@ -189,38 +197,27 @@ def _publish(model, te, table, iteration, config, steps):
                 continue
             post = thread_steps.transfer[r](pre)
             old = bucket.get(n)
-            if old is None:
-                bucket[n] = post
-            else:
-                joined = old.join(post)
-                if iteration > config.widening_delay:
-                    joined = old.widen(joined)
-                bucket[n] = joined
+            new = post if old is None else old.join(post)
+            if old is not None and iteration > config.widening_delay:
+                new = old.widen(new)
+            if new is not old and new != old:
+                bucket[n] = new
+                grew = True
+    return grew
 
 
-def _table_snapshot(table):
-    return {tid: dict(bucket) for tid, bucket in table.items()}
-
-
-def _run_key(cfg, init, policy, steps):
-    """What an interpreter run reads: its step table, its entry state and,
-    per load, the kind of source and the interval it supplies (none for a
-    thread-local read), so value-equal stores give one key.  Merged stays
-    apart from store because it joins with the local value.  Node ids are
-    relative to the thread's first node."""
-    base = cfg.first_node
-    observed = tuple(
-        (load - base, type(source), None if isinstance(source, SelfSource)
-         else source.env.get(cfg.nodes[load].stmt.var))
-        for load, source in sorted(policy.sources.items()))
-    return steps, init, observed
+def _run_key(table, init, policy):
+    """What an interpreter run reads: its step table, its entry state and
+    its policy, whose sources compare by the values they supply."""
+    return table, init, policy
 
 
 # --- interference combinations ---------------------------------------------------
 
 def _store_index(model, table):
     """Published stores per variable, (tid, source) in thread order then
-    node order: one `StoreSource` per store, shared by every reader."""
+    node order: one `StoreSource` per store, holding the variable's
+    published value, shared by every reader."""
     index = {}
     for cfg in model.threads:
         bucket = table[cfg.tid]
@@ -228,7 +225,7 @@ def _store_index(model, table):
             for s in stores:
                 if s in bucket:
                     index.setdefault(var, []).append(
-                        (cfg.tid, StoreSource(s, bucket[s])))
+                        (cfg.tid, StoreSource(s, bucket[s].get(var))))
     return index
 
 
@@ -247,10 +244,10 @@ def _source_lists(cfg, index, facts, active_loads, merged):
             joined = None
             for source in matching:
                 if merged or not facts.must_happen_before(l, source.store):
-                    got = source.env.get(var)
-                    joined = got if joined is None else joined.join(got)
+                    joined = source.value if joined is None \
+                        else joined.join(source.value)
             sources[l] = [SelfSource() if joined is None
-                          else MergedSource(AbstractEnv({var: joined}))]
+                          else MergedSource(joined)]
         else:
             sources[l] = matching + [SelfSource()]
     return sources
@@ -262,18 +259,6 @@ def _cartesian(loads, sources):
     rev = list(reversed(loads))
     return [dict(zip(rev, tup))
             for tup in itertools.product(*[sources[l] for l in rev])]
-
-
-def _distinct_values(cfg, load, options):
-    """The first store source of each interval, and every other source
-    (one at most of each kind): what `_run_key` can tell apart."""
-    var = cfg.nodes[load].stmt.var
-    first = {}
-    for source in options:
-        key = (source.env.get(var) if isinstance(source, StoreSource)
-               else type(source))
-        first.setdefault(key, source)
-    return list(first.values())
 
 
 def compute_combinations(cfg: ThreadCfg, table: dict, model: ProgramModel,
@@ -329,7 +314,7 @@ def compute_combinations(cfg: ThreadCfg, table: dict, model: ProgramModel,
         else:
             kept = math.prod(len(options[l]) for l in group)
             if len(groups) == 1:
-                options = {l: _distinct_values(cfg, l, options[l])
+                options = {l: list(dict.fromkeys(options[l]))
                            for l in group}
             combos = _cartesian(group, options)
         generated += total
@@ -340,7 +325,7 @@ def compute_combinations(cfg: ThreadCfg, table: dict, model: ProgramModel,
         per_cluster.append(combos or [{}])
 
     zipped = []
-    self_only = dict.fromkeys(active, SelfSource())
+    self_only = dict.fromkeys(sorted(active), SelfSource())
     for k in range(max(map(len, per_cluster), default=1)):
         combo = dict(self_only)
         for combos in per_cluster:
@@ -393,8 +378,7 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
                 % ("insensitive" if row.merged else "sensitive",
                    config.outer_budget))
         stats.outer_iters = iteration
-        before_table = _table_snapshot(table)
-        before_te = dict(te)
+        grew = False
         iter_stats = IterationStats()
         index = _store_index(model, table)  # the table changes at _publish
 
@@ -415,9 +399,10 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
             for combo in combos:
                 # a run is a deterministic function of its key and is folded
                 # in by join: skip an input this thread already ran, and
-                # replay another instance's run, which is by relative id
-                policy = PerLoad(combo)
-                key = _run_key(cfg, init, policy, steps[cfg.tid])
+                # replay another instance's run, which is by relative id;
+                # a combination lists its loads in node order, the table's
+                policy = tuple(combo.values())
+                key = _run_key(steps[cfg.tid], init, policy)
                 if (cfg.tid, key) in seen:
                     continue
                 seen.add((cfg.tid, key))
@@ -430,14 +415,14 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
                         table=steps[cfg.tid], prefixes=prefixes)
                     stats.interp_runs += 1
                     stats.resumed_runs += run.resumed
-                _merge_te(te, run.envs, cfg.first_node)
+                grew |= _merge_te(te, run.envs, cfg.first_node)
                 violable.update(n + cfg.first_node for n in run.violable)
             stats.runs += runs
             iter_stats.runs += runs
 
-        _publish(model, te, table, iteration, config, steps)
+        grew |= _publish(model, te, table, iteration, config, steps)
         stats.per_iteration.append(iter_stats)
-        if table == before_table and te == before_te:
+        if not grew:
             break
 
     verdicts = {n: n not in violable for n in model.assertions}

@@ -1,14 +1,17 @@
 """Worklist abstract interpreter for one thread CFG.
 
-A run takes a `PerLoad` policy that pins every load node to one source
-of the shared-memory value it reads:
+A run takes a policy: one source per load of its step table, in the
+table's load order, each the value that load reads from shared memory:
 
   * SelfSource   - the thread-local binding
-  * StoreSource  - one remote store's published post-state
+  * StoreSource  - the value one remote store published
   * MergedSource - the local binding joined with a pre-joined merge of
                    remote stores to the variable: all of them under
                    `fi`, or, for a load on a cycle, those not forced
                    after it
+
+A source compares by what a run reads through it alone, so runs whose
+policies are equal compute the same states.
 """
 
 from __future__ import annotations
@@ -18,47 +21,38 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .cfg import SAssert, SLoad, SNop, SStore, ThreadCfg, defs_and_uses
-from .domain import AbstractEnv, compile_filter, compile_transfer
+from .domain import AbstractEnv, Interval, compile_filter, compile_transfer
 from .errors import AnalysisBudgetExceeded
 
 
-# --- load sources and policies ------------------------------------------------
+# --- load sources ---------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SelfSource:
-    """Read the thread-local environment."""
+    """Read the thread-local binding."""
+
+    def read(self, local: Interval) -> Interval:
+        return local
 
 
 @dataclass(frozen=True)
 class StoreSource:
-    """Read one remote store's published post-state."""
-    store: int
-    env: AbstractEnv
+    """Read the value one remote store published.  Only feasibility asks
+    which store, so sources of equal values are equal."""
+    store: int = field(compare=False)
+    value: Interval
+
+    def read(self, local: Interval) -> Interval:
+        return self.value
 
 
 @dataclass(frozen=True)
 class MergedSource:
-    """Read the local environment joined with a merge of remote stores;
-    `env` binds only the loaded variable."""
-    env: AbstractEnv
+    """Read the local binding joined with a merge of remote stores."""
+    value: Interval
 
-
-@dataclass(frozen=True)
-class PerLoad:
-    sources: dict  # load node id -> source
-
-
-def _apply_load(node_id, stmt, env, policy):
-    source = policy.sources.get(node_id)
-    if source is None:
-        raise KeyError(f"combination does not cover load node {node_id}")
-    if isinstance(source, SelfSource):
-        value = env.get(stmt.var)
-    elif isinstance(source, StoreSource):
-        value = source.env.get(stmt.var)
-    else:
-        value = env.get(stmt.var).join(source.env.get(stmt.var))
-    return env.set(stmt.target, value)
+    def read(self, local: Interval) -> Interval:
+        return local.join(self.value)
 
 
 class StepTable:
@@ -66,7 +60,8 @@ class StepTable:
     relative to an instance's first node: the `size` nodes, the `entry`,
     the `loop_heads`, each node's transfer (a load's reads the
     thread-local binding; a run's policy picks its source) and out edges
-    with their filters (None if unconditional) as lists, the loads, the
+    with their filters (None if unconditional) as lists, each load with
+    its slot in a policy (its rank in node order) and statement, the
     stores in node order, and each assertion with the filter of its
     negated condition.  A node in `identity` (off the slice) compiles as
     a no-op whose out edges filter nothing.  `sweep_order` lists the
@@ -94,7 +89,7 @@ class StepTable:
                                 else compile_filter(filt[1], filt[2]))
                                for dst, filt in edges])
             if isinstance(stmt, SLoad):
-                self.loads[r] = stmt
+                self.loads[r] = len(self.loads), stmt
             elif isinstance(stmt, SStore):
                 self.stores.append(r)
             elif isinstance(stmt, SAssert):
@@ -130,14 +125,15 @@ class StepTable:
         return in_edges
 
 
-def _node_out(table, r, base, env, policy):
-    """Post-state of node r from pre-state env, in the instance whose
-    first node is `base`."""
+def _node_out(table, r, env, policy):
+    """Post-state of node r from pre-state env."""
     if env.bottom:
         return env
-    if r in table.loads:
-        return _apply_load(r + base, table.loads[r], env, policy)
-    return table.transfer[r](env)
+    load = table.loads.get(r)
+    if load is None:
+        return table.transfer[r](env)
+    slot, stmt = load
+    return env.set(stmt.target, policy[slot].read(env.get(stmt.var)))
 
 
 # --- fixpoint engine ------------------------------------------------------------
@@ -189,8 +185,8 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
 
     The run executes `table`, by default `cfg.steps` (the routine
     unsliced), and computes by node id relative to the thread's first
-    node, as does the returned `ThreadRun`; only the policy is looked up
-    by absolute load id.
+    node, as does the returned `ThreadRun`.  `policy` holds one source
+    per load of the table, in its load order.
 
     Widening fires at loop heads (back-edge targets) once a node has been
     updated more than `widening_delay` times; a bounded descending pass
@@ -226,6 +222,9 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
     stops sweeping once neither kind of node changed.
     """
     table, base = table or cfg.steps, cfg.first_node
+    if len(policy) != len(table.loads):
+        raise ValueError(f"{cfg.name}: {len(policy)} sources for "
+                         f"{len(table.loads)} loads")
     envs = [AbstractEnv.bot()] * table.size
     envs[table.entry] = init
     if init.bottom:
@@ -267,7 +266,7 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
                 prefix = prefixes[key] = _Prefix(
                     list(envs), list(updates), deque((n, *worklist)),
                     queued | {n}, visits - 1, widened, ~(reached >> base))
-        out = _node_out(table, n, base, envs[n], policy)
+        out = _node_out(table, n, envs[n], policy)
         for dst, filt in table.succs[n]:
             incoming = out if filt is None else filt(out)
             if incoming.leq(envs[dst]):
@@ -298,7 +297,7 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
                 continue
             incoming = AbstractEnv.bot()
             for p, filt in table.in_edges[n]:
-                out = _node_out(table, p, base, envs[p], policy)
+                out = _node_out(table, p, envs[p], policy)
                 incoming = incoming.join(out if filt is None else filt(out))
             narrowed = envs[n].narrow(incoming)
             if narrowed is not envs[n]:  # narrow returns self if unchanged

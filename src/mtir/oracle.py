@@ -16,16 +16,18 @@ but never assumed.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass, field
 
 from .ast import BinOp, BoolLit, IntLit, UnaryOp, Var
 from .cfg import (
     ProgramModel, SAssert, SBranch, SCreate, SExit, SJoin, SLoad, SLocal,
-    SNondet, SNop, SStore, is_store,
+    SNondet, SNop, SStore, is_store, loads_of,
 )
-from .domain import AbstractEnv
+from .domain import TOP
 from .errors import OracleBudgetExceeded
+from .interp import SelfSource, StoreSource
 
 
 _CONCRETE = {
@@ -343,10 +345,6 @@ def static_rejections(model: ProgramModel, feas) -> list:
     """Every total source assignment the constraint engine refutes, built
     from static candidates (all matching remote stores plus self).  Used
     by the soundness suite to cross-check against concrete read maps."""
-    from .cfg import loads_of
-    from .interp import SelfSource, StoreSource
-    import itertools as it
-
     rejected = []
     for cfg in model.threads:
         loads = loads_of(cfg)
@@ -355,13 +353,13 @@ def static_rejections(model: ProgramModel, feas) -> list:
         options = []
         for l in loads:
             var = cfg.nodes[l].stmt.var
-            sources = [StoreSource(node.id, AbstractEnv.top())
+            sources = [StoreSource(node.id, TOP)
                        for node in model.all_nodes()
                        if is_store(node) and node.tid != cfg.tid
                        and node.stmt.var == var]
             sources.append(SelfSource())
             options.append(sources)
-        for choice in it.product(*options):
+        for choice in itertools.product(*options):
             combo = dict(zip(loads, choice))
             rf = feas.reads_from_facts(combo)
             if rf and not feas.is_feasible(combo):

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from mtir import AnalysisConfig, analyze, build_model, loads_of, parse
+from mtir import AnalysisConfig, analyze, build_model, parse
 from mtir.corpus import PROGRAMS, source
-from mtir.interp import PerLoad, SelfSource
+from mtir.interp import SelfSource
 
 MODES = ("fi", "fs", "fsc", "fso")
 
@@ -32,9 +32,17 @@ def find_nodes(model, predicate):
     return [node.id for node in model.all_nodes() if predicate(node)]
 
 
-def self_only(cfg):
+def policy_of(cfg, sources, table=None):
+    """The policy giving each load of `table`, the routine's own by
+    default, its source in `sources`, keyed by absolute load id."""
+    table = cfg.steps if table is None else table
+    return tuple(sources[r + cfg.first_node] for r in table.loads)
+
+
+def self_only(cfg, table=None):
     """The sequential policy: every load reads the thread-local value."""
-    return PerLoad({load: SelfSource() for load in loads_of(cfg)})
+    table = cfg.steps if table is None else table
+    return (SelfSource(),) * len(table.loads)
 
 
 # --- random loop-free program generation -------------------------------------
@@ -217,6 +225,23 @@ thread main() { create(boss); create(spin, 7); int v = g; assert(v <= 7); }
 XINST = """int g = 0;
 thread w(int p) { int i = 0; while (i < 3) { i = i + 1; } int t = g; g = t + p; assert(t >= 0); }
 thread main() { create(w, 1); join(w); create(w, 1); }
+"""
+
+
+# two loads of x around a load of y: under fso their clusters are {a, c}
+# and {b}, so cluster order is not the loads' node order
+POLICY_ORDER = """int x = 0;
+int y = 0;
+thread w() { x = 5; y = 7; }
+thread main() {
+  create(w);
+  int a = x;
+  int b = y;
+  int c = x;
+  assert(a <= 5);
+  assert(b <= 7);
+  assert(c <= 5);
+}
 """
 
 

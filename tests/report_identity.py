@@ -29,7 +29,8 @@ after a loop, a thread with a loop before its first shared read and a
 loop bounded by the value read after it,
 two instances of a routine with a loop before its read of a global,
 created one after the other from equal entry states, a thread whose
-loop never exits before a read of a global,
+loop never exits before a read of a global, two loads of one global
+around a load of another, whose clusters are not in node order,
 `random_program` seeds 0-119, `repeated_program` seeds 0-39 and
 `stress_soundness`'s `loopy_program` seeds 0-19.
 """
@@ -43,7 +44,9 @@ import sys
 import tempfile
 
 sys.path[:0] = ["src", "tests"]
-from conftest import XINST, random_program, repeated_program  # noqa: E402
+from conftest import (  # noqa: E402
+    POLICY_ORDER, XINST, random_program, repeated_program,
+)
 from stress_soundness import loopy_program  # noqa: E402
 
 from mtir.analysis import MODES  # noqa: E402
@@ -281,6 +284,7 @@ def programs():
     yield "pending_load", PENDING_LOAD
     yield "loop_read_loop", LOOP_READ_LOOP
     yield "no_exit", NO_EXIT
+    yield "policy_order", POLICY_ORDER
     yield "xinst", XINST
     yield "deep_plus900", DEEP_PLUS
     yield "deep_not900", DEEP_NOT

@@ -10,7 +10,9 @@ import time
 
 import pytest
 
-from conftest import MODES, node_ids, random_program, repeated_program
+from conftest import (
+    MODES, node_ids, policy_of, random_program, repeated_program,
+)
 from mtir.analysis import AnalysisConfig, analyze, compute_combinations
 from mtir.cfg import build_model, loads_of
 from mtir.domain import AbstractEnv, interval
@@ -18,7 +20,7 @@ from mtir.errors import OracleBudgetExceeded
 from mtir.facts import (
     FeasibilityEngine, dump_facts, fixpoint, naive_fixpoint,
 )
-from mtir.interp import MergedSource, PerLoad, StoreSource, _apply_load
+from mtir.interp import MergedSource, StoreSource, _node_out
 from mtir.oracle import (
     OracleBounds, check_abstraction, enumerate_executions, static_rejections,
 )
@@ -94,8 +96,8 @@ def test_criterion_3_loop_value():
     combos, generated, _, _ = compute_combinations(
         main, result.interference, model, feas)
     src = combos[0][load]
-    post = _apply_load(load, model.node(load).stmt, result.te[load],
-                       PerLoad(combos[0]))
+    post = _node_out(main.steps, load - main.first_node, result.te[load],
+                     policy_of(main, combos[0]))
     ok = (generated == 1
           and isinstance(src, MergedSource)
           and post.get("t1") == interval(0, 2)

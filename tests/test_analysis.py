@@ -4,8 +4,10 @@ import weakref
 import pytest
 
 from conftest import (
-    MODES, XINST, node_ids, random_program, repeated_program, self_only,
+    MODES, POLICY_ORDER, XINST, node_ids, policy_of, random_program,
+    repeated_program, self_only,
 )
+from stress_soundness import loopy_program
 from mtir.analysis import AnalysisConfig, analyze, compute_combinations
 from mtir.bench import chain_program, watchdog_program
 from mtir.cfg import build_model, loads_of, reachable_sets
@@ -14,7 +16,7 @@ from mtir.domain import AbstractEnv, interval
 from mtir.errors import AnalysisBudgetExceeded, CombinationBudgetExceeded
 from mtir.facts import FeasibilityEngine
 from mtir.interp import (
-    MergedSource, SelfSource, StoreSource, analyze_thread,
+    MergedSource, SelfSource, StoreSource, _node_out, analyze_thread,
 )
 from mtir.parser import parse
 from mtir.pdg import backward_slices, build_pdg, cluster
@@ -117,7 +119,7 @@ def test_loop_load_merges_surviving_stores(corpus_models, corpus_results):
     source_ = combos[0][load]
     assert isinstance(source_, MergedSource)
     # both early stores merged, the post-load writer excluded
-    assert source_.env.get("x") == interval(1, 2)
+    assert source_.value == interval(1, 2)
 
 
 def test_self_reachability_is_cycle_membership():
@@ -212,17 +214,14 @@ def test_flag_sync_plain_fs_unproven_with_expected_case_split(corpus_models):
         ("self", ids["t1.5"]): False,
         ("self", "self"): False,
     }
-    from mtir.interp import PerLoad
     for combo in combos:
         key = tuple(src.store if isinstance(src, StoreSource) else "self"
                     for src in (combo[ids["t2.9"]], combo[ids["t2.11"]]))
-        run = analyze_thread(reader, init, PerLoad(combo))
+        run = analyze_thread(reader, init, policy_of(reader, combo))
         assert bool(run.violable) == expected[key], key
 
 
 def test_loop_reader_value_excludes_late_store(corpus_models, corpus_results):
-    from mtir.interp import PerLoad, _apply_load
-
     model = corpus_models["loop_reader"]
     result = corpus_results["loop_reader"]["fsc"]
     feas = FeasibilityEngine(model)
@@ -230,8 +229,8 @@ def test_loop_reader_value_excludes_late_store(corpus_models, corpus_results):
     load = loads_of(main)[0]
     combos, _, _, _ = compute_combinations(main, result.interference, model,
                                            feas)
-    post = _apply_load(load, model.node(load).stmt, result.te[load],
-                       PerLoad(combos[0]))
+    post = _node_out(main.steps, load - main.first_node, result.te[load],
+                     policy_of(main, combos[0]))
     assert post.get("t1") == interval(0, 2)
 
 
@@ -273,6 +272,65 @@ def test_disjoint_chains_clustering(corpus_models, corpus_results):
     assert len(zipped) == 2
 
 
+def test_growth_flags_match_snapshots(monkeypatch):
+    # the outer loop stops on the flags `_merge_te` and `_publish` return:
+    # each call's flag, and each iteration's, must say whether the node
+    # states or the interference table differ from before
+    from mtir import analysis as analysis_mod
+    merge_te, publish = analysis_mod._merge_te, analysis_mod._publish
+    state = {}
+
+    def snapshot(te, table):
+        return dict(te), {tid: dict(bucket) for tid, bucket in table.items()}
+
+    def checked_merge_te(te, envs, base):
+        before = dict(te)
+        grew = merge_te(te, envs, base)
+        assert grew == (te != before)
+        state["grew"] |= grew
+        return grew
+
+    def checked_publish(model, te, table, *args):
+        before = snapshot(te, table)
+        grew = publish(model, te, table, *args)
+        after = snapshot(te, table)
+        assert grew == (after != before)
+        state["flags"].append(state["grew"] or grew)
+        state["changed"].append(after != state["last"])
+        state["last"], state["grew"] = after, False
+        return grew
+
+    monkeypatch.setattr(analysis_mod, "_merge_te", checked_merge_te)
+    monkeypatch.setattr(analysis_mod, "_publish", checked_publish)
+    texts = [source(name) for name in PROGRAMS]
+    texts += [random_program(seed) for seed in range(60)]
+    texts += [loopy_program(seed) for seed in range(20)]
+    for text in texts:
+        model = model_of(text)
+        for mode in MODES:
+            state.update(grew=False, flags=[], changed=[],
+                         last=({}, {cfg.tid: {} for cfg in model.threads}))
+            result = analyze(model, AnalysisConfig(mode=mode))
+            assert state["flags"] == state["changed"], mode
+            assert len(state["flags"]) == result.stats.outer_iters
+            assert state["flags"][-1] is False
+
+
+def test_policy_lists_sources_in_node_order():
+    # under fso main's loads form the clusters {a, c} and {b}, so a policy
+    # built in cluster order would give b the source of c: every mode must
+    # verify all three assertions
+    model = model_of(POLICY_ORDER)
+    main = model.thread_named("main")
+    a, b, c = loads_of(main)
+    graph = build_pdg(model)
+    plan = cluster(graph, backward_slices(graph, model), model)
+    assert plan[main.tid] == [[a, c], [b]]
+    for mode in MODES:
+        result = analyze(model, AnalysisConfig(mode=mode))
+        assert len(result.verified_assertions()) == 3, mode
+
+
 def test_outer_budget():
     model = model_of(source("flag_sync"))
     with pytest.raises(AnalysisBudgetExceeded):
@@ -289,9 +347,10 @@ def test_republication_monotone():
     original = analysis_mod._publish
 
     def spying_publish(*args, **kwargs):
-        original(*args, **kwargs)
+        grew = original(*args, **kwargs)
         table = args[2]
         snapshots.append({tid: dict(bucket) for tid, bucket in table.items()})
+        return grew
 
     analysis_mod._publish = spying_publish
     try:

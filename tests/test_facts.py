@@ -7,7 +7,7 @@ from conftest import node_ids, random_program, repeated_program
 from mtir.analysis import AnalysisConfig, analyze
 from mtir.bench import chain_program, watchdog_program
 from mtir.cfg import bits, build_model, is_store, loads_of
-from mtir.domain import AbstractEnv
+from mtir.domain import TOP
 from mtir.facts import (
     RULES, FactBase, FeasibilityEngine, build_base_facts,
     contradiction, dump_facts, fixpoint, initial_value_loads,
@@ -171,7 +171,7 @@ def test_empty_reads_from_is_feasible(flag_sync):
 def test_initial_read_after_flag_rejected(flag_sync):
     # observing the flag store while still reading x's initial value
     model, feas, ids = flag_sync
-    combo = {ids["t2.9"]: StoreSource(ids["t1.6"], AbstractEnv.top()),
+    combo = {ids["t2.9"]: StoreSource(ids["t1.6"], TOP),
              ids["t2.11"]: SelfSource()}
     assert ids["t2.11"] in feas.initial_loads
     assert not feas.is_feasible(combo)
@@ -195,10 +195,8 @@ def test_add_remove_symmetry(flag_sync):
     model, feas, ids = flag_sync
     before = {name: set(tuples)
               for name, tuples in feas.base.relations.items()}
-    feas.is_feasible({ids["t2.9"]: StoreSource(ids["t1.6"],
-                                               AbstractEnv.top()),
-                      ids["t2.11"]: StoreSource(ids["t1.4"],
-                                                AbstractEnv.top())})
+    feas.is_feasible({ids["t2.9"]: StoreSource(ids["t1.6"], TOP),
+                      ids["t2.11"]: StoreSource(ids["t1.4"], TOP)})
     feas.check_facts([(ids["t2.9"], ids["t1.6"])])
     after = {name: set(tuples) for name, tuples in feas.base.relations.items()}
     assert before == after
@@ -216,7 +214,7 @@ def test_rule5_consistency(flag_sync):
         for node in model.all_nodes():
             if is_store(node) and node.stmt.var == var \
                     and (load, node.id) in mhb:
-                combo = {load: StoreSource(node.id, AbstractEnv.top())}
+                combo = {load: StoreSource(node.id, TOP)}
                 assert not feas.is_feasible(combo)
 
 
@@ -227,7 +225,7 @@ def _combinations(model, groups):
         options = []
         for l in loads:
             load = model.node(l)
-            remote = [StoreSource(n.id, AbstractEnv.top())
+            remote = [StoreSource(n.id, TOP)
                       for n in model.all_nodes()
                       if is_store(n) and n.tid != load.tid
                       and n.stmt.var == load.stmt.var]
@@ -273,8 +271,7 @@ def _chain_combinations(model, depth):
     def store(k):
         cfg = link["c%d" % k]
         return StoreSource(next(n for n in cfg.node_order()
-                                if is_store(cfg.nodes[n])),
-                           AbstractEnv.top())
+                                if is_store(cfg.nodes[n])), TOP)
 
     yield {load(depth): store(depth - 1)}
     yield {load(depth): store(1)}

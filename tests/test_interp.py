@@ -3,14 +3,14 @@ import random
 import pytest
 
 from conftest import MODES, XINST, instance_programs, node_ids, \
-    random_program, self_only
+    policy_of, random_program, self_only
 from stress_soundness import loopy_program
 from mtir.analysis import AnalysisConfig, analyze
 from mtir.cfg import SLocal, build_model, loads_of
 from mtir.domain import AbstractEnv, const, interval
 from mtir.errors import AnalysisBudgetExceeded
 from mtir.interp import (
-    MergedSource, PerLoad, SelfSource, StepTable, StoreSource, _node_out,
+    MergedSource, SelfSource, StepTable, StoreSource, _node_out,
     analyze_thread,
 )
 from mtir.oracle import OracleBounds, enumerate_executions
@@ -35,7 +35,7 @@ def is_stable(cfg, run, policy, init, table=None):
     if not init.leq(run.envs[table.entry]):
         return False
     for n, edges in enumerate(table.succs):
-        out = _node_out(table, n, cfg.first_node, run.envs[n], policy)
+        out = _node_out(table, n, run.envs[n], policy)
         for dst, filt in edges:
             if not (out if filt is None else filt(out)).leq(run.envs[dst]):
                 return False
@@ -50,11 +50,8 @@ def env_at(cfg, run, node):
 def merged(cfg, summary):
     """Every load joins its local value with the summary interval of its
     variable: the flow-insensitive read."""
-    sources = {}
-    for load in loads_of(cfg):
-        var = cfg.nodes[load].stmt.var
-        sources[load] = MergedSource(AbstractEnv({var: summary[var]}))
-    return PerLoad(sources)
+    return tuple(MergedSource(summary[cfg.nodes[load].stmt.var])
+                 for load in loads_of(cfg))
 
 
 def test_writer_thread_self_only(flag_sync):
@@ -92,8 +89,9 @@ def test_reader_with_pinned_sources(flag_sync):
     post_l5 = steps[ids["t1.5"] - base](env_at(t1, writer, ids["t1.5"]))
     post_l6 = steps[ids["t1.6"] - base](env_at(t1, writer, ids["t1.6"]))
     # flag from its store, x from the final store: consistent snapshot
-    policy = PerLoad({ids["t2.9"]: StoreSource(ids["t1.6"], post_l6),
-                      ids["t2.11"]: StoreSource(ids["t1.5"], post_l5)})
+    policy = policy_of(t2, {
+        ids["t2.9"]: StoreSource(ids["t1.6"], post_l6.get("flag")),
+        ids["t2.11"]: StoreSource(ids["t1.5"], post_l5.get("x"))})
     run = analyze_thread(t2, init_env(model), policy)
     assert env_at(t2, run, ids["t2.12"]).get("t1") == interval(5, 5)
     assert env_at(t2, run, ids["t2.13"]).bottom
@@ -104,12 +102,38 @@ def test_self_source_reads_local(flag_sync):
     model = flag_sync
     ids = node_ids(model)
     t2 = model.thread_named("thread2")
-    policy = PerLoad({ids["t2.9"]: SelfSource(),
-                      ids["t2.11"]: SelfSource()})
+    policy = policy_of(t2, {ids["t2.9"]: SelfSource(),
+                            ids["t2.11"]: SelfSource()})
     run = analyze_thread(t2, init_env(model), policy)
     # flag is never set by this thread, so the branch cannot be taken
     assert env_at(t2, run, ids["t2.11"]).bottom
     assert not run.violable
+
+
+def test_sources_compare_by_the_value_read():
+    # only feasibility asks which store a source reads, so store sources of
+    # equal values are one source; a merged source joins with the local
+    # binding, so it stays apart from a store source of its value
+    five, local = interval(5, 5), interval(0, 1)
+    assert StoreSource(3, five) == StoreSource(8, five)
+    assert hash(StoreSource(3, five)) == hash(StoreSource(8, five))
+    assert len({StoreSource(3, five), StoreSource(8, five)}) == 1
+    assert StoreSource(3, five) != StoreSource(3, interval(5, 6))
+    assert StoreSource(3, five) != MergedSource(five)
+    assert MergedSource(five) != SelfSource() == SelfSource()
+    assert [source.read(local) for source in
+            (SelfSource(), StoreSource(3, five), MergedSource(five))] \
+        == [local, five, interval(0, 5)]
+
+
+def test_policy_must_cover_every_load(flag_sync):
+    # a policy holds one source per load of the table, in its load order
+    t2 = flag_sync.thread_named("thread2")
+    policy = self_only(t2)
+    assert len(policy) == len(t2.steps.loads) == 2
+    for wrong in (policy[1:], policy + (SelfSource(),)):
+        with pytest.raises(ValueError):
+            analyze_thread(t2, init_env(flag_sync), wrong)
 
 
 def test_bottom_init_short_circuits(flag_sync):
@@ -305,7 +329,7 @@ def test_entry_load_stores_and_looks_up_no_prefix():
                                   prefixes=prefixes).resumed
     assert not lookups and not prefixes
     sliced = StepTable(cfg, frozenset({cfg.steps.entry}))
-    runs = [analyze_thread(cfg, init, self_only(cfg), table=sliced,
+    runs = [analyze_thread(cfg, init, self_only(cfg, sliced), table=sliced,
                            prefixes=prefixes)
             for _ in range(2)]
     assert [run.resumed for run in runs] == [False, True]
@@ -351,9 +375,9 @@ def test_prefixes_are_keyed_on_step_table():
                               prefixes=prefixes).resumed
     assert len(prefixes) == 1
     sliced = StepTable(cfg, frozenset({bump}))
-    run = analyze_thread(cfg, init, self_only(cfg), table=sliced,
+    run = analyze_thread(cfg, init, self_only(cfg, sliced), table=sliced,
                          prefixes=prefixes)
-    fresh = analyze_thread(cfg, init, self_only(cfg), table=sliced)
+    fresh = analyze_thread(cfg, init, self_only(cfg, sliced), table=sliced)
     assert not run.resumed
     assert run.envs == fresh.envs and run.violable == fresh.violable
     (load,) = cfg.steps.loads
@@ -372,8 +396,9 @@ def test_stabilization_under_pinned_sources(flag_sync):
                                            feas)
     init = init_env(model)
     for combo in combos:
-        run = analyze_thread(reader, init, PerLoad(combo))
-        assert is_stable(reader, run, PerLoad(combo), init)
+        policy = policy_of(reader, combo)
+        run = analyze_thread(reader, init, policy)
+        assert is_stable(reader, run, policy, init)
 
 
 @pytest.mark.parametrize("seed", range(8))

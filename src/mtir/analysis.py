@@ -2,11 +2,11 @@
 
 Every mode runs one loop.  Each outer iteration runs every thread once
 per interference combination, which pins each of its loads to a source
-(see `interp`), then republishes every store's post-state as
-interference.  The loop stops when an iteration grows neither the
-interference table nor any node environment, widening interference
-environments after a delay so it terminates on programs with unbounded
-data flow.
+(see `interp`), then republishes the value every store writes as
+interference, widened after a delay so the loop terminates on programs
+with unbounded data flow.  The loop stops when an iteration grows no
+node environment: a store's published value can only grow in an
+iteration that grows its node's state.
 
 A mode is a row of `MODE_ROWS`:
 
@@ -111,7 +111,6 @@ class AnalysisStats:
     infeasible: int = 0
     pruned_loads: int = 0
     clusters: int = 0
-    wall_ms: float = 0.0
     per_iteration: list = field(default_factory=list)
 
 
@@ -121,7 +120,7 @@ class AnalysisResult:
     te: dict  # node id -> AbstractEnv, accumulated over every run
     verdicts: dict  # assertion node id -> bool (verified)
     stats: AnalysisStats
-    interference: dict  # tid -> {store node -> AbstractEnv}
+    interference: dict  # variable -> [(tid, StoreSource)], see _publish
     identity_nodes: frozenset = frozenset()  # off-slice under pruning
 
     def verified_assertions(self) -> set:
@@ -132,12 +131,13 @@ class AnalysisResult:
 
     def interference_env(self, tid: int) -> AbstractEnv:
         """Per-variable summary of what the thread publishes: each stored
-        variable maps to the join of its stored values."""
+        variable maps to the join of its stores' values."""
         values: dict[str, Interval] = {}
-        for store, env in self.interference.get(tid, {}).items():
-            var = self.model.node(store).stmt.var
-            got = env.get(var)
-            values[var] = got if var not in values else values[var].join(got)
+        for var, sources in self.interference.items():
+            for writer, source in sources:
+                if writer == tid:
+                    values[var] = source.value if var not in values \
+                        else values[var].join(source.value)
         return AbstractEnv(values)
 
 
@@ -181,29 +181,31 @@ def _merge_te(te: dict, envs: list, base: int) -> bool:
     return grew
 
 
-def _publish(model, te, table, iteration, config, steps) -> bool:
-    """Republish interference from the accumulated node states: the
-    post-state of every store of each thread's step table (`steps`, by
-    tid), joined per store node, widened across outer iterations once
-    past the delay.  Returns whether any published state grew."""
-    grew = False
+def _publish(model, te, published, iteration, config, steps) -> dict:
+    """Republish interference from the accumulated node states: the value
+    each store of a thread's step table (`steps`, by tid) writes, joined
+    into `published` (store node -> `Interval`) and widened across outer
+    iterations once past the delay.  Returns the index loads read: per
+    variable, one `StoreSource` per published store, shared by every
+    reader, as (tid, source) in thread order then node order."""
+    index = {}
     for cfg in model.threads:
-        bucket = table.setdefault(cfg.tid, {})
         thread_steps, base = steps[cfg.tid], cfg.first_node
         for r in thread_steps.stores:
             n = r + base
             pre = te.get(n)
             if pre is None or pre.bottom:
                 continue
-            post = thread_steps.transfer[r](pre)
-            old = bucket.get(n)
-            new = post if old is None else old.join(post)
-            if old is not None and iteration > config.widening_delay:
-                new = old.widen(new)
-            if new is not old and new != old:
-                bucket[n] = new
-                grew = True
-    return grew
+            var = cfg.nodes[n].stmt.var
+            value = thread_steps.transfer[r](pre).get(var)
+            old = published.get(n)
+            if old is not None:
+                value = old.join(value)
+                if iteration > config.widening_delay:
+                    value = old.widen(value)
+            published[n] = value
+            index.setdefault(var, []).append((cfg.tid, StoreSource(n, value)))
+    return index
 
 
 def _run_key(table, init, policy):
@@ -213,21 +215,6 @@ def _run_key(table, init, policy):
 
 
 # --- interference combinations ---------------------------------------------------
-
-def _store_index(model, table):
-    """Published stores per variable, (tid, source) in thread order then
-    node order: one `StoreSource` per store, holding the variable's
-    published value, shared by every reader."""
-    index = {}
-    for cfg in model.threads:
-        bucket = table[cfg.tid]
-        for var, stores in cfg.stores_by_var.items():
-            for s in stores:
-                if s in bucket:
-                    index.setdefault(var, []).append(
-                        (cfg.tid, StoreSource(s, bucket[s].get(var))))
-    return index
-
 
 def _source_lists(cfg, index, facts, active_loads, merged):
     """Candidate sources per load, in published-store order with the self
@@ -261,14 +248,14 @@ def _cartesian(loads, sources):
             for tup in itertools.product(*[sources[l] for l in rev])]
 
 
-def compute_combinations(cfg: ThreadCfg, table: dict, model: ProgramModel,
+def compute_combinations(cfg: ThreadCfg, index: dict,
                          facts: FeasibilityEngine,
                          feasibility: bool = False,
                          plan: dict | None = None,
                          combo_cap: int = AnalysisConfig.combo_cap,
-                         merged: bool = False,
-                         index: dict | None = None):
-    """Build the interference combinations for one thread.
+                         merged: bool = False):
+    """Build the interference combinations for one thread from `index`,
+    the published stores per variable (see `_publish`).
 
     Returns (combinations, generated, rejected, runs).  With `merged`
     there is one combination, counted as none generated, and `facts` is
@@ -279,7 +266,6 @@ def compute_combinations(cfg: ThreadCfg, table: dict, model: ProgramModel,
     are `plan[cfg.tid]` (see `pdg.cluster`), which holds the on-slice
     loads alone; without a plan every load is active and all are one
     cluster, so the combinations are the plain product.
-    `index` is the table's `_store_index`, built here if not given.
 
     With `feasibility`, refuted sources are dropped first and only
     combinations of several loads are checked one by one.  With one
@@ -290,7 +276,6 @@ def compute_combinations(cfg: ThreadCfg, table: dict, model: ProgramModel,
     """
     groups = [loads_of(cfg)] if plan is None else plan.get(cfg.tid, [])
     active = [l for group in groups for l in group]
-    index = _store_index(model, table) if index is None else index
     sources = _source_lists(cfg, index, facts, active, merged)
     if merged:
         return [{l: options[0] for l, options in sources.items()}], 0, 0, 1
@@ -353,7 +338,8 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
         plan = cluster(graph, on_slice, model)
 
     te: dict = {}
-    table: dict = {cfg.tid: {} for cfg in model.threads}
+    published: dict = {}  # store node -> the value it writes
+    index: dict = {}  # variable -> [(tid, StoreSource)], see _publish
     violable: set = set()
     seen: set = set()  # (tid, run key) of every scheduled run
     shared: dict = {}  # run key -> every executed run
@@ -380,16 +366,14 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
         stats.outer_iters = iteration
         grew = False
         iter_stats = IterationStats()
-        index = _store_index(model, table)  # the table changes at _publish
 
         for cfg in model.threads:
             # the first iteration has no interference published yet:
             # run the self-only combination unfiltered to bootstrap
             combos, generated, rejected, runs = compute_combinations(
-                cfg, table, model, facts,
+                cfg, index, facts,
                 feasibility=row.feasibility and iteration > 1,
-                plan=plan, combo_cap=config.combo_cap, merged=row.merged,
-                index=index)
+                plan=plan, combo_cap=config.combo_cap, merged=row.merged)
             iter_stats.combos[cfg.tid] = generated
             iter_stats.infeasible[cfg.tid] = rejected
             stats.combos += generated
@@ -420,11 +404,11 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
             stats.runs += runs
             iter_stats.runs += runs
 
-        grew |= _publish(model, te, table, iteration, config, steps)
+        index = _publish(model, te, published, iteration, config, steps)
         stats.per_iteration.append(iter_stats)
         if not grew:
             break
 
     verdicts = {n: n not in violable for n in model.assertions}
-    return AnalysisResult(model, te, verdicts, stats, table,
+    return AnalysisResult(model, te, verdicts, stats, index,
                           identity_nodes=identity_nodes)

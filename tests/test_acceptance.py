@@ -69,7 +69,7 @@ def test_criterion_2_combination_structure():
     reader = model.thread_named("reader")
     ids = node_ids(model)
     combos, generated, _, _ = compute_combinations(
-        reader, result.interference, model, feas)
+        reader, result.interference, feas)
     l1, l2 = loads_of(reader)
     s1, s2, s3 = ids["t2.8"], ids["t2.9"], ids["t2.10"]
 
@@ -94,7 +94,7 @@ def test_criterion_3_loop_value():
     main = model.thread(0)
     load = loads_of(main)[0]
     combos, generated, _, _ = compute_combinations(
-        main, result.interference, model, feas)
+        main, result.interference, feas)
     src = combos[0][load]
     post = _node_out(main.steps, load - main.first_node, result.te[load],
                      policy_of(main, combos[0]))
@@ -116,7 +116,7 @@ def test_criterion_4_pruning():
     counts = []
     for name in ("thr#1", "thr#2"):
         _, generated, _, _ = compute_combinations(
-            model.thread_named(name), fs.interference, model, feas)
+            model.thread_named(name), fs.interference, feas)
         counts.append(generated)
     fso = analyze(model, AnalysisConfig(mode="fso"))
     runs_per_iter = {it.runs for it in fso.stats.per_iteration}
@@ -139,9 +139,8 @@ def test_criterion_5_clustering():
     reader = model.thread_named("thread2")
     graph = build_pdg(model)
     plan = cluster(graph, backward_slices(graph, model), model)
-    _, unclustered, _, _ = compute_combinations(reader, fs.interference, model,
-                                                feas)
-    zipped, _, _, _ = compute_combinations(reader, fso.interference, model,
+    _, unclustered, _, _ = compute_combinations(reader, fs.interference, feas)
+    zipped, _, _, _ = compute_combinations(reader, fso.interference,
                                            feas, plan=plan)
     ok = (unclustered == 4 and len(zipped) == 2
           and all(fs.verdicts.values()) and all(fsc.verdicts.values())

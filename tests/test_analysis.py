@@ -12,7 +12,7 @@ from mtir.analysis import AnalysisConfig, analyze, compute_combinations
 from mtir.bench import chain_program, watchdog_program
 from mtir.cfg import build_model, loads_of, reachable_sets
 from mtir.cli import build_report
-from mtir.domain import AbstractEnv, interval
+from mtir.domain import EMPTY, AbstractEnv, interval
 from mtir.errors import AnalysisBudgetExceeded, CombinationBudgetExceeded
 from mtir.facts import FeasibilityEngine
 from mtir.interp import (
@@ -44,11 +44,12 @@ def test_flow_insensitive_false_alarm(corpus_models, corpus_results):
     published = result.interference_env(writer.tid)
     assert published == AbstractEnv({"flag": interval(1, 1),
                                      "x": interval(4, 5)})
-    # one published interference per store node, none bottom
-    bucket = result.interference[writer.tid]
-    assert [model.node_name(s) for s in sorted(bucket)] \
+    # one published interference per store node, none empty
+    stores = [source for sources in result.interference.values()
+              for tid, source in sources if tid == writer.tid]
+    assert [model.node_name(n) for n in sorted(s.store for s in stores)] \
         == ["t1.4", "t1.5", "t1.6"]
-    assert all(not env.bottom for env in bucket.values())
+    assert all(s.value != EMPTY for s in stores)
 
 
 def test_single_thread_matches_sequential():
@@ -81,7 +82,7 @@ def test_two_load_three_store_combinations(corpus_models, corpus_results):
     reader = model.thread_named("reader")
     ids = node_ids(model)
     combos, generated, rejected, _ = compute_combinations(
-        reader, result.interference, model, feas)
+        reader, result.interference, feas)
     assert generated == 6 and rejected == 0
     l1, l2 = loads_of(reader)
     s1, s2, s3 = ids["t2.8"], ids["t2.9"], ids["t2.10"]
@@ -102,7 +103,7 @@ def test_no_loads_single_empty_combination(corpus_models, corpus_results):
     feas = FeasibilityEngine(model)
     writer = model.thread_named("writer")
     combos, generated, rejected, _ = compute_combinations(
-        writer, result.interference, model, feas)
+        writer, result.interference, feas)
     assert combos == [{}]
     assert generated == 1 and rejected == 0
 
@@ -114,7 +115,7 @@ def test_loop_load_merges_surviving_stores(corpus_models, corpus_results):
     main = model.thread(0)
     load = loads_of(main)[0]
     combos, generated, _, _ = compute_combinations(
-        main, result.interference, model, feas)
+        main, result.interference, feas)
     assert generated == 1
     source_ = combos[0][load]
     assert isinstance(source_, MergedSource)
@@ -150,7 +151,7 @@ def test_combination_cap():
     feas = FeasibilityEngine(model)
     reader = model.thread_named("thread2")
     with pytest.raises(CombinationBudgetExceeded):
-        compute_combinations(reader, result.interference, model, feas,
+        compute_combinations(reader, result.interference, feas,
                              combo_cap=5)
 
 
@@ -162,7 +163,7 @@ def test_combination_cap_counts_refuted_sources(tmp_path, capsys):
     result = analyze(model, AnalysisConfig(mode="fsc"))
     link = model.thread_named("c10")
     combos, generated, rejected, runs = compute_combinations(
-        link, result.interference, model, FeasibilityEngine(model),
+        link, result.interference, FeasibilityEngine(model),
         feasibility=True)
     assert (generated, rejected, runs, len(combos)) == (10, 8, 2, 2)
     with pytest.raises(CombinationBudgetExceeded):
@@ -203,8 +204,7 @@ def test_flag_sync_plain_fs_unproven_with_expected_case_split(corpus_models):
     ids = node_ids(model)
     feas = FeasibilityEngine(model)
     reader = model.thread_named("thread2")
-    combos, _, _, _ = compute_combinations(reader, result.interference, model,
-                                           feas)
+    combos, _, _, _ = compute_combinations(reader, result.interference, feas)
     init = AbstractEnv({"flag": interval(0, 0), "x": interval(0, 0)})
     expected = {
         (ids["t1.6"], ids["t1.4"]): True,   # stale x: false alarm case
@@ -227,8 +227,7 @@ def test_loop_reader_value_excludes_late_store(corpus_models, corpus_results):
     feas = FeasibilityEngine(model)
     main = model.thread(0)
     load = loads_of(main)[0]
-    combos, _, _, _ = compute_combinations(main, result.interference, model,
-                                           feas)
+    combos, _, _, _ = compute_combinations(main, result.interference, feas)
     post = _node_out(main.steps, load - main.first_node, result.te[load],
                      policy_of(main, combos[0]))
     assert post.get("t1") == interval(0, 2)
@@ -249,7 +248,7 @@ def test_param_guard_unpruned_three_combinations(corpus_models,
     feas = FeasibilityEngine(model)
     for name in ("thr#1", "thr#2"):
         combos, generated, rejected, _ = compute_combinations(
-            model.thread_named(name), result.interference, model, feas)
+            model.thread_named(name), result.interference, feas)
         assert generated == 3 and rejected == 0
 
 
@@ -262,26 +261,24 @@ def test_disjoint_chains_clustering(corpus_models, corpus_results):
     assert fso_result.stats.clusters == 2
     feas = FeasibilityEngine(model)
     reader = model.thread_named("thread2")
-    _, full, _, _ = compute_combinations(reader, fs_result.interference, model,
-                                         feas)
+    _, full, _, _ = compute_combinations(reader, fs_result.interference, feas)
     assert full == 4
     graph = build_pdg(model)
     zipped, _, _, _ = compute_combinations(
-        reader, fso_result.interference, model, feas,
+        reader, fso_result.interference, feas,
         plan=cluster(graph, backward_slices(graph, model), model))
     assert len(zipped) == 2
 
 
 def test_growth_flags_match_snapshots(monkeypatch):
-    # the outer loop stops on the flags `_merge_te` and `_publish` return:
-    # each call's flag, and each iteration's, must say whether the node
-    # states or the interference table differ from before
+    # the outer loop stops on the flags `_merge_te` returns: each call's
+    # flag must say whether the node states differ from before, and each
+    # iteration's whether the node states or the published values differ
+    # from the last iteration's, as a store's value only grows with its
+    # node's state
     from mtir import analysis as analysis_mod
     merge_te, publish = analysis_mod._merge_te, analysis_mod._publish
     state = {}
-
-    def snapshot(te, table):
-        return dict(te), {tid: dict(bucket) for tid, bucket in table.items()}
 
     def checked_merge_te(te, envs, base):
         before = dict(te)
@@ -290,15 +287,13 @@ def test_growth_flags_match_snapshots(monkeypatch):
         state["grew"] |= grew
         return grew
 
-    def checked_publish(model, te, table, *args):
-        before = snapshot(te, table)
-        grew = publish(model, te, table, *args)
-        after = snapshot(te, table)
-        assert grew == (after != before)
-        state["flags"].append(state["grew"] or grew)
+    def checked_publish(model, te, published, *args):
+        index = publish(model, te, published, *args)
+        after = dict(te), dict(published)
+        state["flags"].append(state["grew"])
         state["changed"].append(after != state["last"])
         state["last"], state["grew"] = after, False
-        return grew
+        return index
 
     monkeypatch.setattr(analysis_mod, "_merge_te", checked_merge_te)
     monkeypatch.setattr(analysis_mod, "_publish", checked_publish)
@@ -308,8 +303,7 @@ def test_growth_flags_match_snapshots(monkeypatch):
     for text in texts:
         model = model_of(text)
         for mode in MODES:
-            state.update(grew=False, flags=[], changed=[],
-                         last=({}, {cfg.tid: {} for cfg in model.threads}))
+            state.update(grew=False, flags=[], changed=[], last=({}, {}))
             result = analyze(model, AnalysisConfig(mode=mode))
             assert state["flags"] == state["changed"], mode
             assert len(state["flags"]) == result.stats.outer_iters
@@ -337,31 +331,41 @@ def test_outer_budget():
         analyze(model, AnalysisConfig(mode="fsc", outer_budget=1))
 
 
-def test_republication_monotone():
-    # every store's published environment only grows across iterations
-    model = model_of(source("inc_read"))
-    config = AnalysisConfig(mode="fs")
-    snapshots = []
-
+def test_republication_monotone(monkeypatch):
+    # every store's published value only grows: across iterations, and
+    # when republished from smaller node states.  Node states only grow
+    # and transfers are monotone, so only the second sees whether a value
+    # is joined with the old one.
     from mtir import analysis as analysis_mod
     original = analysis_mod._publish
+    calls, snapshots = [], []
 
-    def spying_publish(*args, **kwargs):
-        grew = original(*args, **kwargs)
-        table = args[2]
-        snapshots.append({tid: dict(bucket) for tid, bucket in table.items()})
-        return grew
+    def spying_publish(model, te, published, *args):
+        calls.append((dict(te), *args))
+        index = original(model, te, published, *args)
+        snapshots.append(dict(published))
+        return index
 
-    analysis_mod._publish = spying_publish
-    try:
-        analyze(model, config)
-    finally:
-        analysis_mod._publish = original
-
-    for before, after in zip(snapshots, snapshots[1:]):
-        for tid, bucket in before.items():
-            for store, env in bucket.items():
-                assert env.leq(after[tid][store])
+    monkeypatch.setattr(analysis_mod, "_publish", spying_publish)
+    grown = 0
+    for name in PROGRAMS:
+        model = model_of(source(name))
+        calls.clear()
+        snapshots.clear()
+        analyze(model, AnalysisConfig(mode="fs"))
+        for before, after in zip(snapshots, snapshots[1:]):
+            for store, value in before.items():
+                assert value.leq(after[store]), name
+        # the first iteration's states, republished at an iteration within
+        # the widening delay, keep every final value
+        final = snapshots[-1]
+        first_te, _, config, steps = calls[0]
+        republished = dict(final)
+        original(model, first_te, republished, 1, config, steps)
+        for store, value in final.items():
+            assert value.leq(republished[store]), name
+        grown += any(final[n] != value for n, value in snapshots[0].items())
+    assert grown  # some store's value grows after the first iteration
 
 
 def test_accuracy_ordering_on_corpus(corpus_results):
@@ -395,18 +399,17 @@ def test_termination_within_budget_on_corpus(corpus_results):
             == len(by_mode["fi"].model.threads) * stats.outer_iters, name
 
 
-def _full_product(cfg, table, model, facts, feasibility=False, plan=None,
-                  combo_cap=None, merged=False, index=None):
+def _full_product(cfg, index, facts, feasibility=False, plan=None,
+                  combo_cap=None, merged=False):
     """Reference `compute_combinations`: the whole per-store product of
     each cluster, every combination feasibility-checked on its own, no
     source dropped or merged before the product, clusters zipped.  The
     active loads are those of the plan's clusters, or all without one."""
-    from mtir.analysis import _cartesian, _source_lists, _store_index
+    from mtir.analysis import _cartesian, _source_lists
     groups = [loads_of(cfg)] if plan is None else plan.get(cfg.tid, [])
     active = [l for l in loads_of(cfg)
               if any(l in group for group in groups)]
-    sources = _source_lists(cfg, _store_index(model, table), facts, active,
-                            merged)
+    sources = _source_lists(cfg, index, facts, active, merged)
     if merged:
         return [{l: options[0] for l, options in sources.items()}], 0, 0, 1
     background = {l: SelfSource() for l in active}
@@ -428,6 +431,14 @@ def _full_product(cfg, table, model, facts, feasibility=False, plan=None,
                          else {l: SelfSource() for l in group})
         zipped.append(combo)
     return zipped, generated or 1, rejected, len(zipped)
+
+
+def sources_by_store(result):
+    """The interference index as (tid, store, value) lists per variable: a
+    `StoreSource` compares by its value alone."""
+    return {var: [(tid, source.store, source.value)
+                  for tid, source in sources]
+            for var, sources in result.interference.items()}
 
 
 def test_memoized_runs_match_unmemoized(corpus_models, monkeypatch):
@@ -464,7 +475,7 @@ def test_memoized_runs_match_unmemoized(corpus_models, monkeypatch):
         assert full.stats.infeasible == memo.stats.infeasible, (name, mode)
         assert full.te == memo.te, (name, mode)
         assert full.verdicts == memo.verdicts, (name, mode)
-        assert full.interference == memo.interference, (name, mode)
+        assert sources_by_store(full) == sources_by_store(memo), (name, mode)
 
 
 def test_watchdog_run_counts():

@@ -460,6 +460,7 @@ def test_analysis_states_stay_clean():
             result = analyze(model, AnalysisConfig(mode=mode))
             for env in result.te.values():
                 assert_env_clean(env)
-            for bucket in result.interference.values():
-                for env in bucket.values():
-                    assert_env_clean(env)
+            for sources in result.interference.values():
+                for _, source in sources:
+                    assert source.value != EMPTY, source
+                    assert_canonical(source.value)

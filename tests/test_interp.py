@@ -392,8 +392,7 @@ def test_stabilization_under_pinned_sources(flag_sync):
     result = analyze(model, AnalysisConfig(mode="fs"))
     feas = FeasibilityEngine(model)
     reader = model.thread_named("thread2")
-    combos, _, _, _ = compute_combinations(reader, result.interference, model,
-                                           feas)
+    combos, _, _, _ = compute_combinations(reader, result.interference, feas)
     init = init_env(model)
     for combo in combos:
         policy = policy_of(reader, combo)

@@ -145,15 +145,13 @@ def test_check_abstraction_corpus_program():
         result = analyze(model, AnalysisConfig(mode=mode))
         report = check_abstraction(records, result, model, rejected=rejected)
         assert report.ok, (mode, report.state_misses[:3])
-        # published store environments cover the concrete finals
+        # published store values cover the concrete finals
         for record in records:
             finals = dict(record.final_globals)
             for var, value in finals.items():
                 covered = model.globals[var] == value or any(
-                    env.get(var).contains(value)
-                    for bucket in result.interference.values()
-                    for store, env in bucket.items()
-                    if model.node(store).stmt.var == var)
+                    source.value.contains(value)
+                    for _, source in result.interference.get(var, ()))
                 assert covered, (mode, var, value)
 
 

@@ -154,9 +154,8 @@ def test_single_cluster_equals_full_product():
     plan = cluster(graph, on_slice, model)
     reader = model.thread_named("thread2")
     zipped, zgen, _, _ = compute_combinations(reader, result.interference,
-                                              model, feas, plan=plan)
-    full, fgen, _, _ = compute_combinations(reader, result.interference,
-                                            model, feas)
+                                              feas, plan=plan)
+    full, fgen, _, _ = compute_combinations(reader, result.interference, feas)
     assert zgen == fgen == 6
     assert [{l: by_store(s) for l, s in combo.items()} for combo in zipped] \
         == [{l: by_store(s) for l, s in combo.items()} for combo in full]
@@ -174,9 +173,9 @@ def test_cluster_schedule_covers_each_cluster_fully():
     graph, on_slice = plan_for(model)
     plan = cluster(graph, on_slice, model)
     t2 = model.thread_named("thread2")
-    zipped, _, _, _ = compute_combinations(t2, result.interference, model,
+    zipped, _, _, _ = compute_combinations(t2, result.interference,
                                            feas, plan=plan)
-    full, _, _, _ = compute_combinations(t2, result.interference, model, feas)
+    full, _, _, _ = compute_combinations(t2, result.interference, feas)
     for group in plan[t2.tid]:
         projected = [tuple(by_store(combo[l]) for l in group)
                      for combo in zipped]

@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from .cfg import ProgramModel, ThreadCfg, is_load, loads_of
 from .domain import AbstractEnv, Interval, const
@@ -76,13 +75,16 @@ from .interp import (
     analyze_thread,
 )
 from .pdg import apply_pruning, backward_slices, build_pdg, cluster
+from .record import Record, Value, set_field
 
 
-@dataclass(frozen=True)
-class Mode:
-    merged: bool       # one merged source per load, not one per store
-    feasibility: bool  # drop combinations the ordering facts refute
-    slicing: bool      # property slicing and dependence clustering
+class Mode(Value):
+    __slots__ = ("merged", "feasibility", "slicing")
+
+    def __init__(self, merged: bool, feasibility: bool, slicing: bool):
+        set_field(self, "merged", merged)  # one source per load, not per store
+        set_field(self, "feasibility", feasibility)  # prune refuted combos
+        set_field(self, "slicing", slicing)  # property slicing and clustering
 
 
 MODE_ROWS = {
@@ -94,34 +96,38 @@ MODE_ROWS = {
 MODES = tuple(MODE_ROWS)
 
 
-@dataclass
-class IterationStats:
-    combos: dict = field(default_factory=dict)      # tid -> generated
-    infeasible: dict = field(default_factory=dict)  # tid -> rejected
-    runs: int = 0
+class IterationStats(Record):
+    __slots__ = ("combos", "infeasible", "runs")
+
+    def __init__(self):
+        self.combos, self.infeasible = {}, {}  # tid -> generated, rejected
+        self.runs = 0
 
 
-@dataclass
-class AnalysisStats:
-    outer_iters: int = 0
-    runs: int = 0
-    interp_runs: int = 0
-    resumed_runs: int = 0  # executed runs that resumed a stored prefix
-    combos: int = 0
-    infeasible: int = 0
-    pruned_loads: int = 0
-    clusters: int = 0
-    per_iteration: list = field(default_factory=list)
+class AnalysisStats(Record):
+    __slots__ = ("outer_iters", "runs", "interp_runs", "resumed_runs",
+                 "combos", "infeasible", "pruned_loads", "clusters",
+                 "per_iteration")
+
+    def __init__(self):
+        self.outer_iters = self.runs = self.interp_runs = 0
+        self.resumed_runs = 0  # executed runs that resumed a stored prefix
+        self.combos = self.infeasible = self.pruned_loads = self.clusters = 0
+        self.per_iteration: list = []
 
 
-@dataclass
-class AnalysisResult:
-    model: ProgramModel
-    te: dict  # node id -> AbstractEnv, accumulated over every run
-    verdicts: dict  # assertion node id -> bool (verified)
-    stats: AnalysisStats
-    interference: dict  # variable -> [(tid, StoreSource)], see _publish
-    identity_nodes: frozenset = frozenset()  # off-slice under pruning
+class AnalysisResult(Record):
+    __slots__ = ("model", "te", "verdicts", "stats", "interference",
+                 "identity_nodes")
+
+    def __init__(self, model: ProgramModel, te: dict, verdicts: dict,
+                 stats: AnalysisStats, interference: dict,
+                 identity_nodes: frozenset = frozenset()):
+        self.model, self.stats = model, stats
+        self.te = te  # node id -> AbstractEnv, accumulated over every run
+        self.verdicts = verdicts  # assertion node id -> bool (verified)
+        self.interference = interference  # see _publish
+        self.identity_nodes = identity_nodes  # off-slice under pruning
 
     def verified_assertions(self) -> set:
         return {n for n, ok in self.verdicts.items() if ok}

@@ -2,46 +2,62 @@
 
 Expressions are shared with the normalized statement IR: after
 normalization they only ever mention locals and constants.
+
+Nodes are records (see `record`) and compare by value, never equal
+across classes.  Expressions are immutable and hashable; statements,
+routines and programs are mutable and unhashable.  Source positions
+(`line`, `end_line`) are not part of a node's value: two statements or
+routines are equal when they say the same thing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .record import Record, Value, set_field
 
 
 # --- expressions -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
+class IntLit(Value):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
-class BoolLit:
-    value: bool
+class BoolLit(Value):
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool):
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Value):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Nondet:
+class Nondet(Value):
     """The `*` expression: an arbitrary integer."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class UnaryOp:
-    op: str  # only "!"
-    operand: "Expr"
+class UnaryOp(Value):
+    __slots__ = ("op", "operand")
+
+    def __init__(self, op: str, operand: Expr):  # op is only "!"
+        set_field(self, "op", op)
+        set_field(self, "operand", operand)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "Expr"
-    right: "Expr"
+class BinOp(Value):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        set_field(self, "op", op)
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
 Expr = IntLit | BoolLit | Var | Nondet | UnaryOp | BinOp
@@ -59,55 +75,64 @@ def expr_vars(e: Expr) -> set[str]:
 
 # --- statements ------------------------------------------------------------
 
-# Source positions (`line`, `end_line`) are not part of a node's value:
-# two statements or routines are equal when they say the same thing.
+class Assign(Record):
+    __slots__ = ("target", "expr", "line", "decl")
+    _uncompared = ("line",)
 
-@dataclass
-class Assign:
-    target: str
-    expr: Expr
-    line: int = field(compare=False)
-    decl: bool = False  # declared with a type at this site
+    def __init__(self, target: str, expr: Expr, line: int,
+                 decl: bool = False):  # declared with a type at this site
+        self.target, self.expr, self.line, self.decl = target, expr, line, decl
 
 
-@dataclass
-class If:
-    cond: Expr
-    then_body: list["Stmt"]
-    else_body: list["Stmt"]
-    line: int = field(compare=False)
+class If(Record):
+    __slots__ = ("cond", "then_body", "else_body", "line")
+    _uncompared = ("line",)
+
+    def __init__(self, cond: Expr, then_body: list[Stmt],
+                 else_body: list[Stmt], line: int):
+        self.cond, self.then_body, self.else_body = cond, then_body, else_body
+        self.line = line
 
 
-@dataclass
-class While:
-    cond: Expr
-    body: list["Stmt"]
-    line: int = field(compare=False)
+class While(Record):
+    __slots__ = ("cond", "body", "line")
+    _uncompared = ("line",)
+
+    def __init__(self, cond: Expr, body: list[Stmt], line: int):
+        self.cond, self.body, self.line = cond, body, line
 
 
-@dataclass
-class AssertStmt:
-    cond: Expr
-    line: int = field(compare=False)
+class AssertStmt(Record):
+    __slots__ = ("cond", "line")
+    _uncompared = ("line",)
+
+    def __init__(self, cond: Expr, line: int):
+        self.cond, self.line = cond, line
 
 
-@dataclass
-class ErrorStmt:
+class ErrorStmt(Record):
     """`error;` - sugar for assert(false) at this location."""
-    line: int = field(compare=False)
+    __slots__ = ("line",)
+    _uncompared = ("line",)
+
+    def __init__(self, line: int):
+        self.line = line
 
 
-@dataclass
-class CreateStmt:
-    routine: str
-    args: list[int]
-    line: int = field(compare=False)
+class CreateStmt(Record):
+    __slots__ = ("routine", "args", "line")
+    _uncompared = ("line",)
+
+    def __init__(self, routine: str, args: list[int], line: int):
+        self.routine, self.args, self.line = routine, args, line
 
 
-@dataclass
-class JoinStmt:
-    routine: str
-    line: int = field(compare=False)
+class JoinStmt(Record):
+    __slots__ = ("routine", "line")
+    _uncompared = ("line",)
+
+    def __init__(self, routine: str, line: int):
+        self.routine, self.line = routine, line
 
 
 Stmt = Assign | If | While | AssertStmt | ErrorStmt | CreateStmt | JoinStmt
@@ -129,20 +154,24 @@ def statements(body: list[Stmt]):
             stack.extend((x, True) for x in reversed(s.body))
 
 
-@dataclass
-class Routine:
-    name: str
-    params: list[str]
-    body: list[Stmt]
-    line: int = field(compare=False)
-    end_line: int = field(compare=False)
+class Routine(Record):
+    __slots__ = ("name", "params", "body", "line", "end_line")
+    _uncompared = ("line", "end_line")
+
+    def __init__(self, name: str, params: list[str], body: list[Stmt],
+                 line: int, end_line: int):
+        self.name, self.params, self.body = name, params, body
+        self.line, self.end_line = line, end_line
 
 
-@dataclass
-class SourceProgram:
-    globals: list[tuple[str, str, int]]  # (name, "int"|"bool", initializer)
-    routines: list[Routine] = field(default_factory=list)
-    entry: str = "main"
+class SourceProgram(Record):
+    __slots__ = ("globals", "routines", "entry")
+
+    def __init__(self, globals: list[tuple[str, str, int]],
+                 routines: list[Routine] | None = None, entry: str = "main"):
+        self.globals = globals  # (name, "int"|"bool", initializer)
+        self.routines = [] if routines is None else routines
+        self.entry = entry
 
     def routine(self, name: str) -> Routine:
         for r in self.routines:

@@ -18,12 +18,12 @@ layer's scaling curve.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from .analysis import AnalysisConfig, analyze
 from .cfg import build_model
 from .errors import MtirError
 from .parser import parse
+from .record import Record
 
 
 def watchdog_program(threads: int, seed: int = 0) -> str:
@@ -64,13 +64,13 @@ def chain_program(depth: int, seed: int = 0) -> str:
 FAMILIES = {"watchdog": watchdog_program, "chain": chain_program}
 
 
-@dataclass
-class BenchRow:
-    threads: int
-    mode: str
-    time_s: float
-    verified: int
-    total: int
+class BenchRow(Record):
+    __slots__ = ("threads", "mode", "time_s", "verified", "total")
+
+    def __init__(self, threads: int, mode: str, time_s: float, verified: int,
+                 total: int):
+        self.threads, self.mode, self.time_s = threads, mode, time_s
+        self.verified, self.total = verified, total
 
     def csv(self) -> str:
         return "%d,%s,%.4f,%d,%d" % (self.threads, self.mode, self.time_s,

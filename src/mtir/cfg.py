@@ -9,12 +9,16 @@ Each routine is lowered once, at its first instance.  A later instance
 is that graph with node ids shifted past the threads before it, and
 takes its reachability (shifted as well) and step table from the first
 instance.
+
+IR statements are immutable records (see `record`): equal, and equal in
+hash, when of one class with equal fields, never across classes.  Nodes,
+thread graphs and models compare by value, and do not hash; a graph's
+`first_instance` is not part of its value.
 """
 
 from __future__ import annotations
 
 import collections
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .ast import (
@@ -26,96 +30,109 @@ from .errors import (
     CreateInLoopError, JoinWithoutCreateError, ModelError,
     RecursiveCreateError,
 )
+from .record import Record, Value, set_field
 
 
 # --- normalized statement IR -------------------------------------------------
 
-@dataclass(frozen=True)
-class SLocal:
-    target: str
-    expr: Expr
+class SLocal(Value):
+    __slots__ = ("target", "expr")
+
+    def __init__(self, target: str, expr: Expr):
+        set_field(self, "target", target)
+        set_field(self, "expr", expr)
 
 
-@dataclass(frozen=True)
-class SLoad:
-    target: str
-    var: str  # global being read
+class SLoad(Value):
+    __slots__ = ("target", "var")
+
+    def __init__(self, target: str, var: str):  # var: global being read
+        set_field(self, "target", target)
+        set_field(self, "var", var)
 
 
-@dataclass(frozen=True)
-class SStore:
-    var: str  # global being written
-    expr: Expr  # over locals and constants only
+class SStore(Value):
+    __slots__ = ("var", "expr")
+
+    def __init__(self, var: str, expr: Expr):
+        set_field(self, "var", var)  # global being written
+        set_field(self, "expr", expr)  # over locals and constants only
 
 
-@dataclass(frozen=True)
-class SBranch:
-    cond: Expr  # over locals only; filters live on the out edges
+class SBranch(Value):
+    __slots__ = ("cond",)
+
+    def __init__(self, cond: Expr):
+        set_field(self, "cond", cond)  # over locals; filters on the out edges
 
 
-@dataclass(frozen=True)
-class SAssert:
-    cond: Expr  # over locals only; judged, never assumed
+class SAssert(Value):
+    __slots__ = ("cond",)
+
+    def __init__(self, cond: Expr):
+        set_field(self, "cond", cond)  # over locals; judged, never assumed
 
 
-@dataclass(frozen=True)
-class SNondet:
-    target: str
+class SNondet(Value):
+    __slots__ = ("target",)
+
+    def __init__(self, target: str):
+        set_field(self, "target", target)
 
 
-@dataclass(frozen=True)
-class SCreate:
-    routine: str
-    args: tuple[int, ...]
+class SCreate(Value):
+    __slots__ = ("routine", "args")
+
+    def __init__(self, routine: str, args: tuple[int, ...]):
+        set_field(self, "routine", routine)
+        set_field(self, "args", args)
 
 
-@dataclass(frozen=True)
-class SJoin:
-    routine: str
+class SJoin(Value):
+    __slots__ = ("routine",)
+
+    def __init__(self, routine: str):
+        set_field(self, "routine", routine)
 
 
-@dataclass(frozen=True)
-class SExit:
-    pass
+class SExit(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SNop:
+class SNop(Value):
     """Synthetic entry placeholder, used only when the first real node
     would otherwise receive a back edge."""
+    __slots__ = ()
 
 
-IRStmt = (SLocal, SLoad, SStore, SBranch, SAssert, SNondet, SCreate, SJoin,
-          SExit, SNop)
+class Node(Record):
+    __slots__ = ("id", "tid", "line", "stmt")
 
-
-@dataclass
-class Node:
-    id: int
-    tid: int
-    line: int
-    stmt: object
+    def __init__(self, id: int, tid: int, line: int, stmt):
+        self.id, self.tid, self.line, self.stmt = id, tid, line, stmt
 
 
 # An edge filter is None (unconditional) or ("assume", cond, polarity).
 Edge = tuple[int, object]
 
 
-@dataclass
-class ThreadCfg:
-    tid: int
-    name: str  # routine name, "#k"-suffixed for repeated instantiation
-    routine: str
-    nodes: dict[int, Node] = field(default_factory=dict)
-    succs: dict[int, list[Edge]] = field(default_factory=dict)
-    entry: int = -1
-    exit: int = -1
-    creation_site: int | None = None  # node id in the parent thread
-    params: dict[str, int] = field(default_factory=dict)
-    # the routine's first instance if not this one: the same graph up to
-    # shifted node ids
-    first_instance: ThreadCfg | None = field(default=None, repr=False,
-                                              compare=False)
+class ThreadCfg(Record):
+    __slots__ = ("tid", "name", "routine", "nodes", "succs", "entry", "exit",
+                 "creation_site", "params", "__dict__", "__weakref__")
+
+    def __init__(self, tid: int, name: str, routine: str, entry: int = -1,
+                 exit: int = -1, creation_site: int | None = None,
+                 params: dict[str, int] | None = None,
+                 first_instance: ThreadCfg | None = None):
+        # `name` is the routine name, "#k"-suffixed for repeated instances
+        self.tid, self.name, self.routine = tid, name, routine
+        self.nodes, self.succs = {}, {}  # by node id
+        self.entry, self.exit = entry, exit
+        self.creation_site = creation_site  # node id in the parent thread
+        self.params = {} if params is None else params
+        # the routine's first instance if not this one, the same graph up to
+        # shifted node ids; no field, it is kept with the cached properties
+        self.first_instance = first_instance
 
     def node_order(self) -> list[int]:
         return sorted(self.nodes)
@@ -171,24 +188,24 @@ class ThreadCfg:
         return StepTable(self)
 
 
-@dataclass
-class ProgramModel:
+class ProgramModel(Record):
     """Node ids run 0..N-1 in thread, then node order, and a set of nodes
     is an int whose bit k is node k (a node mask, read with `bits`).
     Each global's virtual initial store, named `init:<var>`, takes the
     next id in declaration order (`init_nodes`); it is no thread's node."""
-    threads: list[ThreadCfg]
-    globals: dict[str, int]  # name -> initializer
-    creates: list[tuple[int, int]]  # (create node id, child tid)
-    joins: list[tuple[int, int]]  # (join node id, child tid)
-    assertions: list[int]  # SAssert node ids
-    source: SourceProgram | None = None
+    __slots__ = ("threads", "globals", "creates", "joins", "assertions",
+                 "source", "__dict__", "__weakref__")
 
-    def __post_init__(self):
-        self._node_index = {}
-        for cfg in self.threads:
-            for node in cfg.nodes.values():
-                self._node_index[node.id] = node
+    def __init__(self, threads: list[ThreadCfg],
+                 globals: dict[str, int],  # name -> initializer
+                 creates: list[tuple[int, int]],  # (create node id, child tid)
+                 joins: list[tuple[int, int]],  # (join node id, child tid)
+                 assertions: list[int],  # SAssert node ids
+                 source: SourceProgram | None = None):
+        self.threads, self.globals, self.source = threads, globals, source
+        self.creates, self.joins, self.assertions = creates, joins, assertions
+        self._node_index = {node.id: node for cfg in threads
+                            for node in cfg.nodes.values()}
         self._names = {}
         seen: dict[tuple[int, int], int] = {}
         for cfg in self.threads:

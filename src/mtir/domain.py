@@ -16,7 +16,6 @@ unchecked, and `AbstractEnv.bot()` is one shared Bottom.
 
 from __future__ import annotations
 
-from decimal import Decimal
 from functools import partial
 
 from .ast import BinOp, BoolLit, Expr, IntLit, UnaryOp, Var
@@ -59,7 +58,9 @@ class Interval:
     def __repr__(self):
         if self.empty:
             return "[]"
-        # str(Decimal(b)) is str(b) without the 4300-digit limit on str(int)
+        # str(Decimal(b)) is str(b) without the 4300-digit limit on str(int);
+        # imported here, as printing intervals is all that needs `decimal`
+        from decimal import Decimal
         lo = "-inf" if self.lo == -INF else str(Decimal(self.lo))
         hi = "+inf" if self.hi == INF else str(Decimal(self.hi))
         return f"[{lo},{hi}]"

@@ -73,11 +73,11 @@ combination assigns it the self source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .cfg import ProgramModel, ThreadCfg, bits, is_load, is_store, loads_of
 from .interp import SelfSource, StoreSource
+from .record import Value, set_field
 
 DERIVED = ("MHBS", "MHB", "MustNotReadFrom")
 RELATIONS = (
@@ -86,11 +86,13 @@ RELATIONS = (
 ) + DERIVED
 
 
-@dataclass(frozen=True)
-class Rule:
-    name: str
-    head: tuple  # (relation, variable tuple)
-    body: tuple  # of (relation, variable tuple)
+class Rule(Value):
+    __slots__ = ("name", "head", "body")
+
+    def __init__(self, name: str, head: tuple, body: tuple):
+        set_field(self, "name", name)
+        set_field(self, "head", head)  # (relation, variable tuple)
+        set_field(self, "body", body)  # of (relation, variable tuple)
 
 
 RULES = (

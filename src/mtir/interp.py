@@ -17,39 +17,61 @@ policies are equal compute the same states.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .cfg import SAssert, SLoad, SNop, SStore, ThreadCfg, defs_and_uses
 from .domain import AbstractEnv, Interval, compile_filter, compile_transfer
 from .errors import AnalysisBudgetExceeded
+from .record import Record, Value, set_field
 
 
 # --- load sources ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SelfSource:
+class SelfSource(Value):
     """Read the thread-local binding."""
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return other.__class__ is SelfSource
+
+    def __hash__(self):
+        return 0
 
     def read(self, local: Interval) -> Interval:
         return local
 
 
-@dataclass(frozen=True)
-class StoreSource:
+class StoreSource(Value):
     """Read the value one remote store published.  Only feasibility asks
     which store, so sources of equal values are equal."""
-    store: int = field(compare=False)
-    value: Interval
+    __slots__ = ("store", "value")
+
+    def __init__(self, store: int, value: Interval):
+        set_field(self, "store", store)
+        set_field(self, "value", value)
+
+    def __eq__(self, other):
+        return other.__class__ is StoreSource and self.value == other.value
+
+    def __hash__(self):
+        return hash(self.value)
 
     def read(self, local: Interval) -> Interval:
         return self.value
 
 
-@dataclass(frozen=True)
-class MergedSource:
+class MergedSource(Value):
     """Read the local binding joined with a merge of remote stores."""
-    value: Interval
+    __slots__ = ("value",)
+
+    def __init__(self, value: Interval):
+        set_field(self, "value", value)
+
+    def __eq__(self, other):
+        return other.__class__ is MergedSource and self.value == other.value
+
+    def __hash__(self):
+        return hash(self.value)
 
     def read(self, local: Interval) -> Interval:
         return local.join(self.value)
@@ -138,42 +160,55 @@ def _node_out(table, r, env, policy):
 
 # --- fixpoint engine ------------------------------------------------------------
 
-@dataclass
-class ThreadRun:
+class ThreadRun(Record):
     """Result of one interpreter run, by relative node id: the state
     before each node and the assertion nodes it could not prove."""
-    envs: list  # AbstractEnv per node
-    violable: set = field(default_factory=set)
-    resumed: bool = field(default=False, compare=False)  # from a prefix
+    __slots__ = ("envs", "violable", "resumed")
+    _uncompared = ("resumed",)
+
+    def __init__(self, envs: list, violable: set | None = None,
+                 resumed: bool = False):  # resumed: from a prefix
+        self.envs = envs  # AbstractEnv per node
+        self.violable = set() if violable is None else violable
+        self.resumed = resumed
 
 
-@dataclass
-class AnalysisConfig:
+class AnalysisConfig(Record):
     """One analysis's mode and budgets; `analyze_thread` defaults to them."""
-    mode: str = "fsc"
-    widening_delay: int = 3
-    narrowing_passes: int = 1
-    outer_budget: int = 64
-    combo_cap: int = 4096
+    _fields = ("mode", "widening_delay", "narrowing_passes", "outer_budget",
+               "combo_cap")
+    mode = "fsc"
+    widening_delay = 3
+    narrowing_passes = 1
+    outer_budget = 64
+    combo_cap = 4096
+
+    def __init__(self, mode: str = mode, widening_delay: int = widening_delay,
+                 narrowing_passes: int = narrowing_passes,
+                 outer_budget: int = outer_budget, combo_cap: int = combo_cap):
+        self.mode, self.widening_delay = mode, widening_delay
+        self.narrowing_passes = narrowing_passes
+        self.outer_budget, self.combo_cap = outer_budget, combo_cap
 
 
 VISIT_BUDGET = 200_000  # worklist visits per run before giving up
 
 
-@dataclass
-class _Prefix:
+class _Prefix(Record):
     """A run's ascending state just before its first policy consult, the
     nodes that state fixes and their descending sweeps."""
-    envs: list
-    updates: list
-    worklist: deque  # the consulting load at its front
-    queued: set
-    visits: int
-    widened: bool
-    fixed: int  # node mask of the nodes no node of the worklist reaches
-    # per sweep of the first run from here that swept that far: each fixed
-    # node the sweep narrowed, with its new state
-    sweeps: list = field(default_factory=list)
+    __slots__ = ("envs", "updates", "worklist", "queued", "visits", "widened",
+                 "fixed", "sweeps")
+
+    def __init__(self, envs: list, updates: list, worklist: deque,
+                 queued: set, visits: int, widened: bool, fixed: int):
+        self.envs, self.updates, self.queued = envs, updates, queued
+        self.worklist = worklist  # the consulting load at its front
+        self.visits, self.widened = visits, widened
+        self.fixed = fixed  # mask of the nodes no node of the worklist reaches
+        # per sweep of the first run from here that swept that far: each fixed
+        # node the sweep narrowed, with its new state
+        self.sweeps = []
 
 
 def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,

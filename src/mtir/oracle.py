@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
 
 from .ast import BinOp, BoolLit, IntLit, UnaryOp, Var
 from .cfg import (
@@ -28,6 +27,7 @@ from .cfg import (
 from .domain import TOP
 from .errors import OracleBudgetExceeded
 from .interp import SelfSource, StoreSource
+from .record import Record, Value, set_field
 
 
 _CONCRETE = {
@@ -58,21 +58,27 @@ def eval_concrete(expr, env: dict) -> int:
 DONE = "done"
 
 
-@dataclass(frozen=True)
-class Step:
-    tid: int
-    node: int
-    globals: tuple  # sorted (name, value) pairs before the step
-    locals: tuple  # the acting thread's locals before the step
+class Step(Value):
+    __slots__ = ("tid", "node", "globals", "locals")
+
+    def __init__(self, tid: int, node: int, globals: tuple, locals: tuple):
+        set_field(self, "tid", tid)
+        set_field(self, "node", node)
+        set_field(self, "globals", globals)  # sorted (name, value), before it
+        set_field(self, "locals", locals)  # the acting thread's, before it
 
 
-@dataclass(frozen=True)
-class ExecutionRecord:
-    steps: tuple
-    reads: tuple  # (load, store or init:<var> node it read) per occurrence
-    violations: frozenset  # assert nodes observed failing
-    final_globals: tuple
-    deadlocked: bool = False
+class ExecutionRecord(Value):
+    __slots__ = ("steps", "reads", "violations", "final_globals",
+                 "deadlocked")
+
+    def __init__(self, steps: tuple, reads: tuple, violations: frozenset,
+                 final_globals: tuple, deadlocked: bool = False):
+        set_field(self, "steps", steps)
+        set_field(self, "reads", reads)  # (load, store or init node read)
+        set_field(self, "violations", violations)  # assert nodes seen failing
+        set_field(self, "final_globals", final_globals)
+        set_field(self, "deadlocked", deadlocked)
 
 
 class _State:
@@ -98,11 +104,13 @@ class _State:
                       set(self.violations), self.count)
 
 
-@dataclass
-class OracleBounds:
-    nondet_domain: tuple = (-1, 0, 1)
-    max_steps: int = 200
-    schedule_cap: int = 500_000
+class OracleBounds(Record):
+    __slots__ = ("nondet_domain", "max_steps", "schedule_cap")
+
+    def __init__(self, nondet_domain: tuple = (-1, 0, 1), max_steps: int = 200,
+                 schedule_cap: int = 500_000):
+        self.nondet_domain, self.max_steps = nondet_domain, max_steps
+        self.schedule_cap = schedule_cap
 
 
 def enumerate_executions(model: ProgramModel,
@@ -227,11 +235,12 @@ def _step(model, state, tid, bounds, create_child, join_child):
 
 # --- abstraction checking ------------------------------------------------------
 
-@dataclass
-class SoundnessReport:
-    state_misses: list = field(default_factory=list)
-    verdict_misses: list = field(default_factory=list)
-    feasibility_misses: list = field(default_factory=list)
+class SoundnessReport(Record):
+    __slots__ = ("state_misses", "verdict_misses", "feasibility_misses")
+
+    def __init__(self):
+        self.state_misses, self.verdict_misses = [], []
+        self.feasibility_misses = []
 
     @property
     def ok(self) -> bool:

@@ -15,22 +15,21 @@ an edge per pair, and `fso` runs within 5% of `fsc`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .cfg import (
     ProgramModel, SBranch, SCreate, SExit, SJoin, SLoad, SNop, ThreadCfg,
     bits, defs_and_uses, dominator_sets, is_load, is_store, loads_of,
 )
+from .record import Record
 
 
-@dataclass
-class DependenceGraph:
+class DependenceGraph(Record):
     """`control` and `data` map a node to the nodes that depend on it;
     `stores` and `loads` are the hubs, by variable."""
-    control: dict[int, set[int]] = field(default_factory=dict)
-    data: dict[int, set[int]] = field(default_factory=dict)
-    stores: dict[str, list[int]] = field(default_factory=dict)
-    loads: dict[str, list[int]] = field(default_factory=dict)
+    __slots__ = ("control", "data", "stores", "loads")
+
+    def __init__(self):
+        self.control, self.data = {}, {}
+        self.stores, self.loads = {}, {}
 
     def add(self, kind: str, src: int, dst: int):
         table = self.control if kind == "cd" else self.data

@@ -8,18 +8,22 @@ from conftest import (
     repeated_program, self_only,
 )
 from stress_soundness import loopy_program
-from mtir.analysis import AnalysisConfig, analyze, compute_combinations
+from mtir.analysis import (
+    AnalysisConfig, AnalysisStats, IterationStats, analyze,
+    compute_combinations,
+)
 from mtir.bench import chain_program, watchdog_program
 from mtir.cfg import build_model, loads_of, reachable_sets
-from mtir.cli import build_report
+from mtir.cli import build_report, make_parser
 from mtir.domain import EMPTY, AbstractEnv, interval
 from mtir.errors import AnalysisBudgetExceeded, CombinationBudgetExceeded
 from mtir.facts import FeasibilityEngine
 from mtir.interp import (
     MergedSource, SelfSource, StoreSource, _node_out, analyze_thread,
 )
+from mtir.oracle import SoundnessReport
 from mtir.parser import parse
-from mtir.pdg import backward_slices, build_pdg, cluster
+from mtir.pdg import DependenceGraph, backward_slices, build_pdg, cluster
 from mtir.corpus import PROGRAMS, source, expectations
 
 
@@ -329,6 +333,44 @@ def test_outer_budget():
     model = model_of(source("flag_sync"))
     with pytest.raises(AnalysisBudgetExceeded):
         analyze(model, AnalysisConfig(mode="fsc", outer_budget=1))
+
+
+def test_config_defaults_read_off_the_class():
+    # the CLI's flags and `analyze_thread`'s parameters default to the
+    # class's values
+    defaults = ("fsc", 3, 1, 64, 4096)
+    assert (AnalysisConfig.mode, AnalysisConfig.widening_delay,
+            AnalysisConfig.narrowing_passes, AnalysisConfig.outer_budget,
+            AnalysisConfig.combo_cap) == defaults
+    assert AnalysisConfig() == AnalysisConfig(*defaults)
+    assert AnalysisConfig() != AnalysisConfig(mode="fs")
+    assert repr(AnalysisConfig()) == (
+        "AnalysisConfig(mode='fsc', widening_delay=3, narrowing_passes=1, "
+        "outer_budget=64, combo_cap=4096)")
+    args = make_parser().parse_args(["analyze", "prog.mtir"])
+    assert (args.mode, args.widening_delay, args.narrowing_passes,
+            args.outer_budget, args.combo_cap) == defaults
+    assert analyze_thread.__defaults__[:2] == defaults[1:3]
+
+
+def test_records_own_their_containers():
+    # a record's empty dict, list or set belongs to that record alone
+    for make, fields in ((AnalysisStats, ("per_iteration",)),
+                         (IterationStats, ("combos", "infeasible")),
+                         (DependenceGraph, ("control", "data", "stores",
+                                            "loads")),
+                         (SoundnessReport, ("state_misses", "verdict_misses",
+                                            "feasibility_misses"))):
+        a, b = make(), make()
+        assert a == b, make
+        for name in fields:
+            assert getattr(a, name) is not getattr(b, name), (make, name)
+        container = getattr(a, fields[0])
+        if isinstance(container, list):
+            container.append(1)
+        else:
+            container[0] = 1
+        assert a != b, make
 
 
 def test_republication_monotone(monkeypatch):

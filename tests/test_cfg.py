@@ -3,11 +3,12 @@ import pytest
 from conftest import (
     instance_programs, node_ids, random_program, repeated_program,
 )
-from mtir.ast import expr_vars
+from mtir.ast import BinOp, IntLit, Var, expr_vars
 from mtir.bench import chain_program, watchdog_program
 from mtir.cfg import (
-    SAssert, SBranch, SExit, SLoad, SLocal, SNondet, SNop, SStore,
-    _instantiate, build_model, dominator_sets, loads_of, reachable_sets,
+    SAssert, SBranch, SCreate, SExit, SJoin, SLoad, SLocal, SNondet, SNop,
+    SStore, ThreadCfg, _instantiate, build_model, dominator_sets, loads_of,
+    reachable_sets,
 )
 from mtir.errors import (
     CreateInLoopError, JoinWithoutCreateError, ModelError,
@@ -364,3 +365,51 @@ def test_first_shadowing_error_in_source_order():
     with pytest.raises(ModelError, match="parameter 'h' shadows"):
         model_of(text.replace("main()", "w(int h)")
                  + "thread main() { create(w, 1); }\n")
+
+
+def test_ir_statements_are_values():
+    # IR statements hash and compare by value, never equal across classes,
+    # and cannot be changed
+    cond = BinOp("<", Var("i"), IntLit(3))
+    same = BinOp("<", Var("i"), IntLit(3))
+    assert SBranch(cond) == SBranch(same) != SAssert(cond)
+    assert hash(SBranch(cond)) == hash(SBranch(same))
+    assert SExit() == SExit() != SNop()
+    assert SLoad("t", "x") != SNondet("t") and SJoin("w") != SCreate("w", ())
+    assert len({SLoad("t", "x"), SLoad("t", "x"), SLocal("t", Var("x")),
+                SStore("x", Var("t")), SCreate("w", (1,)),
+                SCreate("w", (1,))}) == 4
+    with pytest.raises(AttributeError):
+        SLoad("t", "x").var = "y"
+    with pytest.raises(AttributeError):
+        del SStore("x", Var("t")).expr
+    assert repr(SStore("x", IntLit(1))) \
+        == "SStore(var='x', expr=IntLit(value=1))"
+    # a model's statements all hash; its nodes and graphs do not
+    model = model_of(source("flag_sync"))
+    stmts = [node.stmt for node in model.all_nodes()]
+    distinct = set(stmts)
+    assert all(stmt in distinct for stmt in stmts)
+    for unhashable in (next(model.all_nodes()), model.thread(0), model):
+        with pytest.raises(TypeError):
+            hash(unhashable)
+
+
+def test_graph_value_ignores_first_instance():
+    # a later instance differs from a fresh lowering only in knowing its
+    # routine's first instance, which is not part of its value
+    prog = parse(repeated_program(0))
+    model = build_model(prog)
+    cfg = next(c for c in model.threads if c.first_instance is not None)
+    fresh = _instantiate(prog.routine(cfg.routine), cfg.tid, cfg.name,
+                         list(cfg.params.values()), cfg.creation_site,
+                         set(model.globals), cfg.first_node)
+    fresh.name = cfg.name
+    assert fresh.first_instance is None and fresh == cfg
+    assert "first_instance" not in repr(cfg)
+    fresh.entry += 1
+    assert fresh != cfg
+    # each graph gets its own node, edge and parameter tables
+    a, b = ThreadCfg(0, "w", "w"), ThreadCfg(1, "w", "w")
+    assert a.nodes is not b.nodes and a.succs is not b.succs
+    assert a.params is not b.params

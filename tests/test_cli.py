@@ -389,6 +389,29 @@ def test_output_independent_of_hash_seed():
     assert outputs[0].count("\n== ") == 4 * len(PROGRAMS)
 
 
+UNLOADED = """
+import contextlib, io, sys
+import mtir, mtir.cli
+from mtir.corpus import path
+heavy = ("dataclasses", "inspect", "decimal")
+print(*[name for name in heavy if name in sys.modules])
+with contextlib.redirect_stdout(io.StringIO()):
+    mtir.cli.main(["analyze", path("flag_sync"), "--mode=fsc"])
+print(*[name for name in heavy if name in sys.modules])
+"""
+
+
+def test_import_leaves_heavy_modules_unloaded():
+    # the records are plain classes and only an interval's repr needs
+    # `decimal`, so importing the CLI loads none of these modules, and an
+    # analysis without --dump-envs still does not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mtir.__file__)))
+    proc = subprocess.run([sys.executable, "-c", UNLOADED],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "\n\n"
+
+
 def test_readme_fso_caveat(tmp_path, capsys):
     # README's example of fso verifying less than fsc: the loop never
     # exits, but its branch is off the slice, so fso reaches `g = 1`

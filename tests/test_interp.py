@@ -10,7 +10,7 @@ from mtir.cfg import SLocal, build_model, loads_of
 from mtir.domain import AbstractEnv, const, interval
 from mtir.errors import AnalysisBudgetExceeded
 from mtir.interp import (
-    MergedSource, SelfSource, StepTable, StoreSource, _node_out,
+    MergedSource, SelfSource, StepTable, StoreSource, ThreadRun, _node_out,
     analyze_thread,
 )
 from mtir.oracle import OracleBounds, enumerate_executions
@@ -124,6 +124,26 @@ def test_sources_compare_by_the_value_read():
     assert [source.read(local) for source in
             (SelfSource(), StoreSource(3, five), MergedSource(five))] \
         == [local, five, interval(0, 5)]
+    # the store is kept and printed, but sources cannot be changed
+    assert StoreSource(3, five).store == 3
+    assert repr(StoreSource(3, five)) == "StoreSource(store=3, value=[5,5])"
+    assert repr(SelfSource()) == "SelfSource()"
+    with pytest.raises(AttributeError):
+        StoreSource(3, five).store = 8
+    with pytest.raises(AttributeError):
+        MergedSource(five).value = local
+
+
+def test_thread_runs_compare_without_resumption():
+    # whether a run resumed a stored prefix is not part of its result
+    envs = [AbstractEnv({"x": interval(0, 1)}), AbstractEnv.bot()]
+    assert ThreadRun(envs, {1}, resumed=True) == ThreadRun(list(envs), {1})
+    assert ThreadRun(envs, {1}) != ThreadRun(envs, {0})
+    assert ThreadRun(envs) != ThreadRun(envs[:1])
+    with pytest.raises(TypeError):
+        hash(ThreadRun(envs))
+    # each run gets its own set of violable assertions
+    assert ThreadRun([]).violable is not ThreadRun([]).violable
 
 
 def test_policy_must_cover_every_load(flag_sync):

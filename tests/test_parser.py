@@ -1,8 +1,12 @@
+import copy
+import pickle
+
 import pytest
 
 from conftest import random_program, random_single_thread_program
 from mtir.ast import (
-    Assign, BinOp, If, IntLit, Nondet, UnaryOp, Var, While, statements,
+    Assign, AssertStmt, BinOp, BoolLit, ErrorStmt, If, IntLit, JoinStmt,
+    Nondet, Routine, SourceProgram, UnaryOp, Var, While, statements,
     to_source,
 )
 from mtir.errors import (
@@ -214,3 +218,47 @@ def test_round_trip_nondet_loop():
     text = "int x = 0;\nthread main() { while (*) { x = x - -1; } }\n"
     prog = parse(text)
     assert parse(to_source(prog)) == prog
+
+
+def test_nodes_compare_without_source_positions():
+    # a statement or routine is what it says, wherever it stands
+    spread = parse("int x = 0;\nthread main() {\n  x = 1;\n"
+                   "  while (x < 3) {\n    x = x + 1;\n  }\n}\n")
+    packed = parse("int x = 0; thread main() { x = 1; "
+                   "while (x < 3) { x = x + 1; } }")
+    a, b = spread.routine("main"), packed.routine("main")
+    assert (a.line, a.end_line) != (b.line, b.end_line)
+    assert [s.line for s, _ in statements(a.body)] \
+        != [s.line for s, _ in statements(b.body)]
+    assert a == b and spread == packed
+    assert Assign("x", IntLit(1), 3) == Assign("x", IntLit(1), 7)
+    assert Assign("x", IntLit(1), 3) != Assign("x", IntLit(1), 3, decl=True)
+    assert ErrorStmt(1) == ErrorStmt(2) != JoinStmt("w", 2)
+    assert Routine("w", [], [], 1, 2) == Routine("w", [], [], 5, 9)
+    assert Routine("w", [], [], 1, 2) != Routine("v", [], [], 1, 2)
+    # positions still print, and mutable nodes do not hash
+    assert repr(AssertStmt(BoolLit(True), 4)) \
+        == "AssertStmt(cond=BoolLit(value=True), line=4)"
+    for node in (a, a.body[0], spread):
+        with pytest.raises(TypeError):
+            hash(node)
+
+
+def test_expressions_are_values():
+    # expressions hash and compare by value, never equal across classes,
+    # and cannot be changed
+    expr = BinOp("+", Var("x"), IntLit(1))
+    assert expr == BinOp("+", Var("x"), IntLit(1))
+    assert hash(expr) == hash(BinOp("+", Var("x"), IntLit(1)))
+    assert len({expr, BinOp("+", Var("x"), IntLit(1)), Nondet(), Nondet()}) \
+        == 2
+    assert IntLit(1) != BoolLit(True) and Nondet() != IntLit(0)
+    assert UnaryOp("!", Var("b")) != Var("b")
+    with pytest.raises(AttributeError):
+        expr.op = "-"
+    with pytest.raises(AttributeError):
+        del expr.left
+    assert copy.deepcopy(expr) == pickle.loads(pickle.dumps(expr)) == expr
+    assert repr(expr) \
+        == "BinOp(op='+', left=Var(name='x'), right=IntLit(value=1))"
+    assert SourceProgram([]).routines is not SourceProgram([]).routines

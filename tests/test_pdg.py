@@ -1,9 +1,7 @@
-import dataclasses
-
 from conftest import instance_programs, node_ids
 from mtir.analysis import AnalysisConfig, analyze
 from mtir.bench import chain_program
-from mtir.cfg import build_model, is_load, is_store, loads_of
+from mtir.cfg import ProgramModel, build_model, is_load, is_store, loads_of
 from mtir.interp import StoreSource
 from mtir.parser import parse
 from mtir.pdg import (
@@ -89,8 +87,9 @@ def test_disjoint_chains_slices():
     creates = {site for site, _ in model.creates}
 
     def slice_of(prop):
-        return backward_slices(graph,
-                               dataclasses.replace(model, assertions=[prop]))
+        return backward_slices(graph, ProgramModel(
+            model.threads, model.globals, model.creates, model.joins, [prop],
+            model.source))
 
     # inside the worker threads each chain slices to exactly store, load,
     # assert; the entry thread contributes only the create sites

@@ -26,11 +26,11 @@ A mode is a row of `MODE_ROWS`:
 
 fs and fsc are the one-cluster case of fso's zipped exploration: each
 thread's active loads form a single cluster, whose zip is its product.
-Feasibility depends on order alone, so fsc and fso drop each load's
-refuted sources (found once per engine) before the product.  Where the
-zip is the product, a load's sources that supply equal intervals are
-equal (a source compares by what it reads), so only the first is
-scheduled (under feasibility only for one-load clusters).  `combos`,
+Policies are built straight from per-variable masks of the published
+stores, and feasibility, which depends on order alone, takes each load's
+refuted stores (found once per engine) out of its mask before the
+product.  Where the zip is the product a load reads each distinct value
+once (under feasibility only in one-load clusters); `combos`,
 `infeasible` and `runs` still count the full per-store product.
 
 Interpreter runs are memoized on what they read: the step table (the
@@ -64,9 +64,9 @@ narrow only the nodes the load can affect.
 from __future__ import annotations
 
 import itertools
-import math
+from functools import reduce
 
-from .cfg import ProgramModel, ThreadCfg, is_load, loads_of
+from .cfg import ProgramModel, ThreadCfg, is_load
 from .domain import AbstractEnv, Interval, const
 from .errors import AnalysisBudgetExceeded, CombinationBudgetExceeded
 from .facts import FeasibilityEngine
@@ -138,13 +138,11 @@ class AnalysisResult(Record):
     def interference_env(self, tid: int) -> AbstractEnv:
         """Per-variable summary of what the thread publishes: each stored
         variable maps to the join of its stores' values."""
-        values: dict[str, Interval] = {}
-        for var, sources in self.interference.items():
-            for writer, source in sources:
-                if writer == tid:
-                    values[var] = source.value if var not in values \
-                        else values[var].join(source.value)
-        return AbstractEnv(values)
+        cfg = self.model.thread(tid)
+        own = ((1 << len(cfg.nodes)) - 1) << cfg.first_node
+        return AbstractEnv({var: reduce(Interval.join, [
+            value for value, mask in pub.values.items() if mask & own])
+            for var, pub in self.interference.items() if pub.mask & own})
 
 
 # --- shared helpers -----------------------------------------------------------
@@ -187,13 +185,27 @@ def _merge_te(te: dict, envs: list, base: int) -> bool:
     return grew
 
 
+class Published(list):
+    """One variable's published stores as (tid, `StoreSource`), in thread
+    then node order, with `mask`, the mask of their nodes, and `values`,
+    each value they publish -> the mask of the stores that publish it, in
+    order of each value's first store."""
+    __slots__ = ("mask", "values")
+
+    def __init__(self):  # list.__new__ makes the empty list
+        self.mask, self.values = 0, {}
+
+
+_UNPUBLISHED = Published()  # what a variable no store publishes reads
+
+
 def _publish(model, te, published, iteration, config, steps) -> dict:
     """Republish interference from the accumulated node states: the value
     each store of a thread's step table (`steps`, by tid) writes, joined
     into `published` (store node -> `Interval`) and widened across outer
     iterations once past the delay.  Returns the index loads read: per
-    variable, one `StoreSource` per published store, shared by every
-    reader, as (tid, source) in thread order then node order."""
+    variable, the `Published` stores, each with one `StoreSource` shared
+    by every reader."""
     index = {}
     for cfg in model.threads:
         thread_steps, base = steps[cfg.tid], cfg.first_node
@@ -210,7 +222,12 @@ def _publish(model, te, published, iteration, config, steps) -> dict:
                 if iteration > config.widening_delay:
                     value = old.widen(value)
             published[n] = value
-            index.setdefault(var, []).append((cfg.tid, StoreSource(n, value)))
+            stores = index.get(var)
+            if stores is None:
+                stores = index[var] = Published()
+            stores.append((cfg.tid, StoreSource(n, value)))
+            stores.mask |= 1 << n
+            stores.values[value] = stores.values.get(value, 0) | 1 << n
     return index
 
 
@@ -222,109 +239,103 @@ def _run_key(table, init, policy):
 
 # --- interference combinations ---------------------------------------------------
 
-def _source_lists(cfg, index, facts, active_loads, merged):
-    """Candidate sources per load, in published-store order with the self
-    source last.  A load gets one merged source instead, the join of the
-    remote stores to its variable (the self source if there are none),
-    under the merged row, where it takes every store, and when it is on a
-    cycle, where it leaves out the stores forced after it."""
-    sources = {}
-    for l in active_loads:
-        var = cfg.nodes[l].stmt.var
-        matching = [source for tid, source in index.get(var, ())
-                    if tid != cfg.tid]
-        if merged or cfg.reach[l] >> l & 1:
-            joined = None
-            for source in matching:
-                if merged or not facts.must_happen_before(l, source.store):
-                    joined = source.value if joined is None \
-                        else joined.join(source.value)
-            sources[l] = [SelfSource() if joined is None
-                          else MergedSource(joined)]
-        else:
-            sources[l] = matching + [SelfSource()]
-    return sources
-
-
-def _cartesian(loads, sources):
-    """Cartesian product with the first load varying fastest, matching
-    the order interference combinations are enumerated in."""
-    rev = list(reversed(loads))
-    return [dict(zip(rev, tup))
-            for tup in itertools.product(*[sources[l] for l in rev])]
-
-
 def compute_combinations(cfg: ThreadCfg, index: dict,
                          facts: FeasibilityEngine,
                          feasibility: bool = False,
                          plan: dict | None = None,
                          combo_cap: int = AnalysisConfig.combo_cap,
                          merged: bool = False):
-    """Build the interference combinations for one thread from `index`,
-    the published stores per variable (see `_publish`).
+    """The policies of one thread's runs, built from `index` (see
+    `_publish`): tuples of sources in the step table's load order.
+    Returns (policies, generated, rejected, runs).
 
-    Returns (combinations, generated, rejected, runs).  With `merged`
-    there is one combination, counted as none generated, and `facts` is
-    unused.  Otherwise the per-cluster combination lists are zipped: run
-    k takes each cluster's k-th combination, loads past the end of their
-    cluster's list read their own value, so the number of runs is the
-    maximum cluster list length instead of the product.  The clusters
-    are `plan[cfg.tid]` (see `pdg.cluster`), which holds the on-slice
-    loads alone; without a plan every load is active and all are one
-    cluster, so the combinations are the plain product.
+    A load's candidates are a mask of the remote stores to its variable.
+    Under `merged` every load, and otherwise a load on a cycle less the
+    stores forced after it, reads the join of their distinct values (its
+    own value if there are none); `merged` gives one policy, counted as
+    none generated, and leaves `facts` unused.  Another load reads one
+    candidate or its own value, less what `facts.refuted` finds under
+    `feasibility` (its own value goes with `init:<var>`).
 
-    With `feasibility`, refuted sources are dropped first and only
-    combinations of several loads are checked one by one.  With one
-    cluster, only the first of a load's value-equal sources is kept;
-    under `feasibility` only in a one-load cluster, as two stores' order
-    facts differ.  `generated`, `rejected`, `runs` and the `combo_cap`
-    check count the full per-store product.
+    Each cluster of `plan[cfg.tid]` (see `pdg.cluster`: the on-slice
+    loads alone; without a plan, all loads) is a product, the first load
+    varying fastest, and the clusters are zipped: run k takes each
+    cluster's k-th combination, loads past the end of their cluster's
+    list read their own value.  With one cluster a load reads each value
+    once, from its lowest candidate storing it, in the order of those
+    stores; under `feasibility` only in a one-load cluster, as each
+    combination of several loads' stores is checked.  `generated`,
+    `rejected`, `runs` and the `combo_cap` check count the full
+    per-store product.
     """
-    groups = [loads_of(cfg)] if plan is None else plan.get(cfg.tid, [])
-    active = [l for group in groups for l in group]
-    sources = _source_lists(cfg, index, facts, active, merged)
-    if merged:
-        return [{l: options[0] for l, options in sources.items()}], 0, 0, 1
-
-    per_cluster = []
+    groups = ([[r + cfg.first_node for r in cfg.steps.loads]]
+              if plan is None else plan.get(cfg.tid, []))
+    if not groups:  # no load is on the slice
+        return [()], 1, 0, 1
+    remote = ~(((1 << len(cfg.nodes)) - 1) << cfg.first_node)
+    clusters = []  # (loads, combinations), each in the cluster's order
     generated = rejected = runs = 0
     for group in groups:
-        total = 1
+        total = kept = 1
+        per_store = len(groups) > 1 or feasibility and len(group) > 1
+        options = []
         for l in group:
-            total *= len(sources[l])
+            var = cfg.nodes[l].stmt.var
+            published = index.get(var, _UNPUBLISHED)
+            stores = published.mask & remote
+            if merged or cfg.reach[l] >> l & 1:
+                if not merged:
+                    stores &= ~facts.rows.weak[l]
+                values = [value for value, mask in published.values.items()
+                          if mask & stores]
+                options.append([MergedSource(reduce(Interval.join, values))
+                                if values else SelfSource()])
+                continue
+            total *= stores.bit_count() + 1
             if total > combo_cap:
                 raise CombinationBudgetExceeded(
                     f"{cfg.name}: {total}+ interference combinations "
                     f"(cap {combo_cap}); consider clustering")
-        options = {l: (facts.unrefuted(l, sources[l]) if feasibility
-                       else sources[l]) for l in group}
+            refuted = facts.refuted(l) if feasibility else 0
+            stores &= ~refuted
+            own = not refuted >> facts.model.init_nodes[var] & 1  # self source
+            kept *= stores.bit_count() + own
+            if per_store:
+                sources = [s for _, s in published if stores >> s.store & 1]
+            else:
+                lowest = sorted(((m & -m).bit_length() - 1, value)
+                                for value, mask in published.values.items()
+                                if (m := mask & stores))
+                sources = [StoreSource(n, value) for n, value in lowest]
+            if own:
+                sources.append(SelfSource())
+            options.append(sources)
+        combos = [c[::-1] for c in itertools.product(*reversed(options))]
+        if merged:
+            return combos, 0, 0, 1
         if feasibility and len(group) > 1:
-            combos = [combo for combo in _cartesian(group, options)
-                      if facts.is_feasible(combo)]
+            combos = [c for c in combos
+                      if facts.is_feasible(dict(zip(group, c)))]
             kept = len(combos)
-        else:
-            kept = math.prod(len(options[l]) for l in group)
-            if len(groups) == 1:
-                options = {l: list(dict.fromkeys(options[l]))
-                           for l in group}
-            combos = _cartesian(group, options)
         generated += total
         rejected += total - kept
         runs = max(runs, kept or 1)
         # a cluster whose every combination is refuted keeps the thread's
         # contribution sound with a self-only run
-        per_cluster.append(combos or [{}])
+        clusters.append((group, combos or [(SelfSource(),) * len(group)]))
+    if len(clusters) == 1:  # its loads are all the active ones, in order
+        return clusters[0][1], generated, rejected, runs
 
-    zipped = []
-    self_only = dict.fromkeys(sorted(active), SelfSource())
-    for k in range(max(map(len, per_cluster), default=1)):
-        combo = dict(self_only)
-        for combos in per_cluster:
+    slot = {l: k for k, l in enumerate(sorted(itertools.chain(*groups)))}
+    policies = []
+    for k in range(max(len(combos) for _, combos in clusters)):
+        policy = [SelfSource()] * len(slot)
+        for group, combos in clusters:
             if k < len(combos):
-                combo.update(combos[k])
-        zipped.append(combo)
-    # with no cluster, the one background-only combination
-    return zipped, generated or 1, rejected, runs or 1
+                for l, source in zip(group, combos[k]):
+                    policy[slot[l]] = source
+        policies.append(tuple(policy))
+    return policies, generated, rejected, runs
 
 
 # --- the outer loop -------------------------------------------------------------
@@ -345,7 +356,7 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
 
     te: dict = {}
     published: dict = {}  # store node -> the value it writes
-    index: dict = {}  # variable -> [(tid, StoreSource)], see _publish
+    index: dict = {}  # variable -> Published, see _publish
     violable: set = set()
     seen: set = set()  # (tid, run key) of every scheduled run
     shared: dict = {}  # run key -> every executed run
@@ -376,7 +387,7 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
         for cfg in model.threads:
             # the first iteration has no interference published yet:
             # run the self-only combination unfiltered to bootstrap
-            combos, generated, rejected, runs = compute_combinations(
+            policies, generated, rejected, runs = compute_combinations(
                 cfg, index, facts,
                 feasibility=row.feasibility and iteration > 1,
                 plan=plan, combo_cap=config.combo_cap, merged=row.merged)
@@ -386,12 +397,10 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
             stats.infeasible += rejected
 
             init = _entry_env(model, cfg, te, steps[cfg.tid])
-            for combo in combos:
+            for policy in policies:
                 # a run is a deterministic function of its key and is folded
                 # in by join: skip an input this thread already ran, and
-                # replay another instance's run, which is by relative id;
-                # a combination lists its loads in node order, the table's
-                policy = tuple(combo.values())
+                # replay another instance's run, which is by relative id
                 key = _run_key(steps[cfg.tid], init, policy)
                 if (cfg.tid, key) in seen:
                     continue

@@ -567,11 +567,11 @@ class FeasibilityEngine:
 
     Feasibility reads only execution order, never values, and the
     closure is monotone: a refuted ReadsFrom pair refutes every
-    combination holding it.  So each load's refuted set is computed once
-    and its sources are dropped before any product; a one-load
-    combination needs no `is_feasible` call after that.  `queries`
-    counts the closures `is_feasible` runs, one per distinct ReadsFrom
-    set of several loads; the refuted sets are not counted."""
+    combination holding it.  So `refuted` gives each load's mask once,
+    and callers take it out of the load's candidate stores before any
+    product; a one-load combination needs no `is_feasible` call after
+    that.  `queries` counts the closures `is_feasible` runs, one per
+    distinct ReadsFrom set of several loads; `refuted` is not counted."""
 
     def __init__(self, model: ProgramModel):
         self.model = model
@@ -610,15 +610,6 @@ class FeasibilityEngine:
             got = self._refuted[load] = rows.refuted(load,
                                                      rows.stores[var] & other)
         return got
-
-    def unrefuted(self, load: int, sources) -> list:
-        """`sources` of `load` without the refuted ones, in order."""
-        refuted = self.refuted(load)
-        if not refuted:
-            return sources
-        return [source for source in sources
-                if (node := self.source_node(load, source)) is None
-                or not refuted >> node & 1]
 
     def source_node(self, load: int, source):
         """The store a source reads: its own for a remote store, the

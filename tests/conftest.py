@@ -245,6 +245,16 @@ thread main() {
 """
 
 
+# a's own store is the first store of the value 1, which b publishes
+# twice, after its store of 2: b's stores give a's load 2, then 1 from
+# the first of the two
+SHARED_VALUE = """int g = 0;
+thread a() { g = 1; int t = g; assert(t >= 1); }
+thread b() { g = 2; g = 1; g = 1; int u = g; assert(u >= 1); }
+thread main() { create(a); create(b); }
+"""
+
+
 def instance_programs():
     """Programs whose routines run as several instances: the corpus,
     watchdog/4, `random_program` seeds 0-59, `repeated_program` seeds 0-39

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from conftest import (
-    MODES, node_ids, policy_of, random_program, repeated_program,
+    MODES, node_ids, random_program, repeated_program,
 )
 from mtir.analysis import AnalysisConfig, analyze, compute_combinations
 from mtir.cfg import build_model, loads_of
@@ -68,16 +68,15 @@ def test_criterion_2_combination_structure():
     feas = FeasibilityEngine(model)
     reader = model.thread_named("reader")
     ids = node_ids(model)
-    combos, generated, _, _ = compute_combinations(
+    policies, generated, _, _ = compute_combinations(
         reader, result.interference, feas)
-    l1, l2 = loads_of(reader)
     s1, s2, s3 = ids["t2.8"], ids["t2.9"], ids["t2.10"]
 
-    def shape(combo, load):
-        src = combo[load]
+    def shape(src):
         return src.store if isinstance(src, StoreSource) else "self"
 
-    got = [(shape(c, l1), shape(c, l2)) for c in combos]
+    # a policy lists the reader's two loads in node order
+    got = [tuple(map(shape, policy)) for policy in policies]
     want = [(s1, s3), (s2, s3), ("self", s3),
             (s1, "self"), (s2, "self"), ("self", "self")]
     report(2, generated == 6 and got == want,
@@ -93,11 +92,11 @@ def test_criterion_3_loop_value():
     ids = node_ids(model)
     main = model.thread(0)
     load = loads_of(main)[0]
-    combos, generated, _, _ = compute_combinations(
+    policies, generated, _, _ = compute_combinations(
         main, result.interference, feas)
-    src = combos[0][load]
+    (src,) = policies[0]
     post = _node_out(main.steps, load - main.first_node, result.te[load],
-                     policy_of(main, combos[0]))
+                     policies[0])
     ok = (generated == 1
           and isinstance(src, MergedSource)
           and post.get("t1") == interval(0, 2)

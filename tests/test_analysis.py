@@ -1,10 +1,12 @@
 import gc
+import itertools
 import weakref
+from functools import reduce
 
 import pytest
 
 from conftest import (
-    MODES, POLICY_ORDER, XINST, node_ids, policy_of, random_program,
+    MODES, POLICY_ORDER, SHARED_VALUE, XINST, node_ids, random_program,
     repeated_program, self_only,
 )
 from stress_soundness import loopy_program
@@ -15,7 +17,7 @@ from mtir.analysis import (
 from mtir.bench import chain_program, watchdog_program
 from mtir.cfg import build_model, loads_of, reachable_sets
 from mtir.cli import build_report, make_parser
-from mtir.domain import EMPTY, AbstractEnv, interval
+from mtir.domain import EMPTY, AbstractEnv, Interval, interval
 from mtir.errors import AnalysisBudgetExceeded, CombinationBudgetExceeded
 from mtir.facts import FeasibilityEngine
 from mtir.interp import (
@@ -85,17 +87,16 @@ def test_two_load_three_store_combinations(corpus_models, corpus_results):
     feas = FeasibilityEngine(model)
     reader = model.thread_named("reader")
     ids = node_ids(model)
-    combos, generated, rejected, _ = compute_combinations(
+    policies, generated, rejected, _ = compute_combinations(
         reader, result.interference, feas)
     assert generated == 6 and rejected == 0
-    l1, l2 = loads_of(reader)
     s1, s2, s3 = ids["t2.8"], ids["t2.9"], ids["t2.10"]
 
-    def shape(combo, load):
-        src = combo[load]
+    def shape(src):
         return src.store if isinstance(src, StoreSource) else "self"
 
-    assert [(shape(c, l1), shape(c, l2)) for c in combos] == [
+    # a policy lists the reader's two loads in node order
+    assert [tuple(map(shape, policy)) for policy in policies] == [
         (s1, s3), (s2, s3), ("self", s3),
         (s1, "self"), (s2, "self"), ("self", "self"),
     ]
@@ -106,10 +107,71 @@ def test_no_loads_single_empty_combination(corpus_models, corpus_results):
     result = corpus_results["paired_loads"]["fs"]
     feas = FeasibilityEngine(model)
     writer = model.thread_named("writer")
-    combos, generated, rejected, _ = compute_combinations(
+    policies, generated, rejected, _ = compute_combinations(
         writer, result.interference, feas)
-    assert combos == [{}]
+    assert policies == [()]
     assert generated == 1 and rejected == 0
+
+
+def test_load_reads_each_value_from_its_lowest_remote_store():
+    # a's own store is the first to publish 1, and b publishes 2 and then
+    # 1 twice: a's load reads one of b's stores per value, the lowest, in
+    # their node order, then its own value, and the counts keep the
+    # per-store product
+    model = model_of(SHARED_VALUE)
+    a, b = model.thread_named("a"), model.thread_named("b")
+    for mode in ("fs", "fsc", "fso"):
+        result = analyze(model, AnalysisConfig(mode=mode))
+        index = result.interference
+        (own,) = [s.store for tid, s in index["g"] if tid == a.tid]
+        first, second, third = [s.store for tid, s in index["g"]
+                                if tid == b.tid]
+        assert own < first < second < third
+        assert list(index["g"].values) == [interval(1, 1), interval(2, 2)]
+        policies, generated, rejected, runs = compute_combinations(
+            a, index, FeasibilityEngine(model),
+            feasibility=mode != "fs")
+        assert [tuple((s.store, s.value) if isinstance(s, StoreSource)
+                      else s for s in policy) for policy in policies] == [
+            ((first, interval(2, 2)),), ((second, interval(1, 1)),),
+            (SelfSource(),)]
+        assert (generated, rejected, runs) == (4, 0, 4)
+        # b's load reads a's store, its one remote one
+        policies, generated, _, _ = compute_combinations(
+            b, index, FeasibilityEngine(model))
+        assert [policy[0].store for policy in policies[:-1]] == [own]
+        assert generated == 2
+
+
+def test_fi_merged_sources_join_each_value_once(monkeypatch):
+    # fi's merged source joins the distinct values of a load's remote
+    # stores, not every store: 64 dogs publish few values, and the joins
+    # compute_combinations makes stay within loads x distinct values
+    from mtir import analysis as analysis_mod
+    combinations, join = analysis_mod.compute_combinations, Interval.join
+    counts = {"inside": False, "joins": 0, "bound": 0, "stores": 0}
+
+    def counted_join(self, other):
+        counts["joins"] += counts["inside"]
+        return join(self, other)
+
+    def counted_combinations(cfg, index, *args, **kwargs):
+        loads = len(cfg.steps.loads)
+        for stores in index.values():
+            counts["bound"] += loads * len({s.value for _, s in stores})
+            counts["stores"] += loads * len(stores)
+        counts["inside"] = True
+        try:
+            return combinations(cfg, index, *args, **kwargs)
+        finally:
+            counts["inside"] = False
+
+    monkeypatch.setattr(Interval, "join", counted_join)
+    monkeypatch.setattr(analysis_mod, "compute_combinations",
+                        counted_combinations)
+    result = analyze(model_of(watchdog_program(64)), AnalysisConfig(mode="fi"))
+    assert len(result.verified_assertions()) == 64
+    assert counts["joins"] <= counts["bound"] < counts["stores"] // 8
 
 
 def test_loop_load_merges_surviving_stores(corpus_models, corpus_results):
@@ -117,11 +179,10 @@ def test_loop_load_merges_surviving_stores(corpus_models, corpus_results):
     result = corpus_results["loop_reader"]["fs"]
     feas = FeasibilityEngine(model)
     main = model.thread(0)
-    load = loads_of(main)[0]
-    combos, generated, _, _ = compute_combinations(
+    policies, generated, _, _ = compute_combinations(
         main, result.interference, feas)
     assert generated == 1
-    source_ = combos[0][load]
+    (source_,) = policies[0]
     assert isinstance(source_, MergedSource)
     # both early stores merged, the post-load writer excluded
     assert source_.value == interval(1, 2)
@@ -166,10 +227,10 @@ def test_combination_cap_counts_refuted_sources(tmp_path, capsys):
     model = model_of(chain_program(10))
     result = analyze(model, AnalysisConfig(mode="fsc"))
     link = model.thread_named("c10")
-    combos, generated, rejected, runs = compute_combinations(
+    policies, generated, rejected, runs = compute_combinations(
         link, result.interference, FeasibilityEngine(model),
         feasibility=True)
-    assert (generated, rejected, runs, len(combos)) == (10, 8, 2, 2)
+    assert (generated, rejected, runs, len(policies)) == (10, 8, 2, 2)
     with pytest.raises(CombinationBudgetExceeded):
         analyze(model, AnalysisConfig(mode="fsc", combo_cap=5))
     prog = tmp_path / "chain.mtir"
@@ -208,7 +269,8 @@ def test_flag_sync_plain_fs_unproven_with_expected_case_split(corpus_models):
     ids = node_ids(model)
     feas = FeasibilityEngine(model)
     reader = model.thread_named("thread2")
-    combos, _, _, _ = compute_combinations(reader, result.interference, feas)
+    policies, _, _, _ = compute_combinations(reader, result.interference,
+                                             feas)
     init = AbstractEnv({"flag": interval(0, 0), "x": interval(0, 0)})
     expected = {
         (ids["t1.6"], ids["t1.4"]): True,   # stale x: false alarm case
@@ -218,10 +280,11 @@ def test_flag_sync_plain_fs_unproven_with_expected_case_split(corpus_models):
         ("self", ids["t1.5"]): False,
         ("self", "self"): False,
     }
-    for combo in combos:
+    assert loads_of(reader) == [ids["t2.9"], ids["t2.11"]]
+    for policy in policies:
         key = tuple(src.store if isinstance(src, StoreSource) else "self"
-                    for src in (combo[ids["t2.9"]], combo[ids["t2.11"]]))
-        run = analyze_thread(reader, init, policy_of(reader, combo))
+                    for src in policy)
+        run = analyze_thread(reader, init, policy)
         assert bool(run.violable) == expected[key], key
 
 
@@ -231,9 +294,9 @@ def test_loop_reader_value_excludes_late_store(corpus_models, corpus_results):
     feas = FeasibilityEngine(model)
     main = model.thread(0)
     load = loads_of(main)[0]
-    combos, _, _, _ = compute_combinations(main, result.interference, feas)
+    policies, _, _, _ = compute_combinations(main, result.interference, feas)
     post = _node_out(main.steps, load - main.first_node, result.te[load],
-                     policy_of(main, combos[0]))
+                     policies[0])
     assert post.get("t1") == interval(0, 2)
 
 
@@ -251,7 +314,7 @@ def test_param_guard_unpruned_three_combinations(corpus_models,
     result = corpus_results["param_guard"]["fs"]
     feas = FeasibilityEngine(model)
     for name in ("thr#1", "thr#2"):
-        combos, generated, rejected, _ = compute_combinations(
+        _, generated, rejected, _ = compute_combinations(
             model.thread_named(name), result.interference, feas)
         assert generated == 3 and rejected == 0
 
@@ -443,36 +506,47 @@ def test_termination_within_budget_on_corpus(corpus_results):
 
 def _full_product(cfg, index, facts, feasibility=False, plan=None,
                   combo_cap=None, merged=False):
-    """Reference `compute_combinations`: the whole per-store product of
-    each cluster, every combination feasibility-checked on its own, no
-    source dropped or merged before the product, clusters zipped.  The
-    active loads are those of the plan's clusters, or all without one."""
-    from mtir.analysis import _cartesian, _source_lists
-    groups = [loads_of(cfg)] if plan is None else plan.get(cfg.tid, [])
-    active = [l for l in loads_of(cfg)
-              if any(l in group for group in groups)]
-    sources = _source_lists(cfg, index, facts, active, merged)
+    """Reference `compute_combinations`, built from the (tid, source) lists
+    of `index` alone: the whole per-store product of each cluster, every
+    combination feasibility-checked on its own, no source dropped or
+    merged before the product, clusters zipped.  The active loads are
+    those of the plan's clusters, or all without one; a policy lists
+    their sources in node order."""
+    loads = loads_of(cfg)
+    groups = [loads] if plan is None else plan.get(cfg.tid, [])
+    active = [l for l in loads if any(l in group for group in groups)]
+    sources = {}
+    for l in active:
+        remote = [source for tid, source in index.get(cfg.nodes[l].stmt.var,
+                                                      ())
+                  if tid != cfg.tid]
+        if merged or cfg.reach[l] >> l & 1:
+            values = [source.value for source in remote if merged
+                      or not facts.must_happen_before(l, source.store)]
+            sources[l] = [MergedSource(reduce(Interval.join, values))
+                          if values else SelfSource()]
+        else:
+            sources[l] = remote + [SelfSource()]
     if merged:
-        return [{l: options[0] for l, options in sources.items()}], 0, 0, 1
-    background = {l: SelfSource() for l in active}
+        return [tuple(sources[l][0] for l in active)], 0, 0, 1
     lists, generated, rejected = [], 0, 0
     for group in groups:
-        group = [l for l in group if l in sources]
-        if group:
-            every = _cartesian(group, sources)
-            kept = [combo for combo in every
-                    if not feasibility or facts.is_feasible(combo)]
-            generated += len(every)
-            rejected += len(every) - len(kept)
-            lists.append((group, kept or [{l: SelfSource() for l in group}]))
-    zipped = []
-    for k in range(max((len(combos) for _, combos in lists), default=1)):
-        combo = dict(background)
-        for group, combos in lists:
-            combo.update(combos[k] if k < len(combos)
-                         else {l: SelfSource() for l in group})
-        zipped.append(combo)
-    return zipped, generated or 1, rejected, len(zipped)
+        # the first load varies fastest
+        every = [dict(zip(group[::-1], combo)) for combo in
+                 itertools.product(*(sources[l] for l in reversed(group)))]
+        kept = [combo for combo in every
+                if not feasibility or facts.is_feasible(combo)]
+        generated += len(every)
+        rejected += len(every) - len(kept)
+        lists.append(kept or [{}])  # all refuted: one self-only run
+    policies = []
+    for k in range(max(map(len, lists), default=1)):
+        combo = dict.fromkeys(active, SelfSource())
+        for combos in lists:
+            if k < len(combos):
+                combo.update(combos[k])
+        policies.append(tuple(combo[l] for l in active))
+    return policies, generated or 1, rejected, len(policies)
 
 
 def sources_by_store(result):
@@ -490,8 +564,9 @@ def test_memoized_runs_match_unmemoized(corpus_models, monkeypatch):
         cases["random%d" % seed] = model_of(random_program(seed))
         # instances of one routine share runs
         cases["repeated%d" % seed] = model_of(repeated_program(seed))
-    for size in (4, 8):
+    for size in (4, 8, 16):
         cases["watchdog%d" % size] = model_of(watchdog_program(size))
+    cases["shared_value"] = model_of(SHARED_VALUE)
     # c's entry state grows across outer iterations, with equal loads
     cases["late_create"] = model_of(
         "int g = 0;\n"

@@ -412,10 +412,10 @@ def test_stabilization_under_pinned_sources(flag_sync):
     result = analyze(model, AnalysisConfig(mode="fs"))
     feas = FeasibilityEngine(model)
     reader = model.thread_named("thread2")
-    combos, _, _, _ = compute_combinations(reader, result.interference, feas)
+    policies, _, _, _ = compute_combinations(reader, result.interference,
+                                             feas)
     init = init_env(model)
-    for combo in combos:
-        policy = policy_of(reader, combo)
+    for policy in policies:
         run = analyze_thread(reader, init, policy)
         assert is_stable(reader, run, policy, init)
 

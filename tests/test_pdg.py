@@ -155,9 +155,10 @@ def test_single_cluster_equals_full_product():
     zipped, zgen, _, _ = compute_combinations(reader, result.interference,
                                               feas, plan=plan)
     full, fgen, _, _ = compute_combinations(reader, result.interference, feas)
+    assert plan[reader.tid] == [loads_of(reader)]
     assert zgen == fgen == 6
-    assert [{l: by_store(s) for l, s in combo.items()} for combo in zipped] \
-        == [{l: by_store(s) for l, s in combo.items()} for combo in full]
+    assert [tuple(map(by_store, policy)) for policy in zipped] \
+        == [tuple(map(by_store, policy)) for policy in full]
 
 
 def test_cluster_schedule_covers_each_cluster_fully():
@@ -175,11 +176,15 @@ def test_cluster_schedule_covers_each_cluster_fully():
     zipped, _, _, _ = compute_combinations(t2, result.interference,
                                            feas, plan=plan)
     full, _, _, _ = compute_combinations(t2, result.interference, feas)
+    # both list every load's source in node order: each load is on-slice
+    loads = loads_of(t2)
+    assert sorted(l for group in plan[t2.tid] for l in group) == loads
     for group in plan[t2.tid]:
-        projected = [tuple(by_store(combo[l]) for l in group)
-                     for combo in zipped]
-        expected = {tuple(by_store(combo[l]) for l in group)
-                    for combo in full}
+        slots = [loads.index(l) for l in group]
+        projected = [tuple(by_store(policy[k]) for k in slots)
+                     for policy in zipped]
+        expected = {tuple(by_store(policy[k]) for k in slots)
+                    for policy in full}
         assert set(projected) == expected
 
 

@@ -6,7 +6,10 @@ per interference combination, which pins each of its loads to a source
 interference, widened after a delay so the loop terminates on programs
 with unbounded data flow.  The loop stops when an iteration grows no
 node environment: a store's published value can only grow in an
-iteration that grows its node's state.
+iteration that grows its node's state.  Both steps touch only what
+changed: a run's states are joined only where they can grow
+(`_merge_te`), and the published index is updated in place, a variable
+rebuilt only when one of its stores' values grew (`_publish`).
 
 A mode is a row of `MODE_ROWS`:
 
@@ -147,11 +150,6 @@ class AnalysisResult(Record):
 
 # --- shared helpers -----------------------------------------------------------
 
-def _initial_env(model: ProgramModel) -> AbstractEnv:
-    return AbstractEnv({name: const(init)
-                        for name, init in model.globals.items()})
-
-
 def _entry_env(model: ProgramModel, cfg: ThreadCfg, te: dict,
                steps: StepTable) -> AbstractEnv:
     """Entry state of a thread: globals from the creating thread's state
@@ -159,12 +157,13 @@ def _entry_env(model: ProgramModel, cfg: ThreadCfg, te: dict,
     parameters bound to their constant arguments, and the locals of
     `steps.unassigned_locals` bound to 0."""
     if cfg.creation_site is None:
-        env = _initial_env(model)
+        env = AbstractEnv({name: const(init)
+                           for name, init in model.globals.items()})
     else:
         parent_state = te.get(cfg.creation_site, AbstractEnv.bot())
         if parent_state.bottom:
             return AbstractEnv.bot()
-        env = parent_state.project(set(model.globals))
+        env = parent_state.project(model.globals)
     for param, value in cfg.params.items():
         env = env.set(param, const(value))
     for name in steps.unassigned_locals:
@@ -174,12 +173,15 @@ def _entry_env(model: ProgramModel, cfg: ThreadCfg, te: dict,
 
 def _merge_te(te: dict, envs: list, base: int) -> bool:
     """Fold a run's states, by node id relative to `base`, into `te`;
-    whether any state grew."""
+    whether any state grew.  A bottom state, or the very object `te`
+    holds (as a shared prefix's states are), adds nothing to a node."""
     grew = False
     for node, env in enumerate(envs, base):
         old = te.get(node)
+        if env is old or env.bottom and old is not None:
+            continue
         new = env if old is None else old.join(env)  # old if env adds nothing
-        if new is not old and new != old:
+        if new is not old:
             te[node] = new
             grew = True
     return grew
@@ -195,18 +197,26 @@ class Published(list):
     def __init__(self):  # list.__new__ makes the empty list
         self.mask, self.values = 0, {}
 
+    def add(self, tid: int, source: StoreSource):  # in node order
+        self.append((tid, source))
+        self.mask |= (bit := 1 << source.store)
+        self.values[source.value] = self.values.get(source.value, 0) | bit
+
 
 _UNPUBLISHED = Published()  # what a variable no store publishes reads
 
 
-def _publish(model, te, published, iteration, config, steps) -> dict:
+def _publish(model, te, published, iteration, config, steps, index) -> dict:
     """Republish interference from the accumulated node states: the value
     each store of a thread's step table (`steps`, by tid) writes, joined
     into `published` (store node -> `Interval`) and widened across outer
-    iterations once past the delay.  Returns the index loads read: per
-    variable, the `Published` stores, each with one `StoreSource` shared
-    by every reader."""
-    index = {}
+    iterations once past the delay.  Updates and returns `index`, the
+    index loads read: per variable, the `Published` stores, each with one
+    `StoreSource` shared by every reader.  In one pass in node order, a
+    variable's `Published` is rebuilt from its first store whose value is
+    new (join and widening return the old value itself otherwise): the
+    stores before it are copied from the old index."""
+    fresh = {}  # variable -> its Published rebuilt in this pass
     for cfg in model.threads:
         thread_steps, base = steps[cfg.tid], cfg.first_node
         for r in thread_steps.stores:
@@ -221,13 +231,18 @@ def _publish(model, te, published, iteration, config, steps) -> dict:
                 value = old.join(value)
                 if iteration > config.widening_delay:
                     value = old.widen(value)
-            published[n] = value
-            stores = index.get(var)
-            if stores is None:
-                stores = index[var] = Published()
-            stores.append((cfg.tid, StoreSource(n, value)))
-            stores.mask |= 1 << n
-            stores.values[value] = stores.values.get(value, 0) | 1 << n
+            stores = fresh.get(var)
+            if value is not old:
+                published[n] = value
+                if stores is None:
+                    stores = fresh[var] = Published()
+                    for tid, source in index.get(var, ()):
+                        if source.store >= n:
+                            break
+                        stores.add(tid, source)
+            if stores is not None:
+                stores.add(cfg.tid, StoreSource(n, value))
+    index.update(fresh)
     return index
 
 
@@ -402,9 +417,10 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
                 # in by join: skip an input this thread already ran, and
                 # replay another instance's run, which is by relative id
                 key = _run_key(steps[cfg.tid], init, policy)
-                if (cfg.tid, key) in seen:
+                scheduled = len(seen)
+                seen.add((cfg.tid, key))  # hashed once
+                if len(seen) == scheduled:
                     continue
-                seen.add((cfg.tid, key))
                 run = shared.get(key)
                 if run is None:
                     run = shared[key] = analyze_thread(
@@ -415,11 +431,13 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
                     stats.interp_runs += 1
                     stats.resumed_runs += run.resumed
                 grew |= _merge_te(te, run.envs, cfg.first_node)
-                violable.update(n + cfg.first_node for n in run.violable)
+                if run.violable:
+                    violable.update(n + cfg.first_node for n in run.violable)
             stats.runs += runs
             iter_stats.runs += runs
 
-        index = _publish(model, te, published, iteration, config, steps)
+        index = _publish(model, te, published, iteration, config, steps,
+                         index)
         stats.per_iteration.append(iter_stats)
         if not grew:
             break

@@ -9,9 +9,10 @@ The empty interval is the one interval with lo > hi, EMPTY = [+INF, -INF];
 an empty operand makes every operator's result EMPTY, and an environment
 never binds a variable to EMPTY, it collapses to Bottom instead.
 Only the public `AbstractEnv(...)` checks bindings: it drops top ones and
-collapses to Bottom on an empty one.  `set`, `join`, `widen` and `project`,
-which cannot make either, wrap their bindings with `AbstractEnv._clean`
-unchecked, and `AbstractEnv.bot()` is one shared Bottom.
+collapses to Bottom on an empty one.  `set`, `join`, `widen`, `narrow`
+and `project` wrap their clean bindings with `AbstractEnv._clean`
+unchecked, as operations whose bounds are well formed by construction
+build intervals with `_make`, and `AbstractEnv.bot()` is one shared Bottom.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class Interval:
             return self
         if self.leq(other):
             return other
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
+        return _make(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def meet(self, other: "Interval") -> "Interval":
         return interval(max(self.lo, other.lo), min(self.hi, other.hi))
@@ -90,8 +91,8 @@ class Interval:
             return other
         if other.leq(self):
             return self
-        return Interval(self.lo if self.lo <= other.lo else -INF,
-                        self.hi if other.hi <= self.hi else INF)
+        return _make(self.lo if self.lo <= other.lo else -INF,
+                     self.hi if other.hi <= self.hi else INF)
 
     def narrow(self, other: "Interval") -> "Interval":
         """Refine only infinite bounds using the descending iterate."""
@@ -102,6 +103,13 @@ class Interval:
         if lo == self.lo and hi == self.hi:
             return self
         return interval(lo, hi)
+
+
+def _make(lo, hi) -> Interval:
+    """Non-empty [lo, hi], unchecked: bounds well formed by construction."""
+    iv = object.__new__(Interval)
+    iv.lo, iv.hi, iv.empty = lo, hi, False
+    return iv
 
 
 TOP = Interval(-INF, INF)
@@ -141,7 +149,7 @@ def _add(a: Interval, b: Interval) -> Interval:
         return EMPTY
     lo = -INF if -INF in (a.lo, b.lo) else a.lo + b.lo
     hi = INF if INF in (a.hi, b.hi) else a.hi + b.hi
-    return Interval(lo, hi)
+    return _make(lo, hi)
 
 
 def _neg(a: Interval) -> Interval:
@@ -299,9 +307,9 @@ class AbstractEnv:
         if self.bottom:
             return self
         if iv.empty:
-            return AbstractEnv.bot()
+            return _BOTTOM
         new = dict(self.bindings)
-        if iv.is_top():
+        if iv.lo == -INF and iv.hi == INF:
             new.pop(name, None)
         else:
             new[name] = iv
@@ -333,23 +341,26 @@ class AbstractEnv:
         return True
 
     def join(self, other: "AbstractEnv") -> "AbstractEnv":
+        """Self if no binding grows; `Interval.join` per binding, inlined."""
         if self.bottom or other is self:
             return other
         if other.bottom:
             return self
-        return self._pointwise(other, Interval.join)
-
-    def _pointwise(self, other, op) -> "AbstractEnv":
-        """Join or widening of non-bottom envs: self if no binding changes.
-        A binding both envs share as one object is kept without `op`."""
         out, kept, b = {}, 0, other.bindings
         for name, x in self.bindings.items():
             y = b.get(name)
-            if y is not None:
-                iv = x if y is x else op(x, y)
-                kept += iv is x
-                if iv is x or not iv.is_top():
-                    out[name] = iv
+            if y is None:
+                continue
+            lo, hi = x.lo, x.hi
+            if y is x or lo <= y.lo and y.hi <= hi:
+                out[name] = x
+                kept += 1
+            elif y.lo <= lo and hi <= y.hi:
+                out[name] = y
+            else:
+                lo, hi = min(lo, y.lo), max(hi, y.hi)
+                if lo != -INF or hi != INF:
+                    out[name] = _make(lo, hi)
         return self if kept == len(self.bindings) else AbstractEnv._clean(out)
 
     def meet(self, other: "AbstractEnv") -> "AbstractEnv":
@@ -368,7 +379,15 @@ class AbstractEnv:
             return other
         if other.bottom:
             return self
-        return self._pointwise(other, Interval.widen)
+        out, kept, b = {}, 0, other.bindings
+        for name, x in self.bindings.items():
+            y = b.get(name)
+            if y is not None:
+                iv = x if y is x else x.widen(y)
+                kept += iv is x
+                if iv is x or not iv.is_top():
+                    out[name] = iv
+        return self if kept == len(self.bindings) else AbstractEnv._clean(out)
 
     def narrow(self, other: "AbstractEnv") -> "AbstractEnv":
         if self.bottom:
@@ -379,8 +398,10 @@ class AbstractEnv:
         for name, iv in other.bindings.items():
             x = out.get(name, TOP)
             out[name] = y = x.narrow(iv)
+            if y.empty:
+                return _BOTTOM
             kept += y is x
-        return self if kept == len(other.bindings) else AbstractEnv(out)
+        return self if kept == len(other.bindings) else AbstractEnv._clean(out)
 
     def project(self, names) -> "AbstractEnv":
         if self.bottom:

@@ -6,13 +6,13 @@ from functools import reduce
 import pytest
 
 from conftest import (
-    MODES, POLICY_ORDER, SHARED_VALUE, XINST, node_ids, random_program,
-    repeated_program, self_only,
+    MODES, POLICY_ORDER, SHARED_VALUE, XINST, instance_programs, node_ids,
+    random_program, repeated_program, self_only,
 )
 from stress_soundness import loopy_program
 from mtir.analysis import (
-    AnalysisConfig, AnalysisStats, IterationStats, analyze,
-    compute_combinations,
+    AnalysisConfig, AnalysisStats, IterationStats, Published, _merge_te,
+    analyze, compute_combinations,
 )
 from mtir.bench import chain_program, watchdog_program
 from mtir.cfg import build_model, loads_of, reachable_sets
@@ -440,14 +440,17 @@ def test_republication_monotone(monkeypatch):
     # every store's published value only grows: across iterations, and
     # when republished from smaller node states.  Node states only grow
     # and transfers are monotone, so only the second sees whether a value
-    # is joined with the old one.
+    # is joined with the old one.  `_publish` updates the index it is
+    # given, so the republication gets an index of its own.
     from mtir import analysis as analysis_mod
     original = analysis_mod._publish
     calls, snapshots = [], []
 
-    def spying_publish(model, te, published, *args):
-        calls.append((dict(te), *args))
-        index = original(model, te, published, *args)
+    def spying_publish(model, te, published, iteration, config, steps,
+                       index):
+        calls.append((dict(te), config, steps))
+        index = original(model, te, published, iteration, config, steps,
+                         index)
         snapshots.append(dict(published))
         return index
 
@@ -464,13 +467,109 @@ def test_republication_monotone(monkeypatch):
         # the first iteration's states, republished at an iteration within
         # the widening delay, keep every final value
         final = snapshots[-1]
-        first_te, _, config, steps = calls[0]
+        first_te, config, steps = calls[0]
         republished = dict(final)
-        original(model, first_te, republished, 1, config, steps)
+        original(model, first_te, republished, 1, config, steps, {})
         for store, value in final.items():
             assert value.leq(republished[store]), name
         grown += any(final[n] != value for n, value in snapshots[0].items())
     assert grown  # some store's value grows after the first iteration
+
+
+def reference_publish(model, te, published, iteration, config, steps):
+    """The index rebuilt from scratch, as `_publish` built it before it
+    updated the previous index: every store's entry anew, each iteration."""
+    index = {}
+    for cfg in model.threads:
+        thread_steps, base = steps[cfg.tid], cfg.first_node
+        for r in thread_steps.stores:
+            n = r + base
+            pre = te.get(n)
+            if pre is None or pre.bottom:
+                continue
+            var = cfg.nodes[n].stmt.var
+            value = thread_steps.transfer[r](pre).get(var)
+            old = published.get(n)
+            if old is not None:
+                value = old.join(value)
+                if iteration > config.widening_delay:
+                    value = old.widen(value)
+            published[n] = value
+            stores = index.get(var)
+            if stores is None:
+                stores = index[var] = Published()
+            stores.append((cfg.tid, StoreSource(n, value)))
+            stores.mask |= 1 << n
+            stores.values[value] = stores.values.get(value, 0) | 1 << n
+    return index
+
+
+def index_rows(index):
+    """An index as comparable rows: per variable, its ordered (var, tid,
+    store, value) list, its mask and its ordered value masks."""
+    return {var: ([(var, tid, s.store, s.value) for tid, s in stores],
+                  stores.mask, list(stores.values.items()))
+            for var, stores in index.items()}
+
+
+def test_incremental_index_matches_rebuild(monkeypatch):
+    # at every outer iteration the updated index and published values
+    # equal a from-scratch rebuild from the same node states; the guards
+    # see variables kept as they were and variables rebuilt after a
+    # copied prefix of unchanged stores
+    from mtir import analysis as analysis_mod
+    publish = analysis_mod._publish
+    seen = {"calls": 0, "kept": 0, "copied": 0, "widened": 0}
+
+    def checked_publish(model, te, published, iteration, config, steps,
+                        index):
+        expected = dict(published)
+        rebuilt = reference_publish(model, te, expected, iteration, config,
+                                    steps)
+        before = dict(index)
+        index = publish(model, te, published, iteration, config, steps,
+                        index)
+        assert published == expected
+        assert index_rows(index) == index_rows(rebuilt)
+        seen["calls"] += 1
+        seen["widened"] += iteration > config.widening_delay
+        for var, old in before.items():
+            seen["kept"] += index[var] is old
+            seen["copied"] += index[var] is not old and \
+                index[var][0][1] is old[0][1]
+        return index
+
+    monkeypatch.setattr(analysis_mod, "_publish", checked_publish)
+    texts = list(instance_programs())  # the corpus, random and repeated
+    texts += [loopy_program(seed) for seed in range(20)]
+    for text in texts:
+        model = model_of(text)
+        for mode in MODES:
+            analyze(model, AnalysisConfig(mode=mode))
+    assert min(seen.values()) > 10, seen
+
+
+def test_merge_te_folds_only_what_can_grow():
+    x01 = AbstractEnv({"x": interval(0, 1)})
+    x23 = AbstractEnv({"x": interval(2, 3)})
+    bottom = AbstractEnv.bot()
+    envs = [x01, bottom, x23]
+    te = {}
+    # a first fold stores the run's own objects, bottom included
+    assert _merge_te(te, envs, 5) is True
+    assert all(te[5 + k] is env for k, env in enumerate(envs))
+    # the objects `te` holds add nothing and are kept
+    assert _merge_te(te, envs, 5) is False
+    assert all(te[5 + k] is env for k, env in enumerate(envs))
+    # a bottom state never replaces an entry, nor does an equal state
+    assert _merge_te(te, [AbstractEnv(bottom=True)] * 3, 5) is False
+    assert _merge_te(te, [AbstractEnv({"x": interval(0, 1)})], 5) is False
+    assert all(te[5 + k] is env for k, env in enumerate(envs))
+    # a state that grows an entry is joined in, a bottom entry included
+    grown = [AbstractEnv({"x": interval(1, 2)}), x23, bottom]
+    assert _merge_te(te, grown, 5) is True
+    assert te[5] == AbstractEnv({"x": interval(0, 2)})
+    assert te[6] is x23 and te[7] is x23
 
 
 def test_accuracy_ordering_on_corpus(corpus_results):

@@ -464,3 +464,74 @@ def test_analysis_states_stay_clean():
                 for _, source in sources:
                     assert source.value != EMPTY, source
                     assert_canonical(source.value)
+
+
+# --- the inlined kernel ---------------------------------------------------------
+
+def pointwise_reference(a, b, op):
+    """`op` per variable through the checked constructor: what the inlined
+    `AbstractEnv.join` (op = `Interval.join`) and `AbstractEnv.narrow`
+    (op = `Interval.narrow`) must equal on non-bottom envs."""
+    names = a.bindings.keys() | b.bindings.keys()
+    return AbstractEnv({n: op(a.get(n), b.get(n)) for n in names})
+
+
+def rand_env_sharing(rng, env, names):
+    """A random env that binds some of `env`'s interval objects as is."""
+    return AbstractEnv({
+        n: env.bindings[n] if n in env.bindings and rng.random() < 0.4
+        else rand_interval(rng) for n in names if rng.random() < 0.8})
+
+
+def test_inlined_join_and_narrow_match_pointwise_reference():
+    rng = random.Random(41)
+    names = ("x", "y", "z")
+    seen = dict.fromkeys(("absent", "top", "infinite", "shared", "empty"), 0)
+    for _ in range(N_CASES):
+        a = rand_env(rng, names)
+        if a.bottom:
+            continue
+        b = rand_env_sharing(rng, a, names)
+        if b.bottom:
+            continue
+        join, ref = a.join(b), pointwise_reference(a, b, Interval.join)
+        assert join == ref and not join.bottom, (a, b)
+        assert (join is a) == (ref == a), (a, b)
+        assert_env_clean(join)
+        narrow = a.narrow(b)
+        assert narrow == pointwise_reference(a, b, Interval.narrow), (a, b)
+        assert_env_clean(narrow)
+        seen["absent"] += len(a.bindings) < len(names)
+        seen["top"] += any(a.get(n).join(b.get(n)).is_top()
+                           for n in a.bindings.keys() & b.bindings.keys())
+        seen["infinite"] += any(INF in (abs(v.lo), abs(v.hi))
+                                for v in a.bindings.values())
+        seen["shared"] += any(b.bindings.get(n) is v
+                              for n, v in a.bindings.items())
+        seen["empty"] += narrow.bottom
+    assert min(seen.values()) > N_CASES // 100, seen
+
+
+def test_unchecked_intervals_pass_the_checked_constructor(monkeypatch):
+    """Every interval `_make` builds, from join, widening and addition of
+    random and huge bounds, is one `Interval(lo, hi)` accepts and equals."""
+    from mtir import domain
+    made = []
+
+    def recording(lo, hi, _make=domain._make):
+        made.append(_make(lo, hi))
+        return made[-1]
+
+    monkeypatch.setattr(domain, "_make", recording)
+    rng = random.Random(43)
+    for _ in range(N_CASES):
+        for draw in (rand_interval, rand_huge_interval):
+            x, y = draw(rng), draw(rng)
+            x.join(y), x.widen(y), _add(x, y)
+        a = rand_env(rng)
+        a.join(rand_env_sharing(rng, a, ("x", "y", "z")))
+    assert len(made) > N_CASES
+    for got in made:
+        checked = Interval(got.lo, got.hi)
+        assert checked == got and not checked.empty, got
+        assert_canonical(got)

@@ -28,7 +28,9 @@ A mode is a row of `MODE_ROWS`:
           zipped instead of multiplied).
 
 fs and fsc are the one-cluster case of fso's zipped exploration: each
-thread's active loads form a single cluster, whose zip is its product.
+thread's active loads form a single cluster, whose zip is its product,
+and `analyze` passes every mode its plan of clusters, this one outside
+fso.
 Policies are built straight from per-variable masks of the published
 stores, and feasibility, which depends on order alone, takes each load's
 refuted stores (found once per engine) out of its mask before the
@@ -38,7 +40,8 @@ once (under feasibility only in one-load clusters); `combos`,
 
 Interpreter runs are memoized on what they read: the step table (the
 routine compiled with its off-slice statements as identity, see
-`interp.StepTable`), its entry state and its policy, the tuple of its
+`interp.StepTable`; `analyze` compiles one per routine and slice), its
+entry state and its policy, the tuple of its
 loads' sources in the table's load order (see `_run_key`).  A run is a
 deterministic function of that input and its results are folded in by
 join, so an input that already ran in the same analysis is skipped.
@@ -69,7 +72,7 @@ from __future__ import annotations
 import itertools
 from functools import reduce
 
-from .cfg import ProgramModel, ThreadCfg, is_load
+from .cfg import ProgramModel, ThreadCfg, is_load, loads_of
 from .domain import AbstractEnv, Interval, const
 from .errors import AnalysisBudgetExceeded, CombinationBudgetExceeded
 from .facts import FeasibilityEngine
@@ -141,8 +144,7 @@ class AnalysisResult(Record):
     def interference_env(self, tid: int) -> AbstractEnv:
         """Per-variable summary of what the thread publishes: each stored
         variable maps to the join of its stores' values."""
-        cfg = self.model.thread(tid)
-        own = ((1 << len(cfg.nodes)) - 1) << cfg.first_node
+        own = self.model.thread(tid).mask
         return AbstractEnv({var: reduce(Interval.join, [
             value for value, mask in pub.values.items() if mask & own])
             for var, pub in self.interference.items() if pub.mask & own})
@@ -255,9 +257,8 @@ def _run_key(table, init, policy):
 # --- interference combinations ---------------------------------------------------
 
 def compute_combinations(cfg: ThreadCfg, index: dict,
-                         facts: FeasibilityEngine,
+                         facts: FeasibilityEngine, plan: dict,
                          feasibility: bool = False,
-                         plan: dict | None = None,
                          combo_cap: int = AnalysisConfig.combo_cap,
                          merged: bool = False):
     """The policies of one thread's runs, built from `index` (see
@@ -272,28 +273,30 @@ def compute_combinations(cfg: ThreadCfg, index: dict,
     candidate or its own value, less what `facts.refuted` finds under
     `feasibility` (its own value goes with `init:<var>`).
 
-    Each cluster of `plan[cfg.tid]` (see `pdg.cluster`: the on-slice
-    loads alone; without a plan, all loads) is a product, the first load
-    varying fastest, and the clusters are zipped: run k takes each
-    cluster's k-th combination, loads past the end of their cluster's
-    list read their own value.  With one cluster a load reads each value
-    once, from its lowest candidate storing it, in the order of those
-    stores; under `feasibility` only in a one-load cluster, as each
-    combination of several loads' stores is checked.  `generated`,
+    Each cluster of `plan[cfg.tid]` (the thread's active loads: see
+    `pdg.cluster` under slicing, one cluster of all its loads otherwise)
+    is a product, the first load varying fastest, and the clusters are
+    zipped: run k takes each cluster's k-th combination, loads past the
+    end of their cluster's list read their own value.  With one cluster
+    a load reads each value once, from its lowest candidate storing it,
+    in the order of those stores; under `feasibility` only in a one-load
+    cluster, as each combination of several loads is checked on the
+    ReadsFrom pairs its sources pin: a store source its store, the self
+    source of an initial-value load `init:<var>`.  `generated`,
     `rejected`, `runs` and the `combo_cap` check count the full
     per-store product.
     """
-    groups = ([[r + cfg.first_node for r in cfg.steps.loads]]
-              if plan is None else plan.get(cfg.tid, []))
+    groups = plan[cfg.tid]
     if not groups:  # no load is on the slice
         return [()], 1, 0, 1
-    remote = ~(((1 << len(cfg.nodes)) - 1) << cfg.first_node)
+    remote = ~cfg.mask
     clusters = []  # (loads, combinations), each in the cluster's order
     generated = rejected = runs = 0
     for group in groups:
         total = kept = 1
-        per_store = len(groups) > 1 or feasibility and len(group) > 1
-        options = []
+        checked = feasibility and len(group) > 1
+        per_store = len(groups) > 1 or checked
+        options, pins = [], []  # per load, its sources and their pairs
         for l in group:
             var = cfg.nodes[l].stmt.var
             published = index.get(var, _UNPUBLISHED)
@@ -305,15 +308,17 @@ def compute_combinations(cfg: ThreadCfg, index: dict,
                           if mask & stores]
                 options.append([MergedSource(reduce(Interval.join, values))
                                 if values else SelfSource()])
+                pins.append([None])
                 continue
             total *= stores.bit_count() + 1
             if total > combo_cap:
                 raise CombinationBudgetExceeded(
                     f"{cfg.name}: {total}+ interference combinations "
                     f"(cap {combo_cap}); consider clustering")
+            init = facts.model.init_nodes[var]
             refuted = facts.refuted(l) if feasibility else 0
             stores &= ~refuted
-            own = not refuted >> facts.model.init_nodes[var] & 1  # self source
+            own = not refuted >> init & 1  # self source
             kept *= stores.bit_count() + own
             if per_store:
                 sources = [s for _, s in published if stores >> s.store & 1]
@@ -322,15 +327,21 @@ def compute_combinations(cfg: ThreadCfg, index: dict,
                                 for value, mask in published.values.items()
                                 if (m := mask & stores))
                 sources = [StoreSource(n, value) for n, value in lowest]
+            if checked:
+                pins.append([(l, s.store) for s in sources])
+                if own:
+                    pins[-1].append((l, init)
+                                    if l in facts.initial_loads else None)
             if own:
                 sources.append(SelfSource())
             options.append(sources)
         combos = [c[::-1] for c in itertools.product(*reversed(options))]
         if merged:
             return combos, 0, 0, 1
-        if feasibility and len(group) > 1:
-            combos = [c for c in combos
-                      if facts.is_feasible(dict(zip(group, c)))]
+        if checked:
+            combos = [c for c, rf in zip(combos,
+                                         itertools.product(*reversed(pins)))
+                      if facts.is_feasible(frozenset(rf) - {None})]
             kept = len(combos)
         generated += total
         rejected += total - kept
@@ -362,12 +373,13 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
     facts = None if row.merged else FeasibilityEngine(model)
 
     identity_nodes = frozenset()
-    plan = None
     if row.slicing:
         graph = build_pdg(model)
         on_slice = backward_slices(graph, model)
         identity_nodes = apply_pruning(on_slice, model)
         plan = cluster(graph, on_slice, model)
+    else:  # each thread's loads form one cluster
+        plan = {cfg.tid: [loads_of(cfg)] for cfg in model.threads}
 
     te: dict = {}
     published: dict = {}  # store node -> the value it writes
@@ -383,11 +395,11 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
                              for n in identity_nodes.intersection(cfg.nodes))
         key = cfg.routine, identity
         if key not in compiled:
-            compiled[key] = StepTable(cfg, identity) if identity else cfg.steps
+            compiled[key] = StepTable(cfg, identity)
         steps[cfg.tid] = compiled[key]
     stats = AnalysisStats()
     stats.pruned_loads = sum(is_load(model.node(n)) for n in identity_nodes)
-    stats.clusters = sum(map(len, plan.values())) if plan else 0
+    stats.clusters = sum(map(len, plan.values())) if row.slicing else 0
 
     for iteration in itertools.count(1):
         if iteration > config.outer_budget:
@@ -403,9 +415,9 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
             # the first iteration has no interference published yet:
             # run the self-only combination unfiltered to bootstrap
             policies, generated, rejected, runs = compute_combinations(
-                cfg, index, facts,
+                cfg, index, facts, plan,
                 feasibility=row.feasibility and iteration > 1,
-                plan=plan, combo_cap=config.combo_cap, merged=row.merged)
+                combo_cap=config.combo_cap, merged=row.merged)
             iter_stats.combos[cfg.tid] = generated
             iter_stats.infeasible[cfg.tid] = rejected
             stats.combos += generated

@@ -7,8 +7,7 @@ nodes the unit of interference for the whole analysis.
 
 Each routine is lowered once, at its first instance.  A later instance
 is that graph with node ids shifted past the threads before it, and
-takes its reachability (shifted as well) and step table from the first
-instance.
+takes its reachability (shifted as well) from the first instance.
 
 IR statements are immutable records (see `record`): equal, and equal in
 hash, when of one class with equal fields, never across classes.  Nodes,
@@ -157,7 +156,7 @@ class ThreadCfg(Record):
         return dominator_sets(self.succs, self.entry)
 
     # the graph is fixed once `build_model` returns, so a later instance
-    # shifts its routine's reachability and shares its step table
+    # shifts its routine's reachability
 
     @cached_property
     def reach(self) -> dict[int, int]:
@@ -169,30 +168,17 @@ class ThreadCfg(Record):
         return {n + d: mask << d for n, mask in first.reach.items()}
 
     @cached_property
-    def stores_by_var(self) -> dict[str, list[int]]:
-        """Store nodes per written global, in node order."""
-        out: dict[str, list[int]] = {}
-        for n in self.node_order():
-            stmt = self.nodes[n].stmt
-            if isinstance(stmt, SStore):
-                out.setdefault(stmt.var, []).append(n)
-        return out
-
-    @cached_property
-    def steps(self):
-        """The compiled `interp.StepTable`, by node id relative to the
-        first node, so a routine's instances share it."""
-        if self.first_instance is not None:
-            return self.first_instance.steps
-        from .interp import StepTable  # interp builds on this module
-        return StepTable(self)
+    def mask(self) -> int:
+        """Mask of the thread's nodes."""
+        return ((1 << len(self.nodes)) - 1) << self.first_node
 
 
 class ProgramModel(Record):
     """Node ids run 0..N-1 in thread, then node order, and a set of nodes
     is an int whose bit k is node k (a node mask, read with `bits`).
     Each global's virtual initial store, named `init:<var>`, takes the
-    next id in declaration order (`init_nodes`); it is no thread's node."""
+    next id in declaration order (`init_nodes`); it is no thread's node.
+    `stores` maps each global to the mask of its (real) store nodes."""
     __slots__ = ("threads", "globals", "creates", "joins", "assertions",
                  "source", "__dict__", "__weakref__")
 
@@ -218,6 +204,10 @@ class ProgramModel(Record):
                 self._names[nid] = "t%d.%d%s" % (cfg.tid, node.line, suffix)
         self.init_nodes = {var: nid for nid, var in
                            enumerate(self.globals, len(self._node_index))}
+        self.stores = dict.fromkeys(self.globals, 0)
+        for nid, node in self._node_index.items():
+            if isinstance(node.stmt, SStore):
+                self.stores[node.stmt.var] |= 1 << nid
         for var, nid in self.init_nodes.items():
             self._names[nid] = "init:%s" % var
 
@@ -246,10 +236,6 @@ class ProgramModel(Record):
 
 def is_load(node: Node) -> bool:
     return isinstance(node.stmt, SLoad)
-
-
-def is_store(node: Node) -> bool:
-    return isinstance(node.stmt, SStore)
 
 
 def loads_of(cfg: ThreadCfg) -> list[int]:

@@ -191,10 +191,17 @@ def _analysis_output(args, model, result, wall_ms):
         yield dot_dump(graph, model, backward_slices(graph, model)) + "\n"
 
 
+def _size(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"--sizes: {text!r} is not an integer") from None
+
+
 def _cmd_bench(args):
     from .bench import bench_csv, run_bench
     try:
-        sizes = [int(s) for s in args.sizes.split(",") if s]
+        sizes = [_size(s) for s in args.sizes.split(",") if s]
         if not sizes:
             raise ValueError("no sizes given")
         if any(size < 1 for size in sizes):

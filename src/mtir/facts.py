@@ -75,8 +75,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .cfg import ProgramModel, ThreadCfg, bits, is_load, is_store, loads_of
-from .interp import SelfSource, StoreSource
+from .cfg import ProgramModel, ThreadCfg, bits, is_load, loads_of
 from .record import Value, set_field
 
 DERIVED = ("MHBS", "MHB", "MustNotReadFrom")
@@ -298,9 +297,8 @@ def build_base_facts(model: ProgramModel,
     rel["ThCreates"] = {(c, model.thread(t).entry) for c, t in model.creates}
     rel["ThJoins"] = {(j, model.thread(t).exit) for j, t in model.joins}
 
-    for name, labels in (("IsLoad", rows.load_var),
-                         ("IsStore", rows.store_var)):
-        rel[name] = set(labels.items())
+    rel["IsLoad"], rel["IsStore"] = (set(rows.load_var.items()),
+                                     set(rows.store_var.items()))
     rel["MHB"], rel["MHBS"] = rows.pairs(rows.weak), rows.pairs(rows.strong)
     return facts
 
@@ -318,7 +316,7 @@ def initial_value_loads(model: ProgramModel) -> set[int]:
             var = cfg.nodes[l].stmt.var
             cur, site = cfg, l
             while not any(cur.reach[s] >> site & 1
-                          for s in cur.stores_by_var.get(var, ())):
+                          for s in bits(model.stores[var] & cur.mask)):
                 if cur.creation_site is None:
                     out.add(l)
                     break
@@ -355,8 +353,9 @@ def _local_rows(cfg: ThreadCfg, s1: list, po: list):
 class _OrderingRows:
     """The base MHB and MHBS relations as bitset rows, one per model node,
     the `init:<var>` nodes last: bit j of row i says node i precedes node
-    j.  Also per-variable masks of the store and load nodes, and each
-    load's and store's variable.
+    j.  Also per-variable masks of the load nodes and of the store nodes
+    (the model's `stores`, each with its `init:<var>`), and each load's
+    and store's variable.
 
     The rows are filled from the CFGs' node masks.  Within a thread, rule
     S1 reads what each node dominates and rule PO what it reaches; both
@@ -379,8 +378,7 @@ class _OrderingRows:
         s1 = [0] * real
         po = [0] * real
         sources = [0] * real  # per node, the edge sources of its thread
-        self.load_var: dict = {}
-        self.store_var: dict = {}
+        edges = sum(1 << n for n in edge)
         for cfg in model.threads:
             first = cfg.first_instance
             if first is None:
@@ -389,17 +387,8 @@ class _OrderingRows:
                 d = cfg.first_node - first.first_node
                 for n in first.nodes:
                     s1[n + d], po[n + d] = s1[n] << d, po[n] << d
-            mask = 0
-            for n in cfg.node_order():
-                if n in edge:
-                    mask |= 1 << n
-                node = cfg.nodes[n]
-                if is_load(node):
-                    self.load_var[n] = node.stmt.var
-                elif is_store(node):
-                    self.store_var[n] = node.stmt.var
             for n in cfg.nodes:
-                sources[n] = mask
+                sources[n] = edges & cfg.mask
 
         # each edge target with every node strongly after it
         beyond: dict = {}
@@ -442,10 +431,15 @@ class _OrderingRows:
         self.strong += [everything] * len(model.globals)
         self.weak = [through_edges(p, po[p]) for p in range(real)]
         self.weak += [everything] * len(model.globals)
-        for var, p in self.init_nodes.items():
-            self.store_var[p] = var
-        self.loads = self._masks(self.load_var)
-        self.stores = self._masks(self.store_var)
+        self.load_var = {node.id: node.stmt.var
+                         for node in model.all_nodes() if is_load(node)}
+        self.loads: dict = {}
+        for p, var in self.load_var.items():
+            self.loads[var] = self.loads.get(var, 0) | 1 << p
+        self.stores = {var: mask | 1 << self.init_nodes[var]
+                       for var, mask in model.stores.items()}
+        self.store_var = {s: var for var, mask in self.stores.items()
+                          for s in bits(mask)}
         # per variable, the stores with no store to it after them, and the
         # nodes forced to run after one of its real stores
         self.last = {var: sum(1 << s for s in bits(mask)
@@ -453,13 +447,6 @@ class _OrderingRows:
                      for var, mask in self.stores.items()}
         self.forced = {var: self.strong_closure(mask & everything)
                        for var, mask in self.stores.items()}
-
-    @staticmethod
-    def _masks(labels) -> dict:
-        masks: dict = {}
-        for p, var in labels.items():
-            masks[var] = masks.get(var, 0) | 1 << p
-        return masks
 
     def pairs(self, table) -> set:
         """The (node, node) tuples of the rows `weak` or `strong`."""
@@ -565,13 +552,15 @@ class FeasibilityEngine:
     every combination check works on private rows and leaves them
     untouched.
 
-    Feasibility reads only execution order, never values, and the
-    closure is monotone: a refuted ReadsFrom pair refutes every
-    combination holding it.  So `refuted` gives each load's mask once,
-    and callers take it out of the load's candidate stores before any
-    product; a one-load combination needs no `is_feasible` call after
-    that.  `queries` counts the closures `is_feasible` runs, one per
-    distinct ReadsFrom set of several loads; `refuted` is not counted."""
+    Queries take ReadsFrom pairs, (load node, store node), the store an
+    `init:<var>` node for a load given its own initial value.  Feasibility
+    reads only execution order, never values, and the closure is
+    monotone: a refuted pair refutes every set of pairs holding it.  So
+    `refuted` gives each load's mask once, and callers take it out of the
+    load's candidate stores before any product; a one-load combination
+    needs no `is_feasible` call after that.  `queries` counts the
+    closures `is_feasible` runs, one per distinct set of several pairs;
+    `refuted` is not counted."""
 
     def __init__(self, model: ProgramModel):
         self.model = model
@@ -592,45 +581,19 @@ class FeasibilityEngine:
     def initial_loads(self) -> set[int]:
         return initial_value_loads(self.model)
 
-    def must_happen_before(self, a: int, b: int) -> bool:
-        """Combination-independent ordering query (base closure only)."""
-        return bool(self.rows.weak[a] >> b & 1)
-
     def refuted(self, load: int) -> int:
         """The mask of the sources `load` can be given but cannot read from
         in any execution: remote stores to its variable and, for an
         initial-value load, `init:<var>`."""
         got = self._refuted.get(load)
         if got is None:
-            rows, cfg = self.rows, self.model.thread(self.model.node(load).tid)
-            var = rows.load_var[load]
-            other = ~(((1 << len(cfg.nodes)) - 1) << cfg.first_node)
+            rows, var = self.rows, self.rows.load_var[load]
+            other = ~self.model.thread(self.model.node(load).tid).mask
             if load not in self.initial_loads:
                 other &= ~(1 << self.model.init_nodes[var])
             got = self._refuted[load] = rows.refuted(load,
                                                      rows.stores[var] & other)
         return got
-
-    def source_node(self, load: int, source):
-        """The store a source reads: its own for a remote store, the
-        virtual initial store for the self source of an initial-value
-        load, None (unconstrained) otherwise."""
-        if isinstance(source, StoreSource):
-            return source.store
-        if isinstance(source, SelfSource) and load in self.initial_loads:
-            return self.model.init_nodes[self.model.node(load).stmt.var]
-        return None
-
-    def reads_from_facts(self, combination) -> frozenset:
-        """ReadsFrom tuples a combination pins down."""
-        return frozenset(
-            (load, store) for load, source in combination.items()
-            if (store := self.source_node(load, source)) is not None)
-
-    @staticmethod
-    def _executes(rf) -> set:
-        # every endpoint of a realized flow runs in the witnessing execution
-        return {(node,) for pair in rf for node in pair}
 
     def check_facts(self, reads_from):
         """Close base + the given ReadsFrom facts under the full rule set;
@@ -639,7 +602,8 @@ class FeasibilityEngine:
         dump carries the whole derivation."""
         work = self.base.copy()
         rf = set(reads_from)
-        executes = self._executes(rf)
+        # every endpoint of a realized flow runs in the witnessing execution
+        executes = {(node,) for pair in rf for node in pair}
         work.relations["ReadsFrom"] |= rf
         work.relations["Executes"] |= executes
         delta = {"ReadsFrom": set(rf), "Executes": set(executes),
@@ -647,10 +611,10 @@ class FeasibilityEngine:
         fixpoint(work, RULES, delta=delta)
         return contradiction(work) is None, work
 
-    def is_feasible(self, combination) -> bool:
-        """Alg-style Add / Satisfiable / Remove in one step: the base
-        facts are never mutated."""
-        rf = self.reads_from_facts(combination)
+    def is_feasible(self, rf: frozenset) -> bool:
+        """Whether some execution realizes every ReadsFrom pair of `rf`:
+        Alg-style Add / Satisfiable / Remove in one step, the base facts
+        never mutated."""
         if not rf:
             return True
         cached = self._cache.get(rf)

@@ -214,14 +214,14 @@ class _Prefix(Record):
 def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
                    widening_delay: int = AnalysisConfig.widening_delay,
                    narrowing_passes: int = AnalysisConfig.narrowing_passes,
-                   table: StepTable | None = None,
+                   *, table: StepTable,
                    prefixes: dict | None = None) -> ThreadRun:
     """Run the worklist fixpoint over one thread from the given entry state.
 
-    The run executes `table`, by default `cfg.steps` (the routine
-    unsliced), and computes by node id relative to the thread's first
-    node, as does the returned `ThreadRun`.  `policy` holds one source
-    per load of the table, in its load order.
+    The run executes `table`, a `StepTable` of the thread's routine, and
+    computes by node id relative to the thread's first node, as does the
+    returned `ThreadRun`.  `policy` holds one source per load of the
+    table, in its load order.
 
     Widening fires at loop heads (back-edge targets) once a node has been
     updated more than `widening_delay` times; a bounded descending pass
@@ -256,7 +256,7 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
     sweep's and the last sweep's states as in a fresh run, and the run
     stops sweeping once neither kind of node changed.
     """
-    table, base = table or cfg.steps, cfg.first_node
+    base = cfg.first_node
     if len(policy) != len(table.loads):
         raise ValueError(f"{cfg.name}: {len(policy)} sources for "
                          f"{len(table.loads)} loads")

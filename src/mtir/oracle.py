@@ -22,11 +22,9 @@ import operator
 from .ast import BinOp, BoolLit, IntLit, UnaryOp, Var
 from .cfg import (
     ProgramModel, SAssert, SBranch, SCreate, SExit, SJoin, SLoad, SLocal,
-    SNondet, SNop, SStore, is_store, loads_of,
+    SNondet, SNop, SStore, bits, loads_of,
 )
-from .domain import TOP
 from .errors import OracleBudgetExceeded
-from .interp import SelfSource, StoreSource
 from .record import Record, Value, set_field
 
 
@@ -253,15 +251,9 @@ def _authoritative_globals(model: ProgramModel) -> dict:
     thread's own environment binding is an actual over-approximation of
     memory; for the rest, it only tracks the thread's own view and
     concrete values flow through interference instead."""
-    stored_by = {var: set() for var in model.globals}
-    for node in model.all_nodes():
-        if is_store(node):
-            stored_by[node.stmt.var].add(node.tid)
-    out = {}
-    for cfg in model.threads:
-        out[cfg.tid] = {var for var, tids in stored_by.items()
-                        if not (tids - {cfg.tid})}
-    return out
+    return {cfg.tid: {var for var, mask in model.stores.items()
+                      if not mask & ~cfg.mask}
+            for cfg in model.threads}
 
 
 def _pruned_variables(model, identity_nodes):
@@ -352,25 +344,21 @@ def check_abstraction(records, result, model: ProgramModel,
 
 def static_rejections(model: ProgramModel, feas) -> list:
     """Every total source assignment the constraint engine refutes, built
-    from static candidates (all matching remote stores plus self).  Used
-    by the soundness suite to cross-check against concrete read maps."""
+    from static candidates (all matching remote stores plus self), as
+    (tid, its ReadsFrom pairs).  A self read pins `init:<var>` for an
+    initial-value load and nothing otherwise.  Used by the soundness
+    suite to cross-check against concrete read maps."""
     rejected = []
     for cfg in model.threads:
-        loads = loads_of(cfg)
-        if not loads:
-            continue
         options = []
-        for l in loads:
+        for l in loads_of(cfg):
             var = cfg.nodes[l].stmt.var
-            sources = [StoreSource(node.id, TOP)
-                       for node in model.all_nodes()
-                       if is_store(node) and node.tid != cfg.tid
-                       and node.stmt.var == var]
-            sources.append(SelfSource())
-            options.append(sources)
+            pins = [(l, s) for s in bits(model.stores[var] & ~cfg.mask)]
+            init = model.init_nodes[var]
+            pins.append((l, init) if l in feas.initial_loads else None)
+            options.append(pins)
         for choice in itertools.product(*options):
-            combo = dict(zip(loads, choice))
-            rf = feas.reads_from_facts(combo)
-            if rf and not feas.is_feasible(combo):
+            rf = frozenset(pair for pair in choice if pair is not None)
+            if rf and not feas.is_feasible(rf):
                 rejected.append((cfg.tid, rf))
     return rejected

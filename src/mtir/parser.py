@@ -125,7 +125,12 @@ class Parser:
             typ = self.next().kind
             name_tok = self.expect("ident")
             self.expect("=")
+            init_tok = self.peek()
             init = self.parse_literal()
+            if typ == "bool" and init not in (0, 1):
+                raise MtirSyntaxError(
+                    f"bool global {name_tok.text!r} takes true, false, 0 or "
+                    f"1, not {init}", init_tok.line, init_tok.col)
             self.expect(";")
             if name_tok.text in seen:
                 raise DuplicateGlobalError(

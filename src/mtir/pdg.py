@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .cfg import (
     ProgramModel, SBranch, SCreate, SExit, SJoin, SLoad, SNop, ThreadCfg,
-    bits, defs_and_uses, dominator_sets, is_load, is_store, loads_of,
+    bits, defs_and_uses, dominator_sets, is_load, loads_of,
 )
 from .record import Record
 
@@ -132,10 +132,10 @@ def build_pdg(model: ProgramModel) -> DependenceGraph:
             for n in first.nodes:
                 if n in table:
                     table[n + d] = {dst + d for dst in table[n]}
+    graph.stores = {var: list(bits(mask))
+                    for var, mask in model.stores.items() if mask}
     for node in model.all_nodes():
-        if is_store(node):
-            graph.stores.setdefault(node.stmt.var, []).append(node.id)
-        elif is_load(node):
+        if is_load(node):
             graph.loads.setdefault(node.stmt.var, []).append(node.id)
     # a created thread's entry (and so its parameters) depends on the
     # create site that spawns and binds it

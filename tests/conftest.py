@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from mtir import AnalysisConfig, analyze, build_model, parse
+from mtir import AnalysisConfig, analyze, build_model, loads_of, parse
 from mtir.corpus import PROGRAMS, source
-from mtir.interp import SelfSource
+from mtir.interp import SelfSource, StepTable, StoreSource, analyze_thread
 
 MODES = ("fi", "fs", "fsc", "fso")
 
@@ -33,16 +33,42 @@ def find_nodes(model, predicate):
 
 
 def policy_of(cfg, sources, table=None):
-    """The policy giving each load of `table`, the routine's own by
+    """The policy giving each load of `table`, the routine unsliced by
     default, its source in `sources`, keyed by absolute load id."""
-    table = cfg.steps if table is None else table
+    table = StepTable(cfg) if table is None else table
     return tuple(sources[r + cfg.first_node] for r in table.loads)
 
 
 def self_only(cfg, table=None):
     """The sequential policy: every load reads the thread-local value."""
-    table = cfg.steps if table is None else table
+    table = StepTable(cfg) if table is None else table
     return (SelfSource(),) * len(table.loads)
+
+
+def run_thread(cfg, init, policy, **kwargs):
+    """`analyze_thread` on the routine's unsliced step table unless the
+    call names a `table`."""
+    kwargs.setdefault("table", StepTable(cfg))
+    return analyze_thread(cfg, init, policy, **kwargs)
+
+
+def reads_from(feas, combination):
+    """The ReadsFrom pairs a combination (load -> source) pins: a store
+    source its store, the self source of an initial-value load the
+    load's `init:<var>` node, any other source nothing."""
+    model, pairs = feas.model, set()
+    for load, source in combination.items():
+        if isinstance(source, StoreSource):
+            pairs.add((load, source.store))
+        elif isinstance(source, SelfSource) and load in feas.initial_loads:
+            pairs.add((load, model.init_nodes[model.node(load).stmt.var]))
+    return frozenset(pairs)
+
+
+def one_cluster(cfg):
+    """The plan of the unsliced modes for `cfg`: one cluster of all its
+    loads."""
+    return {cfg.tid: [loads_of(cfg)]}
 
 
 # --- random loop-free program generation -------------------------------------

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import (
     MODES, POLICY_ORDER, SHARED_VALUE, XINST, instance_programs, node_ids,
-    random_program, repeated_program, self_only,
+    one_cluster, random_program, reads_from, repeated_program, run_thread,
+    self_only,
 )
 from stress_soundness import loopy_program
 from mtir.analysis import (
@@ -21,7 +22,8 @@ from mtir.domain import EMPTY, AbstractEnv, Interval, interval
 from mtir.errors import AnalysisBudgetExceeded, CombinationBudgetExceeded
 from mtir.facts import FeasibilityEngine
 from mtir.interp import (
-    MergedSource, SelfSource, StoreSource, _node_out, analyze_thread,
+    MergedSource, SelfSource, StepTable, StoreSource, _node_out,
+    analyze_thread,
 )
 from mtir.oracle import SoundnessReport
 from mtir.parser import parse
@@ -62,9 +64,9 @@ def test_single_thread_matches_sequential():
     model = model_of("int x = 0;\n"
                      "thread main() { int a = x; x = a + 2; int b = x; }")
     result = analyze(model, AnalysisConfig(mode="fi"))
-    run = analyze_thread(model.thread(0),
-                         AbstractEnv({"x": interval(0, 0)}),
-                         self_only(model.thread(0)))
+    run = run_thread(model.thread(0),
+                     AbstractEnv({"x": interval(0, 0)}),
+                     self_only(model.thread(0)))
     for n in model.thread(0).node_order():
         assert result.te[n] == run.envs[n]
 
@@ -88,7 +90,7 @@ def test_two_load_three_store_combinations(corpus_models, corpus_results):
     reader = model.thread_named("reader")
     ids = node_ids(model)
     policies, generated, rejected, _ = compute_combinations(
-        reader, result.interference, feas)
+        reader, result.interference, feas, one_cluster(reader))
     assert generated == 6 and rejected == 0
     s1, s2, s3 = ids["t2.8"], ids["t2.9"], ids["t2.10"]
 
@@ -108,7 +110,7 @@ def test_no_loads_single_empty_combination(corpus_models, corpus_results):
     feas = FeasibilityEngine(model)
     writer = model.thread_named("writer")
     policies, generated, rejected, _ = compute_combinations(
-        writer, result.interference, feas)
+        writer, result.interference, feas, one_cluster(writer))
     assert policies == [()]
     assert generated == 1 and rejected == 0
 
@@ -129,7 +131,7 @@ def test_load_reads_each_value_from_its_lowest_remote_store():
         assert own < first < second < third
         assert list(index["g"].values) == [interval(1, 1), interval(2, 2)]
         policies, generated, rejected, runs = compute_combinations(
-            a, index, FeasibilityEngine(model),
+            a, index, FeasibilityEngine(model), one_cluster(a),
             feasibility=mode != "fs")
         assert [tuple((s.store, s.value) if isinstance(s, StoreSource)
                       else s for s in policy) for policy in policies] == [
@@ -138,7 +140,7 @@ def test_load_reads_each_value_from_its_lowest_remote_store():
         assert (generated, rejected, runs) == (4, 0, 4)
         # b's load reads a's store, its one remote one
         policies, generated, _, _ = compute_combinations(
-            b, index, FeasibilityEngine(model))
+            b, index, FeasibilityEngine(model), one_cluster(b))
         assert [policy[0].store for policy in policies[:-1]] == [own]
         assert generated == 2
 
@@ -156,7 +158,7 @@ def test_fi_merged_sources_join_each_value_once(monkeypatch):
         return join(self, other)
 
     def counted_combinations(cfg, index, *args, **kwargs):
-        loads = len(cfg.steps.loads)
+        loads = len(loads_of(cfg))
         for stores in index.values():
             counts["bound"] += loads * len({s.value for _, s in stores})
             counts["stores"] += loads * len(stores)
@@ -180,7 +182,7 @@ def test_loop_load_merges_surviving_stores(corpus_models, corpus_results):
     feas = FeasibilityEngine(model)
     main = model.thread(0)
     policies, generated, _, _ = compute_combinations(
-        main, result.interference, feas)
+        main, result.interference, feas, one_cluster(main))
     assert generated == 1
     (source_,) = policies[0]
     assert isinstance(source_, MergedSource)
@@ -217,7 +219,7 @@ def test_combination_cap():
     reader = model.thread_named("thread2")
     with pytest.raises(CombinationBudgetExceeded):
         compute_combinations(reader, result.interference, feas,
-                             combo_cap=5)
+                             one_cluster(reader), combo_cap=5)
 
 
 def test_combination_cap_counts_refuted_sources(tmp_path, capsys):
@@ -229,7 +231,7 @@ def test_combination_cap_counts_refuted_sources(tmp_path, capsys):
     link = model.thread_named("c10")
     policies, generated, rejected, runs = compute_combinations(
         link, result.interference, FeasibilityEngine(model),
-        feasibility=True)
+        one_cluster(link), feasibility=True)
     assert (generated, rejected, runs, len(policies)) == (10, 8, 2, 2)
     with pytest.raises(CombinationBudgetExceeded):
         analyze(model, AnalysisConfig(mode="fsc", combo_cap=5))
@@ -270,7 +272,7 @@ def test_flag_sync_plain_fs_unproven_with_expected_case_split(corpus_models):
     feas = FeasibilityEngine(model)
     reader = model.thread_named("thread2")
     policies, _, _, _ = compute_combinations(reader, result.interference,
-                                             feas)
+                                             feas, one_cluster(reader))
     init = AbstractEnv({"flag": interval(0, 0), "x": interval(0, 0)})
     expected = {
         (ids["t1.6"], ids["t1.4"]): True,   # stale x: false alarm case
@@ -284,7 +286,7 @@ def test_flag_sync_plain_fs_unproven_with_expected_case_split(corpus_models):
     for policy in policies:
         key = tuple(src.store if isinstance(src, StoreSource) else "self"
                     for src in policy)
-        run = analyze_thread(reader, init, policy)
+        run = run_thread(reader, init, policy)
         assert bool(run.violable) == expected[key], key
 
 
@@ -294,8 +296,9 @@ def test_loop_reader_value_excludes_late_store(corpus_models, corpus_results):
     feas = FeasibilityEngine(model)
     main = model.thread(0)
     load = loads_of(main)[0]
-    policies, _, _, _ = compute_combinations(main, result.interference, feas)
-    post = _node_out(main.steps, load - main.first_node, result.te[load],
+    policies, _, _, _ = compute_combinations(main, result.interference, feas,
+                                             one_cluster(main))
+    post = _node_out(StepTable(main), load - main.first_node, result.te[load],
                      policies[0])
     assert post.get("t1") == interval(0, 2)
 
@@ -314,8 +317,9 @@ def test_param_guard_unpruned_three_combinations(corpus_models,
     result = corpus_results["param_guard"]["fs"]
     feas = FeasibilityEngine(model)
     for name in ("thr#1", "thr#2"):
+        cfg = model.thread_named(name)
         _, generated, rejected, _ = compute_combinations(
-            model.thread_named(name), result.interference, feas)
+            cfg, result.interference, feas, one_cluster(cfg))
         assert generated == 3 and rejected == 0
 
 
@@ -328,7 +332,8 @@ def test_disjoint_chains_clustering(corpus_models, corpus_results):
     assert fso_result.stats.clusters == 2
     feas = FeasibilityEngine(model)
     reader = model.thread_named("thread2")
-    _, full, _, _ = compute_combinations(reader, fs_result.interference, feas)
+    _, full, _, _ = compute_combinations(reader, fs_result.interference, feas,
+                                         one_cluster(reader))
     assert full == 4
     graph = build_pdg(model)
     zipped, _, _, _ = compute_combinations(
@@ -603,16 +608,16 @@ def test_termination_within_budget_on_corpus(corpus_results):
             == len(by_mode["fi"].model.threads) * stats.outer_iters, name
 
 
-def _full_product(cfg, index, facts, feasibility=False, plan=None,
+def _full_product(cfg, index, facts, plan, feasibility=False,
                   combo_cap=None, merged=False):
     """Reference `compute_combinations`, built from the (tid, source) lists
     of `index` alone: the whole per-store product of each cluster, every
     combination feasibility-checked on its own, no source dropped or
     merged before the product, clusters zipped.  The active loads are
-    those of the plan's clusters, or all without one; a policy lists
-    their sources in node order."""
+    those of the plan's clusters; a policy lists their sources in node
+    order."""
     loads = loads_of(cfg)
-    groups = [loads] if plan is None else plan.get(cfg.tid, [])
+    groups = plan[cfg.tid]
     active = [l for l in loads if any(l in group for group in groups)]
     sources = {}
     for l in active:
@@ -621,7 +626,7 @@ def _full_product(cfg, index, facts, feasibility=False, plan=None,
                   if tid != cfg.tid]
         if merged or cfg.reach[l] >> l & 1:
             values = [source.value for source in remote if merged
-                      or not facts.must_happen_before(l, source.store)]
+                      or not facts.rows.weak[l] >> source.store & 1]
             sources[l] = [MergedSource(reduce(Interval.join, values))
                           if values else SelfSource()]
         else:
@@ -634,7 +639,8 @@ def _full_product(cfg, index, facts, feasibility=False, plan=None,
         every = [dict(zip(group[::-1], combo)) for combo in
                  itertools.product(*(sources[l] for l in reversed(group)))]
         kept = [combo for combo in every
-                if not feasibility or facts.is_feasible(combo)]
+                if not feasibility
+                or facts.is_feasible(reads_from(facts, combo))]
         generated += len(every)
         rejected += len(every) - len(kept)
         lists.append(kept or [{}])  # all refuted: one self-only run
@@ -732,8 +738,8 @@ def test_resumed_run_counts():
 
 def test_one_model_four_modes_in_any_order():
     # `mtir bench` and perfbench analyze one model in every mode, so what a
-    # thread caches (its compiled step table) must not carry one mode's
-    # identity nodes or interference into the next
+    # thread caches must not carry one mode's identity nodes or
+    # interference into the next
     programs = [source(name) for name in PROGRAMS] + [watchdog_program(4)]
     for text in programs:
         fresh = {mode: report(analyze(model_of(text),
@@ -746,13 +752,28 @@ def test_one_model_four_modes_in_any_order():
                 assert got == fresh[mode], (text[:40], order, mode)
 
 
-def test_instances_share_one_step_table():
+def compiled_tables(monkeypatch):
+    """The (routine, identity nodes) of each step table `analyze` builds,
+    in build order."""
+    from mtir import analysis as analysis_mod
+    built = []
+
+    def counted(cfg, identity=frozenset(), _original=StepTable):
+        built.append((cfg.routine, identity))
+        return _original(cfg, identity)
+
+    monkeypatch.setattr(analysis_mod, "StepTable", counted)
+    return built
+
+
+def test_instances_share_one_step_table(monkeypatch):
     # a routine's statements compile once, whatever its instance count
-    model = model_of(watchdog_program(4))
+    model = model_of(watchdog_program(16))
     dogs = [cfg for cfg in model.threads if cfg.routine == "dog"]
-    assert len(dogs) == 4
-    assert all(cfg.steps is dogs[0].steps for cfg in dogs)
-    assert model.threads[0].steps is not dogs[0].steps
+    assert len(dogs) == 16
+    built = compiled_tables(monkeypatch)
+    analyze(model, AnalysisConfig(mode="fs"))
+    assert built == [("main", frozenset()), ("dog", frozenset())]
 
 
 def test_sliced_instances_share_one_step_table(monkeypatch):
@@ -778,7 +799,10 @@ def test_sliced_instances_share_one_step_table(monkeypatch):
     assert len(dogs) == 16
     (table,) = set.union(*(received[cfg.tid] for cfg in dogs))
     assert table is not None and table.size == len(dogs[0].nodes)
-    assert not any("steps" in vars(cfg) for cfg in dogs)
+    built = compiled_tables(monkeypatch)
+    analyze(model, AnalysisConfig(mode="fso"))
+    assert [routine for routine, _ in built] == ["main", "dog"]
+    assert ("dog", frozenset()) not in built
 
 
 def test_chain_run_counts():

@@ -7,13 +7,14 @@ from mtir.ast import BinOp, IntLit, Var, expr_vars
 from mtir.bench import chain_program, watchdog_program
 from mtir.cfg import (
     SAssert, SBranch, SCreate, SExit, SJoin, SLoad, SLocal, SNondet, SNop,
-    SStore, ThreadCfg, _instantiate, build_model, dominator_sets, loads_of,
-    reachable_sets,
+    SStore, ThreadCfg, _instantiate, bits, build_model, dominator_sets,
+    loads_of, reachable_sets,
 )
 from mtir.errors import (
     CreateInLoopError, JoinWithoutCreateError, ModelError,
     RecursiveCreateError,
 )
+from mtir.interp import StepTable
 from mtir.parser import parse
 from mtir.corpus import PROGRAMS, source
 
@@ -65,7 +66,7 @@ def test_while_reloads_condition_each_iteration():
     model = model_of("int x = 0;\nthread main() { while (x < 3) { x = x + 1; } }")
     cfg = model.thread(0)
     cond_load = loads_of(cfg)[0]  # the hoisted load feeding the branch
-    body_store = cfg.stores_by_var["x"][-1]
+    *_, body_store = bits(model.stores["x"] & cfg.mask)
     # the loop body flows back to the condition load, so it re-executes
     assert any(dst == cond_load for dst, _ in cfg.succs[body_store])
 
@@ -105,8 +106,8 @@ def test_loads_of_flag_sync():
     assert [model.node_name(n) for n in loads_of(t2)] == ["t2.9", "t2.11"]
     t1 = model.thread_named("thread1")
     assert loads_of(t1) == []
-    assert {var: [model.node_name(n) for n in stores]
-            for var, stores in t1.stores_by_var.items()} \
+    assert {var: [model.node_name(n) for n in bits(stores & t1.mask)]
+            for var, stores in model.stores.items() if stores & t1.mask} \
         == {"x": ["t1.4", "t1.5"], "flag": ["t1.6"]}
 
 
@@ -200,7 +201,8 @@ def test_copies_equal_fresh_lowering():
 
 def test_derived_sets_equal_fresh_computation():
     for text in instance_programs():
-        for cfg in model_of(text).threads:
+        model = model_of(text)
+        for cfg in model.threads:
             dom = dominator_sets(cfg.succs, cfg.entry)
             stores = {}
             for n in cfg.node_order():
@@ -208,10 +210,14 @@ def test_derived_sets_equal_fresh_computation():
                     stores.setdefault(cfg.nodes[n].stmt.var, []).append(n)
             assert cfg.reach == reachable_sets(cfg.succs), (text, cfg.name)
             assert cfg.dominators == dom, (text, cfg.name)
-            assert cfg.steps.loop_heads == {
+            assert StepTable(cfg).loop_heads == {
                 n - cfg.first_node for m, edges in cfg.succs.items()
                 for n, _ in edges if dom[m] >> n & 1}, (text, cfg.name)
-            assert cfg.stores_by_var == stores, (text, cfg.name)
+            assert {var: list(bits(mask & cfg.mask))
+                    for var, mask in model.stores.items()
+                    if mask & cfg.mask} == stores, (text, cfg.name)
+            assert cfg.mask == sum(1 << n for n in cfg.nodes), \
+                (text, cfg.name)
 
 
 def test_deep_creation_chain_builds():

@@ -54,6 +54,8 @@ BAD_INPUTS = {
     "join-before-create": b"int g = 0; thread w() { g = 1; } thread main() "
                           b"{ join(w); create(w); int t = g; "
                           b"assert(t >= 0); }",
+    "bool-global-of-5": b"bool b = 5;\nthread main() { int x = b; "
+                        b"assert(x == 5); }",
 }
 
 
@@ -347,7 +349,8 @@ def test_bench_unknown_family(capsys):
 def test_bench_rejects_non_positive_sizes(capsys):
     cases = {("--sizes=-4",): "sizes must be at least 1",
              ("--family=chain", "--sizes=0"): "sizes must be at least 1",
-             ("--sizes=,",): "no sizes given"}
+             ("--sizes=,",): "no sizes given",
+             ("--sizes=1,x",): "--sizes: 'x' is not an integer"}
     for argv, message in cases.items():
         status, out, err = run_cli(capsys, "bench", *argv)
         assert status == 2, argv

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from conftest import node_ids, random_program, repeated_program
+from conftest import node_ids, random_program, reads_from, repeated_program
 from mtir.analysis import AnalysisConfig, analyze
 from mtir.bench import chain_program, watchdog_program
-from mtir.cfg import bits, build_model, is_store, loads_of
+from mtir.cfg import SStore, bits, build_model, loads_of
 from mtir.domain import TOP
 from mtir.facts import (
     RULES, FactBase, FeasibilityEngine, build_base_facts,
@@ -71,7 +71,8 @@ def test_join_orders_child_before_continuation():
     facts = build_base_facts(model)
     ids = node_ids(model)
     mhb = facts.relations["MHB"]
-    store = next(n.id for n in model.all_nodes() if is_store(n))
+    store = next(n.id for n in model.all_nodes()
+                 if isinstance(n.stmt, SStore))
     load = loads_of(model.thread(0))[0]
     assert (store, load) in mhb
 
@@ -165,7 +166,7 @@ def test_empty_reads_from_is_feasible(flag_sync):
     model, feas, ids = flag_sync
     feasible, _ = feas.check_facts([])
     assert feasible
-    assert feas.is_feasible({}) is True
+    assert feas.is_feasible(frozenset()) is True
 
 
 def test_initial_read_after_flag_rejected(flag_sync):
@@ -174,7 +175,10 @@ def test_initial_read_after_flag_rejected(flag_sync):
     combo = {ids["t2.9"]: StoreSource(ids["t1.6"], TOP),
              ids["t2.11"]: SelfSource()}
     assert ids["t2.11"] in feas.initial_loads
-    assert not feas.is_feasible(combo)
+    rf = reads_from(feas, combo)
+    assert rf == {(ids["t2.9"], ids["t1.6"]),
+                  (ids["t2.11"], model.init_nodes["x"])}
+    assert not feas.is_feasible(rf)
 
 
 def test_initial_value_load_conditions():
@@ -195,8 +199,8 @@ def test_add_remove_symmetry(flag_sync):
     model, feas, ids = flag_sync
     before = {name: set(tuples)
               for name, tuples in feas.base.relations.items()}
-    feas.is_feasible({ids["t2.9"]: StoreSource(ids["t1.6"], TOP),
-                      ids["t2.11"]: StoreSource(ids["t1.4"], TOP)})
+    feas.is_feasible(frozenset({(ids["t2.9"], ids["t1.6"]),
+                                (ids["t2.11"], ids["t1.4"])}))
     feas.check_facts([(ids["t2.9"], ids["t1.6"])])
     after = {name: set(tuples) for name, tuples in feas.base.relations.items()}
     assert before == after
@@ -212,10 +216,9 @@ def test_rule5_consistency(flag_sync):
     for load in loads:
         var = model.node(load).stmt.var
         for node in model.all_nodes():
-            if is_store(node) and node.stmt.var == var \
+            if isinstance(node.stmt, SStore) and node.stmt.var == var \
                     and (load, node.id) in mhb:
-                combo = {load: StoreSource(node.id, TOP)}
-                assert not feas.is_feasible(combo)
+                assert not feas.is_feasible(frozenset({(load, node.id)}))
 
 
 def _combinations(model, groups):
@@ -227,7 +230,7 @@ def _combinations(model, groups):
             load = model.node(l)
             remote = [StoreSource(n.id, TOP)
                       for n in model.all_nodes()
-                      if is_store(n) and n.tid != load.tid
+                      if isinstance(n.stmt, SStore) and n.tid != load.tid
                       and n.stmt.var == load.stmt.var]
             options.append(remote + [SelfSource()])
         for pick in itertools.product(*options):
@@ -271,7 +274,8 @@ def _chain_combinations(model, depth):
     def store(k):
         cfg = link["c%d" % k]
         return StoreSource(next(n for n in cfg.node_order()
-                                if is_store(cfg.nodes[n])), TOP)
+                                if isinstance(cfg.nodes[n].stmt, SStore)),
+                           TOP)
 
     yield {load(depth): store(depth - 1)}
     yield {load(depth): store(1)}
@@ -296,8 +300,8 @@ def test_fast_path_agrees_with_full_closure():
     for name, model, combinations in cases:
         feas = FeasibilityEngine(model)
         for combo in combinations:
-            rf = feas.reads_from_facts(combo)
-            fast = feas.is_feasible(combo)
+            rf = reads_from(feas, combo)
+            fast = feas.is_feasible(rf)
             full, _ = feas.check_facts(rf)
             assert fast == full, (name, rf)
 
@@ -362,9 +366,10 @@ def test_must_happen_before_queries():
     model = model_of(source("loop_reader"))
     feas = FeasibilityEngine(model)
     ids = node_ids(model)
-    assert feas.must_happen_before(ids["t0.5"], ids["t2.14"])
-    assert not feas.must_happen_before(ids["t0.5"], ids["t1.10"])
-    assert not feas.must_happen_before(ids["t0.5"], ids["t0.5"])
+    row = feas.rows.weak[ids["t0.5"]]
+    assert row >> ids["t2.14"] & 1
+    assert not row >> ids["t1.10"] & 1
+    assert not row >> ids["t0.5"] & 1
 
 
 # --- rule scenarios on hand-built fact bases -------------------------------------

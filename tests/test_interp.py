@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import MODES, XINST, instance_programs, node_ids, \
-    policy_of, random_program, self_only
+    one_cluster, policy_of, random_program, run_thread, self_only
 from stress_soundness import loopy_program
 from mtir.analysis import AnalysisConfig, analyze
 from mtir.cfg import SLocal, build_model, loads_of
@@ -29,9 +29,9 @@ def init_env(model):
 
 def is_stable(cfg, run, policy, init, table=None):
     """Fixpoint check: one more sweep must change nothing.  Like the run,
-    it walks the step table (the routine's own by default) by relative
+    it walks the step table (the routine unsliced by default) by relative
     node id."""
-    table = cfg.steps if table is None else table
+    table = StepTable(cfg) if table is None else table
     if not init.leq(run.envs[table.entry]):
         return False
     for n, edges in enumerate(table.succs):
@@ -57,7 +57,7 @@ def merged(cfg, summary):
 def test_writer_thread_self_only(flag_sync):
     model = flag_sync
     t1 = model.thread_named("thread1")
-    run = analyze_thread(t1, init_env(model), self_only(t1))
+    run = run_thread(t1, init_env(model), self_only(t1))
     ids = node_ids(model)
     # before the flag store: both earlier stores have landed
     env = env_at(t1, run, ids["t1.6"])
@@ -69,7 +69,7 @@ def test_reader_with_joined_interference(flag_sync):
     model = flag_sync
     t2 = model.thread_named("thread2")
     policy = merged(t2, {"x": interval(4, 5), "flag": interval(1, 1)})
-    run = analyze_thread(t2, init_env(model), policy)
+    run = run_thread(t2, init_env(model), policy)
     ids = node_ids(model)
     env = env_at(t2, run, ids["t2.12"])  # guard on t1, in the taken branch
     assert not env.bottom
@@ -84,15 +84,15 @@ def test_reader_with_pinned_sources(flag_sync):
     ids = node_ids(model)
     t1 = model.thread_named("thread1")
     t2 = model.thread_named("thread2")
-    writer = analyze_thread(t1, init_env(model), self_only(t1))
-    steps, base = t1.steps.transfer, t1.first_node
+    writer = run_thread(t1, init_env(model), self_only(t1))
+    steps, base = StepTable(t1).transfer, t1.first_node
     post_l5 = steps[ids["t1.5"] - base](env_at(t1, writer, ids["t1.5"]))
     post_l6 = steps[ids["t1.6"] - base](env_at(t1, writer, ids["t1.6"]))
     # flag from its store, x from the final store: consistent snapshot
     policy = policy_of(t2, {
         ids["t2.9"]: StoreSource(ids["t1.6"], post_l6.get("flag")),
         ids["t2.11"]: StoreSource(ids["t1.5"], post_l5.get("x"))})
-    run = analyze_thread(t2, init_env(model), policy)
+    run = run_thread(t2, init_env(model), policy)
     assert env_at(t2, run, ids["t2.12"]).get("t1") == interval(5, 5)
     assert env_at(t2, run, ids["t2.13"]).bottom
     assert not run.violable
@@ -104,7 +104,7 @@ def test_self_source_reads_local(flag_sync):
     t2 = model.thread_named("thread2")
     policy = policy_of(t2, {ids["t2.9"]: SelfSource(),
                             ids["t2.11"]: SelfSource()})
-    run = analyze_thread(t2, init_env(model), policy)
+    run = run_thread(t2, init_env(model), policy)
     # flag is never set by this thread, so the branch cannot be taken
     assert env_at(t2, run, ids["t2.11"]).bottom
     assert not run.violable
@@ -150,15 +150,15 @@ def test_policy_must_cover_every_load(flag_sync):
     # a policy holds one source per load of the table, in its load order
     t2 = flag_sync.thread_named("thread2")
     policy = self_only(t2)
-    assert len(policy) == len(t2.steps.loads) == 2
+    assert len(policy) == len(StepTable(t2).loads) == 2
     for wrong in (policy[1:], policy + (SelfSource(),)):
         with pytest.raises(ValueError):
-            analyze_thread(t2, init_env(flag_sync), wrong)
+            run_thread(t2, init_env(flag_sync), wrong)
 
 
 def test_bottom_init_short_circuits(flag_sync):
     t2 = flag_sync.thread_named("thread2")
-    run = analyze_thread(t2, AbstractEnv.bot(), self_only(t2))
+    run = run_thread(t2, AbstractEnv.bot(), self_only(t2))
     assert all(env.bottom for env in run.envs)
 
 
@@ -166,7 +166,7 @@ def test_widening_terminates_unbounded_loop():
     model = build_model(parse(
         "int x = 0;\nthread main() { int i = 0; while (*) { i = i + 1; } }"))
     cfg = model.thread(0)
-    run = analyze_thread(cfg, init_env(model), self_only(cfg))
+    run = run_thread(cfg, init_env(model), self_only(cfg))
     assert env_at(cfg, run, cfg.exit).get("i") == interval(0, None)
 
 
@@ -174,7 +174,7 @@ def test_narrowing_recovers_loop_bound():
     model = build_model(parse(
         "thread main() { int i = 0; while (i < 8) { i = i + 1; } }"))
     cfg = model.thread(0)
-    run = analyze_thread(cfg, AbstractEnv({}), self_only(cfg))
+    run = run_thread(cfg, AbstractEnv({}), self_only(cfg))
     assert env_at(cfg, run, cfg.exit).get("i") == interval(8, 8)
 
 
@@ -199,8 +199,8 @@ def test_visit_budget(monkeypatch):
         "thread main() { int i = 0; while (i < 100) { i = i + 1; } }"))
     monkeypatch.setattr("mtir.interp.VISIT_BUDGET", 50)
     with pytest.raises(AnalysisBudgetExceeded):
-        analyze_thread(model.thread(0), AbstractEnv({}),
-                       self_only(model.thread(0)), widening_delay=10 ** 9)
+        run_thread(model.thread(0), AbstractEnv({}),
+                   self_only(model.thread(0)), widening_delay=10 ** 9)
 
 
 # main's first shared read is in its loop, after the loop head's first
@@ -301,10 +301,10 @@ def test_resumed_run_exceeds_budget_at_the_same_visit(monkeypatch):
         "int g = 0;\nthread main() { int i = 0; while (i < 6) { i = i + 1; }"
         " int j = 0; while (j < 30) { int t = g; j = j + 1; } }"))
     cfg, init = model.thread(0), init_env(model)
-    policy, delay = self_only(cfg), 10 ** 9
+    table, policy, delay = StepTable(cfg), self_only(cfg), 10 ** 9
     prefixes = {}
     assert not analyze_thread(cfg, init, policy, widening_delay=delay,
-                              prefixes=prefixes).resumed
+                              table=table, prefixes=prefixes).resumed
     (prefix,) = prefixes.values()
 
     def gives_up(budget, stored):
@@ -312,7 +312,7 @@ def test_resumed_run_exceeds_budget_at_the_same_visit(monkeypatch):
         resumes = bool(stored)
         try:
             run = analyze_thread(cfg, init, policy, widening_delay=delay,
-                                 prefixes=stored)
+                                 table=table, prefixes=stored)
         except AnalysisBudgetExceeded:
             return True
         assert run.resumed == resumes
@@ -342,13 +342,14 @@ def test_entry_load_stores_and_looks_up_no_prefix():
         "int g = 0;\nthread main() { int t = g; int i = 0;"
         " while (i < 5) { i = i + 1; } int u = g; }"))
     cfg, init = model.thread(0), init_env(model)
-    assert cfg.steps.entry in cfg.steps.loads
+    full = StepTable(cfg)
+    assert full.entry in full.loads
     prefixes = Prefixes()
     for _ in range(2):
-        assert not analyze_thread(cfg, init, self_only(cfg),
+        assert not analyze_thread(cfg, init, self_only(cfg), table=full,
                                   prefixes=prefixes).resumed
     assert not lookups and not prefixes
-    sliced = StepTable(cfg, frozenset({cfg.steps.entry}))
+    sliced = StepTable(cfg, frozenset({full.entry}))
     runs = [analyze_thread(cfg, init, self_only(cfg, sliced), table=sliced,
                            prefixes=prefixes)
             for _ in range(2)]
@@ -364,7 +365,7 @@ def test_step_table_compiles_identity_nodes_as_no_ops():
         "int g = 0;\nthread main() { int t = g; int u = g;"
         " if (t > 0) { g = t; } assert(u >= v); }"))
     cfg = model.thread(0)
-    full = cfg.steps
+    full = StepTable(cfg)
     first = min(full.loads)
     identity = frozenset(range(full.size)) - {first}
     sliced = StepTable(cfg, identity)
@@ -390,8 +391,8 @@ def test_prefixes_are_keyed_on_step_table():
     _, bump = [r for r, n in enumerate(cfg.node_order())
                if isinstance(cfg.nodes[n].stmt, SLocal)
                and cfg.nodes[n].stmt.target == "i"]
-    prefixes = {}
-    assert not analyze_thread(cfg, init, self_only(cfg),
+    prefixes, full = {}, StepTable(cfg)
+    assert not analyze_thread(cfg, init, self_only(cfg), table=full,
                               prefixes=prefixes).resumed
     assert len(prefixes) == 1
     sliced = StepTable(cfg, frozenset({bump}))
@@ -400,7 +401,7 @@ def test_prefixes_are_keyed_on_step_table():
     fresh = analyze_thread(cfg, init, self_only(cfg, sliced), table=sliced)
     assert not run.resumed
     assert run.envs == fresh.envs and run.violable == fresh.violable
-    (load,) = cfg.steps.loads
+    (load,) = full.loads
     assert fresh.envs[load].bottom  # the read of g is never reached
 
 
@@ -413,10 +414,10 @@ def test_stabilization_under_pinned_sources(flag_sync):
     feas = FeasibilityEngine(model)
     reader = model.thread_named("thread2")
     policies, _, _, _ = compute_combinations(reader, result.interference,
-                                             feas)
+                                             feas, one_cluster(reader))
     init = init_env(model)
     for policy in policies:
-        run = analyze_thread(reader, init, policy)
+        run = run_thread(reader, init, policy)
         assert is_stable(reader, run, policy, init)
 
 
@@ -428,7 +429,7 @@ def test_stabilization_fixpoint_check(seed):
         env = init
         for param, value in cfg.params.items():
             env = env.set(param, const(value))
-        run = analyze_thread(cfg, env, self_only(cfg))
+        run = run_thread(cfg, env, self_only(cfg))
         assert is_stable(cfg, run, self_only(cfg), env)
 
 
@@ -439,8 +440,8 @@ def test_policy_monotonicity(seed):
     summary = {var: interval(rng.randint(-8, 0), rng.randint(1, 9))
                for var in model.globals}
     for cfg in model.threads:
-        base = analyze_thread(cfg, init_env(model), self_only(cfg))
-        fed = analyze_thread(cfg, init_env(model), merged(cfg, summary))
+        base = run_thread(cfg, init_env(model), self_only(cfg))
+        fed = run_thread(cfg, init_env(model), merged(cfg, summary))
         for env, fed_env in zip(base.envs, fed.envs):
             assert env.leq(fed_env)
 

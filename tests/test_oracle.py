@@ -8,6 +8,7 @@ from mtir.cfg import build_model, loads_of
 from mtir.cli import main as cli_main
 from mtir.errors import OracleBudgetExceeded
 from mtir.facts import FeasibilityEngine
+from mtir.interp import StepTable
 from mtir.oracle import (
     OracleBounds, check_abstraction, enumerate_executions, eval_concrete,
     static_rejections,
@@ -82,9 +83,9 @@ def test_read_map_producer_wrote_the_value():
     # and each initial store's
     written = {init: model.globals[var]
                for var, init in model.init_nodes.items()}
-    from mtir.cfg import is_store
+    from mtir.cfg import SStore
     for node in model.all_nodes():
-        if is_store(node):
+        if isinstance(node.stmt, SStore):
             written[node.id] = eval_concrete(node.stmt.expr, {})
     for record in enumerate_executions(model):
         observed = {}
@@ -196,7 +197,8 @@ def test_never_assigned_local_reads_zero(tmp_path, text, thread, unassigned):
     program = tmp_path / "program.mtir"
     program.write_text(text)
     model = model_of(text)
-    assert model.thread_named(thread).steps.unassigned_locals == unassigned
+    assert StepTable(model.thread_named(thread)).unassigned_locals \
+        == unassigned
     records = enumerate_executions(model)
     for mode in ("fi", "fs", "fsc", "fso"):
         assert cli_main(["analyze", str(program), "--mode=" + mode]) == 0, \

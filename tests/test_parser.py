@@ -109,6 +109,18 @@ def test_syntax_error_position():
     assert err.value.col == 21
 
 
+def test_bool_global_takes_only_truth_values():
+    # booleans are 0/1: any other initializer would print back as `true`
+    for init, value in (("true", 1), ("false", 0), ("0", 0), ("1", 1)):
+        prog = parse("bool b = %s; thread main() { }" % init)
+        assert prog.globals == [("b", "bool", value)]
+    for init in ("5", "-1", "2"):
+        with pytest.raises(MtirSyntaxError) as err:
+            parse("bool b = %s; thread main() { }" % init)
+        assert (err.value.line, err.value.col) == (1, 10), init
+        assert "bool global 'b'" in str(err.value)
+
+
 def test_unexpected_character():
     with pytest.raises(MtirSyntaxError):
         parse("thread main() { x = 1 @ 2; }")

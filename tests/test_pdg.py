@@ -1,7 +1,9 @@
-from conftest import instance_programs, node_ids
+from conftest import instance_programs, node_ids, one_cluster
 from mtir.analysis import AnalysisConfig, analyze
 from mtir.bench import chain_program
-from mtir.cfg import ProgramModel, build_model, is_load, is_store, loads_of
+from mtir.cfg import (
+    ProgramModel, SStore, build_model, is_load, loads_of,
+)
 from mtir.interp import StoreSource
 from mtir.parser import parse
 from mtir.pdg import (
@@ -154,7 +156,8 @@ def test_single_cluster_equals_full_product():
     reader = model.thread_named("thread2")
     zipped, zgen, _, _ = compute_combinations(reader, result.interference,
                                               feas, plan=plan)
-    full, fgen, _, _ = compute_combinations(reader, result.interference, feas)
+    full, fgen, _, _ = compute_combinations(reader, result.interference, feas,
+                                            one_cluster(reader))
     assert plan[reader.tid] == [loads_of(reader)]
     assert zgen == fgen == 6
     assert [tuple(map(by_store, policy)) for policy in zipped] \
@@ -175,7 +178,8 @@ def test_cluster_schedule_covers_each_cluster_fully():
     t2 = model.thread_named("thread2")
     zipped, _, _, _ = compute_combinations(t2, result.interference,
                                            feas, plan=plan)
-    full, _, _, _ = compute_combinations(t2, result.interference, feas)
+    full, _, _, _ = compute_combinations(t2, result.interference, feas,
+                                         one_cluster(t2))
     # both list every load's source in node order: each load is on-slice
     loads = loads_of(t2)
     assert sorted(l for group in plan[t2.tid] for l in group) == loads
@@ -210,7 +214,8 @@ def test_shifted_dependences_equal_fresh_ones():
         for node in model.all_nodes():
             if is_load(node):
                 for other in model.all_nodes():
-                    if is_store(other) and other.stmt.var == node.stmt.var:
+                    if isinstance(other.stmt, SStore) \
+                            and other.stmt.var == node.stmt.var:
                         fresh.add("dd", other.id, node.id)
         for create_node, child in model.creates:
             fresh.add("dd", create_node, model.thread(child).entry)

@@ -142,18 +142,9 @@ class ThreadCfg(Record):
         return min(self.nodes)
 
     @cached_property
-    def preds(self) -> dict[int, list[int]]:
-        """Predecessors of each node."""
-        out = {n: [] for n in self.nodes}
-        for n, edges in self.succs.items():
-            for dst, _ in edges:
-                out[dst].append(n)
-        return out
-
-    @cached_property
     def dominators(self) -> dict[int, int]:
         """Dominator masks from the entry; each includes its own node."""
-        return dominator_sets(self.succs, self.entry)
+        return dominator_sets(self.succs, self.entry, self.node_order())
 
     # the graph is fixed once `build_model` returns, so a later instance
     # shifts its routine's reachability
@@ -267,69 +258,54 @@ def bits(mask: int):
         mask ^= low
 
 
-def reachable_sets(succs: dict[int, list[Edge]]) -> dict[int, int]:
-    """reachable_sets(g)[n] = mask of the nodes reachable from n via a
-    nonempty path.  Iterated in reverse node order: in a lowered CFG every
-    edge but a back edge, or the one from a synthetic entry, leads to a
-    later node, so each pass settles all that does not wait on those."""
-    plain = {n: [dst for dst, _ in edges] for n, edges in succs.items()}
-    order = sorted(plain, reverse=True)
-    reach = dict.fromkeys(plain, 0)
+def flow_masks(succs, order, seed, gen, kill):
+    """The least masks `into`, at least `seed`, with `into[m]` holding
+    `into[n] & ~kill[n] | gen[n]` on every edge n -> m: a monotone
+    bit-vector data-flow problem (Kildall, POPL 1973), solved by passes
+    over the nodes in `order` until one grows nothing.  The masks do not
+    depend on `order`, the number of passes does: a pass settles each
+    node whose in edges all come from nodes before it.  `succs[n]` lists
+    n's out edges as `(target, filter)` pairs, filters ignored; `seed`,
+    `gen` and `kill` are indexed like it, lists or dicts alike."""
+    into = seed.copy()
     changed = True
     while changed:
         changed = False
         for n in order:
-            mask = 0
-            for s in plain[n]:
-                mask |= 1 << s | reach[s]
-            if mask != reach[n]:
-                reach[n] = mask
-                changed = True
-    return reach
+            out = into[n] & ~kill[n] | gen[n]
+            for m, _ in succs[n]:
+                if out & ~into[m]:
+                    into[m] |= out
+                    changed = True
+    return into
 
 
-def dominator_sets(succs: dict[int, list[Edge]], entry: int) -> dict[int, int]:
-    """Iterative forward data-flow over reverse postorder; dom[n] is a
-    mask that includes n."""
-    plain = {n: [dst for dst, _ in edges] for n, edges in succs.items()}
-    preds = {n: [] for n in plain}
-    for n, ss in plain.items():
-        for s in ss:
-            preds[s].append(n)
+def reachable_sets(succs: dict[int, list[Edge]]) -> dict[int, int]:
+    """reachable_sets(g)[n] = mask of the nodes reachable from n via a
+    nonempty path: each node's bit flows back along its in edges, in
+    reverse node order.  In a lowered CFG every edge but a back edge, or
+    the one from a synthetic entry, leads to a later node, so each pass
+    settles all that does not wait on those."""
+    back = {n: [] for n in succs}
+    for n, edges in succs.items():
+        for dst, _ in edges:
+            back[dst].append((n, None))
+    none = dict.fromkeys(succs, 0)
+    return flow_masks(back, sorted(succs, reverse=True), none,
+                      {n: 1 << n for n in succs}, none)
 
-    # depth-first postorder with an explicit stack: a straight-line thread
-    # is a path as deep as it is long
-    order = []
-    seen = {entry}
-    stack = [(entry, iter(plain[entry]))]
-    while stack:
-        n, rest = stack[-1]
-        for s in rest:
-            if s not in seen:
-                seen.add(s)
-                stack.append((s, iter(plain[s])))
-                break
-        else:
-            stack.pop()
-            order.append(n)
-    rpo = list(reversed(order))
 
-    # a node not yet in `dom` stands for the set of all nodes, -1, the
-    # start of the descending iteration; in reverse postorder every node
-    # after the entry has a predecessor before it
-    dom = {entry: 1 << entry}
-    changed = True
-    while changed:
-        changed = False
-        for n in rpo[1:]:
-            new = -1
-            for p in preds[n]:
-                new &= dom.get(p, -1)
-            new |= 1 << n
-            if new != dom.get(n):
-                dom[n] = new
-                changed = True
-    return dom
+def dominator_sets(succs: dict[int, list[Edge]], entry: int,
+                   order) -> dict[int, int]:
+    """dom[n] is a mask of the nodes on every path from `entry` to n, n
+    included, solved in `order` as its complement: the nodes some path
+    to n avoids before n, all of them at the entry, each node's own bit
+    removed on its out edges."""
+    kill = {n: 1 << n for n in succs}
+    every = sum(kill.values())
+    none = dict.fromkeys(succs, 0)
+    avoid = flow_masks(succs, order, {**none, entry: every}, none, kill)
+    return {n: every & ~avoid[n] | kill[n] for n in succs}
 
 
 # --- lowering ----------------------------------------------------------------
@@ -587,8 +563,9 @@ def build_model(prog: SourceProgram) -> ProgramModel:
                 avail = pending.get(stmt.routine)
                 if not avail:
                     raise JoinWithoutCreateError(
-                        f"{cfg.name}: join({stmt.routine}) has no matching "
-                        "create before it in this thread")
+                        f"line {cfg.nodes[nid].line}: {cfg.name}: "
+                        f"join({stmt.routine}) has no matching create "
+                        "before it in this thread")
                 joins.append((nid, avail.pop(0)))
 
     assertions = [node.id
@@ -621,7 +598,7 @@ def _check_normalization(model: ProgramModel):
                                 and not isinstance(s, (SLoad, SStore))):
                 raise ModelError(
                     f"node {model.node_name(nid)} breaks normalization: {s}")
-        if cfg.preds[cfg.entry]:
+        if cfg.reach[cfg.entry] >> cfg.entry & 1:
             raise ModelError(f"{cfg.name}: entry node has predecessors")
         missing = [n for n in cfg.node_order()
                    if n != cfg.entry and not cfg.reach[cfg.entry] >> n & 1]

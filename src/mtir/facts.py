@@ -393,19 +393,10 @@ class _OrderingRows:
         # each edge target with every node strongly after it
         beyond: dict = {}
 
-        # per set of edge sources, their targets' rows: the set without
-        # its lowest source, plus that source's target
-        parts = {0: 0}
-
         def through_edges(p, local):
-            todo = [(local | 1 << p) & sources[p]]
-            while todo[-1] not in parts:
-                todo.append(todo[-1] & todo[-1] - 1)
-            for mask in reversed(todo[:-1]):
-                low = mask & -mask
-                parts[mask] = parts[mask ^ low] | beyond[
-                    edge[low.bit_length() - 1]]
-            return local | parts[todo[0]]
+            for q in bits((local | 1 << p) & sources[p]):
+                local |= beyond[edge[q]]
+            return local
 
         # targets first: build_model resolves a join only against an
         # earlier create of its thread, so the edges cannot close a cycle

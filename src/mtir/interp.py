@@ -19,7 +19,9 @@ from __future__ import annotations
 from collections import deque
 from functools import cached_property
 
-from .cfg import SAssert, SLoad, SNop, SStore, ThreadCfg, defs_and_uses
+from .cfg import (
+    SAssert, SLoad, SNop, SStore, ThreadCfg, defs_and_uses, flow_masks,
+)
 from .domain import AbstractEnv, Interval, compile_filter, compile_transfer
 from .errors import AnalysisBudgetExceeded
 from .record import Record, Value, set_field
@@ -120,19 +122,15 @@ class StepTable:
                            for dst, _ in edges
                            if cfg.dominators[m] >> dst & 1}
         self.sweep_order = [r for r in range(self.size) if r != self.entry]
-        # the locals some path from the entry reads before assigning: a
-        # forward pass over masks of the locals maybe unassigned
+        # the locals some path from the entry reads before assigning: the
+        # locals maybe unassigned at each node, all of them at the entry
         unset = [0] * self.size
-        unset[self.entry], changed = sum(bit.values()), True
-        while changed:
-            changed, read = False, 0
-            for r, edges in enumerate(self.succs):
-                read |= reads[r] & unset[r]
-                out = unset[r] & ~kills[r]
-                for dst, _ in edges:
-                    if out & ~unset[dst]:
-                        unset[dst] |= out
-                        changed = True
+        unset[self.entry] = sum(bit.values())
+        unset = flow_masks(self.succs, range(self.size), unset,
+                           [0] * self.size, kills)
+        read = 0
+        for r in range(self.size):
+            read |= reads[r] & unset[r]
         self.unassigned_locals = tuple(sorted(v for v in bit if read & bit[v]))
 
     @cached_property

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .cfg import (
     ProgramModel, SBranch, SCreate, SExit, SJoin, SLoad, SNop, ThreadCfg,
-    bits, defs_and_uses, dominator_sets, is_load, loads_of,
+    bits, defs_and_uses, dominator_sets, flow_masks, is_load, loads_of,
 )
 from .record import Record
 
@@ -62,7 +62,7 @@ def _post_dominators(cfg: ThreadCfg):
     for n in cfg.nodes:
         if n != cfg.exit and not cfg.reach[n] >> cfg.exit & 1:
             rsuccs[virtual].append((n, None))  # sink without an exit path
-    return dominator_sets(rsuccs, virtual)
+    return dominator_sets(rsuccs, virtual, sorted(rsuccs, reverse=True))
 
 
 def _control_dependence(cfg: ThreadCfg, graph: DependenceGraph):
@@ -86,30 +86,18 @@ def _data_dependence(cfg: ThreadCfg, graph: DependenceGraph):
     last = max(cfg.nodes)
     sites = {p: 1 << k for k, p in enumerate(cfg.params, last + 1)}
     params = sum(sites.values())
-    defs, uses = {}, {}
+    defs, uses, gen = {}, {}, {}
     for n in nodes:
         defs[n], uses[n] = defs_and_uses(cfg.nodes[n].stmt)
+        gen[n] = 1 << n if defs[n] else 0
         for var in defs[n]:
-            sites[var] = sites.get(var, 0) | 1 << n
+            sites[var] = sites.get(var, 0) | gen[n]
     # a definition kills every site of its local, its own included (a
     # node defines at most one)
     kill = {n: sum(sites[var] for var in defs[n]) for n in nodes}
-
-    preds = cfg.preds
-    reaching = dict.fromkeys(nodes, 0)  # sites reaching each node
-    out = dict.fromkeys(nodes, 0)
-    changed = True
-    while changed:
-        changed = False
-        for n in nodes:
-            incoming = params if n == cfg.entry else 0
-            for p in preds[n]:
-                incoming |= out[p]
-            reaching[n] = incoming
-            new = incoming & ~kill[n] | (1 << n if defs[n] else 0)
-            if new != out[n]:
-                out[n] = new
-                changed = True
+    reaching = flow_masks(  # the sites reaching each node
+        cfg.succs, nodes, {**dict.fromkeys(nodes, 0), cfg.entry: params},
+        gen, kill)
 
     for n in nodes:
         for var in uses[n]:

@@ -203,7 +203,7 @@ def test_derived_sets_equal_fresh_computation():
     for text in instance_programs():
         model = model_of(text)
         for cfg in model.threads:
-            dom = dominator_sets(cfg.succs, cfg.entry)
+            dom = dominator_sets(cfg.succs, cfg.entry, cfg.node_order())
             stores = {}
             for n in cfg.node_order():
                 if isinstance(cfg.nodes[n].stmt, SStore):
@@ -232,12 +232,12 @@ def test_dominators_of_long_path():
     n = 5000
     path = {k: [(k + 1, None)] for k in range(n - 1)}
     path[n - 1] = []
-    dom = dominator_sets(path, 0)
+    dom = dominator_sets(path, 0, range(n))
     assert all(dom[k] == (1 << k + 1) - 1 for k in range(0, n, 97))
     assert dom[n - 1] == (1 << n) - 1
     reverse = {k: [(k - 1, None)] for k in range(1, n)}
     reverse[0] = []
-    dom = dominator_sets(reverse, n - 1)
+    dom = dominator_sets(reverse, n - 1, range(n - 1, -1, -1))
     assert all(dom[k] == (1 << n) - (1 << k) for k in range(0, n, 97))
     assert dom[0] == (1 << n) - 1
 
@@ -263,7 +263,8 @@ def test_branch_arity():
 def test_entry_has_no_predecessors():
     model = model_of("int x = 0;\nthread main() { while (*) { x = 1; } }")
     cfg = model.thread(0)
-    assert cfg.preds[cfg.entry] == []
+    assert [n for n, edges in cfg.succs.items()
+            if any(dst == cfg.entry for dst, _ in edges)] == []
 
 
 def test_recursive_create_rejected():
@@ -287,6 +288,11 @@ def test_create_in_loop_rejected():
 def test_join_without_create():
     with pytest.raises(JoinWithoutCreateError):
         model_of("thread a() { }\nthread main() { join(a); }")
+    # the message names the line of the join that failed
+    with pytest.raises(JoinWithoutCreateError,
+                       match=r"^line 3: main: join\(w\) has no matching"):
+        model_of("int g = 0;\nthread w() { g = 1; }\n"
+                 "thread main() { create(w); join(w); join(w); }")
 
 
 def test_join_before_create():

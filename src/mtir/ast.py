@@ -182,7 +182,9 @@ class SourceProgram(Record):
 
 # --- pretty printer --------------------------------------------------------
 
-_PREC = {
+# each binary operator's binding power: higher binds tighter, and all
+# associate to the left; the parser climbs the same table
+PRECEDENCE = {
     "||": 1, "&&": 2,
     "==": 3, "!=": 3,
     "<": 4, "<=": 4, ">": 4, ">=": 4,
@@ -202,7 +204,7 @@ def expr_to_source(e: Expr, parent_prec: int = 0) -> str:
         return "*"
     if isinstance(e, UnaryOp):
         return "!" + expr_to_source(e.operand, 7)
-    prec = _PREC[e.op]
+    prec = PRECEDENCE[e.op]
     text = "%s %s %s" % (
         expr_to_source(e.left, prec),
         e.op,

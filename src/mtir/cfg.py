@@ -18,7 +18,6 @@ thread graphs and models compare by value, and do not hash; a graph's
 from __future__ import annotations
 
 import collections
-from functools import cached_property
 
 from .ast import (
     Assign, AssertStmt, BinOp, BoolLit, CreateStmt, ErrorStmt, Expr, If,
@@ -29,7 +28,7 @@ from .errors import (
     CreateInLoopError, JoinWithoutCreateError, ModelError,
     RecursiveCreateError,
 )
-from .record import Record, Value, set_field
+from .record import Record, Value, cached_property, set_field
 
 
 # --- normalized statement IR -------------------------------------------------
@@ -159,6 +158,15 @@ class ThreadCfg(Record):
         return {n + d: mask << d for n, mask in first.reach.items()}
 
     @cached_property
+    def defs_uses(self) -> list[tuple[set[str], set[str]]]:
+        """Each node's `defs_and_uses`, in node order, taken once per
+        routine for its step tables and dependences."""
+        first = self.first_instance
+        if first is not None:
+            return first.defs_uses
+        return [defs_and_uses(self.nodes[n].stmt) for n in self.node_order()]
+
+    @cached_property
     def mask(self) -> int:
         """Mask of the thread's nodes."""
         return ((1 << len(self.nodes)) - 1) << self.first_node
@@ -183,24 +191,28 @@ class ProgramModel(Record):
         self.creates, self.joins, self.assertions = creates, joins, assertions
         self._node_index = {node.id: node for cfg in threads
                             for node in cfg.nodes.values()}
-        self._names = {}
-        seen: dict[tuple[int, int], int] = {}
-        for cfg in self.threads:
-            for nid in cfg.node_order():
-                node = cfg.nodes[nid]
-                key = (cfg.tid, node.line)
-                count = seen.get(key, 0)
-                seen[key] = count + 1
-                suffix = "" if count == 0 else "_%d" % (count + 1)
-                self._names[nid] = "t%d.%d%s" % (cfg.tid, node.line, suffix)
         self.init_nodes = {var: nid for nid, var in
                            enumerate(self.globals, len(self._node_index))}
         self.stores = dict.fromkeys(self.globals, 0)
         for nid, node in self._node_index.items():
             if isinstance(node.stmt, SStore):
                 self.stores[node.stmt.var] |= 1 << nid
+
+    @cached_property
+    def _names(self) -> dict[int, str]:
+        """Every node's display name; only dumps and messages read one."""
+        names = {}
+        seen: dict[tuple[int, int], int] = {}
+        for cfg in self.threads:
+            for nid in cfg.node_order():
+                key = (cfg.tid, cfg.nodes[nid].line)
+                count = seen.get(key, 0)
+                seen[key] = count + 1
+                suffix = "" if count == 0 else "_%d" % (count + 1)
+                names[nid] = "t%d.%d%s" % (key + (suffix,))
         for var, nid in self.init_nodes.items():
-            self._names[nid] = "init:%s" % var
+            names[nid] = "init:%s" % var
+        return names
 
     def node(self, nid: int) -> Node:
         return self._node_index[nid]
@@ -234,18 +246,21 @@ def loads_of(cfg: ThreadCfg) -> list[int]:
     return [n for n in cfg.node_order() if isinstance(cfg.nodes[n].stmt, SLoad)]
 
 
+_NO_LOCALS = frozenset()
+
+
 def defs_and_uses(stmt) -> tuple[set[str], set[str]]:
-    """The locals a statement assigns and those it reads; a normalized
-    statement reads no global in an expression."""
+    """The locals a statement assigns and those it reads, read-only (an
+    empty one is shared); a normalized one reads no global in an expression."""
     if isinstance(stmt, SLocal):
-        return {stmt.target}, expr_vars(stmt.expr)
+        return {stmt.target}, expr_vars(stmt.expr) or _NO_LOCALS
     if isinstance(stmt, (SLoad, SNondet)):
-        return {stmt.target}, set()
+        return {stmt.target}, _NO_LOCALS
     if isinstance(stmt, SStore):
-        return set(), expr_vars(stmt.expr)
+        return _NO_LOCALS, expr_vars(stmt.expr) or _NO_LOCALS
     if isinstance(stmt, (SBranch, SAssert)):
-        return set(), expr_vars(stmt.cond)
-    return set(), set()
+        return _NO_LOCALS, expr_vars(stmt.cond) or _NO_LOCALS
+    return _NO_LOCALS, _NO_LOCALS
 
 
 # --- graph utilities ---------------------------------------------------------
@@ -426,23 +441,23 @@ class _ThreadBuilder:
         raise TypeError(s)
 
 
-def _check_no_global_shadowing(routine: Routine, globals_: set):
+def _check_no_global_shadowing(routine: Routine, globals_: dict,
+                               decl: Assign | None):
+    """`decl` is the routine's first local declaration of a global."""
     for param in routine.params:
         if param in globals_:
             raise ModelError(
                 f"routine {routine.name!r}: parameter {param!r} shadows a "
                 "global")
-    for s, _ in statements(routine.body):
-        if isinstance(s, Assign) and s.decl and s.target in globals_:
-            raise ModelError(
-                f"line {s.line}: local declaration of {s.target!r} "
-                "shadows a global")
+    if decl is not None:
+        raise ModelError(
+            f"line {decl.line}: local declaration of {decl.target!r} "
+            "shadows a global")
 
 
 def _instantiate(routine: Routine, tid, name, args, creation_site, globals_,
                  first_id) -> ThreadCfg:
     """Lower a routine to a thread whose node ids start at `first_id`."""
-    _check_no_global_shadowing(routine, globals_)
     cfg = ThreadCfg(tid=tid, name=name, routine=routine.name,
                     creation_site=creation_site,
                     params=dict(zip(routine.params, args)))
@@ -476,10 +491,12 @@ def _copy(first: ThreadCfg, tid, args, creation_site, first_id) -> ThreadCfg:
     return cfg
 
 
-def _check_creation_shape(prog: SourceProgram):
+def _check_creation_shape(prog: SourceProgram, globals_: dict) -> dict:
     """Creation must be a finite tree: no routine creates itself
-    (transitively) and no create site sits inside a loop."""
+    (transitively) and no create site sits inside a loop.  Returns each
+    routine's first local declaration of a global, an error if lowered."""
     edges: dict[str, set[str]] = {r.name: set() for r in prog.routines}
+    shadowing: dict[str, Assign] = {}
     for r in prog.routines:
         for s, in_loop in statements(r.body):
             if isinstance(s, CreateStmt):
@@ -488,6 +505,8 @@ def _check_creation_shape(prog: SourceProgram):
                         f"line {s.line}: create inside a loop would make "
                         "the thread count dynamic")
                 edges[r.name].add(s.routine)
+            elif isinstance(s, Assign) and s.decl and s.target in globals_:
+                shadowing.setdefault(r.name, s)
 
     # cycle check over the routine creation graph: a depth-first search on
     # an explicit stack (its names are the trail), not one frame per link
@@ -508,12 +527,13 @@ def _check_creation_shape(prog: SourceProgram):
             elif succ not in state:
                 state[succ] = 1
                 stack.append((succ, iter(sorted(edges[succ]))))
+    return shadowing
 
 
 def build_model(prog: SourceProgram) -> ProgramModel:
     """Instantiate one ThreadCfg per create site plus the entry thread."""
-    _check_creation_shape(prog)
     globals_ = {name: init for name, _, init in prog.globals}
+    shadowing = _check_creation_shape(prog, globals_)
     threads: list[ThreadCfg] = []
     creates: list[tuple[int, int]] = []
     first: dict[str, ThreadCfg] = {}  # routine -> its first instance
@@ -530,6 +550,8 @@ def build_model(prog: SourceProgram) -> ProgramModel:
         if name in first:
             cfg = _copy(first[name], tid, args, site, next_id)
         else:
+            _check_no_global_shadowing(routine, globals_,
+                                       shadowing.get(name))
             cfg = first[name] = _instantiate(routine, tid, name, args, site,
                                              set(globals_), next_id)
         next_id += len(cfg.nodes)
@@ -550,14 +572,17 @@ def build_model(prog: SourceProgram) -> ProgramModel:
             cfg.name = "%s#%d" % (cfg.routine, k)
 
     # resolve joins: FIFO against the unjoined children this thread
-    # created at earlier nodes
+    # created at earlier nodes; and list the assertions
     child_of = dict(creates)
     joins: list[tuple[int, int]] = []
+    assertions: list[int] = []
     for cfg in threads:
         pending: dict[str, list[int]] = {}
         for nid in cfg.node_order():
             stmt = cfg.nodes[nid].stmt
-            if isinstance(stmt, SCreate):
+            if isinstance(stmt, SAssert):
+                assertions.append(nid)
+            elif isinstance(stmt, SCreate):
                 pending.setdefault(stmt.routine, []).append(child_of[nid])
             elif isinstance(stmt, SJoin):
                 avail = pending.get(stmt.routine)
@@ -568,11 +593,6 @@ def build_model(prog: SourceProgram) -> ProgramModel:
                         "before it in this thread")
                 joins.append((nid, avail.pop(0)))
 
-    assertions = [node.id
-                  for cfg in threads
-                  for node in (cfg.nodes[n] for n in cfg.node_order())
-                  if isinstance(node.stmt, SAssert)]
-
     model = ProgramModel(threads, globals_, creates, joins, assertions, prog)
     _check_normalization(model)
     return model
@@ -580,34 +600,27 @@ def build_model(prog: SourceProgram) -> ProgramModel:
 
 def _check_normalization(model: ProgramModel):
     globals_ = set(model.globals)
+    arity = {SBranch: 2, SExit: 0}  # out edges; any other statement has one
     for cfg in model.threads:
         if cfg.first_instance is not None:
             continue  # a copy of a checked thread
-        for nid in cfg.node_order():
-            s = cfg.nodes[nid].stmt
-            accesses = 0
-            if isinstance(s, SLoad):
-                accesses = 1
-            elif isinstance(s, SStore):
-                accesses = 1 + len(expr_vars(s.expr) & globals_)
-            elif isinstance(s, SLocal):
-                accesses = len(expr_vars(s.expr) & globals_)
-            elif isinstance(s, (SBranch, SAssert)):
-                accesses = len(expr_vars(s.cond) & globals_)
-            if accesses > 1 or (accesses == 1
-                                and not isinstance(s, (SLoad, SStore))):
+        # a load or a store is a global's only access: no expression reads one
+        for nid, node in cfg.nodes.items():
+            s = node.stmt
+            expr = s.expr if isinstance(s, (SLocal, SStore)) \
+                else s.cond if isinstance(s, (SBranch, SAssert)) else None
+            if expr is not None and expr_vars(expr) & globals_:
                 raise ModelError(
                     f"node {model.node_name(nid)} breaks normalization: {s}")
-        if cfg.reach[cfg.entry] >> cfg.entry & 1:
+        reached = cfg.reach[cfg.entry]
+        if reached >> cfg.entry & 1:
             raise ModelError(f"{cfg.name}: entry node has predecessors")
         missing = [n for n in cfg.node_order()
-                   if n != cfg.entry and not cfg.reach[cfg.entry] >> n & 1]
+                   if n != cfg.entry and not reached >> n & 1]
         if missing:
             raise ModelError(f"{cfg.name}: unreachable nodes {missing}")
         for nid, edges in cfg.succs.items():
-            want = 2 if isinstance(cfg.nodes[nid].stmt, SBranch) else 1
-            if isinstance(cfg.nodes[nid].stmt, SExit):
-                want = 0
+            want = arity.get(cfg.nodes[nid].stmt.__class__, 1)
             if len(edges) != want:
                 raise ModelError(
                     f"node {model.node_name(nid)}: arity {len(edges)}, "

@@ -73,10 +73,8 @@ combination assigns it the self source.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .cfg import ProgramModel, ThreadCfg, bits, is_load, loads_of
-from .record import Value, set_field
+from .record import Value, cached_property, set_field
 
 DERIVED = ("MHBS", "MHB", "MustNotReadFrom")
 RELATIONS = (
@@ -363,7 +361,9 @@ class _OrderingRows:
     and join edges (S2a, S2b) are the only steps between threads, so a
     row is its thread-local part plus, for each edge leaving the node or a
     node locally after it, the edge's target and that target's strong row
-    (S4 for MHBS, W4 for MHB)."""
+    (S4 for MHBS, W4 for MHB).  Where those are all the thread's edges
+    from the node on, a running union in reverse node order gives their
+    rows in one step."""
 
     def __init__(self, model: ProgramModel):
         real = sum(len(cfg.nodes) for cfg in model.threads)
@@ -416,11 +416,22 @@ class _OrderingRows:
                     stack.pop()
                     beyond[d] = 1 << d | through_edges(d, s1[d])
 
+        # per thread in reverse node order, `tail` ORs the rows past its
+        # edges from p on: a row holding just those sources takes it whole
+        self.strong, self.weak = [0] * real, [0] * real
+        for cfg in model.threads:
+            tail = 0
+            for p in reversed(cfg.node_order()):
+                if p in edge:
+                    tail |= beyond[edge[p]]
+                later = sources[p] >> p << p
+                for rows, local in ((self.strong, s1), (self.weak, po)):
+                    rows[p] = local[p] | tail \
+                        if (local[p] | 1 << p) & sources[p] == later \
+                        else through_edges(p, local[p])
         # each init:<var> strongly precedes every real node
         everything = (1 << real) - 1
-        self.strong = [through_edges(p, s1[p]) for p in range(real)]
         self.strong += [everything] * len(model.globals)
-        self.weak = [through_edges(p, po[p]) for p in range(real)]
         self.weak += [everything] * len(model.globals)
         self.load_var = {node.id: node.stmt.var
                          for node in model.all_nodes() if is_load(node)}

@@ -17,14 +17,11 @@ policies are equal compute the same states.
 from __future__ import annotations
 
 from collections import deque
-from functools import cached_property
 
-from .cfg import (
-    SAssert, SLoad, SNop, SStore, ThreadCfg, defs_and_uses, flow_masks,
-)
+from .cfg import SAssert, SLoad, SNop, SStore, ThreadCfg, flow_masks
 from .domain import AbstractEnv, Interval, compile_filter, compile_transfer
 from .errors import AnalysisBudgetExceeded
-from .record import Record, Value, set_field
+from .record import Record, Value, cached_property, set_field
 
 
 # --- load sources ---------------------------------------------------------------
@@ -100,27 +97,35 @@ class StepTable:
         self.stores = []
         # each local's bit in the per-node masks, none for a parameter
         bit, kills, reads = dict.fromkeys(cfg.params, 0), [], []
-        for n in cfg.node_order():
-            r, stmt = n - base, cfg.nodes[n].stmt
-            defs, uses = defs_and_uses(stmt)
-            kills.append(sum(bit.setdefault(v, 1 << len(bit)) for v in defs))
-            reads.append(sum(bit.setdefault(v, 1 << len(bit)) for v in uses))
-            edges = cfg.succs[n]
+        for r, (defs, uses) in enumerate(cfg.defs_uses):
+            kill = read = 0
+            for v in defs:
+                kill |= bit.setdefault(v, 1 << len(bit))
+            for v in uses:
+                read |= bit.setdefault(v, 1 << len(bit))
+            kills.append(kill)
+            reads.append(read)
+            stmt, edges = cfg.nodes[r + base].stmt, cfg.succs[r + base]
             if r in identity:
                 stmt, edges = SNop(), [(dst, None) for dst, _ in edges]
             self.transfer.append(compile_transfer(stmt))
             self.succs.append([(dst - base, None if filt is None
                                 else compile_filter(filt[1], filt[2]))
                                for dst, filt in edges])
-            if isinstance(stmt, SLoad):
+            kind = stmt.__class__
+            if kind is SLoad:
                 self.loads[r] = len(self.loads), stmt
-            elif isinstance(stmt, SStore):
+            elif kind is SStore:
                 self.stores.append(r)
-            elif isinstance(stmt, SAssert):
+            elif kind is SAssert:
                 self.violable[r] = compile_filter(stmt.cond, False)
+        # a loop head dominates a node with an edge back to it, so it is on
+        # a cycle; a routine without one needs no dominators
+        reach = cfg.reach
         self.loop_heads = {dst - base for m, edges in cfg.succs.items()
                            for dst, _ in edges
-                           if cfg.dominators[m] >> dst & 1}
+                           if cfg.dominators[m] >> dst & 1} \
+            if any(reach[n] >> n & 1 for n in reach) else set()
         self.sweep_order = [r for r in range(self.size) if r != self.entry]
         # the locals some path from the entry reads before assigning: the
         # locals maybe unassigned at each node, all of them at the entry

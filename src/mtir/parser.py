@@ -1,4 +1,4 @@
-"""Lexer and recursive-descent parser for MTIR source text.
+"""Lexer and precedence-climbing parser for MTIR source text.
 
 Grammar (whitespace-insensitive, `//` comments):
 
@@ -18,7 +18,10 @@ Grammar (whitespace-insensitive, `//` comments):
 
 The routine named "main" is the entry thread.  A bare `*` in operand
 position is the nondeterministic integer; between operands it is
-multiplication.
+multiplication.  Binary operators bind as `ast.PRECEDENCE` says.
+
+Source text is ASCII: digits are 0-9, blanks are space, tab, CR, FF and
+VT, and lines end at LF; any other character is an error.
 """
 
 from __future__ import annotations
@@ -26,118 +29,98 @@ from __future__ import annotations
 import re
 
 from .ast import (
-    Assign, AssertStmt, BinOp, BoolLit, CreateStmt, ErrorStmt, If, IntLit,
-    JoinStmt, Nondet, Routine, SourceProgram, UnaryOp, Var, While, statements,
+    PRECEDENCE, Assign, AssertStmt, BinOp, BoolLit, CreateStmt, ErrorStmt,
+    If, IntLit, JoinStmt, Nondet, Routine, SourceProgram, UnaryOp, Var,
+    While, statements,
 )
 from .errors import DuplicateGlobalError, MtirSyntaxError, UnknownRoutineError
 
-KEYWORDS = {
+# a keyword or an operator is its own token kind
+_KINDS = {text: text for text in (
     "int", "bool", "thread", "if", "else", "while", "assert", "error",
     "create", "join", "true", "false",
-}
+    "<=", ">=", "==", "!=", "&&", "||", *"-+*/<>!=;,(){}")}
 
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+|//[^\n]*)
-    | (?P<num>\d+)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<op><=|>=|==|!=|&&|\|\||[-+*/<>!=;,(){}])
-    """,
-    re.VERBOSE,
-)
+# a line's next lexeme after its blanks: a comment, running to the end
+# of the line; a number, word or operator; or any other character
+_LEXEME_RE = re.compile(
+    r"[ \t\r\f\v]*(?:(//)|(\d+|[A-Za-z_]\w*|<=|>=|==|!=|&&|\|\||"
+    r"[-+*/<>!=;,(){}])|(\S))", re.ASCII)
 
 
-class Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind  # "num" | "ident" | keyword text | operator text | "eof"
-        self.text = text
-        self.line = line
-        self.col = col
-
-    def __repr__(self):
-        return f"Token({self.kind!r}, {self.text!r}, {self.line}:{self.col})"
-
-
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """The tokens of `text`, each `(kind, text, line, col)`, and then an
+    "eof" token.  A kind is "num", "ident", or a keyword or operator's
+    own text.  One regex scan per line."""
     tokens = []
-    pos, line, col = 0, 1, 1
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise MtirSyntaxError(f"unexpected character {text[pos]!r}", line, col)
-        lexeme = m.group()
-        if m.lastgroup == "ws":
-            newlines = lexeme.count("\n")
-            if newlines:
-                line += newlines
-                col = len(lexeme) - lexeme.rfind("\n")
-            else:
-                col += len(lexeme)
-        else:
-            kind = m.lastgroup
-            if kind == "ident" and lexeme in KEYWORDS:
-                kind = lexeme
-            elif kind == "op":
-                kind = lexeme
-            tokens.append(Token(kind, lexeme, line, col))
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+    append, kind_of = tokens.append, _KINDS.get
+    for line, src in enumerate(text.split("\n"), 1):
+        for m in _LEXEME_RE.finditer(src):
+            lexeme = m[2]
+            if lexeme is None:
+                if m[1]:
+                    break
+                raise MtirSyntaxError(
+                    f"unexpected character {m[3]!r}", line, m.end())
+            kind = kind_of(lexeme)
+            if kind is None:  # digits sort before letters and "_"
+                kind = "num" if lexeme[0] <= "9" else "ident"
+            append((kind, lexeme, line, m.end() - len(lexeme) + 1))
+    append(("eof", "", line, len(src) + 1))
     return tokens
 
 
 class Parser:
+    """Statements by recursive descent, expressions by precedence."""
+
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> Token:
+    def next(self) -> tuple:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
+    def expect(self, kind: str) -> tuple:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
             raise MtirSyntaxError(
-                f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                tok.line, tok.col)
-        return self.next()
+                f"expected {kind!r}, found {tok[1] or 'end of input'!r}",
+                tok[2], tok[3])
+        self.pos += 1
+        return tok
 
     def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.tokens[self.pos][0] == kind
 
-    def accept(self, kind: str) -> Token | None:
-        if self.at(kind):
-            return self.next()
-        return None
+    def accept(self, kind: str) -> tuple | None:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            return None
+        self.pos += 1
+        return tok
 
     # -- toplevel ---------------------------------------------------------
 
     def parse_program(self) -> SourceProgram:
         globals_, seen = [], set()
         while self.at("int") or self.at("bool"):
-            typ = self.next().kind
-            name_tok = self.expect("ident")
+            typ = self.next()[0]
+            _, name, line, _ = self.expect("ident")
             self.expect("=")
-            init_tok = self.peek()
+            _, _, init_line, init_col = self.tokens[self.pos]
             init = self.parse_literal()
             if typ == "bool" and init not in (0, 1):
                 raise MtirSyntaxError(
-                    f"bool global {name_tok.text!r} takes true, false, 0 or "
-                    f"1, not {init}", init_tok.line, init_tok.col)
+                    f"bool global {name!r} takes true, false, 0 or "
+                    f"1, not {init}", init_line, init_col)
             self.expect(";")
-            if name_tok.text in seen:
+            if name in seen:
                 raise DuplicateGlobalError(
-                    f"global {name_tok.text!r} declared twice "
-                    f"(line {name_tok.line})")
-            seen.add(name_tok.text)
-            globals_.append((name_tok.text, typ, init))
+                    f"global {name!r} declared twice (line {line})")
+            seen.add(name)
+            globals_.append((name, typ, init))
 
         routines = []
         while self.at("thread"):
@@ -171,95 +154,83 @@ class Parser:
                             "created or joined")
 
     def parse_routine(self) -> Routine:
-        start = self.expect("thread")
-        name = self.expect("ident").text
+        _, _, line, col = self.expect("thread")
+        name = self.expect("ident")[1]
         self.expect("(")
         params = []
-        if self.at("int"):
-            self.next()
-            params.append(self.expect("ident").text)
+        if self.accept("int"):
+            params.append(self.expect("ident")[1])
             while self.accept(","):
                 self.expect("int")
-                params.append(self.expect("ident").text)
+                params.append(self.expect("ident")[1])
         if len(set(params)) != len(params):
             raise MtirSyntaxError(
-                f"duplicate parameter in routine {name!r}", start.line, start.col)
+                f"duplicate parameter in routine {name!r}", line, col)
         self.expect(")")
         body, end_line = self.parse_block()
-        return Routine(name, params, body, start.line, end_line)
+        return Routine(name, params, body, line, end_line)
 
     def parse_block(self) -> tuple[list, int]:
         self.expect("{")
         stmts = []
         while not self.at("}"):
             stmts.append(self.parse_stmt())
-        close = self.expect("}")
-        return stmts, close.line
+        return stmts, self.next()[2]
+
+    def parse_condition(self):
+        """`"(" expr ")"`, as `if`, `while` and `assert` take it."""
+        self.expect("(")
+        cond = self.parse_expr()
+        self.expect(")")
+        return cond
 
     # -- statements -------------------------------------------------------
 
     def parse_stmt(self):
-        tok = self.peek()
-        if tok.kind in ("int", "bool"):
-            self.next()
-            name = self.expect("ident")
+        kind, text, line, col = self.next()
+        if kind == "ident" or kind == "int" or kind == "bool":
+            decl = kind != "ident"
+            if decl:
+                text, line = self.expect("ident")[1:3]
             self.expect("=")
             expr = self.parse_expr()
             self.expect(";")
-            return Assign(name.text, expr, name.line, decl=True)
-        if tok.kind == "ident":
-            name = self.next()
-            self.expect("=")
-            expr = self.parse_expr()
-            self.expect(";")
-            return Assign(name.text, expr, name.line)
-        if tok.kind == "if":
-            self.next()
-            self.expect("(")
-            cond = self.parse_expr()
-            self.expect(")")
+            return Assign(text, expr, line, decl=decl)
+        if kind == "if":
+            cond = self.parse_condition()
             then_body, _ = self.parse_block()
             else_body = []
             if self.accept("else"):
                 else_body, _ = self.parse_block()
-            return If(cond, then_body, else_body, tok.line)
-        if tok.kind == "while":
-            self.next()
-            self.expect("(")
-            cond = self.parse_expr()
-            self.expect(")")
+            return If(cond, then_body, else_body, line)
+        if kind == "while":
+            cond = self.parse_condition()
             body, _ = self.parse_block()
-            return While(cond, body, tok.line)
-        if tok.kind == "assert":
-            self.next()
-            self.expect("(")
-            cond = self.parse_expr()
-            self.expect(")")
+            return While(cond, body, line)
+        if kind == "assert":
+            cond = self.parse_condition()
             self.expect(";")
-            return AssertStmt(cond, tok.line)
-        if tok.kind == "error":
-            self.next()
+            return AssertStmt(cond, line)
+        if kind == "error":
             self.expect(";")
-            return ErrorStmt(tok.line)
-        if tok.kind == "create":
-            self.next()
+            return ErrorStmt(line)
+        if kind == "create":
             self.expect("(")
-            routine = self.expect("ident").text
+            routine = self.expect("ident")[1]
             args = []
             while self.accept(","):
                 args.append(self.parse_literal())
             self.expect(")")
             self.expect(";")
-            return CreateStmt(routine, args, tok.line)
-        if tok.kind == "join":
-            self.next()
+            return CreateStmt(routine, args, line)
+        if kind == "join":
             self.expect("(")
-            routine = self.expect("ident").text
+            routine = self.expect("ident")[1]
             self.expect(")")
             self.expect(";")
-            return JoinStmt(routine, tok.line)
+            return JoinStmt(routine, line)
         raise MtirSyntaxError(
-            f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.col)
+            f"unexpected {text or 'end of input'!r}", line, col)
 
     # -- expressions ------------------------------------------------------
 
@@ -269,64 +240,45 @@ class Parser:
         if self.accept("false"):
             return 0
         neg = self.accept("-") is not None
-        tok = self.expect("num")
-        value = int(tok.text)
+        value = int(self.expect("num")[1])
         return -value if neg else value
 
-    _LEVELS = [
-        ("||",),
-        ("&&",),
-        ("==", "!="),
-        ("<", "<=", ">", ">="),
-        ("+", "-"),
-        ("*", "/"),
-    ]
+    def parse_expr(self, floor: int = 1):
+        """An operand, then each binary operator that binds at least
+        `floor` tightly with its right operand: precedence climbing
+        (Pratt, POPL 1973), one call per operator rather than one per
+        precedence level, so a parenthesis costs two frames."""
+        left = self.parse_operand()
+        tokens = self.tokens
+        while True:
+            op = tokens[self.pos][0]
+            power = PRECEDENCE.get(op, 0)
+            if power < floor:
+                return left
+            self.pos += 1
+            left = BinOp(op, left, self.parse_expr(power + 1))
 
-    def parse_expr(self, level: int = 0):
-        if level == len(self._LEVELS):
-            return self.parse_unary()
-        left = self.parse_expr(level + 1)
-        while self.peek().kind in self._LEVELS[level]:
-            op = self.next().kind
-            right = self.parse_expr(level + 1)
-            left = BinOp(op, left, right)
-        return left
-
-    def parse_unary(self):
-        if self.accept("!"):
-            return UnaryOp("!", self.parse_unary())
-        return self.parse_primary()
-
-    def parse_primary(self):
-        tok = self.peek()
-        if tok.kind == "num":
-            self.next()
-            return IntLit(int(tok.text))
-        if tok.kind == "-":
-            # negative literal in operand position
-            self.next()
-            num = self.expect("num")
-            return IntLit(-int(num.text))
-        if tok.kind == "true":
-            self.next()
-            return BoolLit(True)
-        if tok.kind == "false":
-            self.next()
-            return BoolLit(False)
-        if tok.kind == "*":
-            self.next()
-            return Nondet()
-        if tok.kind == "ident":
-            self.next()
-            return Var(tok.text)
-        if tok.kind == "(":
-            self.next()
+    def parse_operand(self):
+        kind, text, line, col = self.next()
+        if kind == "ident":
+            return Var(text)
+        if kind == "num":
+            return IntLit(int(text))
+        if kind == "(":
             inner = self.parse_expr()
             self.expect(")")
             return inner
+        if kind == "!":
+            return UnaryOp("!", self.parse_operand())
+        if kind == "-":  # a negative literal
+            return IntLit(-int(self.expect("num")[1]))
+        if kind == "true" or kind == "false":
+            return BoolLit(kind == "true")
+        if kind == "*":
+            return Nondet()
         raise MtirSyntaxError(
-            f"expected an expression, found {tok.text or 'end of input'!r}",
-            tok.line, tok.col)
+            f"expected an expression, found {text or 'end of input'!r}",
+            line, col)
 
 
 def parse(text: str) -> SourceProgram:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .cfg import (
     ProgramModel, SBranch, SCreate, SExit, SJoin, SLoad, SNop, ThreadCfg,
-    bits, defs_and_uses, dominator_sets, flow_masks, is_load, loads_of,
+    bits, dominator_sets, flow_masks, is_load, loads_of,
 )
 from .record import Record
 
@@ -87,8 +87,8 @@ def _data_dependence(cfg: ThreadCfg, graph: DependenceGraph):
     sites = {p: 1 << k for k, p in enumerate(cfg.params, last + 1)}
     params = sum(sites.values())
     defs, uses, gen = {}, {}, {}
-    for n in nodes:
-        defs[n], uses[n] = defs_and_uses(cfg.nodes[n].stmt)
+    for n, defs_uses in zip(nodes, cfg.defs_uses):
+        defs[n], uses[n] = defs_uses
         gen[n] = 1 << n if defs[n] else 0
         for var in defs[n]:
             sites[var] = sites.get(var, 0) | gen[n]

@@ -4,6 +4,7 @@ class attributes, and writes its own `__init__`.  A `Record` has the repr
 `ClassName(field=value, ...)` and equality over the fields not in
 `_uncompared`, never across classes; a mutable one is unhashable.  A
 `Value` is immutable, assigns its fields with `set_field` and hashes them.
+A record with `__dict__` may cache derived fields with `cached_property`.
 """
 
 from operator import attrgetter
@@ -47,3 +48,17 @@ class Value(Record):
         raise AttributeError(f"cannot assign to or delete field {name!r}")
 
     __delattr__ = __setattr__
+
+
+class cached_property:
+    """`functools.cached_property` without the lock it takes on every
+    first read before Python 3.12; the checker runs on one thread."""
+
+    def __init__(self, compute):
+        self.compute, self.name = compute, compute.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value

@@ -56,7 +56,12 @@ BAD_INPUTS = {
                           b"assert(t >= 0); }",
     "bool-global-of-5": b"bool b = 5;\nthread main() { int x = b; "
                         b"assert(x == 5); }",
+    # source text is ASCII: no Unicode digits or blanks
+    "arabic-indic-digit": "int g = \u0663;\nthread main() { int t = g; "
+                          "assert(t == 3); }".encode("utf-8"),
+    "no-break-space": "thread\u00a0main() { }".encode("utf-8"),
 }
+NOT_ASCII = {"arabic-indic-digit": "1:9", "no-break-space": "1:7"}
 
 
 def test_bad_syntax_exits_two(tmp_path, capsys):
@@ -66,6 +71,9 @@ def test_bad_syntax_exits_two(tmp_path, capsys):
         status, _, err = run_cli(capsys, "analyze", str(bad))
         assert status == 2, name
         assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
+        if name in NOT_ASCII:
+            assert err.startswith("error: %s: unexpected character "
+                                  % NOT_ASCII[name]), (name, err)
 
 
 BUDGET_ERROR = ("error: budgets must be non-negative (--widening-delay, "
@@ -123,17 +131,26 @@ def not_chain(count):
             "{ x = 1; } else { x = 2; } assert(x >= 1); }\n")
 
 
+def paren_chain(levels):
+    """`x + (x + (... + (x)))`, each right operand in parentheses."""
+    return ("thread main() { int x = 1; int y = " + "x + (" * levels + "x"
+            + ")" * levels + "; assert(y >= 1); }\n")
+
+
 def test_deep_expressions(tmp_path, capsys):
     # compiling and evaluating an expression or a branch condition takes
-    # one Python frame per nesting level, and a `!` chain none
+    # one Python frame per nesting level, and a `!` chain none; parsing a
+    # parenthesis takes two
     prog = tmp_path / "deep.mtir"
-    for make in (plus_chain, not_chain):
-        prog.write_text(make(900))
+    for make, size in ((plus_chain, 900), (not_chain, 900),
+                       (paren_chain, 250)):
+        prog.write_text(make(size))
         for mode in ("fi", "fso"):
             status, out, err = run_cli(capsys, "analyze", str(prog),
                                        "--mode=" + mode)
             assert (status, err) == (0, ""), (make.__name__, mode)
             assert "1/1 assertions verified" in out, (make.__name__, mode)
+    for make in (plus_chain, not_chain):
         prog.write_text(make(1200))
         status, out, err = run_cli(capsys, "analyze", str(prog))
         assert status == 2 and out == "", make.__name__

@@ -124,6 +124,19 @@ def test_bool_global_takes_only_truth_values():
 def test_unexpected_character():
     with pytest.raises(MtirSyntaxError):
         parse("thread main() { x = 1 @ 2; }")
+    # source text is ASCII: a Unicode digit is no digit, a no-break space
+    # or an ASCII separator no blank
+    for text, col, char in (
+            ("int g = \u0663;\nthread main() { }", 9, "'\u0663'"),
+            ("int g = 1\u0663;\nthread main() { }", 10, "'\u0663'"),
+            ("thread\u00a0main() { }", 7, "'\\xa0'"),
+            ("thread main() {\x1c}", 16, "'\\x1c'"),
+            ("thread m\u00e9() { }", 9, "'\u00e9'")):
+        with pytest.raises(MtirSyntaxError) as err:
+            parse(text)
+        assert (err.value.line, err.value.col) == (1, col), text
+        assert str(err.value) == "1:%d: unexpected character %s" \
+            % (col, char), text
 
 
 def test_duplicate_global():

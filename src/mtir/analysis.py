@@ -8,8 +8,8 @@ with unbounded data flow.  The loop stops when an iteration grows no
 node environment: a store's published value can only grow in an
 iteration that grows its node's state.  Both steps touch only what
 changed: a run's states are joined only where they can grow
-(`_merge_te`), and the published index is updated in place, a variable
-rebuilt only when one of its stores' values grew (`_publish`).
+(`_merge_te`), and the interference table is updated in place, a
+variable rebuilt only when one of its stores' values grew (`_publish`).
 
 A mode is a row of `MODE_ROWS`:
 
@@ -31,12 +31,15 @@ fs and fsc are the one-cluster case of fso's zipped exploration: each
 thread's active loads form a single cluster, whose zip is its product,
 and `analyze` passes every mode its plan of clusters, this one outside
 fso.
-Policies are built straight from per-variable masks of the published
-stores, and feasibility, which depends on order alone, takes each load's
-refuted stores (found once per engine) out of its mask before the
-product.  Where the zip is the product a load reads each distinct value
-once (under feasibility only in one-load clusters); `combos`,
-`infeasible` and `runs` still count the full per-store product.
+Policies are built from the interference table, which keeps each
+published store's `StoreSource` once, with per-variable store masks; a
+checked combination pins its store sources' `.store` and the pairs
+`FeasibilityEngine.initial_loads` gives self-read loads.  Feasibility,
+which depends on order alone, takes each load's refuted stores (found
+once per engine) out of its mask before the product.  Where the zip is
+the product a load reads each distinct value once (under feasibility
+only in one-load clusters); `combos`, `infeasible` and `runs` still
+count the full per-store product.
 
 Interpreter runs are memoized on what they read: the step table (the
 routine compiled with its off-slice statements as identity, see
@@ -57,8 +60,7 @@ depends only on its step table and entry state (the widening delay is
 fixed in one analysis), so the first run from those stores its worklist
 state at that load and every later run from equal ones, on any instance
 of the routine, resumes there (see `interp.analyze_thread`).  Resumed
-runs compute exactly what fresh runs compute; `stats.resumed_runs`
-counts them.
+runs compute exactly what fresh runs compute.
 
 The descending pass after a widening is shared the same way.  The nodes
 no node of the worklist at that load can reach have their final states
@@ -72,7 +74,7 @@ from __future__ import annotations
 import itertools
 from functools import reduce
 
-from .cfg import ProgramModel, ThreadCfg, is_load, loads_of
+from .cfg import ProgramModel, ThreadCfg, bits, is_load, loads_of
 from .domain import AbstractEnv, Interval, const
 from .errors import AnalysisBudgetExceeded, CombinationBudgetExceeded
 from .facts import FeasibilityEngine
@@ -111,13 +113,11 @@ class IterationStats(Record):
 
 
 class AnalysisStats(Record):
-    __slots__ = ("outer_iters", "runs", "interp_runs", "resumed_runs",
-                 "combos", "infeasible", "pruned_loads", "clusters",
-                 "per_iteration")
+    __slots__ = ("outer_iters", "runs", "interp_runs", "combos",
+                 "infeasible", "pruned_loads", "clusters", "per_iteration")
 
     def __init__(self):
         self.outer_iters = self.runs = self.interp_runs = 0
-        self.resumed_runs = 0  # executed runs that resumed a stored prefix
         self.combos = self.infeasible = self.pruned_loads = self.clusters = 0
         self.per_iteration: list = []
 
@@ -145,9 +145,8 @@ class AnalysisResult(Record):
         """Per-variable summary of what the thread publishes: each stored
         variable maps to the join of its stores' values."""
         own = self.model.thread(tid).mask
-        return AbstractEnv({var: reduce(Interval.join, [
-            value for value, mask in pub.values.items() if mask & own])
-            for var, pub in self.interference.items() if pub.mask & own})
+        return AbstractEnv({var: pub.join(own) for var, pub in
+                            self.interference.items() if pub.mask & own})
 
 
 # --- shared helpers -----------------------------------------------------------
@@ -189,36 +188,38 @@ def _merge_te(te: dict, envs: list, base: int) -> bool:
     return grew
 
 
-class Published(list):
-    """One variable's published stores as (tid, `StoreSource`), in thread
-    then node order, with `mask`, the mask of their nodes, and `values`,
-    each value they publish -> the mask of the stores that publish it, in
-    order of each value's first store."""
-    __slots__ = ("mask", "values")
+class Published(Record):
+    """One variable's interference table: `sources`, each published store
+    node -> its `StoreSource`, shared by every reader, in node order,
+    their `mask`, and `values`, each value they publish -> the mask of
+    the stores that publish it, in order of each value's first store."""
+    __slots__ = ("sources", "mask", "values")
 
-    def __init__(self):  # list.__new__ makes the empty list
-        self.mask, self.values = 0, {}
+    def __init__(self, sources=()):  # (store node, source) in node order
+        self.sources, self.mask, self.values = dict(sources), 0, {}
+        for n, source in self.sources.items():
+            self.mask |= (bit := 1 << n)
+            self.values[source.value] = self.values.get(source.value, 0) | bit
 
-    def add(self, tid: int, source: StoreSource):  # in node order
-        self.append((tid, source))
-        self.mask |= (bit := 1 << source.store)
-        self.values[source.value] = self.values.get(source.value, 0) | bit
+    def join(self, stores: int):
+        """The join of the values the mask `stores` publishes, or None."""
+        values = [v for v, mask in self.values.items() if mask & stores]
+        return reduce(Interval.join, values) if values else None
 
 
 _UNPUBLISHED = Published()  # what a variable no store publishes reads
 
 
-def _publish(model, te, published, iteration, config, steps, index) -> dict:
-    """Republish interference from the accumulated node states: the value
-    each store of a thread's step table (`steps`, by tid) writes, joined
-    into `published` (store node -> `Interval`) and widened across outer
-    iterations once past the delay.  Updates and returns `index`, the
-    index loads read: per variable, the `Published` stores, each with one
-    `StoreSource` shared by every reader.  In one pass in node order, a
-    variable's `Published` is rebuilt from its first store whose value is
-    new (join and widening return the old value itself otherwise): the
-    stores before it are copied from the old index."""
-    fresh = {}  # variable -> its Published rebuilt in this pass
+def _publish(model, te, iteration, config, steps, index):
+    """Republish interference from the accumulated node states into
+    `index`, the table loads read: per variable, its `Published`.  Each
+    store of a thread's step table (`steps`, by tid) publishes the value
+    it writes, joined with its old value and widened across outer
+    iterations once past the delay.  Join and widening return the old
+    value itself when the new one adds nothing, so a store's source is
+    new exactly when its value is, and only a variable with a new
+    source gets a new `Published`, its other stores' sources kept."""
+    new = {}  # variable -> {store node: its new source}
     for cfg in model.threads:
         thread_steps, base = steps[cfg.tid], cfg.first_node
         for r in thread_steps.stores:
@@ -228,24 +229,17 @@ def _publish(model, te, published, iteration, config, steps, index) -> dict:
                 continue
             var = cfg.nodes[n].stmt.var
             value = thread_steps.transfer[r](pre).get(var)
-            old = published.get(n)
+            old = index.get(var, _UNPUBLISHED).sources.get(n)
             if old is not None:
-                value = old.join(value)
+                value = old.value.join(value)
                 if iteration > config.widening_delay:
-                    value = old.widen(value)
-            stores = fresh.get(var)
-            if value is not old:
-                published[n] = value
-                if stores is None:
-                    stores = fresh[var] = Published()
-                    for tid, source in index.get(var, ()):
-                        if source.store >= n:
-                            break
-                        stores.add(tid, source)
-            if stores is not None:
-                stores.add(cfg.tid, StoreSource(n, value))
-    index.update(fresh)
-    return index
+                    value = old.value.widen(value)
+                if value is old.value:
+                    continue
+            new.setdefault(var, {})[n] = StoreSource(n, value)
+    for var, sources in new.items():  # a newly published store sorts in
+        index[var] = Published(sorted(
+            {**index.get(var, _UNPUBLISHED).sources, **sources}.items()))
 
 
 def _run_key(table, init, policy):
@@ -262,7 +256,7 @@ def compute_combinations(cfg: ThreadCfg, index: dict,
                          combo_cap: int = AnalysisConfig.combo_cap,
                          merged: bool = False):
     """The policies of one thread's runs, built from `index` (see
-    `_publish`): tuples of sources in the step table's load order.
+    `_publish`): tuples of its sources, in the step table's load order.
     Returns (policies, generated, rejected, runs).
 
     A load's candidates are a mask of the remote stores to its variable.
@@ -281,10 +275,10 @@ def compute_combinations(cfg: ThreadCfg, index: dict,
     a load reads each value once, from its lowest candidate storing it,
     in the order of those stores; under `feasibility` only in a one-load
     cluster, as each combination of several loads is checked on the
-    ReadsFrom pairs its sources pin: a store source its store, the self
-    source of an initial-value load `init:<var>`.  `generated`,
-    `rejected`, `runs` and the `combo_cap` check count the full
-    per-store product.
+    ReadsFrom pairs its sources pin: a store source its store, a self
+    source its load's pair in `facts.initial_loads`, if any.
+    `generated`, `rejected`, `runs` and the `combo_cap` check count the
+    full per-store product.
     """
     groups = plan[cfg.tid]
     if not groups:  # no load is on the slice
@@ -296,7 +290,7 @@ def compute_combinations(cfg: ThreadCfg, index: dict,
         total = kept = 1
         checked = feasibility and len(group) > 1
         per_store = len(groups) > 1 or checked
-        options, pins = [], []  # per load, its sources and their pairs
+        options = []  # per load, its sources
         for l in group:
             var = cfg.nodes[l].stmt.var
             published = index.get(var, _UNPUBLISHED)
@@ -304,34 +298,23 @@ def compute_combinations(cfg: ThreadCfg, index: dict,
             if merged or cfg.reach[l] >> l & 1:
                 if not merged:
                     stores &= ~facts.rows.weak[l]
-                values = [value for value, mask in published.values.items()
-                          if mask & stores]
-                options.append([MergedSource(reduce(Interval.join, values))
-                                if values else SelfSource()])
-                pins.append([None])
+                value = published.join(stores)
+                options.append([SelfSource() if value is None
+                                else MergedSource(value)])
                 continue
             total *= stores.bit_count() + 1
             if total > combo_cap:
                 raise CombinationBudgetExceeded(
                     f"{cfg.name}: {total}+ interference combinations "
                     f"(cap {combo_cap}); consider clustering")
-            init = facts.model.init_nodes[var]
             refuted = facts.refuted(l) if feasibility else 0
             stores &= ~refuted
-            own = not refuted >> init & 1  # self source
+            own = not refuted >> facts.model.init_nodes[var] & 1  # self source
             kept *= stores.bit_count() + own
-            if per_store:
-                sources = [s for _, s in published if stores >> s.store & 1]
-            else:
-                lowest = sorted(((m & -m).bit_length() - 1, value)
-                                for value, mask in published.values.items()
-                                if (m := mask & stores))
-                sources = [StoreSource(n, value) for n, value in lowest]
-            if checked:
-                pins.append([(l, s.store) for s in sources])
-                if own:
-                    pins[-1].append((l, init)
-                                    if l in facts.initial_loads else None)
+            if not per_store:  # each value from its lowest store
+                stores = sum(m & -m for mask in published.values.values()
+                             if (m := mask & stores))
+            sources = [published.sources[n] for n in bits(stores)]
             if own:
                 sources.append(SelfSource())
             options.append(sources)
@@ -339,9 +322,10 @@ def compute_combinations(cfg: ThreadCfg, index: dict,
         if merged:
             return combos, 0, 0, 1
         if checked:
-            combos = [c for c, rf in zip(combos,
-                                         itertools.product(*reversed(pins)))
-                      if facts.is_feasible(frozenset(rf) - {None})]
+            combos = [c for c in combos if facts.is_feasible(frozenset(
+                (l, s.store) if s.__class__ is StoreSource
+                else facts.initial_loads.get(l)  # none for a merged load
+                for l, s in zip(group, c)) - {None})]
             kept = len(combos)
         generated += total
         rejected += total - kept
@@ -382,7 +366,6 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
         plan = {cfg.tid: [loads_of(cfg)] for cfg in model.threads}
 
     te: dict = {}
-    published: dict = {}  # store node -> the value it writes
     index: dict = {}  # variable -> Published, see _publish
     violable: set = set()
     seen: set = set()  # (tid, run key) of every scheduled run
@@ -441,15 +424,13 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
                         narrowing_passes=config.narrowing_passes,
                         table=steps[cfg.tid], prefixes=prefixes)
                     stats.interp_runs += 1
-                    stats.resumed_runs += run.resumed
                 grew |= _merge_te(te, run.envs, cfg.first_node)
                 if run.violable:
                     violable.update(n + cfg.first_node for n in run.violable)
             stats.runs += runs
             iter_stats.runs += runs
 
-        index = _publish(model, te, published, iteration, config, steps,
-                         index)
+        _publish(model, te, iteration, config, steps, index)
         stats.per_iteration.append(iter_stats)
         if not grew:
             break

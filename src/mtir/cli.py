@@ -21,6 +21,10 @@ from .facts import FeasibilityEngine, dump_mhb
 from .parser import parse
 from .pdg import backward_slices, build_pdg, dot_dump
 
+# the report's counters, in the text report's order; `wall_ms` follows
+STATS_KEYS = ("outer_iters", "runs", "interp_runs", "combos", "infeasible",
+              "pruned_loads", "clusters")
+
 REPORT_SCHEMA = {
     "type": "object",
     "required": ["assertions", "stats"],
@@ -41,12 +45,8 @@ REPORT_SCHEMA = {
             "type": "object",
             "required": ["outer_iters", "runs", "combos", "infeasible",
                          "pruned_loads", "clusters", "wall_ms"],
-            "properties": {
-                key: {"type": "number", "minimum": 0}
-                for key in ("outer_iters", "runs", "interp_runs", "combos",
-                            "infeasible", "pruned_loads", "clusters",
-                            "wall_ms")
-            },
+            "properties": {key: {"type": "number", "minimum": 0}
+                           for key in STATS_KEYS + ("wall_ms",)},
         },
         "envs": {"type": "object"},
     },
@@ -65,20 +65,9 @@ def build_report(result: AnalysisResult, wall_ms: float,
             "line": model.node(node).line,
             "status": "verified" if result.verdicts[node] else "unproven",
         })
-    stats = result.stats
-    report = {
-        "assertions": assertions,
-        "stats": {
-            "outer_iters": stats.outer_iters,
-            "runs": stats.runs,
-            "interp_runs": stats.interp_runs,
-            "combos": stats.combos,
-            "infeasible": stats.infeasible,
-            "pruned_loads": stats.pruned_loads,
-            "clusters": stats.clusters,
-            "wall_ms": round(wall_ms, 3),
-        },
-    }
+    stats = {key: getattr(result.stats, key) for key in STATS_KEYS}
+    stats["wall_ms"] = round(wall_ms, 3)
+    report = {"assertions": assertions, "stats": stats}
     if include_envs:
         report["envs"] = {model.node_name(n): render_env(env)
                           for n, env in sorted(result.te.items())}
@@ -95,11 +84,8 @@ def render_text(report: dict) -> str:
     lines.append("%d/%d assertions verified" % (verified,
                                                 len(report["assertions"])))
     s = report["stats"]
-    lines.append("outer_iters=%d runs=%d interp_runs=%d combos=%d "
-                 "infeasible=%d pruned_loads=%d clusters=%d wall_ms=%.1f"
-                 % (s["outer_iters"], s["runs"], s["interp_runs"],
-                    s["combos"], s["infeasible"], s["pruned_loads"],
-                    s["clusters"], s["wall_ms"]))
+    lines.append(" ".join("%s=%d" % (key, s[key]) for key in STATS_KEYS)
+                 + " wall_ms=%.1f" % s["wall_ms"])
     for name, env in report.get("envs", {}).items():
         lines.append("  %s: %s" % (name, env))
     return "\n".join(lines)

@@ -68,7 +68,8 @@ real nodes), that strongly precedes every real node.  A load that can
 only ever observe the initial value through its own environment (no store
 to the variable reaches it in its own thread or on the creating chain
 before the create sites) contributes ReadsFrom(load, init:<var>) when a
-combination assigns it the self source.
+combination assigns it the self source: `FeasibilityEngine.initial_loads`
+maps each such load to that pair, and no other self read pins anything.
 """
 
 from __future__ import annotations
@@ -301,12 +302,12 @@ def build_base_facts(model: ProgramModel,
     return facts
 
 
-def initial_value_loads(model: ProgramModel) -> set[int]:
+def initial_value_loads(model: ProgramModel) -> dict[int, tuple]:
     """Loads whose self-read can only ever observe the global's initial
-    value: the load is not on a cycle, no store to the variable reaches
-    it inside its own thread, and no ancestor thread can store the
-    variable before the create site that spawns the chain."""
-    out = set()
+    value, each -> the pair (load, init:<var>) it pins: the load is not on
+    a cycle, no store to the variable reaches it in its own thread, and no
+    ancestor thread stores it before the create site spawning the chain."""
+    out = {}
     for cfg in model.threads:
         for l in loads_of(cfg):
             if cfg.reach[l] >> l & 1:  # on a cycle: merged sources handle it
@@ -316,7 +317,7 @@ def initial_value_loads(model: ProgramModel) -> set[int]:
             while not any(cur.reach[s] >> site & 1
                           for s in bits(model.stores[var] & cur.mask)):
                 if cur.creation_site is None:
-                    out.add(l)
+                    out[l] = l, model.init_nodes[var]
                     break
                 site = cur.creation_site
                 cur = model.thread(model.node(site).tid)
@@ -580,7 +581,7 @@ class FeasibilityEngine:
         return build_base_facts(self.model, self.rows)
 
     @cached_property
-    def initial_loads(self) -> set[int]:
+    def initial_loads(self) -> dict[int, tuple]:
         return initial_value_loads(self.model)
 
     def refuted(self, load: int) -> int:

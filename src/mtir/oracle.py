@@ -345,18 +345,16 @@ def check_abstraction(records, result, model: ProgramModel,
 def static_rejections(model: ProgramModel, feas) -> list:
     """Every total source assignment the constraint engine refutes, built
     from static candidates (all matching remote stores plus self), as
-    (tid, its ReadsFrom pairs).  A self read pins `init:<var>` for an
-    initial-value load and nothing otherwise.  Used by the soundness
-    suite to cross-check against concrete read maps."""
+    (tid, its ReadsFrom pairs).  A self read pins its load's pair in
+    `feas.initial_loads`, if it has one.  Used by the soundness suite to
+    cross-check against concrete read maps."""
     rejected = []
     for cfg in model.threads:
         options = []
         for l in loads_of(cfg):
-            var = cfg.nodes[l].stmt.var
-            pins = [(l, s) for s in bits(model.stores[var] & ~cfg.mask)]
-            init = model.init_nodes[var]
-            pins.append((l, init) if l in feas.initial_loads else None)
-            options.append(pins)
+            stores = model.stores[cfg.nodes[l].stmt.var] & ~cfg.mask
+            options.append([(l, s) for s in bits(stores)]
+                           + [feas.initial_loads.get(l)])
         for choice in itertools.product(*options):
             rf = frozenset(pair for pair in choice if pair is not None)
             if rf and not feas.is_feasible(rf):

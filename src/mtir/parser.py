@@ -112,9 +112,10 @@ class Parser:
             _, _, init_line, init_col = self.tokens[self.pos]
             init = self.parse_literal()
             if typ == "bool" and init not in (0, 1):
+                from decimal import Decimal  # str(int) stops at 4300 digits
                 raise MtirSyntaxError(
                     f"bool global {name!r} takes true, false, 0 or "
-                    f"1, not {init}", init_line, init_col)
+                    f"1, not {Decimal(init)}", init_line, init_col)
             self.expect(";")
             if name in seen:
                 raise DuplicateGlobalError(
@@ -240,7 +241,7 @@ class Parser:
         if self.accept("false"):
             return 0
         neg = self.accept("-") is not None
-        value = int(self.expect("num")[1])
+        value = _int(self.expect("num")[1])
         return -value if neg else value
 
     def parse_expr(self, floor: int = 1):
@@ -263,7 +264,7 @@ class Parser:
         if kind == "ident":
             return Var(text)
         if kind == "num":
-            return IntLit(int(text))
+            return IntLit(_int(text))
         if kind == "(":
             inner = self.parse_expr()
             self.expect(")")
@@ -271,7 +272,7 @@ class Parser:
         if kind == "!":
             return UnaryOp("!", self.parse_operand())
         if kind == "-":  # a negative literal
-            return IntLit(-int(self.expect("num")[1]))
+            return IntLit(-_int(self.expect("num")[1]))
         if kind == "true" or kind == "false":
             return BoolLit(kind == "true")
         if kind == "*":
@@ -279,6 +280,15 @@ class Parser:
         raise MtirSyntaxError(
             f"expected an expression, found {text or 'end of input'!r}",
             line, col)
+
+
+def _int(digits: str) -> int:
+    """The value of a `num` token, however many digits it has."""
+    try:
+        return int(digits)
+    except ValueError:  # beyond the int-string limit: Decimal has none
+        from decimal import Decimal
+        return int(Decimal(digits))
 
 
 def parse(text: str) -> SourceProgram:

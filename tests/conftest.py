@@ -54,14 +54,15 @@ def run_thread(cfg, init, policy, **kwargs):
 
 def reads_from(feas, combination):
     """The ReadsFrom pairs a combination (load -> source) pins: a store
-    source its store, the self source of an initial-value load the
-    load's `init:<var>` node, any other source nothing."""
-    model, pairs = feas.model, set()
+    source its store, the self source of an initial-value load the pair
+    `feas.initial_loads` gives it, (load, init:<var>), any other source
+    nothing."""
+    pairs = set()
     for load, source in combination.items():
         if isinstance(source, StoreSource):
             pairs.add((load, source.store))
         elif isinstance(source, SelfSource) and load in feas.initial_loads:
-            pairs.add((load, model.init_nodes[model.node(load).stmt.var]))
+            pairs.add(feas.initial_loads[load])
     return frozenset(pairs)
 
 
@@ -251,6 +252,20 @@ thread main() { create(boss); create(spin, 7); int v = g; assert(v <= 7); }
 XINST = """int g = 0;
 thread w(int p) { int i = 0; while (i < 3) { i = i + 1; } int t = g; g = t + p; assert(t >= 0); }
 thread main() { create(w, 1); join(w); create(w, 1); }
+"""
+
+
+# w's create site is unreachable, so w never runs: its entry state and
+# every state after it are bottom, its assertion holds vacuously, and its
+# store publishes nothing for main to read
+NEVER_RUNS = """int g = 0;
+thread w() { int t = g; g = t + 1; assert(t > 100); }
+thread main() {
+  int z = 0;
+  if (z == 1) { create(w); }
+  int r = g;
+  assert(r == 0);
+}
 """
 
 

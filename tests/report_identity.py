@@ -30,7 +30,8 @@ loop bounded by the value read after it,
 two instances of a routine with a loop before its read of a global,
 created one after the other from equal entry states, a thread whose
 loop never exits before a read of a global, two loads of one global
-around a load of another, whose clusters are not in node order,
+around a load of another, whose clusters are not in node order, a
+created thread that never runs, its create site unreachable,
 `random_program` seeds 0-119, `repeated_program` seeds 0-39 and
 `stress_soundness`'s `loopy_program` seeds 0-19.
 """
@@ -45,7 +46,7 @@ import tempfile
 
 sys.path[:0] = ["src", "tests"]
 from conftest import (  # noqa: E402
-    POLICY_ORDER, XINST, random_program, repeated_program,
+    NEVER_RUNS, POLICY_ORDER, XINST, random_program, repeated_program,
 )
 from stress_soundness import loopy_program  # noqa: E402
 
@@ -286,6 +287,7 @@ def programs():
     yield "no_exit", NO_EXIT
     yield "policy_order", POLICY_ORDER
     yield "xinst", XINST
+    yield "never_runs", NEVER_RUNS
     yield "deep_plus900", DEEP_PLUS
     yield "deep_not900", DEEP_NOT
     for family, generator, count in (("random", random_program, 120),

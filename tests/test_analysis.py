@@ -52,12 +52,14 @@ def test_flow_insensitive_false_alarm(corpus_models, corpus_results):
     published = result.interference_env(writer.tid)
     assert published == AbstractEnv({"flag": interval(1, 1),
                                      "x": interval(4, 5)})
-    # one published interference per store node, none empty
-    stores = [source for sources in result.interference.values()
-              for tid, source in sources if tid == writer.tid]
-    assert [model.node_name(n) for n in sorted(s.store for s in stores)] \
+    # one published interference per store node, none empty, each keyed
+    # by its store
+    stores = [(n, source) for sources in result.interference.values()
+              for n, source in sources.sources.items() if n in writer.nodes]
+    assert all(n == s.store for n, s in stores)
+    assert [model.node_name(n) for n, _ in sorted(stores)] \
         == ["t1.4", "t1.5", "t1.6"]
-    assert all(s.value != EMPTY for s in stores)
+    assert all(s.value != EMPTY for _, s in stores)
 
 
 def test_single_thread_matches_sequential():
@@ -125,9 +127,9 @@ def test_load_reads_each_value_from_its_lowest_remote_store():
     for mode in ("fs", "fsc", "fso"):
         result = analyze(model, AnalysisConfig(mode=mode))
         index = result.interference
-        (own,) = [s.store for tid, s in index["g"] if tid == a.tid]
-        first, second, third = [s.store for tid, s in index["g"]
-                                if tid == b.tid]
+        (own,) = [n for n in index["g"].sources if n in a.nodes]
+        first, second, third = [n for n in index["g"].sources
+                                if n in b.nodes]
         assert own < first < second < third
         assert list(index["g"].values) == [interval(1, 1), interval(2, 2)]
         policies, generated, rejected, runs = compute_combinations(
@@ -137,6 +139,11 @@ def test_load_reads_each_value_from_its_lowest_remote_store():
                       else s for s in policy) for policy in policies] == [
             ((first, interval(2, 2)),), ((second, interval(1, 1)),),
             (SelfSource(),)]
+        # each read of one value is the table's own source
+        assert [policy[0] for policy in policies[:2]] \
+            == [index["g"].sources[first], index["g"].sources[second]]
+        assert all(policy[0] is index["g"].sources[policy[0].store]
+                   for policy in policies[:2])
         assert (generated, rejected, runs) == (4, 0, 4)
         # b's load reads a's store, its one remote one
         policies, generated, _, _ = compute_combinations(
@@ -160,8 +167,8 @@ def test_fi_merged_sources_join_each_value_once(monkeypatch):
     def counted_combinations(cfg, index, *args, **kwargs):
         loads = len(loads_of(cfg))
         for stores in index.values():
-            counts["bound"] += loads * len({s.value for _, s in stores})
-            counts["stores"] += loads * len(stores)
+            counts["bound"] += loads * len(stores.values)
+            counts["stores"] += loads * len(stores.sources)
         counts["inside"] = True
         try:
             return combinations(cfg, index, *args, **kwargs)
@@ -359,13 +366,12 @@ def test_growth_flags_match_snapshots(monkeypatch):
         state["grew"] |= grew
         return grew
 
-    def checked_publish(model, te, published, *args):
-        index = publish(model, te, published, *args)
-        after = dict(te), dict(published)
+    def checked_publish(model, te, iteration, config, steps, index):
+        publish(model, te, iteration, config, steps, index)
+        after = dict(te), published_values(index)
         state["flags"].append(state["grew"])
         state["changed"].append(after != state["last"])
         state["last"], state["grew"] = after, False
-        return index
 
     monkeypatch.setattr(analysis_mod, "_merge_te", checked_merge_te)
     monkeypatch.setattr(analysis_mod, "_publish", checked_publish)
@@ -445,19 +451,17 @@ def test_republication_monotone(monkeypatch):
     # every store's published value only grows: across iterations, and
     # when republished from smaller node states.  Node states only grow
     # and transfers are monotone, so only the second sees whether a value
-    # is joined with the old one.  `_publish` updates the index it is
-    # given, so the republication gets an index of its own.
+    # is joined with the old one.  `_publish` updates the table it is
+    # given, a variable's entry by a new `Published`, so the republication
+    # gets a copy of the final table.
     from mtir import analysis as analysis_mod
     original = analysis_mod._publish
     calls, snapshots = [], []
 
-    def spying_publish(model, te, published, iteration, config, steps,
-                       index):
+    def spying_publish(model, te, iteration, config, steps, index):
         calls.append((dict(te), config, steps))
-        index = original(model, te, published, iteration, config, steps,
-                         index)
-        snapshots.append(dict(published))
-        return index
+        original(model, te, iteration, config, steps, index)
+        snapshots.append(published_values(index))
 
     monkeypatch.setattr(analysis_mod, "_publish", spying_publish)
     grown = 0
@@ -465,26 +469,33 @@ def test_republication_monotone(monkeypatch):
         model = model_of(source(name))
         calls.clear()
         snapshots.clear()
-        analyze(model, AnalysisConfig(mode="fs"))
+        result = analyze(model, AnalysisConfig(mode="fs"))
         for before, after in zip(snapshots, snapshots[1:]):
             for store, value in before.items():
                 assert value.leq(after[store]), name
         # the first iteration's states, republished at an iteration within
         # the widening delay, keep every final value
-        final = snapshots[-1]
+        final, table = snapshots[-1], dict(result.interference)
         first_te, config, steps = calls[0]
-        republished = dict(final)
-        original(model, first_te, republished, 1, config, steps, {})
+        original(model, first_te, 1, config, steps, table)
+        republished = published_values(table)
+        assert published_values(result.interference) == final
         for store, value in final.items():
             assert value.leq(republished[store]), name
         grown += any(final[n] != value for n, value in snapshots[0].items())
     assert grown  # some store's value grows after the first iteration
 
 
-def reference_publish(model, te, published, iteration, config, steps):
-    """The index rebuilt from scratch, as `_publish` built it before it
-    updated the previous index: every store's entry anew, each iteration."""
-    index = {}
+def published_values(index):
+    """The value each store publishes in the interference table `index`."""
+    return {n: source.value for stores in index.values()
+            for n, source in stores.sources.items()}
+
+
+def reference_publish(model, te, index, iteration, config, steps):
+    """The table rebuilt from scratch, every store's entry anew, from the
+    old values in `index`: what `_publish` computes in place."""
+    table = {}
     for cfg in model.threads:
         thread_steps, base = steps[cfg.tid], cfg.first_node
         for r in thread_steps.stores:
@@ -494,64 +505,73 @@ def reference_publish(model, te, published, iteration, config, steps):
                 continue
             var = cfg.nodes[n].stmt.var
             value = thread_steps.transfer[r](pre).get(var)
-            old = published.get(n)
+            old = index[var].sources.get(n) if var in index else None
             if old is not None:
-                value = old.join(value)
+                value = old.value.join(value)
                 if iteration > config.widening_delay:
-                    value = old.widen(value)
-            published[n] = value
-            stores = index.get(var)
+                    value = old.value.widen(value)
+            stores = table.get(var)
             if stores is None:
-                stores = index[var] = Published()
-            stores.append((cfg.tid, StoreSource(n, value)))
+                stores = table[var] = Published()
+            stores.sources[n] = StoreSource(n, value)
             stores.mask |= 1 << n
             stores.values[value] = stores.values.get(value, 0) | 1 << n
-    return index
+    return table
 
 
 def index_rows(index):
-    """An index as comparable rows: per variable, its ordered (var, tid,
-    store, value) list, its mask and its ordered value masks."""
-    return {var: ([(var, tid, s.store, s.value) for tid, s in stores],
+    """A table as comparable rows: per variable, its ordered (store node,
+    source's store, value) list, its mask and its ordered value masks."""
+    return {var: ([(n, s.store, s.value) for n, s in stores.sources.items()],
                   stores.mask, list(stores.values.items()))
             for var, stores in index.items()}
 
 
 def test_incremental_index_matches_rebuild(monkeypatch):
-    # at every outer iteration the updated index and published values
-    # equal a from-scratch rebuild from the same node states; the guards
-    # see variables kept as they were and variables rebuilt after a
-    # copied prefix of unchanged stores
+    # at every outer iteration the updated table equals a from-scratch
+    # rebuild from the same node states; the guards see variables kept as
+    # they were and variables rebuilt with some stores' sources kept.  A
+    # rebuilt variable keeps a store's very source exactly when the
+    # store's value is the old one.  In `late`, main's store of 1 is first
+    # published after its store of 2 and w's, and sorts in before them.
     from mtir import analysis as analysis_mod
     publish = analysis_mod._publish
-    seen = {"calls": 0, "kept": 0, "copied": 0, "widened": 0}
+    seen = {"calls": 0, "kept": 0, "shared": 0, "widened": 0}
+    late = ("int g = 0;\n"
+            "thread w() { g = 5; }\n"
+            "thread main() {\n"
+            "  create(w); int t = g; if (t == 5) { g = 1; } g = 2;\n"
+            "  int r = g; assert(r <= 5); }\n")
+    sorted_in = 0
 
-    def checked_publish(model, te, published, iteration, config, steps,
-                        index):
-        expected = dict(published)
-        rebuilt = reference_publish(model, te, expected, iteration, config,
-                                    steps)
+    def checked_publish(model, te, iteration, config, steps, index):
+        nonlocal sorted_in
         before = dict(index)
-        index = publish(model, te, published, iteration, config, steps,
-                        index)
-        assert published == expected
+        rebuilt = reference_publish(model, te, before, iteration, config,
+                                    steps)
+        publish(model, te, iteration, config, steps, index)
         assert index_rows(index) == index_rows(rebuilt)
         seen["calls"] += 1
         seen["widened"] += iteration > config.widening_delay
         for var, old in before.items():
             seen["kept"] += index[var] is old
-            seen["copied"] += index[var] is not old and \
-                index[var][0][1] is old[0][1]
-        return index
+            sorted_in += min(index[var].sources) < min(old.sources)
+            if index[var] is not old:
+                new = index[var].sources
+                kept = [new[n] is s for n, s in old.sources.items()]
+                assert kept == [new[n].value is s.value
+                                for n, s in old.sources.items()]
+                seen["shared"] += any(kept)
 
     monkeypatch.setattr(analysis_mod, "_publish", checked_publish)
     texts = list(instance_programs())  # the corpus, random and repeated
-    texts += [loopy_program(seed) for seed in range(20)]
+    texts += [loopy_program(seed) for seed in range(20)] + [late]
     for text in texts:
         model = model_of(text)
         for mode in MODES:
             analyze(model, AnalysisConfig(mode=mode))
     assert min(seen.values()) > 10, seen
+    assert sorted_in >= len(MODES)
 
 
 def test_merge_te_folds_only_what_can_grow():
@@ -610,8 +630,8 @@ def test_termination_within_budget_on_corpus(corpus_results):
 
 def _full_product(cfg, index, facts, plan, feasibility=False,
                   combo_cap=None, merged=False):
-    """Reference `compute_combinations`, built from the (tid, source) lists
-    of `index` alone: the whole per-store product of each cluster, every
+    """Reference `compute_combinations`, built from the sources of the
+    table `index` alone: the whole per-store product of each cluster, every
     combination feasibility-checked on its own, no source dropped or
     merged before the product, clusters zipped.  The active loads are
     those of the plan's clusters; a policy lists their sources in node
@@ -621,9 +641,10 @@ def _full_product(cfg, index, facts, plan, feasibility=False,
     active = [l for l in loads if any(l in group for group in groups)]
     sources = {}
     for l in active:
-        remote = [source for tid, source in index.get(cfg.nodes[l].stmt.var,
-                                                      ())
-                  if tid != cfg.tid]
+        var = cfg.nodes[l].stmt.var
+        remote = [source for n, source in
+                  (index[var].sources if var in index else {}).items()
+                  if n not in cfg.nodes]
         if merged or cfg.reach[l] >> l & 1:
             values = [source.value for source in remote if merged
                       or not facts.rows.weak[l] >> source.store & 1]
@@ -655,11 +676,11 @@ def _full_product(cfg, index, facts, plan, feasibility=False,
 
 
 def sources_by_store(result):
-    """The interference index as (tid, store, value) lists per variable: a
-    `StoreSource` compares by its value alone."""
-    return {var: [(tid, source.store, source.value)
-                  for tid, source in sources]
-            for var, sources in result.interference.items()}
+    """The interference table as (store node, store, value) lists per
+    variable: a `StoreSource` compares by its value alone."""
+    return {var: [(n, source.store, source.value)
+                  for n, source in stores.sources.items()]
+            for var, stores in result.interference.items()}
 
 
 def test_memoized_runs_match_unmemoized(corpus_models, monkeypatch):
@@ -712,22 +733,33 @@ def test_watchdog_run_counts():
                       "fso": (18, 8)}
 
 
-def test_resumed_run_counts():
+def test_resumed_run_counts(monkeypatch):
     # every dog counts to 12 before it reads g: of the 36 runs fi, fs and
     # fsc execute on watchdog/16, the 28 after the first from each (routine,
     # entry state) resume its stored prefix; under fso the loop is off the
     # slice.  A chain link reads x first, so it stores no prefix.  Prefixes
     # are shared across instances: under fsc and fso the second `w` of
     # XINST executes one combination the first never ran, and resumes the
-    # first's prefix.  The counter stays out of the report.
+    # first's prefix.  No resume count is kept or reported: this counts
+    # the runs `analyze_thread` returns marked resumed.
+    from mtir import analysis as analysis_mod
+    run_thread_of = analysis_mod.analyze_thread
+    resumed = []
+
+    def counted_run(*args, **kwargs):
+        run = run_thread_of(*args, **kwargs)
+        resumed[-1] += run.resumed
+        return run
+
+    monkeypatch.setattr(analysis_mod, "analyze_thread", counted_run)
     counts = {}
     for name, text in (("watchdog16", watchdog_program(16)),
                        ("chain10", chain_program(10)), ("xinst", XINST)):
         model = model_of(text)
         for mode in MODES:
+            resumed.append(0)
             result = analyze(model, AnalysisConfig(mode=mode))
-            counts[name, mode] = (result.stats.interp_runs,
-                                  result.stats.resumed_runs)
+            counts[name, mode] = (result.stats.interp_runs, resumed[-1])
             assert "resumed_runs" not in report(result)["stats"]
     assert {mode: counts["watchdog16", mode] for mode in MODES} == {
         "fi": (36, 28), "fs": (36, 28), "fsc": (36, 28), "fso": (8, 0)}

@@ -8,13 +8,16 @@ import sys
 import jsonschema
 import pytest
 
+from conftest import NEVER_RUNS
 import mtir
 from mtir import AnalysisConfig, analyze, build_model, parse
+from mtir.analysis import MODES
 from mtir.bench import FAMILIES
 from mtir.cli import REPORT_SCHEMA, main
 from mtir.corpus import PROGRAMS, path, source
 from mtir.domain import Interval
 from mtir.facts import FeasibilityEngine, dump_facts
+from mtir.oracle import check_abstraction, enumerate_executions
 
 
 def run_cli(capsys, *argv):
@@ -217,6 +220,58 @@ def test_bounds_beyond_int_string_limit(tmp_path, capsys, fmt):
     assert (status, err) == (0, "")
     big = "1" + "0" * 5120
     assert "x:[%s,%s]" % (big, big) in out
+
+
+# a literal of 5001 digits, past Python's int-string limit (4300), in each
+# place the parser reads one: a global's initial value, a create argument
+# and an operand, each also negated where the grammar allows it
+BIG = "1" + "0" * 5000
+BIG_LITERALS = {
+    "global": ("int g = %s;\nthread main() { int x = g; assert(x >= 0); }"
+               % BIG, "x:[%s,%s]" % (BIG, BIG)),
+    "negative global": ("int g = -%s;\n"
+                        "thread main() { int x = g; assert(x < 0); }" % BIG,
+                        "x:[-%s,-%s]" % (BIG, BIG)),
+    "create argument": ("thread w(int p) { assert(p > 0); }\n"
+                        "thread main() { create(w, %s); }" % BIG,
+                        "p:[%s,%s]" % (BIG, BIG)),
+    "operand": ("thread main() { int x = %s; assert(x > 0); }" % BIG,
+                "x:[%s,%s]" % (BIG, BIG)),
+    "negative operand": ("thread main() { int x = -%s; assert(x < 0); }"
+                         % BIG, "x:[-%s,-%s]" % (BIG, BIG)),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("place", BIG_LITERALS)
+def test_literals_beyond_int_string_limit(tmp_path, capsys, place, mode):
+    text, bound = BIG_LITERALS[place]
+    prog = tmp_path / "big.mtir"
+    prog.write_text(text + "\n")
+    status, out, err = run_cli(capsys, "analyze", str(prog), "--dump-envs",
+                               "--mode=%s" % mode)
+    assert (status, err) == (0, "")
+    assert bound in out
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_created_thread_that_never_runs(tmp_path, capsys, mode):
+    # w's entry state is bottom: the analysis reports each of its states
+    # as bottom and its assertion verified, and stays sound
+    prog = tmp_path / "never_runs.mtir"
+    prog.write_text(NEVER_RUNS)
+    status, out, err = run_cli(capsys, "analyze", str(prog), "--dump-envs",
+                               "--format=json", "--mode=%s" % mode)
+    assert (status, err) == (0, "")
+    report = json.loads(out)
+    assert {"thread": "w", "line": 2, "status": "verified"} \
+        in report["assertions"]
+    model = build_model(parse(NEVER_RUNS))
+    w = {model.node_name(n) for n in model.thread_named("w").nodes}
+    assert {name: env for name, env in report["envs"].items()
+            if name in w} == dict.fromkeys(w, "⊥")
+    result = analyze(model, AnalysisConfig(mode=mode))
+    assert check_abstraction(enumerate_executions(model), result, model).ok
 
 
 @pytest.mark.parametrize("name", PROGRAMS)

@@ -461,7 +461,7 @@ def test_analysis_states_stay_clean():
             for env in result.te.values():
                 assert_env_clean(env)
             for sources in result.interference.values():
-                for _, source in sources:
+                for source in sources.sources.values():
                     assert source.value != EMPTY, source
                     assert_canonical(source.value)
 

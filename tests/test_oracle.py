@@ -150,9 +150,10 @@ def test_check_abstraction_corpus_program():
         for record in records:
             finals = dict(record.final_globals)
             for var, value in finals.items():
+                stores = result.interference.get(var)
                 covered = model.globals[var] == value or any(
                     source.value.contains(value)
-                    for _, source in result.interference.get(var, ()))
+                    for source in (stores.sources if stores else {}).values())
                 assert covered, (mode, var, value)
 
 

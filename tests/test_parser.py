@@ -114,11 +114,13 @@ def test_bool_global_takes_only_truth_values():
     for init, value in (("true", 1), ("false", 0), ("0", 0), ("1", 1)):
         prog = parse("bool b = %s; thread main() { }" % init)
         assert prog.globals == [("b", "bool", value)]
-    for init in ("5", "-1", "2"):
+    # the message names the value, past the int-string limit too
+    for init in ("5", "-1", "2", "1" + "0" * 5000):
         with pytest.raises(MtirSyntaxError) as err:
             parse("bool b = %s; thread main() { }" % init)
         assert (err.value.line, err.value.col) == (1, 10), init
         assert "bool global 'b'" in str(err.value)
+        assert str(err.value).endswith(", not %s" % init)
 
 
 def test_unexpected_character():

@@ -60,10 +60,14 @@ depends only on its step table and entry state (the widening delay is
 fixed in one analysis), so the first run from those stores its worklist
 state at that load and every later run from equal ones, on any instance
 of the routine, resumes there (see `interp.analyze_thread`).  Resumed
-runs compute exactly what fresh runs compute.
+runs compute exactly what fresh runs compute, and as the worklist pops
+in node order, a loop before that load has settled in the prefix.  A
+thread's entry state is rebuilt only when the state at its create site
+is a new object, which `_merge_te` makes exactly when the state grows,
+so run keys and prefix lookups find one entry object by identity.
 
 The descending pass after a widening is shared the same way.  The nodes
-no node of the worklist at that load can reach have their final states
+no node pending at that load can reach have their final states
 there and read no combination, so how each sweep narrows them is stored
 with the prefix by the first run that sweeps, and later runs copy it and
 narrow only the nodes the load can affect.
@@ -371,6 +375,7 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
     seen: set = set()  # (tid, run key) of every scheduled run
     shared: dict = {}  # run key -> every executed run
     prefixes: dict = {}  # (step table, entry) -> state at first consult
+    entries: dict = {}  # tid -> (create-site state, the entry built from it)
     compiled: dict = {}  # (routine, relative identity nodes) -> step table
     steps = {}  # tid -> its thread's step table
     for cfg in model.threads:
@@ -406,7 +411,14 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
             stats.combos += generated
             stats.infeasible += rejected
 
-            init = _entry_env(model, cfg, te, steps[cfg.tid])
+            # _merge_te replaces a state exactly when it grows, so an entry
+            # is rebuilt only for a new create-site state object
+            site = te.get(cfg.creation_site)
+            entry = entries.get(cfg.tid)
+            if entry is None or entry[0] is not site:
+                entry = entries[cfg.tid] = site, _entry_env(
+                    model, cfg, te, steps[cfg.tid])
+            init = entry[1]
             for policy in policies:
                 # a run is a deterministic function of its key and is folded
                 # in by join: skip an input this thread already ran, and

@@ -193,9 +193,16 @@ PRECEDENCE = {
 }
 
 
+def _int_source(value: int) -> str:
+    """`str(value)` without the 4300-digit limit on `str(int)`; imported
+    here, as printing programs is all in `ast` that needs `decimal`."""
+    from decimal import Decimal
+    return str(Decimal(value))
+
+
 def expr_to_source(e: Expr, parent_prec: int = 0) -> str:
     if isinstance(e, IntLit):
-        return str(e.value)
+        return _int_source(e.value)
     if isinstance(e, BoolLit):
         return "true" if e.value else "false"
     if isinstance(e, Var):
@@ -239,7 +246,7 @@ def _stmt_lines(s: Stmt, indent: str) -> list[str]:
     if isinstance(s, ErrorStmt):
         return [f"{indent}error;"]
     if isinstance(s, CreateStmt):
-        args = "".join(", %d" % a for a in s.args)
+        args = "".join(", " + _int_source(a) for a in s.args)
         return [f"{indent}create({s.routine}{args});"]
     if isinstance(s, JoinStmt):
         return [f"{indent}join({s.routine});"]
@@ -253,7 +260,7 @@ def to_source(prog: SourceProgram) -> str:
         if typ == "bool":
             lines.append("bool %s = %s;" % (name, "true" if init else "false"))
         else:
-            lines.append("int %s = %d;" % (name, init))
+            lines.append("int %s = %s;" % (name, _int_source(init)))
     for r in prog.routines:
         params = ", ".join("int %s" % p for p in r.params)
         lines.append(f"thread {r.name}({params}) {{")

@@ -390,18 +390,26 @@ class AbstractEnv:
         return self if kept == len(self.bindings) else AbstractEnv._clean(out)
 
     def narrow(self, other: "AbstractEnv") -> "AbstractEnv":
+        """Self if no binding narrows; the bindings are copied at the first
+        that does, and a binding `self` holds as the very object is kept."""
         if self.bottom:
             return self
         if other.bottom:
             return other
-        out, kept = dict(self.bindings), 0
+        mine, out = self.bindings, None
         for name, iv in other.bindings.items():
-            x = out.get(name, TOP)
-            out[name] = y = x.narrow(iv)
+            x = mine.get(name, TOP)
+            if iv is x:
+                continue
+            y = x.narrow(iv)
+            if y is x:
+                continue
             if y.empty:
                 return _BOTTOM
-            kept += y is x
-        return self if kept == len(other.bindings) else AbstractEnv._clean(out)
+            if out is None:
+                out = dict(mine)
+            out[name] = y
+        return self if out is None else AbstractEnv._clean(out)
 
     def project(self, names) -> "AbstractEnv":
         if self.bottom:

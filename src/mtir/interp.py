@@ -16,9 +16,7 @@ policies are equal compute the same states.
 
 from __future__ import annotations
 
-from collections import deque
-
-from .cfg import SAssert, SLoad, SNop, SStore, ThreadCfg, flow_masks
+from .cfg import SAssert, SLoad, SNop, SStore, ThreadCfg, bits, flow_masks
 from .domain import AbstractEnv, Interval, compile_filter, compile_transfer
 from .errors import AnalysisBudgetExceeded
 from .record import Record, Value, cached_property, set_field
@@ -200,15 +198,16 @@ VISIT_BUDGET = 200_000  # worklist visits per run before giving up
 class _Prefix(Record):
     """A run's ascending state just before its first policy consult, the
     nodes that state fixes and their descending sweeps."""
-    __slots__ = ("envs", "updates", "worklist", "queued", "visits", "widened",
+    __slots__ = ("envs", "updates", "worklist", "visits", "widened",
                  "fixed", "sweeps")
 
-    def __init__(self, envs: list, updates: list, worklist: deque,
-                 queued: set, visits: int, widened: bool, fixed: int):
-        self.envs, self.updates, self.queued = envs, updates, queued
-        self.worklist = worklist  # the consulting load at its front
+    def __init__(self, envs: list, updates: list, worklist: int,
+                 visits: int, widened: bool, fixed: int):
+        self.envs, self.updates = envs, updates
+        # mask of the pending nodes, the consulting load the lowest
+        self.worklist = worklist
         self.visits, self.widened = visits, widened
-        self.fixed = fixed  # mask of the nodes no node of the worklist reaches
+        self.fixed = fixed  # mask of the nodes no pending node reaches
         # per sweep of the first run from here that swept that far: each fixed
         # node the sweep narrowed, with its new state
         self.sweeps = []
@@ -232,32 +231,36 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
     Without a widening each node's state is already the join of its final
     incoming edges, so the pass is skipped.
 
-    A run is resumable.  Until it pops one of the table's loads with a
-    state that is not bottom, it has not consulted `policy`, so what it
-    computed is a function of the table, `init` and the widening delay
-    alone.  At that first consult, unless it is the first visit, the run
-    stores its worklist state in `prefixes` under `(table, init)`; a
-    later run of any instance with that key copies that state and goes
-    on from there, so it visits, widens and exceeds the visit budget
-    exactly where a fresh run would.  `prefixes` must belong to one
-    analysis, with a fixed widening delay; by default the prefix is
-    stored in a dict of its own.  A thread whose entry is one of the
-    table's loads consults at its first visit, so it neither looks up
-    nor stores a prefix.
+    The worklist is a mask of the pending nodes by relative id, and each
+    visit pops the lowest: node order (Bourdoncle, FMPA 1993).  Node ids
+    follow the source, so a loop settles before any node after it is
+    popped, and a table without a cycle visits each node once.
+
+    A run is resumable.  Until it pops one of the table's loads with a state
+    that is not bottom, it has not consulted `policy`, so what it computed
+    is a function of the table, `init` and the widening delay alone.  At that
+    first consult, unless it is the first visit, the run stores its states,
+    update counts and pending mask in `prefixes` under `(table, init)`; a
+    later run of any instance with that key copies that state and goes on
+    from there, so it visits, widens and exceeds the visit budget exactly
+    where a fresh run would.  `prefixes` must belong to one analysis, with a
+    fixed widening delay; by default the prefix is stored in a dict of its
+    own.  A thread whose entry is one of the table's loads consults at its
+    first visit, so it neither looks up nor stores a prefix.
 
     The descending pass is shared too.  The prefix also holds its fixed
-    nodes: those that no node of the worklist (the consulting load and
-    every pending node) reaches.  Only nodes popped after the consult
-    update states, so a fixed node's state is final at the consult; its
-    predecessors are fixed as well, and none of them reads the policy,
-    since every load with a state that is not bottom is still in the
-    worklist.  So in each sweep a fixed node narrows to a value that
-    depends on the prefix and the sweep's number alone.  The first run
-    from a prefix that reaches a sweep records the fixed nodes that sweep
-    narrowed; a later run walks the same node order, copies them, and
-    computes only the other nodes.  These read the same mix of this
-    sweep's and the last sweep's states as in a fresh run, and the run
-    stops sweeping once neither kind of node changed.
+    nodes: those that no pending node (the consulting load among them)
+    reaches.  Only nodes popped after the consult update states, so a fixed
+    node's state is final at the consult; its predecessors are fixed as
+    well, and none of them reads the policy, since every load with a state
+    that is not bottom is still pending.  A loop before the consulting load
+    has settled, so its nodes are fixed.  So in each sweep a fixed node
+    narrows to a value that depends on the prefix and the sweep's number
+    alone.  The first run from a prefix that reaches a sweep records the
+    fixed nodes that sweep narrowed; a later run walks the same node order,
+    copies them, and computes only the other nodes.  These read the same mix
+    of this sweep's and the last sweep's states as in a fresh run, and the
+    run stops sweeping once neither kind of node changed.
     """
     base = cfg.first_node
     if len(policy) != len(table.loads):
@@ -280,30 +283,31 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
     resumed = prefix is not None
     if prefix is None:
         updates = [0] * table.size
-        worklist, queued = deque([table.entry]), {table.entry}
+        pending = 1 << table.entry  # mask of the nodes to visit
         visits, widened = 0, False
     else:
         envs, updates = list(prefix.envs), list(prefix.updates)
-        worklist, queued = deque(prefix.worklist), set(prefix.queued)
+        pending = prefix.worklist
         visits, widened = prefix.visits, prefix.widened
     budget = VISIT_BUDGET
 
-    while worklist:
+    while pending:
         visits += 1
         if visits > budget:
             raise AnalysisBudgetExceeded(
                 f"{cfg.name}: worklist exceeded {budget} visits")
-        n = worklist.popleft()
-        queued.discard(n)
+        low = pending & -pending  # the lowest pending node goes first
+        pending ^= low
+        n = low.bit_length() - 1
         if recording and n in table.loads and not envs[n].bottom:
             recording = False
             if visits > 1:
                 reached = 0
-                for m in (n, *worklist):
+                for m in bits(pending | low):
                     reached |= cfg.reach[m + base]
                 prefix = prefixes[key] = _Prefix(
-                    list(envs), list(updates), deque((n, *worklist)),
-                    queued | {n}, visits - 1, widened, ~(reached >> base))
+                    list(envs), list(updates), pending | low, visits - 1,
+                    widened, ~(reached >> base))
         out = _node_out(table, n, envs[n], policy)
         for dst, filt in table.succs[n]:
             incoming = out if filt is None else filt(out)
@@ -315,9 +319,7 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
                 widened = True
             envs[dst] = joined
             updates[dst] += 1
-            if dst not in queued:
-                worklist.append(dst)
-                queued.add(dst)
+            pending |= 1 << dst
 
     # descending sweeps, in place so a narrowed loop head refines its
     # successors within the same pass; each update keeps the post-fixpoint

@@ -768,6 +768,49 @@ def test_resumed_run_counts(monkeypatch):
         "fi": (6, 4), "fs": (6, 4), "fsc": (3, 1), "fso": (3, 1)}
 
 
+def test_entry_state_kept_while_create_site_unchanged(monkeypatch):
+    # analyze rebuilds a thread's entry state only when the state object at
+    # its create site changes, which `_merge_te` does exactly when that
+    # state grows: so every run of a thread whose create-site state is the
+    # same object as at an earlier run gets the very same entry object,
+    # the entry thread's in every run
+    from mtir import analysis as analysis_mod
+    entry_env_of, run_thread_of = \
+        analysis_mod._entry_env, analysis_mod.analyze_thread
+    current, first = {}, {}  # the analysis's te; (tid, site) -> entry
+    kept = 0
+
+    def entry_env(model, cfg, te, steps):
+        current["te"] = te
+        return entry_env_of(model, cfg, te, steps)
+
+    def checked_run(cfg, init, policy, **kwargs):
+        nonlocal kept
+        site = current["te"].get(cfg.creation_site)
+        # holding `site` keeps its id from being reused
+        key = cfg.tid, id(site)
+        if key in first:
+            assert first[key][1] is init, cfg.name
+            kept += 1
+        else:
+            first[key] = site, init
+        return run_thread_of(cfg, init, policy, **kwargs)
+
+    monkeypatch.setattr(analysis_mod, "_entry_env", entry_env)
+    monkeypatch.setattr(analysis_mod, "analyze_thread", checked_run)
+    # a fresh run key per call, so every scheduled run executes
+    monkeypatch.setattr(analysis_mod, "_run_key", lambda *_: object())
+    texts = [watchdog_program(4), chain_program(5), XINST]
+    texts += [source(name) for name in PROGRAMS]
+    for text in texts:
+        model = model_of(text)
+        for mode in MODES:
+            current.clear()
+            first.clear()
+            analyze(model, AnalysisConfig(mode=mode))
+    assert kept > 400, kept
+
+
 def test_one_model_four_modes_in_any_order():
     # `mtir bench` and perfbench analyze one model in every mode, so what a
     # thread caches must not carry one mode's identity nodes or

@@ -500,6 +500,30 @@ def test_readme_fso_caveat(tmp_path, capsys):
     assert status == {"fi": 0, "fs": 0, "fsc": 0, "fso": 1}
 
 
+BOOTSTRAP_ALARM = (
+    "int g = 0; thread w(int a, int b) { g = a + b; } thread main() "
+    "{ create(w, 1, 2); join(w); int t = g; assert(t == 3); }")
+
+
+def test_bootstrap_false_alarm(tmp_path, capsys):
+    # a known false alarm, pinned so that mending it is a deliberate
+    # change: t == 3 in every execution, but the first iteration's
+    # unfiltered self-only run of main reads init:g, and the violation it
+    # finds stays, though fsc rejects that combination from iteration 2
+    model = build_model(parse(BOOTSTRAP_ALARM))
+    records = enumerate_executions(model)
+    assert records and not any(r.violations for r in records)
+    prog = tmp_path / "bootstrap.mtir"
+    prog.write_text(BOOTSTRAP_ALARM)
+    status = {mode: run_cli(capsys, "analyze", str(prog), "--mode=" + mode)[0]
+              for mode in MODES}
+    assert status == dict.fromkeys(MODES, 1)
+    per_iteration = analyze(model, AnalysisConfig(mode="fsc")) \
+        .stats.per_iteration
+    main_tid = model.thread_named("main").tid
+    assert [i.infeasible[main_tid] for i in per_iteration[:2]] == [0, 1]
+
+
 def test_benchmark_selfcheck():
     # the benchmark patches the checker's entry points by name
     # (perfbench/layers.py): its self-check fails if one goes missing

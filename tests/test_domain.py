@@ -287,6 +287,46 @@ def test_narrowing_returns_its_operand_when_nothing_narrows():
     assert min(kept.values()) > N_CASES // 4, kept
 
 
+def narrow_copying_all(self, other):
+    """`AbstractEnv.narrow` as it was defined before it copied on change:
+    each binding of `other` narrowed into a copy of `self`'s bindings."""
+    if self.bottom:
+        return self
+    if other.bottom:
+        return other
+    out, kept = dict(self.bindings), 0
+    for name, iv in other.bindings.items():
+        x = out.get(name, TOP)
+        out[name] = y = x.narrow(iv)
+        if y.empty:
+            return AbstractEnv.bot()
+        kept += y is x
+    return self if kept == len(other.bindings) else AbstractEnv._clean(out)
+
+
+def test_narrowing_matches_copying_every_binding():
+    # narrow copies the bindings only at the first that narrows and skips
+    # a binding that is the very interval self holds: its results equal
+    # the copy-everything definition's, and it returns self exactly when
+    # no binding changes
+    rng = random.Random(29)
+    seen = {"self": 0, "narrowed": 0, "bottom": 0}
+    for _ in range(N_CASES):
+        a = rand_env(rng)
+        shared = AbstractEnv({  # some of a's interval objects, some fresh
+            n: a.bindings[n] if n in a.bindings and rng.random() < 0.6
+            else rand_interval(rng) for n in ("x", "y", "z")
+            if rng.random() < 0.8})
+        for b in (rand_env(rng), rand_env(rng).meet(a), shared,
+                  shared.meet(a)):
+            got, want = a.narrow(b), narrow_copying_all(a, b)
+            assert got == want, (a, b)
+            assert (got is a) == (want is a) == (got == a), (a, b)
+            seen["self" if got is a else
+                 "bottom" if got.bottom else "narrowed"] += 1
+    assert min(seen.values()) > N_CASES // 20, seen
+
+
 def rand_stmt(rng, names):
     kind = rng.randrange(5)
     target = rng.choice(names)

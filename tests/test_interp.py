@@ -235,10 +235,10 @@ thread main() {
 """
 
 # k trails i by three assignments, so the loop narrows over three sweeps;
-# the five statements after it let the loop settle before the read is
-# popped, and k and l are reset there, so the nodes after the read stop
-# changing after the first sweep: a resumed run must go on sweeping while
-# the recorded sweeps of the loop still change
+# the loop settles before the read is popped, and k and l are reset
+# between the two, so the nodes after the read stop changing after the
+# first sweep: a resumed run must go on sweeping while the recorded
+# sweeps of the loop still change
 LAGGED = """int g = 0;
 thread w() { g = 1; }
 thread main() {
@@ -257,6 +257,51 @@ thread main() {
   assert(t <= c);
 }
 """
+
+
+def lagged(before: int) -> str:
+    """LAGGED with the first `before` of its five statements between the
+    loop and the read of g, and the others after the read."""
+    head, rest = LAGGED.split("  k = 0;\n")
+    middle, tail = ("  k = 0;\n" + rest).split("  int t = g;\n")
+    lines = middle.splitlines(keepends=True)
+    return head + "".join(lines[:before]) + "  int t = g;\n" \
+        + "".join(lines[before:]) + tail
+
+
+@pytest.mark.parametrize("before", range(5))
+def test_prefix_fixes_every_node_before_the_first_read(before):
+    # the worklist pops the lowest pending node, so the loop settles before
+    # the read of g is popped however few statements lie between them,
+    # and the stored prefix fixes every node before the read
+    model = build_model(parse(lagged(before)))
+    cfg = model.thread_named("main")
+    prefixes = {}
+    analyze_thread(cfg, init_env(model), self_only(cfg),
+                   table=StepTable(cfg), prefixes=prefixes)
+    (prefix,) = prefixes.values()
+    (load,) = (n - cfg.first_node for n in loads_of(cfg))
+    before_read = (1 << load) - 1
+    assert prefix.fixed & before_read == before_read
+
+
+def test_acyclic_table_visits_each_node_once(monkeypatch):
+    # without a cycle, node order is a topological order: each node with
+    # a state is popped once, branches of unequal length and all
+    model = build_model(parse(
+        "int g = 0;\nthread main() { int c = *; int s = 0;"
+        " if (c > 0) { s = 1; s = s + 1; s = s + 2; } else { s = 2; }"
+        " if (s > 1) { if (c > 3) { s = 4; } else { s = 5; s = 6; } }"
+        " else { s = 7; } int t = g; assert(s <= 9); }"))
+    cfg = model.thread_named("main")
+    table, init, policy = StepTable(cfg), init_env(model), self_only(cfg)
+    run = analyze_thread(cfg, init, policy, table=table)
+    reached = sum(not env.bottom for env in run.envs)
+    monkeypatch.setattr("mtir.interp.VISIT_BUDGET", reached)
+    analyze_thread(cfg, init, policy, table=table)
+    monkeypatch.setattr("mtir.interp.VISIT_BUDGET", reached - 1)
+    with pytest.raises(AnalysisBudgetExceeded):
+        analyze_thread(cfg, init, policy, table=table)
 
 
 def test_resumed_runs_match_fresh_runs(monkeypatch):
@@ -283,6 +328,7 @@ def test_resumed_runs_match_fresh_runs(monkeypatch):
     texts = list(instance_programs())
     texts += [loopy_program(seed) for seed in range(20)]
     texts += [READ_IN_LOOP, PENDING_LOAD, LAGGED, XINST]
+    texts += [lagged(before) for before in range(5)]
     for passes in (1, 2, 3):
         for text in texts:
             model = build_model(parse(text))

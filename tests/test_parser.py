@@ -289,3 +289,20 @@ def test_expressions_are_values():
     assert repr(expr) \
         == "BinOp(op='+', left=Var(name='x'), right=IntLit(value=1))"
     assert SourceProgram([]).routines is not SourceProgram([]).routines
+
+
+HUGE = "1" + "0" * 5000  # past the 4300-digit limit on str(int)
+
+
+@pytest.mark.parametrize("text", [
+    "int g = %s; thread main() { }" % HUGE,
+    "int g = 0; thread main() { int x = %s; g = x; }" % HUGE,
+    "int g = 0; thread main() { assert(g > -%s); }" % HUGE,
+    "int g = 0; thread w(int a) { g = a; } "
+    "thread main() { create(w, -%s); }" % HUGE,
+], ids=["global", "local", "negative", "create_arg"])
+def test_round_trip_huge_literal(text):
+    # each place the printer writes an integer: a global's initializer, a
+    # literal in an expression, a negative one, and a create argument
+    prog = parse(text)
+    assert parse(to_source(prog)) == prog

@@ -10,6 +10,25 @@ iteration that grows its node's state.  Both steps touch only what
 changed: a run's states are joined only where they can grow
 (`_merge_te`), and the interference table is updated in place, a
 variable rebuilt only when one of its stores' values grew (`_publish`).
+A run passes one state object on through a statement that keeps it (an
+assert, create, exit or branch), so nodes often hold one object; a fold
+joins it once for a stretch of such nodes and keeps them sharing.
+
+The loop also stops, one iteration early, once the interference is
+stable, as Miné's thread-modular iteration does (ESOP 2011): when an
+iteration grew a state but its `_publish` left every entry of the table
+the `Published` object it was, none added or replaced, and the next
+iteration keeps the feasibility flag (it is past the first, or the mode
+has no feasibility).  That next iteration would build the same policies
+from the same table, and each thread's entry state from the same object:
+threads run in tid order, each after its parent, and only a thread's own
+runs fold into its nodes, so the create-site state every entry was built
+from in this iteration is still the one held.  Every run it schedules is
+then already seen, so it would grow nothing, and republishing unchanged
+states returns every old value, also past the widening delay, as a value
+joined or widened with what it already covers is the old object.  The
+loop checks the outer budget for that iteration, counts its runs,
+combinations and refutations as a copy of the last one's, and stops.
 
 A mode is a row of `MODE_ROWS`:
 
@@ -76,10 +95,10 @@ narrow only the nodes the load can affect.
 from __future__ import annotations
 
 import itertools
-from functools import reduce
+import operator
 
 from .cfg import ProgramModel, ThreadCfg, bits, is_load, loads_of
-from .domain import AbstractEnv, Interval, const
+from .domain import AbstractEnv, _make, const
 from .errors import AnalysisBudgetExceeded, CombinationBudgetExceeded
 from .facts import FeasibilityEngine
 from .interp import (
@@ -179,15 +198,22 @@ def _entry_env(model: ProgramModel, cfg: ThreadCfg, te: dict,
 def _merge_te(te: dict, envs: list, base: int) -> bool:
     """Fold a run's states, by node id relative to `base`, into `te`;
     whether any state grew.  A bottom state, or the very object `te`
-    holds (as a shared prefix's states are), adds nothing to a node."""
+    holds (as a shared prefix's states are), adds nothing to a node.  A
+    node whose held and run states are the very objects of the last join
+    takes that join's result, so nodes sharing both states keep sharing
+    one object."""
     grew = False
+    held = run = joined = None  # the operands of the last join, its result
     for node, env in enumerate(envs, base):
         old = te.get(node)
         if env is old or env.bottom and old is not None:
             continue
-        new = env if old is None else old.join(env)  # old if env adds nothing
-        if new is not old:
-            te[node] = new
+        if old is not held or env is not run:
+            held, run = old, env
+            # old itself if env adds nothing
+            joined = env if old is None else old.join(env)
+        if joined is not old:
+            te[node] = joined
             grew = True
     return grew
 
@@ -206,9 +232,12 @@ class Published(Record):
             self.values[source.value] = self.values.get(source.value, 0) | bit
 
     def join(self, stores: int):
-        """The join of the values the mask `stores` publishes, or None."""
+        """The join of the values the mask `stores` publishes, or None: their
+        hull, as no published value is empty."""
         values = [v for v, mask in self.values.items() if mask & stores]
-        return reduce(Interval.join, values) if values else None
+        if not values:
+            return None
+        return _make(min(v.lo for v in values), max(v.hi for v in values))
 
 
 _UNPUBLISHED = Published()  # what a variable no store publishes reads
@@ -218,21 +247,21 @@ def _publish(model, te, iteration, config, steps, index):
     """Republish interference from the accumulated node states into
     `index`, the table loads read: per variable, its `Published`.  Each
     store of a thread's step table (`steps`, by tid) publishes the value
-    it writes, joined with its old value and widened across outer
-    iterations once past the delay.  Join and widening return the old
-    value itself when the new one adds nothing, so a store's source is
-    new exactly when its value is, and only a variable with a new
-    source gets a new `Published`, its other stores' sources kept."""
+    it writes, its compiled expression read on the store's state, joined
+    with its old value and widened across outer iterations once past the
+    delay.  Join and widening return the old value itself when the new
+    one adds nothing, so a store's source is new exactly when its value
+    is, and only a variable with a new source gets a new `Published`, its
+    other stores' sources kept."""
     new = {}  # variable -> {store node: its new source}
     for cfg in model.threads:
         thread_steps, base = steps[cfg.tid], cfg.first_node
-        for r in thread_steps.stores:
+        for r, var, written in thread_steps.stores:
             n = r + base
             pre = te.get(n)
             if pre is None or pre.bottom:
                 continue
-            var = cfg.nodes[n].stmt.var
-            value = thread_steps.transfer[r](pre).get(var)
+            value = written(pre)
             old = index.get(var, _UNPUBLISHED).sources.get(n)
             if old is not None:
                 value = old.value.join(value)
@@ -389,6 +418,7 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
     stats.pruned_loads = sum(is_load(model.node(n)) for n in identity_nodes)
     stats.clusters = sum(map(len, plan.values())) if row.slicing else 0
 
+    repeated = None  # the last iteration's stats, if this one repeats it
     for iteration in itertools.count(1):
         if iteration > config.outer_budget:
             raise AnalysisBudgetExceeded(
@@ -396,6 +426,18 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
                 % ("insensitive" if row.merged else "sensitive",
                    config.outer_budget))
         stats.outer_iters = iteration
+        if repeated is not None:
+            # this iteration would schedule the last one's runs, every one
+            # already seen, and publish nothing: count them and stop
+            iter_stats = IterationStats()
+            iter_stats.combos = dict(repeated.combos)
+            iter_stats.infeasible = dict(repeated.infeasible)
+            iter_stats.runs = repeated.runs
+            stats.combos += sum(repeated.combos.values())
+            stats.infeasible += sum(repeated.infeasible.values())
+            stats.runs += repeated.runs
+            stats.per_iteration.append(iter_stats)
+            break
         grew = False
         iter_stats = IterationStats()
 
@@ -442,10 +484,17 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
             stats.runs += runs
             iter_stats.runs += runs
 
+        published = list(index.values())
         _publish(model, te, iteration, config, steps, index)
         stats.per_iteration.append(iter_stats)
         if not grew:
             break
+        # with the table's entries and the feasibility flag unchanged, the
+        # next iteration builds this one's policies, from its entry objects
+        if (iteration > 1 or not row.feasibility) \
+                and len(index) == len(published) \
+                and all(map(operator.is_, index.values(), published)):
+            repeated = iter_stats
 
     verdicts = {n: n not in violable for n in model.assertions}
     return AnalysisResult(model, te, verdicts, stats, index,

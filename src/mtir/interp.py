@@ -17,7 +17,9 @@ policies are equal compute the same states.
 from __future__ import annotations
 
 from .cfg import SAssert, SLoad, SNop, SStore, ThreadCfg, bits, flow_masks
-from .domain import AbstractEnv, Interval, compile_filter, compile_transfer
+from .domain import (
+    AbstractEnv, Interval, compile_expr, compile_filter, compile_transfer,
+)
 from .errors import AnalysisBudgetExceeded
 from .record import Record, Value, cached_property, set_field
 
@@ -81,8 +83,9 @@ class StepTable:
     thread-local binding; a run's policy picks its source) and out edges
     with their filters (None if unconditional) as lists, each load with
     its slot in a policy (its rank in node order) and statement, the
-    stores in node order, and each assertion with the filter of its
-    negated condition.  A node in `identity` (off the slice) compiles as
+    stores in node order, each with its variable and its compiled
+    expression, and each assertion with the filter of its negated
+    condition.  A node in `identity` (off the slice) compiles as
     a no-op whose out edges filter nothing.  `sweep_order` lists the
     nodes a descending sweep narrows (all but the entry) in node order,
     and `unassigned_locals` the locals some path from the entry reads
@@ -114,7 +117,7 @@ class StepTable:
             if kind is SLoad:
                 self.loads[r] = len(self.loads), stmt
             elif kind is SStore:
-                self.stores.append(r)
+                self.stores.append((r, stmt.var, compile_expr(stmt.expr)))
             elif kind is SAssert:
                 self.violable[r] = compile_filter(stmt.cond, False)
         # a loop head dominates a node with an edge back to it, so it is on

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 import weakref
 from functools import reduce
 
@@ -12,8 +13,8 @@ from conftest import (
 )
 from stress_soundness import loopy_program
 from mtir.analysis import (
-    AnalysisConfig, AnalysisStats, IterationStats, Published, _merge_te,
-    analyze, compute_combinations,
+    MODE_ROWS, AnalysisConfig, AnalysisStats, IterationStats, Published,
+    _merge_te, analyze, compute_combinations,
 )
 from mtir.bench import chain_program, watchdog_program
 from mtir.cfg import build_model, loads_of, reachable_sets
@@ -352,9 +353,13 @@ def test_disjoint_chains_clustering(corpus_models, corpus_results):
 def test_growth_flags_match_snapshots(monkeypatch):
     # the outer loop stops on the flags `_merge_te` returns: each call's
     # flag must say whether the node states differ from before, and each
-    # iteration's whether the node states or the published values differ
-    # from the last iteration's, as a store's value only grows with its
-    # node's state
+    # executed iteration's (one `_publish` call each) whether the node
+    # states or the published values differ from the last iteration's, as
+    # a store's value only grows with its node's state.  The loop stops
+    # after an iteration that grew nothing, or accounts one more iteration
+    # and stops after one that grew a state, replaced no entry of the
+    # table and keeps the feasibility flag for its successor; no earlier
+    # iteration is either
     from mtir import analysis as analysis_mod
     merge_te, publish = analysis_mod._merge_te, analysis_mod._publish
     state = {}
@@ -367,10 +372,13 @@ def test_growth_flags_match_snapshots(monkeypatch):
         return grew
 
     def checked_publish(model, te, iteration, config, steps, index):
+        entries = dict(index)
         publish(model, te, iteration, config, steps, index)
         after = dict(te), published_values(index)
         state["flags"].append(state["grew"])
         state["changed"].append(after != state["last"])
+        state["replaced"].append(index.keys() != entries.keys() or any(
+            index[var] is not old for var, old in entries.items()))
         state["last"], state["grew"] = after, False
 
     monkeypatch.setattr(analysis_mod, "_merge_te", checked_merge_te)
@@ -378,14 +386,26 @@ def test_growth_flags_match_snapshots(monkeypatch):
     texts = [source(name) for name in PROGRAMS]
     texts += [random_program(seed) for seed in range(60)]
     texts += [loopy_program(seed) for seed in range(20)]
+    repeats = 0
     for text in texts:
         model = model_of(text)
         for mode in MODES:
-            state.update(grew=False, flags=[], changed=[], last=({}, {}))
+            state.update(grew=False, flags=[], changed=[], replaced=[],
+                         last=({}, {}))
             result = analyze(model, AnalysisConfig(mode=mode))
-            assert state["flags"] == state["changed"], mode
-            assert len(state["flags"]) == result.stats.outer_iters
-            assert state["flags"][-1] is False
+            flags, replaced = state["flags"], state["replaced"]
+            assert flags == state["changed"], mode
+            repeat = [grew and not new
+                      and (k > 0 or not MODE_ROWS[mode].feasibility)
+                      for k, (grew, new) in enumerate(zip(flags, replaced))]
+            assert all(flags[:-1]) and not any(repeat[:-1]), mode
+            if flags[-1]:
+                assert repeat[-1], mode
+                assert len(flags) == result.stats.outer_iters - 1, mode
+                repeats += 1
+            else:
+                assert len(flags) == result.stats.outer_iters, mode
+    assert repeats > len(texts)
 
 
 def test_policy_lists_sources_in_node_order():
@@ -407,6 +427,84 @@ def test_outer_budget():
     model = model_of(source("flag_sync"))
     with pytest.raises(AnalysisBudgetExceeded):
         analyze(model, AnalysisConfig(mode="fsc", outer_budget=1))
+
+
+def publish_calls(monkeypatch):
+    """A one-item list counting the `_publish` calls from here on, once
+    per executed outer iteration; reset it before each analysis."""
+    from mtir import analysis as analysis_mod
+    publish, calls = analysis_mod._publish, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        publish(*args)
+
+    monkeypatch.setattr(analysis_mod, "_publish", counted)
+    return calls
+
+
+def test_outer_budget_counts_the_accounted_iteration(monkeypatch):
+    # an iteration the loop accounts as a repeat of the last counts against
+    # the budget as an executed one does: a budget one short of the
+    # iterations raises, and that many passes
+    calls = publish_calls(monkeypatch)
+    texts = [source(name) for name in PROGRAMS]
+    texts += [random_program(seed) for seed in range(20)]
+    texts += [loopy_program(seed) for seed in range(10)]
+    repeats = 0
+    for text in texts:
+        model = model_of(text)
+        for mode in MODES:
+            calls[0] = 0
+            result = analyze(model, AnalysisConfig(mode=mode))
+            iters = result.stats.outer_iters
+            repeats += calls[0] < iters
+            with pytest.raises(AnalysisBudgetExceeded):
+                analyze(model, AnalysisConfig(mode=mode,
+                                              outer_budget=iters - 1))
+            within = analyze(model, AnalysisConfig(mode=mode,
+                                                   outer_budget=iters))
+            assert within.stats == result.stats, mode
+    assert repeats > len(texts)
+
+
+def test_accounted_iteration_equals_executed(monkeypatch):
+    # the loop stops one iteration early when the last grew a state but
+    # replaced no entry of the interference table, and accounts the next
+    # one.  Rebinding an entry to a value-equal copy after every `_publish`
+    # makes that iteration run: it must compute and count what the
+    # accounted one says
+    from mtir import analysis as analysis_mod
+    publish, calls, copying = analysis_mod._publish, [0], [False]
+
+    def copying_publish(model, te, iteration, config, steps, index):
+        calls[0] += 1
+        publish(model, te, iteration, config, steps, index)
+        if copying[0] and index:
+            var = next(iter(index))
+            index[var] = Published(index[var].sources.items())
+
+    monkeypatch.setattr(analysis_mod, "_publish", copying_publish)
+    texts = list(instance_programs())
+    texts += [loopy_program(seed) for seed in range(20)]
+    texts += [chain_program(10), watchdog_program(8)]
+    forced = 0
+    for text in texts:
+        model = model_of(text)
+        for mode, delay in itertools.product(MODES, (0, 1, 3)):
+            config = AnalysisConfig(mode=mode, widening_delay=delay)
+            calls[0], copying[0] = 0, False
+            plain = analyze(model, config)
+            executed = calls[0]
+            calls[0], copying[0] = 0, True
+            copied = analyze(model, config)
+            forced += calls[0] > executed
+            assert copied.te == plain.te, (mode, delay)
+            assert copied.verdicts == plain.verdicts, (mode, delay)
+            assert sources_by_store(copied) == sources_by_store(plain), \
+                (mode, delay)
+            assert copied.stats == plain.stats, (mode, delay)
+    assert forced > 2 * len(texts)
 
 
 def test_config_defaults_read_off_the_class():
@@ -494,11 +592,12 @@ def published_values(index):
 
 def reference_publish(model, te, index, iteration, config, steps):
     """The table rebuilt from scratch, every store's entry anew, from the
-    old values in `index`: what `_publish` computes in place."""
+    old values in `index`: what `_publish` computes in place.  A store's
+    value is read off its whole compiled transfer, not its expression."""
     table = {}
     for cfg in model.threads:
         thread_steps, base = steps[cfg.tid], cfg.first_node
-        for r in thread_steps.stores:
+        for r, *_ in thread_steps.stores:
             n = r + base
             pre = te.get(n)
             if pre is None or pre.bottom:
@@ -595,6 +694,56 @@ def test_merge_te_folds_only_what_can_grow():
     assert _merge_te(te, grown, 5) is True
     assert te[5] == AbstractEnv({"x": interval(0, 2)})
     assert te[6] is x23 and te[7] is x23
+
+
+def reference_merge(te, envs, base):
+    """`te` with a run's states folded in node by node, each joined with the
+    state held: no state shared, no node skipped; and whether a state
+    changed."""
+    out = dict(te)
+    for node, env in enumerate(envs, base):
+        old = te.get(node)
+        out[node] = env if old is None else old.join(env)
+    return out, out != te
+
+
+def test_merge_te_matches_pairwise_folding():
+    # on runs whose states share objects with each other and with `te`,
+    # as a run's states do across statements that pass their state on:
+    # the fold joins as a node-by-node fold does, and two adjacent nodes
+    # whose held states are one object, as their run states are, keep
+    # holding one object
+    rng = random.Random(7)
+    shared = 0
+    for _ in range(400):
+        pool = [AbstractEnv.bot(), AbstractEnv.top()]
+        pool += [AbstractEnv({var: interval(lo, lo + rng.randint(0, 3))
+                              for var in rng.sample("xyz", rng.randint(1, 3))
+                              for lo in [rng.randint(-3, 3)]})
+                 for _ in range(4)]
+        size, base = rng.randint(1, 12), rng.randint(0, 5)
+
+        def states():  # runs of one object
+            out = []
+            while len(out) < size:
+                out += [rng.choice(pool)] * rng.randint(1, 4)
+            return out[:size]
+
+        te = {node: env for node, env in enumerate(states(), base)
+              if rng.random() < 0.8}
+        envs = states()
+        expected, grew = reference_merge(te, envs, base)
+        before = dict(te)
+        assert _merge_te(te, envs, base) is grew
+        assert te == expected
+        for node in range(base, base + size - 1):
+            held, run = before.get(node), envs[node - base]
+            if held is before.get(node + 1) and run is envs[node + 1 - base]:
+                assert te[node] is te[node + 1]
+                # a join made once for two nodes
+                shared += held is not None and held is not run \
+                    and not run.bottom
+    assert shared > 200
 
 
 def test_accuracy_ordering_on_corpus(corpus_results):
@@ -707,13 +856,20 @@ def test_memoized_runs_match_unmemoized(corpus_models, monkeypatch):
             memoized[name, mode] = result
     # a fresh key per call makes every scheduled run execute, and none is
     # shared between instances; the reference schedules every feasible
-    # combination of the per-store product
+    # combination of the per-store product.  An iteration the loop only
+    # accounts, as a repeat of the last, executes nothing, so the executed
+    # runs are those of the iterations that called `_publish`
     monkeypatch.setattr(analysis_mod, "_run_key", lambda *_: object())
     monkeypatch.setattr(analysis_mod, "compute_combinations", _full_product)
+    executed = publish_calls(monkeypatch)
     for (name, mode), memo in memoized.items():
+        executed[0] = 0
         full = analyze(memo.model, AnalysisConfig(mode=mode))
-        assert full.stats.interp_runs == full.stats.runs, (name, mode)
+        per_iteration = full.stats.per_iteration
+        assert full.stats.interp_runs == sum(
+            stats.runs for stats in per_iteration[:executed[0]]), (name, mode)
         assert full.stats.runs == memo.stats.runs, (name, mode)
+        assert per_iteration == memo.stats.per_iteration, (name, mode)
         assert full.stats.combos == memo.stats.combos, (name, mode)
         assert full.stats.infeasible == memo.stats.infeasible, (name, mode)
         assert full.te == memo.te, (name, mode)
@@ -800,7 +956,8 @@ def test_entry_state_kept_while_create_site_unchanged(monkeypatch):
     monkeypatch.setattr(analysis_mod, "analyze_thread", checked_run)
     # a fresh run key per call, so every scheduled run executes
     monkeypatch.setattr(analysis_mod, "_run_key", lambda *_: object())
-    texts = [watchdog_program(4), chain_program(5), XINST]
+    texts = [watchdog_program(4), watchdog_program(8), chain_program(5),
+             XINST]
     texts += [source(name) for name in PROGRAMS]
     for text in texts:
         model = model_of(text)

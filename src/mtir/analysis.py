@@ -27,8 +27,9 @@ from in this iteration is still the one held.  Every run it schedules is
 then already seen, so it would grow nothing, and republishing unchanged
 states returns every old value, also past the widening delay, as a value
 joined or widened with what it already covers is the old object.  The
-loop checks the outer budget for that iteration, counts its runs,
-combinations and refutations as a copy of the last one's, and stops.
+loop checks the outer budget for that iteration, records the last one's
+`IterationStats` for it again, and stops; the totals of runs,
+combinations and refutations are sums over these records.
 
 A mode is a row of `MODE_ROWS`:
 
@@ -97,7 +98,7 @@ from __future__ import annotations
 import itertools
 import operator
 
-from .cfg import ProgramModel, ThreadCfg, bits, is_load, loads_of
+from .cfg import ProgramModel, ThreadCfg, bits, loads_of
 from .domain import AbstractEnv, _make, const
 from .errors import AnalysisBudgetExceeded, CombinationBudgetExceeded
 from .facts import FeasibilityEngine
@@ -151,12 +152,12 @@ class AnalysisResult(Record):
 
     def __init__(self, model: ProgramModel, te: dict, verdicts: dict,
                  stats: AnalysisStats, interference: dict,
-                 identity_nodes: frozenset = frozenset()):
+                 identity_nodes: int = 0):
         self.model, self.stats = model, stats
         self.te = te  # node id -> AbstractEnv, accumulated over every run
         self.verdicts = verdicts  # assertion node id -> bool (verified)
         self.interference = interference  # see _publish
-        self.identity_nodes = identity_nodes  # off-slice under pruning
+        self.identity_nodes = identity_nodes  # mask, off-slice under pruning
 
     def verified_assertions(self) -> set:
         return {n for n, ok in self.verdicts.items() if ok}
@@ -389,7 +390,7 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
         raise ValueError(f"unknown mode {config.mode!r}")
     facts = None if row.merged else FeasibilityEngine(model)
 
-    identity_nodes = frozenset()
+    identity_nodes = 0
     if row.slicing:
         graph = build_pdg(model)
         on_slice = backward_slices(graph, model)
@@ -405,17 +406,17 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
     shared: dict = {}  # run key -> every executed run
     prefixes: dict = {}  # (step table, entry) -> state at first consult
     entries: dict = {}  # tid -> (create-site state, the entry built from it)
-    compiled: dict = {}  # (routine, relative identity nodes) -> step table
+    compiled: dict = {}  # (routine, relative identity mask) -> step table
     steps = {}  # tid -> its thread's step table
     for cfg in model.threads:
-        identity = frozenset(n - cfg.first_node
-                             for n in identity_nodes.intersection(cfg.nodes))
+        identity = (identity_nodes & cfg.mask) >> cfg.first_node
         key = cfg.routine, identity
         if key not in compiled:
             compiled[key] = StepTable(cfg, identity)
         steps[cfg.tid] = compiled[key]
     stats = AnalysisStats()
-    stats.pruned_loads = sum(is_load(model.node(n)) for n in identity_nodes)
+    stats.pruned_loads = (identity_nodes
+                          & sum(model.loads.values())).bit_count()
     stats.clusters = sum(map(len, plan.values())) if row.slicing else 0
 
     repeated = None  # the last iteration's stats, if this one repeats it
@@ -429,14 +430,7 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
         if repeated is not None:
             # this iteration would schedule the last one's runs, every one
             # already seen, and publish nothing: count them and stop
-            iter_stats = IterationStats()
-            iter_stats.combos = dict(repeated.combos)
-            iter_stats.infeasible = dict(repeated.infeasible)
-            iter_stats.runs = repeated.runs
-            stats.combos += sum(repeated.combos.values())
-            stats.infeasible += sum(repeated.infeasible.values())
-            stats.runs += repeated.runs
-            stats.per_iteration.append(iter_stats)
+            stats.per_iteration.append(repeated)
             break
         grew = False
         iter_stats = IterationStats()
@@ -450,8 +444,6 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
                 combo_cap=config.combo_cap, merged=row.merged)
             iter_stats.combos[cfg.tid] = generated
             iter_stats.infeasible[cfg.tid] = rejected
-            stats.combos += generated
-            stats.infeasible += rejected
 
             # _merge_te replaces a state exactly when it grows, so an entry
             # is rebuilt only for a new create-site state object
@@ -481,7 +473,6 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
                 grew |= _merge_te(te, run.envs, cfg.first_node)
                 if run.violable:
                     violable.update(n + cfg.first_node for n in run.violable)
-            stats.runs += runs
             iter_stats.runs += runs
 
         published = list(index.values())
@@ -496,6 +487,10 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
                 and all(map(operator.is_, index.values(), published)):
             repeated = iter_stats
 
+    for it in stats.per_iteration:
+        stats.runs += it.runs
+        stats.combos += sum(it.combos.values())
+        stats.infeasible += sum(it.infeasible.values())
     verdicts = {n: n not in violable for n in model.assertions}
     return AnalysisResult(model, te, verdicts, stats, index,
                           identity_nodes=identity_nodes)

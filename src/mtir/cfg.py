@@ -177,7 +177,8 @@ class ProgramModel(Record):
     is an int whose bit k is node k (a node mask, read with `bits`).
     Each global's virtual initial store, named `init:<var>`, takes the
     next id in declaration order (`init_nodes`); it is no thread's node.
-    `stores` maps each global to the mask of its (real) store nodes."""
+    `stores` and `loads` map each global to the mask of its (real) store
+    nodes and of its load nodes."""
     __slots__ = ("threads", "globals", "creates", "joins", "assertions",
                  "source", "__dict__", "__weakref__")
 
@@ -194,9 +195,13 @@ class ProgramModel(Record):
         self.init_nodes = {var: nid for nid, var in
                            enumerate(self.globals, len(self._node_index))}
         self.stores = dict.fromkeys(self.globals, 0)
+        self.loads = dict.fromkeys(self.globals, 0)
         for nid, node in self._node_index.items():
-            if isinstance(node.stmt, SStore):
+            kind = node.stmt.__class__
+            if kind is SStore:
                 self.stores[node.stmt.var] |= 1 << nid
+            elif kind is SLoad:
+                self.loads[node.stmt.var] |= 1 << nid
 
     @cached_property
     def _names(self) -> dict[int, str]:
@@ -235,10 +240,6 @@ class ProgramModel(Record):
         for cfg in self.threads:
             for nid in cfg.node_order():
                 yield cfg.nodes[nid]
-
-
-def is_load(node: Node) -> bool:
-    return isinstance(node.stmt, SLoad)
 
 
 def loads_of(cfg: ThreadCfg) -> list[int]:

@@ -74,7 +74,7 @@ maps each such load to that pair, and no other self read pins anything.
 
 from __future__ import annotations
 
-from .cfg import ProgramModel, ThreadCfg, bits, is_load, loads_of
+from .cfg import ProgramModel, ThreadCfg, bits, loads_of
 from .record import Value, cached_property, set_field
 
 DERIVED = ("MHBS", "MHB", "MustNotReadFrom")
@@ -434,11 +434,9 @@ class _OrderingRows:
         everything = (1 << real) - 1
         self.strong += [everything] * len(model.globals)
         self.weak += [everything] * len(model.globals)
-        self.load_var = {node.id: node.stmt.var
-                         for node in model.all_nodes() if is_load(node)}
-        self.loads: dict = {}
-        for p, var in self.load_var.items():
-            self.loads[var] = self.loads.get(var, 0) | 1 << p
+        self.loads = model.loads
+        self.load_var = {p: var for var, mask in self.loads.items()
+                         for p in bits(mask)}
         self.stores = {var: mask | 1 << self.init_nodes[var]
                        for var, mask in model.stores.items()}
         self.store_var = {s: var for var, mask in self.stores.items()
@@ -562,12 +560,11 @@ class FeasibilityEngine:
     `refuted` gives each load's mask once, and callers take it out of the
     load's candidate stores before any product; a one-load combination
     needs no `is_feasible` call after that.  `queries` counts the
-    closures `is_feasible` runs, one per distinct set of several pairs;
-    `refuted` is not counted."""
+    closures `is_feasible` runs, one per call with pairs; `refuted` is
+    not counted."""
 
     def __init__(self, model: ProgramModel):
         self.model = model
-        self._cache: dict[frozenset, bool] = {}
         self._refuted: dict[int, int] = {}
         self.queries = 0
 
@@ -620,12 +617,8 @@ class FeasibilityEngine:
         never mutated."""
         if not rf:
             return True
-        cached = self._cache.get(rf)
-        if cached is None:
-            self.queries += 1
-            cached = self.rows.feasible(rf)
-            self._cache[rf] = cached
-        return cached
+        self.queries += 1
+        return self.rows.feasible(rf)
 
 
 def dump_facts(model: ProgramModel, facts: FactBase,

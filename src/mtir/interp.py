@@ -85,13 +85,14 @@ class StepTable:
     its slot in a policy (its rank in node order) and statement, the
     stores in node order, each with its variable and its compiled
     expression, and each assertion with the filter of its negated
-    condition.  A node in `identity` (off the slice) compiles as
-    a no-op whose out edges filter nothing.  `sweep_order` lists the
-    nodes a descending sweep narrows (all but the entry) in node order,
-    and `unassigned_locals` the locals some path from the entry reads
-    before assigning, parameters aside, in name order: each reads 0."""
+    condition.  A node in the mask `identity` (off the slice, by relative
+    id) compiles as a no-op whose out edges filter nothing.
+    `sweep_order` lists the nodes a descending sweep narrows (all but the
+    entry) in node order, and `unassigned_locals` the locals some path
+    from the entry reads before assigning, parameters aside, in name
+    order: each reads 0."""
 
-    def __init__(self, cfg: ThreadCfg, identity: frozenset = frozenset()):
+    def __init__(self, cfg: ThreadCfg, identity: int = 0):
         base = cfg.first_node
         self.size, self.entry = len(cfg.nodes), cfg.entry - base
         self.transfer, self.succs, self.loads, self.violable = [], [], {}, {}
@@ -107,7 +108,7 @@ class StepTable:
             kills.append(kill)
             reads.append(read)
             stmt, edges = cfg.nodes[r + base].stmt, cfg.succs[r + base]
-            if r in identity:
+            if identity >> r & 1:
                 stmt, edges = SNop(), [(dst, None) for dst, _ in edges]
             self.transfer.append(compile_transfer(stmt))
             self.succs.append([(dst - base, None if filt is None

@@ -260,10 +260,8 @@ def _pruned_variables(model, identity_nodes):
     """Variables whose abstract tracking is declaredly partial under
     property pruning: any defining site got the identity transfer."""
     skip = set()
-    for node in model.all_nodes():
-        if node.id not in identity_nodes:
-            continue
-        stmt = node.stmt
+    for n in bits(identity_nodes):
+        stmt = model.node(n).stmt
         if isinstance(stmt, SStore):
             skip.add(stmt.var)
         elif isinstance(stmt, (SLocal, SLoad, SNondet)):

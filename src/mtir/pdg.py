@@ -1,51 +1,46 @@
 """Program dependence graph, property slicing, pruning and clustering.
 
-The graph spans all threads and is linear in the program: control and
-def-use dependence over locals stay inside a thread, a create site feeds
-its child's entry, and global flow goes through one hub per variable,
-the lists `stores[v]` and `loads[v]`: any store to v may feed any load
-of v, cross-thread or not, as slicing must over-approximate.  One
-backward pass from all the assertions gives the union of their slices,
-a set of nodes; the first load of v to enter it brings in v's stores.
-A union-find over the on-slice nodes splits each thread's loads into
-independently explorable clusters.  On chain/400 (2,001 nodes, 160,800
-store-load pairs) the four PDG stages take 0.03 s, against 0.37 s with
-an edge per pair, and `fso` runs within 5% of `fsc`.
+Every node set here is a node mask (see `cfg.ProgramModel`).  The graph
+spans all threads and is linear in the program: it maps each node to the
+mask of the nodes it depends on through control and def-use dependence
+over locals, which stay inside a thread, and through the create site
+that feeds a child's entry.  Global flow goes through one hub per
+variable, the model's masks `stores[v]` and `loads[v]`: every load of v
+depends on every store to v, cross-thread or not, as slicing must
+over-approximate.  One backward pass from all the assertions gives the
+union of their slices, a mask; a load of v that enters it brings in v's
+stores.  A union-find over the on-slice nodes splits each thread's loads
+into independently explorable clusters.
 """
 
 from __future__ import annotations
 
 from .cfg import (
     ProgramModel, SBranch, SCreate, SExit, SJoin, SLoad, SNop, ThreadCfg,
-    bits, dominator_sets, flow_masks, is_load, loads_of,
+    bits, dominator_sets, flow_masks,
 )
 from .record import Record
 
 
 class DependenceGraph(Record):
-    """`control` and `data` map a node to the nodes that depend on it;
-    `stores` and `loads` are the hubs, by variable."""
-    __slots__ = ("control", "data", "stores", "loads")
+    """`control` and `data` map a node to the mask of the nodes it depends
+    on; a load's dependence on the stores to its variable is left to the
+    model's hubs."""
+    __slots__ = ("control", "data")
 
     def __init__(self):
         self.control, self.data = {}, {}
-        self.stores, self.loads = {}, {}
 
-    def add(self, kind: str, src: int, dst: int):
-        table = self.control if kind == "cd" else self.data
-        table.setdefault(src, set()).add(dst)
-
-    def edges(self):
-        """Every edge, the store-to-load pairs spelled out, sorted by kind,
-        then source, then target."""
-        flow = {s: loads for var, loads in self.loads.items()
-                for s in self.stores.get(var, ())}
-        for src, dsts in sorted(self.control.items()):
-            for dst in sorted(dsts):
-                yield ("cd", src, dst)
-        for src in sorted(self.data.keys() | flow.keys()):
-            for dst in sorted({*self.data.get(src, ()), *flow.get(src, ())}):
-                yield ("dd", src, dst)
+    def edges(self, model: ProgramModel):
+        """Every edge, (kind, source, target), the store-to-load pairs of
+        `model` spelled out, sorted by kind, then source, then target."""
+        data = dict(self.data)
+        for var, loads in model.loads.items():
+            for l in bits(loads):
+                data[l] = data.get(l, 0) | model.stores[var]
+        return sorted((kind, src, dst)
+                      for kind, table in (("cd", self.control), ("dd", data))
+                      for dst, mask in table.items() for src in bits(mask))
 
 
 def _post_dominators(cfg: ThreadCfg):
@@ -69,12 +64,13 @@ def _control_dependence(cfg: ThreadCfg, graph: DependenceGraph):
     """n depends on branch m when n post-dominates one successor of m
     but not m itself."""
     pdom = _post_dominators(cfg)
+    control = graph.control
     for m in cfg.node_order():
         if not isinstance(cfg.nodes[m].stmt, SBranch):
             continue
         for succ, _ in cfg.succs[m]:
             for n in bits(pdom[succ] & ~pdom[m]):
-                graph.add("cd", m, n)
+                control[n] = control.get(n, 0) | 1 << m
 
 
 def _data_dependence(cfg: ThreadCfg, graph: DependenceGraph):
@@ -100,9 +96,13 @@ def _data_dependence(cfg: ThreadCfg, graph: DependenceGraph):
         gen, kill)
 
     for n in nodes:
+        used = 0
         for var in uses[n]:
-            for site in bits(reaching[n] & sites.get(var, 0)):
-                graph.add("dd", cfg.entry if site > last else site, n)
+            used |= reaching[n] & sites.get(var, 0)
+        if used & params:
+            used = used & ~params | 1 << cfg.entry
+        if used:
+            graph.data[n] = used
 
 
 def build_pdg(model: ProgramModel) -> DependenceGraph:
@@ -113,68 +113,54 @@ def build_pdg(model: ProgramModel) -> DependenceGraph:
             _control_dependence(cfg, graph)
             _data_dependence(cfg, graph)
             continue
-        # a later instance shifts its routine's first instance's edges,
+        # a later instance shifts its routine's first instance's masks,
         # which are all the graph holds for those nodes so far
         d = cfg.first_node - first.first_node
         for table in (graph.control, graph.data):
             for n in first.nodes:
                 if n in table:
-                    table[n + d] = {dst + d for dst in table[n]}
-    graph.stores = {var: list(bits(mask))
-                    for var, mask in model.stores.items() if mask}
-    for node in model.all_nodes():
-        if is_load(node):
-            graph.loads.setdefault(node.stmt.var, []).append(node.id)
+                    table[n + d] = table[n] << d
     # a created thread's entry (and so its parameters) depends on the
     # create site that spawns and binds it
     for create_node, child_tid in model.creates:
-        graph.add("dd", create_node, model.thread(child_tid).entry)
+        entry = model.thread(child_tid).entry
+        graph.data[entry] = graph.data.get(entry, 0) | 1 << create_node
     return graph
 
 
-def backward_slices(graph: DependenceGraph,
-                    model: ProgramModel) -> frozenset:
+def backward_slices(graph: DependenceGraph, model: ProgramModel) -> int:
     """The union of the assertions' backward slices, in one backward pass
-    from all of them; the first load of a variable to enter brings in
-    the variable's stores."""
-    rev: dict[int, list[int]] = {}
-    for table in (graph.control, graph.data):
-        for src, dsts in table.items():
-            for dst in dsts:
-                rev.setdefault(dst, []).append(src)
-    seen = set(model.assertions)
-    stack = list(seen)
-    hubs = dict(graph.stores)  # the hubs no load has entered yet
-    while stack:
-        n = stack.pop()
-        preds = rev.get(n, [])
-        stmt = model.node(n).stmt
-        if isinstance(stmt, SLoad):
-            preds = preds + hubs.pop(stmt.var, [])
-        for p in preds:
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return frozenset(seen)
+    from all of them, each frontier walked lowest bit first; a load
+    brings in the stores to its variable."""
+    on_slice = frontier = sum(1 << n for n in model.assertions)
+    while frontier:
+        preds = 0
+        for n in bits(frontier):
+            preds |= graph.control.get(n, 0) | graph.data.get(n, 0)
+            stmt = model.node(n).stmt
+            if stmt.__class__ is SLoad:
+                preds |= model.stores[stmt.var]
+        frontier = preds & ~on_slice
+        on_slice |= frontier
+    return on_slice
 
 
-def apply_pruning(on_slice: frozenset, model: ProgramModel) -> frozenset:
+def apply_pruning(on_slice: int, model: ProgramModel) -> int:
     """The identity nodes: every off-slice statement but the structural
     ones.  The interpreter passes their state through, their loads leave
     combination generation and their stores publish no interference."""
-    return frozenset(
-        node.id for node in model.all_nodes()
-        if node.id not in on_slice
-        and not isinstance(node.stmt, (SCreate, SJoin, SExit, SNop)))
+    return sum(1 << node.id for node in model.all_nodes()
+               if not on_slice >> node.id & 1
+               and not isinstance(node.stmt, (SCreate, SJoin, SExit, SNop)))
 
 
-def cluster(graph: DependenceGraph, on_slice: frozenset,
+def cluster(graph: DependenceGraph, on_slice: int,
             model: ProgramModel) -> dict[int, list[list[int]]]:
     """tid -> the thread's on-slice loads grouped by the connected
     components of the on-slice subgraph (undirected), whose union-find
     roots are their smallest nodes, in root order.  A hub joins its
     stores and on-slice loads if it has both."""
-    root = {n: n for n in on_slice}
+    root = {n: n for n in bits(on_slice)}
 
     def find(n):
         while root[n] != n:
@@ -187,37 +173,37 @@ def cluster(graph: DependenceGraph, on_slice: frozenset,
         root[max(a, b)] = min(a, b)
 
     for table in (graph.control, graph.data):
-        for src, dsts in table.items():
-            for dst in dsts:
-                if dst in on_slice:  # and so is src
+        for dst, mask in table.items():
+            if on_slice >> dst & 1:  # and so is each node it depends on
+                for src in bits(mask):
                     union(src, dst)
-    for var, loads in graph.loads.items():
-        stores = graph.stores.get(var, [])
-        on = [l for l in loads if l in on_slice]
-        if stores and on:
-            for n in on + stores:
-                union(stores[0], n)
+    for var, loads in model.loads.items():
+        stores = model.stores[var]
+        if stores and loads & on_slice:
+            hub = (stores & -stores).bit_length() - 1
+            for n in bits(stores | loads & on_slice):
+                union(hub, n)
+    on_loads = on_slice & sum(model.loads.values())
     plan = {}
     for cfg in model.threads:
         groups: dict[int, list[int]] = {}
-        for l in loads_of(cfg):
-            if l in on_slice:
-                groups.setdefault(find(l), []).append(l)
+        for l in bits(on_loads & cfg.mask):
+            groups.setdefault(find(l), []).append(l)
         plan[cfg.tid] = [groups[r] for r in sorted(groups)]
     return plan
 
 
 def dot_dump(graph: DependenceGraph, model: ProgramModel,
-             on_slice: frozenset | None = None) -> str:
+             on_slice: int | None = None) -> str:
     """DOT-compatible rendering; off-slice nodes are drawn dotted."""
     lines = ["digraph pdg {"]
     for node in model.all_nodes():
         style = ""
-        if on_slice is not None and node.id not in on_slice:
+        if on_slice is not None and not on_slice >> node.id & 1:
             style = " style=dotted"
         lines.append('  n%d [label="%s"%s];'
                      % (node.id, model.node_name(node.id), style))
-    for kind, src, dst in graph.edges():
+    for kind, src, dst in graph.edges(model):
         lines.append('  n%d -> n%d [label="%s"];' % (src, dst, kind))
     lines.append("}")
     return "\n".join(lines)

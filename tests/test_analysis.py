@@ -529,8 +529,7 @@ def test_records_own_their_containers():
     # a record's empty dict, list or set belongs to that record alone
     for make, fields in ((AnalysisStats, ("per_iteration",)),
                          (IterationStats, ("combos", "infeasible")),
-                         (DependenceGraph, ("control", "data", "stores",
-                                            "loads")),
+                         (DependenceGraph, ("control", "data")),
                          (SoundnessReport, ("state_misses", "verdict_misses",
                                             "feasibility_misses"))):
         a, b = make(), make()
@@ -990,7 +989,7 @@ def compiled_tables(monkeypatch):
     from mtir import analysis as analysis_mod
     built = []
 
-    def counted(cfg, identity=frozenset(), _original=StepTable):
+    def counted(cfg, identity=0, _original=StepTable):
         built.append((cfg.routine, identity))
         return _original(cfg, identity)
 
@@ -1005,7 +1004,7 @@ def test_instances_share_one_step_table(monkeypatch):
     assert len(dogs) == 16
     built = compiled_tables(monkeypatch)
     analyze(model, AnalysisConfig(mode="fs"))
-    assert built == [("main", frozenset()), ("dog", frozenset())]
+    assert built == [("main", 0), ("dog", 0)]
 
 
 def test_sliced_instances_share_one_step_table(monkeypatch):
@@ -1034,7 +1033,7 @@ def test_sliced_instances_share_one_step_table(monkeypatch):
     built = compiled_tables(monkeypatch)
     analyze(model, AnalysisConfig(mode="fso"))
     assert [routine for routine, _ in built] == ["main", "dog"]
-    assert ("dog", frozenset()) not in built
+    assert ("dog", 0) not in built
 
 
 def test_chain_run_counts():

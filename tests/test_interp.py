@@ -395,7 +395,7 @@ def test_entry_load_stores_and_looks_up_no_prefix():
         assert not analyze_thread(cfg, init, self_only(cfg), table=full,
                                   prefixes=prefixes).resumed
     assert not lookups and not prefixes
-    sliced = StepTable(cfg, frozenset({full.entry}))
+    sliced = StepTable(cfg, 1 << full.entry)
     runs = [analyze_thread(cfg, init, self_only(cfg, sliced), table=sliced,
                            prefixes=prefixes)
             for _ in range(2)]
@@ -414,7 +414,7 @@ def test_step_table_compiles_identity_nodes_as_no_ops():
     full = StepTable(cfg)
     first = min(full.loads)
     identity = frozenset(range(full.size)) - {first}
-    sliced = StepTable(cfg, identity)
+    sliced = StepTable(cfg, sum(1 << r for r in identity))
     assert len(full.loads) == 2 and full.stores and full.violable
     assert list(sliced.loads) == [first]
     assert not sliced.stores and not sliced.violable
@@ -441,7 +441,7 @@ def test_prefixes_are_keyed_on_step_table():
     assert not analyze_thread(cfg, init, self_only(cfg), table=full,
                               prefixes=prefixes).resumed
     assert len(prefixes) == 1
-    sliced = StepTable(cfg, frozenset({bump}))
+    sliced = StepTable(cfg, 1 << bump)
     run = analyze_thread(cfg, init, self_only(cfg, sliced), table=sliced,
                          prefixes=prefixes)
     fresh = analyze_thread(cfg, init, self_only(cfg, sliced), table=sliced)

@@ -62,6 +62,7 @@ def chain_program(depth: int, seed: int = 0) -> str:
 
 
 FAMILIES = {"watchdog": watchdog_program, "chain": chain_program}
+CALLS = 3  # `analyze` calls per size and mode; a row times the fastest
 
 
 class BenchRow(Record):
@@ -85,13 +86,14 @@ def run_bench(family: str, sizes, seed: int = 0,
     generator = FAMILIES[family]
     rows = []
     for size in sizes:
-        model = build_model(parse(generator(size, seed)))
         for mode in modes:
-            config = AnalysisConfig(mode=mode)
-            start = time.perf_counter()
-            result = analyze(model, config)
-            elapsed = time.perf_counter() - start
-            rows.append(BenchRow(size, mode, elapsed,
+            config, times = AnalysisConfig(mode=mode), []
+            for _ in range(CALLS):  # each on a fresh model: no shared caches
+                model = build_model(parse(generator(size, seed)))
+                start = time.perf_counter()
+                result = analyze(model, config)
+                times.append(time.perf_counter() - start)
+            rows.append(BenchRow(size, mode, min(times),
                                  len(result.verified_assertions()),
                                  len(result.verdicts)))
     return rows

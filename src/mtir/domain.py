@@ -13,6 +13,12 @@ collapses to Bottom on an empty one.  `set`, `join`, `widen`, `narrow`
 and `project` wrap their clean bindings with `AbstractEnv._clean`
 unchecked, as operations whose bounds are well formed by construction
 build intervals with `_make`, and `AbstractEnv.bot()` is one shared Bottom.
+
+Comparisons, truth values and filters read one rule, `_assume(op, a, b)`:
+the parts of two intervals where `a op b` can hold; `!`, `&&`, `||` and
+truth tests compare with 0.  Filters of `v op c` and `c op v` on a literal
+c, and so of a bare variable v as `v != 0`, keep a compile-time fast path:
+a bound from a literal table, or for `!=` a trim of c at an endpoint.
 """
 
 from __future__ import annotations
@@ -183,75 +189,66 @@ def _div(a: Interval, b: Interval) -> Interval:
     return Interval(min(quotients), max(quotients))
 
 
-def _truth(a: Interval) -> Interval:
-    """Boolean image of an interval: nonzero is true."""
-    if a.empty:
-        return EMPTY
-    if a.lo == a.hi == 0:
-        return _ZERO
-    if not a.contains(0):
-        return _ONE
-    return _BOOL
+# --- comparisons and truth values --------------------------------------------
+
+_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
+_NEGATE = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}
 
 
-def _not(a: Interval) -> Interval:
-    t = _truth(a)
-    if t.empty:
-        return EMPTY
-    if t.lo == t.hi:
-        return _ONE if t.lo == 0 else _ZERO
-    return _BOOL
+def _trim_ne(iv: Interval, c: int) -> Interval:
+    """Remove c from iv when it sits on an endpoint."""
+    if iv.lo == c:
+        return interval(c + 1, iv.hi)
+    if iv.hi == c:
+        return interval(iv.lo, c - 1)
+    return iv
+
+
+def _assume(op: str, a: Interval, b: Interval):
+    """The parts of non-empty a and b where `a op b` can hold: each met
+    with the bound the other sets or, for `!=`, less a constant other at
+    one of its endpoints.  Either part is EMPTY when no pair satisfies op."""
+    if op == "==":
+        a = a.meet(b)
+        return a, a
+    if op == "!=":
+        return (_trim_ne(a, b.lo) if b.lo == b.hi else a,
+                _trim_ne(b, a.lo) if a.lo == a.hi else b)
+    if op in (">", ">="):
+        return _assume(_FLIP[op], b, a)[::-1]
+    off = {"<": 1, "<=": 0}[op]
+    return (a.meet(interval(-INF, b.hi - off)),
+            b.meet(interval(a.lo + off, INF)))
 
 
 def _cmp(op: str, a: Interval, b: Interval) -> Interval:
+    """Truth value of `a op b`: can op hold, and can its negation?"""
     if a.empty or b.empty:
         return EMPTY
-    always = never = False
-    if op == "<":
-        always = a.hi < b.lo
-        never = b.hi <= a.lo
-    elif op == "<=":
-        always = a.hi <= b.lo
-        never = b.hi < a.lo
-    elif op == ">":
-        return _cmp("<", b, a)
-    elif op == ">=":
-        return _cmp("<=", b, a)
-    elif op == "==":
-        always = a.lo == a.hi == b.lo == b.hi
-        never = a.meet(b).empty
-    elif op == "!=":
-        inner = _cmp("==", a, b)
-        return _not(inner)
-    else:
-        raise ValueError(op)
-    if always:
-        return _ONE
-    if never:
+    x, y = _assume(op, a, b)
+    if x.empty or y.empty:
         return _ZERO
-    return _BOOL
+    x, y = _assume(_NEGATE[op], a, b)
+    return _ONE if x.empty or y.empty else _BOOL
 
 
-def _and(a: Interval, b: Interval) -> Interval:
+def _truth(a: Interval) -> Interval:
+    """Boolean image of an interval: nonzero is true."""
+    return _cmp("!=", a, _ZERO)
+
+
+def _not(a: Interval) -> Interval:
+    return _cmp("==", a, _ZERO)
+
+
+def _logic(absorbing: Interval, a: Interval, b: Interval) -> Interval:
+    """`&&` with absorbing _ZERO, `||` with absorbing _ONE."""
     ta, tb = _truth(a), _truth(b)
     if ta.empty or tb.empty:
         return EMPTY
-    if ta == _ZERO or tb == _ZERO:
-        return _ZERO
-    if ta == _ONE and tb == _ONE:
-        return _ONE
-    return _BOOL
-
-
-def _or(a: Interval, b: Interval) -> Interval:
-    ta, tb = _truth(a), _truth(b)
-    if ta.empty or tb.empty:
-        return EMPTY
-    if ta == _ONE or tb == _ONE:
-        return _ONE
-    if ta == _ZERO and tb == _ZERO:
-        return _ZERO
-    return _BOOL
+    if ta is absorbing or tb is absorbing:
+        return absorbing
+    return ta if ta is tb else _BOOL
 
 
 # --- abstract environments ---------------------------------------------------
@@ -437,11 +434,9 @@ def render_env(env: AbstractEnv) -> str:
 # non-bottom env; compiled filters and transfers take any.
 
 _BINARY = {"+": _add, "-": lambda a, b: _add(a, _neg(b)), "*": _mul,
-           "/": _div, "&&": _and, "||": _or,
-           **{op: partial(_cmp, op)
-              for op in ("<", "<=", ">", ">=", "==", "!=")}}
-_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
-_NEGATE = {"<": ">=", "<=": ">", ">": "<=", ">=": "<", "==": "!=", "!=": "=="}
+           "/": _div, "&&": partial(_logic, _ZERO),
+           "||": partial(_logic, _ONE),
+           **{op: partial(_cmp, op) for op in _NEGATE}}
 
 
 def _lit_value(e: Expr):
@@ -474,19 +469,6 @@ def _keep(env):
     return env
 
 
-def _trim_ne(iv: Interval, c: int) -> Interval:
-    """Remove c from iv when it sits on an endpoint."""
-    if not iv.contains(c):
-        return iv
-    if iv.lo == iv.hi == c:
-        return EMPTY
-    if iv.lo == c:
-        return Interval(c + 1, iv.hi)
-    if iv.hi == c:
-        return Interval(iv.lo, c - 1)
-    return iv
-
-
 def _bounding(name, bound):
     """Filter meeting name's interval with bound."""
     def step(env):
@@ -510,38 +492,26 @@ def _trimming(name, c):
 
 
 def _filter_var_var(env, op, a, b):
-    ia, ib = env.get(a), env.get(b)
-    off = 1 if op in ("<", ">") else 0
-    if op in ("<", "<="):
-        na = ia.meet(interval(-INF, ib.hi - off))
-        nb = ib.meet(interval(ia.lo + off, INF))
-    elif op in (">", ">="):
-        na = ia.meet(interval(ib.lo + off, INF))
-        nb = ib.meet(interval(-INF, ia.hi - off))
-    elif op == "==":
-        na = nb = ia.meet(ib)
-    else:  # "!="
-        na = _trim_ne(ia, ib.lo) if ib.lo == ib.hi else ia
-        nb = _trim_ne(ib, ia.lo) if ia.lo == ia.hi else ib
+    """Both variables narrowed to `_assume`'s parts; b's is set last."""
+    na, nb = _assume(op, env.get(a), env.get(b))
     if na.empty or nb.empty:
-        return AbstractEnv.bot()
+        return _BOTTOM
     return env.set(a, na).set(b, nb)
 
 
 def compile_filter(cond: Expr, polarity: bool):
     """Closure refining an env by assuming cond evaluates to polarity.
-    Bound tightening covers `v op c`, `c op v`, `v op w`, a variable, a
-    literal and a splitting `&&`/`||`; any other shape only drops the
-    states where cond surely evaluates the other way, which each
-    tightening does as well."""
+    Bound tightening covers `v op c`, `c op v`, `v op w`, a variable (as
+    `v != 0`), a literal and a splitting `&&`/`||`; any other shape only
+    drops the states where cond surely evaluates the other way, which
+    each tightening does as well."""
     while isinstance(cond, UnaryOp):  # assume(!c) = assume c is false
         cond, polarity = cond.operand, not polarity
     c = _lit_value(cond)
     if c is not None:
         return _keep if (c != 0) == polarity else lambda env: _BOTTOM
-    if isinstance(cond, Var):
-        return (_trimming(cond.name, 0) if polarity
-                else _bounding(cond.name, _ZERO))
+    if isinstance(cond, Var):  # assume(v) = assume(v != 0)
+        cond = BinOp("!=", cond, IntLit(0))
     if isinstance(cond, BinOp) and cond.op in ("&&", "||") \
             and (cond.op == "&&") == polarity:
         # assume(a && b) = assume(a); assume(b), dually for a false or

@@ -248,9 +248,7 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
     later run of any instance with that key copies that state and goes on
     from there, so it visits, widens and exceeds the visit budget exactly
     where a fresh run would.  `prefixes` must belong to one analysis, with a
-    fixed widening delay; by default the prefix is stored in a dict of its
-    own.  A thread whose entry is one of the table's loads consults at its
-    first visit, so it neither looks up nor stores a prefix.
+    fixed widening delay; by default it is a dict of the run's own.
 
     The descending pass is shared too.  The prefix also holds its fixed
     nodes: those that no pending node (the consulting load among them)
@@ -276,14 +274,10 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
         return ThreadRun(envs)
 
     widen_points = table.loop_heads
-    prefix = None
-    if table.entry in table.loads:
-        recording = False  # the first visit consults: nothing to store
-    else:
-        prefixes = {} if prefixes is None else prefixes
-        key = table, init
-        prefix = prefixes.get(key)
-        recording = prefix is None  # until the first consult
+    prefixes = {} if prefixes is None else prefixes
+    key = table, init
+    prefix = prefixes.get(key)
+    recording = prefix is None  # until the first consult
     resumed = prefix is not None
     if prefix is None:
         updates = [0] * table.size

@@ -31,8 +31,11 @@ two instances of a routine with a loop before its read of a global,
 created one after the other from equal entry states, a thread whose
 loop never exits before a read of a global, two loads of one global
 around a load of another, whose clusters are not in node order, a
-created thread that never runs, its create site unreachable,
-`random_program` seeds 0-119, `repeated_program` seeds 0-39 and
+created thread that never runs, its create site unreachable, one
+program with the comparison shapes the other lack (a variable compared
+with itself, literal-literal conditions, a branch on a variable and on
+its negation where the variable spans 0, and comparisons, `!`, `&&` and
+`||` used as values, some on a global read), `random_program` seeds 0-119, `repeated_program` seeds 0-39 and
 `stress_soundness`'s `loopy_program` seeds 0-19.
 """
 
@@ -116,6 +119,62 @@ thread main() {
     assert(!(a == 8));
   }
   assert(z <= 100);
+}
+"""
+
+# what SHAPES lacks: a variable compared with itself, conditions on two
+# literals, `if (b)` and `if (!b)` with b spanning 0, and comparisons,
+# `!`, `&&` and `||` as values, on locals and on a global read
+COMPARISONS = """int g = 0;
+thread w() { g = 2; g = -1; }
+thread main() {
+  create(w);
+  int a = *;
+  int b = *;
+  int c = 2;
+  int z = 0;
+  if (a >= -2 && a <= 3 && b >= -1 && b <= 4) {
+    if (a == a) { z = a; } else { z = b; }
+    if (a != a) { z = a; } else { z = b; }
+    if (a <= a) { z = a; } else { z = b; }
+    if (a >= a) { z = a; } else { z = b; }
+    if (c != c) { z = c; } else { z = c; }
+    if (c == c) { z = c; } else { z = c; }
+    if (3 != 3) { z = 1; } else { z = 2; }
+    if (2 == 2) { z = 3; } else { z = 4; }
+    if (4 <= 1) { z = 5; } else { z = 6; }
+    if (b) { z = b; } else { z = b; }
+    if (!b) { z = b; } else { z = b; }
+    int v = a != b;
+    int y = (a < b) && (b < 5);
+    int u = !(a == b) || b;
+    int e = a == a;
+    int n = a != a;
+    int m = c >= 2 && c != 3;
+    int k = !b || !(a > 3);
+    int x = g;
+    int p = x >= 0 && x <= 2;
+    int q = !(x == 2) || (x != -1);
+    int s = x == x;
+    int r = (x < a) || !x;
+    int t = x != c && !(b <= x);
+    if (x == x) { z = x; } else { z = x; }
+    if (x) { z = x; } else { z = x; }
+    if (!x) { z = x; } else { z = x; }
+    assert(v <= 1);
+    assert(y >= 0);
+    assert(u == 1);
+    assert(e == 1);
+    assert(n == 0);
+    assert(m == 1);
+    assert(k == 1);
+    assert(p == 1);
+    assert(q == 1);
+    assert(s == 1);
+    assert(r <= 1);
+    assert(t >= 0);
+  }
+  assert(z <= 4);
 }
 """
 
@@ -278,6 +337,7 @@ def programs():
     yield "two_params", TWO_PARAMS
     yield "flat400", FLAT
     yield "shapes", SHAPES
+    yield "comparisons", COMPARISONS
     yield "loop_start", LOOP_START
     yield "nested", NESTED
     yield "loop_then_read", LOOP_THEN_READ

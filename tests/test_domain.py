@@ -9,8 +9,9 @@ from mtir.ast import BinOp, IntLit, UnaryOp, Var
 from mtir.bench import watchdog_program
 from mtir.cfg import SLoad, SLocal, SNondet, SStore
 from mtir.domain import (
-    EMPTY, INF, TOP, AbstractEnv, Interval, _add, _cmp, _div, _mul,
-    compile_expr, compile_filter, compile_transfer, interval, render_env,
+    _BINARY, EMPTY, INF, TOP, AbstractEnv, Interval, _add, _cmp, _div, _mul,
+    _not, _truth, compile_expr, compile_filter, compile_transfer, interval,
+    render_env,
 )
 from mtir.oracle import eval_concrete
 
@@ -370,6 +371,103 @@ def test_filter_monotone_and_sound():
         fa, fb = compile_filter(cond, pol)(a), compile_filter(cond, pol)(b)
         assert fa.leq(fb)
         assert fa.leq(a)  # filtering only refines
+
+
+# --- exactness of truth tests on small intervals ----------------------------
+# Every finite interval within [-4, 4], brute-forced: a comparison's value
+# and a filter's narrowing are the hull of what the concrete values give.
+
+SMALL = range(-4, 5)
+SMALL_INTERVALS = [iv(lo, hi) for lo in SMALL for hi in SMALL if lo <= hi]
+COMPARISONS = ("<", "<=", ">", ">=", "==", "!=")
+
+
+def hull(values):
+    return iv(min(values), max(values)) if values else EMPTY
+
+
+def values_of(i):
+    return range(i.lo, i.hi + 1) if not i.empty else ()
+
+
+def concrete_table(expr, names):
+    """{values: eval_concrete(expr)} over SMALL for each of names."""
+    if len(names) == 1:
+        return {(x,): eval_concrete(expr, {names[0]: x}) for x in SMALL}
+    return {(x, y): eval_concrete(expr, dict(zip(names, (x, y))))
+            for x in SMALL for y in SMALL}
+
+
+def test_truth_values_are_exact():
+    x, y = Var("x"), Var("y")
+    binary = [(op, lambda a, b, op=op: _cmp(op, a, b)) for op in COMPARISONS]
+    binary += [(op, _BINARY[op]) for op in ("&&", "||")]
+    checked = 0
+    for op, f in binary:
+        table = concrete_table(BinOp(op, x, y), ("x", "y"))
+        for a in SMALL_INTERVALS + [EMPTY]:
+            for b in SMALL_INTERVALS + [EMPTY]:
+                want = hull({table[vx, vy] for vx in values_of(a)
+                             for vy in values_of(b)})
+                assert f(a, b) == want, (op, a, b)
+                checked += 1
+    for f, expr in ((_truth, UnaryOp("!", UnaryOp("!", x))),
+                    (_not, UnaryOp("!", x))):
+        table = concrete_table(expr, ("x",))
+        for a in SMALL_INTERVALS + [EMPTY]:
+            assert f(a) == hull({table[v,] for v in values_of(a)}), (f, a)
+            checked += 1
+    assert checked == 8 * 46 * 46 + 2 * 46
+
+
+def assert_filter_exact(cond, names, table, envs):
+    """Under each polarity, each variable narrows to the hull of its
+    values over the points where cond takes that polarity; Bottom when
+    there are none."""
+    for polarity in (True, False):
+        step = compile_filter(cond, polarity)
+        for parts in envs:
+            points = [p for p in table if (table[p] != 0) == polarity
+                      and all(i.contains(v) for i, v in zip(parts, p))]
+            got = step(AbstractEnv(dict(zip(names, parts))))
+            if not points:
+                assert got.bottom, (cond, polarity, parts, got)
+                continue
+            want = [hull({p[k] for p in points}) for k in range(len(names))]
+            assert [got.get(n) for n in names] == want, \
+                (cond, polarity, parts, got)
+
+
+def test_filters_narrow_exactly():
+    x, y = Var("x"), Var("y")
+    pairs = [(a, b) for a in SMALL_INTERVALS for b in SMALL_INTERVALS]
+    for op in COMPARISONS:
+        cond = BinOp(op, x, y)
+        assert_filter_exact(cond, ("x", "y"),
+                            concrete_table(cond, ("x", "y")), pairs)
+    singles = [(a,) for a in SMALL_INTERVALS]
+    conds = [x, UnaryOp("!", x)]
+    for op in COMPARISONS:
+        for c in range(-5, 6):
+            conds += [BinOp(op, x, IntLit(c)), BinOp(op, IntLit(c), x)]
+    for cond in conds:
+        assert_filter_exact(cond, ("x",), concrete_table(cond, ("x",)),
+                            singles)
+
+
+def test_filter_of_a_variable_against_itself_is_sound():
+    # `x op x` keeps the right operand's bound, which is sound, not exact
+    for op in COMPARISONS:
+        cond = BinOp(op, Var("x"), Var("x"))
+        table = concrete_table(cond, ("x",))
+        for polarity in (True, False):
+            step = compile_filter(cond, polarity)
+            for a in SMALL_INTERVALS:
+                kept = [v for v in values_of(a)
+                        if (table[v,] != 0) == polarity]
+                got = step(AbstractEnv({"x": a})).get("x")
+                assert all(got.contains(v) for v in kept), (op, polarity, a)
+                assert got.leq(a)
 
 
 def around(rng, value, side):

@@ -372,11 +372,11 @@ def test_resumed_run_exceeds_budget_at_the_same_visit(monkeypatch):
         assert gives_up(budget, {}) == gives_up(budget, prefixes), budget
 
 
-def test_entry_load_stores_and_looks_up_no_prefix():
-    # a thread whose entry is a load consults at its first visit, so it
-    # neither stores a prefix nor looks one up; in a table where it is an
-    # identity node the load reads nothing, and the prefix ends at the next
-    # load
+def test_entry_load_looks_up_but_stores_no_prefix():
+    # a thread whose entry is a load consults at its first visit: it looks
+    # a prefix up like any run, but has nothing to store; in a table where
+    # it is an identity node the load reads nothing, and the prefix ends at
+    # the next load
     lookups = []
 
     class Prefixes(dict):
@@ -394,13 +394,13 @@ def test_entry_load_stores_and_looks_up_no_prefix():
     for _ in range(2):
         assert not analyze_thread(cfg, init, self_only(cfg), table=full,
                                   prefixes=prefixes).resumed
-    assert not lookups and not prefixes
+    assert len(lookups) == 2 and not prefixes
     sliced = StepTable(cfg, 1 << full.entry)
     runs = [analyze_thread(cfg, init, self_only(cfg, sliced), table=sliced,
                            prefixes=prefixes)
             for _ in range(2)]
     assert [run.resumed for run in runs] == [False, True]
-    assert len(lookups) == 2 and len(prefixes) == 1
+    assert len(lookups) == 4 and len(prefixes) == 1
 
 
 def test_step_table_compiles_identity_nodes_as_no_ops():

@@ -7,7 +7,10 @@ nodes the unit of interference for the whole analysis.
 
 Each routine is lowered once, at its first instance.  A later instance
 is that graph with node ids shifted past the threads before it, and
-takes its reachability (shifted as well) from the first instance.
+takes its path and reachability (shifted as well) from the first
+instance.  A routine without a branch is one path (`ThreadCfg.path`),
+and its graph facts come from that walk; only a branching routine runs
+`flow_masks` and the solvers built on it.
 
 IR statements are immutable records (see `record`): equal, and equal in
 hash, when of one class with equal fields, never across classes.  Nodes,
@@ -146,16 +149,36 @@ class ThreadCfg(Record):
         return dominator_sets(self.succs, self.entry, self.node_order())
 
     # the graph is fixed once `build_model` returns, so a later instance
-    # shifts its routine's reachability
+    # shifts its routine's path and reachability
+
+    @cached_property
+    def path(self) -> list[int] | None:
+        """The nodes in walk order if the graph is one path from the entry
+        through every node, else None: a node has two out edges, or the
+        walk goes round a cycle."""
+        first = self.first_instance
+        if first is not None:
+            d = self.first_node - first.first_node
+            return None if first.path is None else [n + d for n in first.path]
+        walk = [self.entry]
+        while len(self.succs[walk[-1]]) == 1 and len(walk) <= len(self.nodes):
+            walk.append(self.succs[walk[-1]][0][0])
+        return walk if len(walk) == len(self.nodes) \
+            and not self.succs[walk[-1]] else None
 
     @cached_property
     def reach(self) -> dict[int, int]:
         """Mask of the nodes reachable from each node via a nonempty path."""
         first = self.first_instance
-        if first is None:
+        if first is not None:
+            d = self.first_node - first.first_node
+            return {n + d: mask << d for n, mask in first.reach.items()}
+        if self.path is None:
             return reachable_sets(self.succs)
-        d = self.first_node - first.first_node
-        return {n + d: mask << d for n, mask in first.reach.items()}
+        reach, after = {}, 0
+        for n in reversed(self.path):
+            reach[n], after = after, after | 1 << n
+        return reach
 
     @cached_property
     def defs_uses(self) -> list[tuple[set[str], set[str]]]:
@@ -178,7 +201,8 @@ class ProgramModel(Record):
     Each global's virtual initial store, named `init:<var>`, takes the
     next id in declaration order (`init_nodes`); it is no thread's node.
     `stores` and `loads` map each global to the mask of its (real) store
-    nodes and of its load nodes."""
+    nodes and of its load nodes, and `structural` is the mask of the
+    create, join, exit and nop nodes."""
     __slots__ = ("threads", "globals", "creates", "joins", "assertions",
                  "source", "__dict__", "__weakref__")
 
@@ -196,12 +220,15 @@ class ProgramModel(Record):
                            enumerate(self.globals, len(self._node_index))}
         self.stores = dict.fromkeys(self.globals, 0)
         self.loads = dict.fromkeys(self.globals, 0)
+        self.structural = 0
         for nid, node in self._node_index.items():
             kind = node.stmt.__class__
             if kind is SStore:
                 self.stores[node.stmt.var] |= 1 << nid
             elif kind is SLoad:
                 self.loads[node.stmt.var] |= 1 << nid
+            elif kind in (SCreate, SJoin, SExit, SNop):
+                self.structural |= 1 << nid
 
     @cached_property
     def _names(self) -> dict[int, str]:

@@ -328,8 +328,14 @@ def initial_value_loads(model: ProgramModel) -> dict[int, tuple]:
 
 def _local_rows(cfg: ThreadCfg, s1: list, po: list):
     """Fill in the S1 and PO masks of a thread's nodes: what each node
-    dominates and what it reaches, less the nodes on a cycle with it."""
-    reach, dom = cfg.reach, cfg.dominators
+    dominates and what it reaches, less the nodes on a cycle with it.  On
+    a path a node dominates what it reaches, the nodes after it."""
+    reach = cfg.reach
+    if cfg.path is not None:
+        for n in cfg.nodes:
+            s1[n] = po[n] = reach[n]
+        return
+    dom = cfg.dominators
     # a node m that n reaches reaches n back exactly when n is on a cycle
     # and both reach the same nodes
     alike: dict = {}

@@ -130,14 +130,21 @@ class StepTable:
             if any(reach[n] >> n & 1 for n in reach) else set()
         self.sweep_order = [r for r in range(self.size) if r != self.entry]
         # the locals some path from the entry reads before assigning: the
-        # locals maybe unassigned at each node, all of them at the entry
-        unset = [0] * self.size
-        unset[self.entry] = sum(bit.values())
-        unset = flow_masks(self.succs, range(self.size), unset,
-                           [0] * self.size, kills)
+        # locals maybe unassigned at each node, all of them at the entry;
+        # on a path, those the walk has not yet assigned
         read = 0
-        for r in range(self.size):
-            read |= reads[r] & unset[r]
+        if cfg.path is not None:
+            unset = sum(bit.values())
+            for n in cfg.path:
+                read |= reads[n - base] & unset
+                unset &= ~kills[n - base]
+        else:
+            unset = [0] * self.size
+            unset[self.entry] = sum(bit.values())
+            unset = flow_masks(self.succs, range(self.size), unset,
+                               [0] * self.size, kills)
+            for r in range(self.size):
+                read |= reads[r] & unset[r]
         self.unassigned_locals = tuple(sorted(v for v in bit if read & bit[v]))
 
     @cached_property

@@ -4,20 +4,21 @@ Every node set here is a node mask (see `cfg.ProgramModel`).  The graph
 spans all threads and is linear in the program: it maps each node to the
 mask of the nodes it depends on through control and def-use dependence
 over locals, which stay inside a thread, and through the create site
-that feeds a child's entry.  Global flow goes through one hub per
-variable, the model's masks `stores[v]` and `loads[v]`: every load of v
-depends on every store to v, cross-thread or not, as slicing must
-over-approximate.  One backward pass from all the assertions gives the
-union of their slices, a mask; a load of v that enters it brings in v's
-stores.  A union-find over the on-slice nodes splits each thread's loads
-into independently explorable clusters.
+that feeds a child's entry.  A routine that is one path
+(`ThreadCfg.path`) has no control dependence, and one walk gives its
+def-use edges.  Global flow goes through one hub per variable, the
+model's masks `stores[v]` and `loads[v]`: every load of v depends on
+every store to v, cross-thread or not, as slicing must over-approximate.
+One backward pass from all the assertions gives the union of their
+slices, a mask; a load of v that enters it brings in v's stores.  A
+union-find over the on-slice nodes splits each thread's loads into
+independently explorable clusters.
 """
 
 from __future__ import annotations
 
 from .cfg import (
-    ProgramModel, SBranch, SCreate, SExit, SJoin, SLoad, SNop, ThreadCfg,
-    bits, dominator_sets, flow_masks,
+    ProgramModel, SBranch, SLoad, ThreadCfg, bits, dominator_sets, flow_masks,
 )
 from .record import Record
 
@@ -62,7 +63,9 @@ def _post_dominators(cfg: ThreadCfg):
 
 def _control_dependence(cfg: ThreadCfg, graph: DependenceGraph):
     """n depends on branch m when n post-dominates one successor of m
-    but not m itself."""
+    but not m itself; on a path, with no branch, nothing does."""
+    if cfg.path is not None:
+        return
     pdom = _post_dominators(cfg)
     control = graph.control
     for m in cfg.node_order():
@@ -77,7 +80,20 @@ def _data_dependence(cfg: ThreadCfg, graph: DependenceGraph):
     """Reaching definitions of locals, flow-sensitive per thread, as
     gen/kill masks over the definition sites.  Each thread parameter is
     defined at its own virtual site past the thread's last node, reported
-    as the entry node."""
+    as the entry node.  On a path the one definition of a local reaching
+    a node is its last one before it: one walk holds each local's."""
+    if cfg.path is not None:
+        last_def = dict.fromkeys(cfg.params, 1 << cfg.entry)  # as a mask
+        for n in cfg.path:
+            defs, uses = cfg.defs_uses[n - cfg.first_node]
+            used = 0
+            for var in uses:
+                used |= last_def.get(var, 0)
+            if used:
+                graph.data[n] = used
+            for var in defs:
+                last_def[var] = 1 << n
+        return
     nodes = cfg.node_order()
     last = max(cfg.nodes)
     sites = {p: 1 << k for k, p in enumerate(cfg.params, last + 1)}
@@ -149,9 +165,8 @@ def apply_pruning(on_slice: int, model: ProgramModel) -> int:
     """The identity nodes: every off-slice statement but the structural
     ones.  The interpreter passes their state through, their loads leave
     combination generation and their stores publish no interference."""
-    return sum(1 << node.id for node in model.all_nodes()
-               if not on_slice >> node.id & 1
-               and not isinstance(node.stmt, (SCreate, SJoin, SExit, SNop)))
+    real = sum(len(cfg.nodes) for cfg in model.threads)
+    return (1 << real) - 1 & ~on_slice & ~model.structural
 
 
 def cluster(graph: DependenceGraph, on_slice: int,

@@ -35,8 +35,11 @@ created thread that never runs, its create site unreachable, one
 program with the comparison shapes the other lack (a variable compared
 with itself, literal-literal conditions, a branch on a variable and on
 its negation where the variable spans 0, and comparisons, `!`, `&&` and
-`||` used as values, some on a global read), `random_program` seeds 0-119, `repeated_program` seeds 0-39 and
-`stress_soundness`'s `loopy_program` seeds 0-19.
+`||` used as values, some on a global read), a straight-line routine
+created twice with different arguments, branch-free routines that read
+a never-assigned local, one assigning its parameter, `random_program`
+seeds 0-119, `repeated_program` seeds 0-39 and `stress_soundness`'s
+`loopy_program` seeds 0-19.
 """
 
 import contextlib
@@ -320,6 +323,48 @@ NO_EXIT = """int g = 0;
 thread main() { int i = 0; while (i < 2) { } int u = g; assert(u == 7); }
 """
 
+# a straight-line routine created twice with different arguments: its
+# second instance shifts the first's graph facts
+LINE_TWICE = """int g = 0;
+int h = 0;
+thread w(int a, int b) {
+  int t = a * 2;
+  int u = g;
+  g = t + b;
+  h = u - a;
+  int v = g;
+  assert(v >= b);
+}
+thread main() {
+  create(w, 1, 5);
+  create(w, 4, -3);
+  join(w);
+  join(w);
+  int r = g;
+  int s = h;
+  assert(r >= 0);
+  assert(s <= 3);
+}
+"""
+
+# branch-free routines that read a never-assigned local, one of them
+# assigning its parameter
+UNASSIGNED_LINE = """int g = 0;
+thread w(int p) {
+  int a = p + q;
+  p = a + 1;
+  g = p;
+  int b = g;
+  assert(b >= p);
+  assert(q == 0);
+}
+thread main() {
+  create(w, 2);
+  int u = z;
+  assert(u == 0);
+}
+"""
+
 DEEP_PLUS = ("thread main() { int x = *; int y = "
              + " + ".join(["x"] * 900) + "; assert(y >= 0); }\n")
 
@@ -350,6 +395,8 @@ def programs():
     yield "never_runs", NEVER_RUNS
     yield "deep_plus900", DEEP_PLUS
     yield "deep_not900", DEEP_NOT
+    yield "line_twice", LINE_TWICE
+    yield "unassigned_line", UNASSIGNED_LINE
     for family, generator, count in (("random", random_program, 120),
                                      ("repeated", repeated_program, 40),
                                      ("loopy", loopy_program, 20)):

@@ -1051,22 +1051,27 @@ def test_chain_run_counts():
 
 def test_cfg_sets_computed_once_per_routine(monkeypatch):
     # the graph is fixed once build_model returns and later instances are
-    # shifted copies: analyses compute each routine's dominators once and
-    # its reachability not at all
+    # shifted copies: a routine's reachability is computed once, with the
+    # model, and its dominators once, by the analyses; a path routine
+    # (here `main`) takes both from its walk and runs neither solver
     from mtir import cfg as cfg_mod
-    model = model_of(watchdog_program(8))
-    calls = dict.fromkeys(("dominator_sets", "reachable_sets"), 0)
-    for name in calls:
-        def counting(*args, _name=name, _original=getattr(cfg_mod, name)):
-            calls[_name] += 1
-            return _original(*args)
+    calls = []  # (solver, the first node of the graph it ran on)
+    for name in ("dominator_sets", "reachable_sets"):
+        def counting(succs, *args, _name=name,
+                     _original=getattr(cfg_mod, name)):
+            calls.append((_name, min(succs)))
+            return _original(succs, *args)
         monkeypatch.setattr(cfg_mod, name, counting)
+    model = model_of(watchdog_program(8))
     for mode in ("fs", "fi", "fsc"):
         analyze(model, AnalysisConfig(mode=mode))
     # nine threads of two routines
     assert len(model.threads) == 9
     assert len({cfg.routine for cfg in model.threads}) == 2
-    assert calls == {"dominator_sets": 2, "reachable_sets": 0}
+    dog = model.thread_named("dog#1")
+    assert dog.first_instance is None and model.thread(0).path is not None
+    assert calls == [("reachable_sets", dog.first_node),
+                     ("dominator_sets", dog.first_node)]
 
 
 def test_models_freed_by_reference_counting():

@@ -16,14 +16,14 @@ joins it once for a stretch of such nodes and keeps them sharing.
 
 The loop also stops, one iteration early, once the interference is
 stable, as Miné's thread-modular iteration does (ESOP 2011): when an
-iteration grew a state but its `_publish` left every entry of the table
-the `Published` object it was, none added or replaced, and the next
-iteration keeps the feasibility flag (it is past the first, or the mode
-has no feasibility).  That next iteration would build the same policies
-from the same table, and each thread's entry state from the same object:
-threads run in tid order, each after its parent, and only a thread's own
-runs fold into its nodes, so the create-site state every entry was built
-from in this iteration is still the one held.  Every run it schedules is
+iteration grew a state but its `_publish` says it added or replaced no
+entry of the table, and the next iteration keeps the feasibility flag
+(it is past the first, or the mode has no feasibility).  That next
+iteration would build the same policies from the same table, and each
+thread's entry state from the same object: threads run in tid order,
+each after its parent, and only a thread's own runs fold into its
+nodes, so the create-site state every entry was built from in this
+iteration is still the one held.  Every run it schedules is
 then already seen, so it would grow nothing, and republishing unchanged
 states returns every old value, also past the widening delay, as a value
 joined or widened with what it already covers is the old object.  The
@@ -96,7 +96,6 @@ narrow only the nodes the load can affect.
 from __future__ import annotations
 
 import itertools
-import operator
 
 from .cfg import ProgramModel, ThreadCfg, bits, loads_of
 from .domain import AbstractEnv, _make, const
@@ -175,12 +174,11 @@ class AnalysisResult(Record):
 
 # --- shared helpers -----------------------------------------------------------
 
-def _entry_env(model: ProgramModel, cfg: ThreadCfg, te: dict,
-               steps: StepTable) -> AbstractEnv:
+def _entry_env(model: ProgramModel, cfg: ThreadCfg, te: dict) -> AbstractEnv:
     """Entry state of a thread: globals from the creating thread's state
     at the create site (the program initializers for the entry thread),
     parameters bound to their constant arguments, and the locals of
-    `steps.unassigned_locals` bound to 0."""
+    `cfg.unassigned_locals` bound to 0."""
     if cfg.creation_site is None:
         env = AbstractEnv({name: const(init)
                            for name, init in model.globals.items()})
@@ -191,7 +189,7 @@ def _entry_env(model: ProgramModel, cfg: ThreadCfg, te: dict,
         env = parent_state.project(model.globals)
     for param, value in cfg.params.items():
         env = env.set(param, const(value))
-    for name in steps.unassigned_locals:
+    for name in cfg.unassigned_locals:
         env = env.set(name, const(0))
     return env
 
@@ -253,7 +251,8 @@ def _publish(model, te, iteration, config, steps, index):
     delay.  Join and widening return the old value itself when the new
     one adds nothing, so a store's source is new exactly when its value
     is, and only a variable with a new source gets a new `Published`, its
-    other stores' sources kept."""
+    other stores' sources kept.  Returns whether it added or replaced any
+    `Published`."""
     new = {}  # variable -> {store node: its new source}
     for cfg in model.threads:
         thread_steps, base = steps[cfg.tid], cfg.first_node
@@ -274,6 +273,7 @@ def _publish(model, te, iteration, config, steps, index):
     for var, sources in new.items():  # a newly published store sorts in
         index[var] = Published(sorted(
             {**index.get(var, _UNPUBLISHED).sources, **sources}.items()))
+    return bool(new)
 
 
 def _run_key(table, init, policy):
@@ -450,8 +450,7 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
             site = te.get(cfg.creation_site)
             entry = entries.get(cfg.tid)
             if entry is None or entry[0] is not site:
-                entry = entries[cfg.tid] = site, _entry_env(
-                    model, cfg, te, steps[cfg.tid])
+                entry = entries[cfg.tid] = site, _entry_env(model, cfg, te)
             init = entry[1]
             for policy in policies:
                 # a run is a deterministic function of its key and is folded
@@ -475,16 +474,13 @@ def analyze(model: ProgramModel, config: AnalysisConfig) -> AnalysisResult:
                     violable.update(n + cfg.first_node for n in run.violable)
             iter_stats.runs += runs
 
-        published = list(index.values())
-        _publish(model, te, iteration, config, steps, index)
+        replaced = _publish(model, te, iteration, config, steps, index)
         stats.per_iteration.append(iter_stats)
         if not grew:
             break
         # with the table's entries and the feasibility flag unchanged, the
         # next iteration builds this one's policies, from its entry objects
-        if (iteration > 1 or not row.feasibility) \
-                and len(index) == len(published) \
-                and all(map(operator.is_, index.values(), published)):
+        if not replaced and (iteration > 1 or not row.feasibility):
             repeated = iter_stats
 
     for it in stats.per_iteration:

@@ -80,23 +80,25 @@ class BenchRow(Record):
 
 def run_bench(family: str, sizes, seed: int = 0,
               modes=("fi", "fs", "fsc", "fso")) -> list[BenchRow]:
+    """One row per size and mode, the fastest of its `CALLS` calls, run in
+    rounds over every pair: a slow stretch of the host slows one call."""
     if family not in FAMILIES:
         raise MtirError(f"unknown generator {family!r}; "
                         f"known: {', '.join(sorted(FAMILIES))}")
     generator = FAMILIES[family]
-    rows = []
-    for size in sizes:
-        for mode in modes:
-            config, times = AnalysisConfig(mode=mode), []
-            for _ in range(CALLS):  # each on a fresh model: no shared caches
-                model = build_model(parse(generator(size, seed)))
-                start = time.perf_counter()
-                result = analyze(model, config)
-                times.append(time.perf_counter() - start)
-            rows.append(BenchRow(size, mode, min(times),
-                                 len(result.verified_assertions()),
-                                 len(result.verdicts)))
-    return rows
+    pairs = [(size, mode) for size in sizes for mode in modes]
+    times = {pair: [] for pair in pairs}
+    counts = {}  # (size, mode) -> (verified, total)
+    for _ in range(CALLS):
+        for size, mode in pairs:  # each on a fresh model: no shared caches
+            model = build_model(parse(generator(size, seed)))
+            start = time.perf_counter()
+            result = analyze(model, AnalysisConfig(mode=mode))
+            times[size, mode].append(time.perf_counter() - start)
+            counts[size, mode] = (len(result.verified_assertions()),
+                                  len(result.verdicts))
+    return [BenchRow(size, mode, min(times[size, mode]), *counts[size, mode])
+            for size, mode in pairs]
 
 
 def bench_csv(rows) -> str:

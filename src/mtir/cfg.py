@@ -6,11 +6,17 @@ stores write an expression over locals only.  This makes the load/store
 nodes the unit of interference for the whole analysis.
 
 Each routine is lowered once, at its first instance.  A later instance
-is that graph with node ids shifted past the threads before it, and
-takes its path and reachability (shifted as well) from the first
-instance.  A routine without a branch is one path (`ThreadCfg.path`),
-and its graph facts come from that walk; only a branching routine runs
-`flow_masks` and the solvers built on it.
+is that graph with node ids shifted past the threads before it.
+
+This module owns every per-routine graph fact, each a cached property
+of `ThreadCfg` by node id: reachability, dominators, the S1 and PO
+masks the ordering rows read (`facts`), control and data dependence
+(`pdg`), and the locals read before assignment (`interp`, `analysis`).
+A routine's first instance solves each once, and a later instance
+shifts the first instance's masks (`_per_routine`).  A routine without
+a branch is one path (`ThreadCfg.path`), and its facts come from that
+walk; only a branching routine runs `flow_masks` and the solvers built
+on it.  No other module reads the walk or calls a solver.
 
 IR statements are immutable records (see `record`): equal, and equal in
 hash, when of one class with equal fields, never across classes.  Nodes,
@@ -117,6 +123,25 @@ class Node(Record):
 Edge = tuple[int, object]
 
 
+class _per_routine(cached_property):
+    """A cached graph fact mapping nodes to node masks, which the decorated
+    method computes on a routine's first instance; a later instance
+    shifts the first instance's."""
+
+    def __get__(self, cfg, cls=None):
+        if cfg is None:
+            return self
+        first = cfg.first_instance
+        if first is None:
+            value = self.compute(cfg)
+        else:
+            d = cfg.first_node - first.first_node
+            value = {n + d: mask << d
+                     for n, mask in getattr(first, self.name).items()}
+        cfg.__dict__[self.name] = value
+        return value
+
+
 class ThreadCfg(Record):
     __slots__ = ("tid", "name", "routine", "nodes", "succs", "entry", "exit",
                  "creation_site", "params", "__dict__", "__weakref__")
@@ -144,35 +169,27 @@ class ThreadCfg(Record):
         return min(self.nodes)
 
     @cached_property
-    def dominators(self) -> dict[int, int]:
-        """Dominator masks from the entry; each includes its own node."""
-        return dominator_sets(self.succs, self.entry, self.node_order())
+    def mask(self) -> int:
+        """Mask of the thread's nodes."""
+        return ((1 << len(self.nodes)) - 1) << self.first_node
 
-    # the graph is fixed once `build_model` returns, so a later instance
-    # shifts its routine's path and reachability
+    # the graph is fixed once `build_model` returns, so each mask fact
+    # below is solved once per routine, on its first instance
 
     @cached_property
     def path(self) -> list[int] | None:
         """The nodes in walk order if the graph is one path from the entry
         through every node, else None: a node has two out edges, or the
         walk goes round a cycle."""
-        first = self.first_instance
-        if first is not None:
-            d = self.first_node - first.first_node
-            return None if first.path is None else [n + d for n in first.path]
         walk = [self.entry]
         while len(self.succs[walk[-1]]) == 1 and len(walk) <= len(self.nodes):
             walk.append(self.succs[walk[-1]][0][0])
         return walk if len(walk) == len(self.nodes) \
             and not self.succs[walk[-1]] else None
 
-    @cached_property
+    @_per_routine
     def reach(self) -> dict[int, int]:
         """Mask of the nodes reachable from each node via a nonempty path."""
-        first = self.first_instance
-        if first is not None:
-            d = self.first_node - first.first_node
-            return {n + d: mask << d for n, mask in first.reach.items()}
         if self.path is None:
             return reachable_sets(self.succs)
         reach, after = {}, 0
@@ -180,19 +197,133 @@ class ThreadCfg(Record):
             reach[n], after = after, after | 1 << n
         return reach
 
-    @cached_property
-    def defs_uses(self) -> list[tuple[set[str], set[str]]]:
-        """Each node's `defs_and_uses`, in node order, taken once per
-        routine for its step tables and dependences."""
-        first = self.first_instance
-        if first is not None:
-            return first.defs_uses
-        return [defs_and_uses(self.nodes[n].stmt) for n in self.node_order()]
+    @_per_routine
+    def dominators(self) -> dict[int, int]:
+        """Dominator masks from the entry; each includes its own node."""
+        return dominator_sets(self.succs, self.entry, self.node_order())
+
+    @_per_routine
+    def po(self) -> dict[int, int]:
+        """Rule PO's masks: what each node reaches, less the nodes on a
+        cycle with it.  A node m that n reaches reaches n back exactly
+        when n is on a cycle and both reach the same nodes."""
+        reach = self.reach
+        if self.path is not None:
+            return reach
+        alike: dict = {}
+        for n in self.nodes:
+            alike[reach[n]] = alike.get(reach[n], 0) | 1 << n
+        return {n: reach[n] & ~alike[reach[n]] if reach[n] >> n & 1
+                else reach[n] for n in self.nodes}
+
+    @_per_routine
+    def s1(self) -> dict[int, int]:
+        """Rule S1's masks: what each node dominates, less itself and the
+        nodes on a cycle with it.  A node reaches what it dominates, so
+        that is its `po` mask cut to what it dominates; on a path, all
+        of it."""
+        if self.path is not None:
+            return self.po
+        # the strict dominators of n are the dominators of its immediate
+        # dominator, so, deepest first, each node adds its mask to that one's
+        dom, po = self.dominators, self.po
+        owner = {mask: n for n, mask in dom.items()}
+        below = {n: 1 << n for n in dom}
+        for n in sorted(dom, key=lambda n: -dom[n].bit_count()):
+            if n != self.entry:
+                below[owner[dom[n] ^ 1 << n]] |= below[n]
+        return {n: below[n] & po[n] for n in self.nodes}
+
+    @_per_routine
+    def control(self) -> dict[int, int]:
+        """Each node's mask of the branches it is control dependent on: n
+        depends on branch m when n post-dominates one successor of m but
+        not m itself (Ferrante, Ottenstein & Warren, TOPLAS 1987).  A
+        routine without a branch has none; nodes with none are left out."""
+        branches = [m for m in self.node_order()
+                    if self.nodes[m].stmt.__class__ is SBranch]
+        control: dict = {}
+        pdom = _post_dominators(self) if branches else None
+        for m in branches:
+            for succ, _ in self.succs[m]:
+                for n in bits(pdom[succ] & ~pdom[m]):
+                    control[n] = control.get(n, 0) | 1 << m
+        return control
+
+    @_per_routine
+    def data(self) -> dict[int, int]:
+        """Each node's mask of the nodes whose definitions of locals it
+        uses, the entry for a parameter's; nodes with none are left out."""
+        return self._def_use[0]
 
     @cached_property
-    def mask(self) -> int:
-        """Mask of the thread's nodes."""
-        return ((1 << len(self.nodes)) - 1) << self.first_node
+    def unassigned_locals(self) -> tuple[str, ...]:
+        """The locals some path from the entry reads before assigning,
+        parameters aside, in name order: each reads 0."""
+        return (self.first_instance or self)._def_use[1]
+
+    @cached_property
+    def _def_use(self):
+        """`data` and `unassigned_locals` of a first instance, from one
+        reaching-definitions solve over the definition sites of its
+        locals: each node that assigns one, and each local's virtual
+        definition at the entry.  A use reached by a parameter's virtual
+        definition depends on the entry, and one reached by another
+        local's reads it unassigned."""
+        nodes = self.node_order()
+        defs_uses = [defs_and_uses(self.nodes[n].stmt) for n in nodes]
+        data, unassigned = {}, set()
+        if self.path is not None:
+            # a use reads the last definition of its local before it, the
+            # virtual one if the walk has not yet met another
+            last = dict.fromkeys(self.params, 1 << self.entry)
+            for n in self.path:
+                defs, uses = defs_uses[n - nodes[0]]
+                used = 0
+                for var in uses:
+                    if var in last:
+                        used |= last[var]
+                    else:
+                        unassigned.add(var)
+                if used:
+                    data[n] = used
+                for var in defs:
+                    last[var] = 1 << n
+            return data, tuple(sorted(unassigned))
+        # as gen/kill masks: the virtual sites lie past the last node, and a
+        # definition kills every site of its local, its own included
+        sites = dict.fromkeys(self.params, 0)  # each local's sites
+        gen, kill = dict.fromkeys(nodes, 0), dict.fromkeys(nodes, 0)
+        for n, (defs, uses) in zip(nodes, defs_uses):
+            for var in uses:
+                sites.setdefault(var, 0)
+            for var in defs:
+                gen[n] = 1 << n
+                sites[var] = sites.get(var, 0) | gen[n]
+        past = nodes[-1] + 1
+        for k, var in enumerate(sites):
+            sites[var] |= 1 << past + k
+        for n, (defs, _) in zip(nodes, defs_uses):
+            for var in defs:  # a node defines at most one
+                kill[n] = sites[var]
+        params = (1 << past + len(self.params)) - (1 << past)
+        virtual = (1 << past + len(sites)) - (1 << past)
+        into = flow_masks(self.succs, nodes,
+                          {**dict.fromkeys(nodes, 0), self.entry: virtual},
+                          gen, kill)
+        unset = virtual & ~params  # the other locals' virtual sites
+        for n, (_, uses) in zip(nodes, defs_uses):
+            used = 0
+            for var in uses:
+                reached = into[n] & sites[var]
+                if reached & unset:
+                    unassigned.add(var)
+                used |= reached
+            if used & params:
+                used |= 1 << self.entry
+            if used & ~virtual:
+                data[n] = used & ~virtual
+        return data, tuple(sorted(unassigned))
 
 
 class ProgramModel(Record):
@@ -349,6 +480,21 @@ def dominator_sets(succs: dict[int, list[Edge]], entry: int,
     none = dict.fromkeys(succs, 0)
     avoid = flow_masks(succs, order, {**none, entry: every}, none, kill)
     return {n: every & ~avoid[n] | kill[n] for n in succs}
+
+
+def _post_dominators(cfg: ThreadCfg) -> dict[int, int]:
+    """Post-dominator masks over the reversed CFG with a virtual exit, one
+    id past the thread's last node.  Nodes that cannot reach the exit
+    (infinite loops) also feed the virtual exit so the computation stays
+    total."""
+    virtual = max(cfg.nodes) + 1
+    rsuccs = {n: [] for n in cfg.nodes}
+    rsuccs[virtual] = [(n, None) for n in cfg.nodes
+                       if n == cfg.exit or not cfg.reach[n] >> cfg.exit & 1]
+    for n, edges in cfg.succs.items():
+        for dst, _ in edges:
+            rsuccs[dst].append((n, None))
+    return dominator_sets(rsuccs, virtual, sorted(rsuccs, reverse=True))
 
 
 # --- lowering ----------------------------------------------------------------

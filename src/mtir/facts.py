@@ -51,7 +51,7 @@ an MHB self-loop on a node that executes.
 
 The base order is built once, as bitset rows straight from the CFGs'
 node masks: row k holds node k's MHB or MHBS successors as one Python
-int, filled from the per-thread dominator and reachability masks and
+int, filled from the S1 and PO masks `cfg` solves once per routine and
 composed through the create and join edges.  Order queries read a bit of
 a row, and a feasibility query closes only the rows of its executing
 nodes (the ReadsFrom endpoints).  Every contradiction reads only those
@@ -74,7 +74,7 @@ maps each such load to that pair, and no other self read pins anything.
 
 from __future__ import annotations
 
-from .cfg import ProgramModel, ThreadCfg, bits, loads_of
+from .cfg import ProgramModel, bits, loads_of
 from .record import Value, cached_property, set_field
 
 DERIVED = ("MHBS", "MHB", "MustNotReadFrom")
@@ -326,35 +326,6 @@ def initial_value_loads(model: ProgramModel) -> dict[int, tuple]:
 
 # --- ordering rows and the feasibility engine ---------------------------------
 
-def _local_rows(cfg: ThreadCfg, s1: list, po: list):
-    """Fill in the S1 and PO masks of a thread's nodes: what each node
-    dominates and what it reaches, less the nodes on a cycle with it.  On
-    a path a node dominates what it reaches, the nodes after it."""
-    reach = cfg.reach
-    if cfg.path is not None:
-        for n in cfg.nodes:
-            s1[n] = po[n] = reach[n]
-        return
-    dom = cfg.dominators
-    # a node m that n reaches reaches n back exactly when n is on a cycle
-    # and both reach the same nodes
-    alike: dict = {}
-    for n in cfg.nodes:
-        alike[reach[n]] = alike.get(reach[n], 0) | 1 << n
-    # what each node dominates: the strict dominators of n are the
-    # dominators of its immediate dominator, so, deepest first, each node
-    # adds its mask to that one's
-    owner = {mask: n for n, mask in dom.items()}
-    below = {n: 1 << n for n in dom}
-    for n in sorted(dom, key=lambda n: -dom[n].bit_count()):
-        if n != cfg.entry:
-            below[owner[dom[n] ^ 1 << n]] |= below[n]
-    for n in cfg.nodes:
-        back = alike[reach[n]] if reach[n] >> n & 1 else 0
-        s1[n] = below[n] & ~back & ~(1 << n)
-        po[n] = reach[n] & ~back
-
-
 class _OrderingRows:
     """The base MHB and MHBS relations as bitset rows, one per model node,
     the `init:<var>` nodes last: bit j of row i says node i precedes node
@@ -363,8 +334,9 @@ class _OrderingRows:
     and store's variable.
 
     The rows are filled from the CFGs' node masks.  Within a thread, rule
-    S1 reads what each node dominates and rule PO what it reaches; both
-    are already transitive, and computed once per routine.  The create
+    S1 reads what each node dominates and rule PO what it reaches, the
+    masks `ThreadCfg.s1` and `ThreadCfg.po`; both are already transitive,
+    and `cfg` solves them once per routine.  The create
     and join edges (S2a, S2b) are the only steps between threads, so a
     row is its thread-local part plus, for each edge leaving the node or a
     node locally after it, the edge's target and that target's strong row
@@ -382,20 +354,13 @@ class _OrderingRows:
         for join_node, tid in model.joins:
             edge[model.thread(tid).exit] = join_node
 
-        s1 = [0] * real
-        po = [0] * real
-        sources = [0] * real  # per node, the edge sources of its thread
+        s1, po = {}, {}  # per node, its thread-local rows
+        sources = []  # per node, the edge sources of its thread
         edges = sum(1 << n for n in edge)
-        for cfg in model.threads:
-            first = cfg.first_instance
-            if first is None:
-                _local_rows(cfg, s1, po)
-            else:  # shifted from the routine's first instance
-                d = cfg.first_node - first.first_node
-                for n in first.nodes:
-                    s1[n + d], po[n + d] = s1[n] << d, po[n] << d
-            for n in cfg.nodes:
-                sources[n] = edges & cfg.mask
+        for cfg in model.threads:  # in node order
+            s1.update(cfg.s1)
+            po.update(cfg.po)
+            sources += [edges & cfg.mask] * len(cfg.nodes)
 
         # each edge target with every node strongly after it
         beyond: dict = {}
@@ -432,10 +397,10 @@ class _OrderingRows:
                 if p in edge:
                     tail |= beyond[edge[p]]
                 later = sources[p] >> p << p
-                for rows, local in ((self.strong, s1), (self.weak, po)):
-                    rows[p] = local[p] | tail \
-                        if (local[p] | 1 << p) & sources[p] == later \
-                        else through_edges(p, local[p])
+                for rows, local in ((self.strong, s1[p]), (self.weak, po[p])):
+                    rows[p] = local | tail \
+                        if (local | 1 << p) & sources[p] == later \
+                        else through_edges(p, local)
         # each init:<var> strongly precedes every real node
         everything = (1 << real) - 1
         self.strong += [everything] * len(model.globals)

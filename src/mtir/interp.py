@@ -12,11 +12,15 @@ table's load order, each the value that load reads from shared memory:
 
 A source compares by what a run reads through it alone, so runs whose
 policies are equal compute the same states.
+
+The graph facts a step table and a run read, reachability and
+dominators, are `cfg`'s, solved once per routine; so are the locals an
+entry state binds to 0 (`ThreadCfg.unassigned_locals`).
 """
 
 from __future__ import annotations
 
-from .cfg import SAssert, SLoad, SNop, SStore, ThreadCfg, bits, flow_masks
+from .cfg import SAssert, SLoad, SNop, SStore, ThreadCfg, bits
 from .domain import (
     AbstractEnv, Interval, compile_expr, compile_filter, compile_transfer,
 )
@@ -88,25 +92,14 @@ class StepTable:
     condition.  A node in the mask `identity` (off the slice, by relative
     id) compiles as a no-op whose out edges filter nothing.
     `sweep_order` lists the nodes a descending sweep narrows (all but the
-    entry) in node order, and `unassigned_locals` the locals some path
-    from the entry reads before assigning, parameters aside, in name
-    order: each reads 0."""
+    entry) in node order."""
 
     def __init__(self, cfg: ThreadCfg, identity: int = 0):
         base = cfg.first_node
         self.size, self.entry = len(cfg.nodes), cfg.entry - base
         self.transfer, self.succs, self.loads, self.violable = [], [], {}, {}
         self.stores = []
-        # each local's bit in the per-node masks, none for a parameter
-        bit, kills, reads = dict.fromkeys(cfg.params, 0), [], []
-        for r, (defs, uses) in enumerate(cfg.defs_uses):
-            kill = read = 0
-            for v in defs:
-                kill |= bit.setdefault(v, 1 << len(bit))
-            for v in uses:
-                read |= bit.setdefault(v, 1 << len(bit))
-            kills.append(kill)
-            reads.append(read)
+        for r in range(self.size):
             stmt, edges = cfg.nodes[r + base].stmt, cfg.succs[r + base]
             if identity >> r & 1:
                 stmt, edges = SNop(), [(dst, None) for dst, _ in edges]
@@ -129,23 +122,6 @@ class StepTable:
                            if cfg.dominators[m] >> dst & 1} \
             if any(reach[n] >> n & 1 for n in reach) else set()
         self.sweep_order = [r for r in range(self.size) if r != self.entry]
-        # the locals some path from the entry reads before assigning: the
-        # locals maybe unassigned at each node, all of them at the entry;
-        # on a path, those the walk has not yet assigned
-        read = 0
-        if cfg.path is not None:
-            unset = sum(bit.values())
-            for n in cfg.path:
-                read |= reads[n - base] & unset
-                unset &= ~kills[n - base]
-        else:
-            unset = [0] * self.size
-            unset[self.entry] = sum(bit.values())
-            unset = flow_masks(self.succs, range(self.size), unset,
-                               [0] * self.size, kills)
-            for r in range(self.size):
-                read |= reads[r] & unset[r]
-        self.unassigned_locals = tuple(sorted(v for v in bit if read & bit[v]))
 
     @cached_property
     def in_edges(self) -> list:

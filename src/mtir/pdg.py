@@ -4,11 +4,12 @@ Every node set here is a node mask (see `cfg.ProgramModel`).  The graph
 spans all threads and is linear in the program: it maps each node to the
 mask of the nodes it depends on through control and def-use dependence
 over locals, which stay inside a thread, and through the create site
-that feeds a child's entry.  A routine that is one path
-(`ThreadCfg.path`) has no control dependence, and one walk gives its
-def-use edges.  Global flow goes through one hub per variable, the
-model's masks `stores[v]` and `loads[v]`: every load of v depends on
-every store to v, cross-thread or not, as slicing must over-approximate.
+that feeds a child's entry.  The thread-local dependences are `cfg`'s,
+solved once per routine (`ThreadCfg.control` and `ThreadCfg.data`), and
+this module only unions them.  Global flow goes through one hub per
+variable, the model's masks `stores[v]` and `loads[v]`: every load of v
+depends on every store to v, cross-thread or not, as slicing must
+over-approximate.
 One backward pass from all the assertions gives the union of their
 slices, a mask; a load of v that enters it brings in v's stores.  A
 union-find over the on-slice nodes splits each thread's loads into
@@ -17,9 +18,7 @@ independently explorable clusters.
 
 from __future__ import annotations
 
-from .cfg import (
-    ProgramModel, SBranch, SLoad, ThreadCfg, bits, dominator_sets, flow_masks,
-)
+from .cfg import ProgramModel, SLoad, bits
 from .record import Record
 
 
@@ -44,98 +43,13 @@ class DependenceGraph(Record):
                       for dst, mask in table.items() for src in bits(mask))
 
 
-def _post_dominators(cfg: ThreadCfg):
-    """Post-dominator masks over the reversed CFG with a virtual exit, one
-    id past the thread's last node.  Nodes that cannot reach the exit
-    (infinite loops) also feed the virtual exit so the computation stays
-    total."""
-    virtual = max(cfg.nodes) + 1
-    rsuccs = {n: [] for n in cfg.nodes}
-    rsuccs[virtual] = [(cfg.exit, None)]
-    for n, edges in cfg.succs.items():
-        for dst, _ in edges:
-            rsuccs[dst].append((n, None))
-    for n in cfg.nodes:
-        if n != cfg.exit and not cfg.reach[n] >> cfg.exit & 1:
-            rsuccs[virtual].append((n, None))  # sink without an exit path
-    return dominator_sets(rsuccs, virtual, sorted(rsuccs, reverse=True))
-
-
-def _control_dependence(cfg: ThreadCfg, graph: DependenceGraph):
-    """n depends on branch m when n post-dominates one successor of m
-    but not m itself; on a path, with no branch, nothing does."""
-    if cfg.path is not None:
-        return
-    pdom = _post_dominators(cfg)
-    control = graph.control
-    for m in cfg.node_order():
-        if not isinstance(cfg.nodes[m].stmt, SBranch):
-            continue
-        for succ, _ in cfg.succs[m]:
-            for n in bits(pdom[succ] & ~pdom[m]):
-                control[n] = control.get(n, 0) | 1 << m
-
-
-def _data_dependence(cfg: ThreadCfg, graph: DependenceGraph):
-    """Reaching definitions of locals, flow-sensitive per thread, as
-    gen/kill masks over the definition sites.  Each thread parameter is
-    defined at its own virtual site past the thread's last node, reported
-    as the entry node.  On a path the one definition of a local reaching
-    a node is its last one before it: one walk holds each local's."""
-    if cfg.path is not None:
-        last_def = dict.fromkeys(cfg.params, 1 << cfg.entry)  # as a mask
-        for n in cfg.path:
-            defs, uses = cfg.defs_uses[n - cfg.first_node]
-            used = 0
-            for var in uses:
-                used |= last_def.get(var, 0)
-            if used:
-                graph.data[n] = used
-            for var in defs:
-                last_def[var] = 1 << n
-        return
-    nodes = cfg.node_order()
-    last = max(cfg.nodes)
-    sites = {p: 1 << k for k, p in enumerate(cfg.params, last + 1)}
-    params = sum(sites.values())
-    defs, uses, gen = {}, {}, {}
-    for n, defs_uses in zip(nodes, cfg.defs_uses):
-        defs[n], uses[n] = defs_uses
-        gen[n] = 1 << n if defs[n] else 0
-        for var in defs[n]:
-            sites[var] = sites.get(var, 0) | gen[n]
-    # a definition kills every site of its local, its own included (a
-    # node defines at most one)
-    kill = {n: sum(sites[var] for var in defs[n]) for n in nodes}
-    reaching = flow_masks(  # the sites reaching each node
-        cfg.succs, nodes, {**dict.fromkeys(nodes, 0), cfg.entry: params},
-        gen, kill)
-
-    for n in nodes:
-        used = 0
-        for var in uses[n]:
-            used |= reaching[n] & sites.get(var, 0)
-        if used & params:
-            used = used & ~params | 1 << cfg.entry
-        if used:
-            graph.data[n] = used
-
-
 def build_pdg(model: ProgramModel) -> DependenceGraph:
+    """Each thread's control and data dependence, as `cfg` solves them
+    per routine, and the create edges."""
     graph = DependenceGraph()
     for cfg in model.threads:
-        first = cfg.first_instance
-        if first is None:
-            _control_dependence(cfg, graph)
-            _data_dependence(cfg, graph)
-            continue
-        # a later instance shifts its routine's first instance's masks,
-        # which are all the graph holds for those nodes so far
-        d = cfg.first_node - first.first_node
-        for table in (graph.control, graph.data):
-            for n in first.nodes:
-                if n in table:
-                    table[n + d] = table[n] << d
+        graph.control.update(cfg.control)
+        graph.data.update(cfg.data)
     # a created thread's entry (and so its parameters) depends on the
     # create site that spawns and binds it
     for create_node, child_tid in model.creates:

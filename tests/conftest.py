@@ -3,6 +3,7 @@ import random
 import pytest
 
 from mtir import AnalysisConfig, analyze, build_model, loads_of, parse
+from mtir.cfg import ThreadCfg
 from mtir.corpus import PROGRAMS, source
 from mtir.interp import SelfSource, StepTable, StoreSource, analyze_thread
 
@@ -64,6 +65,26 @@ def reads_from(feas, combination):
         elif isinstance(source, SelfSource) and load in feas.initial_loads:
             pairs.add(feas.initial_loads[load])
     return frozenset(pairs)
+
+
+GRAPH_FACTS = ("reach", "dominators", "s1", "po", "control", "data",
+               "unassigned_locals")
+
+
+def graph_facts(cfg):
+    """Every per-routine graph fact `cfg` caches, by name."""
+    return {name: getattr(cfg, name) for name in GRAPH_FACTS}
+
+
+def solved(cfg, walk=True):
+    """`cfg`'s graph as a first instance, so that it solves each fact of
+    its own; with no path unless `walk`, so by the general solvers."""
+    twin = ThreadCfg(cfg.tid, cfg.name, cfg.routine, cfg.entry, cfg.exit,
+                     cfg.creation_site, cfg.params)
+    twin.nodes, twin.succs = cfg.nodes, cfg.succs
+    if not walk:
+        twin.path = None  # the cached property, set before any read
+    return twin
 
 
 def one_cluster(cfg):

@@ -1,7 +1,7 @@
 """Report identity check.
 
-Usage (from a checkout root): python3 tests/report_identity.py OUT.json
-                          or: python3 tests/report_identity.py --digest
+Usage: python3 tests/report_identity.py OUT.json
+   or: python3 tests/report_identity.py --digest
 
 Runs `mtir analyze --format=json --dump-envs --dump-facts --dump-pdg` in
 every mode on a fixed set of programs and writes, one JSON line per
@@ -50,7 +50,9 @@ import os
 import sys
 import tempfile
 
-sys.path[:0] = ["src", "tests"]
+HERE = os.path.dirname(os.path.abspath(__file__))
+if __name__ == "__main__":  # as a script, from any directory: this checkout
+    sys.path[:0] = [os.path.join(os.path.dirname(HERE), "src"), HERE]
 from conftest import (  # noqa: E402
     NEVER_RUNS, POLICY_ORDER, XINST, random_program, repeated_program,
 )
@@ -422,8 +424,7 @@ def outcome(path, mode):
 
 PARTS = ("exit", "report", "facts", "pdg", "stderr")
 
-DIGEST = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                      "report_identity.digest")
+DIGEST = os.path.join(HERE, "report_identity.digest")
 
 
 def outcomes():

@@ -8,11 +8,14 @@ interpreter runs) through every mode and cross-checks against the
 oracle.  Prints any violation; exits nonzero if one is found.
 """
 
+import os
 import random
 import sys
 import time
 
-sys.path.insert(0, "tests")
+HERE = os.path.dirname(os.path.abspath(__file__))
+if __name__ == "__main__":  # as a script, from any directory: this checkout
+    sys.path[:0] = [os.path.join(os.path.dirname(HERE), "src"), HERE]
 from conftest import random_program, repeated_program, _Body  # noqa: E402
 
 from mtir import AnalysisConfig, analyze, build_model, parse  # noqa: E402

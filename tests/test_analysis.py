@@ -373,13 +373,15 @@ def test_growth_flags_match_snapshots(monkeypatch):
 
     def checked_publish(model, te, iteration, config, steps, index):
         entries = dict(index)
-        publish(model, te, iteration, config, steps, index)
+        replaced = publish(model, te, iteration, config, steps, index)
         after = dict(te), published_values(index)
         state["flags"].append(state["grew"])
         state["changed"].append(after != state["last"])
         state["replaced"].append(index.keys() != entries.keys() or any(
             index[var] is not old for var, old in entries.items()))
+        assert replaced == state["replaced"][-1]
         state["last"], state["grew"] = after, False
+        return replaced
 
     monkeypatch.setattr(analysis_mod, "_merge_te", checked_merge_te)
     monkeypatch.setattr(analysis_mod, "_publish", checked_publish)
@@ -437,7 +439,7 @@ def publish_calls(monkeypatch):
 
     def counted(*args):
         calls[0] += 1
-        publish(*args)
+        return publish(*args)
 
     monkeypatch.setattr(analysis_mod, "_publish", counted)
     return calls
@@ -471,18 +473,20 @@ def test_outer_budget_counts_the_accounted_iteration(monkeypatch):
 def test_accounted_iteration_equals_executed(monkeypatch):
     # the loop stops one iteration early when the last grew a state but
     # replaced no entry of the interference table, and accounts the next
-    # one.  Rebinding an entry to a value-equal copy after every `_publish`
-    # makes that iteration run: it must compute and count what the
-    # accounted one says
+    # one.  Rebinding an entry to a value-equal copy after every `_publish`,
+    # and saying so, makes that iteration run: it must compute and count
+    # what the accounted one says
     from mtir import analysis as analysis_mod
     publish, calls, copying = analysis_mod._publish, [0], [False]
 
     def copying_publish(model, te, iteration, config, steps, index):
         calls[0] += 1
-        publish(model, te, iteration, config, steps, index)
+        replaced = publish(model, te, iteration, config, steps, index)
         if copying[0] and index:
             var = next(iter(index))
             index[var] = Published(index[var].sources.items())
+            return True
+        return replaced
 
     monkeypatch.setattr(analysis_mod, "_publish", copying_publish)
     texts = list(instance_programs())
@@ -557,8 +561,9 @@ def test_republication_monotone(monkeypatch):
 
     def spying_publish(model, te, iteration, config, steps, index):
         calls.append((dict(te), config, steps))
-        original(model, te, iteration, config, steps, index)
+        replaced = original(model, te, iteration, config, steps, index)
         snapshots.append(published_values(index))
+        return replaced
 
     monkeypatch.setattr(analysis_mod, "_publish", spying_publish)
     grown = 0
@@ -647,7 +652,7 @@ def test_incremental_index_matches_rebuild(monkeypatch):
         before = dict(index)
         rebuilt = reference_publish(model, te, before, iteration, config,
                                     steps)
-        publish(model, te, iteration, config, steps, index)
+        replaced = publish(model, te, iteration, config, steps, index)
         assert index_rows(index) == index_rows(rebuilt)
         seen["calls"] += 1
         seen["widened"] += iteration > config.widening_delay
@@ -660,6 +665,7 @@ def test_incremental_index_matches_rebuild(monkeypatch):
                 assert kept == [new[n].value is s.value
                                 for n, s in old.sources.items()]
                 seen["shared"] += any(kept)
+        return replaced
 
     monkeypatch.setattr(analysis_mod, "_publish", checked_publish)
     texts = list(instance_programs())  # the corpus, random and repeated
@@ -935,9 +941,9 @@ def test_entry_state_kept_while_create_site_unchanged(monkeypatch):
     current, first = {}, {}  # the analysis's te; (tid, site) -> entry
     kept = 0
 
-    def entry_env(model, cfg, te, steps):
+    def entry_env(model, cfg, te):
         current["te"] = te
-        return entry_env_of(model, cfg, te, steps)
+        return entry_env_of(model, cfg, te)
 
     def checked_run(cfg, init, policy, **kwargs):
         nonlocal kept
@@ -1012,19 +1018,21 @@ def test_sliced_instances_share_one_step_table(monkeypatch):
     # statements as identity, and their unsliced table is never built
     from mtir import analysis as analysis_mod
     model = model_of(watchdog_program(16))
-    received = {}  # tid -> the tables its entry state and runs were given
+    received = {}  # tid -> the tables its runs were keyed on
+    current = {}  # the thread whose runs are scheduled
+    combinations, run_key = \
+        analysis_mod.compute_combinations, analysis_mod._run_key
 
-    def entry_env(model, cfg, te, steps, _original=analysis_mod._entry_env):
-        received.setdefault(cfg.tid, set()).add(steps)
-        return _original(model, cfg, te, steps)
+    def scheduling(cfg, *args, **kwargs):
+        current["tid"] = cfg.tid
+        return combinations(cfg, *args, **kwargs)
 
-    def run(cfg, init, policy, *args, table=None, _original=analyze_thread,
-            **kwargs):
-        received.setdefault(cfg.tid, set()).add(table)
-        return _original(cfg, init, policy, *args, table=table, **kwargs)
+    def keyed(table, init, policy):
+        received.setdefault(current["tid"], set()).add(table)
+        return run_key(table, init, policy)
 
-    monkeypatch.setattr(analysis_mod, "_entry_env", entry_env)
-    monkeypatch.setattr(analysis_mod, "analyze_thread", run)
+    monkeypatch.setattr(analysis_mod, "compute_combinations", scheduling)
+    monkeypatch.setattr(analysis_mod, "_run_key", keyed)
     analyze(model, AnalysisConfig(mode="fso"))
     dogs = [cfg for cfg in model.threads if cfg.routine == "dog"]
     assert len(dogs) == 16

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 
 import jsonschema
 import pytest
@@ -410,6 +411,32 @@ def test_bench_row_count(capsys):
         lines = out.strip().splitlines()
         assert lines[0] == "threads,mode,time_s,verified,total"
         assert len(lines) == 1 + 2 * 4, family  # sizes x modes
+
+
+def test_bench_runs_its_calls_in_rounds(monkeypatch):
+    # each round analyzes every (size, mode) pair once, and a row takes
+    # the fastest of its pair's calls; a fake clock gives each call its
+    # own duration
+    clock, durations, calls = [0.0], [], []
+    analyze = mtir.bench.analyze
+
+    def timed(model, config):
+        calls.append((len(model.threads), config.mode))
+        durations.append((len(calls) * 7 % 11 + 1) / 100)
+        clock[0] += durations[-1]
+        return analyze(model, config)
+
+    monkeypatch.setattr(mtir.bench, "analyze", timed)
+    monkeypatch.setattr(mtir.bench, "time",
+                        types.SimpleNamespace(perf_counter=lambda: clock[0]))
+    rows = mtir.bench.run_bench("watchdog", [1, 2], modes=("fi", "fso"))
+    pairs = [(2, "fi"), (2, "fso"), (3, "fi"), (3, "fso")]  # main + dogs
+    assert calls == pairs * mtir.bench.CALLS
+    assert [(row.threads, row.mode) for row in rows] \
+        == [(1, "fi"), (1, "fso"), (2, "fi"), (2, "fso")]
+    for k, row in enumerate(rows):
+        assert row.time_s == pytest.approx(min(durations[k::len(pairs)]))
+        assert row.verified == row.total == row.threads
 
 
 def test_bench_unknown_family(capsys):

@@ -15,12 +15,10 @@ from test_oracle import (
     UNASSIGNED, UNASSIGNED_INSTANCES,
 )
 from mtir.cfg import (
-    Node, SNop, ThreadCfg, bits, build_model, defs_and_uses, dominator_sets,
-    flow_masks, reachable_sets,
+    Node, SNop, ThreadCfg, _post_dominators, bits, build_model, defs_and_uses,
+    dominator_sets, flow_masks, reachable_sets,
 )
-from mtir.interp import StepTable
 from mtir.parser import parse
-from mtir.pdg import DependenceGraph, _data_dependence, _post_dominators
 
 
 def mask(nodes):
@@ -238,16 +236,13 @@ def test_graph_facts_equal_plain_definitions_on_programs():
                 (text, cfg.name)
             assert _post_dominators(cfg) == reference_post_dominators(cfg), \
                 (text, cfg.name)
-            graph = DependenceGraph()
-            _data_dependence(cfg, graph)
-            assert {(src, dst) for dst, deps in graph.data.items()
+            assert {(src, dst) for dst, deps in cfg.data.items()
                     for src in bits(deps)} \
                 == {(src, dst) for src, dsts
                     in reference_data_dependence(cfg).items()
                     for dst in dsts}, (text, cfg.name)
-            table = StepTable(cfg)
-            assert table.unassigned_locals == reference_unassigned(cfg), \
+            assert cfg.unassigned_locals == reference_unassigned(cfg), \
                 (text, cfg.name)
-            unassigned += bool(table.unassigned_locals)
+            unassigned += bool(cfg.unassigned_locals)
     assert threads >= 300 and loops >= 20 and params >= 20 \
         and unassigned >= 5, (threads, loops, params, unassigned)

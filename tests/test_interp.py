@@ -406,7 +406,7 @@ def test_entry_load_looks_up_but_stores_no_prefix():
 def test_step_table_compiles_identity_nodes_as_no_ops():
     # what an off-slice statement does is decided when its table is built:
     # it keeps its state, filters no out edge and is no load, store or
-    # assertion; the locals that read 0 still come from every statement
+    # assertion
     model = build_model(parse(
         "int g = 0;\nthread main() { int t = g; int u = g;"
         " if (t > 0) { g = t; } assert(u >= v); }"))
@@ -423,7 +423,6 @@ def test_step_table_compiles_identity_nodes_as_no_ops():
     for r in identity:
         assert sliced.transfer[r](env) is env
         assert all(filt is None for _, filt in sliced.succs[r])
-    assert sliced.unassigned_locals == full.unassigned_locals == ("v",)
 
 
 def test_prefixes_are_keyed_on_step_table():

@@ -81,3 +81,19 @@ def test_only_the_front_ends_import_the_analysis():
     graph = import_graph()
     assert {module for module, deps in graph.items() if "analysis" in deps} \
         <= {"cli", "bench", "__init__"}
+
+
+def test_only_cfg_imports_the_graph_solvers():
+    # every per-routine graph fact is a cached property of `cfg.ThreadCfg`,
+    # so no other module runs a solver of its own
+    solvers = {"flow_masks", "dominator_sets", "reachable_sets"}
+    importers = set()
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as f:
+                tree = ast.parse(f.read(), name)
+            if any(isinstance(node, ast.ImportFrom)
+                   and {alias.name for alias in node.names} & solvers
+                   for node in ast.walk(tree)):
+                importers.add(name[:-3])
+    assert importers <= {"cfg"}, importers

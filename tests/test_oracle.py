@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -8,7 +11,6 @@ from mtir.cfg import build_model, loads_of
 from mtir.cli import main as cli_main
 from mtir.errors import OracleBudgetExceeded
 from mtir.facts import FeasibilityEngine
-from mtir.interp import StepTable
 from mtir.oracle import (
     OracleBounds, check_abstraction, enumerate_executions, eval_concrete,
     static_rejections,
@@ -198,8 +200,7 @@ def test_never_assigned_local_reads_zero(tmp_path, text, thread, unassigned):
     program = tmp_path / "program.mtir"
     program.write_text(text)
     model = model_of(text)
-    assert StepTable(model.thread_named(thread)).unassigned_locals \
-        == unassigned
+    assert model.thread_named(thread).unassigned_locals == unassigned
     records = enumerate_executions(model)
     for mode in ("fi", "fs", "fsc", "fso"):
         assert cli_main(["analyze", str(program), "--mode=" + mode]) == 0, \
@@ -251,3 +252,16 @@ def test_trivial_assertion_verified_everywhere():
         result = analyze(model, AnalysisConfig(mode=mode))
         assert all(result.verdicts.values())
         assert check_abstraction(records, result, model).ok
+
+
+def test_stress_script_runs_from_any_directory(tmp_path):
+    # the documented command needs no PYTHONPATH: the script finds the
+    # checkout's package and test helpers next to its own file
+    script = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "stress_soundness.py")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, script, "1", "1", "1"],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "TOTAL violations: 0" in proc.stdout

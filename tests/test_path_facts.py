@@ -1,15 +1,21 @@
-"""A routine whose graph is one path, `ThreadCfg.path`, takes its graph
-facts from that walk: reachability, the S1 and PO rows, control and data
-dependence and the locals read before assignment.  Checked against the
-general solvers on every thread of the corpus, `random_program` seeds
+"""A routine's graph facts are `ThreadCfg`'s, solved once per routine.
+One whose graph is one path, `ThreadCfg.path`, takes them from that
+walk: reachability, the S1 and PO masks, control and data dependence
+and the locals read before assignment.  Checked against the general
+solvers on every path thread of the corpus, `random_program` seeds
 0-119, `repeated_program` seeds 0-39, `loopy_program` seeds 0-19, chain
-1-12, watchdog and the programs with locals read before assignment, and
-on random straight lines walked out of node order; a routine with a
-branch, a cycle or a synthetic entry has no path."""
+1-12, watchdog and the programs with locals read before assignment,
+and on random straight lines walked out of node order; a routine with a
+branch, a cycle or a synthetic entry has no path.  On the same programs
+each later instance, which shifts its first instance's facts, is
+checked against a fresh solve of its own graph, branching routines
+included."""
 
 import random
 
-from conftest import LOOP_HEADED, random_program, repeated_program
+from conftest import (
+    LOOP_HEADED, graph_facts, random_program, repeated_program, solved,
+)
 from stress_soundness import loopy_program
 from test_flow_masks import has_cycle
 from test_oracle import (
@@ -23,10 +29,7 @@ from mtir.cfg import (
     reachable_sets,
 )
 from mtir.corpus import PROGRAMS, source
-from mtir.facts import _local_rows
-from mtir.interp import StepTable
 from mtir.parser import parse
-from mtir.pdg import DependenceGraph, _control_dependence, _data_dependence
 
 
 def pools():
@@ -40,30 +43,6 @@ def pools():
                 PARTLY_ASSIGNED_IF, PARTLY_ASSIGNED_INSTANCES)
 
 
-def solved(cfg: ThreadCfg) -> ThreadCfg:
-    """The same graph as a first instance without a path, so that every
-    fact of it comes from the general solvers."""
-    twin = ThreadCfg(cfg.tid, cfg.name, cfg.routine, cfg.entry, cfg.exit,
-                     cfg.creation_site, cfg.params)
-    twin.nodes, twin.succs = cfg.nodes, cfg.succs
-    twin.path = None  # the cached property, set before any read
-    return twin
-
-
-def facts(cfg: ThreadCfg):
-    """reach, the S1 and PO rows, control and data dependence and the
-    unassigned locals of one thread."""
-    size = max(cfg.nodes) + 1
-    s1, po = [0] * size, [0] * size
-    _local_rows(cfg, s1, po)
-    graph = DependenceGraph()
-    _control_dependence(cfg, graph)
-    _data_dependence(cfg, graph)
-    return {"reach": cfg.reach, "s1": s1, "po": po,
-            "control": graph.control, "data": graph.data,
-            "unassigned": StepTable(cfg).unassigned_locals}
-
-
 def check_path(cfg: ThreadCfg):
     """`cfg.path` walks every node once, from the entry, along the edges,
     and the facts it gives equal the solvers'."""
@@ -71,7 +50,7 @@ def check_path(cfg: ThreadCfg):
     assert path[0] == cfg.entry and sorted(path) == cfg.node_order()
     assert all(cfg.succs[n] == [(m, None)] for n, m in zip(path, path[1:]))
     assert cfg.succs[path[-1]] == []
-    mine, general = facts(cfg), facts(solved(cfg))
+    mine, general = graph_facts(cfg), graph_facts(solved(cfg, walk=False))
     assert mine == general
     assert mine["reach"] == reachable_sets(cfg.succs)
     assert mine["control"] == {}
@@ -96,7 +75,7 @@ def test_path_facts_equal_solvers_on_programs():
             paths += 1
             copies += cfg.first_instance is not None
             params += bool(cfg.params)
-            unassigned += bool(StepTable(cfg).unassigned_locals)
+            unassigned += bool(cfg.unassigned_locals)
     assert paths >= 500 and copies >= 50 and params >= 50 \
         and unassigned >= 3 and min(no_path.values()) >= 1, \
         (paths, copies, params, unassigned, no_path)
@@ -135,3 +114,19 @@ def test_path_facts_equal_solvers_on_random_lines():
         check_path(cfg)
         shuffled += cfg.path != cfg.node_order()
     assert shuffled >= 200
+
+
+def test_later_instances_equal_fresh_solves():
+    copies = branching = params = 0
+    for text in pools():
+        model = build_model(parse(text))
+        for cfg in model.threads:
+            if cfg.first_instance is None:
+                continue
+            assert graph_facts(cfg) == graph_facts(solved(cfg)), \
+                (text, cfg.name)
+            copies += 1
+            branching += cfg.path is None
+            params += bool(cfg.params)
+    assert copies >= 60 and branching >= 5 and params >= 50, \
+        (copies, branching, params)

@@ -1,4 +1,4 @@
-from conftest import instance_programs, node_ids, one_cluster
+from conftest import instance_programs, node_ids, one_cluster, solved
 from report_identity import NO_EXIT
 from stress_soundness import loopy_program
 from mtir.analysis import AnalysisConfig, analyze
@@ -9,8 +9,8 @@ from mtir.cfg import (
 from mtir.interp import StoreSource
 from mtir.parser import parse
 from mtir.pdg import (
-    DependenceGraph, _control_dependence, _data_dependence, apply_pruning,
-    backward_slices, build_pdg, cluster, dot_dump,
+    DependenceGraph, apply_pruning, backward_slices, build_pdg, cluster,
+    dot_dump,
 )
 from mtir.corpus import source
 
@@ -205,15 +205,15 @@ def test_dot_dump_shape():
 
 
 def test_shifted_dependences_equal_fresh_ones():
-    # build_pdg computes a routine's thread-local dependences once and
-    # shifts them to each instance; computing them per thread gives the
-    # same graph, next to the store->load and create edges
+    # cfg solves a routine's thread-local dependences once and shifts them
+    # to each instance; solving them per thread gives the same graph, next
+    # to the store->load and create edges
     for text in instance_programs():
         model = build_model(parse(text))
         fresh = DependenceGraph()
         for cfg in model.threads:
-            _control_dependence(cfg, fresh)
-            _data_dependence(cfg, fresh)
+            fresh.control.update(solved(cfg).control)
+            fresh.data.update(solved(cfg).data)
         edges = {(kind, src, dst)
                  for kind, table in (("cd", fresh.control),
                                      ("dd", fresh.data))

@@ -77,11 +77,11 @@ uncollapsed schedule, `stats.interp_runs` those executed.
 An executed run also shares the work before its first read of shared
 memory.  Up to the first load it reads through its combination, a run
 depends only on its step table and entry state (the widening delay is
-fixed in one analysis), so the first run from those stores its worklist
-state at that load and every later run from equal ones, on any instance
-of the routine, resumes there (see `interp.analyze_thread`).  Resumed
-runs compute exactly what fresh runs compute, and as the worklist pops
-in node order, a loop before that load has settled in the prefix.  A
+fixed in one analysis), so the first run from those stores its state
+at that load and every later run from equal ones, on any instance of
+the routine, resumes there (see `interp.analyze_thread`).  Resumed runs
+compute exactly what fresh runs compute, and as a run visits in node
+order, a loop before that load has settled in the prefix.  A
 thread's entry state is rebuilt only when the state at its create site
 is a new object, which `_merge_te` makes exactly when the state grows,
 so run keys and prefix lookups find one entry object by identity.

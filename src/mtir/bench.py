@@ -17,6 +17,7 @@ layer's scaling curve.
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from .analysis import AnalysisConfig, analyze
@@ -62,26 +63,33 @@ def chain_program(depth: int, seed: int = 0) -> str:
 
 
 FAMILIES = {"watchdog": watchdog_program, "chain": chain_program}
-CALLS = 3  # `analyze` calls per size and mode; a row times the fastest
+CALLS = 3  # `analyze` calls per size and mode, timed in each row
 
 
 class BenchRow(Record):
-    __slots__ = ("threads", "mode", "time_s", "verified", "total")
+    """One size and mode: the fastest, median and max minus min of its
+    calls' times, and its verified and total assertions."""
+    __slots__ = ("threads", "mode", "time_s", "verified", "total",
+                 "median_s", "spread_s")
 
-    def __init__(self, threads: int, mode: str, time_s: float, verified: int,
+    def __init__(self, threads: int, mode: str, times: list, verified: int,
                  total: int):
-        self.threads, self.mode, self.time_s = threads, mode, time_s
+        self.threads, self.mode = threads, mode
+        self.time_s, self.median_s = min(times), statistics.median(times)
+        self.spread_s = max(times) - self.time_s
         self.verified, self.total = verified, total
 
     def csv(self) -> str:
-        return "%d,%s,%.4f,%d,%d" % (self.threads, self.mode, self.time_s,
-                                     self.verified, self.total)
+        return "%d,%s,%.4f,%d,%d,%.4f,%.4f" % (
+            self.threads, self.mode, self.time_s, self.verified, self.total,
+            self.median_s, self.spread_s)
 
 
 def run_bench(family: str, sizes, seed: int = 0,
               modes=("fi", "fs", "fsc", "fso")) -> list[BenchRow]:
-    """One row per size and mode, the fastest of its `CALLS` calls, run in
-    rounds over every pair: a slow stretch of the host slows one call."""
+    """One row per size and mode from its `CALLS` calls, run in rounds over
+    every pair: a slow stretch of the host slows one call.  A row's
+    median and spread say how far its fastest call can be trusted."""
     if family not in FAMILIES:
         raise MtirError(f"unknown generator {family!r}; "
                         f"known: {', '.join(sorted(FAMILIES))}")
@@ -97,10 +105,10 @@ def run_bench(family: str, sizes, seed: int = 0,
             times[size, mode].append(time.perf_counter() - start)
             counts[size, mode] = (len(result.verified_assertions()),
                                   len(result.verdicts))
-    return [BenchRow(size, mode, min(times[size, mode]), *counts[size, mode])
+    return [BenchRow(size, mode, times[size, mode], *counts[size, mode])
             for size, mode in pairs]
 
 
 def bench_csv(rows) -> str:
-    return "\n".join(["threads,mode,time_s,verified,total"]
+    return "\n".join(["threads,mode,time_s,verified,total,median_s,spread_s"]
                      + [row.csv() for row in rows]) + "\n"

@@ -13,7 +13,8 @@ of `ThreadCfg` by node id: reachability, dominators, the S1 and PO
 masks the ordering rows read (`facts`), control and data dependence
 (`pdg`), and the locals read before assignment (`interp`, `analysis`).
 A routine's first instance solves each once, and a later instance
-shifts the first instance's masks (`_per_routine`).  A routine without
+shifts the first instance's masks (`_per_routine`), or shifts them
+straight into a caller's table (`ThreadCfg.fill`).  A routine without
 a branch is one path (`ThreadCfg.path`), and its facts come from that
 walk; only a branching routine runs `flow_masks` and the solvers built
 on it.  No other module reads the walk or calls a solver.
@@ -131,13 +132,11 @@ class _per_routine(cached_property):
     def __get__(self, cfg, cls=None):
         if cfg is None:
             return self
-        first = cfg.first_instance
-        if first is None:
+        if cfg.first_instance is None:
             value = self.compute(cfg)
         else:
-            d = cfg.first_node - first.first_node
-            value = {n + d: mask << d
-                     for n, mask in getattr(first, self.name).items()}
+            value = {}
+            cfg.fill(self.name, value)
         cfg.__dict__[self.name] = value
         return value
 
@@ -172,6 +171,18 @@ class ThreadCfg(Record):
     def mask(self) -> int:
         """Mask of the thread's nodes."""
         return ((1 << len(self.nodes)) - 1) << self.first_node
+
+    def fill(self, fact: str, table: dict) -> None:
+        """Put the per-routine graph fact named `fact` into `table`, node ->
+        mask.  A later instance that has not cached its own shifts its
+        first instance's masks straight in, and caches nothing."""
+        first = self.first_instance
+        if first is None or fact in self.__dict__:
+            table.update(getattr(self, fact))
+            return
+        d = self.first_node - first.first_node
+        for n, mask in getattr(first, fact).items():
+            table[n + d] = mask << d
 
     # the graph is fixed once `build_model` returns, so each mask fact
     # below is solved once per routine, on its first instance

@@ -336,7 +336,8 @@ class _OrderingRows:
     The rows are filled from the CFGs' node masks.  Within a thread, rule
     S1 reads what each node dominates and rule PO what it reaches, the
     masks `ThreadCfg.s1` and `ThreadCfg.po`; both are already transitive,
-    and `cfg` solves them once per routine.  The create
+    and `cfg` solves them once per routine and shifts a later instance's
+    straight into the rows' tables.  The create
     and join edges (S2a, S2b) are the only steps between threads, so a
     row is its thread-local part plus, for each edge leaving the node or a
     node locally after it, the edge's target and that target's strong row
@@ -358,8 +359,8 @@ class _OrderingRows:
         sources = []  # per node, the edge sources of its thread
         edges = sum(1 << n for n in edge)
         for cfg in model.threads:  # in node order
-            s1.update(cfg.s1)
-            po.update(cfg.po)
+            cfg.fill("s1", s1)
+            cfg.fill("po", po)
             sources += [edges & cfg.mask] * len(cfg.nodes)
 
         # each edge target with every node strongly after it

@@ -1,4 +1,5 @@
-"""Worklist abstract interpreter for one thread CFG.
+"""Abstract interpreter for one thread CFG: one pass in node order for a
+routine without a cycle, a worklist fixpoint with widening otherwise.
 
 A run takes a policy: one source per load of its step table, in the
 table's load order, each the value that load reads from shared memory:
@@ -12,6 +13,11 @@ table's load order, each the value that load reads from shared memory:
 
 A source compares by what a run reads through it alone, so runs whose
 policies are equal compute the same states.
+
+A routine without a cycle needs no fixpoint: in node order, a
+topological order there, one pass visits each node once, after all of
+its predecessors (Bourdoncle, FMPA 1993).  Only a routine with a cycle
+runs the worklist, with widening and descending sweeps.
 
 The graph facts a step table and a run read, reachability and
 dominators, are `cfg`'s, solved once per routine; so are the locals an
@@ -92,7 +98,9 @@ class StepTable:
     condition.  A node in the mask `identity` (off the slice, by relative
     id) compiles as a no-op whose out edges filter nothing.
     `sweep_order` lists the nodes a descending sweep narrows (all but the
-    entry) in node order."""
+    entry) in node order.  `acyclic` says that no node is on a cycle;
+    node ids follow the source, so then every edge goes to a higher id
+    and node order is a topological order."""
 
     def __init__(self, cfg: ThreadCfg, identity: int = 0):
         base = cfg.first_node
@@ -117,10 +125,10 @@ class StepTable:
         # a loop head dominates a node with an edge back to it, so it is on
         # a cycle; a routine without one needs no dominators
         reach = cfg.reach
-        self.loop_heads = {dst - base for m, edges in cfg.succs.items()
-                           for dst, _ in edges
-                           if cfg.dominators[m] >> dst & 1} \
-            if any(reach[n] >> n & 1 for n in reach) else set()
+        self.acyclic = not any(reach[n] >> n & 1 for n in reach)
+        self.loop_heads = set() if self.acyclic else {
+            dst - base for m, edges in cfg.succs.items() for dst, _ in edges
+            if cfg.dominators[m] >> dst & 1}
         self.sweep_order = [r for r in range(self.size) if r != self.entry]
 
     @cached_property
@@ -179,12 +187,14 @@ class AnalysisConfig(Record):
         self.outer_budget, self.combo_cap = outer_budget, combo_cap
 
 
-VISIT_BUDGET = 200_000  # worklist visits per run before giving up
+VISIT_BUDGET = 200_000  # node visits per run before giving up
 
 
 class _Prefix(Record):
     """A run's ascending state just before its first policy consult, the
-    nodes that state fixes and their descending sweeps."""
+    nodes that state fixes and their descending sweeps.  A one-pass run's
+    pending mask is the consulting load alone, and it keeps no update
+    counts, fixed nodes or sweeps."""
     __slots__ = ("envs", "updates", "worklist", "visits", "widened",
                  "fixed", "sweeps")
 
@@ -205,12 +215,19 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
                    narrowing_passes: int = AnalysisConfig.narrowing_passes,
                    *, table: StepTable,
                    prefixes: dict | None = None) -> ThreadRun:
-    """Run the worklist fixpoint over one thread from the given entry state.
+    """Run the fixpoint over one thread from the given entry state.
 
     The run executes `table`, a `StepTable` of the thread's routine, and
     computes by node id relative to the thread's first node, as does the
     returned `ThreadRun`.  `policy` holds one source per load of the
     table, in its load order.
+
+    A table without a cycle runs in one pass in node order instead (see
+    `_one_pass`), a topological order there.  It computes what the
+    worklist below would, which pops each node with a state once, in that
+    order, and it spends the visit budget and stores and resumes a prefix
+    as the worklist does.  The rest of this describes the worklist, which
+    runs every table with a cycle.
 
     Widening fires at loop heads (back-edge targets) once a node has been
     updated more than `widening_delay` times; a bounded descending pass
@@ -260,6 +277,8 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
     prefixes = {} if prefixes is None else prefixes
     key = table, init
     prefix = prefixes.get(key)
+    if table.acyclic:
+        return _one_pass(cfg, table, envs, policy, prefixes, key, prefix)
     recording = prefix is None  # until the first consult
     resumed = prefix is not None
     if prefix is None:
@@ -331,6 +350,52 @@ def analyze_thread(cfg: ThreadCfg, init: AbstractEnv, policy,
         if not changed:
             break
 
+    return _result(table, envs, resumed)
+
+
+def _one_pass(cfg, table, envs, policy, prefixes, key, prefix) -> ThreadRun:
+    """`analyze_thread` on an acyclic table: in node order, each node with
+    a state is visited once, after all of its predecessors, and sends its
+    out state along each out edge through the edge's filter; a node takes
+    its first arrival as it is and joins a later one in.  Nothing widens,
+    so no sweep narrows.  It visits, spends the budget, and stores and
+    resumes a prefix (at the consulting load) where the worklist would."""
+    if prefix is None:
+        start, visits = table.entry, 0
+    else:
+        envs = list(prefix.envs)
+        start, visits = prefix.worklist.bit_length() - 1, prefix.visits
+    recording = prefix is None  # until the first consult
+    budget = VISIT_BUDGET
+    loads, transfer, succs = table.loads, table.transfer, table.succs
+    for n in range(start, table.size):
+        env = envs[n]
+        if env.bottom:
+            continue
+        visits += 1
+        if visits > budget:
+            raise AnalysisBudgetExceeded(
+                f"{cfg.name}: worklist exceeded {budget} visits")
+        load = loads.get(n)
+        if load is None:
+            out = transfer[n](env)
+        else:
+            if recording:
+                recording = False
+                if visits > 1:
+                    prefixes[key] = _Prefix(list(envs), None, 1 << n,
+                                            visits - 1, False, 0)
+            slot, stmt = load
+            out = env.set(stmt.target, policy[slot].read(env.get(stmt.var)))
+        for dst, filt in succs[n]:
+            incoming = out if filt is None else filt(out)
+            held = envs[dst]
+            envs[dst] = incoming if held.bottom else held.join(incoming)
+    return _result(table, envs, prefix is not None)
+
+
+def _result(table, envs, resumed) -> ThreadRun:
+    """A run's states with the assertions they do not prove."""
     return ThreadRun(envs, {n for n, negated in table.violable.items()
                             if not negated(envs[n]).bottom},
                      resumed=resumed)

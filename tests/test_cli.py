@@ -409,14 +409,15 @@ def test_bench_row_count(capsys):
                                  "--sizes=2,3", "--seed=1")
         assert status == 0, family
         lines = out.strip().splitlines()
-        assert lines[0] == "threads,mode,time_s,verified,total"
+        assert lines[0] == \
+            "threads,mode,time_s,verified,total,median_s,spread_s"
         assert len(lines) == 1 + 2 * 4, family  # sizes x modes
 
 
 def test_bench_runs_its_calls_in_rounds(monkeypatch):
     # each round analyzes every (size, mode) pair once, and a row takes
-    # the fastest of its pair's calls; a fake clock gives each call its
-    # own duration
+    # the fastest, the median and the max minus the min of its pair's
+    # calls; a fake clock gives each call its own duration
     clock, durations, calls = [0.0], [], []
     analyze = mtir.bench.analyze
 
@@ -435,8 +436,15 @@ def test_bench_runs_its_calls_in_rounds(monkeypatch):
     assert [(row.threads, row.mode) for row in rows] \
         == [(1, "fi"), (1, "fso"), (2, "fi"), (2, "fso")]
     for k, row in enumerate(rows):
-        assert row.time_s == pytest.approx(min(durations[k::len(pairs)]))
+        own = sorted(durations[k::len(pairs)])
+        assert len(own) == mtir.bench.CALLS == 3
+        assert row.time_s == pytest.approx(own[0])
+        assert row.median_s == pytest.approx(own[1])
+        assert row.spread_s == pytest.approx(own[2] - own[0])
         assert row.verified == row.total == row.threads
+    assert len({row.spread_s for row in rows}) > 1
+    assert row.csv().split(",")[5:] == ["%.4f" % own[1],
+                                        "%.4f" % (own[2] - own[0])]
 
 
 def test_bench_unknown_family(capsys):
@@ -461,7 +469,7 @@ def test_bench_verified_counts_monotone_per_size(capsys):
         _, out, _ = run_cli(capsys, "bench", "--family=%s" % family,
                             "--sizes=2,3")
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
-        verified = {(int(t), m): int(v) for t, m, _, v, _ in rows}
+        verified = {(int(t), m): int(v) for t, m, _, v, *_ in rows}
         for size in (2, 3):
             assert verified[(size, "fi")] <= verified[(size, "fs")] \
                 <= verified[(size, "fsc")], family

@@ -141,6 +141,28 @@ def test_base_closure_matches_rule_engine():
         assert raw.relations["MHB"] == fast.relations["MHB"], name
 
 
+def test_rows_shift_later_instances_straight_in():
+    # a later instance's S1/PO masks go into the rows shifted from its
+    # first instance's, with no dict of its own, and give the rows that
+    # its own cached masks give
+    texts = [watchdog_program(4)]
+    texts += [repeated_program(seed) for seed in range(40)]
+    copies = 0
+    for text in texts:
+        shifted, cached = model_of(text), model_of(text)
+        for cfg in cached.threads:
+            cfg.s1, cfg.po  # cache each instance's own masks first
+        rows = FeasibilityEngine(shifted).rows
+        later = [cfg for cfg in shifted.threads if cfg.first_instance]
+        assert not any("s1" in cfg.__dict__ or "po" in cfg.__dict__
+                       for cfg in later), text
+        copies += len(later)
+        reference = FeasibilityEngine(cached).rows
+        assert (rows.strong, rows.weak) \
+            == (reference.strong, reference.weak), text
+    assert copies > 40
+
+
 # --- feasibility ---------------------------------------------------------------
 
 def test_flow_pair_cycle_rejected(flag_sync):

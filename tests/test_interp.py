@@ -1,21 +1,24 @@
+import copy
 import random
 
 import pytest
 
 from conftest import MODES, XINST, instance_programs, node_ids, \
-    one_cluster, policy_of, random_program, run_thread, self_only
+    one_cluster, policy_of, random_program, repeated_program, run_thread, \
+    self_only
 from stress_soundness import loopy_program
 from mtir.analysis import AnalysisConfig, analyze
 from mtir.cfg import SLocal, build_model, loads_of
 from mtir.domain import AbstractEnv, const, interval
 from mtir.errors import AnalysisBudgetExceeded
 from mtir.interp import (
-    MergedSource, SelfSource, StepTable, StoreSource, ThreadRun, _node_out,
-    analyze_thread,
+    VISIT_BUDGET, MergedSource, SelfSource, StepTable, StoreSource, ThreadRun,
+    _node_out, analyze_thread,
 )
 from mtir.oracle import OracleBounds, enumerate_executions
 from mtir.parser import parse
-from mtir.corpus import source
+from mtir.bench import chain_program
+from mtir.corpus import PROGRAMS, source
 
 
 @pytest.fixture(scope="module")
@@ -181,7 +184,7 @@ def test_narrowing_recovers_loop_bound():
 def test_narrowing_only_after_widening(monkeypatch):
     # with no widening the ascending fixpoint is already the join of each
     # node's final incoming edges: the descending sweep is skipped
-    from mtir.bench import chain_program, watchdog_program
+    from mtir.bench import watchdog_program
     calls = []
     original = AbstractEnv.narrow
     monkeypatch.setattr(AbstractEnv, "narrow",
@@ -304,6 +307,38 @@ def test_acyclic_table_visits_each_node_once(monkeypatch):
         analyze_thread(cfg, init, policy, table=table)
 
 
+# routines without a cycle whose first shared read follows local
+# statements, so that their one-pass runs store and resume a prefix: a
+# path, a routine whose read follows a branch, and a routine created three
+# times, twice from equal entry states
+ACYCLIC_READS = ["""int g = 0;
+thread w() { g = 3; }
+thread main() {
+  create(w);
+  int a = 2;
+  int b = a * 3;
+  int t = g;
+  assert(t + b >= 6);
+}
+""", """int g = 0;
+thread w() { g = 3; g = 8; }
+thread main() {
+  create(w);
+  int a = 1;
+  int c = *;
+  if (c > 0) { a = a + 1; } else { a = 5; }
+  int t = g;
+  int s = t + a;
+  if (s > 9) { s = 9; }
+  assert(s <= 9);
+}
+""", """int g = 0;
+thread r(int p) { int a = p * 2; if (a > 2) { a = 2; } int t = g; g = t + a;
+  assert(t >= 0); }
+thread main() { create(r, 1); create(r, 1); create(r, 4); }
+"""]
+
+
 def test_resumed_runs_match_fresh_runs(monkeypatch):
     # with a fresh run key per call every combination analyze schedules
     # executes; each run that resumed a stored prefix, and copied the
@@ -329,6 +364,7 @@ def test_resumed_runs_match_fresh_runs(monkeypatch):
     texts += [loopy_program(seed) for seed in range(20)]
     texts += [READ_IN_LOOP, PENDING_LOAD, LAGGED, XINST]
     texts += [lagged(before) for before in range(5)]
+    texts += ACYCLIC_READS
     for passes in (1, 2, 3):
         for text in texts:
             model = build_model(parse(text))
@@ -336,6 +372,60 @@ def test_resumed_runs_match_fresh_runs(monkeypatch):
                 analyze(model, AnalysisConfig(mode=mode,
                                               narrowing_passes=passes))
     assert len(resumed) > 3000, len(resumed)
+
+
+def test_one_pass_matches_the_worklist(monkeypatch):
+    # a run of a table without a cycle takes one pass in node order;
+    # forced through the worklist, with `acyclic` cleared on a copy of its
+    # table, it must compute the same states and unproven assertions and
+    # give up at the same visit: every run analyze executes, with its
+    # stored prefixes, in every mode, on sliced `fso` tables too
+    from mtir import analysis as analysis_mod
+    acyclic = []  # whether each checked run resumed
+
+    def gives_up(limit, cfg, init, policy, **kwargs):
+        monkeypatch.setattr("mtir.interp.VISIT_BUDGET", limit)
+        try:
+            analyze_thread(cfg, init, policy, **kwargs)
+        except AnalysisBudgetExceeded:
+            return True
+        finally:
+            monkeypatch.setattr("mtir.interp.VISIT_BUDGET", VISIT_BUDGET)
+        return False
+
+    def checked(cfg, init, policy, *, table, prefixes, **kwargs):
+        stored = dict(prefixes)
+        run = analyze_thread(cfg, init, policy, table=table,
+                             prefixes=prefixes, **kwargs)
+        if not table.acyclic:
+            return run
+        forced = copy.copy(table)
+        forced.acyclic = False
+        fresh = analyze_thread(cfg, init, policy, table=forced, **kwargs)
+        assert run.envs == fresh.envs, cfg.name
+        assert run.violable == fresh.violable, cfg.name
+        visits = sum(not env.bottom for env in run.envs)
+        for limit in (visits - 1, visits) if visits else ():
+            expected = limit < visits
+            assert gives_up(limit, cfg, init, policy, table=table,
+                            prefixes=dict(stored), **kwargs) == expected
+            assert gives_up(limit, cfg, init, policy, table=forced,
+                            **kwargs) == expected
+        acyclic.append(run.resumed)
+        return run
+
+    monkeypatch.setattr(analysis_mod, "analyze_thread", checked)
+    texts = [source(name) for name in PROGRAMS]
+    texts += [random_program(seed) for seed in range(120)]
+    texts += [repeated_program(seed) for seed in range(40)]
+    texts += [chain_program(depth) for depth in range(1, 13)]
+    texts += ACYCLIC_READS
+    for text in texts:
+        model = build_model(parse(text))
+        for mode in MODES:
+            analyze(model, AnalysisConfig(mode=mode))
+    assert len(acyclic) > 3000 and sum(acyclic) > 30, \
+        (len(acyclic), sum(acyclic))
 
 
 def test_resumed_run_exceeds_budget_at_the_same_visit(monkeypatch):
